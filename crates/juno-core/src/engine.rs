@@ -28,19 +28,15 @@ use crate::mapping::SceneMapping;
 use crate::pipeline::{QuerySimulator, QueryWork, StageBreakdown};
 use crate::threshold::{ThresholdModel, ThresholdStrategy, ThresholdTrainConfig};
 use juno_common::error::{Error, Result};
-use juno_common::group::GroupSchedule;
 use juno_common::index::{AnnIndex, DriftReport, Neighbor, SearchResult, SearchStats};
-use juno_common::kernel::{
-    self, tighter_worst, QuantizedLut, BLOCK_LANES, GROUP_CHUNK_WORK, GROUP_TILE,
-    MIN_GROUP_QUERIES, MIN_PRUNE_POINTS,
-};
+use juno_common::kernel::{self, QuantizedLut, BLOCK_LANES};
 use juno_common::metric::{inner_product, Metric};
-use juno_common::parallel;
 use juno_common::topk::TopK;
 use juno_common::vector::VectorSet;
 use juno_quant::ivf::{IvfIndex, IvfTrainConfig};
-use juno_quant::layout::{GroupLane, IvfListCodes};
+use juno_quant::layout::IvfListCodes;
 use juno_quant::pq::{EncodedPoints, PqTrainConfig, ProductQuantizer};
+use juno_quant::scan::{self, ScanArena, ScanCounters, ScanEngine};
 
 /// The JUNO approximate nearest neighbour index.
 ///
@@ -96,96 +92,35 @@ pub type SelectiveLutParts = (
     Vec<Vec<f32>>,
 );
 
-/// Reusable per-thread scratch state for [`JunoIndex::search_with_scratch`]:
-/// the dense LUT decode buffer plus the accumulation vectors and fast-scan
-/// buffers, allocated once per worker instead of once per query.
-#[derive(Debug, Clone)]
-pub struct SearchScratch {
+/// Reusable per-thread scan state for [`JunoIndex::search_with_scratch`] —
+/// the shared driver's arena ([`juno_quant::scan::ScanArena`]) over JUNO's
+/// slots, allocated once per worker instead of once per query.
+pub type SearchScratch = ScanArena<JunoSlot>;
+
+/// One expanded `(query, probe)` pair of the JUNO engine: the selective LUT
+/// slot decoded into the dense `S×E` table (`NaN` = unselected), the
+/// per-visit constants of the exact arithmetic, and the indicator LUTs the
+/// hit-count unit builds instead.
+#[derive(Debug)]
+pub struct JunoSlot {
     decode: LutDecodeBuffer,
-    /// Squared inner-sphere (half-threshold) bounds per subspace of the
-    /// current slot (hit-count modes).
+    /// Mean squared threshold of the slot: the per-subspace miss penalty
+    /// base (the selective LUT guarantees the true per-subspace distance
+    /// exceeds the threshold wherever no entry was selected).
+    mean_thr_sq: f32,
+    /// `IP(query, centroid)` under MIPS, `0` under L2.
+    centroid_term: f32,
+    /// Squared inner-sphere (half-threshold) bounds per subspace
+    /// (hit-count modes).
     half_sq: Vec<f32>,
-    /// `(point id, score)` pairs collected by the hit-count modes.
-    hit_scores: Vec<(u32, i64)>,
-    /// The u8-quantised prune LUT of the current slot.
-    qlut: QuantizedLut,
     /// 0/1 selection-indicator LUT (hit-count outer counts), stride-padded.
     outer_lut: Vec<u8>,
     /// 0/1 inner-sphere indicator LUT (hit-count reward mode).
     inner_lut: Vec<u8>,
-    /// Lane sums of the current block (quantised bounds or outer counts).
+    /// Outer-hit lane counts of the current block.
     lane_sums: [u16; BLOCK_LANES],
     /// Inner-hit lane counts of the current block.
     lane_inner: [u16; BLOCK_LANES],
-}
-
-/// Work counters of one scan, merged into [`SearchStats`] afterwards.
-#[derive(Debug, Clone, Copy, Default)]
-struct ScanCounters {
-    accumulations: usize,
-    candidates: usize,
-    pruned_points: usize,
-    pruned_blocks: usize,
-    pruned_clusters: usize,
-    /// Per-(query, probe) slot expansions (decode buffer / indicator LUTs).
-    lut_builds: usize,
-    /// Additional scan passes (exact re-rank, tail scans) served from an
-    /// already-expanded slot without rebuilding it.
-    lut_reuses: usize,
-}
-
-impl ScanCounters {
-    fn merge(&mut self, other: &ScanCounters) {
-        self.accumulations += other.accumulations;
-        self.candidates += other.candidates;
-        self.pruned_points += other.pruned_points;
-        self.pruned_blocks += other.pruned_blocks;
-        self.pruned_clusters += other.pruned_clusters;
-        self.lut_builds += other.lut_builds;
-        self.lut_reuses += other.lut_reuses;
-    }
-}
-
-/// Exact ADC evaluation of one candidate — **the** reference arithmetic both
-/// the plain scan and the fast-scan re-rank go through, so the two paths are
-/// bit-identical by construction.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn rank_candidate_exact(
-    metric: Metric,
-    dense: &[f32],
-    entries: usize,
-    code: &[u8],
-    pid: u32,
-    mean_thr_sq: f32,
-    miss_penalty_factor: f32,
-    centroid_term: f32,
-    topk: &mut TopK,
-    ctr: &mut ScanCounters,
-) {
-    let subspaces = code.len();
-    let mut sum = 0.0f32;
-    let mut covered = 0u32;
-    for (s, &e) in code.iter().enumerate() {
-        let v = dense[s * entries + e as usize];
-        // NaN marks "entry not selected"; comparison is false for NaN so the
-        // branch predictor sees the common case.
-        if !v.is_nan() {
-            sum += v;
-            covered += 1;
-        }
-    }
-    if covered == 0 {
-        return;
-    }
-    ctr.accumulations += covered as usize;
-    let missing = (subspaces as u32 - covered) as f32;
-    let raw = match metric {
-        Metric::L2 => sum + missing * mean_thr_sq * miss_penalty_factor,
-        // Missing subspaces contribute no (positive) similarity.
-        Metric::InnerProduct => centroid_term + sum,
-    };
-    topk.push(pid as u64, raw);
 }
 
 impl JunoIndex {
@@ -322,18 +257,7 @@ impl JunoIndex {
     /// Creates a scratch buffer sized for this index, reusable across
     /// queries (the batch path keeps one per worker thread).
     pub fn make_scratch(&self) -> SearchScratch {
-        let subspaces = self.pq.num_subspaces();
-        let entries = self.pq.entries_per_subspace();
-        SearchScratch {
-            decode: LutDecodeBuffer::new(subspaces, entries),
-            half_sq: vec![0.0; subspaces],
-            hit_scores: Vec::new(),
-            qlut: QuantizedLut::new(),
-            outer_lut: Vec::new(),
-            inner_lut: Vec::new(),
-            lane_sums: [0; BLOCK_LANES],
-            lane_inner: [0; BLOCK_LANES],
-        }
+        ScanArena::new(self.new_slot())
     }
 
     /// The engine configuration.
@@ -677,12 +601,7 @@ impl JunoIndex {
         }
         let codes_full = EncodedPoints::from_parts(flat, subspaces)?;
         let mut list_codes = IvfListCodes::build(&labels_full, &codes_full, n_clusters)?;
-        for id in 0..next_id {
-            if !live_mark[id as usize] {
-                list_codes.remove(id);
-            }
-        }
-        list_codes.compact();
+        list_codes.retain_live(&live_mark);
         let ivf = IvfIndex::from_parts(
             fresh.ivf.centroids().clone(),
             labels_full,
@@ -732,12 +651,7 @@ impl JunoIndex {
         }
         let mut list_codes =
             IvfListCodes::build(self.ivf.labels(), &self.codes, self.ivf.n_clusters())?;
-        for id in 0..next_id {
-            if !live_mark[id as usize] {
-                list_codes.remove(id);
-            }
-        }
-        list_codes.compact();
+        list_codes.retain_live(&live_mark);
         Ok(Self {
             config: self.config.clone(),
             ivf: self.ivf.clone(),
@@ -810,235 +724,218 @@ impl JunoIndex {
         Ok((clusters, lut, rt_stats, thresholds))
     }
 
-    /// Exact-distance accumulation (JUNO-H), as a two-phase fast-scan.
+    /// The per-stage simulated breakdown of the last-run query shape — used
+    /// by the figure binaries to report Fig. 11(a)/13(a)-style numbers
+    /// without re-running a search.
+    pub fn simulate_breakdown(&self, work: &QueryWork) -> StageBreakdown {
+        self.simulator.simulate(work)
+    }
+
+    /// [`AnnIndex::search`] with caller-provided scratch buffers, so batch
+    /// workers amortise the decode-buffer allocation across queries: the
+    /// shared driver's query-major path ([`scan::search_one`]).
     ///
-    /// For each probed cluster the selective LUT slot is expanded into the
-    /// dense decode buffer (`NaN` = unselected) and quantised into a `u8`
-    /// prune LUT with conservative rounding. Phase 1 scores the cluster's
-    /// block-interleaved codes against the quantised LUT (AVX2 when
-    /// available), pruning candidates — and whole blocks, via early abandon —
-    /// whose score lower bound cannot enter the top-k; clusters whose global
-    /// bound loses to the current worst are skipped outright. Phase 2
-    /// re-ranks every survivor through [`rank_candidate_exact`], the same
-    /// arithmetic the plain scan uses, so final ids and distance bits are
-    /// identical to the fast-scan-disabled path. The candidate set is the
-    /// cluster members with at least one selected entry, exactly as before.
-    fn search_high(
+    /// # Errors
+    ///
+    /// Same failure modes as [`AnnIndex::search`].
+    pub fn search_with_scratch(
         &self,
         query: &[f32],
         k: usize,
-        clusters: &[usize],
-        lut: &SelectiveLut,
-        thresholds: &[Vec<f32>],
         scratch: &mut SearchScratch,
-    ) -> Result<(Vec<Neighbor>, ScanCounters)> {
-        let subspaces = self.pq.num_subspaces();
-        let entries = self.pq.entries_per_subspace();
-        let metric = self.config.metric;
-        let factor = self.config.miss_penalty_factor;
-        let mut topk = TopK::new(k, metric);
-        let mut ctr = ScanCounters::default();
-        // Hoisted: after build or compact there are no stored tombstones, so
-        // the never-mutated hot path skips the per-candidate random-access
-        // load into the tombstone bitmap entirely.
-        let check_tombstones = self.list_codes.stored_tombstones() > 0;
-
-        for (slot, &cluster) in clusters.iter().enumerate() {
-            // Fault the cluster in (and verify it) before its slices are
-            // scanned; a no-op once resident or for owned layouts.
-            self.list_codes.touch_cluster(cluster)?;
-            scratch.decode.decode_slot(lut, slot);
-            ctr.lut_builds += 1;
-
-            // Per-cluster constants.
-            let centroid_term = match metric {
-                Metric::L2 => 0.0,
-                Metric::InnerProduct => inner_product(query, self.ivf.centroid(cluster)?),
-            };
-            // Penalty per subspace whose entry was not selected: the selective
-            // LUT guarantees the true per-subspace distance exceeds the
-            // threshold there, so the threshold (squared) is a lower bound.
-            let mean_thr_sq: f32 =
-                thresholds[slot].iter().map(|t| t * t).sum::<f32>() / subspaces.max(1) as f32;
-
-            let dense = scratch.decode.as_slice();
-            let ids = self.list_codes.cluster_ids(cluster);
-            let codes = self.list_codes.cluster_codes(cluster);
-            // Every stored record of the probed cluster is streamed by the
-            // scan, so count all of them up front: an invariant definition
-            // (independent of prune order, the fast-scan toggle, and
-            // query-major vs grouped execution) that keeps the simulated
-            // stage times comparable across execution strategies.
-            ctr.candidates += ids.len() + self.list_codes.cluster_tail(cluster).0.len();
-
-            // The prune pass only pays for itself once there is a top-k
-            // worst score to prune against and the cluster is large enough
-            // to amortise the O(subspaces × E) quantisation; otherwise the
-            // base segment is scanned exactly (identical results either
-            // way — pruning never changes results, only work).
-            let worst0 = topk.worst_score();
-            let prune = self.fastscan && worst0.is_some() && ids.len() >= MIN_PRUNE_POINTS;
-            if prune {
-                // Quantise this slot's "lower is better" score contributions
-                // straight from the decode buffer: L2 takes LUT values with
-                // the miss penalty substituted for unselected entries; MIPS
-                // negates (score = −IP) and adds the centroid term once per
-                // candidate.
-                let (const_term, unselected, negate) = match metric {
-                    Metric::L2 => (0.0, mean_thr_sq * factor, false),
-                    Metric::InnerProduct => (-centroid_term, 0.0, true),
-                };
-                scratch
-                    .qlut
-                    .build_selective(dense, subspaces, entries, const_term, unselected, negate);
-
-                // Cluster-level pruning: no member (base or tail) can beat
-                // the per-subspace minima bound.
-                if scratch.qlut.cluster_bound() >= worst0.expect("prune requires worst") as f64 {
-                    ctr.pruned_clusters += 1;
-                    ctr.pruned_points += ids.len() + self.list_codes.cluster_tail(cluster).0.len();
-                    continue;
-                }
-
-                let blocks = self.list_codes.cluster_blocks(cluster);
-                let topk_ref = &mut topk;
-                let ctr_ref = &mut ctr;
-                let list_codes = &self.list_codes;
-                let (pp, pb) =
-                    blocks.prune_scan(&scratch.qlut, &mut scratch.lane_sums, worst0, |i| {
-                        let pid = ids[i];
-                        if !(check_tombstones && list_codes.is_deleted(pid)) {
-                            rank_candidate_exact(
-                                metric,
-                                dense,
-                                entries,
-                                &codes[i * subspaces..(i + 1) * subspaces],
-                                pid,
-                                mean_thr_sq,
-                                factor,
-                                centroid_term,
-                                topk_ref,
-                                ctr_ref,
-                            );
-                        }
-                        topk_ref.worst_score()
-                    });
-                ctr.pruned_points += pp;
-                ctr.pruned_blocks += pb;
-                // The exact re-rank pass consumed the decode rows the prune
-                // pass already expanded.
-                ctr.lut_reuses += 1;
-            } else {
-                // Plain streaming scan of the base segment.
-                for (i, &pid) in ids.iter().enumerate() {
-                    if check_tombstones && self.list_codes.is_deleted(pid) {
-                        continue;
-                    }
-                    rank_candidate_exact(
-                        metric,
-                        dense,
-                        entries,
-                        &codes[i * subspaces..(i + 1) * subspaces],
-                        pid,
-                        mean_thr_sq,
-                        factor,
-                        centroid_term,
-                        &mut topk,
-                        &mut ctr,
-                    );
-                }
-            }
-            // Append-tail records (inserted since the last compaction) have
-            // no block view; scan them exactly, in id order, after the base
-            // — the same global order on every path.
-            let (tail_ids, tail_codes) = self.list_codes.cluster_tail(cluster);
-            if !tail_ids.is_empty() {
-                ctr.lut_reuses += 1;
-            }
-            for (i, &pid) in tail_ids.iter().enumerate() {
-                if check_tombstones && self.list_codes.is_deleted(pid) {
-                    continue;
-                }
-                rank_candidate_exact(
-                    metric,
-                    dense,
-                    entries,
-                    &tail_codes[i * subspaces..(i + 1) * subspaces],
-                    pid,
-                    mean_thr_sq,
-                    factor,
-                    centroid_term,
-                    &mut topk,
-                    &mut ctr,
-                );
-            }
-        }
-        // `candidates` was counted per probed cluster up front (every stored
-        // record, incl. tombstoned and zero-coverage ones — the records the
-        // scan streams), so it is invariant to pruning, to the fast-scan
-        // toggle and to the cluster visit order; `accumulations` still
-        // reflects exactly the f32 work performed.
-        Ok((topk.into_sorted_vec(), ctr))
+    ) -> Result<SearchResult> {
+        scan::search_one(self, query, k, scratch)
     }
 
-    /// Hit-count ranking (JUNO-L / JUNO-M). A point belongs to exactly one
-    /// IVF cluster, so per-candidate counts need no cross-cluster merging.
+    /// Cluster-major grouped batch search ([`scan::search_batch_grouped`]):
+    /// plan → seed → schedule → chunk scan → gather, bit-identical (ids and
+    /// distance bits) to the sequential per-query path.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`AnnIndex::search`], reported for the first
+    /// failing query in query order.
+    pub fn search_batch_grouped(
+        &self,
+        queries: &VectorSet,
+        k: usize,
+        num_threads: usize,
+    ) -> Result<Vec<SearchResult>> {
+        scan::search_batch_grouped(self, queries, k, num_threads)
+    }
+
+    /// The query-major batch path (one task per query, each running
+    /// [`JunoIndex::search_with_scratch`]): the fallback for tiny batches
+    /// and the differential / benchmark reference for the grouped pipeline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first per-query error encountered (by query order).
+    pub fn search_batch_query_major(
+        &self,
+        queries: &VectorSet,
+        k: usize,
+        num_threads: usize,
+    ) -> Result<Vec<SearchResult>> {
+        scan::search_batch_query_major(self, queries, k, num_threads)
+    }
+}
+
+/// What is JUNO about the shared scan ([`juno_quant::scan`]): a query's plan
+/// is its selective LUT ([`JunoIndex::build_selective_lut`]), a probe expands
+/// by sparse decode (`NaN` = unselected), and a candidate's score adds the
+/// selected entries plus a miss penalty (L2) or the centroid term (MIPS).
+/// The hit-count modes (JUNO-L/M) ride the same pipeline through their own
+/// per-cluster unit.
+impl ScanEngine for JunoIndex {
+    type Plan = SelectiveLutParts;
+    type Slot = JunoSlot;
+
+    fn lists(&self) -> &IvfListCodes {
+        &self.list_codes
+    }
+
+    /// Hit counts rank descending whatever the metric; an inner-product
+    /// selector over the integer scores is exactly that order (score
+    /// descending, ties by ascending id).
+    fn rank_metric(&self) -> Metric {
+        match self.config.quality {
+            QualityMode::High => self.config.metric,
+            QualityMode::Medium | QualityMode::Low => Metric::InnerProduct,
+        }
+    }
+
+    fn fastscan(&self) -> bool {
+        self.fastscan
+    }
+
+    fn plan(&self, query: &[f32]) -> Result<SelectiveLutParts> {
+        self.build_selective_lut(query)
+    }
+
+    fn probes<'p>(&self, plan: &'p SelectiveLutParts) -> &'p [usize] {
+        &plan.0
+    }
+
+    fn new_slot(&self) -> JunoSlot {
+        let subspaces = self.pq.num_subspaces();
+        JunoSlot {
+            decode: LutDecodeBuffer::new(subspaces, self.pq.entries_per_subspace()),
+            mean_thr_sq: 0.0,
+            centroid_term: 0.0,
+            half_sq: vec![0.0; subspaces],
+            outer_lut: Vec::new(),
+            inner_lut: Vec::new(),
+            lane_sums: [0; BLOCK_LANES],
+            lane_inner: [0; BLOCK_LANES],
+        }
+    }
+
+    fn expand(
+        &self,
+        query: &[f32],
+        plan: &SelectiveLutParts,
+        probe: usize,
+        cluster: usize,
+        slot: &mut JunoSlot,
+    ) {
+        slot.decode.decode_slot(&plan.1, probe);
+        slot.centroid_term = match self.config.metric {
+            Metric::L2 => 0.0,
+            Metric::InnerProduct => {
+                let centroid = self.ivf.centroid(cluster);
+                inner_product(
+                    query,
+                    centroid.expect("cluster comes from the filter stage"),
+                )
+            }
+        };
+        slot.mean_thr_sq = plan.3[probe].iter().map(|t| t * t).sum::<f32>()
+            / self.pq.num_subspaces().max(1) as f32;
+    }
+
+    /// Quantises the slot's "lower is better" score contributions straight
+    /// from the decode buffer: L2 takes LUT values with the miss penalty
+    /// substituted for unselected entries; MIPS negates (score = −IP) and
+    /// adds the centroid term once per candidate.
+    fn quantize(&self, slot: &JunoSlot, qlut: &mut QuantizedLut) {
+        let (const_term, unselected, negate) = match self.config.metric {
+            Metric::L2 => (
+                0.0,
+                slot.mean_thr_sq * self.config.miss_penalty_factor,
+                false,
+            ),
+            Metric::InnerProduct => (-slot.centroid_term, 0.0, true),
+        };
+        qlut.build_selective(
+            slot.decode.as_slice(),
+            self.pq.num_subspaces(),
+            self.pq.entries_per_subspace(),
+            const_term,
+            unselected,
+            negate,
+        );
+    }
+
+    /// Exact ADC evaluation of one candidate — **the** reference arithmetic
+    /// the plain scan and the fast-scan re-rank both go through, so the two
+    /// are bit-identical by construction. A candidate is a cluster member
+    /// with at least one selected entry.
+    #[inline]
+    fn score(&self, slot: &JunoSlot, code: &[u8], ctr: &mut ScanCounters) -> Option<f32> {
+        let dense = slot.decode.as_slice();
+        let entries = slot.decode.entries_per_subspace();
+        let mut sum = 0.0f32;
+        let mut covered = 0u32;
+        for (s, &e) in code.iter().enumerate() {
+            let v = dense[s * entries + e as usize];
+            // NaN marks "entry not selected"; comparison is false for NaN so
+            // the branch predictor sees the common case.
+            if !v.is_nan() {
+                sum += v;
+                covered += 1;
+            }
+        }
+        if covered == 0 {
+            return None;
+        }
+        ctr.accumulations += covered as usize;
+        let missing = (code.len() as u32 - covered) as f32;
+        Some(match self.config.metric {
+            Metric::L2 => sum + missing * slot.mean_thr_sq * self.config.miss_penalty_factor,
+            // Missing subspaces contribute no (positive) similarity.
+            Metric::InnerProduct => slot.centroid_term + sum,
+        })
+    }
+
+    fn own_unit(&self) -> bool {
+        self.config.quality != QualityMode::High
+    }
+
+    /// Hit-count ranking (JUNO-L / JUNO-M) of **one** `(query, probed
+    /// cluster)` pair. A point belongs to exactly one IVF cluster, so
+    /// per-candidate counts need no cross-cluster merging; `candidates`
+    /// counts the points hit.
     ///
     /// With fast-scan enabled the counts come out of the block kernel: the
     /// selective LUT slot is expanded into 0/1 indicator LUTs (selected /
     /// inside the inner half-threshold sphere) and one kernel pass per block
     /// yields 32 exact integer counts at once — no quantisation error, so
     /// results are identical to the dense-buffer reference path.
-    fn search_hitcount(
+    fn scan_unit(
         &self,
-        k: usize,
-        clusters: &[usize],
-        lut: &SelectiveLut,
-        thresholds: &[Vec<f32>],
-        mode: HitCountMode,
-        scratch: &mut SearchScratch,
-    ) -> Result<(Vec<Neighbor>, ScanCounters)> {
-        let mut ctr = ScanCounters::default();
-        // Borrow the accumulation vector out of the scratch so the per-
-        // cluster unit can take the remaining scratch fields mutably.
-        let mut hits = std::mem::take(&mut scratch.hit_scores);
-        hits.clear();
-        for (slot, &cluster) in clusters.iter().enumerate() {
-            // Fault + verify before the (infallible) scan unit reads slices.
-            self.list_codes.touch_cluster(cluster)?;
-            self.hitcount_cluster(
-                cluster, slot, lut, thresholds, mode, scratch, &mut hits, &mut ctr,
-            );
-        }
-        ctr.candidates = hits.len();
-        sort_hit_scores(&mut hits);
-        hits.truncate(k);
-        let neighbors = hits
-            .iter()
-            .map(|&(pid, score)| Neighbor::new(pid as u64, score as f32))
-            .collect();
-        scratch.hit_scores = hits;
-        Ok((neighbors, ctr))
-    }
-
-    /// Hit-count scan of **one** `(probed cluster, query slot)` pair,
-    /// appending `(point id, score)` pairs to `out` — the per-cluster unit
-    /// both the query-major path ([`JunoIndex::search_hitcount`]) and the
-    /// cluster-major grouped batch executor drive, so the two produce
-    /// identical hit sets by construction (hit counts involve no pruning, so
-    /// they are also independent of the cluster visit order).
-    #[allow(clippy::too_many_arguments)]
-    fn hitcount_cluster(
-        &self,
+        plan: &SelectiveLutParts,
+        probe: usize,
         cluster: usize,
-        slot: usize,
-        lut: &SelectiveLut,
-        thresholds: &[Vec<f32>],
-        mode: HitCountMode,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<(u32, i64)>,
+        slot: &mut JunoSlot,
+        topk: &mut TopK,
         ctr: &mut ScanCounters,
     ) {
+        let (lut, thresholds) = (&plan.1, &plan.3[probe]);
+        let mode = match self.config.quality {
+            QualityMode::Medium => HitCountMode::RewardPenalty,
+            _ => HitCountMode::CountOnly,
+        };
         let subspaces = self.pq.num_subspaces();
         let entries = self.pq.entries_per_subspace();
         let stride = entries.next_multiple_of(16);
@@ -1047,32 +944,40 @@ impl JunoIndex {
         // the exact-value check is skipped (see the hitcount module
         // docs); every hit counts as an outer hit only.
         let inner_enabled = self.config.metric == Metric::L2;
-        for (s, half) in scratch.half_sq.iter_mut().enumerate() {
-            let h = thresholds[slot][s] * 0.5;
+        for (half, t) in slot.half_sq.iter_mut().zip(thresholds) {
+            let h = t * 0.5;
             *half = h * h;
         }
-        let score_of = |outer: u32, inner: u32| match mode {
-            HitCountMode::CountOnly => outer as i64,
-            HitCountMode::RewardPenalty => inner as i64 - (subspaces as i64 - outer as i64),
+        let mut hit = |pid: u32, outer: u32, inner: u32| {
+            if outer == 0 || (check_tombstones && self.list_codes.is_deleted(pid)) {
+                return;
+            }
+            ctr.accumulations += outer as usize;
+            ctr.candidates += 1;
+            let score = match mode {
+                HitCountMode::CountOnly => outer as i64,
+                HitCountMode::RewardPenalty => inner as i64 - (subspaces as i64 - outer as i64),
+            };
+            topk.push(pid as u64, score as f32);
         };
 
         if self.fastscan {
             // 0/1 indicator LUTs straight from the sparse rows — the
             // dense f32 expansion is not needed at all on this path.
             let want_inner = inner_enabled && mode == HitCountMode::RewardPenalty;
-            scratch.outer_lut.clear();
-            scratch.outer_lut.resize(subspaces * stride, 0);
+            slot.outer_lut.clear();
+            slot.outer_lut.resize(subspaces * stride, 0);
             if want_inner {
-                scratch.inner_lut.clear();
-                scratch.inner_lut.resize(subspaces * stride, 0);
+                slot.inner_lut.clear();
+                slot.inner_lut.resize(subspaces * stride, 0);
             }
             for s in 0..subspaces {
-                let row_ids = lut.row_entries(slot, s);
-                let row_vals = lut.row_values(slot, s);
+                let row_ids = lut.row_entries(probe, s);
+                let row_vals = lut.row_values(probe, s);
                 for (&e, &v) in row_ids.iter().zip(row_vals) {
-                    scratch.outer_lut[s * stride + e as usize] = 1;
-                    if want_inner && v <= scratch.half_sq[s] {
-                        scratch.inner_lut[s * stride + e as usize] = 1;
+                    slot.outer_lut[s * stride + e as usize] = 1;
+                    if want_inner && v <= slot.half_sq[s] {
+                        slot.inner_lut[s * stride + e as usize] = 1;
                     }
                 }
             }
@@ -1084,39 +989,34 @@ impl JunoIndex {
             for b in 0..blocks.num_blocks() {
                 let rows = blocks.block_rows(b);
                 kernel::accumulate_block(
-                    &scratch.outer_lut,
+                    &slot.outer_lut,
                     stride,
                     subspaces,
                     rows,
                     nibble,
-                    &mut scratch.lane_sums,
+                    &mut slot.lane_sums,
                 );
                 if want_inner {
                     kernel::accumulate_block(
-                        &scratch.inner_lut,
+                        &slot.inner_lut,
                         stride,
                         subspaces,
                         rows,
                         nibble,
-                        &mut scratch.lane_inner,
+                        &mut slot.lane_inner,
                     );
                 }
                 for lane in 0..blocks.block_len(b) {
-                    let pid = ids[b * BLOCK_LANES + lane];
-                    if check_tombstones && self.list_codes.is_deleted(pid) {
-                        continue;
-                    }
-                    let outer = scratch.lane_sums[lane] as u32;
-                    if outer == 0 {
-                        continue;
-                    }
-                    ctr.accumulations += outer as usize;
                     let inner = if want_inner {
-                        scratch.lane_inner[lane] as u32
+                        slot.lane_inner[lane] as u32
                     } else {
                         0
                     };
-                    out.push((pid, score_of(outer, inner)));
+                    hit(
+                        ids[b * BLOCK_LANES + lane],
+                        slot.lane_sums[lane] as u32,
+                        inner,
+                    );
                 }
             }
             // Tail records: the same indicator LUTs, looked up scalar.
@@ -1124,119 +1024,55 @@ impl JunoIndex {
             if !tail_ids.is_empty() {
                 ctr.lut_reuses += 1;
             }
-            for (i, &pid) in tail_ids.iter().enumerate() {
-                if check_tombstones && self.list_codes.is_deleted(pid) {
-                    continue;
-                }
-                let code = &tail_codes[i * subspaces..(i + 1) * subspaces];
+            for (&pid, code) in tail_ids.iter().zip(tail_codes.chunks_exact(subspaces)) {
                 let mut outer = 0u32;
                 let mut inner = 0u32;
                 for (s, &e) in code.iter().enumerate() {
-                    outer += scratch.outer_lut[s * stride + e as usize] as u32;
+                    outer += slot.outer_lut[s * stride + e as usize] as u32;
                     if want_inner {
-                        inner += scratch.inner_lut[s * stride + e as usize] as u32;
+                        inner += slot.inner_lut[s * stride + e as usize] as u32;
                     }
                 }
-                if outer == 0 {
-                    continue;
-                }
-                ctr.accumulations += outer as usize;
-                out.push((pid, score_of(outer, inner)));
+                hit(pid, outer, inner);
             }
         } else {
             // Reference path over the dense f32 decode buffer.
-            scratch.decode.decode_slot(lut, slot);
+            slot.decode.decode_slot(lut, probe);
             ctr.lut_builds += 1;
-            let dense = scratch.decode.as_slice();
+            let dense = slot.decode.as_slice();
             for (segment, (ids, codes)) in self.list_codes.cluster_segments(cluster).enumerate() {
                 if segment > 0 {
                     ctr.lut_reuses += 1;
                 }
-                for (i, &pid) in ids.iter().enumerate() {
-                    if check_tombstones && self.list_codes.is_deleted(pid) {
-                        continue;
-                    }
-                    let code = &codes[i * subspaces..(i + 1) * subspaces];
+                for (&pid, code) in ids.iter().zip(codes.chunks_exact(subspaces)) {
                     let mut outer = 0u32;
                     let mut inner = 0u32;
                     for (s, &e) in code.iter().enumerate() {
                         let v = dense[s * entries + e as usize];
                         if !v.is_nan() {
                             outer += 1;
-                            if inner_enabled && v <= scratch.half_sq[s] {
+                            if inner_enabled && v <= slot.half_sq[s] {
                                 inner += 1;
                             }
                         }
                     }
-                    if outer == 0 {
-                        continue;
-                    }
-                    ctr.accumulations += outer as usize;
-                    out.push((pid, score_of(outer, inner)));
+                    hit(pid, outer, inner);
                 }
             }
         }
     }
 
-    /// The per-stage simulated breakdown of the last-run query shape — used
-    /// by the figure binaries to report Fig. 11(a)/13(a)-style numbers
-    /// without re-running a search.
-    pub fn simulate_breakdown(&self, work: &QueryWork) -> StageBreakdown {
-        self.simulator.simulate(work)
-    }
-
-    /// [`AnnIndex::search`] with caller-provided scratch buffers, so batch
-    /// workers amortise the decode-buffer allocation across queries.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`AnnIndex::search`].
-    pub fn search_with_scratch(
+    /// Converts a query's RT planning stats, ranked neighbours and scan
+    /// counters into the final [`SearchResult`] — one assembly for every
+    /// execution path, so simulated stage times and statistics are derived
+    /// identically on all of them.
+    fn finish(
         &self,
-        query: &[f32],
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Result<SearchResult> {
-        if k == 0 {
-            return Err(Error::invalid_config("k must be positive"));
-        }
-        let (clusters, lut, rt_stats, thresholds) = self.build_selective_lut(query)?;
-
-        let (neighbors, ctr) = match self.config.quality {
-            QualityMode::High => {
-                self.search_high(query, k, &clusters, &lut, &thresholds, scratch)?
-            }
-            QualityMode::Medium => self.search_hitcount(
-                k,
-                &clusters,
-                &lut,
-                &thresholds,
-                HitCountMode::RewardPenalty,
-                scratch,
-            )?,
-            QualityMode::Low => self.search_hitcount(
-                k,
-                &clusters,
-                &lut,
-                &thresholds,
-                HitCountMode::CountOnly,
-                scratch,
-            )?,
-        };
-
-        Ok(self.finish_result(&rt_stats, neighbors, &ctr))
-    }
-
-    /// Converts a query's RT planning stats, neighbours and scan counters
-    /// into the final [`SearchResult`] — one shared assembly for the
-    /// query-major and grouped executors, so simulated stage times and
-    /// statistics are derived identically on both.
-    fn finish_result(
-        &self,
-        rt_stats: &juno_rt::stats::TraversalStats,
+        plan: &SelectiveLutParts,
         neighbors: Vec<Neighbor>,
         ctr: &ScanCounters,
     ) -> SearchResult {
+        let rt_stats = &plan.2;
         let work = QueryWork {
             clusters: self.ivf.n_clusters(),
             dim: self.dim(),
@@ -1267,663 +1103,6 @@ impl JunoIndex {
             simulated_us: breakdown.total_us,
             stats,
         }
-    }
-}
-
-/// Ranks hit-count scores: score descending, ties by ascending point id — a
-/// total order over unique ids, so the ranking is independent of the order
-/// the hits were collected in (and therefore of the cluster visit order).
-fn sort_hit_scores(hits: &mut [(u32, i64)]) {
-    hits.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-}
-
-/// One query's routed plan: the probe list, the selective LUT over it, the
-/// RT traversal work, and the per-(slot, subspace) thresholds — exactly the
-/// output of [`JunoIndex::build_selective_lut`].
-type QueryPlan = SelectiveLutParts;
-
-/// Per-query accumulation slot of the grouped scan's batch arena.
-#[derive(Debug)]
-struct QuerySlot {
-    topk: TopK,
-    hits: Vec<(u32, i64)>,
-    ctr: ScanCounters,
-    touched: bool,
-}
-
-impl QuerySlot {
-    fn new(k: usize, metric: Metric) -> Self {
-        Self {
-            topk: TopK::new(k, metric),
-            hits: Vec::new(),
-            ctr: ScanCounters::default(),
-            touched: false,
-        }
-    }
-}
-
-/// One slot of the prune tile: a query's decoded slot, its quantised LUT and
-/// its per-cluster constants, cached for the duration of one cluster visit
-/// so the prune pass, the exact re-rank and the tail scan all read the same
-/// expansion (counted by `lut_builds` / `lut_reuses`).
-#[derive(Debug)]
-struct TileSlot {
-    decode: LutDecodeBuffer,
-    qlut: QuantizedLut,
-    query: u32,
-    slot: u32,
-    centroid_term: f32,
-    mean_thr_sq: f32,
-    /// The query's seed-pass bound (an upper bound on its final top-k worst
-    /// score), combined with the chunk-local worst for pruning via
-    /// [`kernel::tighter_worst`].
-    seed: Option<f32>,
-    prune: bool,
-    done: bool,
-}
-
-/// Reusable per-worker state of the grouped batch executor: the prune tile
-/// (`GROUP_TILE` decode buffers + quantised LUTs), one per-query slot per
-/// batch query (top-k selector, hit buffer, counters) and the scratch the
-/// hit-count unit shares with the query-major path. Allocated once per
-/// worker; steady-state batches perform **zero per-query heap allocation**
-/// from it (`grow_events` counts the arena growths, pinned by a test).
-///
-/// NOTE: the IVFPQ baseline carries a deliberately parallel executor
-/// (`PqGroupScratch` in `juno-baseline/src/ivfpq.rs`) over its flat dense
-/// LUTs; a semantic change to the touch/reset, seeding or partial-merge
-/// contract here MUST be mirrored there (see the note on `PqGroupScratch`).
-#[derive(Debug)]
-pub struct GroupScratch {
-    base: SearchScratch,
-    tile: Vec<TileSlot>,
-    slots: Vec<QuerySlot>,
-    /// Queries touched by the current chunk, in touch order.
-    touched: Vec<u32>,
-    grow_events: usize,
-}
-
-impl GroupScratch {
-    /// Number of times the arena had to grow (first batch sizes it; a
-    /// steady-state workload must not grow it again).
-    pub fn grow_events(&self) -> usize {
-        self.grow_events
-    }
-
-    /// Total reusable capacity held by the arena's growable buffers —
-    /// together with [`GroupScratch::grow_events`] this pins the zero
-    /// per-query allocation contract: a repeated identical batch must leave
-    /// both numbers unchanged.
-    #[cfg(test)]
-    fn footprint(&self) -> usize {
-        self.slots.capacity()
-            + self.touched.capacity()
-            + self
-                .slots
-                .iter()
-                .map(|slot| slot.hits.capacity())
-                .sum::<usize>()
-            + self.base.hit_scores.capacity()
-    }
-
-    /// Prepares the arena for one cluster-group chunk: sizes the per-query
-    /// slots (growth only on the first batch of a new size) and clears the
-    /// previous chunk's touch marks. Slot state itself is reset lazily on
-    /// first touch.
-    fn begin_chunk(&mut self, num_queries: usize, k: usize, metric: Metric) {
-        if self.slots.len() < num_queries {
-            self.grow_events += 1;
-            self.slots
-                .resize_with(num_queries, || QuerySlot::new(k, metric));
-        }
-        for i in 0..self.touched.len() {
-            self.slots[self.touched[i] as usize].touched = false;
-        }
-        self.touched.clear();
-    }
-
-    /// Marks a query as touched by the current chunk, resetting its slot on
-    /// first touch.
-    fn touch(&mut self, query: u32, k: usize, metric: Metric) {
-        let slot = &mut self.slots[query as usize];
-        if !slot.touched {
-            slot.touched = true;
-            slot.topk.reset(k, metric);
-            slot.hits.clear();
-            slot.ctr = ScanCounters::default();
-            if self.touched.len() == self.touched.capacity() {
-                self.grow_events += 1;
-            }
-            self.touched.push(query);
-        }
-    }
-}
-
-/// One chunk's contribution to one query: drained top-k candidates (High) or
-/// hit scores (hit-count modes) plus the scan counters observed on the
-/// query's behalf. Merging every partial of a query — in any order — and
-/// re-selecting reproduces the sequential result bit-identically (top-k
-/// selection and the hit-score ranking are both insertion-order invariant).
-struct QueryPartial {
-    query: u32,
-    top: Vec<(u64, f32)>,
-    hits: Vec<(u32, i64)>,
-    ctr: ScanCounters,
-}
-
-impl JunoIndex {
-    /// Creates the reusable per-worker arena of the grouped batch executor.
-    pub fn make_group_scratch(&self) -> GroupScratch {
-        let subspaces = self.pq.num_subspaces();
-        let entries = self.pq.entries_per_subspace();
-        GroupScratch {
-            base: self.make_scratch(),
-            tile: (0..GROUP_TILE)
-                .map(|_| TileSlot {
-                    decode: LutDecodeBuffer::new(subspaces, entries),
-                    qlut: QuantizedLut::new(),
-                    query: 0,
-                    slot: 0,
-                    centroid_term: 0.0,
-                    mean_thr_sq: 0.0,
-                    seed: None,
-                    prune: false,
-                    done: false,
-                })
-                .collect(),
-            slots: Vec::new(),
-            touched: Vec::new(),
-            grow_events: 0,
-        }
-    }
-
-    /// Builds the cluster→query-group schedule of a planned batch
-    /// ([`GroupSchedule`]), weighting chunk cuts by each cluster's stored
-    /// record count (base + tail — what a scan streams). `first_slot = 1`
-    /// excludes each query's nearest probe (covered by the seed pass).
-    fn build_group_schedule(&self, plans: &[QueryPlan], first_slot: usize) -> GroupSchedule {
-        let probe_lists: Vec<&[usize]> = plans
-            .iter()
-            .map(|plan| &plan.0[first_slot.min(plan.0.len())..])
-            .collect();
-        GroupSchedule::build(
-            self.ivf.n_clusters(),
-            &probe_lists,
-            first_slot,
-            |c| self.list_codes.cluster_ids(c).len() + self.list_codes.cluster_tail(c).0.len(),
-            GROUP_CHUNK_WORK,
-        )
-    }
-
-    /// Scans one cluster-group chunk for every query probing it, in cluster
-    /// storage order, and returns the per-query partial results.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_group_chunk(
-        &self,
-        queries: &VectorSet,
-        k: usize,
-        plans: &[QueryPlan],
-        sched: &GroupSchedule,
-        chunk: usize,
-        seed_bounds: &[Option<f32>],
-        scratch: &mut GroupScratch,
-    ) -> Vec<QueryPartial> {
-        let metric = self.config.metric;
-        let quality = self.config.quality;
-        scratch.begin_chunk(plans.len(), k, metric);
-        for (cluster, entries) in sched.chunk(chunk) {
-            match quality {
-                QualityMode::High => {
-                    self.scan_cluster_group_high(
-                        queries,
-                        k,
-                        plans,
-                        cluster,
-                        entries,
-                        seed_bounds,
-                        scratch,
-                    );
-                }
-                QualityMode::Medium | QualityMode::Low => {
-                    let mode = match quality {
-                        QualityMode::Medium => HitCountMode::RewardPenalty,
-                        _ => HitCountMode::CountOnly,
-                    };
-                    for &(q, slot) in entries {
-                        scratch.touch(q, k, metric);
-                        let plan = &plans[q as usize];
-                        // Split the arena borrows: the hit-count unit takes
-                        // the shared SearchScratch, the query's slot takes
-                        // the output buffer and counters.
-                        let GroupScratch { base, slots, .. } = scratch;
-                        let qs = &mut slots[q as usize];
-                        self.hitcount_cluster(
-                            cluster,
-                            slot as usize,
-                            &plan.1,
-                            &plan.3,
-                            mode,
-                            base,
-                            &mut qs.hits,
-                            &mut qs.ctr,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Extract the partials, leaving the arena's capacity in place. Only
-        // a partial's own top-k can reach the global top-k, so hit lists are
-        // ranked and truncated here in the (parallel) worker — the gather
-        // then merges P short sorted lists instead of re-sorting every hit.
-        // The pre-truncation hit count rides along in `ctr.candidates`.
-        let mut out = Vec::with_capacity(scratch.touched.len());
-        for i in 0..scratch.touched.len() {
-            let q = scratch.touched[i];
-            let qs = &mut scratch.slots[q as usize];
-            let mut top = Vec::new();
-            let mut hits = Vec::new();
-            match quality {
-                QualityMode::High => qs.topk.drain_entries(&mut top),
-                _ => {
-                    qs.ctr.candidates += qs.hits.len();
-                    sort_hit_scores(&mut qs.hits);
-                    qs.hits.truncate(k);
-                    hits.extend_from_slice(&qs.hits);
-                    qs.hits.clear();
-                }
-            }
-            out.push(QueryPartial {
-                query: q,
-                top,
-                hits,
-                ctr: qs.ctr,
-            });
-        }
-        out
-    }
-
-    /// Exact-distance (JUNO-H) grouped scan of **one** cluster for every
-    /// query probing it, in tiles of [`GROUP_TILE`]: each tile expands its
-    /// queries' slots once (decode + quantised LUT, cached in the tile for
-    /// the whole visit), then the multi-query prune kernel
-    /// ([`BlockCodes::prune_scan_group`](juno_quant::layout::BlockCodes))
-    /// holds the tile's LUTs against each 32-point block — codes stream once
-    /// per tile — with per-lane early-abandon thresholds kept per query;
-    /// survivors re-rank immediately through [`rank_candidate_exact`], the
-    /// same arithmetic as the query-major path, into the query's slot.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_cluster_group_high(
-        &self,
-        queries: &VectorSet,
-        k: usize,
-        plans: &[QueryPlan],
-        cluster: usize,
-        entries: &[(u32, u32)],
-        seed_bounds: &[Option<f32>],
-        scratch: &mut GroupScratch,
-    ) {
-        let subspaces = self.pq.num_subspaces();
-        let num_entries = self.pq.entries_per_subspace();
-        let metric = self.config.metric;
-        let factor = self.config.miss_penalty_factor;
-        let check_tombstones = self.list_codes.stored_tombstones() > 0;
-        let base_ids = self.list_codes.cluster_ids(cluster);
-        let base_codes = self.list_codes.cluster_codes(cluster);
-        let (tail_ids, tail_codes) = self.list_codes.cluster_tail(cluster);
-        let stored = base_ids.len() + tail_ids.len();
-        let blocks = self.list_codes.cluster_blocks(cluster);
-        let centroid = match metric {
-            Metric::L2 => &[][..],
-            Metric::InnerProduct => self
-                .ivf
-                .centroid(cluster)
-                .expect("cluster comes from the filter stage"),
-        };
-
-        for tile_entries in entries.chunks(GROUP_TILE) {
-            // Phase A: expand each tile query's slot and gate its pruning —
-            // the identical per-(query, probe) setup as the query-major path.
-            for (ti, &(q, slot)) in tile_entries.iter().enumerate() {
-                scratch.touch(q, k, metric);
-                let qi = q as usize;
-                {
-                    let qs = &mut scratch.slots[qi];
-                    qs.ctr.candidates += stored;
-                    qs.ctr.lut_builds += 1;
-                }
-                // The chunk-local worst tightened by the query's seed-pass
-                // bound: pruning against any upper bound on the final top-k
-                // worst is safe, and the seed (the nearest probe's k-th best
-                // score) is usually far tighter than what this chunk has
-                // seen locally.
-                let seed = seed_bounds.get(qi).copied().flatten();
-                let worst0 = tighter_worst(scratch.slots[qi].topk.worst_score(), seed);
-                let plan = &plans[qi];
-                let t = &mut scratch.tile[ti];
-                t.query = q;
-                t.slot = slot;
-                t.seed = seed;
-                t.done = false;
-                t.decode.decode_slot(&plan.1, slot as usize);
-                t.centroid_term = match metric {
-                    Metric::L2 => 0.0,
-                    Metric::InnerProduct => inner_product(queries.row(qi), centroid),
-                };
-                t.mean_thr_sq = plan.3[slot as usize].iter().map(|t| t * t).sum::<f32>()
-                    / subspaces.max(1) as f32;
-                t.prune = self.fastscan && worst0.is_some() && base_ids.len() >= MIN_PRUNE_POINTS;
-                if t.prune {
-                    let (const_term, unselected, negate) = match metric {
-                        Metric::L2 => (0.0, t.mean_thr_sq * factor, false),
-                        Metric::InnerProduct => (-t.centroid_term, 0.0, true),
-                    };
-                    t.qlut.build_selective(
-                        t.decode.as_slice(),
-                        subspaces,
-                        num_entries,
-                        const_term,
-                        unselected,
-                        negate,
-                    );
-                    // Cluster-level pruning: no member (base or tail) can
-                    // beat the per-subspace minima bound for this query.
-                    t.done = t.qlut.cluster_bound()
-                        >= worst0.expect("prune requires a full top-k") as f64;
-                }
-                if scratch.tile[ti].done {
-                    let ctr = &mut scratch.slots[qi].ctr;
-                    ctr.pruned_clusters += 1;
-                    ctr.pruned_points += stored;
-                }
-            }
-            let tile_len = tile_entries.len();
-            let GroupScratch { tile, slots, .. } = scratch;
-            let tile = &tile[..tile_len];
-
-            // Phase B: the multi-query prune pass — the tile's quantised
-            // LUTs held against each block, survivors re-ranked exactly.
-            let mut lane_map = [0usize; GROUP_TILE];
-            let mut lanes_n = 0usize;
-            for (ti, t) in tile.iter().enumerate() {
-                if t.prune && !t.done {
-                    lane_map[lanes_n] = ti;
-                    lanes_n += 1;
-                }
-            }
-            if lanes_n > 0 {
-                let mut lanes = [GroupLane::new(&tile[lane_map[0]].qlut, None); GROUP_TILE];
-                for (li, &ti) in lane_map.iter().enumerate().take(lanes_n) {
-                    let t = &tile[ti];
-                    lanes[li] = GroupLane::new(
-                        &t.qlut,
-                        tighter_worst(slots[t.query as usize].topk.worst_score(), t.seed),
-                    );
-                }
-                let list_codes = &self.list_codes;
-                blocks.prune_scan_group(&mut lanes[..lanes_n], |li, i| {
-                    let t = &tile[lane_map[li]];
-                    let qs = &mut slots[t.query as usize];
-                    let pid = base_ids[i];
-                    if !(check_tombstones && list_codes.is_deleted(pid)) {
-                        rank_candidate_exact(
-                            metric,
-                            t.decode.as_slice(),
-                            num_entries,
-                            &base_codes[i * subspaces..(i + 1) * subspaces],
-                            pid,
-                            t.mean_thr_sq,
-                            factor,
-                            t.centroid_term,
-                            &mut qs.topk,
-                            &mut qs.ctr,
-                        );
-                    }
-                    tighter_worst(qs.topk.worst_score(), t.seed)
-                });
-                for (li, &ti) in lane_map.iter().enumerate().take(lanes_n) {
-                    let ctr = &mut slots[tile[ti].query as usize].ctr;
-                    ctr.pruned_points += lanes[li].pruned_points;
-                    ctr.pruned_blocks += lanes[li].pruned_blocks;
-                    // The exact re-rank consumed the cached decode rows.
-                    ctr.lut_reuses += 1;
-                }
-            }
-
-            // Phase C: queries whose top-k is not full yet (or tiny
-            // clusters) scan the base exactly — still inside the cluster
-            // visit, so the freshly streamed codes are reused from cache.
-            for t in tile {
-                if t.prune || t.done {
-                    continue;
-                }
-                let qs = &mut slots[t.query as usize];
-                for (i, &pid) in base_ids.iter().enumerate() {
-                    if check_tombstones && self.list_codes.is_deleted(pid) {
-                        continue;
-                    }
-                    rank_candidate_exact(
-                        metric,
-                        t.decode.as_slice(),
-                        num_entries,
-                        &base_codes[i * subspaces..(i + 1) * subspaces],
-                        pid,
-                        t.mean_thr_sq,
-                        factor,
-                        t.centroid_term,
-                        &mut qs.topk,
-                        &mut qs.ctr,
-                    );
-                }
-            }
-
-            // Phase D: append-tail records, exact, in id order after the
-            // base — the same per-query order as the query-major path.
-            if !tail_ids.is_empty() {
-                for t in tile {
-                    if t.done {
-                        continue;
-                    }
-                    let qs = &mut slots[t.query as usize];
-                    qs.ctr.lut_reuses += 1;
-                    for (i, &pid) in tail_ids.iter().enumerate() {
-                        if check_tombstones && self.list_codes.is_deleted(pid) {
-                            continue;
-                        }
-                        rank_candidate_exact(
-                            metric,
-                            t.decode.as_slice(),
-                            num_entries,
-                            &tail_codes[i * subspaces..(i + 1) * subspaces],
-                            pid,
-                            t.mean_thr_sq,
-                            factor,
-                            t.centroid_term,
-                            &mut qs.topk,
-                            &mut qs.ctr,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Cluster-major grouped batch search — see the `search_batch`
-    /// [`AnnIndex`] impl for when this is selected. Four phases:
-    ///
-    /// 1. **Plan** (parallel over queries): probe selection + RT selective-
-    ///    LUT construction, unchanged semantics and bit-identical LUTs.
-    /// 2. **Schedule**: a cluster→query-group table over the whole batch,
-    ///    partitioned into cluster-group tasks deterministically (thread
-    ///    budget does not influence the schedule).
-    /// 3. **Scan** (work-stealing, one task per cluster-group): clusters are
-    ///    visited in storage order; each cluster's blocks are streamed once
-    ///    per [`GROUP_TILE`]-query tile through the multi-query kernel.
-    /// 4. **Gather**: per-query partials merge under the insertion-order-
-    ///    invariant top-k / hit-score total order, so final ids **and**
-    ///    distance bits equal the sequential per-query path.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`AnnIndex::search`], reported for the first
-    /// failing query in query order.
-    pub fn search_batch_grouped(
-        &self,
-        queries: &VectorSet,
-        k: usize,
-        num_threads: usize,
-    ) -> Result<Vec<SearchResult>> {
-        if k == 0 {
-            return Err(Error::invalid_config("k must be positive"));
-        }
-        let nq = queries.len();
-        if nq == 0 {
-            return Ok(Vec::new());
-        }
-        let plans: Vec<QueryPlan> = parallel::map(nq, num_threads, |i| {
-            self.build_selective_lut(queries.row(i))
-        })?
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-        let metric = self.config.metric;
-        let quality = self.config.quality;
-
-        // Seed pass (exact-distance mode only): every query scans its
-        // *nearest* probe query-major first. That fills its top-k with
-        // near-final candidates, so the cluster-major pass — whose storage-
-        // order visits would otherwise fill top-ks with far-cluster
-        // candidates and leave the prune thresholds toothless — starts from
-        // a tight, provably safe bound. Hit-count modes never prune, so
-        // they skip the seed and group every probe.
-        let first_slot = match quality {
-            QualityMode::High => 1usize,
-            QualityMode::Medium | QualityMode::Low => 0,
-        };
-        let mut seed_bounds: Vec<Option<f32>> = vec![None; nq];
-        let mut seeds: Vec<QueryPartial> = Vec::new();
-        if first_slot == 1 {
-            let seed_results = parallel::map_with(
-                nq,
-                num_threads,
-                0,
-                || self.make_scratch(),
-                |scratch, qi| {
-                    let plan = &plans[qi];
-                    let probes = &plan.0[..plan.0.len().min(1)];
-                    self.search_high(queries.row(qi), k, probes, &plan.1, &plan.3, scratch)
-                },
-            )?
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-            seeds.reserve(nq);
-            for (qi, (neighbors, ctr)) in seed_results.into_iter().enumerate() {
-                if neighbors.len() == k {
-                    let worst = neighbors.last().expect("len == k > 0").distance;
-                    seed_bounds[qi] = Some(metric.raw_to_score(worst));
-                }
-                seeds.push(QueryPartial {
-                    query: qi as u32,
-                    top: neighbors
-                        .into_iter()
-                        .map(|n| (n.id, metric.raw_to_score(n.distance)))
-                        .collect(),
-                    hits: Vec::new(),
-                    ctr,
-                });
-            }
-        }
-
-        let sched = self.build_group_schedule(&plans, first_slot);
-        // Fault in (and verify) every scheduled cluster up front: the
-        // grouped-scan workers are infallible, so residency faults must be
-        // taken — sequentially, in schedule order — before the fan-out.
-        // Advisory eviction keeps already-verified slices readable, so the
-        // workers stay safe even under a tight residency budget.
-        for ci in 0..sched.num_chunks() {
-            for (cluster, _) in sched.chunk(ci) {
-                self.list_codes.touch_cluster(cluster)?;
-            }
-        }
-        let partial_lists = parallel::map_with(
-            sched.num_chunks(),
-            num_threads,
-            1,
-            || self.make_group_scratch(),
-            |scratch, ci| {
-                self.scan_group_chunk(queries, k, &plans, &sched, ci, &seed_bounds, scratch)
-            },
-        )?;
-
-        let mut per_query: Vec<Vec<QueryPartial>> = (0..nq).map(|_| Vec::new()).collect();
-        for list in partial_lists {
-            for partial in list {
-                per_query[partial.query as usize].push(partial);
-            }
-        }
-        let mut out = Vec::with_capacity(nq);
-        for (qi, plan) in plans.iter().enumerate() {
-            let mut ctr = ScanCounters::default();
-            let neighbors = match quality {
-                QualityMode::High => {
-                    let mut topk = TopK::new(k, metric);
-                    let seed = &seeds[qi];
-                    ctr.merge(&seed.ctr);
-                    for &(id, score) in &seed.top {
-                        topk.push_score(id, score);
-                    }
-                    for partial in &per_query[qi] {
-                        ctr.merge(&partial.ctr);
-                        for &(id, score) in &partial.top {
-                            topk.push_score(id, score);
-                        }
-                    }
-                    topk.into_sorted_vec()
-                }
-                QualityMode::Medium | QualityMode::Low => {
-                    // Each partial arrives ranked and truncated to k with its
-                    // pre-truncation hit count in `ctr.candidates`; merging
-                    // the short lists under the same total order reproduces
-                    // the sequential ranking exactly.
-                    let mut hits: Vec<(u32, i64)> = Vec::new();
-                    for partial in &per_query[qi] {
-                        ctr.merge(&partial.ctr);
-                        hits.extend_from_slice(&partial.hits);
-                    }
-                    sort_hit_scores(&mut hits);
-                    hits.truncate(k);
-                    hits.iter()
-                        .map(|&(pid, score)| Neighbor::new(pid as u64, score as f32))
-                        .collect()
-                }
-            };
-            out.push(self.finish_result(&plan.2, neighbors, &ctr));
-        }
-        Ok(out)
-    }
-
-    /// The query-major batch path (one task per query, each running the
-    /// sequential [`JunoIndex::search_with_scratch`]): the pre-grouping
-    /// execution model, kept as the fallback for tiny batches and as the
-    /// differential / benchmark reference for the grouped executor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error encountered (by query order).
-    pub fn search_batch_query_major(
-        &self,
-        queries: &VectorSet,
-        k: usize,
-        num_threads: usize,
-    ) -> Result<Vec<SearchResult>> {
-        parallel::map_with(
-            queries.len(),
-            num_threads,
-            0,
-            || self.make_scratch(),
-            |scratch, i| self.search_with_scratch(queries.row(i), k, scratch),
-        )?
-        .into_iter()
-        .collect()
     }
 }
 
@@ -1963,13 +1142,8 @@ impl AnnIndex for JunoIndex {
         }
     }
 
-    /// Live ids only — tombstoned ids stay dead even after compaction
-    /// (the deletion bitmap spans every id ever assigned).
     fn ids(&self) -> Vec<u64> {
-        (0..self.list_codes.next_id())
-            .filter(|&id| !self.list_codes.is_deleted(id))
-            .map(u64::from)
-            .collect()
+        self.list_codes.live_ids()
     }
 
     fn insert(&mut self, vector: &[f32]) -> Result<u64> {
@@ -2028,31 +1202,19 @@ impl AnnIndex for JunoIndex {
         true
     }
 
-    /// Batch search, **cluster-major**: the batch is planned (probe routing
-    /// and RT LUT construction, parallel over queries), routed into a
-    /// cluster→query-group schedule, and scanned cluster by cluster in
-    /// storage order — each cluster's code blocks stream through the cache
-    /// once per query *group* instead of once per query, with work-stealing
-    /// parallelism over cluster-group tasks
-    /// ([`JunoIndex::search_batch_grouped`]). Results are ordered by query
+    /// Batch search, **cluster-major** ([`JunoIndex::search_batch_grouped`]):
+    /// each probed cluster's code blocks stream through the cache once per
+    /// query *group* instead of once per query. Results are ordered by query
     /// and bit-identical (ids and distance bits) to running
-    /// [`AnnIndex::search`] sequentially; tiny batches fall back to the
-    /// query-major path ([`JunoIndex::search_batch_query_major`]).
-    fn search_batch(&self, queries: &VectorSet, k: usize) -> Result<Vec<SearchResult>> {
-        self.search_batch_threads(queries, k, parallel::default_threads())
-    }
-
-    /// [`AnnIndex::search_batch`] with an explicit worker-thread budget.
+    /// [`AnnIndex::search`] sequentially; tiny batches run query-major
+    /// ([`JunoIndex::search_batch_query_major`]).
     fn search_batch_threads(
         &self,
         queries: &VectorSet,
         k: usize,
         num_threads: usize,
     ) -> Result<Vec<SearchResult>> {
-        if queries.len() < MIN_GROUP_QUERIES {
-            return self.search_batch_query_major(queries, k, num_threads);
-        }
-        self.search_batch_grouped(queries, k, num_threads)
+        scan::search_batch(self, queries, k, num_threads)
     }
 
     fn name(&self) -> String {
@@ -2318,84 +1480,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn group_scratch_is_reused_without_allocation_churn() {
-        // The batch arena must be sized by the first batch and then serve
-        // identical steady-state batches with zero per-query allocation:
-        // no growth events, no capacity change — including the re-rank /
-        // hit buffers.
-        let ds = deep_dataset(2_000, 24);
-        let mut index = build_high(&ds);
-        for mode in [QualityMode::High, QualityMode::Medium, QualityMode::Low] {
-            index.set_quality(mode);
-            let plans: Vec<_> = ds
-                .queries
-                .iter()
-                .map(|q| index.build_selective_lut(q).unwrap())
-                .collect();
-            // first_slot = 0 / no seed bounds: the pure cluster-major
-            // configuration, which touches every arena path.
-            let sched = index.build_group_schedule(&plans, 0);
-            assert!(sched.num_chunks() > 0);
-            let mut scratch = index.make_group_scratch();
-            let run = |scratch: &mut GroupScratch| {
-                for ci in 0..sched.num_chunks() {
-                    index.scan_group_chunk(&ds.queries, 10, &plans, &sched, ci, &[], scratch);
-                }
-            };
-            // The first batch sizes the arena …
-            run(&mut scratch);
-            let grows = scratch.grow_events();
-            let footprint = scratch.footprint();
-            assert!(grows > 0, "{mode:?}: first batch must size the arena");
-            // … and steady-state repeats must reuse it untouched.
-            for _ in 0..2 {
-                run(&mut scratch);
-            }
-            assert_eq!(scratch.grow_events(), grows, "{mode:?}: arena regrew");
-            assert_eq!(
-                scratch.footprint(),
-                footprint,
-                "{mode:?}: arena capacity churned"
-            );
-        }
-    }
-
-    #[test]
-    fn grouped_and_query_major_batches_agree_with_sequential() {
-        let ds = deep_dataset(2_000, 17);
-        let mut index = build_high(&ds);
-        index.set_quality(QualityMode::High);
-        let sequential: Vec<_> = ds
-            .queries
-            .iter()
-            .map(|q| index.search(q, 25).unwrap())
-            .collect();
-        let grouped = index.search_batch_grouped(&ds.queries, 25, 3).unwrap();
-        let query_major = index.search_batch_query_major(&ds.queries, 25, 3).unwrap();
-        for (qi, ((s, g), m)) in sequential
-            .iter()
-            .zip(&grouped)
-            .zip(&query_major)
-            .enumerate()
-        {
-            assert_eq!(s.ids(), g.ids(), "grouped ids query {qi}");
-            assert_eq!(s.ids(), m.ids(), "query-major ids query {qi}");
-            for (ns, ng) in s.neighbors.iter().zip(&g.neighbors) {
-                assert_eq!(ns.distance.to_bits(), ng.distance.to_bits());
-            }
-            assert_eq!(s.stats.candidates, g.stats.candidates);
-            assert_eq!(s.stats, m.stats, "query-major full stats query {qi}");
-        }
-        // A single-query "batch" routes through the query-major fallback and
-        // still matches.
-        let one =
-            juno_common::vector::VectorSet::from_rows(vec![ds.queries.row(0).to_vec()]).unwrap();
-        let via_batch = index.search_batch(&one, 25).unwrap();
-        assert_eq!(via_batch[0].ids(), sequential[0].ids());
-        assert_eq!(via_batch[0].stats, sequential[0].stats);
     }
 
     #[test]

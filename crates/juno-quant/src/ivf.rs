@@ -328,23 +328,6 @@ impl IvfIndex {
         Ok(id)
     }
 
-    /// Removes a point id from its cluster's inverted list (the label entry
-    /// is retained so id → cluster stays resolvable). Returns `true` when
-    /// the id was listed.
-    pub fn remove_from_list(&mut self, id: u32) -> bool {
-        let Some(&c) = self.labels.get(id as usize) else {
-            return false;
-        };
-        let list = &mut self.lists[c];
-        match list.iter().position(|&p| p == id) {
-            Some(pos) => {
-                list.remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The residual of a query with respect to cluster `c`'s centroid
     /// (`query - centroid`), used by PQ's asymmetric distance computation.
     ///
@@ -503,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn push_assignment_and_list_removal() {
+    fn push_assignment_extends_labels_and_list() {
         let (points, mut ivf) = toy_index();
         let n = points.len() as u32;
         let id = ivf.push_assignment(2).unwrap();
@@ -511,13 +494,6 @@ mod tests {
         assert_eq!(ivf.labels()[id as usize], 2);
         assert!(ivf.list(2).unwrap().contains(&id));
         assert!(ivf.push_assignment(99).is_err());
-
-        assert!(ivf.remove_from_list(id));
-        assert!(!ivf.list(2).unwrap().contains(&id));
-        assert!(!ivf.remove_from_list(id), "second removal is a no-op");
-        assert!(!ivf.remove_from_list(10_000));
-        // The label survives removal so id -> cluster stays resolvable.
-        assert_eq!(ivf.labels()[id as usize], 2);
     }
 
     #[test]

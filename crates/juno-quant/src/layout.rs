@@ -304,6 +304,29 @@ impl IvfListCodes {
         }
     }
 
+    /// Every live id, ascending — tombstoned ids stay dead even after
+    /// compaction (the deletion bitmap spans every id ever assigned).
+    pub fn live_ids(&self) -> Vec<u64> {
+        (0..self.next_id)
+            .filter(|&id| !self.is_deleted(id))
+            .map(u64::from)
+            .collect()
+    }
+
+    /// Tombstones every id whose `live` mark is unset (ids past the slice
+    /// count as dead) and compacts the result — how a layout freshly built
+    /// over a whole id space is cut down to its live subset.
+    pub fn retain_live(&mut self, live: &[bool]) {
+        for id in 0..self.next_id {
+            if !live.get(id as usize).copied().unwrap_or(false) {
+                self.remove(id);
+            }
+        }
+        if self.stored_tombstones > 0 {
+            self.compact();
+        }
+    }
+
     /// Rebuilds the CSR base: merges the per-cluster tails in, physically
     /// drops tombstoned records and restores every cluster block to
     /// id-sorted point-major contiguous order. Scan results are unchanged;
@@ -416,6 +439,13 @@ impl IvfListCodes {
             self.extra_ids[cluster].as_slice(),
             self.extra_codes[cluster].as_slice(),
         )
+    }
+
+    /// Number of records stored for `cluster` — base plus tail, tombstoned
+    /// ones included: what a scan of the cluster streams.
+    #[inline]
+    pub fn cluster_stored(&self, cluster: usize) -> usize {
+        self.cluster_ids(cluster).len() + self.extra_ids[cluster].len()
     }
 
     #[inline]
@@ -802,9 +832,9 @@ impl BlockCodes {
     /// `(pruned_points, pruned_blocks)`.
     ///
     /// This is the single-query form of [`BlockCodes::prune_scan_group`] (a
-    /// one-lane group) — the JUNO engine's and the IVFPQ baseline's
-    /// per-query paths both call it, so cross-engine comparisons measure the
-    /// same pruning behaviour.
+    /// one-lane group). The engines reach the group form through the one
+    /// cluster visit in [`crate::scan`]; this form serves stage probes that
+    /// time the prune pass in isolation, and the differential tests.
     pub fn prune_scan(
         &self,
         qlut: &QuantizedLut,

@@ -15,9 +15,13 @@
 //! * [`layout`] — [`IvfListCodes`](layout::IvfListCodes), the PQ codes
 //!   reordered IVF-list-contiguously so the online ADC scan streams memory
 //!   sequentially.
+//! * [`scan`] — the one scan driver over that layout: the cluster visit, the
+//!   plan → seed → schedule → chunk scan → gather batch pipeline, its arena
+//!   and counters, shared by every engine through [`scan::ScanEngine`].
 //!
 //! The JUNO engine (`juno-core`) replaces the dense L2-LUT construction with a
-//! selective, RT-core mapped one, but shares everything else in this crate.
+//! selective, RT-core mapped one, but shares everything else in this crate —
+//! including the scan.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -29,6 +33,7 @@ pub mod layout;
 pub mod mapped;
 pub mod pq;
 pub mod residency;
+pub mod scan;
 
 pub use codebook::Codebook;
 pub use ivf::{IvfIndex, IvfTrainConfig};

@@ -1,0 +1,723 @@
+//! The one scan driver: how a probed IVF list is scanned for a set of
+//! queries.
+//!
+//! PQ-based ANN search is filter → LUT construction → accumulation over the
+//! probed IVF lists. Engines differ in *what the LUT is* — the FAISS-style
+//! baseline builds a dense residual table, JUNO a sparse threshold-selected
+//! one — but the scan over the lists is the same stage in both, and this
+//! module owns it once:
+//!
+//! * **one cluster visit** ([`PlannedBatch`]`::visit`): a tile of
+//!   1..=[`GROUP_TILE`] queries against one [`IvfListCodes`] cluster —
+//!   expand each query's table, gate pruning, cluster-bound skip, the
+//!   multi-query quantised prune pass with exact re-rank of survivors, the
+//!   exact base scan for queries without a prune bar, then the append tail;
+//! * **one batch pipeline** ([`search_batch_grouped`]): plan → seed →
+//!   schedule → chunk scan → gather. The query-major path ([`search_one`])
+//!   is the same visit with a tile of one, no seed bound, clusters in probe
+//!   order;
+//! * **one arena** ([`ScanArena`]) and **one counters struct**
+//!   ([`ScanCounters`]).
+//!
+//! What stays engine-specific is [`ScanEngine`]: how a `(query, probe,
+//! cluster)` expands into the dense `S×E` table and its per-visit constants,
+//! how that table quantises into the prune LUT, and how one candidate is
+//! scored exactly from it.
+//!
+//! Results — ids **and** distance bits — are identical on every path: the
+//! per-query top-k selection is insertion-order invariant
+//! ([`TopK`](juno_common::topk::TopK) breaks boundary ties by id), pruning
+//! only ever discards candidates whose score lower bound provably cannot
+//! enter the top-k, and every surviving candidate goes through the engine's
+//! one exact scoring function.
+
+use crate::layout::{GroupLane, IvfListCodes};
+use juno_common::error::{Error, Result};
+use juno_common::group::GroupSchedule;
+use juno_common::index::{Neighbor, SearchResult};
+use juno_common::kernel::{
+    tighter_worst, QuantizedLut, GROUP_CHUNK_WORK, GROUP_TILE, MIN_GROUP_QUERIES, MIN_PRUNE_POINTS,
+};
+use juno_common::metric::Metric;
+use juno_common::parallel;
+use juno_common::topk::TopK;
+use juno_common::vector::VectorSet;
+
+/// Work counters of one scan, copied into
+/// [`SearchStats`](juno_common::index::SearchStats) by the engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCounters {
+    /// Exact per-subspace additions actually performed.
+    pub accumulations: usize,
+    /// Every stored record of every probed cluster, counted up front per
+    /// visit — invariant to prune order, the fast-scan toggle and the
+    /// execution strategy, so simulated stage times are too. (Engines with
+    /// their own unit define their own count.)
+    pub candidates: usize,
+    /// Candidates settled by the quantised bound without exact evaluation.
+    pub pruned_points: usize,
+    /// Whole blocks abandoned mid-accumulation.
+    pub pruned_blocks: usize,
+    /// Probed clusters skipped by the cluster-level bound.
+    pub pruned_clusters: usize,
+    /// Per-(query, probe) table expansions.
+    pub lut_builds: usize,
+    /// Additional scan passes (exact re-rank, tail scan) served from an
+    /// already-expanded table.
+    pub lut_reuses: usize,
+}
+
+impl ScanCounters {
+    fn merge(&mut self, other: &ScanCounters) {
+        self.accumulations += other.accumulations;
+        self.candidates += other.candidates;
+        self.pruned_points += other.pruned_points;
+        self.pruned_blocks += other.pruned_blocks;
+        self.pruned_clusters += other.pruned_clusters;
+        self.lut_builds += other.lut_builds;
+        self.lut_reuses += other.lut_reuses;
+    }
+}
+
+/// What is engine-specific about scanning a probed cluster. Everything else
+/// — visit order, tiling, pruning, tails, tombstones, the batch pipeline —
+/// is the driver's.
+pub trait ScanEngine: Sync {
+    /// One query's routed plan: its probe list plus whatever
+    /// [`ScanEngine::expand`] needs (JUNO: the selective LUT and thresholds;
+    /// IVFPQ: just the filter output).
+    type Plan: Send + Sync;
+    /// One expanded `(query, probe)` pair: the dense `S×E` table plus its
+    /// per-visit constants. Reused across visits; the arena holds up to
+    /// [`GROUP_TILE`] of them per worker.
+    type Slot: std::fmt::Debug;
+
+    /// The list storage being scanned.
+    fn lists(&self) -> &IvfListCodes;
+
+    /// The metric raw scores rank under in the per-query selector.
+    fn rank_metric(&self) -> Metric;
+
+    /// Whether the quantised prune pass may run (results are bit-identical
+    /// either way; off is the reference the parity suites diff against).
+    fn fastscan(&self) -> bool;
+
+    /// Routes one query: probe selection plus LUT construction inputs.
+    ///
+    /// # Errors
+    ///
+    /// Dimension mismatches and filter-stage errors.
+    fn plan(&self, query: &[f32]) -> Result<Self::Plan>;
+
+    /// The probed clusters of a plan, nearest first.
+    fn probes<'p>(&self, plan: &'p Self::Plan) -> &'p [usize];
+
+    /// A fresh, reusable slot.
+    fn new_slot(&self) -> Self::Slot;
+
+    /// Expands probe `probe` of `plan` (cluster `cluster`) into `slot`.
+    fn expand(
+        &self,
+        query: &[f32],
+        plan: &Self::Plan,
+        probe: usize,
+        cluster: usize,
+        slot: &mut Self::Slot,
+    );
+
+    /// Quantises an expanded slot into the `u8` prune LUT ("lower is
+    /// better" score contributions, conservative rounding).
+    fn quantize(&self, slot: &Self::Slot, qlut: &mut QuantizedLut);
+
+    /// Scores one candidate exactly from an expanded slot — **the** engine
+    /// arithmetic every path goes through. Returns the raw metric value, or
+    /// `None` when the code is not a candidate at all; bumps
+    /// `ctr.accumulations` by the additions performed.
+    fn score(&self, slot: &Self::Slot, code: &[u8], ctr: &mut ScanCounters) -> Option<f32>;
+
+    /// `true` when the engine currently ranks through its own per-cluster
+    /// unit ([`ScanEngine::scan_unit`]) instead of the exact ADC visit —
+    /// JUNO's hit-count modes. Such a unit never prunes, so the pipeline
+    /// skips the seed pass and groups every probe.
+    fn own_unit(&self) -> bool {
+        false
+    }
+
+    /// The engine's own unit for one `(query, probed cluster)` pair, pushing
+    /// ranked candidates into `topk`. Only called when
+    /// [`ScanEngine::own_unit`] is `true`.
+    fn scan_unit(
+        &self,
+        _plan: &Self::Plan,
+        _probe: usize,
+        _cluster: usize,
+        _slot: &mut Self::Slot,
+        _topk: &mut TopK,
+        _ctr: &mut ScanCounters,
+    ) {
+        unreachable!("scan_unit is only driven when own_unit() is true");
+    }
+
+    /// Assembles the final result (stats, simulated stage times) from a
+    /// query's plan, ranked neighbours and scan counters.
+    fn finish(
+        &self,
+        plan: &Self::Plan,
+        neighbors: Vec<Neighbor>,
+        ctr: &ScanCounters,
+    ) -> SearchResult;
+}
+
+/// One slot of the visit tile: an engine slot, its quantised prune LUT and
+/// the gate decisions of the current visit, so the prune pass, the exact
+/// re-rank and the tail scan all read the same expansion.
+#[derive(Debug)]
+struct TileSlot<S> {
+    slot: S,
+    qlut: QuantizedLut,
+    query: u32,
+    /// The query's seed-pass bound (an upper bound on its final top-k worst
+    /// score), combined with the local worst via [`tighter_worst`].
+    seed: Option<f32>,
+    prune: bool,
+    done: bool,
+}
+
+/// Per-query accumulation state: the top-k selector and the counters.
+#[derive(Debug)]
+struct QueryState {
+    topk: TopK,
+    ctr: ScanCounters,
+    touched: bool,
+}
+
+impl QueryState {
+    fn new(k: usize, metric: Metric) -> Self {
+        Self {
+            topk: TopK::new(k, metric),
+            ctr: ScanCounters::default(),
+            touched: false,
+        }
+    }
+}
+
+/// Reusable per-worker scan state: the visit tile (grown on demand up to
+/// [`GROUP_TILE`] engine slots + quantised LUTs) and, for the batch
+/// pipeline, one accumulation state per batch query. Steady-state searches
+/// perform **zero per-query heap allocation** from it — `grow_events` and
+/// `footprint` stay put once the first search or batch has sized it.
+#[derive(Debug)]
+pub struct ScanArena<S> {
+    tile: Vec<TileSlot<S>>,
+    states: Vec<QueryState>,
+    /// Queries touched by the current chunk, in touch order.
+    touched: Vec<u32>,
+    grow_events: usize,
+}
+
+impl<S> ScanArena<S> {
+    /// An arena holding one tile slot — all the query-major path needs; the
+    /// batch pipeline grows it to a full tile on first use.
+    pub fn new(slot: S) -> Self {
+        let mut arena = Self {
+            tile: Vec::new(),
+            states: Vec::new(),
+            touched: Vec::new(),
+            grow_events: 0,
+        };
+        arena.push_slot(slot);
+        arena
+    }
+
+    fn push_slot(&mut self, slot: S) {
+        self.tile.push(TileSlot {
+            slot,
+            qlut: QuantizedLut::new(),
+            query: 0,
+            seed: None,
+            prune: false,
+            done: false,
+        });
+    }
+
+    /// Number of times the arena had to grow (the first batch sizes it; a
+    /// steady-state workload must not grow it again).
+    pub fn grow_events(&self) -> usize {
+        self.grow_events
+    }
+
+    /// Total reusable capacity held by the arena's growable buffers —
+    /// together with [`ScanArena::grow_events`] this pins the zero
+    /// per-query allocation contract: repeating a search or a batch must
+    /// leave both numbers unchanged.
+    pub fn footprint(&self) -> usize {
+        self.tile.len() + self.states.capacity() + self.touched.capacity()
+    }
+
+    /// Prepares the arena for one cluster-group chunk: a full tile, one
+    /// state per batch query (growth only on the first batch of a new size)
+    /// and the previous chunk's touch marks cleared. States themselves are
+    /// reset lazily on first touch.
+    fn begin_chunk(
+        &mut self,
+        num_queries: usize,
+        k: usize,
+        metric: Metric,
+        new_slot: impl Fn() -> S,
+    ) {
+        if self.tile.len() < GROUP_TILE {
+            self.grow_events += 1;
+            while self.tile.len() < GROUP_TILE {
+                self.push_slot(new_slot());
+            }
+        }
+        if self.states.len() < num_queries {
+            self.grow_events += 1;
+            self.states
+                .resize_with(num_queries, || QueryState::new(k, metric));
+        }
+        for &q in &self.touched {
+            self.states[q as usize].touched = false;
+        }
+        self.touched.clear();
+    }
+
+    /// Marks a query as touched by the current chunk, resetting its state
+    /// on first touch.
+    fn touch(&mut self, query: u32, k: usize, metric: Metric) {
+        let state = &mut self.states[query as usize];
+        if !state.touched {
+            state.touched = true;
+            state.topk.reset(k, metric);
+            state.ctr = ScanCounters::default();
+            if self.touched.len() == self.touched.capacity() {
+                self.grow_events += 1;
+            }
+            self.touched.push(query);
+        }
+    }
+}
+
+/// One chunk's contribution to one query: the drained top-k candidates plus
+/// the counters observed on the query's behalf. Merging every partial of a
+/// query — in any order — reproduces the sequential result bit-identically.
+#[derive(Debug)]
+pub struct Partial {
+    query: u32,
+    top: Vec<(u64, f32)>,
+    ctr: ScanCounters,
+}
+
+/// A planned batch: everything a cluster visit of it reads. The batch
+/// pipeline builds one per call; the query-major path builds a batch of one.
+#[allow(missing_debug_implementations)] // would force `Debug` onto every engine and plan type
+pub struct PlannedBatch<'a, E: ScanEngine> {
+    /// The engine being scanned.
+    pub engine: &'a E,
+    /// The query rows, indexed like `plans`.
+    pub queries: &'a [&'a [f32]],
+    /// One routed plan per query.
+    pub plans: &'a [E::Plan],
+    /// Per-query seed-pass bounds (upper bounds on the final top-k worst
+    /// score); may be shorter than `plans` — a missing entry is "no bound".
+    pub seeds: &'a [Option<f32>],
+    /// Neighbours requested per query.
+    pub k: usize,
+}
+
+impl<E: ScanEngine> PlannedBatch<'_, E> {
+    /// **The** cluster visit: scans `cluster` for a tile of up to
+    /// [`GROUP_TILE`] `(query, probe)` entries, accumulating into
+    /// `states[query]`. The caller has already faulted the cluster in
+    /// ([`IvfListCodes::touch_cluster`]) — the visit itself is infallible.
+    fn visit(
+        &self,
+        cluster: usize,
+        entries: &[(u32, u32)],
+        tile: &mut [TileSlot<E::Slot>],
+        states: &mut [QueryState],
+    ) {
+        let engine = self.engine;
+        if engine.own_unit() {
+            for &(q, probe) in entries {
+                let state = &mut states[q as usize];
+                engine.scan_unit(
+                    &self.plans[q as usize],
+                    probe as usize,
+                    cluster,
+                    &mut tile[0].slot,
+                    &mut state.topk,
+                    &mut state.ctr,
+                );
+            }
+            return;
+        }
+
+        let lists = engine.lists();
+        let subspaces = lists.num_subspaces();
+        // Hoisted: after build or compact there are no stored tombstones, so
+        // the never-mutated hot path skips the per-candidate random-access
+        // load into the tombstone bitmap entirely.
+        let check_tombstones = lists.stored_tombstones() > 0;
+        let base_ids = lists.cluster_ids(cluster);
+        let base_codes = lists.cluster_codes(cluster);
+        let (tail_ids, tail_codes) = lists.cluster_tail(cluster);
+        let stored = lists.cluster_stored(cluster);
+        let tile = &mut tile[..entries.len()];
+
+        // Phase A: expand each query's table and gate its pruning.
+        for (t, &(q, probe)) in tile.iter_mut().zip(entries) {
+            let qi = q as usize;
+            let state = &mut states[qi];
+            state.ctr.candidates += stored;
+            state.ctr.lut_builds += 1;
+            t.query = q;
+            t.seed = self.seeds.get(qi).copied().flatten();
+            engine.expand(
+                self.queries[qi],
+                &self.plans[qi],
+                probe as usize,
+                cluster,
+                &mut t.slot,
+            );
+            // The prune pass only pays for itself once there is a worst
+            // score to prune against — the local top-k's, tightened by the
+            // seed bound (any upper bound on the final k-th score is safe) —
+            // and the cluster is large enough to amortise the O(S × E)
+            // quantisation.
+            let worst0 = tighter_worst(state.topk.worst_score(), t.seed);
+            t.prune = engine.fastscan() && worst0.is_some() && base_ids.len() >= MIN_PRUNE_POINTS;
+            t.done = false;
+            if t.prune {
+                engine.quantize(&t.slot, &mut t.qlut);
+                // Cluster-level pruning: no member (base or tail) can beat
+                // the per-subspace minima bound for this query.
+                t.done =
+                    t.qlut.cluster_bound() >= worst0.expect("prune requires a full top-k") as f64;
+                if t.done {
+                    state.ctr.pruned_clusters += 1;
+                    state.ctr.pruned_points += stored;
+                }
+            }
+        }
+        let tile = &*tile;
+
+        let rank = |t: &TileSlot<E::Slot>, state: &mut QueryState, pid: u32, code: &[u8]| {
+            if check_tombstones && lists.is_deleted(pid) {
+                return;
+            }
+            if let Some(raw) = engine.score(&t.slot, code, &mut state.ctr) {
+                state.topk.push(pid as u64, raw);
+            }
+        };
+        let scan_exact =
+            |t: &TileSlot<E::Slot>, state: &mut QueryState, ids: &[u32], codes: &[u8]| {
+                for (i, &pid) in ids.iter().enumerate() {
+                    rank(t, state, pid, &codes[i * subspaces..(i + 1) * subspaces]);
+                }
+            };
+
+        // Phase B: the multi-query prune pass — the tile's quantised LUTs
+        // held against each 32-point block (codes stream once per tile),
+        // survivors re-ranked exactly on the spot.
+        let mut lane_map = [0usize; GROUP_TILE];
+        let mut lanes_n = 0usize;
+        for (ti, t) in tile.iter().enumerate() {
+            if t.prune && !t.done {
+                lane_map[lanes_n] = ti;
+                lanes_n += 1;
+            }
+        }
+        if lanes_n > 0 {
+            let lane_map = &lane_map[..lanes_n];
+            let mut lanes = [GroupLane::new(&tile[lane_map[0]].qlut, None); GROUP_TILE];
+            for (lane, &ti) in lanes.iter_mut().zip(lane_map) {
+                let t = &tile[ti];
+                let worst = tighter_worst(states[t.query as usize].topk.worst_score(), t.seed);
+                *lane = GroupLane::new(&t.qlut, worst);
+            }
+            lists
+                .cluster_blocks(cluster)
+                .prune_scan_group(&mut lanes[..lanes_n], |li, i| {
+                    let t = &tile[lane_map[li]];
+                    let state = &mut states[t.query as usize];
+                    rank(
+                        t,
+                        state,
+                        base_ids[i],
+                        &base_codes[i * subspaces..(i + 1) * subspaces],
+                    );
+                    tighter_worst(state.topk.worst_score(), t.seed)
+                });
+            for (lane, &ti) in lanes.iter().zip(lane_map) {
+                let ctr = &mut states[tile[ti].query as usize].ctr;
+                ctr.pruned_points += lane.pruned_points;
+                ctr.pruned_blocks += lane.pruned_blocks;
+                // The exact re-rank consumed the already-expanded table.
+                ctr.lut_reuses += 1;
+            }
+        }
+
+        for t in tile {
+            if t.done {
+                continue;
+            }
+            let state = &mut states[t.query as usize];
+            // Phase C: queries without a prune bar (top-k not full yet,
+            // tiny cluster, fast-scan off) scan the base exactly.
+            if !t.prune {
+                scan_exact(t, state, base_ids, base_codes);
+            }
+            // Phase D: append-tail records have no block view; scan them
+            // exactly, in id order, after the base — the same per-query
+            // order on every path.
+            if !tail_ids.is_empty() {
+                state.ctr.lut_reuses += 1;
+                scan_exact(t, state, tail_ids, tail_codes);
+            }
+        }
+    }
+
+    /// The cluster→query-group schedule of this batch, chunk cuts weighted
+    /// by each cluster's stored record count (what a scan streams).
+    /// `first_probe = 1` excludes each query's nearest probe (covered by the
+    /// seed pass).
+    pub fn schedule(&self, first_probe: usize) -> GroupSchedule {
+        let probe_lists: Vec<&[usize]> = self
+            .plans
+            .iter()
+            .map(|plan| {
+                let probes = self.engine.probes(plan);
+                &probes[first_probe.min(probes.len())..]
+            })
+            .collect();
+        let lists = self.engine.lists();
+        GroupSchedule::build(
+            lists.num_clusters(),
+            &probe_lists,
+            first_probe,
+            |c| lists.cluster_stored(c),
+            GROUP_CHUNK_WORK,
+        )
+    }
+
+    /// Scans one cluster-group chunk for every query probing it — clusters
+    /// in storage order, [`GROUP_TILE`] queries per visit — and returns the
+    /// per-query partials, leaving the arena's capacity in place.
+    pub fn scan_chunk(
+        &self,
+        sched: &GroupSchedule,
+        chunk: usize,
+        arena: &mut ScanArena<E::Slot>,
+    ) -> Vec<Partial> {
+        let (k, metric) = (self.k, self.engine.rank_metric());
+        arena.begin_chunk(self.plans.len(), k, metric, || self.engine.new_slot());
+        for (cluster, group) in sched.chunk(chunk) {
+            for entries in group.chunks(GROUP_TILE) {
+                for &(q, _) in entries {
+                    arena.touch(q, k, metric);
+                }
+                self.visit(cluster, entries, &mut arena.tile, &mut arena.states);
+            }
+        }
+        let ScanArena {
+            states, touched, ..
+        } = arena;
+        touched
+            .iter()
+            .map(|&query| {
+                let state = &mut states[query as usize];
+                let mut top = Vec::new();
+                state.topk.drain_entries(&mut top);
+                Partial {
+                    query,
+                    top,
+                    ctr: state.ctr,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Scans the first `limit` probes of one planned query, query-major: the
+/// visit with a tile of one, no seed bound, clusters in probe order. Each
+/// cluster is faulted in (and verified) before the infallible visit reads
+/// its slices.
+fn scan_probes<E: ScanEngine>(
+    engine: &E,
+    query: &[f32],
+    plan: &E::Plan,
+    limit: usize,
+    k: usize,
+    arena: &mut ScanArena<E::Slot>,
+) -> Result<QueryState> {
+    let batch = PlannedBatch {
+        engine,
+        queries: &[query],
+        plans: std::slice::from_ref(plan),
+        seeds: &[],
+        k,
+    };
+    let mut state = [QueryState::new(k, engine.rank_metric())];
+    for (probe, &cluster) in engine.probes(plan).iter().enumerate().take(limit) {
+        engine.lists().touch_cluster(cluster)?;
+        batch.visit(cluster, &[(0, probe as u32)], &mut arena.tile, &mut state);
+    }
+    let [state] = state;
+    Ok(state)
+}
+
+/// Searches one query through the caller's reusable arena.
+///
+/// # Errors
+///
+/// [`Error::InvalidConfig`] for `k == 0`, planning errors, and
+/// [`Error::Corrupted`] when a mapped cluster fails verification.
+pub fn search_one<E: ScanEngine>(
+    engine: &E,
+    query: &[f32],
+    k: usize,
+    arena: &mut ScanArena<E::Slot>,
+) -> Result<SearchResult> {
+    if k == 0 {
+        return Err(Error::invalid_config("k must be positive"));
+    }
+    let plan = engine.plan(query)?;
+    let state = scan_probes(engine, query, &plan, usize::MAX, k, arena)?;
+    Ok(engine.finish(&plan, state.topk.into_sorted_vec(), &state.ctr))
+}
+
+/// The query-major batch path: one task per query, each running
+/// [`search_one`] through a per-worker arena. The fallback for tiny batches
+/// and the differential / benchmark reference for the grouped pipeline.
+///
+/// # Errors
+///
+/// The first per-query error encountered (by query order).
+pub fn search_batch_query_major<E: ScanEngine>(
+    engine: &E,
+    queries: &VectorSet,
+    k: usize,
+    num_threads: usize,
+) -> Result<Vec<SearchResult>> {
+    parallel::map_with(
+        queries.len(),
+        num_threads,
+        0,
+        || ScanArena::new(engine.new_slot()),
+        |arena, i| search_one(engine, queries.row(i), k, arena),
+    )?
+    .into_iter()
+    .collect()
+}
+
+/// The cluster-major grouped batch pipeline:
+///
+/// 1. **Plan** (parallel over queries): [`ScanEngine::plan`].
+/// 2. **Seed**: every query scans its *nearest* probe query-major first.
+///    Storage-order visits would otherwise fill top-ks with far-cluster
+///    candidates and leave the prune thresholds toothless; the seed's k-th
+///    best score is a provably safe bound for every later visit. Engines on
+///    their own unit never prune, so they skip the seed.
+/// 3. **Schedule**: a cluster→query-group table cut into chunks by scan
+///    work — never by thread budget, so results *and* statistics are
+///    thread-count invariant.
+/// 4. **Chunk scan** (work-stealing, one task per chunk): clusters in
+///    storage order, each cluster's blocks streamed once per tile.
+/// 5. **Gather**: partials merge into the seed's selector under the
+///    insertion-order-invariant top-k order, so final ids and distance bits
+///    equal the sequential per-query path.
+///
+/// # Errors
+///
+/// Same failure modes as [`search_one`], reported for the first failing
+/// query in query order.
+pub fn search_batch_grouped<E: ScanEngine>(
+    engine: &E,
+    queries: &VectorSet,
+    k: usize,
+    num_threads: usize,
+) -> Result<Vec<SearchResult>> {
+    if k == 0 {
+        return Err(Error::invalid_config("k must be positive"));
+    }
+    let nq = queries.len();
+    if nq == 0 {
+        return Ok(Vec::new());
+    }
+    let rows: Vec<&[f32]> = queries.iter().collect();
+    let plans: Vec<E::Plan> = parallel::map(nq, num_threads, |i| engine.plan(rows[i]))?
+        .into_iter()
+        .collect::<Result<_>>()?;
+
+    let first_probe = usize::from(!engine.own_unit());
+    let mut finals: Vec<QueryState> = parallel::map_with(
+        nq,
+        num_threads,
+        0,
+        || ScanArena::new(engine.new_slot()),
+        |arena, qi| scan_probes(engine, rows[qi], &plans[qi], first_probe, k, arena),
+    )?
+    .into_iter()
+    .collect::<Result<_>>()?;
+    let seeds: Vec<Option<f32>> = finals.iter().map(|s| s.topk.worst_score()).collect();
+
+    let batch = PlannedBatch {
+        engine,
+        queries: &rows,
+        plans: &plans,
+        seeds: &seeds,
+        k,
+    };
+    let sched = batch.schedule(first_probe);
+    // Fault in (and verify) every scheduled cluster up front: the chunk
+    // workers are infallible, so residency faults must be taken —
+    // sequentially, in schedule order — before the fan-out. Advisory
+    // eviction keeps already-verified slices readable, so the workers stay
+    // safe even under a tight residency budget.
+    for ci in 0..sched.num_chunks() {
+        for (cluster, _) in sched.chunk(ci) {
+            engine.lists().touch_cluster(cluster)?;
+        }
+    }
+    let partial_lists = parallel::map_with(
+        sched.num_chunks(),
+        num_threads,
+        1,
+        || ScanArena::new(engine.new_slot()),
+        |arena, ci| batch.scan_chunk(&sched, ci, arena),
+    )?;
+
+    for partial in partial_lists.into_iter().flatten() {
+        let state = &mut finals[partial.query as usize];
+        state.ctr.merge(&partial.ctr);
+        for (id, score) in partial.top {
+            state.topk.push_score(id, score);
+        }
+    }
+    Ok(plans
+        .iter()
+        .zip(finals)
+        .map(|(plan, state)| engine.finish(plan, state.topk.into_sorted_vec(), &state.ctr))
+        .collect())
+}
+
+/// Batch search: cluster-major grouped, except that batches below
+/// [`MIN_GROUP_QUERIES`] — where planning and scheduling cannot amortise —
+/// run query-major.
+///
+/// # Errors
+///
+/// See [`search_batch_grouped`].
+pub fn search_batch<E: ScanEngine>(
+    engine: &E,
+    queries: &VectorSet,
+    k: usize,
+    num_threads: usize,
+) -> Result<Vec<SearchResult>> {
+    if queries.len() < MIN_GROUP_QUERIES {
+        search_batch_query_major(engine, queries, k, num_threads)
+    } else {
+        search_batch_grouped(engine, queries, k, num_threads)
+    }
+}

@@ -27,6 +27,9 @@
 //!   totally (bit-identical results, topology and id allocator) and the
 //!   whole lifecycle succeeds once the plan disarms.
 
+mod common;
+
+use common::{assert_bit_identical, Stats};
 use juno::common::index::Neighbor;
 use juno::common::rng::{seeded, Rng};
 use juno::common::topk::{merge_neighbors, ScoreOrder};
@@ -49,22 +52,6 @@ enum Op {
     Remove {
         id: u64,
     },
-}
-
-fn assert_bitwise_equal(a: &[SearchResult], b: &[SearchResult], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: result count");
-    for (qi, (ra, rb)) in a.iter().zip(b).enumerate() {
-        let ids_a: Vec<u64> = ra.ids();
-        let ids_b: Vec<u64> = rb.ids();
-        assert_eq!(ids_a, ids_b, "{label}: query {qi} ids");
-        for (na, nb) in ra.neighbors.iter().zip(&rb.neighbors) {
-            assert_eq!(
-                na.distance.to_bits(),
-                nb.distance.to_bits(),
-                "{label}: query {qi} distance bits"
-            );
-        }
-    }
 }
 
 #[test]
@@ -165,9 +152,10 @@ fn readers_racing_writers_and_compaction_never_observe_torn_state() {
                     // compactor have published since the pin.
                     std::thread::yield_now();
                     let second = reader.search_batch(queries, 15).expect("pinned re-search");
-                    assert_bitwise_equal(
+                    assert_bit_identical(
                         &first,
                         &second,
+                        Stats::Any,
                         &format!("reader {r} round {round} pinned isolation"),
                     );
                 }
@@ -203,7 +191,12 @@ fn readers_racing_writers_and_compaction_never_observe_torn_state() {
         .iter()
         .map(|q| replayed.search(q, 25).expect("mono search"))
         .collect();
-    assert_bitwise_equal(&fleet_results, &mono_results, "quiescent replay parity");
+    assert_bit_identical(
+        &fleet_results,
+        &mono_results,
+        Stats::Any,
+        "quiescent replay parity",
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +339,7 @@ fn single_query_and_batch_scatter_paths_agree_under_concurrency() {
             .iter()
             .map(|q| reader.search(q, 12).expect("single"))
             .collect();
-        assert_bitwise_equal(&batch, &singles, "batch vs single scatter");
+        assert_bit_identical(&batch, &singles, Stats::Any, "batch vs single scatter");
     }
     drop(compactor);
 }
@@ -478,9 +471,10 @@ fn chaos_faults_degrade_gracefully_and_the_fleet_recovers() {
                     let second = reader
                         .search_batch(queries, 10)
                         .expect("pinned chaos re-search");
-                    assert_bitwise_equal(
+                    assert_bit_identical(
                         &first,
                         &second,
+                        Stats::Any,
                         &format!("chaos reader {r} round {round} pinned isolation"),
                     );
 
@@ -573,9 +567,10 @@ fn chaos_faults_degrade_gracefully_and_the_fleet_recovers() {
         .iter()
         .map(|q| replayed.search(q, 20).expect("mono search"))
         .collect();
-    assert_bitwise_equal(
+    assert_bit_identical(
         &fleet_results,
         &mono_results,
+        Stats::Any,
         "chaos quiescent replay parity",
     );
 }
@@ -699,9 +694,10 @@ fn lifecycle_chaos_rebuild_and_split_roll_back_totally_or_complete() {
                 rebuild_failures += 1;
                 assert_eq!(fleet.num_shards(), shards_before);
                 assert_eq!(fleet.len(), len_before, "round {round} rollback live count");
-                assert_bitwise_equal(
+                assert_bit_identical(
                     &before,
                     &snapshot(&fleet),
+                    Stats::Any,
                     &format!("round {round} rebuild rollback ({err})"),
                 );
             }
@@ -726,9 +722,10 @@ fn lifecycle_chaos_rebuild_and_split_roll_back_totally_or_complete() {
                 assert_eq!(fleet.len(), len_before, "round {round} resize live count");
                 // Split/merge is pure snapshot surgery: results stay
                 // bit-identical across the topology change.
-                assert_bitwise_equal(
+                assert_bit_identical(
                     &before,
                     &snapshot(&fleet),
+                    Stats::Any,
                     &format!("round {round} resize parity"),
                 );
             }
@@ -736,9 +733,10 @@ fn lifecycle_chaos_rebuild_and_split_roll_back_totally_or_complete() {
                 resize_failures += 1;
                 assert_eq!(fleet.num_shards(), shards_before);
                 assert_eq!(fleet.len(), len_before);
-                assert_bitwise_equal(
+                assert_bit_identical(
                     &before,
                     &snapshot(&fleet),
+                    Stats::Any,
                     &format!("round {round} resize rollback ({err})"),
                 );
             }

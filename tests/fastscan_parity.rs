@@ -8,36 +8,15 @@
 //! tested in `juno-common/src/kernel.rs`; this suite pins the end-to-end
 //! contract the engine builds on top of it.
 
-use juno::common::index::{AnnIndex, SearchResult};
+mod common;
+
+use common::{assert_bit_identical, search_all, Stats};
+use juno::baseline::ivfpq::{IvfPqConfig, IvfPqIndex};
+use juno::common::index::AnnIndex;
+use juno::common::vector::VectorSet;
 use juno::core::config::{JunoConfig, QualityMode};
 use juno::core::engine::JunoIndex;
 use juno::data::profiles::DatasetProfile;
-
-fn assert_same_results(fast: &[SearchResult], exact: &[SearchResult], label: &str) {
-    assert_eq!(fast.len(), exact.len(), "{label}: result count");
-    for (q, (f, e)) in fast.iter().zip(exact).enumerate() {
-        assert_eq!(
-            f.neighbors.len(),
-            e.neighbors.len(),
-            "{label}: query {q} neighbour count"
-        );
-        for (i, (nf, ne)) in f.neighbors.iter().zip(&e.neighbors).enumerate() {
-            assert_eq!(nf.id, ne.id, "{label}: query {q} rank {i} id");
-            assert_eq!(
-                nf.distance.to_bits(),
-                ne.distance.to_bits(),
-                "{label}: query {q} rank {i} distance bits"
-            );
-        }
-    }
-}
-
-fn run_all(index: &JunoIndex, queries: &juno::common::VectorSet, k: usize) -> Vec<SearchResult> {
-    queries
-        .iter()
-        .map(|q| index.search(q, k).unwrap())
-        .collect()
-}
 
 /// Fast-scan on vs off across quality modes for one built index; returns the
 /// total pruning work observed in High mode so callers can assert the prune
@@ -47,20 +26,26 @@ fn check_parity(index: &mut JunoIndex, ds: &juno::data::profiles::Dataset, label
     for mode in [QualityMode::High, QualityMode::Medium, QualityMode::Low] {
         index.set_quality(mode);
         index.set_fastscan(true);
-        let fast = run_all(index, &ds.queries, 50);
+        let fast = search_all(index, &ds.queries, 50);
         index.set_fastscan(false);
-        let exact = run_all(index, &ds.queries, 50);
-        assert_same_results(&fast, &exact, &format!("{label} {mode:?}"));
+        let exact = search_all(index, &ds.queries, 50);
+        assert_bit_identical(&fast, &exact, Stats::Any, &format!("{label} {mode:?}"));
         // The cluster-major grouped batch executor must land on the same
         // bits as the sequential scan with the prune pass both on and off.
         index.set_fastscan(true);
         let grouped = index.search_batch_threads(&ds.queries, 50, 3).unwrap();
-        assert_same_results(&grouped, &fast, &format!("{label} {mode:?} grouped"));
+        assert_bit_identical(
+            &grouped,
+            &fast,
+            Stats::Any,
+            &format!("{label} {mode:?} grouped"),
+        );
         index.set_fastscan(false);
         let grouped_exact = index.search_batch_threads(&ds.queries, 50, 3).unwrap();
-        assert_same_results(
+        assert_bit_identical(
             &grouped_exact,
             &exact,
+            Stats::Any,
             &format!("{label} {mode:?} grouped exact"),
         );
         if mode == QualityMode::High {
@@ -155,6 +140,65 @@ fn fastscan_is_bit_identical_across_mutation_and_compaction() {
     check_parity(&mut index, &ds, "mutated");
     index.compact().unwrap();
     check_parity(&mut index, &ds, "compacted");
+}
+
+/// The tile-of-one contract: the single-query path *is* the batch path with
+/// one query — same visit, same counters — on both engines, in every mode,
+/// with the prune pass on and off, over tails and tombstones.
+#[test]
+fn single_query_search_equals_a_one_query_batch_stat_for_stat() {
+    let ds = DatasetProfile::DeepLike.generate(2_000, 10, 91).unwrap();
+    let mut juno = JunoIndex::build(
+        &ds.points,
+        &JunoConfig {
+            n_clusters: 16,
+            nprobs: 6,
+            pq_entries: 32,
+            ..JunoConfig::small_test(ds.dim(), ds.metric())
+        },
+    )
+    .unwrap();
+    let mut ivfpq = IvfPqIndex::build(
+        &ds.points,
+        &IvfPqConfig {
+            n_clusters: 16,
+            nprobs: 6,
+            pq_subspaces: ds.dim() / 2,
+            pq_entries: 32,
+            metric: ds.metric(),
+            seed: 91,
+        },
+    )
+    .unwrap();
+    for id in (0..2_000u64).step_by(11) {
+        assert!(juno.remove(id).unwrap());
+        assert!(ivfpq.remove(id).unwrap());
+    }
+    for i in 0..40 {
+        juno.insert(ds.points.row(i * 17)).unwrap();
+        ivfpq.insert(ds.points.row(i * 17)).unwrap();
+    }
+
+    let check = |index: &dyn AnnIndex, label: &str| {
+        for (qi, q) in ds.queries.iter().enumerate() {
+            let one = VectorSet::from_rows(vec![q.to_vec()]).unwrap();
+            assert_bit_identical(
+                &[index.search(q, 30).unwrap()],
+                &index.search_batch_threads(&one, 30, 3).unwrap(),
+                Stats::Full,
+                &format!("{label} query {qi}"),
+            );
+        }
+    };
+    for fastscan in [true, false] {
+        ivfpq.set_fastscan(fastscan);
+        check(&ivfpq, &format!("IVFPQ fastscan={fastscan}"));
+        juno.set_fastscan(fastscan);
+        for mode in [QualityMode::High, QualityMode::Medium, QualityMode::Low] {
+            juno.set_quality(mode);
+            check(&juno, &format!("JUNO {mode:?} fastscan={fastscan}"));
+        }
+    }
 }
 
 #[test]

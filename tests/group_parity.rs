@@ -16,6 +16,9 @@
 //! deterministically because top-k selection breaks boundary ties by id —
 //! the order-invariance property grouped execution is built on.
 
+mod common;
+
+use common::{assert_bit_identical, Stats};
 use juno::baseline::ivfpq::{IvfPqConfig, IvfPqIndex};
 use juno::common::index::{AnnIndex, SearchResult};
 use juno::common::rng::{seeded, Rng};
@@ -24,34 +27,6 @@ use juno::core::config::{JunoConfig, QualityMode};
 use juno::core::engine::JunoIndex;
 use juno::data::profiles::DatasetProfile;
 use juno::serve::{ShardRouter, ShardedIndex};
-
-fn assert_grouped_matches(seq: &[SearchResult], grp: &[SearchResult], label: &str) {
-    assert_eq!(seq.len(), grp.len(), "{label}: result count");
-    for (qi, (s, g)) in seq.iter().zip(grp).enumerate() {
-        assert_eq!(
-            s.neighbors.len(),
-            g.neighbors.len(),
-            "{label}: query {qi} neighbour count"
-        );
-        for (rank, (ns, ng)) in s.neighbors.iter().zip(&g.neighbors).enumerate() {
-            assert_eq!(ns.id, ng.id, "{label}: query {qi} rank {rank} id");
-            assert_eq!(
-                ns.distance.to_bits(),
-                ng.distance.to_bits(),
-                "{label}: query {qi} rank {rank} distance bits"
-            );
-        }
-        assert_eq!(
-            s.stats.candidates, g.stats.candidates,
-            "{label}: query {qi} candidates must be invariant to grouping"
-        );
-        assert_eq!(
-            s.simulated_us.to_bits(),
-            g.simulated_us.to_bits(),
-            "{label}: query {qi} simulated time must be invariant to grouping"
-        );
-    }
-}
 
 /// Draws a random batch (1..=97 queries, with repeats so probe sets overlap
 /// heavily) from a query pool.
@@ -92,9 +67,10 @@ fn juno_grouped_batches_match_sequential_under_random_mutation() {
 
         let seq: Vec<SearchResult> = batch.iter().map(|q| index.search(q, k).unwrap()).collect();
         let grp = index.search_batch_threads(&batch, k, threads).unwrap();
-        assert_grouped_matches(
+        assert_bit_identical(
             &seq,
             &grp,
+            Stats::Invariant,
             &format!(
                 "JUNO round {round} {mode:?} fastscan={} k={k}",
                 round % 2 == 0
@@ -146,7 +122,12 @@ fn ivfpq_grouped_batches_match_sequential_under_random_mutation() {
         let grp = index
             .search_batch_threads(&batch, k, [1usize, 3, 8][round as usize % 3])
             .unwrap();
-        assert_grouped_matches(&seq, &grp, &format!("IVFPQ round {round} k={k}"));
+        assert_bit_identical(
+            &seq,
+            &grp,
+            Stats::Invariant,
+            &format!("IVFPQ round {round} k={k}"),
+        );
 
         for _ in 0..rng.gen_range(0..25usize) {
             let id = rng.gen_range(0..index.len() as u32);
@@ -155,6 +136,46 @@ fn ivfpq_grouped_batches_match_sequential_under_random_mutation() {
         for _ in 0..rng.gen_range(0..8usize) {
             let dup = rng.gen_range(0..ds.points.len() as u32) as usize;
             index.insert(ds.points.row(dup)).unwrap();
+        }
+
+        // Interleaved compaction: bit-invisible, and it folds the tails of
+        // the probed clusters back under the prune pass.
+        if round % 2 == 1 {
+            index.set_fastscan(true);
+            // A copy of the batch's first query lands in (and leaves a tail
+            // on) the cluster that query probes first.
+            index.insert(batch.row(0)).unwrap();
+            let nearest = index.ivf().filter(batch.row(0), 1).unwrap().clusters[0];
+            assert!(!index.list_codes().cluster_tail(nearest).0.is_empty());
+
+            let before = index.search_batch_threads(&batch, k, 3).unwrap();
+            index.compact().unwrap();
+            let after = index.search_batch_threads(&batch, k, 3).unwrap();
+            assert_bit_identical(
+                &before,
+                &after,
+                Stats::Any,
+                &format!("IVFPQ round {round} compaction"),
+            );
+            assert_eq!(index.list_codes().stored_tombstones(), 0);
+            assert!(index.list_codes().cluster_tail(nearest).0.is_empty());
+            let sum = |rs: &[SearchResult], f: fn(&SearchResult) -> usize| -> usize {
+                rs.iter().map(f).sum()
+            };
+            // Tombstoned records count as candidates until compacted away.
+            assert!(sum(&after, |r| r.stats.candidates) <= sum(&before, |r| r.stats.candidates));
+            assert!(
+                sum(&after, |r| r.stats.pruned_points) > 0,
+                "round {round}: the compacted block view is not being pruned"
+            );
+            let seq: Vec<SearchResult> =
+                batch.iter().map(|q| index.search(q, k).unwrap()).collect();
+            assert_bit_identical(
+                &seq,
+                &after,
+                Stats::Invariant,
+                &format!("IVFPQ round {round} compacted"),
+            );
         }
     }
 }
@@ -191,7 +212,12 @@ fn sharded_fleets_serve_grouped_batches_bit_identically() {
             let seq: Vec<SearchResult> =
                 batch.iter().map(|q| reader.search(q, k).unwrap()).collect();
             let grp = reader.search_batch_threads(&batch, k, 4).unwrap();
-            assert_grouped_matches(&seq, &grp, &format!("fleet S={shards} round {round} k={k}"));
+            assert_bit_identical(
+                &seq,
+                &grp,
+                Stats::Invariant,
+                &format!("fleet S={shards} round {round} k={k}"),
+            );
         }
     }
 }

@@ -13,82 +13,15 @@
 //! candidates. Everything else (`candidates`, planning counters, RT work,
 //! simulated stage times) is invariant and asserted exactly.
 
+mod common;
+
+use common::{assert_bit_identical, Stats};
 use juno::common::index::AnnIndex;
 use juno::common::rng::{seeded, Rng};
 use juno::core::config::{JunoConfig, QualityMode};
 use juno::core::engine::JunoIndex;
 use juno::core::lut::SelectiveLut;
 use juno::data::profiles::DatasetProfile;
-
-fn assert_same_neighbors(
-    s: &juno::common::index::SearchResult,
-    p: &juno::common::index::SearchResult,
-    q: usize,
-    label: &str,
-) {
-    assert_eq!(
-        s.neighbors.len(),
-        p.neighbors.len(),
-        "{label}: query {q} neighbour count"
-    );
-    for (i, (ns, np)) in s.neighbors.iter().zip(&p.neighbors).enumerate() {
-        assert_eq!(ns.id, np.id, "{label}: query {q} rank {i} id");
-        assert_eq!(
-            ns.distance.to_bits(),
-            np.distance.to_bits(),
-            "{label}: query {q} rank {i} score bits"
-        );
-    }
-}
-
-fn assert_bit_identical(
-    sequential: &[juno::common::index::SearchResult],
-    parallel: &[juno::common::index::SearchResult],
-    label: &str,
-) {
-    assert_eq!(sequential.len(), parallel.len(), "{label}: result count");
-    for (q, (s, p)) in sequential.iter().zip(parallel).enumerate() {
-        assert_same_neighbors(s, p, q, label);
-        assert_eq!(s.stats, p.stats, "{label}: query {q} work counters");
-    }
-}
-
-/// Grouped-executor parity: neighbours (and their distance bits) must be
-/// identical; the execution-invariant statistics must match exactly; only
-/// the prune-trajectory counters may differ.
-fn assert_grouped_identical(
-    sequential: &[juno::common::index::SearchResult],
-    grouped: &[juno::common::index::SearchResult],
-    label: &str,
-) {
-    assert_eq!(sequential.len(), grouped.len(), "{label}: result count");
-    for (q, (s, g)) in sequential.iter().zip(grouped).enumerate() {
-        assert_same_neighbors(s, g, q, label);
-        assert_eq!(
-            s.stats.candidates, g.stats.candidates,
-            "{label}: query {q} candidates must be execution-invariant"
-        );
-        assert_eq!(s.stats.filter_distances, g.stats.filter_distances);
-        assert_eq!(s.stats.lut_distances, g.stats.lut_distances);
-        assert_eq!(s.stats.rt_aabb_tests, g.stats.rt_aabb_tests);
-        assert_eq!(s.stats.rt_primitive_tests, g.stats.rt_primitive_tests);
-        assert_eq!(s.stats.rt_hits, g.stats.rt_hits);
-        assert_eq!(s.stats.lut_builds, g.stats.lut_builds);
-        // Stage times derive from planning work + candidates only, so they
-        // must be bit-equal even though the prune trajectory may differ.
-        assert_eq!(s.stats.filter_us.to_bits(), g.stats.filter_us.to_bits());
-        assert_eq!(s.stats.lut_us.to_bits(), g.stats.lut_us.to_bits());
-        assert_eq!(
-            s.stats.accumulate_us.to_bits(),
-            g.stats.accumulate_us.to_bits()
-        );
-        assert_eq!(
-            s.simulated_us.to_bits(),
-            g.simulated_us.to_bits(),
-            "{label}: query {q} simulated time"
-        );
-    }
-}
 
 #[test]
 fn parallel_batch_matches_sequential_search_all_modes() {
@@ -116,6 +49,7 @@ fn parallel_batch_matches_sequential_search_all_modes() {
             assert_bit_identical(
                 &sequential,
                 &query_major,
+                Stats::Full,
                 &format!("{mode:?} qm x{threads}"),
             );
             // The grouped executor (what search_batch_threads dispatches
@@ -124,14 +58,29 @@ fn parallel_batch_matches_sequential_search_all_modes() {
             let grouped = index
                 .search_batch_threads(&ds.queries, 50, threads)
                 .unwrap();
-            assert_grouped_identical(&sequential, &grouped, &format!("{mode:?} grp x{threads}"));
+            assert_bit_identical(
+                &sequential,
+                &grouped,
+                Stats::Invariant,
+                &format!("{mode:?} grp x{threads}"),
+            );
             if mode != QualityMode::High {
-                assert_bit_identical(&sequential, &grouped, &format!("{mode:?} grp x{threads}"));
+                assert_bit_identical(
+                    &sequential,
+                    &grouped,
+                    Stats::Full,
+                    &format!("{mode:?} grp x{threads}"),
+                );
             }
         }
         // The default entry point too.
         let parallel = index.search_batch(&ds.queries, 50).unwrap();
-        assert_grouped_identical(&sequential, &parallel, &format!("{mode:?} default"));
+        assert_bit_identical(
+            &sequential,
+            &parallel,
+            Stats::Invariant,
+            &format!("{mode:?} default"),
+        );
     }
 }
 
@@ -154,11 +103,21 @@ fn parallel_batch_matches_sequential_search_mips() {
         let query_major = index
             .search_batch_query_major(&ds.queries, 100, threads)
             .unwrap();
-        assert_bit_identical(&sequential, &query_major, &format!("MIPS qm x{threads}"));
+        assert_bit_identical(
+            &sequential,
+            &query_major,
+            Stats::Full,
+            &format!("MIPS qm x{threads}"),
+        );
         let grouped = index
             .search_batch_threads(&ds.queries, 100, threads)
             .unwrap();
-        assert_grouped_identical(&sequential, &grouped, &format!("MIPS grp x{threads}"));
+        assert_bit_identical(
+            &sequential,
+            &grouped,
+            Stats::Invariant,
+            &format!("MIPS grp x{threads}"),
+        );
     }
 }
 
@@ -198,14 +157,16 @@ fn parallel_batch_matches_sequential_after_mutation() {
                 assert_bit_identical(
                     &sequential,
                     &query_major,
+                    Stats::Full,
                     &format!("{label} {mode:?} qm x{threads}"),
                 );
                 let grouped = index
                     .search_batch_threads(&ds.queries, 50, threads)
                     .unwrap();
-                assert_grouped_identical(
+                assert_bit_identical(
                     &sequential,
                     &grouped,
+                    Stats::Invariant,
                     &format!("{label} {mode:?} grp x{threads}"),
                 );
             }

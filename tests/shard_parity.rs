@@ -13,6 +13,9 @@
 //! (Flat, HNSW, IVF-Flat) shard via pre-partitioned mapped fleets: exact
 //! engines stay bit-identical, approximate ones are held to recall floors.
 
+mod common;
+
+use common::{assert_bit_identical, search_all, Stats};
 use juno::baseline::ivf_flat::{IvfFlatConfig, IvfFlatIndex};
 use juno::common::recall::recall_at;
 use juno::common::rng::{seeded, Rng};
@@ -20,32 +23,6 @@ use juno::prelude::*;
 use juno::serve::{ShardRouter, ShardedIndex};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-fn assert_same_results(a: &[SearchResult], b: &[SearchResult], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: result count");
-    for (qi, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            ra.neighbors.len(),
-            rb.neighbors.len(),
-            "{label}: query {qi} neighbour count"
-        );
-        for (i, (na, nb)) in ra.neighbors.iter().zip(&rb.neighbors).enumerate() {
-            assert_eq!(na.id, nb.id, "{label}: query {qi} rank {i} id");
-            assert_eq!(
-                na.distance.to_bits(),
-                nb.distance.to_bits(),
-                "{label}: query {qi} rank {i} distance bits"
-            );
-        }
-    }
-}
-
-fn search_all(index: &dyn AnnIndex, queries: &VectorSet, k: usize) -> Vec<SearchResult> {
-    queries
-        .iter()
-        .map(|q| index.search(q, k).expect("search"))
-        .collect()
-}
 
 fn build_juno(ds: &juno::data::profiles::Dataset) -> JunoIndex {
     JunoIndex::build(
@@ -72,15 +49,17 @@ fn juno_sharded_search_is_bit_identical_across_shard_counts_and_routers() {
             let fleet =
                 ShardedIndex::from_monolith(monolith.clone(), shards, router).expect("fleet");
             assert_eq!(fleet.len(), monolith.len(), "S={shards} live count");
-            assert_same_results(
+            assert_bit_identical(
                 &reference,
                 &search_all(&fleet, &ds.queries, 25),
+                Stats::Any,
                 &format!("juno S={shards} {router:?}"),
             );
             // The batched scatter-gather path is the single-query path.
-            assert_same_results(
+            assert_bit_identical(
                 &reference,
                 &fleet.search_batch(&ds.queries, 25).expect("batch"),
+                Stats::Any,
                 &format!("juno batch S={shards} {router:?}"),
             );
         }
@@ -101,9 +80,10 @@ fn juno_sharded_parity_covers_quality_modes_and_fastscan_toggle() {
             let fleet =
                 ShardedIndex::from_monolith(monolith.clone(), 2, ShardRouter::Hash { seed: 4 })
                     .expect("fleet");
-            assert_same_results(
+            assert_bit_identical(
                 &search_all(&monolith, &ds.queries, 20),
                 &search_all(&fleet, &ds.queries, 20),
+                Stats::Any,
                 &format!("juno {quality:?} fastscan={fastscan}"),
             );
         }
@@ -117,9 +97,10 @@ fn juno_sharded_parity_holds_under_mips() {
     for shards in [2usize, 7] {
         let fleet = ShardedIndex::from_monolith(monolith.clone(), shards, ShardRouter::Modulo)
             .expect("fleet");
-        assert_same_results(
+        assert_bit_identical(
             &search_all(&monolith, &ds.queries, 20),
             &search_all(&fleet, &ds.queries, 20),
+            Stats::Any,
             &format!("juno MIPS S={shards}"),
         );
     }
@@ -161,9 +142,10 @@ fn juno_sharded_parity_survives_interleaved_mutation_and_compaction() {
             monolith.compact().expect("mono compact");
         }
         assert_eq!(fleet.len(), monolith.len(), "round {round} live count");
-        assert_same_results(
+        assert_bit_identical(
             &search_all(&monolith, &ds.queries, 25),
             &search_all(&fleet, &ds.queries, 25),
+            Stats::Any,
             &format!("juno mutated round {round}"),
         );
     }
@@ -188,9 +170,10 @@ fn ivfpq_sharded_search_is_bit_identical_including_mutation_and_fastscan() {
     for shards in SHARD_COUNTS {
         let fleet = ShardedIndex::from_monolith(monolith.clone(), shards, ShardRouter::Modulo)
             .expect("fleet");
-        assert_same_results(
+        assert_bit_identical(
             &search_all(&monolith, &ds.queries, 25),
             &search_all(&fleet, &ds.queries, 25),
+            Stats::Any,
             &format!("ivfpq S={shards}"),
         );
     }
@@ -200,9 +183,10 @@ fn ivfpq_sharded_search_is_bit_identical_including_mutation_and_fastscan() {
     exact.set_fastscan(false);
     let fleet = ShardedIndex::from_monolith(exact.clone(), 4, ShardRouter::Hash { seed: 8 })
         .expect("fleet");
-    assert_same_results(
+    assert_bit_identical(
         &search_all(&exact, &ds.queries, 25),
         &search_all(&fleet, &ds.queries, 25),
+        Stats::Any,
         "ivfpq fastscan off",
     );
 
@@ -225,11 +209,66 @@ fn ivfpq_sharded_search_is_bit_identical_including_mutation_and_fastscan() {
             );
         }
     }
-    assert_same_results(
+    assert_bit_identical(
         &search_all(&monolith, &ds.queries, 25),
         &search_all(&fleet, &ds.queries, 25),
+        Stats::Any,
         "ivfpq mutated",
     );
+
+    // Interleaved compaction rounds, applied to fleet and monolith alike:
+    // bit-invisible on both, and sequential = grouped = S ∈ {1, 4} fleets on
+    // the compacted state.
+    for round in 0..2 {
+        for i in 0..20 {
+            let v = ds.points.row(rng.gen_range(0..ds.points.len()));
+            fleet.insert_shared(v).expect("fleet insert");
+            monolith.insert(v).expect("mono insert");
+            let id = (round * 20 + i) as u64 * 7;
+            assert_eq!(
+                fleet.remove_shared(id).expect("fleet remove"),
+                monolith.remove(id).expect("mono remove")
+            );
+        }
+        let before = search_all(&monolith, &ds.queries, 25);
+        monolith.compact().expect("mono compact");
+        fleet.compact_all_shared().expect("fleet compact");
+        let label = format!("ivfpq compaction round {round}");
+        let after = search_all(&monolith, &ds.queries, 25);
+        assert_bit_identical(&before, &after, Stats::Any, &label);
+        assert_eq!(fleet.len(), monolith.len(), "{label}: live count");
+        assert_bit_identical(
+            &after,
+            &search_all(&fleet, &ds.queries, 25),
+            Stats::Any,
+            &label,
+        );
+        assert_bit_identical(
+            &after,
+            &monolith
+                .search_batch_threads(&ds.queries, 25, 3)
+                .expect("grouped"),
+            Stats::Invariant,
+            &label,
+        );
+        for shards in [1usize, 4] {
+            let fresh = ShardedIndex::from_monolith(monolith.clone(), shards, ShardRouter::Modulo)
+                .expect("fleet");
+            let label = format!("{label} S={shards}");
+            assert_bit_identical(
+                &after,
+                &search_all(&fresh, &ds.queries, 25),
+                Stats::Any,
+                &label,
+            );
+            assert_bit_identical(
+                &after,
+                &fresh.search_batch(&ds.queries, 25).expect("fleet batch"),
+                Stats::Any,
+                &label,
+            );
+        }
+    }
 }
 
 /// Partitions dataset rows into `shards` sub-indexes by hash of the global
@@ -265,9 +304,10 @@ fn flat_mapped_fleets_are_bit_identical_to_the_monolith() {
             .collect();
         let fleet = ShardedIndex::from_prebuilt(parts, router).expect("fleet");
         assert_eq!(fleet.len(), monolith.len());
-        assert_same_results(
+        assert_bit_identical(
             &reference,
             &search_all(&fleet, &ds.queries, 30),
+            Stats::Any,
             &format!("flat S={shards}"),
         );
     }
@@ -409,9 +449,10 @@ fn juno_split_and_merge_preserve_bit_identical_parity_with_the_monolith() {
         assert_eq!(fleet.split_shard().expect("split"), expected);
         assert_eq!(fleet.num_shards(), expected);
         assert_eq!(fleet.len(), monolith.len(), "S={expected} live count");
-        assert_same_results(
+        assert_bit_identical(
             &search_all(&monolith, &ds.queries, 25),
             &search_all(&fleet, &ds.queries, 25),
+            Stats::Any,
             &format!("post-split S={expected}"),
         );
         mutate(&fleet, &mut monolith, 20);
@@ -422,9 +463,10 @@ fn juno_split_and_merge_preserve_bit_identical_parity_with_the_monolith() {
         assert_eq!(fleet.merge_shards().expect("merge"), expected);
         assert_eq!(fleet.num_shards(), expected);
         mutate(&fleet, &mut monolith, 10);
-        assert_same_results(
+        assert_bit_identical(
             &search_all(&monolith, &ds.queries, 25),
             &search_all(&fleet, &ds.queries, 25),
+            Stats::Any,
             &format!("post-merge S={expected}"),
         );
     }
@@ -441,9 +483,10 @@ fn juno_split_and_merge_preserve_bit_identical_parity_with_the_monolith() {
         monolith.insert(probe).expect("mono probe"),
         "allocator survives split/merge"
     );
-    assert_same_results(
+    assert_bit_identical(
         &search_all(&monolith, &ds.queries, 25),
         &search_all(&fleet, &ds.queries, 25),
+        Stats::Any,
         "final parity",
     );
 }

@@ -4,36 +4,13 @@
 //! mix of inserts / deletions / compaction. Corrupted snapshot bytes must be
 //! rejected with an `Err`, never a panic.
 
+mod common;
+
+use common::{assert_bit_identical, search_all, Stats};
 use juno::baseline::ivf_flat::{IvfFlatConfig, IvfFlatIndex};
 use juno::common::rng::{seeded, Rng};
 use juno::prelude::*;
 use juno::serve::{ShardRouter, ShardedIndex};
-
-fn assert_same_results(a: &[SearchResult], b: &[SearchResult], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: result count");
-    for (qi, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            ra.neighbors.len(),
-            rb.neighbors.len(),
-            "{label}: query {qi} neighbour count"
-        );
-        for (i, (na, nb)) in ra.neighbors.iter().zip(&rb.neighbors).enumerate() {
-            assert_eq!(na.id, nb.id, "{label}: query {qi} rank {i} id");
-            assert_eq!(
-                na.distance.to_bits(),
-                nb.distance.to_bits(),
-                "{label}: query {qi} rank {i} distance bits"
-            );
-        }
-    }
-}
-
-fn search_all(index: &dyn AnnIndex, queries: &VectorSet, k: usize) -> Vec<SearchResult> {
-    queries
-        .iter()
-        .map(|q| index.search(q, k).expect("search"))
-        .collect()
-}
 
 #[test]
 fn juno_save_load_is_bit_identical_across_seeds_and_mutations() {
@@ -59,9 +36,10 @@ fn juno_save_load_is_bit_identical_across_seeds_and_mutations() {
         let before = search_all(&index, &ds.queries, 25);
         let restored = JunoIndex::from_snapshot_bytes(&index.snapshot().expect("snapshot"))
             .expect("restore fresh");
-        assert_same_results(
+        assert_bit_identical(
             &before,
             &search_all(&restored, &ds.queries, 25),
+            Stats::Any,
             &format!("seed {seed} fresh"),
         );
 
@@ -86,7 +64,12 @@ fn juno_save_load_is_bit_identical_across_seeds_and_mutations() {
             let before = search_all(&index, &ds.queries, 25);
             let bytes = index.snapshot().expect("snapshot");
             let restored = JunoIndex::from_snapshot_bytes(&bytes).expect("restore mutated");
-            assert_same_results(&before, &search_all(&restored, &ds.queries, 25), &label);
+            assert_bit_identical(
+                &before,
+                &search_all(&restored, &ds.queries, 25),
+                Stats::Any,
+                &label,
+            );
             assert_eq!(restored.len(), index.len(), "{label}: live count");
         }
     }
@@ -111,9 +94,10 @@ fn juno_save_load_is_bit_identical_under_mips_and_quality_modes() {
         let restored =
             JunoIndex::from_snapshot_bytes(&index.snapshot().expect("snapshot")).expect("restore");
         // The quality mode travels inside the snapshot's config section.
-        assert_same_results(
+        assert_bit_identical(
             &before,
             &search_all(&restored, &ds.queries, 20),
+            Stats::Any,
             &format!("MIPS {quality:?}"),
         );
     }
@@ -141,9 +125,10 @@ fn ivfpq_save_load_is_bit_identical_including_mutations() {
         let before = search_all(&index, &ds.queries, 25);
         let restored =
             IvfPqIndex::from_snapshot_bytes(&index.snapshot().expect("snap")).expect("restore");
-        assert_same_results(
+        assert_bit_identical(
             &before,
             &search_all(&restored, &ds.queries, 25),
+            Stats::Any,
             &format!("ivfpq seed {seed} fresh"),
         );
 
@@ -160,9 +145,10 @@ fn ivfpq_save_load_is_bit_identical_including_mutations() {
         let before = search_all(&index, &ds.queries, 25);
         let restored =
             IvfPqIndex::from_snapshot_bytes(&index.snapshot().expect("snap")).expect("restore");
-        assert_same_results(
+        assert_bit_identical(
             &before,
             &search_all(&restored, &ds.queries, 25),
+            Stats::Any,
             &format!("ivfpq seed {seed} mutated"),
         );
     }
@@ -187,9 +173,10 @@ fn ivf_flat_save_load_round_trips_through_files() {
     index.save_snapshot(&path).expect("save");
     let restored = IvfFlatIndex::load_snapshot(&path).expect("load");
     std::fs::remove_file(&path).ok();
-    assert_same_results(
+    assert_bit_identical(
         &search_all(&index, &ds.queries, 15),
         &search_all(&restored, &ds.queries, 15),
+        Stats::Any,
         "ivf_flat file",
     );
 }
@@ -246,6 +233,41 @@ fn corrupted_or_cross_engine_snapshots_error_never_panic() {
         let at = rng.gen_range(0..corrupt.len());
         corrupt[at] ^= 0xFF;
         let _ = IvfPqIndex::from_snapshot_bytes(&corrupt);
+    }
+
+    // A structurally valid IVFPQ snapshot (every checksum intact) whose CONF
+    // point count disagrees with its stored lists: `len()` is derived from
+    // the lists, so the lie must be rejected, not served.
+    {
+        use juno::data::snapshot::{SectionWriter, Snapshot, SnapshotWriter};
+        let snap = Snapshot::parse(&ivfpq_bytes).expect("parse");
+        let mut conf = snap.section(*b"CONF").expect("CONF");
+        let (metric, nprobs, count) = (
+            conf.get_u8().expect("metric"),
+            conf.get_u64().expect("nprobs"),
+            conf.get_u64().expect("count"),
+        );
+        assert_eq!(count as usize, ivfpq.len());
+        for wrong in [count - 1, count + 1, 0] {
+            let mut writer = SnapshotWriter::new(juno::baseline::ivfpq::KIND_IVFPQ);
+            for tag in [*b"CONF", *b"IVFC", *b"PQCB", *b"CODE"] {
+                let mut section = SectionWriter::new();
+                if tag == *b"CONF" {
+                    section.put_u8(metric);
+                    section.put_u64(nprobs);
+                    section.put_u64(wrong);
+                } else {
+                    section.put_raw(snap.section(tag).expect("section").take_rest());
+                }
+                writer.add_section(tag, section);
+            }
+            let err = IvfPqIndex::from_snapshot_bytes(&writer.finish())
+                .expect_err("a wrong stored count must not restore");
+            assert!(
+                matches!(err, juno::common::Error::Corrupted(_)),
+                "count {wrong}: {err}"
+            );
+        }
     }
 }
 
@@ -336,9 +358,10 @@ fn legacy_u16_snapshots_are_still_readable_bit_identically() {
     );
     assert_ne!(legacy, v2, "legacy bytes must differ from the v2 framing");
     let restored = JunoIndex::from_snapshot_bytes(&legacy).expect("legacy restore");
-    assert_same_results(
+    assert_bit_identical(
         &search_all(&juno, &ds.queries, 25),
         &search_all(&restored, &ds.queries, 25),
+        Stats::Any,
         "juno legacy snapshot",
     );
 
@@ -364,9 +387,10 @@ fn legacy_u16_snapshots_are_still_readable_bit_identically() {
         None,
     );
     let restored = IvfPqIndex::from_snapshot_bytes(&legacy).expect("legacy ivfpq restore");
-    assert_same_results(
+    assert_bit_identical(
         &search_all(&ivfpq, &ds.queries, 25),
         &search_all(&restored, &ds.queries, 25),
+        Stats::Any,
         "ivfpq legacy snapshot",
     );
 
@@ -449,9 +473,10 @@ fn sharded_fleet_snapshot_round_trips_bit_identically() {
     assert_eq!(restored.router(), ShardRouter::Hash { seed: 17 });
     assert_eq!(restored.len(), fleet.len());
     assert_eq!(restored.ids(), fleet.ids());
-    assert_same_results(
+    assert_bit_identical(
         &before,
         &search_all(&restored, &ds.queries, 25),
+        Stats::Any,
         "sharded roundtrip",
     );
 
@@ -507,17 +532,19 @@ fn sharded_snapshot_corruption_errors_cleanly_and_leaves_the_fleet_intact() {
                     "corrupted fleet snapshot produced {err:?}, expected Corrupted"
                 );
                 if round % 20 == 0 {
-                    assert_same_results(
+                    assert_bit_identical(
                         &reference,
                         &search_all(&fleet, &ds.queries, 20),
+                        Stats::Any,
                         "failed restore must not disturb the fleet",
                     );
                 }
             }
             Ok(()) => {
-                assert_same_results(
+                assert_bit_identical(
                     &reference,
                     &search_all(&fleet, &ds.queries, 20),
+                    Stats::Any,
                     "surviving flip must be semantically identical",
                 );
             }
@@ -567,9 +594,10 @@ fn legacy_unsharded_snapshot_restores_into_a_single_shard_fleet() {
         "legacy snapshots restore to one shard"
     );
     assert_eq!(fleet.len(), monolith.len());
-    assert_same_results(
+    assert_bit_identical(
         &search_all(&monolith, &ds.queries, 25),
         &search_all(&fleet, &ds.queries, 25),
+        Stats::Any,
         "legacy unsharded restore",
     );
     // The single-shard fleet remains fully serviceable (mutation + snapshot).
