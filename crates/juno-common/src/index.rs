@@ -120,13 +120,23 @@ impl SearchStats {
     }
 
     /// Merges the counters of a query answered **concurrently** with this one
-    /// (scatter-gather over shards): work counters sum — every shard really
-    /// did that work — but the wall-clock stage times (`filter_us`,
+    /// (scatter-gather over shards): work counters sum — each shard reports
+    /// the work *it* did — but the wall-clock stage times (`filter_us`,
     /// `lut_us`, `accumulate_us`) take the **maximum**, because the shard
     /// scans ran in parallel and the slowest one bounds the stage. Summing
     /// the times here would double-count the stages once per shard and
     /// report an S-shard fleet as S× slower than it is (the PR 4 fix this
     /// rustdoc pins).
+    ///
+    /// "The work it did" matters for the front half (`filter_distances`,
+    /// `lut_distances`, `rt_aabb_tests`, `rt_primitive_tests`, `rt_hits`): a
+    /// shard that scanned from a borrowed [`BatchPlan`] planned nothing and
+    /// reports zero there ([`SearchStats::without_front_counters`]); the
+    /// gather merges the plan's own counters ([`BatchPlan::front_stats`])
+    /// **once**, so a fleet whose shards all shared the plan carries the
+    /// monolith's front-half counters, and each shard that had to re-plan
+    /// adds its own on top. The stage *times* are unaffected — a borrowing
+    /// shard still reports the stage cost of the plan it scanned from.
     ///
     /// MAX applies to *every* simulated stage-time field and to nothing
     /// else: any future per-stage timer (e.g. timers emitted per
@@ -144,10 +154,106 @@ impl SearchStats {
         self.accumulate_us = accumulate_us.max(other.accumulate_us);
     }
 
+    /// These stats with the front-half work counters (coarse filter, RT
+    /// traversal, selective-LUT construction) zeroed: what a shard reports
+    /// when it scanned from a borrowed [`BatchPlan`] and so did none of
+    /// that work itself. Stage times and scan counters are kept.
+    pub fn without_front_counters(self) -> SearchStats {
+        SearchStats {
+            filter_distances: 0,
+            lut_distances: 0,
+            rt_aabb_tests: 0,
+            rt_primitive_tests: 0,
+            rt_hits: 0,
+            ..self
+        }
+    }
+
     /// Total simulated time across the three online stages, in microseconds.
     pub fn total_us(&self) -> f64 {
         self.filter_us + self.lut_us + self.accumulate_us
     }
+}
+
+/// A batch's per-query front half — probe routing plus whatever the engine
+/// builds before it scans (JUNO: the selective LUT) — computed **once** by
+/// [`AnnIndex::plan_batch`] and handed to any number of engines through
+/// [`AnnIndex::search_batch_planned`]. Opaque outside the engine that made
+/// it, cheap to clone (one `Arc`), and carrying a **plan stamp**: a
+/// fingerprint of everything the planning read. A receiving engine scans
+/// from the plan only when the stamp equals its own, so a replica whose
+/// trained state or search-time knobs have diverged (a skewed epoch pin, a
+/// half-finished rebuild, an unrelated index) plans for itself instead of
+/// answering from someone else's routing.
+#[derive(Clone)]
+pub struct BatchPlan {
+    inner: std::sync::Arc<BatchPlanInner>,
+}
+
+struct BatchPlanInner {
+    stamp: u64,
+    front: Vec<SearchStats>,
+    plans: Box<dyn std::any::Any + Send + Sync>,
+}
+
+impl std::fmt::Debug for BatchPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchPlan")
+            .field("stamp", &self.inner.stamp)
+            .field("queries", &self.inner.front.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl BatchPlan {
+    /// Wraps an engine's per-query plans. `front[q]` holds the front-half
+    /// work counters planning query `q` cost (every other field zero) — what
+    /// a scatter-gather adds once on behalf of the shards that borrowed the
+    /// plan (see [`SearchStats::merge_scatter`]).
+    pub fn new<P>(stamp: u64, front: Vec<SearchStats>, plans: P) -> Self
+    where
+        P: std::any::Any + Send + Sync,
+    {
+        Self {
+            inner: std::sync::Arc::new(BatchPlanInner {
+                stamp,
+                front,
+                plans: Box::new(plans),
+            }),
+        }
+    }
+
+    /// The fingerprint of the state this plan was computed from.
+    pub fn stamp(&self) -> u64 {
+        self.inner.stamp
+    }
+
+    /// The front-half work counters planning query `q` cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` is out of range.
+    pub fn front_stats(&self, q: usize) -> &SearchStats {
+        &self.inner.front[q]
+    }
+
+    /// The engine's plans, when they are of type `P` (`None` for a plan made
+    /// by a different engine type).
+    pub fn plans<P: std::any::Any>(&self) -> Option<&P> {
+        self.inner.plans.downcast_ref()
+    }
+}
+
+/// Whether [`AnnIndex::search_batch_planned`] scanned from the plan it was
+/// handed or had to plan for itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanUse {
+    /// The plan's stamp matched: the engine only scanned.
+    Shared,
+    /// The plan was not usable (stamp mismatch, foreign engine, or an engine
+    /// without plan support): the engine planned locally, as
+    /// [`AnnIndex::search_batch_threads`] does.
+    Replanned,
 }
 
 /// A point-in-time reading of how far the insert stream has drifted from
@@ -246,6 +352,42 @@ pub trait AnnIndex: Send + Sync {
         })?
         .into_iter()
         .collect()
+    }
+
+    /// Computes the batch's front half once, for sharing across engines
+    /// holding the same trained state (the shards of a fleet): see
+    /// [`BatchPlan`]. `Ok(None)` — the default — means the engine has no
+    /// separable front half, and callers simply search unplanned.
+    ///
+    /// # Errors
+    ///
+    /// Planning errors (e.g. a dimension mismatch).
+    fn plan_batch(&self, queries: &VectorSet, num_threads: usize) -> Result<Option<BatchPlan>> {
+        let _ = (queries, num_threads);
+        Ok(None)
+    }
+
+    /// [`AnnIndex::search_batch_threads`] from a plan made by
+    /// [`AnnIndex::plan_batch`] — possibly on another engine. The plan is
+    /// used only when its stamp equals this engine's own; otherwise (and by
+    /// default) the engine plans locally, so results are bit-identical to
+    /// [`AnnIndex::search_batch_threads`] either way. A [`PlanUse::Shared`]
+    /// reply reports zero front-half work counters
+    /// ([`SearchStats::without_front_counters`]).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`AnnIndex::search_batch_threads`].
+    fn search_batch_planned(
+        &self,
+        queries: &VectorSet,
+        k: usize,
+        num_threads: usize,
+        plan: &BatchPlan,
+    ) -> Result<(Vec<SearchResult>, PlanUse)> {
+        let _ = plan;
+        self.search_batch_threads(queries, k, num_threads)
+            .map(|results| (results, PlanUse::Replanned))
     }
 
     /// Returns `true` when this index supports [`AnnIndex::insert`] /
@@ -683,6 +825,62 @@ mod tests {
         let mut sequential = other;
         sequential.merge(&other);
         assert_eq!(sequential.filter_us, 14.0);
+
+        // A shard that borrowed a shared plan did no front-half work: it
+        // reports zero there and the gather adds the plan's counters once,
+        // so two borrowing shards carry 1× the front half, not 2×. Stage
+        // times and scan counters are untouched by the borrow.
+        let borrowed = other.without_front_counters();
+        assert_eq!((borrowed.filter_distances, borrowed.lut_distances), (0, 0));
+        assert_eq!(
+            (
+                borrowed.rt_aabb_tests,
+                borrowed.rt_primitive_tests,
+                borrowed.rt_hits
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(borrowed.candidates, other.candidates);
+        assert_eq!(borrowed.lut_builds, other.lut_builds);
+        assert_eq!(borrowed.filter_us, other.filter_us);
+        let plan_front = SearchStats {
+            filter_distances: other.filter_distances,
+            lut_distances: other.lut_distances,
+            rt_aabb_tests: other.rt_aabb_tests,
+            rt_primitive_tests: other.rt_primitive_tests,
+            rt_hits: other.rt_hits,
+            ..SearchStats::default()
+        };
+        let mut fleet = SearchStats::default();
+        fleet.merge_scatter(&borrowed);
+        fleet.merge_scatter(&borrowed);
+        fleet.merge_scatter(&plan_front);
+        assert_eq!(fleet.filter_distances, other.filter_distances);
+        assert_eq!(fleet.rt_hits, other.rt_hits);
+        assert_eq!(fleet.candidates, 2 * other.candidates);
+        assert_eq!(fleet.lut_us, other.lut_us);
+    }
+
+    #[test]
+    fn batch_plan_is_typed_stamped_and_ignored_by_default() {
+        let front = vec![SearchStats {
+            filter_distances: 4,
+            ..SearchStats::default()
+        }];
+        let plan = BatchPlan::new(0xABCD, front, vec![7u32]);
+        assert_eq!(plan.stamp(), 0xABCD);
+        assert_eq!(plan.front_stats(0).filter_distances, 4);
+        assert_eq!(plan.plans::<Vec<u32>>(), Some(&vec![7u32]));
+        assert!(plan.plans::<Vec<u64>>().is_none(), "foreign plan type");
+        assert_eq!(plan.clone().stamp(), plan.stamp());
+
+        // An engine without plan support offers none and ignores any.
+        let idx = toy_index();
+        let queries = VectorSet::from_rows(vec![vec![0.0, 0.0]]).unwrap();
+        assert!(idx.plan_batch(&queries, 1).unwrap().is_none());
+        let (results, used) = idx.search_batch_planned(&queries, 2, 1, &plan).unwrap();
+        assert_eq!(used, PlanUse::Replanned);
+        assert_eq!(results, idx.search_batch_threads(&queries, 2, 1).unwrap());
     }
 
     #[test]

@@ -26,9 +26,12 @@ use crate::inverted::SubspaceInvertedIndex;
 use crate::lut::{construct_selective_lut, LutDecodeBuffer, LutRayRequest, SelectiveLut};
 use crate::mapping::SceneMapping;
 use crate::pipeline::{QuerySimulator, QueryWork, StageBreakdown};
+use crate::stamp::Fingerprint;
 use crate::threshold::{ThresholdModel, ThresholdStrategy, ThresholdTrainConfig};
 use juno_common::error::{Error, Result};
-use juno_common::index::{AnnIndex, DriftReport, Neighbor, SearchResult, SearchStats};
+use juno_common::index::{
+    AnnIndex, BatchPlan, DriftReport, Neighbor, PlanUse, SearchResult, SearchStats,
+};
 use juno_common::kernel::{self, QuantizedLut, BLOCK_LANES};
 use juno_common::metric::{inner_product, Metric};
 use juno_common::topk::TopK;
@@ -80,6 +83,12 @@ pub struct JunoIndex {
     /// EWMA drift tracker over insert assignment distances (see
     /// [`crate::drift`]).
     pub(crate) drift: DriftTracker,
+    /// Fingerprint of the trained state [`JunoIndex::build_selective_lut`]
+    /// reads ([`JunoIndex::trained_stamp`]): computed from content at build
+    /// and restore, rolled forward by every insert (the one mutation that
+    /// touches that state — the density maps), copied by `clone` and
+    /// [`JunoIndex::with_live_ids`]. Runtime-only — not persisted.
+    pub(crate) trained_stamp: u64,
 }
 
 /// The output of [`JunoIndex::build_selective_lut`]: the probed clusters in
@@ -224,6 +233,7 @@ impl JunoIndex {
         );
 
         Ok(Self {
+            trained_stamp: Self::trained_stamp(&ivf, &pq, &scene_bounds, &threshold_model),
             config: config.clone(),
             ivf,
             pq,
@@ -238,6 +248,51 @@ impl JunoIndex {
             raw: config.retain_vectors.then(|| points.clone()),
             drift: DriftTracker::from_baseline(baseline_mean_sq),
         })
+    }
+
+    /// Content fingerprint of the trained state planning reads: the coarse
+    /// centroids (filter, residual ray origins), the PQ codebooks and scene
+    /// bounds (the RT scene is a deterministic function of the two) and the
+    /// threshold model with its density maps as they stand.
+    pub(crate) fn trained_stamp(
+        ivf: &IvfIndex,
+        pq: &ProductQuantizer,
+        scene_bounds: &[f32],
+        threshold_model: &ThresholdModel,
+    ) -> u64 {
+        let mut h = Fingerprint::new();
+        h.word(ivf.dim() as u64);
+        h.f32s(ivf.centroids().as_flat());
+        h.word(pq.codebooks().len() as u64);
+        for codebook in pq.codebooks() {
+            h.f32s(codebook.entries().as_flat());
+        }
+        h.f32s(scene_bounds);
+        threshold_model.fingerprint_into(&mut h);
+        h.finish()
+    }
+
+    /// The **plan stamp**: the trained-state fingerprint folded with the
+    /// search-time knobs planning reads (`nprobs`, `metric`,
+    /// `threshold_scale`, `threshold_strategy`). Two engines with equal
+    /// stamps build bit-identical [`SelectiveLutParts`] for every query, so
+    /// one may scan from the other's plans
+    /// ([`AnnIndex::search_batch_planned`]).
+    pub fn plan_stamp(&self) -> u64 {
+        let mut h = Fingerprint::resume(self.trained_stamp);
+        h.word(self.config.nprobs as u64);
+        h.word(match self.config.metric {
+            Metric::L2 => 0,
+            Metric::InnerProduct => 1,
+        });
+        h.word(u64::from(self.config.threshold_scale.to_bits()));
+        h.word(match self.config.threshold_strategy {
+            ThresholdStrategy::Dynamic => 0,
+            ThresholdStrategy::StaticSmall => 1,
+            ThresholdStrategy::StaticLarge => 2,
+            ThresholdStrategy::Fixed(v) => 3 | u64::from(v.to_bits()) << 32,
+        });
+        h.finish()
     }
 
     /// Builds the RT scene for the given metric and per-subspace bounds —
@@ -421,6 +476,11 @@ impl JunoIndex {
             raw.push(vector)?;
         }
         self.threshold_model.note_inserted_point(vector)?;
+        // The density maps just moved by a deterministic function of
+        // `vector`: chain it into the stamp instead of re-hashing them.
+        let mut stamp = Fingerprint::resume(self.trained_stamp);
+        stamp.f32s(vector);
+        self.trained_stamp = stamp.finish();
         self.drift
             .note_insert(residual.iter().map(|&x| x as f64 * x as f64).sum::<f64>());
         self.inverted.take();
@@ -625,6 +685,8 @@ impl JunoIndex {
             // remapped ids, so keep the original.
             raw: self.raw.clone(),
             drift: fresh.drift,
+            // Freshly trained state, fresh content stamp.
+            trained_stamp: fresh.trained_stamp,
         })
     }
 
@@ -666,6 +728,7 @@ impl JunoIndex {
             fastscan: self.fastscan,
             raw: self.raw.clone(),
             drift: self.drift.clone(),
+            trained_stamp: self.trained_stamp,
         })
     }
 
@@ -686,32 +749,40 @@ impl JunoIndex {
         let clusters = filter.clusters;
         let subspaces = self.pq.num_subspaces();
 
-        let mut requests = Vec::with_capacity(clusters.len() * subspaces);
-        // thresholds[slot][s] records the threshold used, for miss penalties.
-        let mut thresholds = vec![vec![0.0f32; subspaces]; clusters.len()];
-        for (slot, &cluster) in clusters.iter().enumerate() {
-            let origin_vec: Vec<f32> = match self.config.metric {
-                Metric::L2 => self.ivf.query_residual(query, cluster)?,
-                Metric::InnerProduct => query.to_vec(),
-            };
-            for s in 0..subspaces {
-                let projection = [origin_vec[2 * s], origin_vec[2 * s + 1]];
-                let threshold = match self.config.metric {
-                    // The density lookup uses the query's own projection (the
-                    // density maps are built over point projections); the ray
-                    // origin below uses the residual projection.
-                    Metric::L2 => self.threshold_model.threshold_for(
+        // The threshold of a subspace depends on the query alone, not on
+        // the probe: the density lookup uses the query's own projection
+        // (the density maps are built over point projections) even though
+        // the L2 ray origins below are residual projections. MIPS expresses
+        // the trade-off directly through the scale factor (see
+        // `SceneMapping::t_max_for_threshold`).
+        let per_subspace: Vec<f32> = match self.config.metric {
+            Metric::L2 => (0..subspaces)
+                .map(|s| {
+                    self.threshold_model.threshold_for(
                         s,
                         query[2 * s],
                         query[2 * s + 1],
                         self.config.threshold_strategy,
                         self.config.threshold_scale,
-                    )?,
-                    // MIPS expresses the trade-off directly through the scale
-                    // factor (see `SceneMapping::t_max_for_threshold`).
-                    Metric::InnerProduct => self.config.threshold_scale,
+                    )
+                })
+                .collect::<Result<_>>()?,
+            Metric::InnerProduct => vec![self.config.threshold_scale; subspaces],
+        };
+
+        let mut requests = Vec::with_capacity(clusters.len() * subspaces);
+        for (slot, &cluster) in clusters.iter().enumerate() {
+            // L2 rays start at the residual `query − centroid`; MIPS rays
+            // at the query itself.
+            let centroid = match self.config.metric {
+                Metric::L2 => Some(self.ivf.centroid(cluster)?),
+                Metric::InnerProduct => None,
+            };
+            for (s, &threshold) in per_subspace.iter().enumerate() {
+                let projection = match centroid {
+                    Some(c) => [query[2 * s] - c[2 * s], query[2 * s + 1] - c[2 * s + 1]],
+                    None => [query[2 * s], query[2 * s + 1]],
                 };
-                thresholds[slot][s] = threshold;
                 requests.push(LutRayRequest {
                     slot,
                     subspace: s,
@@ -720,8 +791,26 @@ impl JunoIndex {
                 });
             }
         }
+        // thresholds[slot][s] records the threshold used, for miss penalties.
+        let thresholds = vec![per_subspace; clusters.len()];
         let (lut, rt_stats) = construct_selective_lut(&self.mapping, clusters.len(), &requests)?;
         Ok((clusters, lut, rt_stats, thresholds))
+    }
+
+    /// The front-half work counters planning one query cost (every other
+    /// field zero): what [`ScanEngine::finish`] reports for a query this
+    /// engine planned itself, and what a [`BatchPlan`] carries so a fleet
+    /// can account for a shared plan once.
+    fn front_counters(&self, plan: &SelectiveLutParts) -> SearchStats {
+        let rt = &plan.2;
+        SearchStats {
+            filter_distances: self.ivf.n_clusters(),
+            lut_distances: rt.hits,
+            rt_aabb_tests: rt.aabb_tests,
+            rt_primitive_tests: rt.primitive_tests,
+            rt_hits: rt.hits,
+            ..SearchStats::default()
+        }
     }
 
     /// The per-stage simulated breakdown of the last-run query shape — used
@@ -1082,13 +1171,8 @@ impl ScanEngine for JunoIndex {
         };
         let breakdown = self.simulator.simulate(&work);
         let stats = SearchStats {
-            filter_distances: self.ivf.n_clusters(),
-            lut_distances: rt_stats.hits,
             accumulations: ctr.accumulations,
             candidates: ctr.candidates,
-            rt_aabb_tests: rt_stats.aabb_tests,
-            rt_primitive_tests: rt_stats.primitive_tests,
-            rt_hits: rt_stats.hits,
             filter_us: breakdown.filter_us,
             lut_us: breakdown.lut_us,
             accumulate_us: breakdown.accumulate_us,
@@ -1097,6 +1181,7 @@ impl ScanEngine for JunoIndex {
             pruned_clusters: ctr.pruned_clusters,
             lut_builds: ctr.lut_builds,
             lut_reuses: ctr.lut_reuses,
+            ..self.front_counters(plan)
         };
         SearchResult {
             neighbors,
@@ -1215,6 +1300,38 @@ impl AnnIndex for JunoIndex {
         num_threads: usize,
     ) -> Result<Vec<SearchResult>> {
         scan::search_batch(self, queries, k, num_threads)
+    }
+
+    /// Plans the batch once ([`scan::plan_batch`]) and stamps it with
+    /// [`JunoIndex::plan_stamp`], for the shards of a fleet to scan from.
+    fn plan_batch(&self, queries: &VectorSet, num_threads: usize) -> Result<Option<BatchPlan>> {
+        let plans = scan::plan_batch(self, queries, num_threads)?;
+        let front = plans.iter().map(|p| self.front_counters(p)).collect();
+        Ok(Some(BatchPlan::new(self.plan_stamp(), front, plans)))
+    }
+
+    /// Scans from `plan` when it was made by a JUNO engine with this
+    /// engine's [`JunoIndex::plan_stamp`] — i.e. when planning here would
+    /// produce the very same plans — and plans locally otherwise.
+    fn search_batch_planned(
+        &self,
+        queries: &VectorSet,
+        k: usize,
+        num_threads: usize,
+        plan: &BatchPlan,
+    ) -> Result<(Vec<SearchResult>, PlanUse)> {
+        let shared = plan
+            .plans::<Vec<SelectiveLutParts>>()
+            .filter(|plans| plan.stamp() == self.plan_stamp() && plans.len() == queries.len());
+        let Some(plans) = shared else {
+            let results = self.search_batch_threads(queries, k, num_threads)?;
+            return Ok((results, PlanUse::Replanned));
+        };
+        let mut results = scan::search_batch_planned(self, queries, plans, k, num_threads)?;
+        for result in &mut results {
+            result.stats = result.stats.without_front_counters();
+        }
+        Ok((results, PlanUse::Shared))
     }
 
     fn name(&self) -> String {
@@ -1650,5 +1767,171 @@ mod tests {
         assert!(index.rebuild_for_live(&[]).is_err());
         assert!(index.rebuild_for_live(&[u64::from(u32::MAX) + 7]).is_err());
         assert!(index.with_live_ids(&[1_000_000]).is_err());
+    }
+
+    /// The front half as it was first written: a residual `Vec` per probe,
+    /// the threshold looked up per (probe, subspace). The reference
+    /// [`JunoIndex::build_selective_lut`] must reproduce bit for bit.
+    fn naive_selective_lut(index: &JunoIndex, query: &[f32]) -> SelectiveLutParts {
+        let config = &index.config;
+        let clusters = index.ivf.filter(query, config.nprobs).unwrap().clusters;
+        let subspaces = index.pq.num_subspaces();
+        let mut requests = Vec::new();
+        let mut thresholds = vec![vec![0.0f32; subspaces]; clusters.len()];
+        for (slot, &cluster) in clusters.iter().enumerate() {
+            let origin: Vec<f32> = match config.metric {
+                Metric::L2 => index.ivf.query_residual(query, cluster).unwrap(),
+                Metric::InnerProduct => query.to_vec(),
+            };
+            for s in 0..subspaces {
+                let threshold = match config.metric {
+                    Metric::L2 => index
+                        .threshold_model
+                        .threshold_for(
+                            s,
+                            query[2 * s],
+                            query[2 * s + 1],
+                            config.threshold_strategy,
+                            config.threshold_scale,
+                        )
+                        .unwrap(),
+                    Metric::InnerProduct => config.threshold_scale,
+                };
+                thresholds[slot][s] = threshold;
+                requests.push(LutRayRequest {
+                    slot,
+                    subspace: s,
+                    projection: [origin[2 * s], origin[2 * s + 1]],
+                    threshold,
+                });
+            }
+        }
+        let (lut, rt) = construct_selective_lut(&index.mapping, clusters.len(), &requests).unwrap();
+        (clusters, lut, rt, thresholds)
+    }
+
+    #[test]
+    fn selective_lut_equals_the_naive_construction_on_seeded_queries() {
+        // Probes, LUT entries and values (bit patterns), traversal counters
+        // and thresholds — under both metrics, every threshold strategy, a
+        // tightened scale, and after inserts have moved the density maps.
+        let same_bits = |a: &[f32], b: &[f32]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let check = |index: &JunoIndex, queries: &VectorSet, label: &str| {
+            for (qi, q) in queries.iter().enumerate() {
+                let (clusters, lut, rt, thresholds) = index.build_selective_lut(q).unwrap();
+                let (want_clusters, want_lut, want_rt, want_thresholds) =
+                    naive_selective_lut(index, q);
+                assert_eq!(clusters, want_clusters, "{label} query {qi}: probes");
+                assert_eq!(rt, want_rt, "{label} query {qi}: traversal stats");
+                assert_eq!(lut.total_selected(), want_lut.total_selected());
+                for slot in 0..clusters.len() {
+                    assert!(
+                        same_bits(&thresholds[slot], &want_thresholds[slot]),
+                        "{label} query {qi} slot {slot}: thresholds"
+                    );
+                    for s in 0..lut.num_subspaces() {
+                        assert_eq!(
+                            lut.row_entries(slot, s),
+                            want_lut.row_entries(slot, s),
+                            "{label} query {qi} row ({slot}, {s}): entries"
+                        );
+                        assert!(
+                            same_bits(lut.row_values(slot, s), want_lut.row_values(slot, s)),
+                            "{label} query {qi} row ({slot}, {s}): values"
+                        );
+                    }
+                }
+            }
+        };
+
+        let ds = deep_dataset(2_000, 24);
+        let mut index = build_high(&ds);
+        check(&index, &ds.queries, "l2");
+        for i in 0..50 {
+            index.insert(ds.queries.row(i % ds.queries.len())).unwrap();
+        }
+        check(&index, &ds.queries, "l2 after inserts");
+        index.set_threshold_scale(0.6).unwrap();
+        for strategy in [
+            ThresholdStrategy::StaticSmall,
+            ThresholdStrategy::StaticLarge,
+            ThresholdStrategy::Fixed(0.3),
+        ] {
+            index.set_threshold_strategy(strategy);
+            check(&index, &ds.queries, &format!("l2 {strategy:?} scale 0.6"));
+        }
+
+        let mips = DatasetProfile::TtiLike.generate(1_500, 16, 5).unwrap();
+        let config = JunoConfig {
+            n_clusters: 16,
+            nprobs: 6,
+            pq_entries: 32,
+            ..JunoConfig::small_test(mips.dim(), mips.metric())
+        };
+        let index = JunoIndex::build(&mips.points, &config).unwrap();
+        check(&index, &mips.queries, "mips");
+    }
+
+    #[test]
+    fn plan_stamp_tracks_exactly_what_planning_reads() {
+        let (ds, index) = lifecycle_fixture(41, true);
+        let stamp = index.plan_stamp();
+        // Copies agree; a snapshot round trip recomputes the same content
+        // stamp; the scan-side toggles are not planning inputs.
+        assert_eq!(index.clone().plan_stamp(), stamp);
+        let restored = JunoIndex::from_snapshot_bytes(&index.to_snapshot_bytes()).unwrap();
+        assert_eq!(restored.plan_stamp(), stamp);
+        let mut scan_side = index.clone();
+        scan_side.set_fastscan(false);
+        scan_side.set_quality(QualityMode::Low);
+        assert_eq!(scan_side.plan_stamp(), stamp);
+
+        // Every search-time planning knob moves it, and moves it back.
+        let mut knobs = index.clone();
+        knobs.set_nprobs(3);
+        assert_ne!(knobs.plan_stamp(), stamp);
+        knobs.set_nprobs(index.config().nprobs);
+        knobs.set_threshold_scale(0.5).unwrap();
+        assert_ne!(knobs.plan_stamp(), stamp);
+        knobs
+            .set_threshold_scale(index.config().threshold_scale)
+            .unwrap();
+        knobs.set_threshold_strategy(ThresholdStrategy::Fixed(0.25));
+        let fixed = knobs.plan_stamp();
+        assert_ne!(fixed, stamp);
+        knobs.set_threshold_strategy(ThresholdStrategy::Fixed(0.5));
+        assert_ne!(knobs.plan_stamp(), fixed);
+        knobs.set_threshold_strategy(index.config().threshold_strategy);
+        assert_eq!(knobs.plan_stamp(), stamp);
+
+        // Inserts move the density maps, so they move the stamp — in
+        // lockstep on replicas taking the same inserts, and through
+        // `with_live_ids`; removes and compaction are invisible to planning.
+        let (mut a, mut b) = (index.clone(), index.clone());
+        a.insert(ds.points.row(1)).unwrap();
+        assert_ne!(a.plan_stamp(), stamp);
+        b.insert(ds.points.row(1)).unwrap();
+        assert_eq!(a.plan_stamp(), b.plan_stamp());
+        b.insert(ds.points.row(2)).unwrap();
+        assert_ne!(a.plan_stamp(), b.plan_stamp());
+        let after_insert = a.plan_stamp();
+        assert_eq!(
+            a.with_live_ids(&a.ids()).unwrap().plan_stamp(),
+            after_insert
+        );
+        a.remove(0).unwrap();
+        a.compact().unwrap();
+        assert_eq!(a.plan_stamp(), after_insert);
+
+        // A rebuild retrains: a fresh content stamp, equal across rebuilds
+        // of the same live set (training is deterministic).
+        let rebuilt = a.rebuild_for_live(&a.ids()).unwrap();
+        assert_ne!(rebuilt.plan_stamp(), after_insert);
+        assert_eq!(
+            a.rebuild_for_live(&a.ids()).unwrap().plan_stamp(),
+            rebuilt.plan_stamp()
+        );
     }
 }

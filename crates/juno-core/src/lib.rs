@@ -59,6 +59,7 @@ pub mod mapping;
 pub mod persist;
 pub mod pipeline;
 pub mod regression;
+mod stamp;
 pub mod threshold;
 
 pub use config::{JunoConfig, QualityMode, ThresholdStrategy};

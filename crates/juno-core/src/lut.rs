@@ -118,18 +118,22 @@ impl SelectiveLut {
             values[at] = value;
             cursors[row as usize] += 1;
         }
-        // Sort each row segment by entry id, keeping values parallel.
-        let mut perm: Vec<u32> = Vec::new();
+        // Sort each row segment by entry id in place, values moving in
+        // tandem. A row holds at most one value per codebook entry (codes
+        // are bytes, so ≤ 256) and usually a few dozen: insertion sort,
+        // with no per-row buffers.
         for r in 0..rows {
             let (start, end) = (counts[r] as usize, counts[r + 1] as usize);
-            if end - start > 1 {
-                perm.clear();
-                perm.extend(start as u32..end as u32);
-                perm.sort_unstable_by_key(|&i| entries[i as usize]);
-                let seg_e: Vec<u16> = perm.iter().map(|&i| entries[i as usize]).collect();
-                let seg_v: Vec<f32> = perm.iter().map(|&i| values[i as usize]).collect();
-                entries[start..end].copy_from_slice(&seg_e);
-                values[start..end].copy_from_slice(&seg_v);
+            for i in start + 1..end {
+                let (e, v) = (entries[i], values[i]);
+                let mut j = i;
+                while j > start && entries[j - 1] > e {
+                    entries[j] = entries[j - 1];
+                    values[j] = values[j - 1];
+                    j -= 1;
+                }
+                entries[j] = e;
+                values[j] = v;
             }
         }
         self.offsets = counts;
@@ -346,6 +350,7 @@ pub fn construct_selective_lut(
 mod tests {
     use super::*;
     use juno_common::metric::l2_squared;
+    use juno_common::rng::Rng;
     use juno_common::vector::VectorSet;
     use juno_quant::codebook::Codebook;
 
@@ -474,6 +479,44 @@ mod tests {
         assert_eq!(lut.row_entries(0, 0), &[1]);
         assert_eq!(lut.row_entries(1, 0), &[2, 5, 7]);
         assert_eq!(lut.total_selected(), 6);
+    }
+
+    #[test]
+    fn finish_matches_a_naive_row_by_row_construction_on_seeded_inserts() {
+        // Reference: one `Vec` per row, sorted by entry id. Entries are
+        // unique within a row, as ray hits are, and arrive in random order.
+        let (slots, subspaces, entries) = (5usize, 7usize, 64u16);
+        let mut rng = juno_common::rng::seeded(0x1D7);
+        let mut lut = SelectiveLut::new(slots, subspaces);
+        let mut naive: Vec<Vec<(u16, f32)>> = vec![Vec::new(); slots * subspaces];
+        for round in 0..2 {
+            let mut staged = Vec::new();
+            for row in 0..slots * subspaces {
+                for e in 0..entries {
+                    // Even entries in the first round, a sparser odd subset
+                    // in the second; some rows stay empty.
+                    let pick = e % 2 == round && rng.gen_range(0..4usize) != 0;
+                    if row % 5 != 3 && pick {
+                        staged.push((row, e, rng.gen_range(0..1_000usize) as f32 * 0.25));
+                    }
+                }
+            }
+            for i in (1..staged.len()).rev() {
+                staged.swap(i, rng.gen_range(0..i + 1));
+            }
+            for &(row, e, v) in &staged {
+                lut.insert(row / subspaces, row % subspaces, e, v);
+                naive[row].push((e, v));
+            }
+            lut.finish();
+            for (row, want) in naive.iter_mut().enumerate() {
+                want.sort_by_key(|&(e, _)| e);
+                let got: Vec<(u16, f32)> = lut.row(row / subspaces, row % subspaces).collect();
+                assert_eq!(&got, want, "round {round} row {row}");
+            }
+            let total: usize = naive.iter().map(Vec::len).sum();
+            assert_eq!(lut.total_selected(), total);
+        }
     }
 
     #[test]

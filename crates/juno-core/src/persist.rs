@@ -820,6 +820,7 @@ impl JunoIndex {
             config.batch_size,
         );
         Ok(Self {
+            trained_stamp: Self::trained_stamp(&ivf, &pq, &scene_bounds, &threshold_model),
             config,
             ivf,
             pq,

@@ -241,6 +241,25 @@ impl ThresholdModel {
         Ok(())
     }
 
+    /// Feeds everything [`ThresholdModel::threshold_for`] can read — the
+    /// density maps as they stand (inserts included), the regressors and the
+    /// clamps — into the engine's plan stamp.
+    pub(crate) fn fingerprint_into(&self, h: &mut crate::stamp::Fingerprint) {
+        h.word(self.subspaces.len() as u64);
+        for sub in &self.subspaces {
+            let map = &sub.density_map;
+            h.word(map.grid() as u64);
+            h.f32s(&map.min_corner());
+            h.f32s(&map.max_corner());
+            h.f32s(map.cells());
+            h.word(sub.regressor.coefficients().len() as u64);
+            for &c in sub.regressor.coefficients() {
+                h.word(c.to_bits());
+            }
+            h.f32s(&[sub.min_threshold, sub.max_threshold]);
+        }
+    }
+
     /// Crate-internal borrow of the per-subspace calibration (persistence).
     pub(crate) fn subspaces_raw(&self) -> &[SubspaceThreshold] {
         &self.subspaces

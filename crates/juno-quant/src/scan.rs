@@ -15,7 +15,10 @@
 //! * **one batch pipeline** ([`search_batch_grouped`]): plan → seed →
 //!   schedule → chunk scan → gather. The query-major path ([`search_one`])
 //!   is the same visit with a tile of one, no seed bound, clusters in probe
-//!   order;
+//!   order. Every entry point is "[`ScanEngine::plan`] each query, then scan
+//!   from the plans" ([`search_batch_planned`], [`search_one_planned`]), so
+//!   a caller holding plans already — a fleet that planned the batch once
+//!   for all its shards — enters at the second step;
 //! * **one arena** ([`ScanArena`]) and **one counters struct**
 //!   ([`ScanCounters`]).
 //!
@@ -567,7 +570,25 @@ fn scan_probes<E: ScanEngine>(
     Ok(state)
 }
 
-/// Searches one query through the caller's reusable arena.
+/// Routes every query of a batch ([`ScanEngine::plan`], parallel over
+/// queries): the front half of every batch entry point, and what a fleet
+/// computes once and hands to each shard's [`search_batch_planned`].
+///
+/// # Errors
+///
+/// The first planning error, in query order.
+pub fn plan_batch<E: ScanEngine>(
+    engine: &E,
+    queries: &VectorSet,
+    num_threads: usize,
+) -> Result<Vec<E::Plan>> {
+    parallel::map(queries.len(), num_threads, |i| engine.plan(queries.row(i)))?
+        .into_iter()
+        .collect()
+}
+
+/// Searches one query through the caller's reusable arena: plan, then
+/// [`search_one_planned`].
 ///
 /// # Errors
 ///
@@ -579,24 +600,52 @@ pub fn search_one<E: ScanEngine>(
     k: usize,
     arena: &mut ScanArena<E::Slot>,
 ) -> Result<SearchResult> {
-    if k == 0 {
-        return Err(Error::invalid_config("k must be positive"));
-    }
-    let plan = engine.plan(query)?;
-    let state = scan_probes(engine, query, &plan, usize::MAX, k, arena)?;
-    Ok(engine.finish(&plan, state.topk.into_sorted_vec(), &state.ctr))
+    search_one_planned(engine, query, &engine.plan(query)?, k, arena)
 }
 
-/// The query-major batch path: one task per query, each running
-/// [`search_one`] through a per-worker arena. The fallback for tiny batches
-/// and the differential / benchmark reference for the grouped pipeline.
+/// The query-major scan of one already-planned query: every probe in probe
+/// order, a tile of one, no seed bound.
 ///
 /// # Errors
 ///
-/// The first per-query error encountered (by query order).
+/// [`Error::InvalidConfig`] for `k == 0` and [`Error::Corrupted`] when a
+/// mapped cluster fails verification.
+pub fn search_one_planned<E: ScanEngine>(
+    engine: &E,
+    query: &[f32],
+    plan: &E::Plan,
+    k: usize,
+    arena: &mut ScanArena<E::Slot>,
+) -> Result<SearchResult> {
+    if k == 0 {
+        return Err(Error::invalid_config("k must be positive"));
+    }
+    let state = scan_probes(engine, query, plan, usize::MAX, k, arena)?;
+    Ok(engine.finish(plan, state.topk.into_sorted_vec(), &state.ctr))
+}
+
+/// The query-major batch path: plan, then one task per query, each running
+/// [`search_one_planned`] through a per-worker arena. The fallback for tiny
+/// batches and the differential / benchmark reference for the grouped
+/// pipeline.
+///
+/// # Errors
+///
+/// The first planning error, else the first scan error, in query order.
 pub fn search_batch_query_major<E: ScanEngine>(
     engine: &E,
     queries: &VectorSet,
+    k: usize,
+    num_threads: usize,
+) -> Result<Vec<SearchResult>> {
+    let plans = plan_batch(engine, queries, num_threads)?;
+    scan_query_major(engine, queries, &plans, k, num_threads)
+}
+
+fn scan_query_major<E: ScanEngine>(
+    engine: &E,
+    queries: &VectorSet,
+    plans: &[E::Plan],
     k: usize,
     num_threads: usize,
 ) -> Result<Vec<SearchResult>> {
@@ -605,7 +654,7 @@ pub fn search_batch_query_major<E: ScanEngine>(
         num_threads,
         0,
         || ScanArena::new(engine.new_slot()),
-        |arena, i| search_one(engine, queries.row(i), k, arena),
+        |arena, i| search_one_planned(engine, queries.row(i), &plans[i], k, arena),
     )?
     .into_iter()
     .collect()
@@ -613,7 +662,7 @@ pub fn search_batch_query_major<E: ScanEngine>(
 
 /// The cluster-major grouped batch pipeline:
 ///
-/// 1. **Plan** (parallel over queries): [`ScanEngine::plan`].
+/// 1. **Plan** (parallel over queries): [`plan_batch`].
 /// 2. **Seed**: every query scans its *nearest* probe query-major first.
 ///    Storage-order visits would otherwise fill top-ks with far-cluster
 ///    candidates and leave the prune thresholds toothless; the seed's k-th
@@ -638,6 +687,18 @@ pub fn search_batch_grouped<E: ScanEngine>(
     k: usize,
     num_threads: usize,
 ) -> Result<Vec<SearchResult>> {
+    let plans = plan_batch(engine, queries, num_threads)?;
+    scan_grouped(engine, queries, &plans, k, num_threads)
+}
+
+/// Steps 2–5 of [`search_batch_grouped`], from the batch's plans.
+fn scan_grouped<E: ScanEngine>(
+    engine: &E,
+    queries: &VectorSet,
+    plans: &[E::Plan],
+    k: usize,
+    num_threads: usize,
+) -> Result<Vec<SearchResult>> {
     if k == 0 {
         return Err(Error::invalid_config("k must be positive"));
     }
@@ -646,9 +707,6 @@ pub fn search_batch_grouped<E: ScanEngine>(
         return Ok(Vec::new());
     }
     let rows: Vec<&[f32]> = queries.iter().collect();
-    let plans: Vec<E::Plan> = parallel::map(nq, num_threads, |i| engine.plan(rows[i]))?
-        .into_iter()
-        .collect::<Result<_>>()?;
 
     let first_probe = usize::from(!engine.own_unit());
     let mut finals: Vec<QueryState> = parallel::map_with(
@@ -665,7 +723,7 @@ pub fn search_batch_grouped<E: ScanEngine>(
     let batch = PlannedBatch {
         engine,
         queries: &rows,
-        plans: &plans,
+        plans,
         seeds: &seeds,
         k,
     };
@@ -702,9 +760,7 @@ pub fn search_batch_grouped<E: ScanEngine>(
         .collect())
 }
 
-/// Batch search: cluster-major grouped, except that batches below
-/// [`MIN_GROUP_QUERIES`] — where planning and scheduling cannot amortise —
-/// run query-major.
+/// Batch search: plan, then [`search_batch_planned`].
 ///
 /// # Errors
 ///
@@ -715,9 +771,36 @@ pub fn search_batch<E: ScanEngine>(
     k: usize,
     num_threads: usize,
 ) -> Result<Vec<SearchResult>> {
+    let plans = plan_batch(engine, queries, num_threads)?;
+    search_batch_planned(engine, queries, &plans, k, num_threads)
+}
+
+/// Batch search from the batch's plans (`plans[i]` routes `queries.row(i)`,
+/// made by this engine or by one with identical planning state):
+/// cluster-major grouped, except that batches below [`MIN_GROUP_QUERIES`] —
+/// where scheduling cannot amortise — run query-major.
+///
+/// # Errors
+///
+/// [`Error::InvalidConfig`] when `plans` and `queries` disagree in length;
+/// otherwise see [`search_batch_grouped`].
+pub fn search_batch_planned<E: ScanEngine>(
+    engine: &E,
+    queries: &VectorSet,
+    plans: &[E::Plan],
+    k: usize,
+    num_threads: usize,
+) -> Result<Vec<SearchResult>> {
+    if plans.len() != queries.len() {
+        return Err(Error::invalid_config(format!(
+            "{} plans for {} queries",
+            plans.len(),
+            queries.len()
+        )));
+    }
     if queries.len() < MIN_GROUP_QUERIES {
-        search_batch_query_major(engine, queries, k, num_threads)
+        scan_query_major(engine, queries, plans, k, num_threads)
     } else {
-        search_batch_grouped(engine, queries, k, num_threads)
+        scan_grouped(engine, queries, plans, k, num_threads)
     }
 }

@@ -213,6 +213,12 @@ impl<I: AnnIndex + 'static> Server<I> {
     /// via [`juno_common::metrics::HistogramSnapshot`]), admission counters
     /// (`serve.admitted` / `serve.rejected`), dispatch counters, the current
     /// `serve.queue_depth` gauge and cumulative `serve.breaker_transitions`.
+    /// `serve.plan_shared_shards` / `serve.plan_replanned_shards` count, over
+    /// every executed batch, the shard scans that ran from the batch's
+    /// shared plan and those that had to plan for themselves
+    /// ([`DegradedBatch::plan_replanned_shards`](crate::DegradedBatch)): on a
+    /// replica fleet the second should stay near zero, and a fleet silently
+    /// paying the front half S× shows up here.
     /// When the fleet has a WAL attached, the durability plane's `wal.*`
     /// counters and histograms are folded into the same snapshot.
     pub fn metrics_snapshot(&self) -> RegistrySnapshot {
@@ -302,6 +308,8 @@ fn dispatch_loop<I: AnnIndex + 'static>(
     let batches = metrics.counter("serve.dispatched_batches");
     let degraded = metrics.counter("serve.degraded_batches");
     let failed = metrics.counter("serve.failed_batches");
+    let plan_shared = metrics.counter("serve.plan_shared_shards");
+    let plan_replanned = metrics.counter("serve.plan_replanned_shards");
     while let Some(mut batch) = batcher.next_batch() {
         let picked_at = Instant::now();
         let batch_size = batch.len();
@@ -329,6 +337,8 @@ fn dispatch_loop<I: AnnIndex + 'static>(
                 if degraded_batch.coverage < 1.0 {
                     degraded.inc();
                 }
+                plan_shared.add(degraded_batch.plan_shared_shards as u64);
+                plan_replanned.add(degraded_batch.plan_replanned_shards as u64);
                 let shards = degraded_batch.shards;
                 let coverage = degraded_batch.coverage;
                 for (pending, mut result) in batch.into_iter().zip(degraded_batch.results) {

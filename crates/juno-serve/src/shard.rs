@@ -36,6 +36,21 @@
 //! [`SearchStats::merge_scatter`] (work counters sum, wall-clock stage
 //! times take the max — the shard scans ran concurrently).
 //!
+//! # Plan once, scan per shard
+//!
+//! Replicas share trained state, so a query's front half (coarse filter,
+//! RT traversal, selective LUT) comes out the same on every shard. Every
+//! read path plans a batch once ([`AnnIndex::plan_batch`]) and hands the
+//! [`BatchPlan`] to the shard workers, which only scan their own lists
+//! ([`AnnIndex::search_batch_planned`]). The plan carries a stamp of the
+//! state it was computed from and each shard's engine uses it only when the
+//! stamp equals its own — so a shard pinned an insert ahead of the planner,
+//! a shard on the other side of a half-finished rebuild, or a shard of an
+//! independently trained mapped fleet plans for itself, and results stay
+//! bit-identical to every shard planning alone. A shard that borrowed the
+//! plan reports no front-half work; the gather adds the plan's counters
+//! once.
+//!
 //! # Failure model
 //!
 //! The exact paths above treat any shard error as fatal to the request. The
@@ -61,7 +76,7 @@ use crate::health::{BreakerConfig, BreakerState, HealthTracker, RetryPolicy};
 use crate::persist;
 use crate::router::{ShardRouter, MAX_SHARDS};
 use juno_common::error::{Error, Result};
-use juno_common::index::{AnnIndex, DriftReport, SearchResult, SearchStats};
+use juno_common::index::{AnnIndex, BatchPlan, DriftReport, PlanUse, SearchResult, SearchStats};
 use juno_common::metrics::{Registry, RegistrySnapshot};
 use juno_common::parallel;
 use juno_common::topk::{merge_neighbors, ScoreOrder};
@@ -191,6 +206,15 @@ pub struct DegradedBatch {
     pub shards: Vec<ShardStatus>,
     /// Fraction of shards that contributed: `Ok` shards / total shards.
     pub coverage: f64,
+    /// `Ok` shards that scanned from the batch's shared plan (the front
+    /// half was computed once for all of them).
+    pub plan_shared_shards: usize,
+    /// `Ok` shards that planned the batch themselves: their plan stamp
+    /// differed from the planner's (a skewed epoch pin, a half-swapped
+    /// rebuild, independently trained shards), or the engine has no
+    /// shareable plan at all. Correct but S× the front-half work — a value
+    /// that stays high on a replica fleet means replicas have diverged.
+    pub plan_replanned_shards: usize,
 }
 
 impl DegradedBatch {
@@ -200,27 +224,73 @@ impl DegradedBatch {
     }
 }
 
+/// One shard's answer to a batch: a result per query, and whether it
+/// scanned from the fleet's shared plan.
+type ShardBatch = (Vec<SearchResult>, PlanUse);
+
+/// Plans a fleet batch **once**, on `planner`'s engine, for every shard to
+/// scan from — the front half (coarse filter, RT traversal, selective LUT)
+/// is most of a thin-list search, and replicas would each recompute it from
+/// bit-identical trained state. `None` when the engine has no shareable
+/// plan, and also when planning fails or panics: every shard then plans for
+/// itself, so the error surfaces per shard exactly as it does without
+/// sharing.
+fn plan_once<I: AnnIndex>(
+    planner: &ShardState<I>,
+    queries: &VectorSet,
+    num_threads: usize,
+) -> Option<BatchPlan> {
+    catch_unwind(AssertUnwindSafe(|| {
+        planner.index.plan_batch(queries, num_threads)
+    }))
+    .ok()?
+    .ok()?
+}
+
+/// One shard's scan of a batch, from the shared plan when there is one.
+/// The engine itself decides whether the plan is usable (its stamp must
+/// equal the engine's own) and re-plans locally otherwise.
+fn scan_shard<I: AnnIndex>(
+    state: &ShardState<I>,
+    queries: &VectorSet,
+    k: usize,
+    num_threads: usize,
+    plan: Option<&BatchPlan>,
+) -> Result<ShardBatch> {
+    match plan {
+        Some(plan) => state
+            .index
+            .search_batch_planned(queries, k, num_threads, plan),
+        None => state
+            .index
+            .search_batch_threads(queries, k, num_threads)
+            .map(|results| (results, PlanUse::Replanned)),
+    }
+}
+
 /// One shard's scan on the degraded path: fault injection, panic isolation,
 /// and bounded retry for transient errors — everything that runs *on the
 /// worker thread*, so a stall or panic here never touches the caller.
+#[allow(clippy::too_many_arguments)]
 fn scan_shard_guarded<I: AnnIndex>(
     state: &ShardState<I>,
     s: usize,
     queries: &VectorSet,
     k: usize,
+    plan: Option<&BatchPlan>,
     deadline: Instant,
     fault: Option<&FaultPlan>,
     retry: RetryPolicy,
-) -> Result<Vec<SearchResult>> {
+) -> Result<ShardBatch> {
     let mut attempt = 0u32;
     loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<SearchResult>> {
-            if let Some(plan) = fault {
-                plan.inject(s, FaultOp::Search)?;
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<ShardBatch> {
+            if let Some(faults) = fault {
+                faults.inject(s, FaultOp::Search)?;
             }
             // Inner thread budget 1: the scatter already gave this shard a
             // dedicated worker, and engine results are thread-invariant.
-            state.index.search_batch_threads(queries, k, 1)
+            scan_shard(state, queries, k, 1, plan)
         }));
         let result = outcome.unwrap_or_else(|payload| {
             Err(Error::worker_panicked(format!(
@@ -286,9 +356,13 @@ impl<I: AnnIndex> FleetReader<I> {
     /// shards) still translates mapped ids correctly; the merge itself is
     /// order-independent (deterministic tie by id), so merging a subset is
     /// bit-identical to a fleet that only contained those shards.
+    /// `shared_front` is the front-half work of the query's shared plan,
+    /// when some shard scanned from it: those shards reported none of their
+    /// own, so it is merged once on their behalf.
     fn gather_indexed(
         &self,
         per_shard: Vec<(usize, SearchResult)>,
+        shared_front: Option<&SearchStats>,
         k: usize,
         order: ScoreOrder,
     ) -> SearchResult {
@@ -301,6 +375,9 @@ impl<I: AnnIndex> FleetReader<I> {
             simulated_us = simulated_us.max(result.simulated_us);
             lists.push(result.neighbors);
         }
+        if let Some(front) = shared_front {
+            stats.merge_scatter(front);
+        }
         SearchResult {
             neighbors: merge_neighbors(&lists, k, order),
             simulated_us,
@@ -308,43 +385,97 @@ impl<I: AnnIndex> FleetReader<I> {
         }
     }
 
-    /// Gathers a full (every-shard) scatter for one query.
-    fn gather(&self, per_shard: Vec<SearchResult>, k: usize, order: ScoreOrder) -> SearchResult {
-        self.gather_indexed(per_shard.into_iter().enumerate().collect(), k, order)
+    /// Gathers a scattered batch — `shard_batches[s]` is shard `s`'s answer,
+    /// `None` for a shard that did not contribute — into per-query results,
+    /// plus how many contributing shards shared the plan and how many
+    /// re-planned.
+    fn gather_batch(
+        &self,
+        mut shard_batches: Vec<Option<ShardBatch>>,
+        plan: Option<&BatchPlan>,
+        num_queries: usize,
+        k: usize,
+    ) -> (Vec<SearchResult>, usize, usize) {
+        let order = self.states[0].index.merge_order();
+        let (mut shared, mut replanned) = (0usize, 0usize);
+        for (_, used) in shard_batches.iter().flatten() {
+            match used {
+                PlanUse::Shared => shared += 1,
+                PlanUse::Replanned => replanned += 1,
+            }
+        }
+        let plan = plan.filter(|_| shared > 0);
+        let results = (0..num_queries)
+            .map(|qi| {
+                let per_shard = shard_batches
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(s, slot)| {
+                        slot.as_mut()
+                            .map(|(batch, _)| (s, std::mem::take(&mut batch[qi])))
+                    })
+                    .collect();
+                self.gather_indexed(per_shard, plan.map(|p| p.front_stats(qi)), k, order)
+            })
+            .collect();
+        (results, shared, replanned)
     }
 
-    /// Scatter-gather search of one query: the shard scans fan out across
-    /// the work-stealing pool (one task per shard, up to the default thread
-    /// budget) and the per-shard top-k lists merge deterministically (tie by
-    /// id) into the global top-k. Results are identical to a sequential
-    /// shard loop — the scheduling only changes latency.
+    /// The exact scatter-gather behind [`FleetReader::search`] and
+    /// [`FleetReader::search_batch_threads`]: plan the batch once, scan
+    /// every shard from that plan on up to `outer` workers (each scan with
+    /// an `inner` thread budget), gather. Any shard error fails the batch.
+    fn scatter(
+        &self,
+        queries: &VectorSet,
+        k: usize,
+        outer: usize,
+        inner: usize,
+    ) -> Result<Vec<SearchResult>> {
+        let plan = plan_once(&self.states[0], queries, outer * inner);
+        let shard_batches = parallel::map(self.states.len(), outer, |s| {
+            scan_shard(&self.states[s], queries, k, inner, plan.as_ref())
+        })?
+        .into_iter()
+        .map(|batch| batch.map(Some))
+        .collect::<Result<Vec<_>>>()?;
+        Ok(self
+            .gather_batch(shard_batches, plan.as_ref(), queries.len(), k)
+            .0)
+    }
+
+    /// Scatter-gather search of one query: the query's front half is
+    /// planned once ([`AnnIndex::plan_batch`]), the shard scans fan out
+    /// across the work-stealing pool (one task per shard, up to the default
+    /// thread budget) and the per-shard top-k lists merge deterministically
+    /// (tie by id) into the global top-k. Results are identical to a
+    /// sequential shard loop of [`AnnIndex::search`] — neither the shared
+    /// plan nor the scheduling changes anything but latency.
     ///
     /// # Errors
     ///
     /// Propagates the first shard error (dimension mismatch etc.).
     pub fn search(&self, query: &[f32], k: usize) -> Result<SearchResult> {
-        let order = self.states[0].index.merge_order();
+        let queries = VectorSet::from_rows(vec![query.to_vec()])?;
         let workers = self.states.len().min(parallel::default_threads());
-        let per_shard = parallel::map(self.states.len(), workers, |s| {
-            self.states[s].index.search(query, k)
-        })?
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-        Ok(self.gather(per_shard, k, order))
+        let mut results = self.scatter(&queries, k, workers, 1)?;
+        Ok(results.pop().expect("one query in, one result out"))
     }
 
     /// Scatter-gather batch search with an explicit worker-thread budget:
-    /// the thread budget is split across the shards — up to `S` outer
-    /// workers scan shards concurrently, each fanning its shard's batch
-    /// through the engine's own batched path with the remaining budget.
-    /// For JUNO and IVFPQ shards that path is the **cluster-major grouped
-    /// executor**: each shard plans its local batch, routes it into a
-    /// cluster→query-group schedule and streams every probed cluster's code
-    /// blocks once per query group (with the per-worker batch arena reused
-    /// across the whole shard batch). Per-query results then merge across
-    /// shards under the usual deterministic order. `num_threads = 1`
-    /// recovers the sequential shard-by-shard loop; results are identical —
-    /// ids and distance bits — for every budget and execution strategy.
+    /// the batch is planned once with the whole budget, then the budget is
+    /// split across the shards — up to `S` outer workers scan shards
+    /// concurrently, each fanning its shard's batch through the engine's
+    /// own batched path with the remaining budget. For JUNO shards that
+    /// path is the **cluster-major grouped executor** entered at its second
+    /// step: each shard takes the shared plans, routes them into a
+    /// cluster→query-group schedule over its own lists and streams every
+    /// probed cluster's code blocks once per query group (a shard whose
+    /// plan stamp differs from the planner's plans locally first, as every
+    /// IVFPQ shard does). Per-query results then merge across shards under
+    /// the usual deterministic order. `num_threads = 1` recovers the
+    /// sequential shard-by-shard loop; results are identical — ids and
+    /// distance bits — for every budget and execution strategy.
     ///
     /// # Errors
     ///
@@ -355,23 +486,9 @@ impl<I: AnnIndex> FleetReader<I> {
         k: usize,
         num_threads: usize,
     ) -> Result<Vec<SearchResult>> {
-        let order = self.states[0].index.merge_order();
         let outer = num_threads.clamp(1, self.states.len());
         let inner = (num_threads / outer).max(1);
-        let mut shard_batches = parallel::map(self.states.len(), outer, |s| {
-            self.states[s].index.search_batch_threads(queries, k, inner)
-        })?
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-        let mut out = Vec::with_capacity(queries.len());
-        for qi in 0..queries.len() {
-            let per_shard: Vec<SearchResult> = shard_batches
-                .iter_mut()
-                .map(|batch| std::mem::take(&mut batch[qi]))
-                .collect();
-            out.push(self.gather(per_shard, k, order));
-        }
-        Ok(out)
+        self.scatter(queries, k, outer, inner)
     }
 
     /// [`FleetReader::search_batch_threads`] with the default thread budget.
@@ -442,50 +559,69 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
     ) -> Result<DegradedBatch> {
         let total = self.states.len();
         let deadline = Instant::now() + budget;
-        let order = self.states[0].index.merge_order();
-        let (tx, rx) = mpsc::channel::<(usize, Result<Vec<SearchResult>>)>();
+        // Admission first: `Some(generation)` for every shard whose breaker
+        // lets this request through. Every outcome (including the straggler
+        // sweep) reports with its generation stamp so the breaker can ignore
+        // outcomes that pre-date a state flip.
+        let admitted: Vec<Option<u64>> =
+            (0..total).map(|s| self.health.breaker(s).admit()).collect();
+        // Plan once, on the calling thread, on the first admitted shard's
+        // engine — nothing to plan for when every breaker is open. The time
+        // this takes comes out of the budget, as the shards' own planning
+        // used to.
+        let plan = admitted
+            .iter()
+            .position(Option::is_some)
+            .and_then(|s| plan_once(&self.states[s], queries, parallel::default_threads()));
+
+        let (tx, rx) = mpsc::channel::<(usize, Result<ShardBatch>)>();
         let mut statuses: Vec<ShardStatus> = Vec::with_capacity(total);
-        // Breaker generation each shard's request was admitted under; every
-        // outcome (including the straggler sweep) reports with its stamp so
-        // the breaker can ignore outcomes that pre-date a state flip.
-        let mut admit_gens: Vec<u64> = vec![0; total];
         let mut outstanding = 0usize;
-        for (s, gen_slot) in admit_gens.iter_mut().enumerate() {
-            let Some(admit_gen) = self.health.breaker(s).admit() else {
+        for (s, admit) in admitted.iter().enumerate() {
+            if admit.is_none() {
                 statuses.push(ShardStatus::SkippedOpen);
                 continue;
-            };
-            *gen_slot = admit_gen;
+            }
             // Provisional: overwritten when (if) the worker reports in.
             statuses.push(ShardStatus::TimedOut);
             outstanding += 1;
             let state = self.states[s].clone();
             let queries = queries.clone();
+            let plan = plan.clone();
             let fault = self.fault.clone();
             let retry = self.health.retry();
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let out =
-                    scan_shard_guarded(&state, s, &queries, k, deadline, fault.as_deref(), retry);
+                let out = scan_shard_guarded(
+                    &state,
+                    s,
+                    &queries,
+                    k,
+                    plan.as_ref(),
+                    deadline,
+                    fault.as_deref(),
+                    retry,
+                );
                 // A send after the deadline hits a disconnected receiver;
                 // the straggler's work is simply discarded.
                 let _ = tx.send((s, out));
             });
         }
         drop(tx);
+        let admit_gen = |s: usize| admitted[s].expect("only admitted shards report");
 
-        let mut shard_batches: Vec<Option<Vec<SearchResult>>> = (0..total).map(|_| None).collect();
+        let mut shard_batches: Vec<Option<ShardBatch>> = (0..total).map(|_| None).collect();
         while outstanding > 0 {
             let wait = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(wait) {
                 Ok((s, Ok(batch))) => {
-                    self.health.breaker(s).record_success(admit_gens[s]);
+                    self.health.breaker(s).record_success(admit_gen(s));
                     shard_batches[s] = Some(batch);
                     statuses[s] = ShardStatus::Ok;
                     outstanding -= 1;
                 }
                 Ok((s, Err(err))) => {
-                    self.health.breaker(s).record_failure(admit_gens[s]);
+                    self.health.breaker(s).record_failure(admit_gen(s));
                     statuses[s] = ShardStatus::Failed(err);
                     outstanding -= 1;
                 }
@@ -499,28 +635,20 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
         // their breakers just like explicit failures.
         for (s, status) in statuses.iter().enumerate() {
             if matches!(status, ShardStatus::TimedOut) {
-                self.health.breaker(s).record_failure(admit_gens[s]);
+                self.health.breaker(s).record_failure(admit_gen(s));
             }
         }
 
         let ok = statuses.iter().filter(|s| s.is_ok()).count();
         let coverage = ok as f64 / total.max(1) as f64;
-        let mut results = Vec::with_capacity(queries.len());
-        for qi in 0..queries.len() {
-            let per_shard: Vec<(usize, SearchResult)> = shard_batches
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(s, slot)| {
-                    slot.as_mut()
-                        .map(|batch| (s, std::mem::take(&mut batch[qi])))
-                })
-                .collect();
-            results.push(self.gather_indexed(per_shard, k, order));
-        }
+        let (results, plan_shared_shards, plan_replanned_shards) =
+            self.gather_batch(shard_batches, plan.as_ref(), queries.len(), k);
         Ok(DegradedBatch {
             results,
             shards: statuses,
             coverage,
+            plan_shared_shards,
+            plan_replanned_shards,
         })
     }
 }
@@ -698,7 +826,10 @@ impl<I: AnnIndex> ShardedIndex<I> {
     /// blocks behind an in-flight mutation). Per shard the view is exactly
     /// one published epoch; a writer publishing between two shard pins can
     /// skew epochs *across* shards, which is harmless because every point is
-    /// live in at most one shard at every published epoch.
+    /// live in at most one shard at every published epoch — and because a
+    /// shard pinned an insert ahead of (or behind) the shard that plans a
+    /// batch has a different plan stamp, refuses the shared plan and plans
+    /// from its own epoch's state.
     pub fn reader(&self) -> FleetReader<I> {
         let shards = self.topology();
         FleetReader {

@@ -49,7 +49,9 @@ pub mod prelude {
     pub use juno_baseline::flat::FlatIndex;
     pub use juno_baseline::hnsw::{HnswConfig, HnswIndex};
     pub use juno_baseline::ivfpq::{IvfPqConfig, IvfPqIndex};
-    pub use juno_common::index::{AnnIndex, DriftReport, Neighbor, SearchResult};
+    pub use juno_common::index::{
+        AnnIndex, BatchPlan, DriftReport, Neighbor, PlanUse, SearchResult,
+    };
     pub use juno_common::metric::Metric;
     pub use juno_common::metrics::{HistogramSnapshot, LogHistogram, Registry, RegistrySnapshot};
     pub use juno_common::mmap::{Mmap, ResidencyConfig};
