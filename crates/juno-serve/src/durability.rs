@@ -21,10 +21,11 @@
 //! This module holds the shared plumbing: the config, the per-operation
 //! reports, and the internal handle the fleet stores.
 
+use juno_common::error::Result;
 use juno_common::metrics::Registry;
-use juno_common::wal::{Wal, WalOptions};
-use std::path::PathBuf;
-use std::sync::Arc;
+use juno_common::wal::{Wal, WalOptions, WalRecord};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Tuning for the fleet durability plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +90,54 @@ pub(crate) struct Durability {
     pub(crate) wal: Wal,
     pub(crate) dir: PathBuf,
     pub(crate) keep_checkpoints: usize,
+    /// The LSN range of a rolled-back write whose `Abort` the log refused.
+    /// Nothing may be acknowledged behind those records until
+    /// [`Durability::settle_owed_abort`] gets the `Abort` on record.
+    owed_abort: Mutex<Option<(u64, u64)>>,
 }
 
 impl Durability {
+    pub(crate) fn new(wal: Wal, dir: &Path, config: DurabilityConfig) -> Self {
+        Durability {
+            wal,
+            dir: dir.to_path_buf(),
+            keep_checkpoints: config.keep_checkpoints.max(1),
+            owed_abort: Mutex::new(None),
+        }
+    }
+
     /// The WAL's metrics registry (`wal.*` counters and histograms).
     pub(crate) fn registry(&self) -> &Arc<Registry> {
         self.wal.registry()
+    }
+
+    /// After a rollback, `range` holds records of a write the fleet never
+    /// acknowledged: stamp an `Abort` (always fsync'd) over them so replay
+    /// skips them. If the log refuses that too, the range stays owed — the
+    /// caller already has the write's own error.
+    pub(crate) fn owe_abort(&self, range: (u64, u64)) {
+        *self.owed_abort.lock().expect("owed-abort lock poisoned") = Some(range);
+        if let Err(err) = self.settle_owed_abort() {
+            eprintln!(
+                "juno-serve: failed to log rollback of WAL records {}..={}: {err}; \
+                 writes are refused until it is logged",
+                range.0, range.1
+            );
+        }
+    }
+
+    /// Logs the owed `Abort`, if there is one; every write and checkpoint
+    /// calls this first, and fails with the WAL's error while it cannot.
+    pub(crate) fn settle_owed_abort(&self) -> Result<()> {
+        let mut owed = self.owed_abort.lock().expect("owed-abort lock poisoned");
+        if let Some((from_lsn, until_lsn)) = *owed {
+            self.wal.append_unsynced(&WalRecord::Abort {
+                from_lsn,
+                until_lsn,
+            })?;
+            self.wal.sync()?;
+            *owed = None;
+        }
+        Ok(())
     }
 }

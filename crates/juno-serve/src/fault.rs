@@ -97,28 +97,12 @@ pub enum FaultOp {
 }
 
 /// Number of distinct [`FaultOp`] values (sizing the counter table).
-const NUM_OPS: usize = 12;
+const NUM_OPS: usize = FaultOp::ALL.len();
 
 impl FaultOp {
-    fn index(self) -> usize {
-        match self {
-            FaultOp::Search => 0,
-            FaultOp::Insert => 1,
-            FaultOp::Publish => 2,
-            FaultOp::Compact => 3,
-            FaultOp::Restore => 4,
-            FaultOp::WalAppend => 5,
-            FaultOp::Checkpoint => 6,
-            FaultOp::Rotate => 7,
-            FaultOp::RebuildTrain => 8,
-            FaultOp::RebuildReplay => 9,
-            FaultOp::RebuildSwap => 10,
-            FaultOp::Split => 11,
-        }
-    }
-
-    /// All instrumented operations, in counter-table order.
-    pub const ALL: [FaultOp; NUM_OPS] = [
+    /// All instrumented operations, in declaration order — the only list of
+    /// them: an op's slot in the counter table is its discriminant.
+    pub const ALL: [FaultOp; 12] = [
         FaultOp::Search,
         FaultOp::Insert,
         FaultOp::Publish,
@@ -132,6 +116,10 @@ impl FaultOp {
         FaultOp::RebuildSwap,
         FaultOp::Split,
     ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
 
     /// The operations [`FaultPlan::chaos`] draws rules over. The durability
     /// kill-points are excluded on purpose: chaos plans run against fleets
@@ -247,17 +235,46 @@ impl FaultPlan {
     /// `max_stall` bounds injected stall durations (rules draw from
     /// `max_stall / 4 ..= max_stall`).
     pub fn chaos(seed: u64, num_shards: usize, max_stall: Duration) -> Self {
+        // Persistent (unbounded) faults are rare draws; most chaos rules are
+        // windowed so the fleet can recover.
+        Self::draw(seed, num_shards, max_stall, &FaultOp::CHAOS_OPS, 6, 4, true)
+    }
+
+    /// [`FaultPlan::chaos`]'s sibling for the lifecycle plane: derives a
+    /// replayable rule set over the rebuild/split injection points
+    /// ([`FaultOp::RebuildTrain`] / [`FaultOp::RebuildReplay`] /
+    /// [`FaultOp::RebuildSwap`] / [`FaultOp::Split`]). Every rule is
+    /// windowed, so a retried lifecycle operation eventually clears its
+    /// faults, and [`FaultKind::Crash`] is never drawn — kill-point
+    /// coverage belongs to the subprocess crash harness.
+    pub fn chaos_lifecycle(seed: u64, num_shards: usize, max_stall: Duration) -> Self {
+        let ops = &FaultOp::LIFECYCLE_OPS;
+        Self::draw(seed ^ 0x4C49_4645, num_shards, max_stall, ops, 3, 3, false)
+    }
+
+    /// The seeded rule draw behind both chaos generators: per shard, up to
+    /// two rules over `ops`, starting at a counter below `from_below` and
+    /// lasting fewer than `width_below` ops — or, one draw in eight when
+    /// `may_persist`, forever. The draw order is part of every recorded
+    /// seed's meaning.
+    fn draw(
+        seed: u64,
+        num_shards: usize,
+        max_stall: Duration,
+        ops: &[FaultOp],
+        from_below: u64,
+        width_below: u64,
+        may_persist: bool,
+    ) -> Self {
         let mut plan = Self::new(num_shards);
         for shard in 0..num_shards {
             let mut rng = seeded(derive_seed(seed, shard as u64));
             let num_rules = rng.gen_range(0..=2usize);
             for _ in 0..num_rules {
-                let op = FaultOp::CHAOS_OPS[rng.gen_range(0..FaultOp::CHAOS_OPS.len())];
-                let from_op = rng.gen_range(0..6u64);
-                let width = rng.gen_range(1..4u64);
-                // Persistent (unbounded) faults are rare draws; most chaos
-                // rules are windowed so the fleet can recover.
-                let until_op = if rng.gen_range(0..8u32) == 0 {
+                let op = ops[rng.gen_range(0..ops.len())];
+                let from_op = rng.gen_range(0..from_below);
+                let width = rng.gen_range(1..width_below);
+                let until_op = if may_persist && rng.gen_range(0..8u32) == 0 {
                     None
                 } else {
                     Some(from_op + width)
@@ -278,45 +295,6 @@ impl FaultPlan {
                     op,
                     from_op,
                     until_op,
-                    kind,
-                });
-            }
-        }
-        plan
-    }
-
-    /// [`FaultPlan::chaos`]'s sibling for the lifecycle plane: derives a
-    /// replayable rule set over the rebuild/split injection points
-    /// ([`FaultOp::RebuildTrain`] / [`FaultOp::RebuildReplay`] /
-    /// [`FaultOp::RebuildSwap`] / [`FaultOp::Split`]). Every rule is
-    /// windowed, so a retried lifecycle operation eventually clears its
-    /// faults, and [`FaultKind::Crash`] is never drawn — kill-point
-    /// coverage belongs to the subprocess crash harness.
-    pub fn chaos_lifecycle(seed: u64, num_shards: usize, max_stall: Duration) -> Self {
-        let mut plan = Self::new(num_shards);
-        for shard in 0..num_shards {
-            let mut rng = seeded(derive_seed(seed ^ 0x4C49_4645, shard as u64));
-            let num_rules = rng.gen_range(0..=2usize);
-            for _ in 0..num_rules {
-                let op = FaultOp::LIFECYCLE_OPS[rng.gen_range(0..FaultOp::LIFECYCLE_OPS.len())];
-                let from_op = rng.gen_range(0..3u64);
-                let width = rng.gen_range(1..3u64);
-                let kind = match rng.gen_range(0..4u32) {
-                    0 => {
-                        let lo = (max_stall / 4).max(Duration::from_micros(1));
-                        let span = max_stall.saturating_sub(lo);
-                        let extra = span.mul_f64(rng.gen::<f64>());
-                        FaultKind::Stall(lo + extra)
-                    }
-                    1 => FaultKind::Transient,
-                    2 => FaultKind::Fail,
-                    _ => FaultKind::Panic,
-                };
-                plan.rules.push(FaultRule {
-                    shard,
-                    op,
-                    from_op,
-                    until_op: Some(from_op + width),
                     kind,
                 });
             }
@@ -408,6 +386,13 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_lists_every_op_at_its_counter_slot() {
+        for (i, op) in FaultOp::ALL.iter().enumerate() {
+            assert_eq!(op.index(), i, "{op:?} is out of declaration order in ALL");
+        }
+    }
 
     #[test]
     fn rules_fire_only_inside_their_counter_window() {

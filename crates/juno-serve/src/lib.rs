@@ -1659,6 +1659,81 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A batch whose third WAL append fails (the next segment file cannot be
+    /// created) leaves its first two records in the log, and the same disk
+    /// refuses the rollback's Abort. The range must stay owed — writes are
+    /// refused, not acknowledged behind records that would replay — and be
+    /// logged by the first write that can, so recovery skips exactly the
+    /// two orphans and every later id lines up with the acknowledged history.
+    #[test]
+    fn a_batch_failing_mid_append_leaves_no_orphans_even_when_the_abort_must_wait() {
+        let dir = wal_dir("orphans");
+        let mut mono = MiniIndex::new(grid_rows(30));
+        let fleet = ShardedIndex::from_monolith(mono.clone(), 2, ShardRouter::Modulo).unwrap();
+        // One-byte segments: every record opens the segment named after its
+        // own LSN.
+        let config = DurabilityConfig {
+            wal: WalOptions {
+                policy: FsyncPolicy::Always,
+                segment_bytes: 1,
+            },
+            keep_checkpoints: 2,
+        };
+        fleet.enable_wal(&dir, config).unwrap();
+        let mut insert_both = |fleet: &ShardedIndex<MiniIndex>, v: [f32; 2]| {
+            assert_eq!(fleet.insert_shared(&v).unwrap(), mono.insert(&v).unwrap());
+        };
+        for i in 0..3 {
+            insert_both(&fleet, [i as f32 * 0.7, 2.5]);
+        }
+
+        let last = fleet.wal_last_lsn().unwrap();
+        let squatter = dir.join(format!("wal-{:020}.seg", last + 3));
+        std::fs::write(&squatter, b"").unwrap();
+        let epochs = fleet.shard_epochs();
+        let batch =
+            VectorSet::from_rows((0..5).map(|i| vec![70.0 + i as f32, 7.0]).collect()).unwrap();
+        assert!(matches!(
+            fleet.insert_batch_shared(&batch),
+            Err(Error::Io(_))
+        ));
+        assert_eq!(
+            fleet.shard_epochs(),
+            epochs,
+            "a failed batch publishes nothing"
+        );
+        assert_eq!(fleet.wal_last_lsn(), Some(last + 2), "two records made it");
+        // Still squatting: the Abort cannot be logged, so neither can a write.
+        assert!(fleet.insert_shared(&[1.0, 1.0]).is_err());
+        assert_eq!(fleet.shard_epochs(), epochs);
+
+        std::fs::remove_file(&squatter).unwrap();
+        for i in 0..3 {
+            insert_both(&fleet, [40.0 + i as f32, 4.5]);
+        }
+        drop(fleet);
+        let (recovered, report) =
+            ShardedIndex::recover_from_dir(MiniIndex::new(vec![vec![0.0, 0.0]]), &dir, config)
+                .unwrap();
+        assert_eq!(report.skipped_aborted, 2, "the two orphaned inserts");
+        assert_eq!(report.replayed_ops, 6);
+        assert_eq!(recovered.ids(), mono.ids());
+        for q in [[0.0f32, 0.0], [41.0, 4.5], [71.0, 7.0]] {
+            assert_bit_identical(
+                &recovered.search(&q, 12).unwrap(),
+                &mono.search(&q, 12).unwrap(),
+                "acknowledged history only",
+            );
+        }
+        let probe = [123.0f32, -45.0];
+        assert_eq!(
+            recovered.insert_shared(&probe).unwrap(),
+            mono.insert(&probe).unwrap(),
+            "id allocator diverged"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn durability_misuse_is_rejected_cleanly() {
         let dir = wal_dir("misuse");
