@@ -260,13 +260,7 @@ impl QuantizedLut {
         let mut mag_sum = 0f64;
         for s in 0..subspaces {
             let row = &svals[s * entries..(s + 1) * entries];
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for &raw in row {
-                let v = map(raw);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
+            let (lo, hi) = row_min_max(row, map);
             self.lo[s] = lo;
             span_max = span_max.max(hi - lo);
             lo_sum += lo as f64;
@@ -307,11 +301,22 @@ impl QuantizedLut {
                 let lo = self.lo[s];
                 let row = &svals[s * entries..(s + 1) * entries];
                 let out = &mut self.q[s * stride..s * stride + entries];
-                for (e, &raw) in row.iter().enumerate() {
+                // Through `i32`, which has a vector conversion (`i64` has
+                // none before AVX-512) — once the range is pinned, because
+                // the saturating `as` cast is itself scalar. With
+                // `delta > 0` every span is finite, so the estimate already
+                // lies in [0, 256]; pinning only turns NaN into the 0 the
+                // `as i64` it replaces produced.
+                for (q, &raw) in out.iter_mut().zip(row) {
                     let v = map(raw);
-                    let est = ((v - lo) * inv_delta) as i64;
-                    let over = (lo + est as f32 * delta > v) as i64;
-                    out[e] = (est - over).clamp(0, 255) as u8;
+                    let est = (v - lo) * inv_delta;
+                    let est = if est >= 0.0 { est } else { 0.0 };
+                    let est = if est < 256.0 { est } else { 256.0 };
+                    // SAFETY: the two selects above leave a finite value in
+                    // [0, 256] (NaN fails `>= 0.0`), which `i32` represents.
+                    let est = unsafe { est.to_int_unchecked::<i32>() };
+                    let over = (lo + est as f32 * delta > v) as i32;
+                    *q = (est - over).clamp(0, 255) as u8;
                 }
             }
         }
@@ -391,6 +396,37 @@ impl QuantizedLut {
             t as u32
         }
     }
+}
+
+/// Minimum and maximum of `map` over a row, NaN ignored (`+∞` / `−∞` when
+/// nothing else is there), reduced over [`MIN_MAX_LANES`] independent
+/// partial results so the pass is not one serial dependency chain. `<` / `>`
+/// select exactly as `f32::min` / `f32::max` do apart from which zero
+/// represents a `±0` tie, so the results compare equal to the serial fold's.
+#[inline(always)]
+fn row_min_max<F: Fn(f32) -> f32>(row: &[f32], map: F) -> (f32, f32) {
+    const MIN_MAX_LANES: usize = 8;
+    let min = |a: f32, v: f32| if v < a { v } else { a };
+    let max = |a: f32, v: f32| if v > a { v } else { a };
+    let mut lo = [f32::INFINITY; MIN_MAX_LANES];
+    let mut hi = [f32::NEG_INFINITY; MIN_MAX_LANES];
+    let mut chunks = row.chunks_exact(MIN_MAX_LANES);
+    for chunk in &mut chunks {
+        for l in 0..MIN_MAX_LANES {
+            let v = map(chunk[l]);
+            lo[l] = min(lo[l], v);
+            hi[l] = max(hi[l], v);
+        }
+    }
+    for (l, &raw) in chunks.remainder().iter().enumerate() {
+        let v = map(raw);
+        lo[l] = min(lo[l], v);
+        hi[l] = max(hi[l], v);
+    }
+    (
+        lo.into_iter().fold(f32::INFINITY, min),
+        hi.into_iter().fold(f32::NEG_INFINITY, max),
+    )
 }
 
 /// Decodes lane `l` of a block row (scalar reference; also used by the
@@ -606,6 +642,149 @@ mod tests {
             }
         }
         rows
+    }
+
+    /// `build_impl` as it was before its loops were made vectorisable: one
+    /// serial `min`/`max` chain per row and an `i64` estimate. The reference
+    /// the quantiser must match.
+    fn build_reference<F: Fn(f32) -> f32>(
+        svals: &[f32],
+        subspaces: usize,
+        entries: usize,
+        const_term: f32,
+        map: F,
+    ) -> QuantizedLut {
+        let stride = entries.next_multiple_of(16);
+        let mut out = QuantizedLut {
+            q: vec![0; subspaces * stride],
+            stride,
+            subspaces,
+            entries,
+            lo: vec![0.0; subspaces],
+            suffix_min: vec![0; subspaces + 1],
+            ..QuantizedLut::default()
+        };
+        let (mut span_max, mut lo_sum, mut mag_sum) = (0f32, 0f64, 0f64);
+        for s in 0..subspaces {
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &raw in &svals[s * entries..(s + 1) * entries] {
+                let v = map(raw);
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            out.lo[s] = lo;
+            span_max = span_max.max(hi - lo);
+            lo_sum += lo as f64;
+            mag_sum += lo.abs().max(hi.abs()) as f64;
+        }
+        let delta = if span_max.is_finite() && span_max > 0.0 {
+            span_max / 255.0
+        } else {
+            0.0
+        };
+        out.delta = delta as f64;
+        out.base = const_term as f64 + lo_sum;
+        out.margin = (out.delta + 1e-5 * (mag_sum + const_term.abs() as f64)).max(1e-30);
+        if delta > 0.0 {
+            let inv_delta = 1.0 / delta;
+            for s in 0..subspaces {
+                let lo = out.lo[s];
+                for e in 0..entries {
+                    let v = map(svals[s * entries + e]);
+                    let est = ((v - lo) * inv_delta) as i64;
+                    let over = (lo + est as f32 * delta > v) as i64;
+                    out.q[s * stride + e] = (est - over).clamp(0, 255) as u8;
+                }
+            }
+        }
+        for s in (0..subspaces).rev() {
+            let row = &out.q[s * stride..s * stride + entries];
+            out.suffix_min[s] =
+                out.suffix_min[s + 1] + row.iter().copied().min().unwrap_or(0) as u32;
+        }
+        out
+    }
+
+    fn assert_matches_reference(got: &QuantizedLut, want: &QuantizedLut, label: &str) {
+        assert_eq!(got.q, want.q, "{label}: q");
+        assert_eq!(got.suffix_min, want.suffix_min, "{label}: suffix_min");
+        assert_eq!(got.delta.to_bits(), want.delta.to_bits(), "{label}: delta");
+        assert_eq!(got.base.to_bits(), want.base.to_bits(), "{label}: base");
+        assert_eq!(
+            got.margin.to_bits(),
+            want.margin.to_bits(),
+            "{label}: margin"
+        );
+        // Equal, not bit-equal: which zero stands for a ±0 tie is open.
+        assert_eq!(got.lo, want.lo, "{label}: lo");
+        assert_eq!(
+            (got.stride, got.subspaces, got.entries),
+            (want.stride, want.subspaces, want.entries)
+        );
+    }
+
+    #[test]
+    fn build_matches_the_serial_reference_on_seeded_tables() {
+        let mut rng = seeded(0xB17);
+        let mut qlut = QuantizedLut::new();
+        for (subspaces, entries) in [(48, 64), (5, 37), (3, 256), (7, 1), (4, 7), (2, 16)] {
+            for case in 0..12 {
+                // A dense selective decode: values with NaN holes…
+                let mut dense = random_svals(&mut rng, subspaces, entries, -3.0);
+                for v in dense.iter_mut() {
+                    if rng.gen_range(0..4usize) != 0 {
+                        *v = f32::NAN;
+                    }
+                }
+                // …rows of one value, of signed zeros, of nothing selected…
+                for s in 0..subspaces {
+                    let row = &mut dense[s * entries..(s + 1) * entries];
+                    match (case + s) % 6 {
+                        0 => row.fill(1.25),
+                        1 => {
+                            for (e, v) in row.iter_mut().enumerate() {
+                                *v = if (e + case) % 2 == 0 { 0.0 } else { -0.0 };
+                            }
+                        }
+                        2 => row.fill(f32::NAN),
+                        _ => {}
+                    }
+                }
+                // …and, in some cases, a non-finite value.
+                let at = rng.gen_range(0..dense.len());
+                match case % 4 {
+                    1 => dense[at] = f32::INFINITY,
+                    2 => dense[at] = f32::NEG_INFINITY,
+                    _ => {}
+                }
+                let const_term = [0.0, -0.0, 2.5, -7.0][case % 4];
+                let label = format!("{subspaces}x{entries} case {case}");
+
+                qlut.build(&dense, subspaces, entries, const_term);
+                let want = build_reference(&dense, subspaces, entries, const_term, |v| v);
+                assert_matches_reference(&qlut, &want, &format!("{label} dense"));
+
+                for (negate, unselected) in [(false, 4.5f32), (true, 0.0), (false, f32::NAN)] {
+                    qlut.build_selective(
+                        &dense, subspaces, entries, const_term, unselected, negate,
+                    );
+                    let want = build_reference(&dense, subspaces, entries, const_term, |v| {
+                        if v.is_nan() {
+                            unselected
+                        } else if negate {
+                            -v
+                        } else {
+                            v
+                        }
+                    });
+                    assert_matches_reference(
+                        &qlut,
+                        &want,
+                        &format!("{label} selective negate {negate} unselected {unselected}"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -770,30 +770,31 @@ impl JunoIndex {
             Metric::InnerProduct => vec![self.config.threshold_scale; subspaces],
         };
 
-        let mut requests = Vec::with_capacity(clusters.len() * subspaces);
-        for (slot, &cluster) in clusters.iter().enumerate() {
-            // L2 rays start at the residual `query − centroid`; MIPS rays
-            // at the query itself.
-            let centroid = match self.config.metric {
-                Metric::L2 => Some(self.ivf.centroid(cluster)?),
-                Metric::InnerProduct => None,
-            };
-            for (s, &threshold) in per_subspace.iter().enumerate() {
-                let projection = match centroid {
+        // L2 rays start at the residual `query − centroid`; MIPS rays at the
+        // query itself.
+        let centroids: Vec<Option<&[f32]>> = match self.config.metric {
+            Metric::L2 => clusters
+                .iter()
+                .map(|&cluster| self.ivf.centroid(cluster).map(Some))
+                .collect::<Result<_>>()?,
+            Metric::InnerProduct => vec![None; clusters.len()],
+        };
+        // One ray per (probe, subspace), generated in the LUT's row order.
+        let requests = centroids.iter().enumerate().flat_map(|(slot, centroid)| {
+            let per_subspace = &per_subspace;
+            (0..subspaces).map(move |s| LutRayRequest {
+                slot,
+                subspace: s,
+                projection: match centroid {
                     Some(c) => [query[2 * s] - c[2 * s], query[2 * s + 1] - c[2 * s + 1]],
                     None => [query[2 * s], query[2 * s + 1]],
-                };
-                requests.push(LutRayRequest {
-                    slot,
-                    subspace: s,
-                    projection,
-                    threshold,
-                });
-            }
-        }
+                },
+                threshold: per_subspace[s],
+            })
+        });
+        let (lut, rt_stats) = construct_selective_lut(&self.mapping, clusters.len(), requests)?;
         // thresholds[slot][s] records the threshold used, for miss penalties.
         let thresholds = vec![per_subspace; clusters.len()];
-        let (lut, rt_stats) = construct_selective_lut(&self.mapping, clusters.len(), &requests)?;
         Ok((clusters, lut, rt_stats, thresholds))
     }
 
@@ -1349,6 +1350,7 @@ impl AnnIndex for JunoIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lut::{assert_same_lut, construct_selective_lut_reference};
     use juno_common::recall::{r1_at_100, recall_at};
     use juno_data::profiles::DatasetProfile;
     use juno_gpu::device::GpuDevice;
@@ -1770,7 +1772,9 @@ mod tests {
     }
 
     /// The front half as it was first written: a residual `Vec` per probe,
-    /// the threshold looked up per (probe, subspace). The reference
+    /// the threshold looked up per (probe, subspace), a materialised request
+    /// list, and every ray walked through the BVH
+    /// ([`construct_selective_lut_reference`]). The reference
     /// [`JunoIndex::build_selective_lut`] must reproduce bit for bit.
     fn naive_selective_lut(index: &JunoIndex, query: &[f32]) -> SelectiveLutParts {
         let config = &index.config;
@@ -1806,7 +1810,8 @@ mod tests {
                 });
             }
         }
-        let (lut, rt) = construct_selective_lut(&index.mapping, clusters.len(), &requests).unwrap();
+        let (lut, rt) =
+            construct_selective_lut_reference(&index.mapping, clusters.len(), &requests).unwrap();
         (clusters, lut, rt, thresholds)
     }
 
@@ -1825,23 +1830,12 @@ mod tests {
                     naive_selective_lut(index, q);
                 assert_eq!(clusters, want_clusters, "{label} query {qi}: probes");
                 assert_eq!(rt, want_rt, "{label} query {qi}: traversal stats");
-                assert_eq!(lut.total_selected(), want_lut.total_selected());
+                assert_same_lut(&lut, &want_lut, &format!("{label} query {qi}"));
                 for slot in 0..clusters.len() {
                     assert!(
                         same_bits(&thresholds[slot], &want_thresholds[slot]),
                         "{label} query {qi} slot {slot}: thresholds"
                     );
-                    for s in 0..lut.num_subspaces() {
-                        assert_eq!(
-                            lut.row_entries(slot, s),
-                            want_lut.row_entries(slot, s),
-                            "{label} query {qi} row ({slot}, {s}): entries"
-                        );
-                        assert!(
-                            same_bits(lut.row_values(slot, s), want_lut.row_values(slot, s)),
-                            "{label} query {qi} row ({slot}, {s}): values"
-                        );
-                    }
                 }
             }
         };

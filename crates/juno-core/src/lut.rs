@@ -24,6 +24,7 @@
 use crate::mapping::SceneMapping;
 use juno_common::error::{Error, Result};
 use juno_rt::stats::TraversalStats;
+use std::borrow::Borrow;
 
 /// A sparse, per-query look-up table of selected entry distances, stored as
 /// one flat CSR structure over `(slot, subspace)` rows.
@@ -78,8 +79,9 @@ impl SelectiveLut {
         self.staging.push((row, entry, value));
     }
 
-    /// Builds the flat CSR arrays from the staged insertions, each row sorted
-    /// by entry id (enables binary-search lookups and merge-style scans).
+    /// Merges the staged insertions into the flat CSR arrays, each row
+    /// sorted by entry id (enables binary-search lookups and merge-style
+    /// scans); within a row, equal entry ids keep their insertion order.
     /// Queries ([`SelectiveLut::row`], [`SelectiveLut::lookup`], …) reflect
     /// only finished insertions.
     pub fn finish(&mut self) {
@@ -87,60 +89,42 @@ impl SelectiveLut {
             return;
         }
         let rows = self.num_slots * self.num_subspaces;
-        // Merge previously finished content back into the staging list so
-        // repeated insert/finish cycles keep all data (the counting sort
-        // below rebuilds from scratch).
-        if !self.entries.is_empty() {
-            for row in 0..rows {
-                let (start, end) = (self.offsets[row] as usize, self.offsets[row + 1] as usize);
-                for i in start..end {
-                    self.staging
-                        .push((row as u32, self.entries[i], self.values[i]));
-                }
-            }
-        }
-
-        // Counting sort by row, then an entry-id sort within each row.
+        // Counting sort by row over the finished content and the staged
+        // insertions, finished content first.
         let mut counts = vec![0u32; rows + 1];
+        for row in 0..rows {
+            counts[row + 1] = self.offsets[row + 1] - self.offsets[row];
+        }
         for &(row, _, _) in &self.staging {
             counts[row as usize + 1] += 1;
         }
         for r in 0..rows {
             counts[r + 1] += counts[r];
         }
-        let total = self.staging.len();
+        let total = counts[rows] as usize;
         let mut entries = vec![0u16; total];
         let mut values = vec![0f32; total];
         let mut cursors = counts.clone();
+        for (cursor, old) in cursors.iter_mut().zip(self.offsets.windows(2)) {
+            let (start, end, at) = (old[0] as usize, old[1] as usize, *cursor as usize);
+            entries[at..at + end - start].copy_from_slice(&self.entries[start..end]);
+            values[at..at + end - start].copy_from_slice(&self.values[start..end]);
+            *cursor += (end - start) as u32;
+        }
         for &(row, entry, value) in &self.staging {
             let at = cursors[row as usize] as usize;
             entries[at] = entry;
             values[at] = value;
             cursors[row as usize] += 1;
         }
-        // Sort each row segment by entry id in place, values moving in
-        // tandem. A row holds at most one value per codebook entry (codes
-        // are bytes, so ≤ 256) and usually a few dozen: insertion sort,
-        // with no per-row buffers.
         for r in 0..rows {
             let (start, end) = (counts[r] as usize, counts[r + 1] as usize);
-            for i in start + 1..end {
-                let (e, v) = (entries[i], values[i]);
-                let mut j = i;
-                while j > start && entries[j - 1] > e {
-                    entries[j] = entries[j - 1];
-                    values[j] = values[j - 1];
-                    j -= 1;
-                }
-                entries[j] = e;
-                values[j] = v;
-            }
+            sort_row(&mut entries[start..end], &mut values[start..end]);
         }
         self.offsets = counts;
         self.entries = entries;
         self.values = values;
         self.staging.clear();
-        self.staging.shrink_to_fit();
     }
 
     #[inline]
@@ -201,6 +185,24 @@ impl SelectiveLut {
         } else {
             self.total_selected() as f64 / dense as f64
         }
+    }
+}
+
+/// Sorts one row segment by entry id in place, values moving in tandem,
+/// stably. A row holds at most one value per codebook entry (codes are
+/// bytes, so ≤ 256) and usually a few dozen, often already in order:
+/// insertion sort, with no per-row buffers.
+fn sort_row(entries: &mut [u16], values: &mut [f32]) {
+    for i in 1..entries.len() {
+        let (e, v) = (entries[i], values[i]);
+        let mut j = i;
+        while j > 0 && entries[j - 1] > e {
+            entries[j] = entries[j - 1];
+            values[j] = values[j - 1];
+            j -= 1;
+        }
+        entries[j] = e;
+        values[j] = v;
     }
 }
 
@@ -295,14 +297,87 @@ pub struct LutRayRequest {
     pub threshold: f32,
 }
 
-/// Constructs the selective LUT by tracing one ray per request through the RT
-/// scene. Returns the LUT together with the traversal work performed (which
-/// the GPU model converts into RT-core time).
+/// Constructs the selective LUT by tracing one ray per request through the
+/// subspace's flattened traversal of the RT scene
+/// ([`juno_rt::table::ZRayTable`]: the scene's exact hits and work
+/// counters). Returns the LUT together with the traversal work performed
+/// (which the GPU model converts into RT-core time).
+///
+/// Requests may come lazily and in any order. A request whose
+/// `(slot, subspace)` row lies at or beyond every row seen so far — all of
+/// them, when requests arrive in row order, as the engine's do — writes its
+/// row straight into the CSR arrays; any other (a repeated or earlier row)
+/// is staged and merged at the end, after what was already written.
 ///
 /// # Errors
 ///
 /// Propagates mapping errors (invalid subspace indices).
-pub fn construct_selective_lut(
+pub fn construct_selective_lut<I>(
+    mapping: &SceneMapping,
+    num_slots: usize,
+    requests: I,
+) -> Result<(SelectiveLut, TraversalStats)>
+where
+    I: IntoIterator,
+    I::Item: Borrow<LutRayRequest>,
+{
+    let subspaces = mapping.num_subspaces();
+    let mut lut = SelectiveLut::new(num_slots, subspaces);
+    let mut stats = TraversalStats::new();
+    // The `t_max` of the last threshold seen per subspace: a query uses one
+    // threshold per subspace, whatever the probe.
+    let mut t_max_of: Vec<Option<(u32, f32)>> = vec![None; subspaces];
+    // Rows `..sealed` are final in the CSR arrays.
+    let mut sealed = 0usize;
+    for req in requests {
+        let req = req.borrow();
+        if req.slot >= num_slots {
+            return Err(Error::IndexOutOfBounds {
+                what: "lut slot".into(),
+                index: req.slot,
+                len: num_slots,
+            });
+        }
+        let rays = mapping.subspace_rays(req.subspace)?;
+        let t_max = match t_max_of[req.subspace] {
+            Some((threshold, t_max)) if threshold == req.threshold.to_bits() => t_max,
+            _ => {
+                let t_max = mapping.t_max_for_threshold(req.subspace, req.threshold)?;
+                t_max_of[req.subspace] = Some((req.threshold.to_bits(), t_max));
+                t_max
+            }
+        };
+        let row = req.slot * subspaces + req.subspace;
+        if row >= sealed {
+            let start = lut.entries.len();
+            lut.offsets[sealed + 1..=row].fill(start as u32);
+            let (entries, values) = (&mut lut.entries, &mut lut.values);
+            rays.trace(req.projection, t_max, &mut stats, |entry, value| {
+                entries.push(entry);
+                values.push(value);
+            });
+            sort_row(&mut lut.entries[start..], &mut lut.values[start..]);
+            lut.offsets[row + 1] = lut.entries.len() as u32;
+            sealed = row + 1;
+        } else {
+            rays.trace(req.projection, t_max, &mut stats, |entry, value| {
+                lut.insert(req.slot, req.subspace, entry, value);
+            });
+        }
+    }
+    let end = lut.entries.len() as u32;
+    lut.offsets[sealed + 1..].fill(end);
+    lut.finish();
+    Ok((lut, stats))
+}
+
+/// The construction as it was before the flattened tables, kept as the
+/// reference [`construct_selective_lut`] must reproduce bit for bit: every
+/// ray walks the scene's BVH, every hit goes through
+/// [`SceneMapping::decode_hit`] and the staging list, and
+/// [`SelectiveLut::finish`] counting-sorts the lot.
+#[cfg(test)]
+pub(crate) fn construct_selective_lut_reference(
     mapping: &SceneMapping,
     num_slots: usize,
     requests: &[LutRayRequest],
@@ -344,6 +419,16 @@ pub fn construct_selective_lut(
     }
     lut.finish();
     Ok((lut, stats))
+}
+
+/// Offsets, entries and value bits of two LUTs are equal.
+#[cfg(test)]
+pub(crate) fn assert_same_lut(got: &SelectiveLut, want: &SelectiveLut, label: &str) {
+    assert_eq!(got.offsets, want.offsets, "{label}: offsets");
+    assert_eq!(got.entries, want.entries, "{label}: entries");
+    let bits = |lut: &SelectiveLut| lut.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{label}: value bits");
+    assert!(got.staging.is_empty() && want.staging.is_empty());
 }
 
 #[cfg(test)]
@@ -447,10 +532,90 @@ mod tests {
         assert!(construct_selective_lut(&mapping, 1, &bad_subspace).is_err());
     }
 
+    /// A seeded codebook set shaped like the engine's: `entries` 2-D
+    /// entries per subspace, spread over a few units.
+    fn seeded_codebooks(subspaces: usize, entries: usize, seed: u64) -> Vec<Codebook> {
+        let mut rng = juno_common::rng::seeded(seed);
+        (0..subspaces)
+            .map(|s| {
+                let rows = (0..entries)
+                    .map(|_| vec![rng.gen_range(-2.0..2.0f32), rng.gen_range(-2.0..2.0f32)])
+                    .collect();
+                Codebook::new(s, VectorSet::from_rows(rows).unwrap()).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tables_reproduce_the_tree_walk_for_any_request_order() {
+        // LUT (offsets, entries, value bits) and traversal counters against
+        // the BVH reference, under both mappings, for requests in row
+        // order, with rows skipped, shuffled, and with rows repeated under
+        // other projections and thresholds.
+        let (subspaces, entries, slots) = (7usize, 32usize, 5usize);
+        let cbs = seeded_codebooks(subspaces, entries, 0x51);
+        let mappings = [
+            (
+                "l2",
+                SceneMapping::build_l2(&cbs, &vec![1.5; subspaces]).unwrap(),
+            ),
+            (
+                "mips",
+                SceneMapping::build_mips(&cbs, &vec![3.0; subspaces]).unwrap(),
+            ),
+        ];
+        for (metric, mapping) in &mappings {
+            let mut rng = juno_common::rng::seeded(0x0A75);
+            let mut request = |slot: usize, subspace: usize| LutRayRequest {
+                slot,
+                subspace,
+                projection: [rng.gen_range(-2.5..2.5f32), rng.gen_range(-2.5..2.5f32)],
+                threshold: rng.gen_range(0.05..1.6f32),
+            };
+            let in_order: Vec<LutRayRequest> = (0..slots * subspaces)
+                .map(|row| request(row / subspaces, row % subspaces))
+                .collect();
+            let sparse: Vec<LutRayRequest> = in_order
+                .iter()
+                .copied()
+                .filter(|r| (r.slot + r.subspace) % 3 != 0)
+                .collect();
+            let mut order_rng = juno_common::rng::seeded(0xD1FF);
+            let mut shuffled = in_order.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, order_rng.gen_range(0..i + 1));
+            }
+            let mut repeated = in_order.clone();
+            for i in 0..2 * subspaces {
+                let at = order_rng.gen_range(0..repeated.len() + 1);
+                repeated.insert(at, request(i % slots, i % subspaces));
+            }
+            for (order, requests) in [
+                ("in order", &in_order),
+                ("sparse", &sparse),
+                ("shuffled", &shuffled),
+                ("repeated", &repeated),
+            ] {
+                let label = format!("{metric} {order}");
+                let (want, want_stats) =
+                    construct_selective_lut_reference(mapping, slots, requests).unwrap();
+                let (got, got_stats) = construct_selective_lut(mapping, slots, requests).unwrap();
+                assert_same_lut(&got, &want, &label);
+                assert_eq!(got_stats, want_stats, "{label}: traversal stats");
+                assert!(got.total_selected() > 0, "{label}: nothing selected");
+                // Owned, lazily generated requests take the same path.
+                let (lazy, lazy_stats) =
+                    construct_selective_lut(mapping, slots, requests.iter().copied()).unwrap();
+                assert_same_lut(&lazy, &want, &label);
+                assert_eq!(lazy_stats, want_stats);
+            }
+        }
+    }
+
     #[test]
     fn empty_request_list_gives_empty_lut() {
         let (_, mapping) = mapping();
-        let (lut, stats) = construct_selective_lut(&mapping, 2, &[]).unwrap();
+        let (lut, stats) = construct_selective_lut(&mapping, 2, [] as [LutRayRequest; 0]).unwrap();
         assert_eq!(lut.total_selected(), 0);
         assert_eq!(stats.rays, 0);
         assert_eq!(lut.num_slots(), 2);
@@ -473,12 +638,15 @@ mod tests {
         assert_eq!(lut.row_entries(0, 1), &[3, 9]);
         assert_eq!(lut.row_entries(0, 0), &[] as &[u16]);
         assert_eq!(lut.total_selected(), 5);
-        // Repeated insert/finish cycles keep earlier rows intact.
+        // Repeated insert/finish cycles keep earlier rows intact, and an
+        // entry inserted again lands after its earlier value.
         lut.insert(0, 0, 1, 0.1);
+        lut.insert(1, 0, 5, 5.5);
         lut.finish();
         assert_eq!(lut.row_entries(0, 0), &[1]);
-        assert_eq!(lut.row_entries(1, 0), &[2, 5, 7]);
-        assert_eq!(lut.total_selected(), 6);
+        assert_eq!(lut.row_entries(1, 0), &[2, 5, 5, 7]);
+        assert_eq!(lut.row_values(1, 0), &[0.2, 0.5, 5.5, 0.7]);
+        assert_eq!(lut.total_selected(), 7);
     }
 
     #[test]

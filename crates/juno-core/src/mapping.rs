@@ -28,6 +28,9 @@ use juno_quant::codebook::Codebook;
 use juno_rt::ray::Ray;
 use juno_rt::scene::{Hit, Scene, SceneBuilder};
 use juno_rt::sphere::Sphere;
+use juno_rt::stats::TraversalStats;
+use juno_rt::table::ZRayTable;
+use std::sync::Arc;
 
 /// Safety margin keeping scene radii strictly below the 1-unit layer spacing.
 const RADIUS_MARGIN: f32 = 0.95;
@@ -42,10 +45,33 @@ struct SubspaceGeometry {
     base_radius: f32,
 }
 
+/// What rays are traced through: the scene and, per subspace, its flattened
+/// traversal for that subspace's query rays. Immutable once built.
+#[derive(Debug)]
+struct Traversal {
+    scene: Scene,
+    /// `tables[s]` answers `+z` rays from subspace `s`'s origin plane exactly
+    /// as `scene` does (see [`juno_rt::table`]).
+    tables: Vec<ZRayTable>,
+}
+
+impl Traversal {
+    fn new(scene: Scene, num_subspaces: usize) -> Arc<Self> {
+        let tables = (0..num_subspaces)
+            .map(|s| scene.z_ray_table(origin_z(s)))
+            .collect();
+        Arc::new(Self { scene, tables })
+    }
+}
+
 /// The RT scene plus everything needed to create rays and decode hits.
+///
+/// The scene and its traversal tables sit behind one `Arc`: cloning a
+/// mapping — which cloning an index does, per shard per write — copies a
+/// pointer, not the spheres, the BVH and the tables.
 #[derive(Debug, Clone)]
 pub struct SceneMapping {
-    scene: Scene,
+    traversal: Arc<Traversal>,
     geometry: Vec<SubspaceGeometry>,
     entries_per_subspace: usize,
     metric: Metric,
@@ -96,7 +122,7 @@ impl SceneMapping {
             }
         }
         Ok(Self {
-            scene: builder.build(),
+            traversal: Traversal::new(builder.build(), geometry.len()),
             geometry,
             entries_per_subspace,
             metric: Metric::L2,
@@ -164,7 +190,7 @@ impl SceneMapping {
             }
         }
         Ok(Self {
-            scene: builder.build(),
+            traversal: Traversal::new(builder.build(), geometry.len()),
             geometry,
             entries_per_subspace,
             metric: Metric::InnerProduct,
@@ -188,7 +214,7 @@ impl SceneMapping {
 
     /// Borrow of the traversable scene (for diagnostics and benches).
     pub fn scene(&self) -> &Scene {
-        &self.scene
+        &self.traversal.scene
     }
 
     /// The ray travel budget implementing a distance threshold in `subspace`.
@@ -228,7 +254,7 @@ impl SceneMapping {
             [
                 projection[0] * geo.coord_scale,
                 projection[1] * geo.coord_scale,
-                layer_z(subspace) - 1.0,
+                origin_z(subspace),
             ],
             t_max.clamp(0.0, 1.0),
         ))
@@ -264,6 +290,25 @@ impl SceneMapping {
         Ok((subspace, entry, value))
     }
 
+    /// The ray-independent half of tracing `subspace`'s query rays and
+    /// decoding their hits, looked up once per ray instead of once per hit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
+    pub(crate) fn subspace_rays(&self, subspace: usize) -> Result<SubspaceRays<'_>> {
+        let geo = self.geo(subspace)?;
+        Ok(SubspaceRays {
+            table: &self.traversal.tables[subspace],
+            metric: self.metric,
+            coord_scale: geo.coord_scale,
+            radius_sq: geo.base_radius * geo.base_radius,
+            scale_sq: geo.coord_scale * geo.coord_scale,
+            first_primitive: encode_primitive(subspace, 0, self.entries_per_subspace),
+            entries: self.entries_per_subspace as u32,
+        })
+    }
+
     /// Splits a primitive id into `(subspace, entry)`.
     ///
     /// # Errors
@@ -293,9 +338,65 @@ impl SceneMapping {
     }
 }
 
+/// One subspace's query rays: its flattened traversal plus the constants of
+/// [`SceneMapping::ray_for`] and [`SceneMapping::decode_hit`] that do not
+/// depend on the ray ([`SceneMapping::subspace_rays`]).
+pub(crate) struct SubspaceRays<'a> {
+    table: &'a ZRayTable,
+    metric: Metric,
+    coord_scale: f32,
+    /// `base_radius²`.
+    radius_sq: f32,
+    /// `coord_scale²`.
+    scale_sq: f32,
+    /// Primitive id of this subspace's entry 0.
+    first_primitive: u32,
+    entries: u32,
+}
+
+impl SubspaceRays<'_> {
+    /// Traces [`SceneMapping::ray_for`]`(subspace, projection, t_max)` for a
+    /// `t_max` in `[0, 1]`, as [`SceneMapping::t_max_for_threshold`] returns, and
+    /// hands every selected entry of this subspace to `on_entry` with the
+    /// value [`SceneMapping::decode_hit`] computes — the same arithmetic on
+    /// the same `t_hit`. Hits on another layer's spheres (an origin within
+    /// rounding of a centre of the layer below grazes it at `t_hit = 0`)
+    /// count as traversal work and are dropped: they would corrupt the LUT.
+    #[inline]
+    pub(crate) fn trace(
+        &self,
+        projection: [f32; 2],
+        t_max: f32,
+        stats: &mut TraversalStats,
+        mut on_entry: impl FnMut(u16, f32),
+    ) {
+        let qx = projection[0] * self.coord_scale;
+        let qy = projection[1] * self.coord_scale;
+        let q_sq = qx * qx + qy * qy;
+        self.table.trace(qx, qy, t_max, stats, |hit| {
+            let entry = hit.primitive_id.wrapping_sub(self.first_primitive);
+            if entry >= self.entries {
+                return;
+            }
+            let dz = 1.0 - hit.t_hit;
+            let value = match self.metric {
+                Metric::L2 => (self.radius_sq - dz * dz).max(0.0) / self.scale_sq,
+                Metric::InnerProduct => 0.5 * (q_sq - self.radius_sq + dz * dz) / self.scale_sq,
+            };
+            on_entry(entry as u16, value);
+        });
+    }
+}
+
 /// The `z` depth of subspace `s`'s entry plane (`2s + 1`).
 fn layer_z(subspace: usize) -> f32 {
     2.0 * subspace as f32 + 1.0
+}
+
+/// The `z` depth subspace `s`'s query rays start from, one unit below its
+/// entry plane.
+fn origin_z(subspace: usize) -> f32 {
+    layer_z(subspace) - 1.0
 }
 
 fn encode_primitive(subspace: usize, entry: usize, entries_per_subspace: usize) -> u32 {

@@ -15,6 +15,9 @@
 //!   median-split strategy and an iterative traversal loop.
 //! * [`scene`] — the traversable scene: build once offline, trace rays with
 //!   any-hit callbacks online, exactly like an OptiX launch.
+//! * [`table`] — the same traversal flattened for JUNO's canonical ray
+//!   family (`+z`, `t_max ≤ 1`, one origin depth per subspace): lane-parallel
+//!   tables with the BVH's exact hits and counters.
 //! * [`stats`] — traversal work counters (box tests, primitive tests, hit
 //!   shader invocations) that stand in for RT-core cycles.
 //! * [`hardware`] — per-generation RT-core throughput figures (Turing /
@@ -51,6 +54,7 @@ pub mod ray;
 pub mod scene;
 pub mod sphere;
 pub mod stats;
+pub mod table;
 
 pub use aabb::Aabb;
 pub use bvh::Bvh;
@@ -59,3 +63,4 @@ pub use ray::Ray;
 pub use scene::{Hit, Scene, SceneBuilder};
 pub use sphere::Sphere;
 pub use stats::TraversalStats;
+pub use table::ZRayTable;
