@@ -169,22 +169,11 @@ impl IvfFlatIndex {
     /// Propagates I/O errors and the decoding failure of the newest
     /// readable candidate.
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let mut last_err = None;
-        for (candidate, bytes) in juno_common::atomic_file::read_candidates(path)? {
-            match Self::from_snapshot_bytes(&bytes) {
-                Ok(index) => return Ok(index),
-                Err(err) => {
-                    last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())))
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            Error::Io(format!(
-                "no snapshot found at {} (nor a .prev generation)",
-                path.display()
-            ))
-        }))
+        juno_common::atomic_file::load_newest(
+            path.as_ref(),
+            |p| std::fs::read(p),
+            |bytes| Self::from_snapshot_bytes(&bytes),
+        )
     }
 }
 

@@ -141,6 +141,51 @@ pub fn read_candidates(path: &Path) -> Result<Vec<(PathBuf, Vec<u8>)>> {
     Ok(out)
 }
 
+/// Restores from the newest generation at `path` that validates — the one
+/// walk behind every snapshot loader. Each candidate of
+/// [`read_candidates`]' order (the live file, then `<path>.prev`) is opened
+/// with `open` ([`std::fs::read`] for a copy restore,
+/// [`Mmap::open`](crate::mmap::Mmap::open) for a mapped one) and handed to
+/// `restore`; the first success wins.
+///
+/// # Errors
+///
+/// The contract of [`read_candidates`], for any way of opening a file: a
+/// missing candidate is skipped, any other open failure is [`Error::Io`] at
+/// once ("could not read" is neither "nothing persisted" nor "corrupt").
+/// [`Error::Unsupported`] from `restore` passes through — an engine without
+/// persistence fails every candidate the same way. Any other `restore`
+/// failure moves on to the next generation; when none is left, the last
+/// one is reported as [`Error::Corrupted`] labelled with its candidate
+/// path, or [`Error::Io`] when no candidate existed at all.
+pub fn load_newest<S, T>(
+    path: &Path,
+    open: impl Fn(&Path) -> std::io::Result<S>,
+    mut restore: impl FnMut(S) -> Result<T>,
+) -> Result<T> {
+    let mut last_err = None;
+    for candidate in [path.to_path_buf(), prev_path(path)] {
+        let source = match open(&candidate) {
+            Ok(source) => source,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(io_err("read candidate", &candidate, e)),
+        };
+        match restore(source) {
+            Ok(restored) => return Ok(restored),
+            Err(err @ Error::Unsupported(_)) => return Err(err),
+            Err(err) => {
+                last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())));
+            }
+        }
+    }
+    Err(last_err.unwrap_or_else(|| {
+        Error::Io(format!(
+            "no snapshot found at {} (nor a .prev generation)",
+            path.display()
+        ))
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,6 +122,17 @@ impl Error {
         Error::Corrupted(msg.to_string())
     }
 
+    /// The [`Error::Corrupted`] a loader answers a snapshot section with when
+    /// its payload is in an encoding this build does not read: names the
+    /// section, what was `found` there, the one `version` the loader reads,
+    /// and the offline tool that converts files older builds wrote.
+    pub fn outdated(section: &str, found: impl fmt::Display, version: u32) -> Self {
+        Error::Corrupted(format!(
+            "{section}: found {found}, this build reads only version {version} — \
+             if an older build wrote the file, run `snapshot-upgrade <old> <new>` on it"
+        ))
+    }
+
     /// Builds an [`Error::WorkerPanicked`] from anything displayable.
     pub fn worker_panicked(msg: impl fmt::Display) -> Self {
         Error::WorkerPanicked(msg.to_string())

@@ -594,26 +594,7 @@ pub trait AnnIndex: Send + Sync {
     /// rejected. On error the index is unchanged (engine restores are
     /// all-or-nothing by contract).
     fn load_from_path(&mut self, path: &std::path::Path) -> Result<()> {
-        let candidates = crate::atomic_file::read_candidates(path)?;
-        if candidates.is_empty() {
-            return Err(Error::Io(format!(
-                "no snapshot found at {} (nor a .prev generation)",
-                path.display()
-            )));
-        }
-        let mut last_err = None;
-        for (candidate, bytes) in candidates {
-            match self.restore(&bytes) {
-                Ok(()) => return Ok(()),
-                // An engine without persistence fails every candidate the
-                // same way; report that directly, not as file corruption.
-                Err(err @ Error::Unsupported(_)) => return Err(err),
-                Err(err) => {
-                    last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())));
-                }
-            }
-        }
-        Err(last_err.expect("at least one candidate was tried"))
+        crate::atomic_file::load_newest(path, |p| std::fs::read(p), |bytes| self.restore(&bytes))
     }
 
     /// The direction in which this index's raw [`Neighbor::distance`] values

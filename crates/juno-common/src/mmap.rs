@@ -170,22 +170,21 @@ impl Mmap {
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] when the file cannot be opened or read.
-    pub fn open(path: &Path) -> Result<Arc<Self>> {
+    /// The I/O error of the failing open / stat / read, kind intact — so a
+    /// caller walking snapshot generations
+    /// ([`crate::atomic_file::load_newest`]) can tell a missing file from an
+    /// unreadable one.
+    pub fn open(path: &Path) -> std::io::Result<Arc<Self>> {
         #[cfg(all(unix, target_pointer_width = "64"))]
         if mmap_supported() {
             use std::os::unix::io::AsRawFd;
-            let file = std::fs::File::open(path)
-                .map_err(|e| Error::Io(format!("open {}: {e}", path.display())))?;
-            let len = file
-                .metadata()
-                .map_err(|e| Error::Io(format!("stat {}: {e}", path.display())))?
-                .len();
+            let file = std::fs::File::open(path)?;
+            let len = file.metadata()?.len();
             if len > usize::MAX as u64 / 2 {
-                return Err(Error::Io(format!(
-                    "map {}: file of {len} bytes exceeds the address space",
-                    path.display()
-                )));
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("file of {len} bytes exceeds the address space"),
+                ));
             }
             let len = len as usize;
             if len > 0 {
@@ -204,9 +203,7 @@ impl Mmap {
             // Zero-length files and exotic filesystems that refuse MAP_SHARED
             // fall through to the owned read below.
         }
-        let bytes =
-            std::fs::read(path).map_err(|e| Error::Io(format!("read {}: {e}", path.display())))?;
-        Ok(Arc::new(Self::from_vec(bytes)))
+        Ok(Arc::new(Self::from_vec(std::fs::read(path)?)))
     }
 
     /// Wraps an owned buffer behind the [`Mmap`] API (used by the portable
@@ -551,7 +548,7 @@ mod tests {
     fn missing_file_is_io_error() {
         let dir = scratch("missing");
         let err = Mmap::open(&dir.join("nope.bin")).unwrap_err();
-        assert!(matches!(err, Error::Io(_)), "got {err:?}");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "got {err:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -39,7 +39,6 @@
 //!   panic, however they were truncated or bit-flipped.
 
 use juno_common::error::{Error, Result};
-use std::path::Path;
 
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"JUNOSNAP";
@@ -52,6 +51,12 @@ pub const CONTAINER_HEADER_LEN: usize = 20;
 
 /// Byte length of the per-section prefix (tag + payload length + checksum).
 pub const SECTION_PREFIX_LEN: usize = 16;
+
+/// Opens every versioned section payload, ahead of its `u32` version. The
+/// unversioned encodings of the same sections began with a count or a
+/// discriminant byte, which can never read as `u64::MAX`, so a loader can
+/// tell a payload it does not read from a damaged one.
+pub const VERSION_SENTINEL: u64 = u64::MAX;
 
 /// Builds the `u32` engine-kind word from four ASCII bytes.
 pub const fn kind(tag: [u8; 4]) -> u32 {
@@ -153,29 +158,18 @@ impl SectionWriter {
         self.buf.extend_from_slice(vs);
     }
 
+    /// Appends the in-band heading of a versioned payload: the
+    /// [`VERSION_SENTINEL`], then `version` (read back by
+    /// [`SectionReader::expect_version`]).
+    pub fn put_version(&mut self, version: u32) {
+        self.put_u64(VERSION_SENTINEL);
+        self.put_u32(version);
+    }
+
     /// Appends raw bytes verbatim (no length prefix) — container surgery
     /// such as re-encoding one section of an existing snapshot.
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Current payload length in bytes — what writers computing absolute
-    /// file offsets (e.g. for alignment-sensitive mapped sections) add up.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns `true` when nothing has been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends a length-prefixed `u16` slice.
-    pub fn put_u16s(&mut self, vs: &[u16]) {
-        self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
     }
 
     /// Appends a length-prefixed `u32` slice.
@@ -249,10 +243,22 @@ impl SnapshotWriter {
         self
     }
 
+    /// The absolute offset at which [`SnapshotWriter::finish`] will place
+    /// the payload of the *next* section added — what a writer of an
+    /// alignment-sensitive payload (the mapped `CODE`/`LAYT` layouts, a
+    /// fleet's embedded engine snapshots) pads against.
+    pub fn next_payload_offset(&self) -> usize {
+        let written: usize = self
+            .sections
+            .iter()
+            .map(|(_, p)| SECTION_PREFIX_LEN + p.len())
+            .sum();
+        CONTAINER_HEADER_LEN + written + SECTION_PREFIX_LEN
+    }
+
     /// Serialises header + sections into the final byte buffer.
     pub fn finish(self) -> Vec<u8> {
-        let body: usize = self.sections.iter().map(|(_, p)| 16 + p.len()).sum();
-        let mut out = Vec::with_capacity(20 + body);
+        let mut out = Vec::with_capacity(self.next_payload_offset() - SECTION_PREFIX_LEN);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.kind.to_le_bytes());
@@ -267,49 +273,37 @@ impl SnapshotWriter {
     }
 }
 
-/// Writes snapshot bytes to a file through the crash-safe
-/// [`atomic_file::write_atomic`](juno_common::atomic_file::write_atomic)
-/// protocol (temp + fsync + rename, previous generation rotated to
-/// `<path>.prev`).
-///
-/// Deprecated: call `write_atomic` directly — this wrapper survives only so
-/// old call sites keep compiling, and no longer offers anything over it.
-/// Before it delegated, a crash mid-write corrupted the only copy on disk,
-/// which is why every save helper now routes through the atomic protocol.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] when the file cannot be written.
-#[deprecated(note = "use juno_common::atomic_file::write_atomic directly")]
-pub fn write_snapshot_file(path: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
-    juno_common::atomic_file::write_atomic(path.as_ref(), bytes)
-}
-
-/// Reads snapshot bytes from a file.
-///
-/// Reads only the live generation at `path`; restore paths that want
-/// torn-write recovery iterate
-/// [`atomic_file::read_candidates`](juno_common::atomic_file::read_candidates)
-/// instead, falling back to `<path>.prev` when the live file is missing or
-/// fails validation.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] when the file cannot be read.
-pub fn read_snapshot_file(path: impl AsRef<Path>) -> Result<Vec<u8>> {
-    Ok(std::fs::read(path.as_ref())?)
-}
-
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
-/// A parsed snapshot: validated header plus checksummed sections, borrowed
-/// from the input bytes.
+/// The engine kind of the container `bytes` opens with, read off the header
+/// alone — for a caller that must pick a decoder before anything is parsed
+/// or checksummed. `None` when `bytes` does not start with a container
+/// header.
+pub fn peek_kind(bytes: &[u8]) -> Option<u32> {
+    (bytes.len() >= CONTAINER_HEADER_LEN && bytes[..8] == MAGIC)
+        .then(|| u32::from_le_bytes(bytes[12..16].try_into().expect("4-byte slice")))
+}
+
+/// A parsed snapshot: validated header and section table over the input
+/// bytes, which may be an owned buffer or a region of an mmap'd file — the
+/// container does not care.
+///
+/// [`Snapshot::parse`] checksums every payload. That touches every byte, so
+/// over a mapping it would fault the whole file into memory — the opposite
+/// of what an out-of-core restore wants. [`Snapshot::parse_lazy`] walks the
+/// same framing with the same header, bounds and tag-uniqueness checks but
+/// skips the container checksum of the sections its predicate claims; those
+/// are payloads that carry their own finer-grained checksums (the v3 frame
+/// of `IVFC`/`THRM`, the per-cluster checksums of `CODE`/`LAYT`, a fleet's
+/// embedded engine snapshots), which their decoders verify instead.
 #[derive(Debug)]
 pub struct Snapshot<'a> {
+    bytes: &'a [u8],
     kind: u32,
-    sections: Vec<([u8; 4], &'a [u8])>,
+    /// `(tag, payload offset within `bytes`, payload length)`, sorted by tag.
+    sections: Vec<([u8; 4], usize, usize)>,
 }
 
 impl<'a> Snapshot<'a> {
@@ -320,126 +314,18 @@ impl<'a> Snapshot<'a> {
     ///
     /// Returns [`Error::Corrupted`] for any malformed input; never panics.
     pub fn parse(bytes: &'a [u8]) -> Result<Self> {
-        let mut cur = SectionReader { bytes };
-        let magic = cur.take(8)?;
-        if magic != MAGIC {
-            return Err(corrupted("bad magic"));
-        }
-        let version = cur.get_u32()?;
-        if version != FORMAT_VERSION {
-            return Err(corrupted(format!(
-                "unknown container version {version} (reader supports {FORMAT_VERSION})"
-            )));
-        }
-        let kind = cur.get_u32()?;
-        let count = cur.get_u32()? as usize;
-        let mut sections: Vec<([u8; 4], &[u8])> = Vec::new();
-        for _ in 0..count {
-            let tag: [u8; 4] = cur.take(4)?.try_into().expect("take(4) yields 4 bytes");
-            let len = usize::try_from(cur.get_u64()?)
-                .map_err(|_| corrupted("section length exceeds address space"))?;
-            let checksum = cur.get_u32()?;
-            let payload = cur.take(len)?;
-            if fnv1a(payload) != checksum {
-                return Err(corrupted(format!(
-                    "checksum mismatch in section {:?}",
-                    String::from_utf8_lossy(&tag)
-                )));
-            }
-            sections.push((tag, payload));
-        }
-        if !cur.bytes.is_empty() {
-            return Err(corrupted("trailing bytes after final section"));
-        }
-        // Sort the table once so lookups are O(log n) and duplicates become
-        // adjacent — with per-cluster section tables (out-of-core layout) a
-        // linear `any()` per insert is O(n²) in the section count.
-        sections.sort_unstable_by_key(|&(tag, _)| tag);
-        if sections.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(corrupted("duplicate section tag"));
-        }
-        Ok(Self { kind, sections })
+        Self::parse_lazy(bytes, |_| false)
     }
 
-    /// The engine kind stored in the header.
-    pub fn kind(&self) -> u32 {
-        self.kind
-    }
-
-    /// Number of sections.
-    pub fn num_sections(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// Opens the section with the given tag for reading (binary search over
-    /// the tag-sorted table built by [`Snapshot::parse`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupted`] when the section is absent.
-    pub fn section(&self, tag: [u8; 4]) -> Result<SectionReader<'a>> {
-        self.sections
-            .binary_search_by_key(&tag, |&(t, _)| t)
-            .map(|i| SectionReader {
-                bytes: self.sections[i].1,
-            })
-            .map_err(|_| {
-                corrupted(format!(
-                    "missing section {:?}",
-                    String::from_utf8_lossy(&tag)
-                ))
-            })
-    }
-
-    /// Whether a section with the given tag is present — lets decoders
-    /// branch on optional sections without treating absence as corruption.
-    pub fn has_section(&self, tag: [u8; 4]) -> bool {
-        self.sections
-            .binary_search_by_key(&tag, |&(t, _)| t)
-            .is_ok()
-    }
-}
-
-/// A snapshot parsed *in place* over a shared [`Mmap`] region — the
-/// zero-copy twin of [`Snapshot::parse`].
-///
-/// [`Snapshot::parse`] checksums every payload, which touches every byte
-/// and would fault the whole file into memory — the opposite of what an
-/// out-of-core restore wants. `MappedSnapshot` walks the same framing and
-/// validates the header, section table, bounds and tag uniqueness, but
-/// checksums only the sections its `is_lazy` predicate rejects. Lazy
-/// sections (the big CODE/LAYT payloads, fleet shard sections) record their
-/// absolute payload range and expected checksum instead; their consumers
-/// either carry finer-grained per-cluster checksums verified on first touch
-/// or call [`MappedSnapshot::verify_section`] before copying.
-#[derive(Debug)]
-pub struct MappedSnapshot {
-    map: std::sync::Arc<juno_common::mmap::Mmap>,
-    kind: u32,
-    /// `(tag, absolute payload offset, payload length, stored checksum)`,
-    /// sorted by tag.
-    sections: Vec<([u8; 4], usize, usize, u32)>,
-}
-
-impl MappedSnapshot {
-    /// Parses the snapshot container at `map[off..off + len]`, checksumming
-    /// every section except those `is_lazy` claims.
+    /// [`Snapshot::parse`], except that the sections `is_lazy` claims keep
+    /// their container checksum unverified (see the type docs for who
+    /// verifies them instead).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupted`] for any malformed framing, out-of-range
     /// section, duplicate tag or eager-section checksum mismatch.
-    pub fn parse(
-        map: std::sync::Arc<juno_common::mmap::Mmap>,
-        off: usize,
-        len: usize,
-        is_lazy: impl Fn(&[u8; 4]) -> bool,
-    ) -> Result<Self> {
-        let end = off
-            .checked_add(len)
-            .filter(|&e| e <= map.len())
-            .ok_or_else(|| corrupted("snapshot range exceeds the mapped file"))?;
-        let bytes = &map.as_slice()[off..end];
+    pub fn parse_lazy(bytes: &'a [u8], is_lazy: impl Fn(&[u8; 4]) -> bool) -> Result<Self> {
         let mut cur = SectionReader { bytes };
         if cur.take(8)? != MAGIC {
             return Err(corrupted("bad magic"));
@@ -452,33 +338,36 @@ impl MappedSnapshot {
         }
         let kind = cur.get_u32()?;
         let count = cur.get_u32()? as usize;
-        let mut sections: Vec<([u8; 4], usize, usize, u32)> = Vec::with_capacity(count.min(1024));
+        let mut sections: Vec<([u8; 4], usize, usize)> = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
             let tag: [u8; 4] = cur.take(4)?.try_into().expect("take(4) yields 4 bytes");
-            let sec_len = usize::try_from(cur.get_u64()?)
+            let len = usize::try_from(cur.get_u64()?)
                 .map_err(|_| corrupted("section length exceeds address space"))?;
             let checksum = cur.get_u32()?;
-            // The payload's absolute offset is recoverable from how much of
-            // `bytes` the cursor has consumed so far.
-            let consumed = bytes.len() - cur.bytes.len();
-            let payload = cur.take(sec_len)?;
+            // The payload's offset is how much of `bytes` the cursor has
+            // consumed so far.
+            let offset = bytes.len() - cur.bytes.len();
+            let payload = cur.take(len)?;
             if !is_lazy(&tag) && fnv1a(payload) != checksum {
                 return Err(corrupted(format!(
                     "checksum mismatch in section {:?}",
                     String::from_utf8_lossy(&tag)
                 )));
             }
-            sections.push((tag, off + consumed, sec_len, checksum));
+            sections.push((tag, offset, len));
         }
         if !cur.bytes.is_empty() {
             return Err(corrupted("trailing bytes after final section"));
         }
+        // Sort the table once so lookups are O(log n) and duplicates become
+        // adjacent — with per-cluster section tables (out-of-core layout) a
+        // linear `any()` per insert is O(n²) in the section count.
         sections.sort_unstable_by_key(|&(tag, ..)| tag);
         if sections.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err(corrupted("duplicate section tag"));
         }
         Ok(Self {
-            map,
+            bytes,
             kind,
             sections,
         })
@@ -489,78 +378,50 @@ impl MappedSnapshot {
         self.kind
     }
 
-    /// Number of sections.
-    pub fn num_sections(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// The shared mapping this snapshot was parsed from.
-    pub fn map(&self) -> &std::sync::Arc<juno_common::mmap::Mmap> {
-        &self.map
-    }
-
     /// Tags of all sections, sorted.
     pub fn tags(&self) -> impl Iterator<Item = [u8; 4]> + '_ {
         self.sections.iter().map(|&(tag, ..)| tag)
     }
 
-    fn entry(&self, tag: [u8; 4]) -> Result<&([u8; 4], usize, usize, u32)> {
+    fn find(&self, tag: [u8; 4]) -> Option<(usize, usize)> {
         self.sections
             .binary_search_by_key(&tag, |&(t, ..)| t)
-            .map(|i| &self.sections[i])
-            .map_err(|_| {
-                corrupted(format!(
-                    "missing section {:?}",
-                    String::from_utf8_lossy(&tag)
-                ))
-            })
+            .ok()
+            .map(|i| (self.sections[i].1, self.sections[i].2))
     }
 
-    /// The absolute `(offset, length)` of a section's payload within the
-    /// mapping — what the zero-copy decoders slice their views from.
+    /// The `(offset, length)` of a section's payload within the parsed
+    /// bytes (binary search over the tag-sorted table) — what a zero-copy
+    /// decoder slices its view of a mapping from.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupted`] when the section is absent.
     pub fn section_range(&self, tag: [u8; 4]) -> Result<(usize, usize)> {
-        self.entry(tag).map(|&(_, off, len, _)| (off, len))
+        self.find(tag).ok_or_else(|| {
+            corrupted(format!(
+                "missing section {:?}",
+                String::from_utf8_lossy(&tag)
+            ))
+        })
     }
 
-    /// Whether a section with the given tag is present — the mapped twin of
-    /// [`Snapshot::has_section`].
-    pub fn has_section(&self, tag: [u8; 4]) -> bool {
-        self.entry(tag).is_ok()
-    }
-
-    /// Opens a section for cursor-based reading, borrowing from the mapping
-    /// (no copy; reading faults pages in as it goes).
+    /// Opens the section with the given tag for cursor-based reading.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupted`] when the section is absent.
-    pub fn section_reader(&self, tag: [u8; 4]) -> Result<SectionReader<'_>> {
-        let &(_, off, len, _) = self.entry(tag)?;
+    pub fn section(&self, tag: [u8; 4]) -> Result<SectionReader<'a>> {
+        let (offset, len) = self.section_range(tag)?;
         Ok(SectionReader {
-            bytes: &self.map.as_slice()[off..off + len],
+            bytes: &self.bytes[offset..offset + len],
         })
     }
 
-    /// Checksums a (lazy) section in full — the copy-path fallback uses
-    /// this before deserializing a section it will not verify lazily.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupted`] when the section is absent or its
-    /// checksum does not match.
-    pub fn verify_section(&self, tag: [u8; 4]) -> Result<()> {
-        let &(_, off, len, checksum) = self.entry(tag)?;
-        if fnv1a(&self.map.as_slice()[off..off + len]) != checksum {
-            return Err(corrupted(format!(
-                "checksum mismatch in section {:?}",
-                String::from_utf8_lossy(&tag)
-            )));
-        }
-        Ok(())
+    /// Whether a section with the given tag is present — lets decoders
+    /// branch on optional sections without treating absence as corruption.
+    pub fn has_section(&self, tag: [u8; 4]) -> bool {
+        self.find(tag).is_some()
     }
 }
 
@@ -590,6 +451,27 @@ impl<'a> SectionReader<'a> {
         let (head, tail) = self.bytes.split_at(n);
         self.bytes = tail;
         Ok(head)
+    }
+
+    /// Consumes the heading [`SectionWriter::put_version`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::outdated`] — naming `section`, what was found and the
+    /// `snapshot-upgrade` tool — when the payload is unversioned or carries
+    /// another version; [`Error::Corrupted`] on truncation.
+    pub fn expect_version(&mut self, section: &str, version: u32) -> Result<()> {
+        if self.get_u64()? != VERSION_SENTINEL {
+            return Err(Error::outdated(section, "an unversioned payload", version));
+        }
+        match self.get_u32()? {
+            found if found == version => Ok(()),
+            found => Err(Error::outdated(
+                section,
+                format_args!("version {found}"),
+                version,
+            )),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -734,20 +616,6 @@ impl<'a> SectionReader<'a> {
         self.take(self.bytes.len()).expect("length is exact")
     }
 
-    /// Reads a length-prefixed `u16` slice.
-    ///
-    /// # Errors
-    ///
-    /// See [`SectionReader::get_u8`].
-    pub fn get_u16s(&mut self) -> Result<Vec<u16>> {
-        let n = self.slice_len(2)?;
-        let bytes = self.take(n * 2)?;
-        Ok(bytes
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().expect("chunks_exact(2)")))
-            .collect())
-    }
-
     /// Reads a length-prefixed `u32` slice.
     ///
     /// # Errors
@@ -827,7 +695,6 @@ mod tests {
         let mut b = SectionWriter::new();
         b.put_bools(&[true, false, true]);
         b.put_u8s(&[9, 0, 255]);
-        b.put_u16s(&[1, 2, 65535]);
         b.put_u32s(&[10, 20]);
         b.put_u64s(&[u64::MAX]);
         b.put_f32s(&[0.25, f32::NAN]);
@@ -840,82 +707,61 @@ mod tests {
     }
 
     #[test]
-    fn mapped_parse_matches_copy_parse() {
-        let bytes = sample_snapshot();
-        let map = juno_common::mmap::Mmap::from_bytes(bytes.clone());
-        let snap = MappedSnapshot::parse(map, 0, bytes.len(), |_| false).unwrap();
-        assert_eq!(snap.kind(), K);
-        assert_eq!(snap.num_sections(), 2);
-        let mut a = snap.section_reader(*b"AAAA").unwrap();
-        assert_eq!(a.get_u8().unwrap(), 7);
-        assert_eq!(a.get_u32().unwrap(), 0xDEAD_BEEF);
-        let (off, len) = snap.section_range(*b"BBBB").unwrap();
-        assert!(off > 0 && off + len <= bytes.len());
-        assert!(snap.section_range(*b"ZZZZ").is_err());
-    }
-
-    #[test]
-    fn mapped_parse_at_nonzero_offset() {
+    fn section_ranges_are_offsets_into_the_parsed_bytes() {
         // An engine snapshot embedded inside a larger file (a fleet
-        // S-section) parses from its sub-range.
+        // S-section) parses from its sub-slice; the caller adds the base.
         let inner = sample_snapshot();
         let mut file = vec![0xABu8; 100];
         file.extend_from_slice(&inner);
         file.extend_from_slice(&[0xCD; 7]);
-        let map = juno_common::mmap::Mmap::from_bytes(file);
-        let snap = MappedSnapshot::parse(map, 100, inner.len(), |_| false).unwrap();
+        let snap = Snapshot::parse_lazy(&file[100..100 + inner.len()], |_| true).unwrap();
         assert_eq!(snap.kind(), K);
-        let (off, _) = snap.section_range(*b"AAAA").unwrap();
-        assert!(off >= 100 + 20, "absolute offset includes the base");
-        // Ranges that spill outside the file are corruption, not a panic.
-        let map2 = snap.map().clone();
-        assert!(MappedSnapshot::parse(map2.clone(), 100, inner.len() + 8, |_| false).is_err());
-        assert!(MappedSnapshot::parse(map2, usize::MAX, 8, |_| false).is_err());
+        assert_eq!(snap.tags().collect::<Vec<_>>(), [*b"AAAA", *b"BBBB"]);
+        let (off, len) = snap.section_range(*b"AAAA").unwrap();
+        assert_eq!(off, CONTAINER_HEADER_LEN + SECTION_PREFIX_LEN);
+        assert_eq!(&file[100 + off..100 + off + len][..1], &[7]);
+        assert!(snap.section_range(*b"ZZZZ").is_err());
+        // A slice that spills past the container is corruption, not a panic.
+        assert!(Snapshot::parse_lazy(&file[100..], |_| true).is_err());
+        assert_eq!(peek_kind(&file[100..]), Some(K));
+        assert_eq!(peek_kind(&file), None);
+        assert_eq!(peek_kind(&inner[..CONTAINER_HEADER_LEN - 1]), None);
     }
 
     #[test]
-    fn lazy_sections_skip_checksum_until_verified() {
+    fn next_payload_offset_is_where_finish_places_the_next_payload() {
+        let mut w = SnapshotWriter::new(K);
+        let mut expected = Vec::new();
+        for (i, len) in [0usize, 1, 63, 64, 1000, 7].into_iter().enumerate() {
+            expected.push((w.next_payload_offset(), len));
+            let mut s = SectionWriter::new();
+            s.put_raw(&vec![i as u8 + 1; len]);
+            w.add_section([b'T', b'0', b'0', b'0' + i as u8], s);
+        }
+        let end = w.next_payload_offset() - SECTION_PREFIX_LEN;
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), end);
+        let snap = Snapshot::parse(&bytes).unwrap();
+        for (i, want) in expected.into_iter().enumerate() {
+            let tag = [b'T', b'0', b'0', b'0' + i as u8];
+            assert_eq!(snap.section_range(tag).unwrap(), want, "section {i}");
+        }
+    }
+
+    #[test]
+    fn lazy_sections_skip_the_container_checksum() {
         let mut bytes = sample_snapshot();
-        let cheap = Snapshot::parse(&bytes).unwrap();
-        drop(cheap);
         // Flip one byte inside BBBB's payload (last byte of the file is
         // payload data of the final section).
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF;
         // Eager parse rejects it…
         assert!(Snapshot::parse(&bytes).is_err());
-        let map = juno_common::mmap::Mmap::from_bytes(bytes);
-        // …mapped parse with BBBB lazy defers the check…
-        let snap = MappedSnapshot::parse(map.clone(), 0, n, |tag| tag == b"BBBB").unwrap();
-        // …and verify_section catches it on demand.
-        assert!(snap.verify_section(*b"BBBB").is_err());
-        assert!(snap.verify_section(*b"AAAA").is_ok());
-        // With nothing lazy the parse itself rejects the flip.
-        assert!(MappedSnapshot::parse(map, 0, n, |_| false).is_err());
-    }
-
-    #[test]
-    fn mapped_parse_never_panics_on_truncation_or_garbage() {
-        let bytes = sample_snapshot();
-        for len in 0..bytes.len() {
-            let map = juno_common::mmap::Mmap::from_bytes(bytes[..len].to_vec());
-            assert!(
-                MappedSnapshot::parse(map, 0, len, |_| true).is_err(),
-                "truncation to {len} bytes must be rejected"
-            );
-        }
-        let mut rng = 0x1234_5678_u64;
-        for _ in 0..200 {
-            let len = (rng % 256) as usize;
-            let garbage: Vec<u8> = (0..len)
-                .map(|_| {
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (rng >> 33) as u8
-                })
-                .collect();
-            let map = juno_common::mmap::Mmap::from_bytes(garbage);
-            let _ = MappedSnapshot::parse(map, 0, len, |_| true);
-        }
+        // …a parse with BBBB lazy leaves the check to BBBB's decoder…
+        let snap = Snapshot::parse_lazy(&bytes, |tag| tag == b"BBBB").unwrap();
+        assert!(snap.has_section(*b"BBBB"));
+        // …and a lazy AAAA does not excuse BBBB.
+        assert!(Snapshot::parse_lazy(&bytes, |tag| tag == b"AAAA").is_err());
     }
 
     #[test]
@@ -923,7 +769,6 @@ mod tests {
         let bytes = sample_snapshot();
         let snap = Snapshot::parse(&bytes).unwrap();
         assert_eq!(snap.kind(), K);
-        assert_eq!(snap.num_sections(), 2);
 
         let mut a = snap.section(*b"AAAA").unwrap();
         assert_eq!(a.get_u8().unwrap(), 7);
@@ -940,7 +785,6 @@ mod tests {
         let mut b = snap.section(*b"BBBB").unwrap();
         assert_eq!(b.get_bools().unwrap(), vec![true, false, true]);
         assert_eq!(b.get_u8s().unwrap(), vec![9, 0, 255]);
-        assert_eq!(b.get_u16s().unwrap(), vec![1, 2, 65535]);
         assert_eq!(b.get_u32s().unwrap(), vec![10, 20]);
         assert_eq!(b.get_u64s().unwrap(), vec![u64::MAX]);
         let f32s = b.get_f32s().unwrap();
@@ -957,8 +801,9 @@ mod tests {
     #[test]
     fn raw_bytes_and_take_rest_support_container_surgery() {
         // Copy one section of an existing snapshot verbatim into a new
-        // container (the tool the back-compat tests use to synthesise
-        // legacy-format snapshots).
+        // container (how `tests/snapshot_upgrade.rs` synthesises the
+        // snapshots older builds wrote, and how `snapshot-upgrade` carries
+        // over the sections it does not transcode).
         let bytes = sample_snapshot();
         let snap = Snapshot::parse(&bytes).unwrap();
         let payload = snap.section(*b"AAAA").unwrap().take_rest().to_vec();
@@ -974,24 +819,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the wrapper must keep working until it is removed
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("juno_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("container.snap");
-        let bytes = sample_snapshot();
-        write_snapshot_file(&path, &bytes).unwrap();
-        assert_eq!(read_snapshot_file(&path).unwrap(), bytes);
-        std::fs::remove_file(&path).ok();
-        assert!(read_snapshot_file("/nonexistent/juno.snap").is_err());
-    }
-
-    #[test]
     fn every_truncation_errors_not_panics() {
         let bytes = sample_snapshot();
         for len in 0..bytes.len() {
             let r = Snapshot::parse(&bytes[..len]);
             assert!(r.is_err(), "truncation to {len} bytes must be rejected");
+            // The framing alone catches it, with every checksum skipped.
+            assert!(Snapshot::parse_lazy(&bytes[..len], |_| true).is_err());
         }
     }
 
@@ -1024,6 +858,7 @@ mod tests {
             let len = rng.gen_range(0..300usize);
             let garbage: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256usize) as u8).collect();
             let _ = Snapshot::parse(&garbage); // must not panic
+            let _ = Snapshot::parse_lazy(&garbage, |_| true);
         }
         // Garbage with a valid prefix but absurd section lengths.
         let mut w = Vec::new();

@@ -1,16 +1,14 @@
-//! The v3 ("mapped") binary layout of the hot snapshot sections, and its
+//! The binary layout of the hot snapshot sections (`CODE`, `LAYT`), and its
 //! encoders/decoders.
 //!
-//! v2 snapshot sections store the code layout as a stream of length-prefixed
-//! vectors — compact, but restoring means deserialize-copying every byte
-//! into fresh allocations. The v3 layout instead stores the hot arrays
-//! (base point ids, point-major codes, the block-interleaved fast-scan
-//! view) **in their exact in-memory representation**, padded so each array
-//! starts 64-byte aligned *in the file*, with explicit offsets in a fixed
-//! header. A reader can then serve the arrays zero-copy straight out of an
-//! `mmap` of the snapshot ([`map_layout_v3`]) — restore cost is
-//! O(clusters) header/directory validation, not O(index bytes) — or copy
-//! them out for the portable RAM-resident path ([`decode_layout_v3`]).
+//! The hot arrays (base point ids, point-major codes, the block-interleaved
+//! fast-scan view) are stored **in their exact in-memory representation**,
+//! padded so each array starts 64-byte aligned *in the file*, with explicit
+//! offsets in a fixed header. A reader can then serve the arrays zero-copy
+//! straight out of an `mmap` of the snapshot ([`map_layout_v3`]) — restore
+//! cost is O(clusters) header/directory validation, not O(index bytes) — or
+//! copy them out for the portable RAM-resident path ([`decode_layout_v3`]).
+//! Both read the same bytes; there is no other encoding of these sections.
 //!
 //! Integrity is split in two tiers so an out-of-core restore does not
 //! fault the whole file in:
@@ -30,10 +28,10 @@
 //! silently fall back to owned decoded copies
 //! ([`U32Store::from_le_bytes`]), and the byte arrays need no alignment.
 //!
-//! Both payloads open with the `u64::MAX` sentinel + a `u32` version, the
-//! same in-band versioning scheme the v2 sections use (a legitimate legacy
-//! length prefix can never be `u64::MAX`), so v2 snapshots remain readable
-//! through the copy path.
+//! Both payloads open with the `u64::MAX` sentinel + a `u32` version (3).
+//! The encodings older builds wrote — a stream of length-prefixed vectors,
+//! versioned 2 or not at all — are answered with [`Error::outdated`], which
+//! names the offline `snapshot-upgrade` tool that still decodes them.
 
 use crate::layout::{BlockCodes, IvfListCodes};
 use crate::pq::{EncodedPoints, LazyCodeMeta};
@@ -43,7 +41,7 @@ use juno_common::mmap::{ByteStore, MappedBytes, Mmap, ResidencyConfig, U32Store}
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// In-band sentinel marking a versioned (non-legacy) section payload.
+/// In-band sentinel opening a versioned section payload.
 pub const MAPPED_SENTINEL: u64 = u64::MAX;
 /// The mapped layout version this module writes for the LAYT section.
 pub const LAYOUT_MAPPED_VERSION: u32 = 3;
@@ -95,6 +93,28 @@ fn wr_u64(b: &mut [u8], at: usize, v: u64) {
 
 fn to_usize(v: u64, what: &str) -> Result<usize> {
     usize::try_from(v).map_err(|_| Error::corrupted(format!("{what} {v} exceeds address space")))
+}
+
+/// Checks the sentinel + version heading of `section`'s payload — what
+/// `juno_data::snapshot::SectionReader::expect_version` does over a cursor
+/// (`juno-quant` sits below `juno-data`, as for [`fnv1a_chain`]).
+fn expect_version(section: &str, b: &[u8], version: u32) -> Result<()> {
+    if b.len() < 12 {
+        return Err(Error::corrupted(format!(
+            "{section}: payload shorter than its version heading"
+        )));
+    }
+    if rd_u64(b, 0) != MAPPED_SENTINEL {
+        return Err(Error::outdated(section, "an unversioned payload", version));
+    }
+    match rd_u32(b, 8) {
+        found if found == version => Ok(()),
+        found => Err(Error::outdated(
+            section,
+            format_args!("version {found}"),
+            version,
+        )),
+    }
 }
 
 /// `a + b` with corruption (not panic/wrap) on overflow.
@@ -274,17 +294,9 @@ struct LayoutV3 {
 
 fn parse_layout_v3(b: &[u8]) -> Result<LayoutV3> {
     let bad = |msg: &str| Error::corrupted(format!("mapped layout: {msg}"));
+    expect_version("LAYT", b, LAYOUT_MAPPED_VERSION)?;
     if b.len() < LAYT_HEADER_LEN {
         return Err(bad("payload shorter than the v3 header"));
-    }
-    if rd_u64(b, 0) != MAPPED_SENTINEL {
-        return Err(bad("missing v3 sentinel"));
-    }
-    let version = rd_u32(b, 8);
-    if version != LAYOUT_MAPPED_VERSION {
-        return Err(Error::corrupted(format!(
-            "mapped layout: unknown version {version} (reader supports {LAYOUT_MAPPED_VERSION})"
-        )));
     }
     if rd_u32(b, 12) != 0 {
         return Err(bad("unknown flags"));
@@ -566,17 +578,9 @@ pub fn encode_codes_v3(codes: &EncodedPoints, abs_off: usize) -> Vec<u8> {
 /// Parses a CODE v3 header: `(S, n, data_off, checksum, max_code)`.
 fn parse_codes_v3(b: &[u8]) -> Result<(usize, usize, usize, u32, u8)> {
     let bad = |msg: &str| Error::corrupted(format!("mapped codes: {msg}"));
+    expect_version("CODE", b, CODES_MAPPED_VERSION)?;
     if b.len() < CODE_HEADER_LEN {
         return Err(bad("payload shorter than the v3 header"));
-    }
-    if rd_u64(b, 0) != MAPPED_SENTINEL {
-        return Err(bad("missing v3 sentinel"));
-    }
-    let version = rd_u32(b, 8);
-    if version != CODES_MAPPED_VERSION {
-        return Err(Error::corrupted(format!(
-            "mapped codes: unknown version {version} (reader supports {CODES_MAPPED_VERSION})"
-        )));
     }
     if rd_u32(b, 12) != 0 {
         return Err(bad("unknown flags"));

@@ -16,7 +16,7 @@
 //! * [`BackgroundCompactor`] — periodic per-shard compaction off the read
 //!   path, surviving (counting, logging, backing off from) sweep failures.
 //! * `SHRD` snapshots ([`KIND_SHARD`]) — whole-fleet persistence framing
-//!   each shard engine's own snapshot, with legacy unsharded snapshots
+//!   each shard engine's own snapshot, with unsharded engine snapshots
 //!   restoring into a single-shard fleet; `save_to_path` /
 //!   [`ShardedIndex::from_snapshot_path`] add the crash-safe on-disk
 //!   protocol (write-temp + fsync + atomic rename, with a rotated `.prev`
@@ -300,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_snapshot_round_trips_and_legacy_restores_to_one_shard() {
+    fn fleet_snapshot_round_trips_and_unsharded_restores_to_one_shard() {
         let fleet = ShardedIndex::from_monolith(
             MiniIndex::new(grid_rows(80)),
             4,
@@ -323,16 +323,16 @@ mod tests {
             "fleet snapshot",
         );
 
-        // Legacy unsharded engine snapshot → single-shard fleet.
+        // Unsharded engine snapshot → single-shard fleet.
         let mono = MiniIndex::new(grid_rows(40));
-        let legacy = mono.snapshot().unwrap();
+        let unsharded = mono.snapshot().unwrap();
         let mut fleet2 = fleet;
-        fleet2.restore_from_bytes(&legacy).unwrap();
+        fleet2.restore_from_bytes(&unsharded).unwrap();
         assert_eq!(fleet2.num_shards(), 1);
         assert_bit_identical(
             &fleet2.search(&[1.0, 0.0], 5).unwrap(),
             &mono.search(&[1.0, 0.0], 5).unwrap(),
-            "legacy restore",
+            "unsharded restore",
         );
     }
 

@@ -10,21 +10,21 @@
 //!   id maps;
 //! * one `S000`, `S001`, … section per shard, each holding that shard
 //!   engine's **own** snapshot bytes verbatim (so every engine keeps its
-//!   established format, checksums and back-compat story — the fleet layer
-//!   only frames them).
+//!   own format and checksums — the fleet layer only frames them).
 //!
-//! Shard sections are framed (framing v2) as a `u64::MAX` sentinel, a
-//! `u32` framing version and a `u32` pad length followed by that many zero
-//! bytes, placing the engine bytes at a 64-byte-aligned absolute file
-//! offset — the alignment the engines' own mapped (v3) hot sections assume,
-//! so a fleet snapshot can be served zero-copy from an mmap'd file
-//! ([`decode_fleet_mapped`]). Legacy length-prefixed shard sections are
-//! still decoded.
+//! Shard sections are framed as a `u64::MAX` sentinel, a `u32` framing
+//! version and a `u32` pad length followed by that many zero bytes, placing
+//! the engine bytes at a 64-byte-aligned absolute file offset — the
+//! alignment the engines' own mapped hot sections assume, so one
+//! `decode_fleet` restores a fleet either by copy or zero-copy from an
+//! mmap'd file. (Builds before the out-of-core PR length-prefixed the engine
+//! bytes instead; such a file is answered with [`Error::outdated`], which
+//! names the offline `snapshot-upgrade` tool.)
 //!
 //! Restore accepts a second shape: bytes whose container kind is *not*
-//! `SHRD` are treated as a legacy unsharded engine snapshot and restore
-//! into a single-shard fleet — old single-index deployments upgrade to the
-//! serving layer without a migration step.
+//! `SHRD` are handed to the engine whole, as an unsharded engine snapshot,
+//! and restore into a single-shard fleet — a single-index deployment moves
+//! onto the serving layer without a migration step.
 
 use crate::router::{ShardRouter, MAX_SHARDS};
 use crate::shard::{shard_state, state_id_map, FleetReader, ShardState};
@@ -32,10 +32,8 @@ use juno_common::error::{Error, Result};
 use juno_common::index::AnnIndex;
 use juno_common::mmap::{Mmap, ResidencyConfig};
 use juno_data::snapshot::{
-    kind, MappedSnapshot, SectionReader, SectionWriter, Snapshot, SnapshotWriter,
-    CONTAINER_HEADER_LEN, SECTION_PREFIX_LEN,
+    kind, peek_kind, SectionReader, SectionWriter, Snapshot, SnapshotWriter,
 };
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The engine-kind word of fleet snapshots.
@@ -44,14 +42,10 @@ pub const KIND_SHARD: u32 = kind(*b"SHRD");
 /// The manifest layout version written inside `MANI`.
 const MANIFEST_VERSION: u32 = 1;
 
-/// Sentinel leading framed (v2) shard sections; the legacy framing starts
-/// with a `u64` length prefix, which can never be `u64::MAX`.
-const SHARD_SECTION_SENTINEL: u64 = u64::MAX;
-
 /// Version of the aligned shard-section framing.
 const SHARD_SECTION_VERSION: u32 = 2;
 
-/// Bytes of the v2 framing header (sentinel + version + pad length).
+/// Bytes of the framing header (sentinel + version + pad length).
 const SHARD_FRAME_HEADER: usize = 16;
 
 /// Alignment of the embedded engine bytes within the fleet file — matches
@@ -69,6 +63,23 @@ fn shard_tag(s: usize) -> [u8; 4] {
     ]
 }
 
+/// Frames one shard engine's snapshot bytes as an `Snnn` section payload
+/// that [`SnapshotWriter::finish`] will place at absolute file offset
+/// `payload_abs` ([`SnapshotWriter::next_payload_offset`]): padded so the
+/// engine bytes land 64-byte-aligned in the fleet file, preserving the
+/// alignment their own mapped sections were encoded against (an engine
+/// snapshot always starts at offset 0 of its own file, which is aligned by
+/// definition).
+pub fn frame_shard_section(engine_bytes: &[u8], payload_abs: usize) -> SectionWriter {
+    let pad = (SHARD_ALIGN - (payload_abs + SHARD_FRAME_HEADER) % SHARD_ALIGN) % SHARD_ALIGN;
+    let mut section = SectionWriter::new();
+    section.put_version(SHARD_SECTION_VERSION);
+    section.put_u32(pad as u32);
+    section.put_raw(&vec![0u8; pad]);
+    section.put_raw(engine_bytes);
+    section
+}
+
 /// Serialises a pinned fleet view into `SHRD` container bytes.
 pub(crate) fn encode_fleet<I: AnnIndex>(
     reader: &FleetReader<I>,
@@ -77,9 +88,6 @@ pub(crate) fn encode_fleet<I: AnnIndex>(
     let num_shards = reader.num_shards();
     let mapped = state_id_map(reader.shard(0)).is_some();
     let mut writer = SnapshotWriter::new(KIND_SHARD);
-    // The shard-section padding depends on each payload's absolute file
-    // offset, so the running offset is tracked section by section.
-    let mut abs = CONTAINER_HEADER_LEN;
 
     let mut mani = SectionWriter::new();
     mani.put_u32(MANIFEST_VERSION);
@@ -90,7 +98,6 @@ pub(crate) fn encode_fleet<I: AnnIndex>(
         .map(|s| reader.shard(s).index().len() as u64)
         .collect();
     mani.put_u64s(&lens);
-    abs += SECTION_PREFIX_LEN + mani.len();
     writer.add_section(*b"MANI", mani);
 
     if mapped {
@@ -101,60 +108,33 @@ pub(crate) fn encode_fleet<I: AnnIndex>(
                 .ok_or_else(|| Error::invalid_config("fleet mixes mapped and global-id shards"))?;
             imap.put_u64s(map);
         }
-        abs += SECTION_PREFIX_LEN + imap.len();
         writer.add_section(*b"IMAP", imap);
     }
 
     for s in 0..num_shards {
         let sub = reader.shard(s).index().snapshot()?;
-        let mut section = SectionWriter::new();
-        // Pad so the engine bytes land 64-byte-aligned in the fleet file,
-        // preserving the alignment their own mapped sections were encoded
-        // against (an engine snapshot always starts at offset 0 of its own
-        // file, which is aligned by definition).
-        let payload_abs = abs + SECTION_PREFIX_LEN;
-        let pad = (SHARD_ALIGN - (payload_abs + SHARD_FRAME_HEADER) % SHARD_ALIGN) % SHARD_ALIGN;
-        section.put_u64(SHARD_SECTION_SENTINEL);
-        section.put_u32(SHARD_SECTION_VERSION);
-        section.put_u32(pad as u32);
-        section.put_raw(&vec![0u8; pad]);
-        section.put_raw(&sub);
-        abs += SECTION_PREFIX_LEN + section.len();
+        let section = frame_shard_section(&sub, writer.next_payload_offset());
         writer.add_section(shard_tag(s), section);
     }
     Ok(writer.finish())
 }
 
-/// Extracts the embedded engine snapshot bytes from one shard section,
-/// accepting both the aligned sentinel framing (v2) and the legacy `u64`
-/// length prefix.
-fn shard_engine_bytes<'a>(s: usize, r: &mut SectionReader<'a>) -> Result<Cow<'a, [u8]>> {
-    let mut probe = r.clone();
-    if probe.get_u64()? == SHARD_SECTION_SENTINEL {
-        let fmt = probe.get_u32()?;
-        if fmt != SHARD_SECTION_VERSION {
-            return Err(corrupted(format!(
-                "unknown shard section framing {fmt} \
-                 (reader supports {SHARD_SECTION_VERSION} and legacy)"
-            )));
-        }
-        let pad = probe.get_u32()? as usize;
-        let rest = probe.take_rest();
-        if pad > rest.len() {
-            return Err(corrupted(format!(
-                "shard {s} section padding overruns the payload"
-            )));
-        }
-        *r = probe;
-        return Ok(Cow::Borrowed(&rest[pad..]));
+/// The range, within one shard section's `payload`, of the embedded engine
+/// snapshot bytes.
+fn shard_engine_range(s: usize, payload: &[u8]) -> Result<std::ops::Range<usize>> {
+    let mut r = SectionReader::over(payload);
+    r.expect_version(&format!("shard {s} section"), SHARD_SECTION_VERSION)?;
+    let pad = r.get_u32()? as usize;
+    if pad > r.remaining() {
+        return Err(corrupted(format!(
+            "shard {s} section padding overruns the payload"
+        )));
     }
-    let sub = r.get_u8s()?;
-    r.expect_end()?;
-    Ok(Cow::Owned(sub))
+    Ok(SHARD_FRAME_HEADER + pad..payload.len())
 }
 
 /// The outcome of decoding fleet bytes: the shard states to publish and the
-/// router recorded in the manifest (`None` for legacy unsharded snapshots,
+/// router recorded in the manifest (`None` for an unsharded engine snapshot,
 /// where the caller keeps its current router).
 pub(crate) struct DecodedFleet<I> {
     pub states: Vec<ShardState<I>>,
@@ -165,29 +145,50 @@ fn corrupted(msg: impl std::fmt::Display) -> Error {
     Error::corrupted(format!("sharded snapshot: {msg}"))
 }
 
-/// Decodes `SHRD` container bytes (or a legacy unsharded engine snapshot)
-/// into shard states, restoring each shard into a clone of `prototype`.
+/// Decodes `SHRD` container bytes (or an unsharded engine snapshot) into
+/// shard states, restoring each shard into a clone of `prototype` — the one
+/// walk behind both fleet restores. With `mapped = Some((map, residency))`,
+/// `bytes` is the whole of `map` and the restore differs in two ways: the
+/// shard sections skip the container checksum (each embedded engine
+/// snapshot verifies itself), and each shard engine restores **zero-copy**
+/// from its aligned region of the map via [`AnnIndex::restore_mapped`]
+/// (engines without mapped support transparently copy) instead of from a
+/// slice via [`AnnIndex::restore`].
+///
 /// Fully validates before returning, so a caller can swap its state
 /// atomically: on error nothing has been published.
 pub(crate) fn decode_fleet<I: AnnIndex + Clone>(
     bytes: &[u8],
+    mapped: Option<(&Arc<Mmap>, &ResidencyConfig)>,
     prototype: &I,
     base_epoch: u64,
 ) -> Result<DecodedFleet<I>> {
-    let snap = Snapshot::parse(bytes)?;
-    if snap.kind() != KIND_SHARD {
-        // Legacy unsharded engine snapshot → a single-shard fleet. The
-        // engine's own restore validates the kind word and payload.
+    let restore_engine = |range: std::ops::Range<usize>| -> Result<I> {
         let mut engine = prototype.clone();
-        engine.restore(bytes)?;
+        match mapped {
+            Some((map, residency)) => {
+                engine.restore_mapped(map, range.start, range.len(), residency)?
+            }
+            None => engine.restore(&bytes[range])?,
+        }
+        Ok(engine)
+    };
+
+    // Peek the container kind before parsing: an unsharded engine snapshot
+    // is handed to the engine whole, with the engine's own notion of which
+    // sections stay lazy (and which error a non-snapshot deserves).
+    if peek_kind(bytes) != Some(KIND_SHARD) {
+        let engine = restore_engine(0..bytes.len())?;
         return Ok(DecodedFleet {
             states: vec![shard_state(engine, base_epoch, None)],
             router: None,
         });
     }
 
-    let mut mani = snap.section(*b"MANI")?;
-    let manifest = parse_manifest(&mut mani)?;
+    let is_shard_section =
+        |tag: &[u8; 4]| tag[0] == b'S' && tag[1..].iter().all(u8::is_ascii_digit);
+    let snap = Snapshot::parse_lazy(bytes, |tag| mapped.is_some() && is_shard_section(tag))?;
+    let manifest = parse_manifest(&mut snap.section(*b"MANI")?)?;
     let id_maps: Option<Vec<Arc<Vec<u64>>>> = if manifest.mapped {
         let mut imap = snap.section(*b"IMAP")?;
         Some(parse_id_maps(&mut imap, manifest.num_shards)?)
@@ -197,107 +198,9 @@ pub(crate) fn decode_fleet<I: AnnIndex + Clone>(
 
     let mut states = Vec::with_capacity(manifest.num_shards);
     for s in 0..manifest.num_shards {
-        let mut section = snap.section(shard_tag(s))?;
-        let sub = shard_engine_bytes(s, &mut section)?;
-        let mut engine = prototype.clone();
-        engine.restore(&sub)?;
-        let id_map = id_maps.as_ref().map(|maps| maps[s].clone());
-        validate_shard(s, &engine, &manifest, id_map.as_deref())?;
-        states.push(shard_state(engine, base_epoch, id_map));
-    }
-    Ok(DecodedFleet {
-        states,
-        router: Some(manifest.router),
-    })
-}
-
-/// Decodes a fleet snapshot **in place** from an mmap'd file: the manifest
-/// and id maps are parsed and checksum-verified eagerly, while the shard
-/// sections stay lazy — each shard engine restores zero-copy from its
-/// aligned region of the map via [`AnnIndex::restore_mapped`] (engines
-/// without mapped support transparently copy). Bytes whose container kind
-/// is not `SHRD` restore as a legacy unsharded engine snapshot into a
-/// single-shard fleet, also mapped.
-///
-/// Fully validates before returning, exactly like [`decode_fleet`]: on
-/// error nothing has been published.
-pub(crate) fn decode_fleet_mapped<I: AnnIndex + Clone>(
-    map: &Arc<Mmap>,
-    prototype: &I,
-    base_epoch: u64,
-    residency: &ResidencyConfig,
-) -> Result<DecodedFleet<I>> {
-    let bytes = map.as_slice();
-    // Peek the container kind before parsing: a legacy unsharded engine
-    // snapshot must be handed to the engine whole, with the engine's own
-    // notion of which sections stay lazy.
-    let file_kind = (bytes.len() >= CONTAINER_HEADER_LEN
-        && bytes[..8] == juno_data::snapshot::MAGIC)
-        .then(|| u32::from_le_bytes(bytes[12..16].try_into().expect("4-byte slice")));
-    if file_kind != Some(KIND_SHARD) {
-        let mut engine = prototype.clone();
-        engine.restore_mapped(map, 0, map.len(), residency)?;
-        return Ok(DecodedFleet {
-            states: vec![shard_state(engine, base_epoch, None)],
-            router: None,
-        });
-    }
-
-    let is_shard_section =
-        |tag: &[u8; 4]| tag[0] == b'S' && tag[1..].iter().all(u8::is_ascii_digit);
-    let snap = MappedSnapshot::parse(map.clone(), 0, map.len(), is_shard_section)?;
-    let mut mani = snap.section_reader(*b"MANI")?;
-    let manifest = parse_manifest(&mut mani)?;
-    let id_maps: Option<Vec<Arc<Vec<u64>>>> = if manifest.mapped {
-        let mut imap = snap.section_reader(*b"IMAP")?;
-        Some(parse_id_maps(&mut imap, manifest.num_shards)?)
-    } else {
-        None
-    };
-
-    let mut states = Vec::with_capacity(manifest.num_shards);
-    for s in 0..manifest.num_shards {
-        let tag = shard_tag(s);
-        let (off, len) = snap.section_range(tag)?;
-        let slice = &map.as_slice()[off..off + len];
-        let (engine_off, engine_len) = if slice.len() >= SHARD_FRAME_HEADER
-            && slice[..8] == SHARD_SECTION_SENTINEL.to_le_bytes()
-        {
-            let fmt = u32::from_le_bytes(slice[8..12].try_into().expect("4-byte slice"));
-            if fmt != SHARD_SECTION_VERSION {
-                return Err(corrupted(format!(
-                    "unknown shard section framing {fmt} \
-                     (reader supports {SHARD_SECTION_VERSION} and legacy)"
-                )));
-            }
-            let pad = u32::from_le_bytes(slice[12..16].try_into().expect("4-byte slice")) as usize;
-            if pad > slice.len() - SHARD_FRAME_HEADER {
-                return Err(corrupted(format!(
-                    "shard {s} section padding overruns the payload"
-                )));
-            }
-            (
-                off + SHARD_FRAME_HEADER + pad,
-                len - SHARD_FRAME_HEADER - pad,
-            )
-        } else {
-            // Legacy length-prefixed framing predates the mapped engine
-            // sections, so there is nothing lazily verifiable inside;
-            // checksum the section like the copy path would.
-            snap.verify_section(tag)?;
-            if slice.len() < 8 {
-                return Err(corrupted(format!("shard {s} section too short")));
-            }
-            let n = u64::from_le_bytes(slice[..8].try_into().expect("8-byte slice"));
-            if n != (slice.len() - 8) as u64 {
-                return Err(corrupted(format!(
-                    "shard {s} section length prefix does not match the payload"
-                )));
-            }
-            (off + 8, len - 8)
-        };
-        let mut engine = prototype.clone();
-        engine.restore_mapped(map, engine_off, engine_len, residency)?;
+        let (off, len) = snap.section_range(shard_tag(s))?;
+        let within = shard_engine_range(s, &bytes[off..off + len])?;
+        let engine = restore_engine(off + within.start..off + within.end)?;
         let id_map = id_maps.as_ref().map(|maps| maps[s].clone());
         validate_shard(s, &engine, &manifest, id_map.as_deref())?;
         states.push(shard_state(engine, base_epoch, id_map));

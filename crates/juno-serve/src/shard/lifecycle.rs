@@ -31,8 +31,8 @@ fn owned_by(all_live: &[u64], router: ShardRouter, num_shards: usize, s: usize) 
 impl<I: AnnIndex + Clone> ShardedIndex<I> {
     /// Restores a fleet from snapshot bytes, using `prototype` as the engine
     /// to decode per-shard state into (any instance of the right engine
-    /// type). Accepts both `SHRD` fleet snapshots and legacy unsharded
-    /// engine snapshots (which restore into a single-shard fleet).
+    /// type). Accepts both `SHRD` fleet snapshots and unsharded engine
+    /// snapshots (which restore into a single-shard fleet).
     ///
     /// # Errors
     ///
@@ -57,9 +57,9 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     }
 
     /// Replaces this fleet with the state decoded from `bytes` — the
-    /// inverse of [`ShardedIndex::to_snapshot_bytes`]. Legacy unsharded
-    /// engine snapshots are accepted and restore into a single-shard fleet
-    /// (the router is kept). On any error the fleet is left untouched;
+    /// inverse of [`ShardedIndex::to_snapshot_bytes`]. Unsharded engine
+    /// snapshots are accepted and restore into a single-shard fleet (the
+    /// router is kept). On any error the fleet is left untouched;
     /// epochs continue monotonically across a successful restore.
     ///
     /// A successful restore **detaches** any attached WAL: the restored
@@ -73,14 +73,14 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     /// Returns [`Error::Corrupted`] for malformed bytes and propagates
     /// engine restore errors.
     pub fn restore_from_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        self.install(|prototype, epoch| persist::decode_fleet(bytes, prototype, epoch))
+        self.install(|prototype, epoch| persist::decode_fleet(bytes, None, prototype, epoch))
     }
 
     /// [`ShardedIndex::restore_from_bytes`] over an mmap'd snapshot file:
     /// shard engines restore **zero-copy** from their aligned regions of
     /// the map ([`juno_common::index::AnnIndex::restore_mapped`]), with hot
-    /// sections faulted in lazily under `residency`. Legacy unsharded
-    /// engine snapshots restore into a single-shard fleet, also mapped.
+    /// sections faulted in lazily under `residency`. Unsharded engine
+    /// snapshots restore into a single-shard fleet, also mapped.
     /// On any error the fleet is left untouched; a successful restore
     /// detaches any attached WAL, exactly like the byte-level restore.
     ///
@@ -94,7 +94,7 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         residency: &juno_common::mmap::ResidencyConfig,
     ) -> Result<()> {
         self.install(|prototype, epoch| {
-            persist::decode_fleet_mapped(map, prototype, epoch, residency)
+            persist::decode_fleet(map.as_slice(), Some((map, residency)), prototype, epoch)
         })
     }
 
@@ -158,37 +158,19 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when no snapshot generation exists at `path`,
-    /// and [`Error::Corrupted`] when none of the generations validates.
+    /// As [`juno_common::atomic_file::load_newest`]: [`Error::Io`] when no
+    /// snapshot generation exists at `path` or one cannot be opened, and
+    /// [`Error::Corrupted`] when none of the generations validates.
     pub fn from_snapshot_path_mapped(
         prototype: I,
         path: &std::path::Path,
         residency: &juno_common::mmap::ResidencyConfig,
     ) -> Result<Self> {
         let mut fleet = Self::from_monolith(prototype, 1, ShardRouter::Hash { seed: 0 })?;
-        let mut last_err = None;
-        for candidate in [
-            path.to_path_buf(),
-            juno_common::atomic_file::prev_path(path),
-        ] {
-            if !candidate.exists() {
-                continue;
-            }
-            let attempt = juno_common::mmap::Mmap::open(&candidate)
-                .and_then(|map| fleet.restore_from_mapped(&map, residency));
-            match attempt {
-                Ok(()) => return Ok(fleet),
-                Err(err) => {
-                    last_err = Some(Error::corrupted(format!("{}: {err}", candidate.display())))
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            Error::Io(format!(
-                "no snapshot found at {} (nor a .prev generation)",
-                path.display()
-            ))
-        }))
+        juno_common::atomic_file::load_newest(path, juno_common::mmap::Mmap::open, |map| {
+            fleet.restore_from_mapped(&map, residency)
+        })?;
+        Ok(fleet)
     }
 
     /// Attaches a write-ahead log rooted at `dir` and writes a **baseline

@@ -78,5 +78,19 @@ fn main() -> Result<(), juno::common::Error> {
         "RT work for that query: {} AABB tests, {} sphere tests, {} hits",
         result.stats.rt_aabb_tests, result.stats.rt_primitive_tests, result.stats.rt_hits
     );
+
+    // 6. Persist the index and serve it back out of core: same neighbours,
+    //    straight from the mapped file.
+    let path = std::env::temp_dir().join("juno_quickstart.snap");
+    juno.save_snapshot(&path)?;
+    let mapped = JunoIndex::load_snapshot_mapped(&path, &ResidencyConfig::default())?;
+    assert_eq!(
+        mapped.search(dataset.queries.row(0), 5)?.ids(),
+        result.ids()
+    );
+    println!(
+        "snapshot: {} (reloaded mapped, same result)",
+        path.display()
+    );
     Ok(())
 }

@@ -12,11 +12,11 @@
 //! * **Out-of-core for real** — an index several times larger than the
 //!   residency budget still serves bit-identical results, evicting and
 //!   re-faulting clusters as the probe pattern moves.
-//! * **Compatibility** — v2 (pre-mapped) snapshots still restore via the
-//!   copy path, from bytes and from files.
-//! * **Robustness** — corrupting any byte of a v3 snapshot never panics
-//!   either restore path, and a failed restore never leaves a live fleet
-//!   partially mutated.
+//! * **Robustness** — corrupting any byte of a snapshot never panics either
+//!   restore path, the two paths agree on which corruptions they accept, and
+//!   a failed restore never leaves a live fleet partially mutated.
+//!
+//! (Snapshots older builds wrote are `tests/snapshot_upgrade.rs`' subject.)
 
 use juno::prelude::*;
 use std::path::PathBuf;
@@ -223,7 +223,7 @@ fn mutation_on_mapped_engine_matches_copy_restored_engine() {
 }
 
 // ---------------------------------------------------------------------------
-// Fleets: S ∈ {1, 4}, copy vs mapped restore, legacy engine files.
+// Fleets: S ∈ {1, 4}, copy vs mapped restore, unsharded engine files.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -253,8 +253,8 @@ fn fleet_snapshots_serve_identically_mapped_and_copied() {
 }
 
 #[test]
-fn legacy_unsharded_engine_file_maps_into_single_shard_fleet() {
-    let dir = scratch_dir("legacy_engine");
+fn unsharded_engine_file_maps_into_single_shard_fleet() {
+    let dir = scratch_dir("unsharded_engine");
     let (ds, engine) = build_engine(40);
     let path = dir.join("engine.snap");
     engine.save_snapshot(&path).expect("save");
@@ -262,48 +262,10 @@ fn legacy_unsharded_engine_file_maps_into_single_shard_fleet() {
 
     let fleet =
         ShardedIndex::from_snapshot_path_mapped(engine.clone(), &path, &ResidencyConfig::default())
-            .expect("mapped legacy restore");
+            .expect("mapped unsharded restore");
     assert_eq!(fleet.num_shards(), 1);
     let got: Vec<(u64, u32)> = fleet_bits(&fleet, &ds);
     assert_eq!(got, want);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// v2 → v3 compatibility.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v2_snapshots_restore_via_the_copy_path_from_bytes_and_files() {
-    let dir = scratch_dir("v2compat");
-    let (ds, engine) = build_engine(36);
-    let want = results_bits(&engine, &ds);
-
-    // The exact bytes the pre-mapped writer emitted.
-    let v2 = engine.to_snapshot_bytes_v2();
-    let from_bytes = JunoIndex::from_snapshot_bytes(&v2).expect("v2 restore");
-    assert_eq!(results_bits(&from_bytes, &ds), want, "v2 from bytes");
-
-    // Both file loaders accept a v2 file; the mapped loader falls back to
-    // the copy decoders for the v2 hot sections.
-    let path = dir.join("v2.snap");
-    juno::common::atomic_file::write_atomic(&path, &v2).expect("write v2");
-    let loaded = JunoIndex::load_snapshot(&path).expect("v2 load");
-    assert_eq!(results_bits(&loaded, &ds), want, "v2 from file");
-    let mapped_load =
-        JunoIndex::load_snapshot_mapped(&path, &ResidencyConfig::default()).expect("v2 mapped");
-    assert!(!mapped_load.is_mapped(), "v2 sections restore by copy");
-    assert_eq!(
-        results_bits(&mapped_load, &ds),
-        want,
-        "v2 via mapped loader"
-    );
-
-    // And a v3 writer round-trip still reads back bit-identically.
-    let v3 = engine.to_snapshot_bytes();
-    assert_ne!(v2, v3);
-    let from_v3 = JunoIndex::from_snapshot_bytes(&v3).expect("v3 restore");
-    assert_eq!(results_bits(&from_v3, &ds), want, "v3 from bytes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -341,6 +303,81 @@ fn corrupted_v3_snapshots_never_panic_either_restore_path() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One walk, two ways to open it: over a seeded sample of single-byte flips
+/// and prefix truncations, the copy loader and the mapped loader (followed
+/// by full content verification) never panic and never disagree in the
+/// dangerous direction. Whatever the copy loader accepts the mapped loader
+/// accepts too; the mapped loader may additionally accept a flip in a byte
+/// *no* decoder reads — alignment padding of a hot section, or the
+/// container checksum word it skips for one — and then the index it serves
+/// is, byte for byte, the pristine one.
+#[test]
+fn copy_and_mapped_loaders_agree_on_flips_and_truncations() {
+    use juno::common::rng::{seeded, Rng};
+    let (_, engine) = build_engine(39);
+    let engine_bytes = engine.to_snapshot_bytes();
+    let fleet = ShardedIndex::from_monolith(engine.clone(), 3, ShardRouter::Hash { seed: 5 })
+        .expect("fleet");
+    let fleet_bytes = fleet.to_snapshot_bytes().expect("fleet bytes");
+    let residency = ResidencyConfig::default();
+
+    // Each loader's verdict: the canonical re-serialisation of what it
+    // restored, or the refusal.
+    let engine_copy =
+        |bytes: &[u8]| JunoIndex::from_snapshot_bytes(bytes).map(|i| i.to_snapshot_bytes());
+    let engine_mapped = |bytes: &[u8]| {
+        let map = Mmap::from_bytes(bytes.to_vec());
+        let index = JunoIndex::from_mapped(&map, 0, map.len(), &residency)?;
+        index.codes().ensure_verified()?;
+        index.list_codes().ensure_resident_all()?;
+        Ok(index.to_snapshot_bytes())
+    };
+    let fleet_copy = |bytes: &[u8]| {
+        ShardedIndex::from_snapshot_bytes(engine.clone(), bytes)?.to_snapshot_bytes()
+    };
+    let fleet_mapped = |bytes: &[u8]| {
+        let mut restored = ShardedIndex::from_monolith(engine.clone(), 1, ShardRouter::Modulo)?;
+        restored.restore_from_mapped(&Mmap::from_bytes(bytes.to_vec()), &residency)?;
+        // `snapshot()` verifies every shard's mapped content first.
+        restored.to_snapshot_bytes()
+    };
+
+    type Verdict = juno::common::Result<Vec<u8>>;
+    let check = |pristine: &[u8],
+                 copy: &dyn Fn(&[u8]) -> Verdict,
+                 mapped: &dyn Fn(&[u8]) -> Verdict,
+                 flips: usize,
+                 label: &str| {
+        let mut rng = seeded(0xD1FF ^ pristine.len() as u64);
+        for i in 0..flips {
+            let at = rng.gen_range(0..pristine.len());
+            let mut corrupt = pristine.to_vec();
+            corrupt[at] ^= 1 << rng.gen_range(0..8usize);
+            match (copy(&corrupt), mapped(&corrupt)) {
+                (Err(_), Err(_)) => {}
+                (Ok(a), Ok(b)) => assert!(a == b, "{label}: flip {i} at byte {at}"),
+                (Ok(_), Err(err)) => {
+                    panic!("{label}: flip at {at} restores by copy but not mapped: {err}")
+                }
+                (Err(_), Ok(served)) => assert!(
+                    served == pristine,
+                    "{label}: flip at byte {at} passed the mapped loader and changed content"
+                ),
+            }
+        }
+        for i in 0..24 {
+            let len = rng.gen_range(0..pristine.len());
+            assert!(copy(&pristine[..len]).is_err(), "{label}: cut {i} to {len}");
+            assert!(
+                mapped(&pristine[..len]).is_err(),
+                "{label}: cut {i} to {len}"
+            );
+        }
+    };
+    check(&engine_bytes, &engine_copy, &engine_mapped, 120, "engine");
+    check(&fleet_bytes, &fleet_copy, &fleet_mapped, 60, "fleet");
 }
 
 #[test]

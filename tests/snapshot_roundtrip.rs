@@ -271,148 +271,6 @@ fn corrupted_or_cross_engine_snapshots_error_never_panic() {
     }
 }
 
-/// Re-encodes a parsed snapshot with `CODE` (and, for JUNO, `LAYT`) written
-/// in the **legacy pre-fast-scan layout** (`u16` codes, no version
-/// sentinel), leaving every other section byte-identical. This synthesises
-/// the snapshots old builds produced so the back-compat readers stay
-/// covered by an executable test.
-fn reencode_with_legacy_code_sections(
-    bytes: &[u8],
-    kind_word: u32,
-    tags: &[[u8; 4]],
-    legacy_code: &[u8],
-    legacy_layout: Option<&[u8]>,
-) -> Vec<u8> {
-    use juno::data::snapshot::{SectionWriter, Snapshot, SnapshotWriter};
-    let snap = Snapshot::parse(bytes).expect("parse v2 snapshot");
-    let mut writer = SnapshotWriter::new(kind_word);
-    for &tag in tags {
-        let mut section = SectionWriter::new();
-        match (&tag, legacy_layout) {
-            (b"CODE", _) => section.put_raw(legacy_code),
-            (b"LAYT", Some(layt)) => section.put_raw(layt),
-            _ => section.put_raw(snap.section(tag).expect("section").take_rest()),
-        }
-        writer.add_section(tag, section);
-    }
-    writer.finish()
-}
-
-/// Legacy CODE payload: subspace count, then `u16` codes.
-fn legacy_code_section(codes: &juno::quant::EncodedPoints) -> Vec<u8> {
-    let mut w = juno::data::snapshot::SectionWriter::new();
-    w.put_u64(codes.num_subspaces() as u64);
-    let wide: Vec<u16> = codes.as_flat().iter().map(|&c| c as u16).collect();
-    w.put_u16s(&wide);
-    w.finish()
-}
-
-#[test]
-fn legacy_u16_snapshots_are_still_readable_bit_identically() {
-    let ds = DatasetProfile::DeepLike
-        .generate(1_200, 8, 404)
-        .expect("ds");
-    let mut juno = JunoIndex::build(
-        &ds.points,
-        &JunoConfig {
-            n_clusters: 16,
-            nprobs: 6,
-            pq_entries: 32,
-            ..JunoConfig::small_test(ds.dim(), ds.metric())
-        },
-    )
-    .expect("juno");
-    // Mutation state (tails + tombstones) must survive the legacy framing
-    // too — old builds persisted it the same way, just with u16 codes.
-    for id in (0..200u64).step_by(11) {
-        assert!(juno.remove(id).expect("remove"));
-    }
-    for i in 0..15 {
-        juno.insert(ds.points.row(i * 17)).expect("insert");
-    }
-
-    // Legacy LAYT payload from the live layout parts.
-    let parts = juno.list_codes().to_parts();
-    let mut layt = juno::data::snapshot::SectionWriter::new();
-    layt.put_u32s(&parts.offsets);
-    layt.put_u32s(&parts.point_ids);
-    layt.put_u16s(&parts.codes.iter().map(|&c| c as u16).collect::<Vec<u16>>());
-    layt.put_u64(parts.num_subspaces as u64);
-    layt.put_u64(parts.extra_ids.len() as u64);
-    for (ids, codes) in parts.extra_ids.iter().zip(&parts.extra_codes) {
-        layt.put_u32s(ids);
-        layt.put_u16s(&codes.iter().map(|&c| c as u16).collect::<Vec<u16>>());
-    }
-    layt.put_bools(&parts.deleted);
-    layt.put_u32(parts.next_id);
-
-    let v2 = juno.snapshot().expect("snapshot");
-    let legacy = reencode_with_legacy_code_sections(
-        &v2,
-        juno::core::persist::KIND_JUNO,
-        &[
-            *b"CONF", *b"IVFC", *b"PQCB", *b"CODE", *b"LAYT", *b"THRM", *b"SCNB",
-        ],
-        &legacy_code_section(juno.codes()),
-        Some(&layt.finish()),
-    );
-    assert_ne!(legacy, v2, "legacy bytes must differ from the v2 framing");
-    let restored = JunoIndex::from_snapshot_bytes(&legacy).expect("legacy restore");
-    assert_bit_identical(
-        &search_all(&juno, &ds.queries, 25),
-        &search_all(&restored, &ds.queries, 25),
-        Stats::Any,
-        "juno legacy snapshot",
-    );
-
-    // IVFPQ: same legacy CODE framing.
-    let ivfpq = IvfPqIndex::build(
-        &ds.points,
-        &IvfPqConfig {
-            n_clusters: 16,
-            nprobs: 6,
-            pq_subspaces: ds.dim() / 2,
-            pq_entries: 32,
-            metric: ds.metric(),
-            seed: 2,
-        },
-    )
-    .expect("ivfpq");
-    let v2 = ivfpq.snapshot().expect("snapshot");
-    let legacy = reencode_with_legacy_code_sections(
-        &v2,
-        juno::baseline::ivfpq::KIND_IVFPQ,
-        &[*b"CONF", *b"IVFC", *b"PQCB", *b"CODE"],
-        &legacy_code_section(ivfpq.codes()),
-        None,
-    );
-    let restored = IvfPqIndex::from_snapshot_bytes(&legacy).expect("legacy ivfpq restore");
-    assert_bit_identical(
-        &search_all(&ivfpq, &ds.queries, 25),
-        &search_all(&restored, &ds.queries, 25),
-        Stats::Any,
-        "ivfpq legacy snapshot",
-    );
-
-    // A legacy snapshot whose codes exceed the u8 range (entries > 256 —
-    // never a shipped configuration) is rejected cleanly, not truncated.
-    let mut bad = juno::data::snapshot::SectionWriter::new();
-    bad.put_u64(juno.codes().num_subspaces() as u64);
-    let mut wide: Vec<u16> = juno.codes().as_flat().iter().map(|&c| c as u16).collect();
-    wide[0] = 300;
-    bad.put_u16s(&wide);
-    let poisoned = reencode_with_legacy_code_sections(
-        &juno.snapshot().expect("snapshot"),
-        juno::core::persist::KIND_JUNO,
-        &[
-            *b"CONF", *b"IVFC", *b"PQCB", *b"CODE", *b"LAYT", *b"THRM", *b"SCNB",
-        ],
-        &bad.finish(),
-        None,
-    );
-    assert!(JunoIndex::from_snapshot_bytes(&poisoned).is_err());
-}
-
 // ---------------------------------------------------------------------------
 // Sharded (`SHRD`) fleet snapshots.
 // ---------------------------------------------------------------------------
@@ -563,7 +421,7 @@ fn sharded_snapshot_corruption_errors_cleanly_and_leaves_the_fleet_intact() {
 }
 
 #[test]
-fn legacy_unsharded_snapshot_restores_into_a_single_shard_fleet() {
+fn unsharded_engine_snapshot_restores_into_a_single_shard_fleet() {
     let ds = DatasetProfile::DeepLike
         .generate(1_000, 8, 321)
         .expect("ds");
@@ -580,25 +438,27 @@ fn legacy_unsharded_snapshot_restores_into_a_single_shard_fleet() {
     for id in (0..120u64).step_by(7) {
         assert!(monolith.remove(id).expect("remove"));
     }
-    // A pre-serving-layer deployment's snapshot: plain engine bytes with the
+    // A single-index deployment's snapshot: plain engine bytes with the
     // JUNO kind word, no SHRD framing.
-    let legacy = monolith.snapshot().expect("legacy snapshot");
+    let unsharded = monolith.snapshot().expect("engine snapshot");
 
     let (fleet, _) = build_mutated_fleet(11);
     let mut fleet = fleet;
     assert_eq!(fleet.num_shards(), 3);
-    fleet.restore_from_bytes(&legacy).expect("legacy restore");
+    fleet
+        .restore_from_bytes(&unsharded)
+        .expect("unsharded restore");
     assert_eq!(
         fleet.num_shards(),
         1,
-        "legacy snapshots restore to one shard"
+        "engine snapshots restore to one shard"
     );
     assert_eq!(fleet.len(), monolith.len());
     assert_bit_identical(
         &search_all(&monolith, &ds.queries, 25),
         &search_all(&fleet, &ds.queries, 25),
         Stats::Any,
-        "legacy unsharded restore",
+        "unsharded restore",
     );
     // The single-shard fleet remains fully serviceable (mutation + snapshot).
     let id = fleet.insert_shared(ds.points.row(5)).expect("insert");
@@ -607,4 +467,89 @@ fn legacy_unsharded_snapshot_restores_into_a_single_shard_fleet() {
     let restored =
         ShardedIndex::from_snapshot_bytes(monolith.clone(), &resharded).expect("re-restore");
     assert_eq!(restored.len(), fleet.len());
+}
+
+// ---------------------------------------------------------------------------
+// The newest→`.prev` walk every path loader shares.
+// ---------------------------------------------------------------------------
+
+/// "Could not read" is `Io` — never "nothing persisted", never "corrupt" —
+/// and a torn newest generation beside a good `.prev` still restores, from
+/// all four path entry points.
+#[test]
+fn path_loaders_report_unreadable_as_io_and_fall_back_past_a_torn_newest() {
+    use juno::common::Error;
+    let dir = std::env::temp_dir().join(format!("juno_loaders_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let ds = DatasetProfile::DeepLike.generate(800, 4, 17).expect("ds");
+    let engine = JunoIndex::build(
+        &ds.points,
+        &JunoConfig {
+            n_clusters: 8,
+            nprobs: 4,
+            pq_entries: 16,
+            ..JunoConfig::small_test(ds.dim(), ds.metric())
+        },
+    )
+    .expect("build");
+    let residency = ResidencyConfig::default();
+    let all_four = |path: &std::path::Path| {
+        let mut target = engine.clone();
+        [
+            ("load_from_path", target.load_from_path(path)),
+            ("load_snapshot", JunoIndex::load_snapshot(path).map(|_| ())),
+            (
+                "load_snapshot_mapped",
+                JunoIndex::load_snapshot_mapped(path, &residency).map(|_| ()),
+            ),
+            (
+                "from_snapshot_path_mapped",
+                ShardedIndex::from_snapshot_path_mapped(engine.clone(), path, &residency)
+                    .map(|_| ()),
+            ),
+        ]
+    };
+
+    // A directory squatting on the snapshot path (unreadable even as root,
+    // unlike `chmod 000`), with a perfectly good `.prev` beside it.
+    let squatted = dir.join("squatted.snap");
+    engine
+        .save_snapshot(juno::common::atomic_file::prev_path(&squatted))
+        .expect("save prev");
+    std::fs::create_dir(&squatted).expect("mkdir");
+    for (entry, result) in all_four(&squatted) {
+        assert!(
+            matches!(result, Err(Error::Io(_))),
+            "{entry}: a directory at the path must be Io, got {result:?}"
+        );
+    }
+
+    // Nothing persisted at all is Io too.
+    for (entry, result) in all_four(&dir.join("never-written.snap")) {
+        assert!(matches!(result, Err(Error::Io(_))), "{entry}: {result:?}");
+    }
+
+    // A torn newest file beside a good previous generation restores.
+    let torn = dir.join("torn.snap");
+    engine.save_snapshot(&torn).expect("first save");
+    engine.save_snapshot(&torn).expect("second save rotates");
+    let bytes = std::fs::read(&torn).expect("read newest");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("tear newest");
+    for (entry, result) in all_four(&torn) {
+        assert!(
+            result.is_ok(),
+            "{entry}: must fall back to .prev: {result:?}"
+        );
+    }
+    // With the previous generation gone, the tear is reported as corruption
+    // of the named candidate, not as an I/O failure.
+    std::fs::remove_file(juno::common::atomic_file::prev_path(&torn)).expect("drop prev");
+    for (entry, result) in all_four(&torn) {
+        match result {
+            Err(Error::Corrupted(msg)) => assert!(msg.contains("torn.snap"), "{entry}: {msg}"),
+            other => panic!("{entry}: expected Corrupted, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
