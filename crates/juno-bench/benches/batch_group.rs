@@ -54,8 +54,9 @@ fn main() {
     // the executor additionally streams each query's *nearest* probe
     // query-major in the seed pass, so the High-mode model charges probe 0
     // at full cost and tiles only the remaining probes; hit-count modes
-    // skip the seed and tile everything. The conservative (High) figure is
-    // what CI gates.
+    // skip the seed and tile everything. The seed pass prunes too, but it
+    // still streams every block of probe 0 once per query, so the full
+    // charge remains true. The conservative (High) figure is what CI gates.
     {
         let plans: Vec<Vec<usize>> = queries
             .iter()

@@ -49,12 +49,16 @@ pub const U8_ROW_BYTES: usize = 32;
 pub const ABANDON_CHUNK: usize = 8;
 
 /// Sentinel prune threshold meaning "nothing can be pruned" (the top-k is
-/// not full yet, or the quantisation cannot separate candidates).
+/// not full yet, or the quantisation cannot separate candidates). A scan may
+/// start on it: its lanes pass every candidate through until the top-k
+/// fills, and prune from the next block on.
 pub const NEVER_PRUNE: u32 = u32::MAX;
 
-/// Minimum cluster size for the prune pass to pay for itself: quantising a
-/// slot costs O(subspaces × E), so tiny clusters are cheaper to scan
-/// exactly. Shared policy for every engine using the kernel.
+/// Minimum number of prunable points for the prune pass to pay for itself:
+/// quantising a slot costs O(subspaces × E), so tiny clusters are cheaper to
+/// scan exactly. Against a bound every base record of the cluster is
+/// prunable; without one, those beyond the candidates the top-k still needs
+/// to fill. Shared policy for every engine using the kernel.
 pub const MIN_PRUNE_POINTS: usize = 2 * BLOCK_LANES;
 
 /// Queries per register-tile of the multi-query (cluster-major) grouped

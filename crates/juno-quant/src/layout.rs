@@ -912,8 +912,9 @@ impl BlockCodes {
 pub struct GroupLane<'a> {
     /// The query's quantised prune LUT for this cluster.
     pub qlut: &'a QuantizedLut,
-    /// The query's current top-k worst score (`None` = top-k not full, no
-    /// pruning possible yet); updated from the `survivor` callback.
+    /// The query's current top-k worst score (`None` = top-k not full:
+    /// candidates pass through until it fills); updated from the `survivor`
+    /// callback.
     pub worst: Option<f32>,
     /// Lane sums of the most recent non-abandoned block (scratch).
     pub sums: [u16; BLOCK_LANES],
@@ -1223,6 +1224,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn prune_scan_from_no_bound_fills_then_prunes() {
+        use juno_common::metric::Metric;
+        use juno_common::topk::TopK;
+        // 160 points whose score (4 × ⌊i / 11⌋) grows with the index, so
+        // once a selector has filled every later block loses to it.
+        let (n, subspaces, entries) = (160usize, 4usize, 16usize);
+        let codes: Vec<u8> = (0..n).flat_map(|i| [(i / 11) as u8; 4]).collect();
+        let blocks = BlockCodes::build(&codes, n, subspaces);
+        let svals: Vec<f32> = (0..subspaces * entries)
+            .map(|i| (i % entries) as f32)
+            .collect();
+        let mut qlut = QuantizedLut::new();
+        qlut.build(&svals, subspaces, entries, 0.0);
+        let scan = |k: usize| {
+            let mut topk = TopK::new(k, Metric::L2);
+            let mut survivors = Vec::new();
+            let mut sums = [0u16; BLOCK_LANES];
+            let (pruned_points, _) = blocks.prune_scan(&qlut, &mut sums, None, |i| {
+                survivors.push(i);
+                topk.push(i as u64, 4.0 * (i / 11) as f32);
+                topk.worst_score()
+            });
+            (survivors, pruned_points)
+        };
+        // k = 40 fills in block 1: the rest of that block still passes
+        // (the threshold is re-derived per block), every later block prunes.
+        let (survivors, pruned_points) = scan(40);
+        assert_eq!(survivors, (0..2 * BLOCK_LANES).collect::<Vec<_>>());
+        assert_eq!(pruned_points, n - 2 * BLOCK_LANES);
+        // A selector that never fills never gets a threshold.
+        let (survivors, pruned_points) = scan(n + 1);
+        assert_eq!(survivors, (0..n).collect::<Vec<_>>());
+        assert_eq!(pruned_points, 0);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!
 //! * **one cluster visit** ([`PlannedBatch`]`::visit`): a tile of
 //!   1..=[`GROUP_TILE`] queries against one [`IvfListCodes`] cluster —
-//!   expand each query's table, gate pruning, cluster-bound skip, the
-//!   multi-query quantised prune pass with exact re-rank of survivors, the
-//!   exact base scan for queries without a prune bar, then the append tail;
+//!   expand each query's table, gate pruning (on how much of the cluster
+//!   can be pruned — a selector that is still filling lets its first
+//!   candidates through unpruned), cluster-bound skip, the multi-query
+//!   quantised prune pass with exact re-rank of survivors, the exact base
+//!   scan for queries whose gate stayed shut, then the append tail;
 //! * **one batch pipeline** ([`search_batch_grouped`]): plan → seed →
 //!   schedule → chunk scan → gather. The query-major path ([`search_one`])
 //!   is the same visit with a tile of one, no seed bound, clusters in probe
@@ -383,20 +385,26 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
                 cluster,
                 &mut t.slot,
             );
-            // The prune pass only pays for itself once there is a worst
-            // score to prune against — the local top-k's, tightened by the
-            // seed bound (any upper bound on the final k-th score is safe) —
-            // and the cluster is large enough to amortise the O(S × E)
-            // quantisation.
+            // The prune pass pays for itself when enough of the cluster can
+            // be pruned to amortise the O(S × E) quantisation. With a bound —
+            // the local top-k's worst, tightened by the seed bound (any
+            // upper bound on the final k-th score is safe) — that is the
+            // whole base. Without one, the candidates that must first fill
+            // the selector pass through the scan's unpruned lane path and
+            // only the rest of the base counts.
             let worst0 = tighter_worst(state.topk.worst_score(), t.seed);
-            t.prune = engine.fastscan() && worst0.is_some() && base_ids.len() >= MIN_PRUNE_POINTS;
+            let fill = match worst0 {
+                Some(_) => 0,
+                None => state.topk.k() - state.topk.len(),
+            };
+            t.prune = engine.fastscan() && base_ids.len() >= MIN_PRUNE_POINTS + fill;
             t.done = false;
             if t.prune {
                 engine.quantize(&t.slot, &mut t.qlut);
-                // Cluster-level pruning: no member (base or tail) can beat
-                // the per-subspace minima bound for this query.
-                t.done =
-                    t.qlut.cluster_bound() >= worst0.expect("prune requires a full top-k") as f64;
+                // Cluster-level pruning, once there is a bound: no member
+                // (base or tail) can beat the per-subspace minima bound for
+                // this query.
+                t.done = worst0.is_some_and(|w| t.qlut.cluster_bound() >= w as f64);
                 if t.done {
                     state.ctr.pruned_clusters += 1;
                     state.ctr.pruned_points += stored;
@@ -466,8 +474,9 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
                 continue;
             }
             let state = &mut states[t.query as usize];
-            // Phase C: queries without a prune bar (top-k not full yet,
-            // tiny cluster, fast-scan off) scan the base exactly.
+            // Phase C: queries whose gate stayed shut (too little of the
+            // cluster left to prune once the top-k has filled, fast-scan
+            // off) scan the base exactly.
             if !t.prune {
                 scan_exact(t, state, base_ids, base_codes);
             }
@@ -543,14 +552,15 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
 }
 
 /// Scans the first `limit` probes of one planned query, query-major: the
-/// visit with a tile of one, no seed bound, clusters in probe order. Each
-/// cluster is faulted in (and verified) before the infallible visit reads
-/// its slices.
+/// visit with a tile of one, no seed bound, clusters in probe order. With
+/// `fault_in`, each cluster is faulted in (and verified) before the
+/// infallible visit reads its slices; without, the caller already has.
 fn scan_probes<E: ScanEngine>(
     engine: &E,
     query: &[f32],
     plan: &E::Plan,
     limit: usize,
+    fault_in: bool,
     k: usize,
     arena: &mut ScanArena<E::Slot>,
 ) -> Result<QueryState> {
@@ -563,7 +573,9 @@ fn scan_probes<E: ScanEngine>(
     };
     let mut state = [QueryState::new(k, engine.rank_metric())];
     for (probe, &cluster) in engine.probes(plan).iter().enumerate().take(limit) {
-        engine.lists().touch_cluster(cluster)?;
+        if fault_in {
+            engine.lists().touch_cluster(cluster)?;
+        }
         batch.visit(cluster, &[(0, probe as u32)], &mut arena.tile, &mut state);
     }
     let [state] = state;
@@ -620,7 +632,7 @@ pub fn search_one_planned<E: ScanEngine>(
     if k == 0 {
         return Err(Error::invalid_config("k must be positive"));
     }
-    let state = scan_probes(engine, query, plan, usize::MAX, k, arena)?;
+    let state = scan_probes(engine, query, plan, usize::MAX, true, k, arena)?;
     Ok(engine.finish(plan, state.topk.into_sorted_vec(), &state.ctr))
 }
 
@@ -663,11 +675,13 @@ fn scan_query_major<E: ScanEngine>(
 /// The cluster-major grouped batch pipeline:
 ///
 /// 1. **Plan** (parallel over queries): [`plan_batch`].
-/// 2. **Seed**: every query scans its *nearest* probe query-major first.
-///    Storage-order visits would otherwise fill top-ks with far-cluster
-///    candidates and leave the prune thresholds toothless; the seed's k-th
-///    best score is a provably safe bound for every later visit. Engines on
-///    their own unit never prune, so they skip the seed.
+/// 2. **Seed**: every query scans its *nearest* probe query-major first —
+///    the same visit from an empty selector, so a fat nearest list fills
+///    the top-k from its first candidates and prunes the rest on the
+///    running k-th score. Storage-order visits would otherwise fill top-ks
+///    with far-cluster candidates and leave the prune thresholds toothless;
+///    the seed's k-th best score is a provably safe bound for every later
+///    visit. Engines on their own unit never prune, so they skip the seed.
 /// 3. **Schedule**: a cluster→query-group table cut into chunks by scan
 ///    work — never by thread budget, so results *and* statistics are
 ///    thread-count invariant.
@@ -691,7 +705,8 @@ pub fn search_batch_grouped<E: ScanEngine>(
     scan_grouped(engine, queries, &plans, k, num_threads)
 }
 
-/// Steps 2–5 of [`search_batch_grouped`], from the batch's plans.
+/// Steps 2–5 of [`search_batch_grouped`], from the batch's plans. A mapped
+/// index takes its residency faults before step 2, on the calling thread.
 fn scan_grouped<E: ScanEngine>(
     engine: &E,
     queries: &VectorSet,
@@ -709,12 +724,27 @@ fn scan_grouped<E: ScanEngine>(
     let rows: Vec<&[f32]> = queries.iter().collect();
 
     let first_probe = usize::from(!engine.own_unit());
+    // Fault in (and verify) every cluster the batch probes, once, up front
+    // and in storage order: the seed and chunk workers are infallible, and
+    // a fault taken from a worker would evict under the feet of the others
+    // in an order that depends on their timing. Advisory eviction keeps
+    // already-verified slices readable, so the workers stay safe even under
+    // a tight residency budget.
+    let mut probed: Vec<usize> = plans
+        .iter()
+        .flat_map(|plan| engine.probes(plan).iter().copied())
+        .collect();
+    probed.sort_unstable();
+    probed.dedup();
+    for cluster in probed {
+        engine.lists().touch_cluster(cluster)?;
+    }
     let mut finals: Vec<QueryState> = parallel::map_with(
         nq,
         num_threads,
         0,
         || ScanArena::new(engine.new_slot()),
-        |arena, qi| scan_probes(engine, rows[qi], &plans[qi], first_probe, k, arena),
+        |arena, qi| scan_probes(engine, rows[qi], &plans[qi], first_probe, false, k, arena),
     )?
     .into_iter()
     .collect::<Result<_>>()?;
@@ -728,16 +758,6 @@ fn scan_grouped<E: ScanEngine>(
         k,
     };
     let sched = batch.schedule(first_probe);
-    // Fault in (and verify) every scheduled cluster up front: the chunk
-    // workers are infallible, so residency faults must be taken —
-    // sequentially, in schedule order — before the fan-out. Advisory
-    // eviction keeps already-verified slices readable, so the workers stay
-    // safe even under a tight residency budget.
-    for ci in 0..sched.num_chunks() {
-        for (cluster, _) in sched.chunk(ci) {
-            engine.lists().touch_cluster(cluster)?;
-        }
-    }
     let partial_lists = parallel::map_with(
         sched.num_chunks(),
         num_threads,

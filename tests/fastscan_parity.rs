@@ -1,8 +1,9 @@
 //! Differential tests for the fast-scan ADC pipeline: with the quantised
 //! prune pass enabled (the default), search results — ids **and** distance
 //! bits — must be identical to the plain scalar scan, for every quality
-//! mode, both metrics, nibble-packed and plain `u8` block layouts, and
-//! across mutation (tails + tombstones) and compaction.
+//! mode, both metrics, nibble-packed and plain `u8` block layouts, across
+//! mutation (tails + tombstones) and compaction, and for a visit that starts
+//! from an empty selector (the seed pass of a fat nearest list).
 //!
 //! The kernel itself (AVX2 vs scalar bit-identity, bound safety) is unit
 //! tested in `juno-common/src/kernel.rs`; this suite pins the end-to-end
@@ -198,6 +199,113 @@ fn single_query_search_equals_a_one_query_batch_stat_for_stat() {
             juno.set_quality(mode);
             check(&juno, &format!("JUNO {mode:?} fastscan={fastscan}"));
         }
+    }
+}
+
+/// The fast-scan switch of both engines, so one check serves either.
+trait FastScan: AnnIndex {
+    fn fastscan(&mut self, enabled: bool);
+}
+
+impl FastScan for JunoIndex {
+    fn fastscan(&mut self, enabled: bool) {
+        self.set_fastscan(enabled);
+    }
+}
+
+impl FastScan for IvfPqIndex {
+    fn fastscan(&mut self, enabled: bool) {
+        self.set_fastscan(enabled);
+    }
+}
+
+/// One visit from an empty selector (`nprobs = 1`): the pruned scan must
+/// equal the exact one bit for bit, settle most of the list without an exact
+/// evaluation once `k` leaves room to, and prune nothing when the selector
+/// can never fill.
+fn check_seed_visit<I: FastScan>(index: &mut I, queries: &VectorSet, label: &str) {
+    index.fastscan(true);
+    let stored = index.search(queries.row(0), 1).unwrap().stats.candidates;
+    assert!(stored >= 2_000, "{label}: the one list holds {stored}");
+    for k in [1, 10, 100, stored + 1] {
+        index.fastscan(true);
+        let fast = search_all(index, queries, k);
+        index.fastscan(false);
+        let exact = search_all(index, queries, k);
+        assert_bit_identical(&fast, &exact, Stats::Any, &format!("{label} k={k}"));
+        for (qi, r) in fast.iter().enumerate() {
+            let s = &r.stats;
+            assert_eq!(s.candidates, stored, "{label} k={k} query {qi}");
+            if k <= 100 {
+                assert!(s.pruned_points > 0, "{label} k={k} query {qi}: {s:?}");
+                assert!(
+                    s.candidates - s.pruned_points <= s.candidates / 2,
+                    "{label} k={k} query {qi}: {s:?}"
+                );
+            } else {
+                assert_eq!(
+                    s.pruned_points + s.pruned_blocks + s.pruned_clusters,
+                    0,
+                    "{label} k={k} query {qi}: {s:?}"
+                );
+            }
+        }
+    }
+    index.fastscan(true);
+}
+
+/// [`check_seed_visit`] on a freshly built index, over tombstones and an
+/// append tail, and after compaction folds both away.
+fn check_seed_visit_across_mutation<I: FastScan>(
+    index: &mut I,
+    ds: &juno::data::profiles::Dataset,
+    label: &str,
+) {
+    check_seed_visit(index, &ds.queries, &format!("{label} built"));
+    // Tombstone a prefix of the list (the lanes that would otherwise fill
+    // the selector) and a stride through the rest, then grow a tail.
+    for id in (0..150u64).chain((150..ds.points.len() as u64).step_by(13)) {
+        assert!(index.remove(id).unwrap());
+    }
+    for i in 0..120 {
+        index.insert(ds.points.row(i * 7)).unwrap();
+    }
+    check_seed_visit(index, &ds.queries, &format!("{label} mutated"));
+    index.compact().unwrap();
+    check_seed_visit(index, &ds.queries, &format!("{label} compacted"));
+}
+
+#[test]
+fn seed_visit_of_a_fat_list_prunes_from_an_empty_selector() {
+    for (profile, name) in [
+        (DatasetProfile::DeepLike, "L2"),
+        (DatasetProfile::TtiLike, "MIPS"),
+    ] {
+        let ds = profile.generate(2_400, 6, 59).unwrap();
+        let mut juno = JunoIndex::build(
+            &ds.points,
+            &JunoConfig {
+                n_clusters: 1,
+                nprobs: 1,
+                pq_entries: 32,
+                ..JunoConfig::small_test(ds.dim(), ds.metric())
+            },
+        )
+        .unwrap();
+        check_seed_visit_across_mutation(&mut juno, &ds, &format!("JUNO-H {name}"));
+        let mut ivfpq = IvfPqIndex::build(
+            &ds.points,
+            &IvfPqConfig {
+                n_clusters: 1,
+                nprobs: 1,
+                pq_subspaces: ds.dim() / 2,
+                pq_entries: 32,
+                metric: ds.metric(),
+                seed: 59,
+            },
+        )
+        .unwrap();
+        check_seed_visit_across_mutation(&mut ivfpq, &ds, &format!("IVFPQ {name}"));
     }
 }
 

@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::{assert_bit_identical, Stats};
+use common::{assert_bit_identical, search_all, Stats};
 use juno::baseline::ivfpq::{IvfPqConfig, IvfPqIndex};
 use juno::common::index::{AnnIndex, SearchResult};
 use juno::common::rng::{seeded, Rng};
@@ -76,6 +76,29 @@ fn juno_grouped_batches_match_sequential_under_random_mutation() {
                 round % 2 == 0
             ),
         );
+
+        // The seed pass is the query-major visit of probe 0 alone — what the
+        // same index answers with one probe. It starts from an empty
+        // selector and still prunes; its k-th score is the bound every
+        // chunk visit prunes against, so it must not depend on the toggle.
+        if mode == QualityMode::High {
+            index.set_nprobs(1);
+            index.set_fastscan(true);
+            let pruned = search_all(&index, &batch, 10);
+            index.set_fastscan(false);
+            let exact = search_all(&index, &batch, 10);
+            index.set_nprobs(config.nprobs);
+            assert_bit_identical(
+                &pruned,
+                &exact,
+                Stats::Any,
+                &format!("JUNO round {round} seed pass"),
+            );
+            assert!(
+                pruned.iter().any(|r| r.stats.pruned_points > 0),
+                "round {round}: no seed pass ran pruned"
+            );
+        }
 
         // Interleaved mutation: tombstone a random spread, insert fresh
         // points AND exact duplicates of indexed points (score-tie

@@ -176,6 +176,55 @@ fn index_four_times_the_residency_budget_serves_identical_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn grouped_batch_faults_each_probed_cluster_once_at_any_thread_budget() {
+    let dir = scratch_dir("touch_once");
+    let (ds, engine) = build_engine(34);
+    let path = dir.join("engine.snap");
+    engine.save_snapshot(&path).expect("save");
+    let probe =
+        JunoIndex::load_snapshot_mapped(&path, &ResidencyConfig::default()).expect("map probe");
+    let _ = results_bits(&probe, &ds);
+    let full_bytes = probe.residency_stats().expect("stats").resident_bytes;
+    drop(probe);
+    let tight = ResidencyConfig {
+        budget_bytes: full_bytes / 4,
+        pin_bytes: 0,
+    };
+
+    // The batch pipeline takes its residency faults on the calling thread,
+    // one touch per probed cluster, before any worker starts — so under a
+    // budget that forces evictions the counters cannot depend on how many
+    // workers there are or how they interleave.
+    let batches = 3u64;
+    let nprobs = engine.config().nprobs;
+    let mut probed: Vec<usize> = ds
+        .queries
+        .iter()
+        .flat_map(|q| engine.ivf().filter(q, nprobs).expect("filter").clusters)
+        .collect();
+    probed.sort_unstable();
+    probed.dedup();
+    let mut first = None;
+    for threads in [1, 2, 4] {
+        let mapped = JunoIndex::load_snapshot_mapped(&path, &tight).expect("map tight");
+        for _ in 0..batches {
+            mapped
+                .search_batch_threads(&ds.queries, 15, threads)
+                .expect("batch");
+        }
+        let stats = mapped.residency_stats().expect("stats");
+        assert!(stats.evictions > 0, "{threads} threads: {stats:?}");
+        assert_eq!(
+            stats.hits + stats.cold_faults,
+            batches * probed.len() as u64,
+            "{threads} threads: one touch per probed cluster and batch: {stats:?}"
+        );
+        assert_eq!(*first.get_or_insert(stats), stats, "{threads} threads");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Mutation on a mapped engine.
 // ---------------------------------------------------------------------------
