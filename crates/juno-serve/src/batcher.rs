@@ -1,4 +1,4 @@
-//! Bounded ingress queue with admission control and size-or-deadline batch
+//! Bounded ingress queue with admission control and work-conserving batch
 //! formation.
 //!
 //! The online front-end ([`crate::server::Server`]) accepts one query per
@@ -11,21 +11,29 @@
 //!   with [`Error::Overloaded`] immediately instead of building an unbounded
 //!   backlog whose every entry would miss its deadline anyway. Rejecting at
 //!   ingress keeps the latency of *admitted* requests predictable.
-//! * **Size-or-deadline trigger** — a batch is dispatched as soon as
-//!   [`BatcherConfig::max_batch`] requests are pending (size trigger) *or*
-//!   the oldest pending request has waited [`BatcherConfig::max_delay`]
-//!   (deadline trigger), whichever comes first. Low load degenerates to
-//!   at-most-`max_delay` added latency; high load degenerates to full
-//!   batches with no artificial delay.
+//! * **Work-conserving trigger** — a batch is handed out as soon as
+//!   [`BatcherConfig::max_batch`] requests are pending (size trigger), *or*
+//!   something is pending and no batch is out executing on any dispatcher
+//!   (idle trigger), *or* the oldest pending request has waited
+//!   [`BatcherConfig::max_delay`] (deadline trigger). Holding a request only
+//!   pays while another batch is executing: the requests that arrive in the
+//!   meantime ride together in the next one. With nothing executing there is
+//!   no traffic to wait for that would not also be served by the batch after,
+//!   so a lone request on an idle server is dispatched at once.
 //!
-//! The queue itself is a `Mutex<VecDeque>` plus one condvar: pushes wake a
-//! dispatcher, and the deadline trigger is a timed wait until the oldest
-//! request's dispatch deadline. Every handoff is O(1) per request; there is
-//! no per-item allocation beyond the queue slot.
+//! The batcher knows what is executing because a [`Batch`] is a guard: it
+//! counts as *out* from [`Batcher::next_batch`] until it is dropped, and the
+//! drop that brings the count to zero releases held requests immediately.
+//!
+//! The queue itself is a `Mutex<VecDeque>` plus one condvar: pushes, returned
+//! batches and `close` wake a dispatcher, and the deadline trigger is a timed
+//! wait until the oldest request's dispatch deadline. Every handoff is O(1)
+//! per request; there is no per-item allocation beyond the queue slot.
 
 use juno_common::error::{Error, Result};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::ops::{Deref, DerefMut};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tuning for a [`Batcher`].
@@ -33,8 +41,9 @@ use std::time::{Duration, Instant};
 pub struct BatcherConfig {
     /// Dispatch as soon as this many requests are pending (size trigger).
     pub max_batch: usize,
-    /// Dispatch once the oldest pending request has waited this long
-    /// (deadline trigger), even if the batch is not full.
+    /// The longest a request is held back *while another batch is
+    /// executing* (deadline trigger). With no batch out, pending requests
+    /// are never held.
     pub max_delay: Duration,
     /// Admission bound: a push while this many requests are already queued
     /// is rejected with [`Error::Overloaded`].
@@ -78,6 +87,8 @@ pub struct Pending<T> {
 struct QueueInner<T> {
     queue: VecDeque<Pending<T>>,
     closed: bool,
+    /// Batches handed out by [`Batcher::next_batch`] and not yet dropped.
+    out: usize,
 }
 
 /// The bounded, batch-forming ingress queue. See the [module docs](self).
@@ -88,9 +99,52 @@ struct QueueInner<T> {
 pub struct Batcher<T> {
     config: BatcherConfig,
     inner: Mutex<QueueInner<T>>,
-    /// Wakes dispatchers blocked in [`Batcher::next_batch`] (new work or
-    /// close).
+    /// Wakes dispatchers blocked in [`Batcher::next_batch`] (new work, a
+    /// returned batch, or close).
     available: Condvar,
+}
+
+/// A batch handed out by [`Batcher::next_batch`]: the requests, oldest
+/// first, and the batcher's record that they are executing. Keep it alive
+/// until the last reply is sent — dropping it is what tells the batcher the
+/// dispatcher is free again.
+#[derive(Debug)]
+pub struct Batch<'a, T> {
+    items: Vec<Pending<T>>,
+    batcher: &'a Batcher<T>,
+}
+
+impl<T> Deref for Batch<'_, T> {
+    type Target = [Pending<T>];
+
+    fn deref(&self) -> &[Pending<T>] {
+        &self.items
+    }
+}
+
+impl<T> DerefMut for Batch<'_, T> {
+    fn deref_mut(&mut self) -> &mut [Pending<T>] {
+        &mut self.items
+    }
+}
+
+impl<T> Drop for Batch<'_, T> {
+    fn drop(&mut self) {
+        // Never panic in drop: a poisoned lock still holds a valid count.
+        let mut inner = self
+            .batcher
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        inner.out -= 1;
+        let release = inner.out == 0 && !inner.queue.is_empty();
+        drop(inner);
+        if release {
+            // Every waiter waits on the same condition, so one is enough:
+            // it takes what is held and counts as out again.
+            self.batcher.available.notify_one();
+        }
+    }
 }
 
 impl<T> Batcher<T> {
@@ -106,6 +160,7 @@ impl<T> Batcher<T> {
             inner: Mutex::new(QueueInner {
                 queue: VecDeque::with_capacity(config.queue_depth.min(4096)),
                 closed: false,
+                out: 0,
             }),
             available: Condvar::new(),
         })
@@ -116,7 +171,11 @@ impl<T> Batcher<T> {
         self.config
     }
 
-    /// Admits `item`, or rejects it.
+    fn lock(&self) -> MutexGuard<'_, QueueInner<T>> {
+        self.inner.lock().expect("batcher lock")
+    }
+
+    /// Admits `item` and returns the queue depth including it.
     ///
     /// # Errors
     ///
@@ -125,8 +184,8 @@ impl<T> Batcher<T> {
     ///   overload).
     /// * [`Error::Unavailable`] — the queue was closed (server shutting
     ///   down).
-    pub fn push(&self, item: T) -> Result<()> {
-        let mut inner = self.inner.lock().expect("batcher lock");
+    pub fn push(&self, item: T) -> Result<usize> {
+        let mut inner = self.lock();
         if inner.closed {
             return Err(Error::unavailable("ingress queue closed"));
         }
@@ -140,19 +199,22 @@ impl<T> Batcher<T> {
             enqueued: Instant::now(),
             item,
         });
+        let depth = inner.queue.len();
         drop(inner);
         self.available.notify_one();
-        Ok(())
+        Ok(depth)
     }
 
     /// Blocks until a batch is ready and returns it (oldest first, at most
     /// `max_batch` items), or `None` once the queue is closed *and* drained.
     ///
-    /// A batch is ready when `max_batch` items are pending, when the oldest
-    /// item has waited `max_delay`, or when the queue is closing (pending
-    /// items are flushed promptly rather than waiting out their delay).
-    pub fn next_batch(&self) -> Option<Vec<Pending<T>>> {
-        let mut inner = self.inner.lock().expect("batcher lock");
+    /// A batch is ready when `max_batch` items are pending, when anything is
+    /// pending and no [`Batch`] is out, when the oldest item has waited
+    /// `max_delay`, or when the queue is closing (pending items are flushed
+    /// promptly rather than waiting out their delay). The returned batch
+    /// counts as out until it is dropped.
+    pub fn next_batch(&self) -> Option<Batch<'_, T>> {
+        let mut inner = self.lock();
         loop {
             if inner.queue.len() >= self.config.max_batch || inner.closed {
                 break;
@@ -161,6 +223,7 @@ impl<T> Batcher<T> {
                 None => {
                     inner = self.available.wait(inner).expect("batcher lock");
                 }
+                Some(_) if inner.out == 0 => break,
                 Some(oldest) => {
                     let deadline = oldest.enqueued + self.config.max_delay;
                     let now = Instant::now();
@@ -180,7 +243,8 @@ impl<T> Batcher<T> {
             return None;
         }
         let take = inner.queue.len().min(self.config.max_batch);
-        let batch: Vec<Pending<T>> = inner.queue.drain(..take).collect();
+        let items: Vec<Pending<T>> = inner.queue.drain(..take).collect();
+        inner.out += 1;
         let more = !inner.queue.is_empty();
         drop(inner);
         if more {
@@ -189,12 +253,15 @@ impl<T> Batcher<T> {
             // a full max_delay.
             self.available.notify_one();
         }
-        Some(batch)
+        Some(Batch {
+            items,
+            batcher: self,
+        })
     }
 
     /// Current queue depth (pending, not yet dispatched).
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("batcher lock").queue.len()
+        self.lock().queue.len()
     }
 
     /// `true` when nothing is pending.
@@ -205,7 +272,7 @@ impl<T> Batcher<T> {
     /// Closes the queue: future pushes fail with [`Error::Unavailable`],
     /// blocked dispatchers flush what is pending and then receive `None`.
     pub fn close(&self) {
-        self.inner.lock().expect("batcher lock").closed = true;
+        self.lock().closed = true;
         self.available.notify_all();
     }
 }
@@ -256,14 +323,35 @@ mod tests {
         assert!(b.is_empty());
     }
 
+    /// A `max_delay` no test waits out: only the rule under test can fire.
+    const NEVER: Duration = Duration::from_secs(60);
+
+    fn items(batch: &Batch<'_, u32>) -> Vec<u32> {
+        batch.iter().map(|p| p.item).collect()
+    }
+
+    /// Spawns a dispatcher blocked in `next_batch` that reports what it got.
+    fn waiter(b: &Arc<Batcher<u32>>) -> std::sync::mpsc::Receiver<Option<Vec<u32>>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let b = b.clone();
+        std::thread::spawn(move || {
+            let got = b.next_batch().map(|batch| items(&batch));
+            let _ = tx.send(got);
+        });
+        rx
+    }
+
     #[test]
     fn deadline_trigger_dispatches_a_partial_batch() {
         let b = Batcher::new(cfg(64, Duration::from_millis(5), 64)).unwrap();
+        // The delay only applies while another batch is executing.
+        b.push(1u32).unwrap();
+        let executing = b.next_batch().expect("plug");
         b.push(7u32).unwrap();
         let started = Instant::now();
         let batch = b.next_batch().expect("batch");
         let waited = started.elapsed();
-        assert_eq!(batch.len(), 1);
+        assert_eq!(items(&batch), vec![7]);
         assert!(
             waited >= Duration::from_millis(4),
             "fired early: {waited:?}"
@@ -272,6 +360,74 @@ mod tests {
             waited < Duration::from_secs(5),
             "deadline trigger stalled: {waited:?}"
         );
+        drop(executing);
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_batcher_is_handed_out_without_waiting() {
+        let b = Batcher::new(cfg(64, NEVER, 64)).unwrap();
+        b.push(7u32).unwrap();
+        let started = Instant::now();
+        let batch = b.next_batch().expect("batch");
+        assert_eq!(items(&batch), vec![7]);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "an idle batcher held a request"
+        );
+    }
+
+    #[test]
+    fn a_request_behind_an_executing_batch_is_held_until_the_size_trigger() {
+        let b = Arc::new(Batcher::new(cfg(3, NEVER, 64)).unwrap());
+        b.push(0u32).unwrap();
+        let executing = b.next_batch().expect("first batch");
+        b.push(1).unwrap();
+        let held = waiter(&b);
+        // Held: neither the lone request nor a second one is a batch of 3.
+        assert!(held.recv_timeout(Duration::from_millis(50)).is_err());
+        b.push(2).unwrap();
+        assert!(held.recv_timeout(Duration::from_millis(50)).is_err());
+        b.push(3).unwrap();
+        let got = held.recv_timeout(Duration::from_secs(5)).expect("size");
+        assert_eq!(got, Some(vec![1, 2, 3]));
+        drop(executing);
+    }
+
+    #[test]
+    fn returning_the_outstanding_batch_releases_held_requests_to_one_waiter() {
+        let b = Arc::new(Batcher::new(cfg(64, NEVER, 64)).unwrap());
+        b.push(0u32).unwrap();
+        let executing = b.next_batch().expect("first batch");
+        // Pushed while a batch is out: they ride together, oldest first.
+        for i in 1..=3u32 {
+            assert_eq!(b.push(i).unwrap(), i as usize, "depth seen by push");
+        }
+        let (first, second) = (waiter(&b), waiter(&b));
+        assert!(first.recv_timeout(Duration::from_millis(50)).is_err());
+        assert!(second.recv_timeout(Duration::from_millis(50)).is_err());
+
+        let started = Instant::now();
+        drop(executing);
+        // Exactly one waiter takes the held requests, at once; for the
+        // other nothing changed (its batch would be empty), so it stays
+        // blocked until close.
+        let (taker, other) = loop {
+            if let Ok(got) = first.try_recv() {
+                break (got, &second);
+            }
+            if let Ok(got) = second.try_recv() {
+                break (got, &first);
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "the returned batch released nothing"
+            );
+            std::thread::yield_now();
+        };
+        assert_eq!(taker, Some(vec![1, 2, 3]));
+        assert!(other.recv_timeout(Duration::from_millis(50)).is_err());
+        b.close();
+        assert_eq!(other.recv_timeout(Duration::from_secs(5)), Ok(None));
     }
 
     #[test]
@@ -305,11 +461,27 @@ mod tests {
     }
 
     #[test]
+    fn close_flushes_requests_held_behind_an_executing_batch() {
+        let b = Arc::new(Batcher::new(cfg(64, NEVER, 64)).unwrap());
+        b.push(0u32).unwrap();
+        let executing = b.next_batch().expect("first batch");
+        b.push(1).unwrap();
+        b.push(2).unwrap();
+        let held = waiter(&b);
+        assert!(held.recv_timeout(Duration::from_millis(50)).is_err());
+        b.close();
+        let flushed = held.recv_timeout(Duration::from_secs(5)).expect("flush");
+        assert_eq!(flushed, Some(vec![1, 2]));
+        assert!(b.next_batch().is_none(), "drained + closed → None");
+        drop(executing);
+    }
+
+    #[test]
     fn close_wakes_a_blocked_dispatcher() {
         let b = Arc::new(Batcher::<u32>::new(cfg(4, Duration::from_secs(60), 8)).unwrap());
         let waiter = {
             let b = b.clone();
-            std::thread::spawn(move || b.next_batch())
+            std::thread::spawn(move || b.next_batch().map(|batch| batch.len()))
         };
         std::thread::sleep(Duration::from_millis(20));
         b.close();

@@ -35,9 +35,10 @@
 //!   bit-identically from snapshot + WAL suffix.
 //! * [`Server`] — the online front-end: many client threads submit single
 //!   queries through a bounded ingress queue with admission control
-//!   ([`juno_common::error::Error::Overloaded`]), a size-or-deadline trigger
-//!   coalesces them into batches ([`batcher`]), batches execute through the
-//!   degraded read path, and every reply carries per-request QoS stats
+//!   ([`juno_common::error::Error::Overloaded`]), a work-conserving trigger
+//!   coalesces what queued while the previous batch ran ([`batcher`]),
+//!   batches execute through the degraded read path on the fleet's parked
+//!   scan workers, and every reply carries per-request QoS stats
 //!   ([`ServeStats`]) with aggregate histograms via
 //!   [`Server::metrics_snapshot`].
 
@@ -53,7 +54,7 @@ pub mod router;
 pub mod server;
 pub mod shard;
 
-pub use batcher::{Batcher, BatcherConfig, Pending};
+pub use batcher::{Batch, Batcher, BatcherConfig, Pending};
 pub use durability::{CheckpointReport, DurabilityConfig, RecoveryReport};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker, HealthTracker, RetryPolicy};
@@ -62,7 +63,7 @@ pub use router::{ShardRouter, MAX_SHARDS};
 pub use server::{ServeResponse, ServeStats, Server, ServerConfig};
 pub use shard::{
     BackgroundCompactor, DegradedBatch, DegradedResult, FleetReader, RebuildPolicy, RebuildReport,
-    Rebuilder, ShardState, ShardStatus, ShardedIndex,
+    Rebuilder, ScanWorkerStats, ShardState, ShardStatus, ShardedIndex,
 };
 
 #[cfg(test)]
@@ -1218,7 +1219,39 @@ mod tests {
 
     // ---- online serving front-end ----------------------------------------
 
-    use crate::server::{Server, ServerConfig};
+    use crate::server::{ServeResponse, Server, ServerConfig};
+
+    /// Holds a one-dispatcher server's dispatcher for `hold`: stalls shard
+    /// 0's first search, sends a plug request into it and returns once the
+    /// dispatcher has picked the plug up. Requests admitted before the plug
+    /// comes back stay queued behind it (tests give them `max_delay` = 60 s),
+    /// so a test can form the next batch deterministically — as long as it
+    /// finishes queueing within `hold`.
+    fn plug_dispatcher(
+        server: &Arc<Server<MiniIndex>>,
+        hold: Duration,
+    ) -> std::thread::JoinHandle<Result<ServeResponse>> {
+        let plan =
+            FaultPlan::new(4).with_rule(first_n(0, FaultOp::Search, 1, FaultKind::Stall(hold)));
+        server.fleet().set_fault_plan(Some(Arc::new(plan)));
+        let plug = {
+            let server = server.clone();
+            std::thread::spawn(move || server.query(&[0.5, 0.5], 1))
+        };
+        wait_for("the dispatcher to pick the plug up", || {
+            server.metrics_snapshot().counter("serve.admitted") == 1 && server.queue_depth() == 0
+        });
+        plug
+    }
+
+    /// Spins (yielding) until `done()` or five seconds pass.
+    pub(crate) fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < give_up, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn server_serves_concurrent_clients_with_correct_results_and_stats() {
@@ -1271,9 +1304,9 @@ mod tests {
     #[test]
     fn server_rejects_beyond_queue_depth_and_flushes_admitted_work_on_drop() {
         let fleet = Arc::new(four_shard_fleet(40));
-        // max_batch is far above what we enqueue and max_delay is huge, so
-        // the lone admitted request sits in the queue deterministically
-        // until shutdown flushes it.
+        // max_batch is far above what we enqueue, max_delay is huge and the
+        // dispatcher is held on a plug, so the next admitted request sits in
+        // the queue's only slot until the plug comes back.
         let server = Arc::new(
             Server::spawn(
                 fleet,
@@ -1287,6 +1320,7 @@ mod tests {
             )
             .unwrap(),
         );
+        let plug = plug_dispatcher(&server, Duration::from_millis(300));
         let first = {
             let server = server.clone();
             std::thread::spawn(move || server.query(&[1.0, 1.0], 3))
@@ -1297,7 +1331,7 @@ mod tests {
         // client's metric update — the snapshot asserts below would otherwise
         // race it.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.metrics_snapshot().counter("serve.admitted") < 1 {
+        while server.metrics_snapshot().counter("serve.admitted") < 2 {
             assert!(Instant::now() < deadline, "first request never enqueued");
             std::thread::yield_now();
         }
@@ -1309,11 +1343,12 @@ mod tests {
         );
         let snap = server.metrics_snapshot();
         assert_eq!(snap.counter("serve.rejected"), 1);
-        assert_eq!(snap.counter("serve.admitted"), 1);
+        assert_eq!(snap.counter("serve.admitted"), 2, "the plug and `first`");
         // Shutdown flushes the admitted request rather than dropping it.
         // (The blocked client thread holds an Arc clone, so Drop alone
         // would wait for it — close ingress explicitly first.)
         server.shutdown();
+        plug.join().unwrap().unwrap();
         let response = first.join().unwrap().unwrap();
         assert_eq!(response.result.neighbors.len(), 3);
         assert_eq!(response.stats.batch_size, 1);
@@ -1355,7 +1390,8 @@ mod tests {
                 fleet.clone(),
                 ServerConfig {
                     max_batch: 3,
-                    max_delay: Duration::from_secs(60), // size trigger only
+                    // Size trigger only, once the dispatcher is held.
+                    max_delay: Duration::from_secs(60),
                     queue_depth: 16,
                     search_budget: Duration::from_secs(5),
                     dispatchers: 1,
@@ -1363,6 +1399,7 @@ mod tests {
             )
             .unwrap(),
         );
+        let plug = plug_dispatcher(&server, Duration::from_millis(300));
         let ks = [2usize, 5, 9];
         std::thread::scope(|scope| {
             for (i, k) in ks.into_iter().enumerate() {
@@ -1379,6 +1416,64 @@ mod tests {
                     );
                 });
             }
+        });
+        plug.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn server_snapshot_reports_execution_time_and_scan_workers() {
+        let fleet = Arc::new(four_shard_fleet(60));
+        let server = Server::spawn(fleet.clone(), ServerConfig::default()).unwrap();
+        for i in 0..40 {
+            server.query(&[i as f32 * 0.1, 0.5], 5).unwrap();
+        }
+        // A batch's execution time is recorded after its last reply, so the
+        // client can get here first.
+        wait_for("the last batch's execution time", || {
+            let snap = server.metrics_snapshot();
+            snap.histograms["serve.exec_ns"].count == snap.counter("serve.dispatched_batches")
+        });
+        let snap = server.metrics_snapshot();
+        // One client, one dispatcher: a request never waits out a timer, and
+        // its whole latency is its batch's execution plus plumbing.
+        assert!(
+            snap.histograms["serve.queue_wait_ns"].p50() < 500_000,
+            "a lone request waited in the queue"
+        );
+        let started = snap.counter("serve.scan_workers_started");
+        assert!(
+            (1..=4).contains(&started),
+            "40 sequential batches on 4 shards started {started} scan workers"
+        );
+        assert_eq!(started, fleet.scan_worker_stats().started);
+        assert!((0..=4).contains(&snap.gauge("serve.scan_workers_parked")));
+    }
+
+    #[test]
+    fn dropping_the_fleet_and_its_readers_lets_every_parked_scan_worker_exit() {
+        use std::sync::atomic::Ordering;
+        let budget = Duration::from_secs(5);
+        let fleet = four_shard_fleet(60);
+        let live = fleet.scan_workers_live();
+        let reader = fleet.reader();
+        assert!(reader
+            .search_deadline(&[1.0, 1.0], 5, budget)
+            .unwrap()
+            .is_complete());
+        let parked = fleet.scan_worker_stats().parked;
+        assert!((1..=4).contains(&parked), "{parked} workers parked");
+        assert_eq!(live.load(Ordering::SeqCst), parked);
+        // A pinned reader keeps the pool open after the fleet is gone…
+        drop(fleet);
+        assert!(reader
+            .search_deadline(&[2.0, 2.0], 5, budget)
+            .unwrap()
+            .is_complete());
+        assert!(live.load(Ordering::SeqCst) >= parked);
+        // …and the last handle to go closes it.
+        drop(reader);
+        wait_for("the parked workers to exit", || {
+            live.load(Ordering::SeqCst) == 0
         });
     }
 

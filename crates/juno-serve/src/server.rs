@@ -6,17 +6,21 @@
 //!  ─────────────                  ──────────────────          ───────────
 //!  query() ──┐                      ┌─ next_batch() ─┐
 //!  query() ──┼─▶ Batcher (bounded, ─┤                ├─▶ FleetReader::
-//!  query() ──┘   size-or-deadline)  └─ next_batch() ─┘   search_batch_deadline
-//!      ▲                                   │                    │
+//!  query() ──┘   work-conserving)   └─ next_batch() ─┘   search_batch_deadline
+//!      ▲                                   │              (parked scan workers)
 //!      └────────── per-request reply ◀─────┴─ truncate to k ◀───┘
 //! ```
 //!
 //! A [`Server`] owns a sharded fleet and a pool of dispatcher threads. Client
 //! threads call [`Server::query`] concurrently; each call is admitted into
-//! the bounded [`Batcher`] (or rejected with [`Error::Overloaded`]), coalesced
-//! into a batch by the size-or-deadline trigger, executed through the
-//! degraded read path (so a stalled shard costs coverage, not the deadline),
-//! and answered with the merged result plus per-request [`ServeStats`].
+//! the bounded [`Batcher`] (or rejected with [`Error::Overloaded`]), handed
+//! to a dispatcher at once when none is executing — and otherwise coalesced
+//! with whatever else arrives while the batch ahead of it runs — executed
+//! through the degraded read path (so a stalled shard costs coverage, not
+//! the deadline), and answered with the merged result plus per-request
+//! [`ServeStats`]. The dispatcher keeps its [`Batch`](crate::batcher::Batch)
+//! until the last reply is sent; dropping it is what releases the requests
+//! held behind it.
 //!
 //! Mixed-`k` batches execute at the largest requested `k` and truncate per
 //! request: the fleet's merge is a total order over (score, id), so the
@@ -26,16 +30,16 @@
 //!
 //! QoS is observable two ways: per-request ([`ServeStats`]: queue wait,
 //! batch size, coverage, shard statuses) and aggregate
-//! ([`Server::metrics_snapshot`]: latency/queue-wait/batch-size histograms
-//! with p50/p99/p999, queue depth, admission rejections, breaker state
-//! flips).
+//! ([`Server::metrics_snapshot`]: latency/queue-wait/execution/batch-size
+//! histograms with p50/p99/p999, queue depth, admission rejections, breaker
+//! state flips, scan-worker threads started and parked).
 
 use crate::batcher::{Batcher, BatcherConfig};
 use crate::health::BreakerState;
 use crate::shard::{ShardStatus, ShardedIndex};
 use juno_common::error::{Error, Result};
 use juno_common::index::{AnnIndex, SearchResult};
-use juno_common::metrics::{Registry, RegistrySnapshot};
+use juno_common::metrics::{Counter, LogHistogram, Registry, RegistrySnapshot};
 use juno_common::vector::VectorSet;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -45,7 +49,10 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Dispatch a batch as soon as this many requests are pending.
     pub max_batch: usize,
-    /// Dispatch once the oldest pending request has waited this long.
+    /// The longest a request is held back while another batch is
+    /// executing, so that it can share the next batch with later arrivals.
+    /// With no batch executing a pending request is dispatched at once,
+    /// whatever this says.
     pub max_delay: Duration,
     /// Ingress bound: requests beyond this many pending are rejected with
     /// [`Error::Overloaded`].
@@ -113,6 +120,12 @@ pub struct Server<I: AnnIndex + 'static> {
     fleet: Arc<ShardedIndex<I>>,
     batcher: Arc<Batcher<Request>>,
     metrics: Arc<Registry>,
+    /// Handles [`Server::query`] records into on every request, resolved
+    /// once so the hot path never takes the registry's lock.
+    admitted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    ingress_depth: Arc<LogHistogram>,
+    latency: Arc<LogHistogram>,
     dim: usize,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -149,6 +162,10 @@ impl<I: AnnIndex + 'static> Server<I> {
         Ok(Self {
             fleet,
             batcher,
+            admitted: metrics.counter("serve.admitted"),
+            rejected: metrics.counter("serve.rejected"),
+            ingress_depth: metrics.histogram("serve.ingress_depth"),
+            latency: metrics.histogram("serve.latency_ns"),
             metrics,
             dim,
             dispatchers,
@@ -159,8 +176,10 @@ impl<I: AnnIndex + 'static> Server<I> {
     /// the merged top-`k` plus [`ServeStats`].
     ///
     /// Safe to call from any number of threads concurrently; the calling
-    /// thread blocks until the reply (bounded by roughly
-    /// `max_delay + search_budget` plus queueing).
+    /// thread blocks until the reply: on an idle server that is the batch's
+    /// own execution, bounded by `search_budget`; behind an executing batch
+    /// it adds that batch's remaining time (the request is dispatched when
+    /// a dispatcher frees up, or after `max_delay` if another one is idle).
     ///
     /// # Errors
     ///
@@ -187,32 +206,37 @@ impl<I: AnnIndex + 'static> Server<I> {
             k,
             reply,
         });
-        if let Err(err) = admit {
-            if matches!(err, Error::Overloaded(_)) {
-                self.metrics.counter("serve.rejected").inc();
+        let depth = match admit {
+            Ok(depth) => depth,
+            Err(err) => {
+                if matches!(err, Error::Overloaded(_)) {
+                    self.rejected.inc();
+                }
+                return Err(err);
             }
-            return Err(err);
-        }
-        self.metrics.counter("serve.admitted").inc();
-        self.metrics
-            .histogram("serve.ingress_depth")
-            .record(self.batcher.len() as u64);
+        };
+        self.admitted.inc();
+        self.ingress_depth.record(depth as u64);
         let out = response
             .recv()
             .map_err(|_| Error::unavailable("server shut down before replying"))?;
         if out.is_ok() {
-            self.metrics
-                .histogram("serve.latency_ns")
-                .record_duration(started.elapsed());
+            self.latency.record_duration(started.elapsed());
         }
         out
     }
 
     /// Point-in-time aggregate QoS metrics: `serve.latency_ns`,
-    /// `serve.queue_wait_ns` and `serve.batch_size` histograms (p50/p99/p999
+    /// `serve.queue_wait_ns`, `serve.exec_ns` (batch picked up → last reply
+    /// sent) and `serve.batch_size` histograms (p50/p99/p999
     /// via [`juno_common::metrics::HistogramSnapshot`]), admission counters
     /// (`serve.admitted` / `serve.rejected`), dispatch counters, the current
     /// `serve.queue_depth` gauge and cumulative `serve.breaker_transitions`.
+    /// `serve.scan_workers_started` / `serve.scan_workers_parked` are read
+    /// off the fleet's scan-worker pool
+    /// ([`ShardedIndex::scan_worker_stats`]): the first stops growing once a
+    /// healthy fleet is warm, so one that keeps climbing means scans are
+    /// overlapping or stuck behind a stalled shard.
     /// `serve.plan_shared_shards` / `serve.plan_replanned_shards` count, over
     /// every executed batch, the shard scans that ran from the batch's
     /// shared plan and those that had to plan for themselves
@@ -229,6 +253,11 @@ impl<I: AnnIndex + 'static> Server<I> {
             .gauge("serve.breaker_transitions")
             .set(self.fleet.health().total_transitions() as i64);
         let mut snap = self.metrics.snapshot();
+        let workers = self.fleet.scan_worker_stats();
+        snap.counters
+            .insert("serve.scan_workers_started".into(), workers.started);
+        snap.gauges
+            .insert("serve.scan_workers_parked".into(), workers.parked as i64);
         snap.merge(&self.fleet.wal_metrics());
         snap
     }
@@ -295,7 +324,8 @@ impl<I: AnnIndex + 'static> Drop for Server<I> {
 }
 
 /// One dispatcher: pull batches until ingress is closed and drained, execute
-/// each through the degraded read path, reply per request.
+/// each through the degraded read path, reply per request, and only then
+/// give the batch back to the batcher.
 fn dispatch_loop<I: AnnIndex + 'static>(
     fleet: &ShardedIndex<I>,
     batcher: &Batcher<Request>,
@@ -304,6 +334,7 @@ fn dispatch_loop<I: AnnIndex + 'static>(
 ) {
     let queue_wait = metrics.histogram("serve.queue_wait_ns");
     let batch_sizes = metrics.histogram("serve.batch_size");
+    let exec = metrics.histogram("serve.exec_ns");
     let coverage_pct = metrics.histogram("serve.coverage_pct");
     let batches = metrics.counter("serve.dispatched_batches");
     let degraded = metrics.counter("serve.degraded_batches");
@@ -315,7 +346,7 @@ fn dispatch_loop<I: AnnIndex + 'static>(
         let batch_size = batch.len();
         batches.inc();
         batch_sizes.record(batch_size as u64);
-        for pending in &batch {
+        for pending in batch.iter() {
             queue_wait.record_duration(picked_at.duration_since(pending.enqueued));
         }
         // Execute at the largest requested k; per-request truncation below
@@ -341,7 +372,7 @@ fn dispatch_loop<I: AnnIndex + 'static>(
                 plan_replanned.add(degraded_batch.plan_replanned_shards as u64);
                 let shards = degraded_batch.shards;
                 let coverage = degraded_batch.coverage;
-                for (pending, mut result) in batch.into_iter().zip(degraded_batch.results) {
+                for (pending, mut result) in batch.iter().zip(degraded_batch.results) {
                     result.neighbors.truncate(pending.item.k);
                     let response = ServeResponse {
                         result,
@@ -358,11 +389,12 @@ fn dispatch_loop<I: AnnIndex + 'static>(
             }
             Err(err) => {
                 failed.inc();
-                for pending in batch {
+                for pending in batch.iter() {
                     let _ = pending.item.reply.send(Err(err.clone()));
                 }
             }
         }
+        exec.record_duration(picked_at.elapsed());
     }
 }
 

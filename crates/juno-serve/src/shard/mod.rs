@@ -57,8 +57,10 @@
 //! The exact paths above treat any shard error as fatal to the request. The
 //! **degraded read path** ([`FleetReader::search_deadline`] /
 //! [`FleetReader::search_batch_deadline`]) instead treats shards as
-//! independently failable: each shard scan runs on its own detached worker,
-//! transient errors are retried per [`crate::health::RetryPolicy`], shards
+//! independently failable: each shard scan runs on a worker of its own from
+//! the fleet's scan-worker pool (`workers`: a parked thread when one is
+//! free, a new one otherwise — never queued behind another scan), transient
+//! errors are retried per [`crate::health::RetryPolicy`], shards
 //! whose [`crate::health::CircuitBreaker`] is open are skipped outright, and
 //! whatever has not answered by the deadline is abandoned. The caller gets a
 //! [`DegradedResult`]: the merged top-k over the responsive shards, a
@@ -77,18 +79,21 @@
 //!
 //! This file holds the topology ([`ShardedIndex`], its epoch pointers,
 //! constructors and [`AnnIndex`] impl); `read` the [`FleetReader`] paths;
-//! `write` the writer protocol behind insert / remove / compact; `lifecycle`
+//! `workers` the threads the degraded read path scans on; `write` the
+//! writer protocol behind insert / remove / compact; `lifecycle`
 //! restore, the WAL plane, rebuild and split/merge; `background` the
 //! compactor and rebuilder threads.
 
 mod background;
 mod lifecycle;
 mod read;
+mod workers;
 mod write;
 
 pub use background::{BackgroundCompactor, RebuildPolicy, Rebuilder};
 pub use lifecycle::RebuildReport;
 pub use read::{DegradedBatch, DegradedResult, FleetReader, ShardStatus};
+pub use workers::ScanWorkerStats;
 
 use crate::durability::Durability;
 use crate::fault::FaultPlan;
@@ -101,6 +106,7 @@ use juno_common::topk::ScoreOrder;
 use juno_common::vector::VectorSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use workers::ScanWorkers;
 
 /// One published shard state: the index, the epoch that published it, and
 /// (mapped fleets only) the local→global id translation.
@@ -171,6 +177,9 @@ pub struct ShardedIndex<I: AnnIndex> {
     /// a shard-count change can swap in a tracker of the right shape
     /// through `&self`.
     health: RwLock<Arc<HealthTracker>>,
+    /// The threads degraded reads scan on, shared with every reader; the
+    /// last clone to drop closes the pool.
+    workers: Arc<ScanWorkers>,
     /// Chaos-testing fault plan (`None` in production). Behind its own lock
     /// so tests can attach/detach plans without a writer handle.
     fault: RwLock<Option<Arc<FaultPlan>>>,
@@ -190,6 +199,7 @@ impl<I: AnnIndex> ShardedIndex<I> {
             RetryPolicy::default(),
         ));
         Self {
+            workers: Arc::new(ScanWorkers::new(shards.len())),
             shards: RwLock::new(Arc::new(shards)),
             router,
             writer: Mutex::new(()),
@@ -210,12 +220,14 @@ impl<I: AnnIndex> ShardedIndex<I> {
     /// fleet writer lock or `&mut self`). A changed shard count also swaps in
     /// a fresh health tracker of that shape with the current tuning (all
     /// breakers closed): pinned readers keep their own tracker, so they
-    /// never index a breaker out of range.
+    /// never index a breaker out of range. The scan-worker pool follows the
+    /// count in place.
     fn set_topology(&self, shards: Vec<Shard<I>>) {
         let mut health = self.health.write().expect("health lock poisoned");
         if health.num_shards() != shards.len() {
             let (breaker, retry) = (health.breaker_config(), health.retry());
             *health = Arc::new(HealthTracker::new(shards.len(), breaker, retry));
+            self.workers.set_num_shards(shards.len());
         }
         *self.shards.write().expect("topology lock poisoned") = Arc::new(shards);
     }
@@ -291,6 +303,18 @@ impl<I: AnnIndex> ShardedIndex<I> {
         self.health().breaker_states()
     }
 
+    /// How many scan-worker threads the degraded read path has started,
+    /// and how many are parked or alive now.
+    pub fn scan_worker_stats(&self) -> ScanWorkerStats {
+        self.workers.stats()
+    }
+
+    /// The live scan-worker count, readable after the fleet is dropped.
+    #[cfg(test)]
+    pub(crate) fn scan_workers_live(&self) -> Arc<std::sync::atomic::AtomicUsize> {
+        self.workers.live_counter()
+    }
+
     /// Replaces the health tuning **in place**: every breaker restarts
     /// fresh (all-closed) with the new config. Works through `&self` on a
     /// live shared fleet (`Arc<ShardedIndex>`); existing readers share the
@@ -332,6 +356,7 @@ impl<I: AnnIndex> ShardedIndex<I> {
                 .map(|shard| shard.slot.read().expect("shard slot lock poisoned").clone())
                 .collect(),
             health: self.health(),
+            workers: self.workers.clone(),
             fault: self.fault_plan(),
         }
     }

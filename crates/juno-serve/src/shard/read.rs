@@ -1,6 +1,7 @@
 //! The read side of the fleet: pinned readers, plan-once scatter-gather, and
 //! the deadline-aware degraded path (see the [`shard`](super) module docs).
 
+use super::workers::ScanWorkers;
 use super::ShardState;
 use crate::fault::{FaultOp, FaultPlan};
 use crate::health::{BreakerState, HealthTracker, RetryPolicy};
@@ -26,6 +27,9 @@ pub struct FleetReader<I: AnnIndex> {
     /// Shared with the fleet (and every other reader): breaker decisions
     /// made by one reader's degraded searches benefit the next.
     pub(super) health: Arc<HealthTracker>,
+    /// The fleet's scan workers (degraded reads only). Holding a clone keeps
+    /// the pool open for as long as this reader can still submit to it.
+    pub(super) workers: Arc<ScanWorkers>,
     /// The fault plan pinned when the reader was created (chaos testing
     /// only; `None` in production).
     pub(super) fault: Option<Arc<FaultPlan>>,
@@ -413,10 +417,13 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
     /// to [`FleetReader::search`].
     ///
     /// `I: 'static` because slow shards are *abandoned*, not cancelled: each
-    /// scan runs on a detached worker holding its own `Arc` of the pinned
-    /// shard state, so a straggler finishing after the deadline (even after
-    /// this reader is dropped) writes into a disconnected channel and frees
-    /// the state — never a use-after-free, never a blocked caller.
+    /// scan runs on one of the fleet's scan workers — a parked one when one
+    /// is free, a newly started one otherwise, so a scan never waits behind
+    /// another shard's (possibly stalled) scan — and the job holds its own
+    /// `Arc` of the pinned shard state. A straggler finishing after the
+    /// deadline (even after this reader and the fleet are dropped) writes
+    /// into a disconnected channel, frees the state and parks or exits —
+    /// never a use-after-free, never a blocked caller.
     ///
     /// # Errors
     ///
@@ -468,6 +475,8 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
             .position(Option::is_some)
             .and_then(|s| plan_once(&self.states[s], queries, parallel::default_threads()));
 
+        // One copy of the batch, shared by every shard's job.
+        let queries = Arc::new(queries.clone());
         let (tx, rx) = mpsc::channel::<(usize, Result<ShardBatch>)>();
         let mut statuses: Vec<ShardStatus> = Vec::with_capacity(total);
         let mut outstanding = 0usize;
@@ -480,12 +489,13 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
             statuses.push(ShardStatus::TimedOut);
             outstanding += 1;
             let state = self.states[s].clone();
-            let queries = queries.clone();
+            let queries = Arc::clone(&queries);
             let plan = plan.clone();
             let fault = self.fault.clone();
             let retry = self.health.retry();
-            let tx = tx.clone();
-            std::thread::spawn(move || {
+            // A send after the deadline hits a disconnected receiver; the
+            // straggler's work is simply discarded.
+            self.workers.submit(tx.clone(), move || {
                 let out = scan_shard_guarded(
                     &state,
                     s,
@@ -496,9 +506,7 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
                     fault.as_deref(),
                     retry,
                 );
-                // A send after the deadline hits a disconnected receiver;
-                // the straggler's work is simply discarded.
-                let _ = tx.send((s, out));
+                (s, out)
             });
         }
         drop(tx);
@@ -519,7 +527,7 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
                     statuses[s] = ShardStatus::Failed(err);
                     outstanding -= 1;
                 }
-                // Deadline reached (or, with zero spawns, channel closed):
+                // Deadline reached (or, with nothing submitted, channel closed):
                 // whatever has not answered stays `TimedOut`.
                 Err(mpsc::RecvTimeoutError::Timeout) => break,
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,

@@ -1,7 +1,7 @@
 //! Online-serving integration suite: the `juno-serve` front-end over a real
 //! [`JunoIndex`] fleet.
 //!
-//! Three contracts, each one a tier-1 CI matrix entry's worth of behaviour:
+//! Four contracts, each one a tier-1 CI matrix entry's worth of behaviour:
 //!
 //! * **Batching is invisible** — a size-triggered batch of concurrent
 //!   single-query requests returns ids *and distance bits* identical to one
@@ -15,6 +15,11 @@
 //!   stall is *lost coverage*, not latency), and once the fault is disarmed
 //!   the half-open probe path closes the breaker and coverage returns to
 //!   1.0 on its own.
+//! * **Scans run on parked workers** — a healthy fleet serves any number of
+//!   sequential batches from one scan-worker thread per shard with
+//!   results identical to a cold pool's (which starts one thread per scan,
+//!   as every batch used to), and a stalled shard's worker is never waited
+//!   for: the next batch's scans all start at once on other workers.
 
 use juno::prelude::*;
 use juno_bench::loadgen::{run_open_loop, OpenLoopPlan};
@@ -40,6 +45,15 @@ fn build_fleet(points: usize, queries: usize, seed: u64) -> (Dataset, ShardedInd
     (ds, fleet)
 }
 
+/// Spins (yielding) until `done()` or five seconds pass.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn size_triggered_batches_match_direct_deadline_search_bit_for_bit() {
     const B: usize = 8;
@@ -57,8 +71,9 @@ fn size_triggered_batches_match_direct_deadline_search_bit_for_bit() {
         fleet.clone(),
         ServerConfig {
             max_batch: B,
-            // Only the size trigger may fire: if the batch dispatches before
-            // all B requests arrive, batch_size below betrays it.
+            // Only the size trigger may fire while the dispatcher is held
+            // (below): if the batch dispatches before all B requests arrive,
+            // batch_size below betrays it.
             max_delay: Duration::from_secs(60),
             queue_depth: 64,
             search_budget: budget,
@@ -67,7 +82,21 @@ fn size_triggered_batches_match_direct_deadline_search_bit_for_bit() {
     )
     .expect("server");
 
+    // Hold the dispatcher on a plug request — shard 0's first search under
+    // the plan stalls — until all B requests are queued behind it; an idle
+    // dispatcher would take the first arrival alone.
+    fleet.set_fault_plan(Some(Arc::new(FaultPlan::new(4).with_rule(FaultRule {
+        shard: 0,
+        op: FaultOp::Search,
+        from_op: 0,
+        until_op: Some(1),
+        kind: FaultKind::Stall(Duration::from_millis(500)),
+    }))));
     let served: Vec<(usize, ServeResponse)> = std::thread::scope(|scope| {
+        let plug = scope.spawn(|| server.query(ds.queries.row(0), K).expect("plug"));
+        wait_for("the dispatcher to pick the plug up", || {
+            server.metrics_snapshot().counter("serve.admitted") == 1 && server.queue_depth() == 0
+        });
         let handles: Vec<_> = (0..B)
             .map(|qi| {
                 let server = &server;
@@ -75,6 +104,8 @@ fn size_triggered_batches_match_direct_deadline_search_bit_for_bit() {
                 scope.spawn(move || (qi, server.query(&query, K).expect("serve")))
             })
             .collect();
+        wait_for("all B requests to queue", || server.queue_depth() == B);
+        assert_eq!(plug.join().expect("plug panicked").stats.batch_size, 1);
         handles
             .into_iter()
             .map(|h| h.join().expect("client panicked"))
@@ -214,5 +245,135 @@ fn stalled_shard_keeps_the_deadline_and_coverage_recovers_after_disarm() {
     assert!(
         snap.gauge("serve.breaker_transitions") >= 2,
         "trip + recovery must both show up as breaker transitions"
+    );
+}
+
+/// Ids and distance bits of every neighbour of every query.
+fn batch_bits(results: &[SearchResult]) -> Vec<Vec<(u64, u32)>> {
+    results
+        .iter()
+        .map(|r| {
+            r.neighbors
+                .iter()
+                .map(|n| (n.id, n.distance.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn sequential_batches_reuse_one_scan_worker_per_shard_bit_for_bit() {
+    const K: usize = 25;
+    const S: u64 = 4;
+    let (ds, fleet) = build_fleet(1_500, 8, 2_027);
+    let budget = Duration::from_secs(10);
+    let exact = fleet.reader().search_batch(&ds.queries, K).expect("exact");
+
+    // A cold pool has nobody parked: it starts a thread per scan, which is
+    // what every batch used to do.
+    let cold = fleet
+        .reader()
+        .search_batch_deadline(&ds.queries, K, budget)
+        .expect("cold batch");
+    assert!(cold.is_complete());
+    assert!((1..=S).contains(&fleet.scan_worker_stats().started));
+    assert_eq!(batch_bits(&cold.results), batch_bits(&exact));
+
+    for call in 1..200 {
+        let warm = fleet
+            .reader()
+            .search_batch_deadline(&ds.queries, K, budget)
+            .expect("warm batch");
+        assert_eq!(warm.shards, cold.shards, "call {call}: statuses");
+        assert_eq!(
+            batch_bits(&warm.results),
+            batch_bits(&cold.results),
+            "call {call}: a reused worker changed a result"
+        );
+    }
+    // A worker counts as free before its result is sent, so a caller that
+    // has all four results finds all four workers: 800 scans, S threads.
+    let stats = fleet.scan_worker_stats();
+    assert!(
+        stats.started <= S,
+        "200 sequential batches started {} scan workers",
+        stats.started
+    );
+    assert_eq!(stats.parked as u64, stats.started);
+}
+
+#[test]
+fn a_stalled_scan_never_delays_the_next_batch_and_its_worker_parks_afterwards() {
+    const K: usize = 5;
+    let (ds, fleet) = build_fleet(1_500, 6, 7_001);
+    // Keep admitting the stalled shard: this test is about the workers.
+    fleet.configure_health(
+        BreakerConfig {
+            failure_threshold: u32::MAX,
+            ..BreakerConfig::default()
+        },
+        RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        },
+    );
+    let budget = Duration::from_millis(150);
+    let stall = Duration::from_millis(600);
+    let plan = Arc::new(FaultPlan::new(4).with_rule(FaultRule {
+        shard: 1,
+        op: FaultOp::Search,
+        from_op: 0,
+        until_op: None,
+        kind: FaultKind::Stall(stall),
+    }));
+    fleet.set_fault_plan(Some(plan.clone()));
+    let healthy = fleet.reader().search_batch(&ds.queries, K).expect("exact");
+
+    let started = Instant::now();
+    for batch in 1..=2u64 {
+        let clock = Instant::now();
+        let degraded = fleet
+            .reader()
+            .search_batch_deadline(&ds.queries, K, budget)
+            .expect("degraded batch");
+        let took = clock.elapsed();
+        assert_eq!(degraded.coverage, 0.75, "batch {batch}");
+        assert_eq!(degraded.shards[1], ShardStatus::TimedOut, "batch {batch}");
+        assert!(
+            took < budget + Duration::from_millis(100),
+            "batch {batch} took {took:?}: it waited for the stalled worker"
+        );
+        // The stalled shard's scan itself started too (it counts its
+        // injection point on entry) — on a worker of its own, while the
+        // previous batch's straggler was still asleep.
+        assert_eq!(plan.op_count(1, FaultOp::Search), batch);
+    }
+    assert!(
+        started.elapsed() < stall,
+        "the second batch should have run inside the first straggler's stall"
+    );
+
+    // Both stragglers finish into disconnected channels and park (or exit,
+    // when four are parked already); nothing is left running.
+    plan.disarm();
+    wait_for("the stragglers to park", || {
+        let stats = fleet.scan_worker_stats();
+        stats.live == stats.parked
+    });
+    let before = fleet.scan_worker_stats();
+    assert!(before.parked <= 4);
+    let recovered = fleet
+        .reader()
+        .search_batch_deadline(&ds.queries, K, Duration::from_secs(10))
+        .expect("recovered batch");
+    assert!(
+        recovered.is_complete(),
+        "late results leaked: {recovered:?}"
+    );
+    assert_eq!(batch_bits(&recovered.results), batch_bits(&healthy));
+    assert_eq!(
+        fleet.scan_worker_stats().started,
+        before.started,
+        "the parked workers (the stragglers' among them) were not reused"
     );
 }
