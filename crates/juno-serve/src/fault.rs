@@ -21,12 +21,14 @@
 //!   legacy exact path ([`crate::FleetReader::search`]) is deliberately not
 //!   instrumented: it is the bit-identity reference the differential suites
 //!   compare against.
-//! * [`FaultOp::Insert`] — per shard, before staging a writer mutation
-//!   (insert batch or remove) on that shard's clone.
+//! * [`FaultOp::Insert`] — per shard, before a writer mutation (insert
+//!   batch or remove) takes that shard's staging engine: its retired epoch
+//!   caught up, or a clone of its current state.
 //! * [`FaultOp::Publish`] — per shard, immediately before the staged state's
 //!   pointer swap; a fault here simulates a crash *between* per-shard
 //!   publishes, which the writer must roll back.
-//! * [`FaultOp::Compact`] — per shard, before a compaction clone-and-publish.
+//! * [`FaultOp::Compact`] — per shard, before a compaction sweep takes that
+//!   shard's staging engine (as for `Insert`) to compact and publish.
 //! * [`FaultOp::Restore`] — per restored shard, after validation but before
 //!   the fleet swaps any state in.
 //! * [`FaultOp::WalAppend`] — on the durability plane (shard 0 counters),
@@ -66,7 +68,8 @@ use std::time::Duration;
 pub enum FaultOp {
     /// A shard scan on the deadline-aware read path.
     Search,
-    /// Staging a writer mutation (insert / remove) on one shard's clone.
+    /// Staging a writer mutation (insert / remove) on one shard's staging
+    /// engine (its retired epoch caught up, or a clone).
     Insert,
     /// The per-shard pointer swap publishing a staged writer state.
     Publish,

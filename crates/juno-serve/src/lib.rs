@@ -6,7 +6,7 @@
 //!
 //! * [`ShardedIndex`] — `S` shards behind per-shard epoch pointers.
 //!   Readers pin a [`FleetReader`] (snapshot isolation, no locks held while
-//!   searching); writers clone-and-publish per shard, so reads never block
+//!   searching); writers stage-and-publish per shard, so reads never block
 //!   on insert / remove / compaction.
 //! * [`ShardRouter`] — deterministic id → shard ownership (hash or modulo).
 //! * Scatter-gather search — per-shard top-k lists merge through the
@@ -63,7 +63,7 @@ pub use router::{ShardRouter, MAX_SHARDS};
 pub use server::{ServeResponse, ServeStats, Server, ServerConfig};
 pub use shard::{
     BackgroundCompactor, DegradedBatch, DegradedResult, FleetReader, RebuildPolicy, RebuildReport,
-    Rebuilder, ScanWorkerStats, ShardState, ShardStatus, ShardedIndex,
+    Rebuilder, ScanWorkerStats, ShardState, ShardStatus, ShardedIndex, StageStats,
 };
 
 #[cfg(test)]
@@ -1879,6 +1879,266 @@ mod tests {
         assert!(snap.histograms.contains_key("wal.append_ns"));
         assert!(snap.histograms.contains_key("serve.latency_ns"));
         drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- what a write stages on -------------------------------------------
+
+    /// A fleet whose every shard holds more points than one missed record is
+    /// worth in copies (`n / 4` ≥ 450 × `run`, with `run` the longest run of
+    /// records one publish applies), so the write after it catches the
+    /// retired epoch up instead of cloning.
+    fn staging_fleet(run: usize) -> ShardedIndex<MiniIndex> {
+        four_shard_fleet(2400 * run)
+    }
+
+    fn stats(reused: u64, cloned: u64) -> StageStats {
+        StageStats { reused, cloned }
+    }
+
+    #[test]
+    fn staging_on_a_fleet_nobody_reads_clones_for_the_first_write_and_after_a_sweep_only() {
+        let fleet = Arc::new(staging_fleet(1));
+        let mut mono = MiniIndex::new(grid_rows(2400));
+        for i in 0..100 {
+            let v = [i as f32 * 0.37, (i % 11) as f32];
+            assert_eq!(fleet.insert_shared(&v).unwrap(), mono.insert(&v).unwrap());
+        }
+        assert_eq!(fleet.stage_stats(), stats(4 * 99, 4));
+
+        // A remove stages on its owner alone; removing the id again finds
+        // nothing to change and hands the caught-up engine back, so the
+        // insert after it still reuses on every shard.
+        assert!(fleet.remove_shared(5).unwrap() && mono.remove(5).unwrap());
+        assert!(!fleet.remove_shared(5).unwrap());
+        assert_eq!(fleet.stage_stats(), stats(4 * 99 + 2, 4));
+        let v = [2.25, 3.75];
+        assert_eq!(fleet.insert_shared(&v).unwrap(), mono.insert(&v).unwrap());
+        assert_eq!(fleet.stage_stats(), stats(4 * 100 + 2, 4));
+
+        // A sweep stages on the retired epochs too but leaves none behind:
+        // the fleet is back to one epoch per shard and the next write clones.
+        fleet.compact_all_shared().unwrap();
+        assert_eq!(fleet.stage_stats(), stats(4 * 101 + 2, 4));
+        assert_eq!(fleet.insert_shared(&v).unwrap(), mono.insert(&v).unwrap());
+        assert_eq!(fleet.stage_stats(), stats(4 * 101 + 2, 8));
+
+        assert_eq!(fleet.ids(), mono.ids());
+        for q in [[0.0f32, 0.0], [3.7, 1.1], [16.0, 6.0]] {
+            assert_bit_identical(
+                &fleet.search(&q, 12).unwrap(),
+                &mono.search(&q, 12).unwrap(),
+                "reused epochs vs monolith",
+            );
+        }
+        let server = Server::spawn(fleet.clone(), ServerConfig::default()).unwrap();
+        let snap = server.metrics_snapshot();
+        assert_eq!(snap.counter("serve.stage_reused"), 4 * 101 + 2);
+        assert_eq!(snap.counter("serve.stage_cloned"), 8);
+    }
+
+    #[test]
+    fn staging_behind_a_pinned_reader_clones_once_and_the_reader_keeps_its_bits() {
+        let fleet = staging_fleet(1);
+        fleet.insert_shared(&[4.0, 1.0]).unwrap();
+        let reader = fleet.reader();
+        let before = reader.search(&[4.0, 1.0], 6).unwrap();
+        let epochs = reader.epochs();
+        assert_eq!(fleet.stage_stats(), stats(0, 4));
+
+        // The epoch the first write retired is nobody's: reused. That write
+        // retires the epoch the reader pins, so the next one clones; the one
+        // after reuses again.
+        for (i, want) in [stats(4, 4), stats(4, 8), stats(8, 8)]
+            .into_iter()
+            .enumerate()
+        {
+            fleet.insert_shared(&[4.0, 1.0 + i as f32 * 0.01]).unwrap();
+            assert_eq!(fleet.stage_stats(), want, "write {i} behind the pin");
+        }
+        let after = reader.search(&[4.0, 1.0], 6).unwrap();
+        assert_bit_identical(&before, &after, "pinned reader");
+        assert_eq!(reader.epochs(), epochs, "pinned epochs are immutable");
+        assert_ne!(fleet.search(&[4.0, 1.0], 6).unwrap().ids(), before.ids());
+    }
+
+    #[test]
+    fn a_wrong_dimension_insert_is_rejected_by_the_engine_before_anything_is_logged() {
+        let dir = wal_dir("wrong_dim");
+        let fleet = four_shard_fleet(40);
+        fleet.enable_wal(&dir, DurabilityConfig::default()).unwrap();
+        let (lsn, epochs) = (fleet.wal_last_lsn(), fleet.shard_epochs());
+        for bad in [&[1.0f32, 2.0, 3.0][..], &[1.0]] {
+            assert!(matches!(
+                fleet.insert_shared(bad),
+                Err(Error::DimensionMismatch { expected: 2, .. })
+            ));
+        }
+        assert_eq!(fleet.wal_last_lsn(), lsn, "nothing reached the log");
+        assert_eq!(fleet.shard_epochs(), epochs, "nothing was published");
+        assert_eq!(fleet.insert_shared(&[1.0, 2.0]).unwrap(), 40);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn staging_after_a_bulk_batch_clones_instead_of_re_applying_the_bulk() {
+        let fleet = staging_fleet(1);
+        let bulk: Vec<Vec<f32>> = (0..4096)
+            .map(|i| vec![(i % 64) as f32 + 0.5, (i / 64) as f32 + 0.5])
+            .collect();
+        let ids = fleet
+            .insert_batch_shared(&VectorSet::from_rows(bulk).unwrap())
+            .unwrap();
+        assert_eq!(ids.len(), 4096);
+        assert_eq!(fleet.stage_stats(), stats(0, 4));
+        fleet.insert_shared(&[1.0, 1.0]).unwrap();
+        assert_eq!(fleet.stage_stats(), stats(0, 8), "4096 missed records");
+        fleet.insert_shared(&[1.0, 2.0]).unwrap();
+        assert_eq!(fleet.stage_stats(), stats(4, 8), "one missed record");
+    }
+
+    /// Every protocol step a write can fail at, on every shard that has the
+    /// site, by error and by panic, fired on a write that staged on retired
+    /// epochs.
+    #[test]
+    fn staging_faults_behind_reused_epochs_restore_the_pins_and_retire_nothing() {
+        juno_common::testing::silence_panics();
+        let sites = [
+            (FaultOp::Insert, 4),
+            (FaultOp::WalAppend, 1), // fleet-level: shard 0's counters
+            (FaultOp::Publish, 4),
+        ];
+        for (op, shards) in sites {
+            for shard in 0..shards {
+                for kind in [FaultKind::Fail, FaultKind::Panic] {
+                    faulted_write_behind_reused_epochs(op, shard, kind);
+                }
+            }
+        }
+    }
+
+    fn faulted_write_behind_reused_epochs(op: FaultOp, shard: usize, kind: FaultKind) {
+        let label = format!("{op:?} {kind:?} on shard {shard}");
+        let dir = wal_dir(&format!("staged_{op:?}_{kind:?}_{shard}"));
+        let (fleet, twin) = (staging_fleet(1), staging_fleet(1));
+        fleet.enable_wal(&dir, DurabilityConfig::default()).unwrap();
+        // The second write already reuses, and leaves every shard a retired
+        // epoch for the faulted write to stage on.
+        for v in [[1.5f32, 2.5], [3.5, 4.5]] {
+            fleet.insert_shared(&v).unwrap();
+            twin.insert_shared(&v).unwrap();
+        }
+        assert_eq!(fleet.stage_stats(), stats(4, 4), "{label}");
+        let pins = fleet.reader();
+
+        let plan = FaultPlan::new(4).with_rule(first_n(shard, op, 1, kind));
+        fleet.set_fault_plan(Some(Arc::new(plan)));
+        let err = fleet.insert_shared(&[9.0, 9.0]).unwrap_err();
+        assert_eq!(
+            matches!(err, Error::WorkerPanicked(_)),
+            matches!(kind, FaultKind::Panic),
+            "{label}: {err:?}"
+        );
+        fleet.set_fault_plan(None);
+        // `Insert` fires before shard `shard` takes its engine; the later
+        // sites fire with all four staged.
+        let staged = if op == FaultOp::Insert {
+            shard as u64
+        } else {
+            4
+        };
+        assert_eq!(fleet.stage_stats(), stats(4 + staged, 4), "{label}");
+
+        // Every slot is back on its pin — the same allocation, not a copy.
+        let rolled_back = fleet.reader();
+        assert_eq!(rolled_back.epochs(), pins.epochs(), "{label}");
+        for s in 0..4 {
+            assert!(
+                std::ptr::eq(rolled_back.shard(s), pins.shard(s)),
+                "{label}: shard {s} is not on its pin"
+            );
+        }
+        drop((rolled_back, pins));
+
+        // No retired epoch survived (not the staged ones, not the ones the
+        // fault kept from being taken): the next write clones all four, and
+        // lands the fleet where a twin that never saw the fault is.
+        let v = [10.0f32, 10.0];
+        assert_eq!(
+            fleet.insert_shared(&v).unwrap(),
+            twin.insert_shared(&v).unwrap(),
+            "{label}: id lockstep"
+        );
+        assert_eq!(fleet.stage_stats(), stats(4 + staged, 8), "{label}");
+        assert_eq!(fleet.shard_epochs(), twin.shard_epochs(), "{label}");
+        let (ours, theirs) = (fleet.reader(), twin.reader());
+        for s in 0..4 {
+            let (ours, theirs) = (ours.shard(s).index(), theirs.shard(s).index());
+            assert_eq!(ours.ids(), theirs.ids(), "{label}: shard {s}");
+        }
+        drop((ours, theirs));
+
+        // What the faulted write logged sits under an Abort, as before.
+        drop(fleet);
+        let (recovered, report) = ShardedIndex::recover_from_dir(
+            MiniIndex::new(vec![vec![0.0, 0.0]]),
+            &dir,
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        let logged = u64::from(op != FaultOp::Insert);
+        assert_eq!(report.skipped_aborted, logged, "{label}");
+        assert_fleet_equivalent(&recovered, &twin, &label);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn staging_in_recovery_replay_clones_for_the_first_write_and_after_each_sweep_only() {
+        let dir = wal_dir("staged_replay");
+        // Recovery stages a run of logged inserts as one batch; the longest
+        // run below is four (a dead remove logs nothing to end a run with).
+        let (durable, reference) = (staging_fleet(4), staging_fleet(4));
+        durable
+            .enable_wal(&dir, DurabilityConfig::default())
+            .unwrap();
+        let mut next = 0u32;
+        for round in 0..8u64 {
+            for _ in 0..=round % 3 {
+                let v = [next as f32 * 0.31, (next % 7) as f32];
+                next += 1;
+                assert_eq!(
+                    durable.insert_shared(&v).unwrap(),
+                    reference.insert_shared(&v).unwrap()
+                );
+            }
+            // Rounds 2 and 5 remove what round 1 and 4 did: dead ids.
+            let id = (round - u64::from(round % 3 == 2)) * 11;
+            assert_eq!(
+                durable.remove_shared(id).unwrap(),
+                reference.remove_shared(id).unwrap()
+            );
+            if round == 3 {
+                durable.compact_all_shared().unwrap();
+                reference.compact_all_shared().unwrap();
+            }
+        }
+        drop(durable);
+        let (recovered, report) = ShardedIndex::recover_from_dir(
+            MiniIndex::new(vec![vec![0.0, 0.0]]),
+            &dir,
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            report.replayed_ops,
+            15 + 6 + 1,
+            "inserts, live removes, sweep"
+        );
+        // Four clones for the first batch and four for the batch after the
+        // sweep; every other batch (4 each), remove (1) and the sweep itself
+        // (4) staged on retired epochs.
+        assert_eq!(recovered.stage_stats(), stats(4 * 4 + 6 + 4, 4 * (1 + 1)));
+        assert_fleet_equivalent(&recovered, &reference, "replay on retired epochs");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -237,6 +237,11 @@ impl<I: AnnIndex + 'static> Server<I> {
     /// ([`ShardedIndex::scan_worker_stats`]): the first stops growing once a
     /// healthy fleet is warm, so one that keeps climbing means scans are
     /// overlapping or stuck behind a stalled shard.
+    /// `serve.stage_reused` / `serve.stage_cloned` are the fleet's
+    /// [`ShardedIndex::stage_stats`]: shard engines writes staged on a
+    /// retired epoch, and on a clone — the second growing with every write
+    /// means something pins retired epochs (a leaked `FleetReader`, a stalled
+    /// scan).
     /// `serve.plan_shared_shards` / `serve.plan_replanned_shards` count, over
     /// every executed batch, the shard scans that ran from the batch's
     /// shared plan and those that had to plan for themselves
@@ -258,6 +263,11 @@ impl<I: AnnIndex + 'static> Server<I> {
             .insert("serve.scan_workers_started".into(), workers.started);
         snap.gauges
             .insert("serve.scan_workers_parked".into(), workers.parked as i64);
+        let staged = self.fleet.stage_stats();
+        snap.counters
+            .insert("serve.stage_reused".into(), staged.reused);
+        snap.counters
+            .insert("serve.stage_cloned".into(), staged.cloned);
         snap.merge(&self.fleet.wal_metrics());
         snap
     }
@@ -289,7 +299,7 @@ impl<I: AnnIndex + 'static> Server<I> {
 }
 
 /// Mutation passthroughs, available when the fleet's engine supports the
-/// clone-and-publish write path. When the fleet has a WAL attached (see
+/// stage-and-publish write path. When the fleet has a WAL attached (see
 /// [`ShardedIndex::enable_wal`]), each acknowledged call here is durable per
 /// the configured [`FsyncPolicy`](juno_common::wal::FsyncPolicy) — the record
 /// is on the log *before* concurrent queries can observe the new state.

@@ -95,7 +95,7 @@ impl Drop for Periodic {
 }
 
 /// A background thread that periodically compacts every shard of a fleet
-/// (clone-and-publish, so readers are never blocked). The thread stops and
+/// (stage-and-publish, so readers are never blocked). The thread stops and
 /// joins when the guard is dropped.
 ///
 /// Compaction failures do not kill the thread: each failure is counted

@@ -7,7 +7,7 @@
 //! path's interpreter and aborted-range filter, and the rebuild's swap is an
 //! ordinary [`ShardedIndex::staged_publish`].
 
-use super::write::{apply, guarded, inject, live_records};
+use super::write::{apply, guarded, inject, live_records, Staged};
 use super::{check_shard_count, Shard, ShardState, ShardedIndex};
 use crate::durability::{CheckpointReport, Durability, DurabilityConfig, RecoveryReport};
 use crate::fault::FaultOp;
@@ -549,7 +549,7 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
             // The swap logs nothing of its own: the sealing checkpoint below
             // is what makes the new lineage durable.
             *next = shadows;
-            Ok((Vec::new(), replayed_ops))
+            Ok((Staged::Changed(Vec::new()), replayed_ops))
         })?;
 
         // Phase 4: make the new lineage the recovery root. A crash anywhere

@@ -5,10 +5,28 @@
 //! `Arc<ShardState<I>>` guarded by an `RwLock` that is only ever held for
 //! the duration of a pointer clone or swap. Readers pin a whole-fleet
 //! snapshot ([`FleetReader`]) in O(S) pointer clones and then search without
-//! taking any lock at all; writers mutate a **clone** of a shard's state and
-//! publish it with a pointer swap (clone-and-publish), so readers never
-//! block on insert / remove / compaction, and a pinned reader keeps
-//! observing its epoch bit-identically for as long as it lives.
+//! taking any lock at all; writers stage a shard's next state off to the
+//! side and publish it with a pointer swap, so readers never block on
+//! insert / remove / compaction, and a pinned reader keeps observing its
+//! epoch bit-identically for as long as it lives.
+//!
+//! # What a write stages on
+//!
+//! A published state is never mutated. A write stages on the **retired
+//! epoch** — the state the shard's previous publish replaced — whenever
+//! nothing pins it any more (no [`FleetReader`], scan-worker job, rebuild
+//! pin or checkpoint encoder holds the `Arc`): the records that publish
+//! applied are replayed on it through the one record interpreter, which
+//! brings it level with the current state, and the new operation goes on
+//! top. Otherwise — a reader still holds the epoch, there is none (first
+//! write, or the last publish was a compaction sweep, a rebuild swap, a
+//! resize or a restore), or it missed more records than a copy is worth —
+//! the write stages on a **clone** of the current state. Which of the two
+//! happened is counted, not configured ([`ShardedIndex::stage_stats`]).
+//!
+//! So a written-to fleet holds **two epochs per shard** — what a write used
+//! to hold only while it ran — until a compaction sweep or a topology change
+//! returns it to one.
 //!
 //! # Ownership and bit-parity
 //!
@@ -104,9 +122,10 @@ use juno_common::index::{AnnIndex, SearchResult};
 use juno_common::metrics::{Registry, RegistrySnapshot};
 use juno_common::topk::ScoreOrder;
 use juno_common::vector::VectorSet;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use workers::ScanWorkers;
+use write::Applied;
 
 /// One published shard state: the index, the epoch that published it, and
 /// (mapped fleets only) the local→global id translation.
@@ -130,14 +149,28 @@ impl<I: AnnIndex> ShardState<I> {
     }
 }
 
+/// The epoch a shard's last publish replaced, kept for the next write to
+/// stage on (see the [module docs](self)). Invariant: `state` with `missed`
+/// applied is the shard's current state.
+#[derive(Debug)]
+struct Retired<I> {
+    state: Arc<ShardState<I>>,
+    /// What the publish that retired `state` applied, in order. One
+    /// allocation shared by every shard that publish touched.
+    missed: Arc<Vec<Applied>>,
+}
+
 /// A shard slot: the lock is held only to clone or swap the `Arc`, never
 /// across a search or a mutation.
 #[derive(Debug)]
 struct Shard<I> {
     slot: RwLock<Arc<ShardState<I>>>,
+    /// At most one retired epoch, read and written only under the fleet
+    /// writer lock (the mutex is for `&self` access, never contended).
+    retired: Mutex<Option<Retired<I>>>,
     /// Set by mutations (tails / tombstones may exist), cleared by a
     /// compaction sweep: lets [`ShardedIndex::compact_all_shared`] skip the
-    /// clone-and-publish of shards with nothing to compact. Atomic so
+    /// stage-and-publish of shards with nothing to compact. Atomic so
     /// writers flag it under the fleet writer lock without touching `slot`.
     dirty: AtomicBool,
 }
@@ -151,12 +184,43 @@ impl<I> Shard<I> {
         Self {
             dirty: AtomicBool::new(state.id_map.is_none()),
             slot: RwLock::new(Arc::new(state)),
+            retired: Mutex::new(None),
         }
+    }
+
+    fn load(&self) -> Arc<ShardState<I>> {
+        self.slot.read().expect("shard slot lock poisoned").clone()
+    }
+
+    /// Swaps the epoch pointer. Taking the `Arc` lets a rollback restore the
+    /// exact pre-op state (epoch included), not a bumped copy.
+    fn publish(&self, state: Arc<ShardState<I>>) {
+        *self.slot.write().expect("shard slot lock poisoned") = state;
+    }
+
+    /// Replaces the retired epoch, returning the one it held.
+    fn retire(&self, retired: Option<Retired<I>>) -> Option<Retired<I>> {
+        let mut slot = self.retired.lock().expect("retired epoch lock poisoned");
+        std::mem::replace(&mut *slot, retired)
     }
 }
 
+/// How the write path came by the engines it staged on, one count per
+/// staged shard engine ([`ShardedIndex::stage_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StageStats {
+    /// Staged on the shard's retired epoch, caught up from the records it
+    /// missed.
+    pub reused: u64,
+    /// Staged on a clone of the shard's current state. Expected for the
+    /// first write and after every compaction sweep, rebuild or resize;
+    /// growing with *every* write means something pins retired epochs — a
+    /// leaked [`FleetReader`], a stalled scan.
+    pub cloned: u64,
+}
+
 /// A sharded ANN index with snapshot-isolated concurrent reads and
-/// clone-and-publish writes. See the [module docs](self) for the concurrency
+/// stage-and-publish writes. See the [module docs](self) for the concurrency
 /// and parity model.
 #[derive(Debug)]
 pub struct ShardedIndex<I: AnnIndex> {
@@ -188,6 +252,9 @@ pub struct ShardedIndex<I: AnnIndex> {
     /// it under the writer lock; the `RwLock` only exists so attachment
     /// does not need `&mut self`.
     durability: RwLock<Option<Arc<Durability>>>,
+    /// Statistics only ([`StageStats`]): neither publishes other data.
+    stage_reused: AtomicU64,
+    stage_cloned: AtomicU64,
 }
 
 impl<I: AnnIndex> ShardedIndex<I> {
@@ -206,6 +273,8 @@ impl<I: AnnIndex> ShardedIndex<I> {
             health: RwLock::new(health),
             fault: RwLock::new(None),
             durability: RwLock::new(None),
+            stage_reused: AtomicU64::new(0),
+            stage_cloned: AtomicU64::new(0),
         }
     }
 
@@ -309,6 +378,15 @@ impl<I: AnnIndex> ShardedIndex<I> {
         self.workers.stats()
     }
 
+    /// How many shard engines writes have staged on a reused retired epoch
+    /// and how many on a clone, since the fleet was built.
+    pub fn stage_stats(&self) -> StageStats {
+        StageStats {
+            reused: self.stage_reused.load(Ordering::Relaxed),
+            cloned: self.stage_cloned.load(Ordering::Relaxed),
+        }
+    }
+
     /// The live scan-worker count, readable after the fleet is dropped.
     #[cfg(test)]
     pub(crate) fn scan_workers_live(&self) -> Arc<std::sync::atomic::AtomicUsize> {
@@ -324,20 +402,7 @@ impl<I: AnnIndex> ShardedIndex<I> {
     }
 
     fn load(&self, s: usize) -> Arc<ShardState<I>> {
-        self.topology()[s]
-            .slot
-            .read()
-            .expect("shard slot lock poisoned")
-            .clone()
-    }
-
-    /// Swaps shard `s`'s epoch pointer. Taking the `Arc` lets a rollback
-    /// restore the exact pre-op state (epoch included), not a bumped copy.
-    fn publish_arc(&self, s: usize, state: Arc<ShardState<I>>) {
-        *self.topology()[s]
-            .slot
-            .write()
-            .expect("shard slot lock poisoned") = state;
+        self.topology()[s].load()
     }
 
     /// Pins a point-in-time view of the fleet (O(S) pointer clones; never
@@ -351,10 +416,7 @@ impl<I: AnnIndex> ShardedIndex<I> {
     pub fn reader(&self) -> FleetReader<I> {
         let shards = self.topology();
         FleetReader {
-            states: shards
-                .iter()
-                .map(|shard| shard.slot.read().expect("shard slot lock poisoned").clone())
-                .collect(),
+            states: shards.iter().map(Shard::load).collect(),
             health: self.health(),
             workers: self.workers.clone(),
             fault: self.fault_plan(),

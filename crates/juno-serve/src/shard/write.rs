@@ -11,15 +11,24 @@
 //! operation and replay never resurrects one. Everything fallible runs
 //! inside [`guarded`], the only writer-side unwind boundary.
 //!
+//! The engine a shard's next state is staged on is the epoch its last
+//! publish retired, caught up by replaying the records that publish applied
+//! — when no reader pins that epoch and it missed few enough records — and a
+//! clone of the pin otherwise ([`ShardedIndex::stage_engine`]). A publish
+//! whose change *is* the replay of its records retires the pins it replaced;
+//! any other publish, and every rollback, leaves the touched shards with no
+//! retired epoch, so the write after it clones.
+//!
 //! A logged mutation has one meaning, [`apply`], shared by live staging,
-//! recovery replay and the rebuild's shadow replay; all three read a log
-//! suffix through [`live_records`], the one aborted-range filter.
+//! the retired epoch's catch-up, recovery replay and the rebuild's shadow
+//! replay; the last two read a log suffix through [`live_records`], the one
+//! aborted-range filter.
 //!
 //! Every failure point is an injection point of [`crate::fault::FaultPlan`];
 //! their per-`(shard, op)` order is part of the protocol (seeded kill points
 //! index the counters).
 
-use super::{ShardState, ShardedIndex};
+use super::{Retired, Shard, ShardState, ShardedIndex};
 use crate::fault::{FaultOp, FaultPlan};
 use crate::router::ShardRouter;
 use juno_common::error::{Error, Result};
@@ -47,6 +56,27 @@ pub(super) fn guarded<T>(label: &str, f: impl FnOnce() -> Result<T>) -> Result<T
 pub(super) fn inject(plan: &Option<Arc<FaultPlan>>, shard: usize, op: FaultOp) -> Result<()> {
     plan.as_ref().map_or(Ok(()), |plan| plan.inject(shard, op))
 }
+
+/// A record a stage applied, with the id [`apply`] returned for it.
+pub(super) type Applied = (WalRecord, Option<u64>);
+
+/// What a stage made of the engines it was handed.
+pub(super) enum Staged {
+    /// The engines are the shards' next states, and these records replay to
+    /// the same change (none for a change the log does not carry: a
+    /// compaction sweep, the rebuild swap).
+    Changed(Vec<Applied>),
+    /// Nothing to change: the engines still equal the pins, and nothing is
+    /// logged or published.
+    Unchanged,
+}
+
+/// Catching a retired epoch up costs one engine insert per record it
+/// missed, a clone one copy per point; this is the ledger's
+/// `engine.insert_us` over `engine.clone_ms` per point. A shard with fewer
+/// points per missed record than this is cheaper to clone — so a single
+/// insert after a bulk batch never re-applies the bulk.
+const CLONE_POINTS_PER_MISSED_RECORD: usize = 450;
 
 /// The one interpreter of a logged mutation. `replicas` pairs each engine
 /// with its shard index. An `Insert` goes to **every** replica — they must
@@ -122,51 +152,71 @@ pub(super) fn live_records(records: &[(u64, WalRecord)]) -> impl Iterator<Item =
 impl<I: AnnIndex + Clone> ShardedIndex<I> {
     /// The writer protocol (see the [module docs](self)); the caller holds
     /// the fleet writer lock. `sites` names the injection points: the op
-    /// fired before each touched shard's engine is cloned for staging
-    /// (`None`: nothing is cloned, the stage supplies the engines), and the
-    /// op fired before each shard's pointer swap. `stage` turns the clones
-    /// into the shards' next engines, in `touched` order, and returns the
-    /// records that replay to the same change plus the operation's value. A
-    /// stage that leaves no engines found nothing to change: nothing is
-    /// logged or published.
+    /// fired before each touched shard's staging engine is taken — its
+    /// retired epoch caught up, or a clone of its pin — (`None`: nothing is
+    /// taken, the stage supplies the engines), and the op fired before each
+    /// shard's pointer swap. `stage` turns those engines into the shards'
+    /// next engines, in `touched` order, and returns what it
+    /// [made of them](Staged) plus the operation's value.
     ///
     /// # Errors
     ///
     /// Whatever `stage`, the WAL or an injected fault returned, or
     /// [`Error::WorkerPanicked`] — in every case with all of `touched` back
-    /// on their pre-op states.
+    /// on their pre-op states and holding no retired epoch.
     pub(super) fn staged_publish<T>(
         &self,
         label: &str,
         touched: &[usize],
         (stage_op, publish_op): (Option<FaultOp>, Option<FaultOp>),
-        stage: impl FnOnce(&mut Vec<I>) -> Result<(Vec<WalRecord>, T)>,
+        stage: impl FnOnce(&mut Vec<I>) -> Result<(Staged, T)>,
     ) -> Result<T> {
         let durability = self.durability_handle();
         if let Some(d) = &durability {
             d.settle_owed_abort()?;
         }
         let plan = self.fault_plan();
+        // The writer lock excludes a resize: this one pinned vector is the
+        // topology for the whole operation.
         let shards = self.topology();
-        let pins: Vec<Arc<ShardState<I>>> = touched.iter().map(|&s| self.load(s)).collect();
+        let pins: Vec<Arc<ShardState<I>>> = touched.iter().map(|&s| shards[s].load()).collect();
         // What this operation has put in the log so far — tracked per append,
         // so a rollback covers a batch that failed halfway through logging.
         let mut logged: Option<(u64, u64)> = None;
         let outcome = guarded(label, || {
             let mut next = Vec::with_capacity(touched.len());
+            let mut caught_up = Vec::with_capacity(touched.len());
             if let Some(op) = stage_op {
                 for (&s, pin) in touched.iter().zip(&pins) {
                     inject(&plan, s, op)?;
-                    next.push(pin.index.clone());
+                    let (engine, reused) = self.stage_engine(s, &shards, pin);
+                    next.push(engine);
+                    caught_up.push(reused);
                 }
             }
-            let (records, value) = stage(&mut next)?;
-            if next.is_empty() {
-                return Ok(value);
-            }
+            let (staged, value) = stage(&mut next)?;
             assert_eq!(next.len(), touched.len(), "{label}: one engine per shard");
-            if let Some(d) = durability.as_ref().filter(|_| !records.is_empty()) {
-                for record in &records {
+            let Staged::Changed(applied) = staged else {
+                // A caught-up engine that was not changed still equals its
+                // shard's pin: hand it back as the retired epoch, with
+                // nothing missed. (A clone is dropped, as it always was.)
+                let missed = Arc::new(Vec::new());
+                let engines = touched.iter().zip(&pins).zip(next).zip(caught_up);
+                for (((&s, pin), index), reused) in engines {
+                    if reused {
+                        let state = Arc::new(ShardState {
+                            index,
+                            epoch: pin.epoch,
+                            id_map: None,
+                        });
+                        let missed = missed.clone();
+                        shards[s].retire(Some(Retired { state, missed }));
+                    }
+                }
+                return Ok(value);
+            };
+            if let Some(d) = durability.as_ref().filter(|_| !applied.is_empty()) {
+                for (record, _) in &applied {
                     let lsn = d.wal.append_unsynced(record)?;
                     logged = Some((logged.map_or(lsn, |(first, _)| first), lsn));
                 }
@@ -175,6 +225,9 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
                 inject(&plan, 0, FaultOp::WalAppend)?;
                 d.wal.maybe_sync()?;
             }
+            // Only a change that is the replay of its records can be caught
+            // up from them.
+            let missed = (stage_op.is_some() && !applied.is_empty()).then(|| Arc::new(applied));
             for ((&s, pin), index) in touched.iter().zip(&pins).zip(next) {
                 if let Some(op) = publish_op {
                     // The pre-publish kill point: the shards before `s` are
@@ -186,21 +239,62 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
                     epoch: pin.epoch + 1,
                     id_map: None,
                 };
-                self.publish_arc(s, Arc::new(state));
+                shards[s].publish(Arc::new(state));
                 // A published change may have left tails or tombstones.
                 shards[s].dirty.store(true, Ordering::Relaxed);
+                shards[s].retire(missed.as_ref().map(|missed| Retired {
+                    state: pin.clone(),
+                    missed: missed.clone(),
+                }));
             }
             Ok(value)
         });
         if outcome.is_err() {
             for (&s, pin) in touched.iter().zip(pins) {
-                self.publish_arc(s, pin);
+                shards[s].publish(pin);
+                shards[s].retire(None);
             }
             if let (Some(d), Some(range)) = (durability, logged) {
                 d.owe_abort(range);
             }
         }
         outcome
+    }
+
+    /// The engine shard `s`'s next state is staged on, and whether it is the
+    /// shard's retired epoch caught up to `pin` (when that is possible and
+    /// worth it) rather than a clone of `pin`. Either way the shard is left
+    /// with no retired epoch.
+    fn stage_engine(&self, s: usize, shards: &[Shard<I>], pin: &ShardState<I>) -> (I, bool) {
+        let worth_it = |retired: &Retired<I>| {
+            let missed = retired.missed.len();
+            missed.saturating_mul(CLONE_POINTS_PER_MISSED_RECORD) <= pin.index.len()
+        };
+        let retired = shards[s].retire(None).filter(worth_it);
+        match retired.and_then(|retired| self.catch_up(s, shards.len(), retired)) {
+            Some(engine) => {
+                self.stage_reused.fetch_add(1, Ordering::Relaxed);
+                (engine, true)
+            }
+            None => {
+                self.stage_cloned.fetch_add(1, Ordering::Relaxed);
+                (pin.index.clone(), false)
+            }
+        }
+    }
+
+    /// Replays on a retired epoch the records it missed. `None` when
+    /// something still pins the epoch, or the replay fails or allocates
+    /// other ids than the publish that retired it did.
+    fn catch_up(&self, s: usize, num_shards: usize, retired: Retired<I>) -> Option<I> {
+        let mut engine = Arc::try_unwrap(retired.state).ok()?.index;
+        let mut replica = [(s, &mut engine)];
+        for (record, id) in retired.missed.iter() {
+            if apply(&mut replica, self.router, num_shards, record).ok()? != *id {
+                return None;
+            }
+        }
+        Some(engine)
     }
 
     /// Inserts one vector, routed to its owning shard. See
@@ -212,18 +306,20 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
     /// Propagates engine insertion errors; rejects mapped fleets with
     /// [`Error::Unsupported`].
     pub fn insert_shared(&self, vector: &[f32]) -> Result<u64> {
-        let batch = VectorSet::from_rows(vec![vector.to_vec()])?;
-        Ok(self.insert_batch_shared(&batch)?[0])
+        let record = WalRecord::Insert {
+            vector: vector.to_vec(),
+        };
+        Ok(self.insert_records(vec![record])?[0])
     }
 
-    /// Inserts a batch of vectors through the clone-and-publish write path.
+    /// Inserts a batch of vectors through the stage-and-publish write path.
     ///
     /// Every replica receives every insert (keeping id allocation and the
     /// engines' distribution state — e.g. JUNO's threshold density maps — in
     /// lockstep with a monolith), and each vector is tombstoned on every
     /// non-owning replica **within the same publish**, so at any published
     /// epoch a point is live in at most one shard: readers can never observe
-    /// a duplicate or a vanishing id mid-operation. Each shard is cloned
+    /// a duplicate or a vanishing id mid-operation. Each shard is staged
     /// once per batch; the whole batch either publishes on every shard or —
     /// on error — on none.
     ///
@@ -269,19 +365,21 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         let sites = (Some(FaultOp::Insert), Some(FaultOp::Publish));
         self.staged_publish("fleet insert writer", &touched, sites, |next| {
             let mut replicas: Vec<(usize, &mut I)> = next.iter_mut().enumerate().collect();
-            let ids = records
+            let mut applied = Vec::with_capacity(records.len());
+            for record in records {
+                let id = apply(&mut replicas, self.router, num_shards, &record)?;
+                applied.push((record, id));
+            }
+            let ids = applied
                 .iter()
-                .map(|record| {
-                    let id = apply(&mut replicas, self.router, num_shards, record)?;
-                    Ok(id.expect("an insert allocates an id"))
-                })
-                .collect::<Result<Vec<u64>>>()?;
-            Ok((records, ids))
+                .map(|(_, id)| id.expect("an insert allocates an id"))
+                .collect();
+            Ok((Staged::Changed(applied), ids))
         })
     }
 
     /// Removes the point with the given id from its owning shard
-    /// (clone-and-publish; the other shards already hold it as a tombstone).
+    /// (stage-and-publish; the other shards already hold it as a tombstone).
     /// Returns `Ok(true)` when the id was live.
     ///
     /// # Errors
@@ -299,17 +397,16 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         self.staged_publish("fleet remove writer", &[owner], sites, |next| {
             let record = WalRecord::Remove { id };
             let mut replicas = [(owner, &mut next[0])];
-            if apply(&mut replicas, self.router, num_shards, &record)?.is_none() {
-                next.clear(); // a dead id: nothing to log, nothing to publish
-                return Ok((Vec::new(), false));
+            match apply(&mut replicas, self.router, num_shards, &record)? {
+                None => Ok((Staged::Unchanged, false)), // a dead id
+                id => Ok((Staged::Changed(vec![(record, id)]), true)),
             }
-            Ok((vec![record], true))
         })
     }
 
     /// Compacts every shard that has seen a mutation since its last sweep,
-    /// one clone-and-publish at a time. Clean shards (including every shard
-    /// of a read-only mapped fleet) are skipped without cloning, so a
+    /// one stage-and-publish at a time. Clean shards (including every shard
+    /// of a read-only mapped fleet) are skipped without staging, so a
     /// [`BackgroundCompactor`](super::BackgroundCompactor) on an idle fleet
     /// costs nothing and publishes no epochs. Readers keep serving the
     /// pre-compaction epochs until each shard's swap; results are unchanged
@@ -337,7 +434,7 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
             let label = format!("shard {s} compaction");
             self.staged_publish(&label, &[s], (Some(FaultOp::Compact), None), |next| {
                 next[0].compact()?;
-                Ok((Vec::new(), ()))
+                Ok((Staged::Changed(Vec::new()), ()))
             })?;
             // The sweep's own publish is the one that leaves nothing behind.
             shard.dirty.store(false, Ordering::Relaxed);
