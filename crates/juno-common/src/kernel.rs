@@ -31,7 +31,13 @@
 //!   running minimum over the 32 lanes plus the suffix of per-subspace
 //!   minima is tested against the prune threshold; once even the best lane
 //!   cannot recover, the rest of the block is abandoned.
+//!
+//! The module also holds the offline half's one distance kernel, the
+//! **nearest-row kernel** ([`nearest_row`], [`NearestRows`]): first-minimum
+//! argmin of squared L2 from a vector to the rows of a small table — k-means
+//! assignment, PQ encoding and the coarse assign of an insert.
 
+use crate::metric::l2_squared;
 use std::sync::OnceLock;
 
 /// Number of points interleaved per code block.
@@ -614,6 +620,125 @@ pub fn scan_block_with_abandon(
     false
 }
 
+/// Rows narrower than this are held coordinate-major by [`NearestRows`].
+/// Below eight coordinates [`l2_squared`] is only its scalar tail —
+/// `0 + d₀² + d₁² + …`, multiply then add in coordinate order — which a
+/// loop running over *rows* instead repeats lane for lane, bit for bit.
+const NARROW_DIM: usize = 8;
+
+/// Rows of a narrow table whose distances are computed, then reduced, at a
+/// time: 256 B of distances, resident in L1 between the two passes.
+const ROW_BLOCK: usize = 64;
+
+/// The **nearest-row kernel** over borrowed row-major `rows`
+/// (`rows.len() = n × v.len()`): `(index, squared L2 distance)` of the row
+/// nearest to `v`. First minimum: the lowest index wins a tie, a NaN never
+/// wins, and `(0, +∞)` comes back when no distance is below `+∞`. One
+/// [`l2_squared`] per row — the right shape for rows of eight coordinates
+/// and more (coarse centroids); a table of narrower rows that is queried
+/// often wants [`NearestRows`].
+///
+/// # Panics
+///
+/// Panics if `v` is empty or `rows` is not a whole number of rows.
+#[inline]
+pub fn nearest_row(v: &[f32], rows: &[f32]) -> (usize, f32) {
+    assert!(!v.is_empty(), "rows have at least one coordinate");
+    assert_eq!(
+        rows.len() % v.len(),
+        0,
+        "rows must be a whole number of rows"
+    );
+    let mut best = 0usize;
+    let mut best_d = f32::INFINITY;
+    for (r, row) in rows.chunks_exact(v.len()).enumerate() {
+        let d = l2_squared(v, row);
+        if d < best_d {
+            best_d = d;
+            best = r;
+        }
+    }
+    (best, best_d)
+}
+
+/// A small table of equal-width rows (k-means centroids, the `E` entries of
+/// one PQ codebook) laid out for the nearest-row kernel. A *derived* layout:
+/// built from the row-major rows where the table is made, never persisted.
+///
+/// Wide rows are kept row-major and go through [`nearest_row`]. Narrow rows
+/// (the paper's `M = 2` subspaces) are kept transposed, one slice per
+/// coordinate, so the distances from one vector to [`ROW_BLOCK`] rows are
+/// computed lane-parallel — `dx*dx + dy*dy`, the arithmetic and the order of
+/// [`l2_squared`]'s scalar tail — and only then reduced to the first
+/// minimum. Either way the answer carries the bits and the tie-break of the
+/// plain `l2_squared` first-minimum loop (`nearest_rows_*` tests below).
+#[derive(Debug, Clone, PartialEq)]
+pub struct NearestRows {
+    /// `data[j * len + r]` (coordinate-major) when `dim < NARROW_DIM`,
+    /// `data[r * dim + j]` (row-major) otherwise.
+    data: Vec<f32>,
+    dim: usize,
+    len: usize,
+}
+
+impl NearestRows {
+    /// Lays out row-major `rows` of `dim` coordinates each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is zero or `rows` is not a whole number of rows.
+    pub fn new(rows: &[f32], dim: usize) -> Self {
+        assert!(dim > 0, "rows have at least one coordinate");
+        assert_eq!(rows.len() % dim, 0, "rows must be a whole number of rows");
+        let len = rows.len() / dim;
+        let mut data = rows.to_vec();
+        if dim < NARROW_DIM {
+            for (r, row) in rows.chunks_exact(dim).enumerate() {
+                for (j, &x) in row.iter().enumerate() {
+                    data[j * len + r] = x;
+                }
+            }
+        }
+        Self { data, dim, len }
+    }
+
+    /// `(index, squared L2 distance)` of the row nearest to `v`; the lowest
+    /// index on a tie, `(0, +∞)` when no distance is below `+∞`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not as wide as the rows.
+    #[inline]
+    pub fn nearest(&self, v: &[f32]) -> (usize, f32) {
+        assert_eq!(v.len(), self.dim, "vector width must match the rows");
+        if self.dim >= NARROW_DIM {
+            return nearest_row(v, &self.data);
+        }
+        let mut best = (0usize, f32::INFINITY);
+        let mut dist = [0.0f32; ROW_BLOCK];
+        for start in (0..self.len).step_by(ROW_BLOCK) {
+            let dist = &mut dist[..ROW_BLOCK.min(self.len - start)];
+            for (j, &x) in v.iter().enumerate() {
+                let col = &self.data[j * self.len + start..][..dist.len()];
+                for (d, &c) in dist.iter_mut().zip(col) {
+                    let t = x - c;
+                    // `0 + t²` is `t²`: the first coordinate starts the sum.
+                    *d = if j == 0 { t * t } else { *d + t * t };
+                }
+            }
+            // NaN ignored, `+∞` when nothing else is there.
+            let (low, _) = row_min_max(dist, |d| d);
+            // `low < +∞` is one of the block's distances, and the first row
+            // attaining it is the one a row-by-row `<` scan would keep.
+            if low < best.1 {
+                let at = dist.iter().position(|&d| d == low);
+                best = (start + at.expect("the block minimum is in the block"), low);
+            }
+        }
+        best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,6 +1082,99 @@ mod tests {
                 assert_eq!(block_lane_code(&rows, nibble, l), c, "lane {l}");
             }
         }
+    }
+
+    /// The loop the nearest-row kernel replaced, as k-means, the coarse
+    /// assign and the codebook encoder each wrote it.
+    fn plain_nearest(v: &[f32], rows: &[f32]) -> (usize, f32) {
+        let mut best = 0usize;
+        let mut best_d = f32::INFINITY;
+        for (r, row) in rows.chunks_exact(v.len()).enumerate() {
+            let d = l2_squared(v, row);
+            if d < best_d {
+                best_d = d;
+                best = r;
+            }
+        }
+        (best, best_d)
+    }
+
+    fn assert_nearest_matches(v: &[f32], rows: &[f32], table: &NearestRows, label: &str) {
+        let want = plain_nearest(v, rows);
+        for (arm, got) in [("table", table.nearest(v)), ("rows", nearest_row(v, rows))] {
+            assert_eq!(got.0, want.0, "{label} ({arm}): index");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "{label} ({arm}): bits");
+        }
+    }
+
+    #[test]
+    fn nearest_rows_match_the_plain_first_minimum_loop() {
+        let mut rng = seeded(0x4EA2);
+        for dim in [1usize, 2, 3, 4, 8, 12, 96] {
+            for len in [1usize, 7, 16, 64, 141, 256] {
+                let mut rows: Vec<f32> = (0..len * dim)
+                    .map(|_| rng.gen_range(-4.0f32..4.0))
+                    .collect();
+                // Duplicated rows, some of them blocks apart: the lower
+                // index must win the tie.
+                for _ in 0..len / 3 {
+                    let (from, to) = (rng.gen_range(0..len), rng.gen_range(0..len));
+                    rows.copy_within(from * dim..(from + 1) * dim, to * dim);
+                }
+                let table = NearestRows::new(&rows, dim);
+                for case in 0..40usize {
+                    let v: Vec<f32> = match case % 4 {
+                        // On a (possibly duplicated) row: distance zero, tied.
+                        0 => rows[(case % len) * dim..][..dim].to_vec(),
+                        1 => vec![0.0; dim],
+                        _ => (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect(),
+                    };
+                    let label = format!("{dim}-d x {len} case {case}");
+                    assert_nearest_matches(&v, &rows, &table, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_rows_keep_the_loop_s_answers_at_the_edges_of_f32() {
+        let mut rng = seeded(0xED6E);
+        for dim in [1usize, 2, 3, 8, 12] {
+            for len in [1usize, 7, 64, 141] {
+                // Every distance overflows to +inf: nothing is ever below
+                // the initial bound, so the answer is (0, +inf).
+                let far = vec![-3e38f32; len * dim];
+                let table = NearestRows::new(&far, dim);
+                assert_eq!(table.nearest(&vec![3e38; dim]), (0, f32::INFINITY));
+                assert_nearest_matches(&vec![3e38; dim], &far, &table, "all +inf");
+
+                // Mixed magnitudes: huge, tiny, zero and overflowing rows
+                // beside each other, zero rows included.
+                let mut rows = vec![0.0f32; len * dim];
+                for x in rows.iter_mut() {
+                    *x = match rng.gen_range(0..5usize) {
+                        0 => rng.gen_range(-1.0f32..1.0) * 1e19,
+                        1 => rng.gen_range(-1.0f32..1.0) * 3e38,
+                        2 => rng.gen_range(-1.0f32..1.0) * 1e-20,
+                        3 => 0.0,
+                        _ => rng.gen_range(-2.0f32..2.0),
+                    };
+                }
+                let table = NearestRows::new(&rows, dim);
+                for case in 0..30usize {
+                    let scale = [0.0f32, 1.0, 1e-20, 1e19, -3e38][case % 5];
+                    let v: Vec<f32> = (0..dim)
+                        .map(|_| rng.gen_range(0.5f32..1.0) * scale)
+                        .collect();
+                    let label = format!("{dim}-d x {len} scale {scale:e}");
+                    assert_nearest_matches(&v, &rows, &table, &label);
+                }
+            }
+        }
+        assert_eq!(
+            NearestRows::new(&[], 2).nearest(&[1.0, 2.0]),
+            (0, f32::INFINITY)
+        );
     }
 
     #[test]

@@ -86,46 +86,51 @@ impl std::fmt::Display for Metric {
 
 /// Squared L2 distance between two equal-length slices.
 ///
-/// The loop is written over eight-element chunks with eight independent
-/// accumulators so the optimiser can vectorise it to a full 256-bit
-/// register (or two 128-bit ones) without explicit SIMD intrinsics; the
-/// tail is summed scalar.
+/// Eight independent accumulators over eight-element chunks, reduced as
+/// `((a0+a4)+(a1+a5))+((a2+a6)+(a3+a7))`, then the tail added scalar in
+/// order. What makes the chunk loop vectorise is its shape, not the
+/// accumulators: `as_chunks` hands it `&[f32; 8]`, so the eight lane
+/// accesses need no bounds check and the optimiser emits packed
+/// subtract / multiply / add (two 128-bit registers at baseline SSE2). An
+/// indexed `a[i + lane]` keeps a check per element and stays scalar. The
+/// result's bits are pinned against a transcription of the indexed loop by
+/// `chunked_kernels_repeat_the_indexed_loop_bit_for_bit` below.
 #[inline]
 pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
+    let (a8, a_tail) = a.as_chunks::<8>();
+    let (b8, b_tail) = b.as_chunks::<8>();
     let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for c in 0..chunks {
-        let i = c * 8;
+    for (x, y) in a8.iter().zip(b8) {
         for lane in 0..8 {
-            let d = a[i + lane] - b[i + lane];
+            let d = x[lane] - y[lane];
             acc[lane] += d * d;
         }
     }
     let mut sum = ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
-    for i in chunks * 8..a.len() {
-        let d = a[i] - b[i];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        let d = x - y;
         sum += d * d;
     }
     sum
 }
 
-/// Inner (dot) product between two equal-length slices (eight-lane
-/// accumulation, see [`l2_squared`]).
+/// Inner (dot) product between two equal-length slices — the loop shape,
+/// reduction order and pinning test of [`l2_squared`].
 #[inline]
 pub fn inner_product(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
+    let (a8, a_tail) = a.as_chunks::<8>();
+    let (b8, b_tail) = b.as_chunks::<8>();
     let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for c in 0..chunks {
-        let i = c * 8;
+    for (x, y) in a8.iter().zip(b8) {
         for lane in 0..8 {
-            acc[lane] += a[i + lane] * b[i + lane];
+            acc[lane] += x[lane] * y[lane];
         }
     }
     let mut sum = ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
-    for i in chunks * 8..a.len() {
-        sum += a[i] * b[i];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        sum += x * y;
     }
     sum
 }
@@ -255,6 +260,70 @@ mod tests {
                 (ip - naive_ip).abs() <= 1e-4 * naive_ip.abs().max(1.0),
                 "case {case} (n={n}): ip {ip} vs naive {naive_ip}"
             );
+        }
+    }
+
+    /// The loops as they were written before they vectorised: indexed
+    /// element access, the same accumulators, reduction and tail.
+    fn indexed_l2(a: &[f32], b: &[f32]) -> f32 {
+        let mut acc = [0.0f32; 8];
+        let chunks = a.len() / 8;
+        for c in 0..chunks {
+            let i = c * 8;
+            for lane in 0..8 {
+                let d = a[i + lane] - b[i + lane];
+                acc[lane] += d * d;
+            }
+        }
+        let mut sum =
+            ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+        for i in chunks * 8..a.len() {
+            let d = a[i] - b[i];
+            sum += d * d;
+        }
+        sum
+    }
+
+    fn indexed_ip(a: &[f32], b: &[f32]) -> f32 {
+        let mut acc = [0.0f32; 8];
+        let chunks = a.len() / 8;
+        for c in 0..chunks {
+            let i = c * 8;
+            for lane in 0..8 {
+                acc[lane] += a[i + lane] * b[i + lane];
+            }
+        }
+        let mut sum =
+            ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+        for i in chunks * 8..a.len() {
+            sum += a[i] * b[i];
+        }
+        sum
+    }
+
+    #[test]
+    fn chunked_kernels_repeat_the_indexed_loop_bit_for_bit() {
+        use crate::rng::{seeded, Rng};
+        let mut rng = seeded(0xB175);
+        for n in (0..=40usize).chain([96]) {
+            for case in 0..24u32 {
+                // Magnitudes from 1e-3 to 1e6, so rounding differs per lane.
+                let scale = 10f32.powi(case as i32 % 10 - 3);
+                let a: Vec<f32> = (0..n)
+                    .map(|_| rng.gen_range(-1.0f32..1.0) * scale)
+                    .collect();
+                let b: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                assert_eq!(
+                    l2_squared(&a, &b).to_bits(),
+                    indexed_l2(&a, &b).to_bits(),
+                    "l2 n={n} case {case}"
+                );
+                assert_eq!(
+                    inner_product(&a, &b).to_bits(),
+                    indexed_ip(&a, &b).to_bits(),
+                    "ip n={n} case {case}"
+                );
+            }
         }
     }
 

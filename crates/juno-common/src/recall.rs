@@ -10,6 +10,7 @@
 
 use crate::error::{Error, Result};
 use crate::metric::Metric;
+use crate::parallel;
 use crate::topk::TopK;
 use crate::vector::VectorSet;
 
@@ -29,7 +30,9 @@ impl GroundTruth {
     ///
     /// # Errors
     ///
-    /// Returns an error when the query dimension does not match the points.
+    /// Returns an error when the query dimension does not match the points,
+    /// and [`Error::WorkerPanicked`] when a worker of the query fan-out
+    /// panicked.
     pub fn brute_force(
         points: &VectorSet,
         queries: &VectorSet,
@@ -46,56 +49,16 @@ impl GroundTruth {
             return Err(Error::empty_input("ground truth requires search points"));
         }
         let k = k.min(points.len());
-        let n_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(queries.len().max(1));
-        let mut truth = vec![Vec::new(); queries.len()];
-        if queries.is_empty() {
-            return Ok(Self { truth });
-        }
-        let chunk = queries.len().div_ceil(n_threads);
-        // Same panic-isolation contract as `parallel::map_with`: a worker
-        // panic is caught at the scope boundary and surfaced as
-        // `Error::WorkerPanicked` instead of unwinding through the caller.
-        let mut panicked: Option<Error> = None;
-        std::thread::scope(|scope| {
-            let mut slots: &mut [Vec<u64>] = &mut truth;
-            let mut start = 0usize;
-            let mut handles = Vec::new();
-            while start < queries.len() {
-                let take = chunk.min(queries.len() - start);
-                let (head, rest) = slots.split_at_mut(take);
-                slots = rest;
-                let qstart = start;
-                handles.push(scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        for (i, slot) in head.iter_mut().enumerate() {
-                            let q = queries.row(qstart + i);
-                            let mut topk = TopK::new(k, metric);
-                            for (id, row) in points.iter().enumerate() {
-                                topk.push(id as u64, metric.distance(q, row));
-                            }
-                            *slot = topk.into_sorted_vec().into_iter().map(|n| n.id).collect();
-                        }
-                    }))
-                }));
-                start += take;
+        // One query per task on the caller's thread budget; ids are pushed
+        // in ascending order, so ties resolve as in a plain double loop.
+        let truth = parallel::map(queries.len(), parallel::default_threads(), |q| {
+            let query = queries.row(q);
+            let mut topk = TopK::new(k, metric);
+            for (id, row) in points.iter().enumerate() {
+                topk.push(id as u64, metric.distance(query, row));
             }
-            for h in handles {
-                if let Err(payload) = h.join().expect("catch_unwind cannot itself panic") {
-                    panicked.get_or_insert_with(|| {
-                        Error::worker_panicked(format!(
-                            "ground-truth worker: {}",
-                            crate::parallel::panic_message(&*payload)
-                        ))
-                    });
-                }
-            }
-        });
-        if let Some(err) = panicked {
-            return Err(err);
-        }
+            topk.into_sorted_vec().into_iter().map(|n| n.id).collect()
+        })?;
         Ok(Self { truth })
     }
 
@@ -232,6 +195,31 @@ mod tests {
         assert_eq!(gt.truth[1], vec![1, 3]);
         assert_eq!(gt.len(), 2);
         assert!(!gt.is_empty());
+    }
+
+    #[test]
+    fn brute_force_equals_a_plain_double_loop_with_ties() {
+        use crate::rng::{seeded, Rng};
+        let mut rng = seeded(0x71E5);
+        // 30 distinct points, each stored four times: every distance is a
+        // four-way tie, and the lower id must rank first.
+        let distinct: Vec<Vec<f32>> = (0..30)
+            .map(|_| (0..5).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+            .collect();
+        let rows: Vec<Vec<f32>> = (0..120).map(|i| distinct[i % 30].clone()).collect();
+        let points = VectorSet::from_rows(rows).unwrap();
+        let queries = VectorSet::from_rows(distinct[..9].to_vec()).unwrap();
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            let gt = GroundTruth::brute_force(&points, &queries, metric, 10).unwrap();
+            for (q, got) in gt.truth.iter().enumerate() {
+                let mut scored: Vec<(f32, u64)> = (0..points.len())
+                    .map(|id| (metric.score(queries.row(q), points.row(id)), id as u64))
+                    .collect();
+                scored.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let want: Vec<u64> = scored[..10].iter().map(|&(_, id)| id).collect();
+                assert_eq!(got, &want, "{metric} query {q}");
+            }
+        }
     }
 
     #[test]

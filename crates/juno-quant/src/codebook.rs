@@ -6,6 +6,7 @@
 //! into a set of spheres in the RT scene.
 
 use juno_common::error::{Error, Result};
+use juno_common::kernel::NearestRows;
 use juno_common::metric::l2_squared;
 use juno_common::vector::VectorSet;
 
@@ -16,6 +17,9 @@ pub struct Codebook {
     subspace: usize,
     /// Entry centroids: `E` rows of dimension `M`.
     entries: VectorSet,
+    /// `entries` as the nearest-row kernel wants them; derived in
+    /// [`Codebook::new`], never persisted.
+    nearest: NearestRows,
 }
 
 impl Codebook {
@@ -28,7 +32,12 @@ impl Codebook {
         if entries.is_empty() {
             return Err(Error::empty_input("codebook requires at least one entry"));
         }
-        Ok(Self { subspace, entries })
+        let nearest = NearestRows::new(entries.as_flat(), entries.dim());
+        Ok(Self {
+            subspace,
+            entries,
+            nearest,
+        })
     }
 
     /// The subspace index this codebook encodes.
@@ -77,16 +86,7 @@ impl Codebook {
                 actual: projection.len(),
             });
         }
-        let mut best = 0u32;
-        let mut best_d = f32::INFINITY;
-        for (e, row) in self.entries.iter().enumerate() {
-            let d = l2_squared(projection, row);
-            if d < best_d {
-                best_d = d;
-                best = e as u32;
-            }
-        }
-        Ok(best)
+        Ok(self.nearest.nearest(projection).0 as u32)
     }
 
     /// Squared distance of a query projection to every entry — one row of the

@@ -9,7 +9,8 @@
 
 use crate::kmeans::{KMeans, KMeansConfig};
 use juno_common::error::{Error, Result};
-use juno_common::metric::{l2_squared, Metric};
+use juno_common::kernel::nearest_row;
+use juno_common::metric::Metric;
 use juno_common::topk::TopK;
 use juno_common::vector::VectorSet;
 
@@ -87,14 +88,13 @@ impl IvfIndex {
             seed: config.seed,
             train_subsample: config.train_subsample,
         };
-        let km = KMeans::train(points, &km_cfg)?;
-        let labels = km.labels().to_vec();
+        let (centroids, labels) = KMeans::train(points, &km_cfg)?.into_parts();
         let mut lists = vec![Vec::new(); config.n_clusters];
         for (i, &c) in labels.iter().enumerate() {
             lists[c].push(i as u32);
         }
         Ok(Self {
-            centroids: km.into_centroids(),
+            centroids,
             lists,
             labels,
             metric: config.metric,
@@ -290,16 +290,7 @@ impl IvfIndex {
                 actual: point.len(),
             });
         }
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for (c, row) in self.centroids.iter().enumerate() {
-            let d = l2_squared(point, row);
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        Ok(best)
+        Ok(nearest_row(point, self.centroids.as_flat()).0)
     }
 
     /// Registers a newly inserted point under `cluster` and returns its id

@@ -7,14 +7,44 @@
 //! 2. one "second" clustering per subspace over residual projections of
 //!    dimension `M` (the PQ codebook, `E` entries per subspace).
 //!
-//! Determinism: all randomness flows through the seed in [`KMeansConfig`], so
-//! repeated builds of an index produce identical centroids.
+//! Determinism: all randomness flows through the seed in [`KMeansConfig`], and
+//! the objective is summed per fixed 4096-point block in block order, so
+//! repeated builds of an index produce identical centroids, labels and
+//! iteration counts — on any host, under any thread budget.
+//!
+//! # What a run costs
+//!
+//! For `n` training points (the input, or `train_subsample` of it), `k`
+//! clusters, `d` coordinates and `I ≤ max_iters` iterations; a "distance" is
+//! one `d`-wide squared L2 (`d` multiply-adds, `4d` bytes of point read):
+//!
+//! | stage | distances | bytes streamed | parallel over | threads |
+//! |---|---|---|---|---|
+//! | k-means++ seeding | `k·n` | the `4nd`-byte training set, `k` times | — | 1 |
+//! | Lloyd assignment | `I·n·k` | the training set once per iteration; the `4kd`-byte centroid table stays in L1/L2 | 4096-point blocks | the caller's budget |
+//! | centroid update | — (`I·n·d` `f64` adds) | the training set once per iteration | — | 1 |
+//! | labelling ([`KMeans::train`] only) | `N·k` | the full `4Nd`-byte input once | 4096-point blocks | the caller's budget |
+//!
+//! Every distance of the last three rows goes through the nearest-row kernel
+//! (`juno_common::kernel`): row-major [`l2_squared`] for `d ≥ 8`, and for
+//! narrower rows the table transposed once per iteration so the `k`
+//! distances of a point are computed lane-parallel. The budget is
+//! [`parallel::default_threads`] (`JUNO_NUM_THREADS`) for [`KMeans::train`];
+//! the PQ trainer runs one sequential label-free fit per subspace and spends
+//! the budget across subspaces instead (see `pq.rs`).
 
 use juno_common::error::{Error, Result};
+use juno_common::kernel::{nearest_row, NearestRows};
 use juno_common::metric::l2_squared;
+use juno_common::parallel;
 use juno_common::rng::Rng;
 use juno_common::rng::{sample_indices, seeded};
 use juno_common::vector::VectorSet;
+
+/// Points per assignment task and per partial sum of the objective. A
+/// constant, so the labels, the objective's bits and with them the
+/// iteration a run stops at are the same under every thread budget.
+const ASSIGN_BLOCK: usize = 4096;
 
 /// Configuration for a k-means run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,60 +107,24 @@ impl KMeans {
     /// [`Error::InvalidConfig`] when `n_clusters` is zero or exceeds the
     /// number of points.
     pub fn train(points: &VectorSet, config: &KMeansConfig) -> Result<Self> {
-        if points.is_empty() {
-            return Err(Error::empty_input("k-means requires at least one point"));
-        }
-        if config.n_clusters == 0 {
-            return Err(Error::invalid_config("n_clusters must be positive"));
-        }
-        if config.n_clusters > points.len() {
-            return Err(Error::invalid_config(format!(
-                "n_clusters {} exceeds number of points {}",
-                config.n_clusters,
-                points.len()
-            )));
-        }
+        Self::train_with_threads(points, config, parallel::default_threads())
+    }
 
-        let mut rng = seeded(config.seed);
-
-        // Optional subsampling for training; the final assignment below is
-        // always computed over the full point set.
-        let training: VectorSet = match config.train_subsample {
-            Some(cap) if cap < points.len() && cap >= config.n_clusters => {
-                let ids = sample_indices(&mut rng, points.len(), cap);
-                points.select(&ids)?
-            }
-            _ => points.clone(),
-        };
-
-        let mut centroids = plus_plus_init(&training, config.n_clusters, &mut rng);
-        let mut labels = vec![0usize; training.len()];
-        let mut inertia = f64::INFINITY;
-        let mut iterations = 0usize;
-
-        for iter in 0..config.max_iters.max(1) {
-            iterations = iter + 1;
-            // Assignment step.
-            let new_inertia = assign(&training, &centroids, &mut labels);
-            // Update step.
-            update_centroids(&training, &labels, &mut centroids, &mut rng);
-            let improved = inertia.is_infinite()
-                || (inertia - new_inertia) > config.tolerance * inertia.abs().max(1e-12);
-            inertia = new_inertia;
-            if !improved {
-                break;
-            }
-        }
-
-        // Final assignment over the full input (also covers the subsampled
-        // case where `training` differs from `points`).
-        let mut full_labels = vec![0usize; points.len()];
-        let final_inertia = assign(points, &centroids, &mut full_labels);
-
+    /// [`KMeans::train`] on an explicit thread budget (the result does not
+    /// depend on it).
+    fn train_with_threads(
+        points: &VectorSet,
+        config: &KMeansConfig,
+        threads: usize,
+    ) -> Result<Self> {
+        let (centroids, iterations) = fit(points, config, threads)?;
+        // Labels over the full input, which the fit never computes: it
+        // assigns its training set only, and that may be a subsample.
+        let (labels, inertia) = assign(points, &centroids, threads)?;
         Ok(Self {
             centroids,
-            labels: full_labels,
-            inertia: final_inertia,
+            labels,
+            inertia,
             iterations,
         })
     }
@@ -140,9 +134,9 @@ impl KMeans {
         &self.centroids
     }
 
-    /// Consumes the model and returns its centroids.
-    pub fn into_centroids(self) -> VectorSet {
-        self.centroids
+    /// Consumes the model and returns its centroids and labels.
+    pub fn into_parts(self) -> (VectorSet, Vec<usize>) {
+        (self.centroids, self.labels)
     }
 
     /// Assignment of the training points (cluster id per point).
@@ -179,8 +173,66 @@ impl KMeans {
                 actual: v.len(),
             });
         }
-        Ok(nearest_centroid(v, &self.centroids))
+        Ok(nearest_row(v, self.centroids.as_flat()))
     }
+}
+
+/// The label-free fit: k-means++ seeding and Lloyd iterations over the
+/// training set (all of `points`, or the subsample `config` asks for),
+/// returning the centroids and the number of iterations run. What a caller
+/// that only wants a codebook pays for; [`KMeans::train`] adds the labelling
+/// of the full input. `threads` bounds the workers of the assignment step
+/// and does not change the result.
+///
+/// # Errors
+///
+/// As [`KMeans::train`].
+pub(crate) fn fit(
+    points: &VectorSet,
+    config: &KMeansConfig,
+    threads: usize,
+) -> Result<(VectorSet, usize)> {
+    if points.is_empty() {
+        return Err(Error::empty_input("k-means requires at least one point"));
+    }
+    if config.n_clusters == 0 {
+        return Err(Error::invalid_config("n_clusters must be positive"));
+    }
+    if config.n_clusters > points.len() {
+        return Err(Error::invalid_config(format!(
+            "n_clusters {} exceeds number of points {}",
+            config.n_clusters,
+            points.len()
+        )));
+    }
+
+    let mut rng = seeded(config.seed);
+
+    let sampled;
+    let training = match config.train_subsample {
+        Some(cap) if cap < points.len() && cap >= config.n_clusters => {
+            let ids = sample_indices(&mut rng, points.len(), cap);
+            sampled = points.select(&ids)?;
+            &sampled
+        }
+        _ => points,
+    };
+
+    let mut centroids = plus_plus_init(training, config.n_clusters, &mut rng);
+    let mut inertia = f64::INFINITY;
+    let mut iterations = 0usize;
+    for iter in 0..config.max_iters.max(1) {
+        iterations = iter + 1;
+        let (labels, new_inertia) = assign(training, &centroids, threads)?;
+        update_centroids(training, &labels, &mut centroids, &mut rng);
+        let improved = inertia.is_infinite()
+            || (inertia - new_inertia) > config.tolerance * inertia.abs().max(1e-12);
+        inertia = new_inertia;
+        if !improved {
+            break;
+        }
+    }
+    Ok((centroids, iterations))
 }
 
 /// k-means++ seeding: the first centroid is uniform, each further centroid is
@@ -230,62 +282,32 @@ fn plus_plus_init<R: Rng>(points: &VectorSet, k: usize, rng: &mut R) -> VectorSe
         .expect("chosen indices are in bounds by construction")
 }
 
-/// Finds the nearest centroid of `v`, returning `(index, squared distance)`.
-fn nearest_centroid(v: &[f32], centroids: &VectorSet) -> (usize, f32) {
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    for (c, row) in centroids.iter().enumerate() {
-        let d = l2_squared(v, row);
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    (best, best_d)
-}
-
-/// Assignment step. Returns the mean squared distance (the objective).
-/// Parallelised over points with scoped threads.
-fn assign(points: &VectorSet, centroids: &VectorSet, labels: &mut [usize]) -> f64 {
+/// Assignment step: the nearest centroid of every point and the mean
+/// squared distance to it (the objective). Points go through the
+/// nearest-row kernel in [`ASSIGN_BLOCK`]-point tasks on up to `threads`
+/// workers; each task sums its own distances in point order and the task
+/// sums are added in task order.
+fn assign(points: &VectorSet, centroids: &VectorSet, threads: usize) -> Result<(Vec<usize>, f64)> {
+    let table = NearestRows::new(centroids.as_flat(), centroids.dim());
     let n = points.len();
-    if n == 0 {
-        return 0.0;
+    let blocks = parallel::map(n.div_ceil(ASSIGN_BLOCK), threads, |b| {
+        let range = b * ASSIGN_BLOCK..n.min((b + 1) * ASSIGN_BLOCK);
+        let mut labels = Vec::with_capacity(range.len());
+        let mut sum = 0.0f64;
+        for i in range {
+            let (c, d) = table.nearest(points.row(i));
+            labels.push(c);
+            sum += d as f64;
+        }
+        (labels, sum)
+    })?;
+    let mut labels = Vec::with_capacity(n);
+    let mut total = 0.0f64;
+    for (block, sum) in blocks {
+        labels.extend(block);
+        total += sum;
     }
-    let n_threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
-        .min(n)
-        .max(1);
-    let chunk = n.div_ceil(n_threads);
-    let mut partial = vec![0.0f64; n_threads];
-    std::thread::scope(|scope| {
-        let mut rest: &mut [usize] = labels;
-        let mut handles = Vec::new();
-        let mut start = 0usize;
-        for slot in partial.iter_mut() {
-            if start >= n {
-                break;
-            }
-            let take = chunk.min(n - start);
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let begin = start;
-            handles.push(scope.spawn(move || {
-                let mut local = 0.0f64;
-                for (i, lab) in head.iter_mut().enumerate() {
-                    let (c, d) = nearest_centroid(points.row(begin + i), centroids);
-                    *lab = c;
-                    local += d as f64;
-                }
-                *slot = local;
-            }));
-            start += take;
-        }
-        for h in handles {
-            h.join().expect("k-means assignment worker panicked");
-        }
-    });
-    partial.iter().sum::<f64>() / n as f64
+    Ok((labels, total / n as f64))
 }
 
 /// Update step: recompute each centroid as the mean of its assigned points.
@@ -381,6 +403,33 @@ mod tests {
         let b = KMeans::train(&points, &KMeansConfig::new(5, 1234)).unwrap();
         assert_eq!(a.centroids(), b.centroids());
         assert_eq!(a.labels(), b.labels());
+    }
+
+    #[test]
+    fn the_thread_budget_does_not_change_the_result() {
+        // Three assignment blocks, the last one short; full-set training and
+        // a two-block subsample.
+        let points = blobs(3_500, 13);
+        assert!(points.len() > 2 * ASSIGN_BLOCK);
+        for train_subsample in [None, Some(ASSIGN_BLOCK + 900)] {
+            let cfg = KMeansConfig {
+                train_subsample,
+                ..KMeansConfig::new(7, 99)
+            };
+            let one = KMeans::train_with_threads(&points, &cfg, 1).unwrap();
+            assert!(one.iterations() > 1);
+            for threads in [2, 5] {
+                let many = KMeans::train_with_threads(&points, &cfg, threads).unwrap();
+                assert_eq!(many.centroids(), one.centroids(), "{threads} threads");
+                assert_eq!(many.labels(), one.labels(), "{threads} threads");
+                assert_eq!(many.iterations(), one.iterations(), "{threads} threads");
+                assert_eq!(
+                    many.inertia().to_bits(),
+                    one.inertia().to_bits(),
+                    "{threads} threads"
+                );
+            }
+        }
     }
 
     #[test]
