@@ -16,6 +16,7 @@
 //! Every index implements [`juno_common::AnnIndex`], so the benchmark harness
 //! can sweep them uniformly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -17,6 +17,7 @@
 //! Wall-clock performance is measured by the ledger (`src/bin/ledger/`, a
 //! package of its own), not by this library.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -46,7 +46,6 @@ use crate::error::{Error, Result};
 use crate::metrics::{Counter, LogHistogram, Registry};
 use crate::snapshot::{fnv1a_concat, SectionReader, SectionWriter};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -348,6 +347,11 @@ struct WalInner {
     next_lsn: u64,
     /// Appends since the last fsync of the active segment.
     unsynced: u64,
+    /// Set when a failed append left bytes in the active segment that could
+    /// not be cut off again: anything appended behind them would be lost to
+    /// [`Wal::open`]'s torn-tail truncation, so every later append, sync and
+    /// rotation fails until the log is reopened.
+    stuck: bool,
 }
 
 struct WalMetrics {
@@ -505,6 +509,7 @@ impl Wal {
                 sealed,
                 next_lsn,
                 unsynced: 0,
+                stuck: false,
             }),
         })
     }
@@ -547,6 +552,17 @@ impl Wal {
         Ok(inner.active.as_mut().unwrap())
     }
 
+    fn ensure_unstuck(inner: &WalInner, dir: &Path) -> Result<()> {
+        if inner.stuck {
+            return Err(Error::Io(format!(
+                "WAL {}: a failed append left bytes that could not be cut off; \
+                 reopen the log",
+                dir.display()
+            )));
+        }
+        Ok(())
+    }
+
     fn seal_active(inner: &mut WalInner, policy: FsyncPolicy) -> Result<bool> {
         let Some(active) = inner.active.take() else {
             return Ok(false);
@@ -579,6 +595,7 @@ impl Wal {
         let start = Instant::now();
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
+        Self::ensure_unstuck(inner, &self.dir)?;
         if inner
             .active
             .as_ref()
@@ -589,10 +606,20 @@ impl Wal {
         let lsn = inner.next_lsn;
         let bytes = encode_record(lsn, record);
         let active = Self::ensure_active(inner, &self.dir, &self.metrics)?;
-        active
-            .file
-            .write_all(&bytes)
-            .map_err(|e| io_err("append to segment", &active.path, e))?;
+        if let Err(e) = seam::write_all(&mut active.file, &bytes) {
+            // A failed write may still have put part of the record on disk.
+            // Cut the segment back to its last whole record, or the next
+            // record would land behind the torn bytes, where `open` drops it.
+            if let Err(cut) = seam::set_len(&active.file, active.bytes) {
+                let err = Error::Io(format!(
+                    "append to segment {}: {e}; cutting it back failed too: {cut}",
+                    active.path.display()
+                ));
+                inner.stuck = true;
+                return Err(err);
+            }
+            return Err(io_err("append to segment", &active.path, e));
+        }
         active.bytes += bytes.len() as u64;
         inner.next_lsn += 1;
         inner.unsynced += 1;
@@ -609,6 +636,7 @@ impl Wal {
     }
 
     fn sync_locked(&self, inner: &mut WalInner) -> Result<()> {
+        Self::ensure_unstuck(inner, &self.dir)?;
         if inner.unsynced == 0 {
             return Ok(());
         }
@@ -645,6 +673,7 @@ impl Wal {
     /// whether a segment was sealed.
     pub fn rotate(&self) -> Result<bool> {
         let mut inner = self.inner.lock().unwrap();
+        Self::ensure_unstuck(&inner, &self.dir)?;
         Self::seal_active(&mut inner, self.options.policy)
     }
 
@@ -709,9 +738,43 @@ impl Wal {
     }
 }
 
+/// The two file calls of [`Wal::append_unsynced`]. A unit test can make
+/// the next write on its thread stop halfway, and the cut-back after it
+/// fail, as a disk that fills up or errors mid-write does.
+mod seam {
+    use std::fs::File;
+    use std::io::Write;
+
+    #[cfg(test)]
+    thread_local! {
+        /// `Some(cut_fails)`: the next write puts half its bytes down, then errors.
+        pub(super) static SHORT_WRITE: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
+        static CUT_FAILS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    pub(super) fn write_all(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(cut_fails) = SHORT_WRITE.take() {
+            file.write_all(&bytes[..bytes.len() / 2])?;
+            CUT_FAILS.set(cut_fails);
+            return Err(std::io::Error::other("short write"));
+        }
+        file.write_all(bytes)
+    }
+
+    pub(super) fn set_len(file: &File, len: u64) -> std::io::Result<()> {
+        #[cfg(test)]
+        if CUT_FAILS.take() {
+            return Err(std::io::Error::other("cut-back refused"));
+        }
+        file.set_len(len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("juno_wal_{tag}_{}", std::process::id()));
@@ -1033,6 +1096,68 @@ mod tests {
         let wal = Wal::open(&dir, WalOptions::default(), Arc::clone(&reg2)).unwrap();
         assert_eq!(wal.last_lsn(), 1);
         assert_eq!(reg2.snapshot().counter("wal.torn_bytes"), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn insert(x: f32) -> WalRecord {
+        WalRecord::Insert {
+            vector: vec![x; 16],
+        }
+    }
+
+    /// A write that fails halfway must not strand the records acknowledged
+    /// after it behind its torn bytes.
+    #[test]
+    fn a_half_written_record_is_cut_off_so_later_acknowledged_records_survive() {
+        let dir = scratch_dir("short_write");
+        {
+            let wal = Wal::open(&dir, WalOptions::default(), registry()).unwrap();
+            for i in 0..3 {
+                wal.append_unsynced(&insert(i as f32)).unwrap();
+                wal.maybe_sync().unwrap();
+            }
+            seam::SHORT_WRITE.set(Some(false));
+            assert!(matches!(
+                wal.append_unsynced(&insert(3.0)),
+                Err(Error::Io(_))
+            ));
+            assert_eq!(wal.append_unsynced(&insert(4.0)).unwrap(), 4);
+            assert!(wal.maybe_sync().unwrap(), "acknowledged lsn 4");
+        }
+        let wal = Wal::open(&dir, WalOptions::default(), registry()).unwrap();
+        assert_eq!(wal.last_lsn(), 4);
+        let records = wal.read_records_after(0).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(records[3], (4, insert(4.0)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// When the torn bytes cannot be cut off either, nothing more is
+    /// acknowledged until the log is reopened, which truncates them.
+    #[test]
+    fn a_torn_record_that_cannot_be_cut_off_refuses_every_later_append() {
+        let dir = scratch_dir("stuck_write");
+        {
+            let wal = Wal::open(&dir, WalOptions::default(), registry()).unwrap();
+            wal.append_unsynced(&insert(0.0)).unwrap();
+            wal.maybe_sync().unwrap();
+            seam::SHORT_WRITE.set(Some(true));
+            assert!(matches!(
+                wal.append_unsynced(&insert(1.0)),
+                Err(Error::Io(_))
+            ));
+            assert!(matches!(
+                wal.append_unsynced(&insert(2.0)),
+                Err(Error::Io(_))
+            ));
+            assert!(matches!(wal.sync(), Err(Error::Io(_))));
+            assert!(matches!(wal.rotate(), Err(Error::Io(_))));
+            assert_eq!(wal.last_lsn(), 1);
+        }
+        let wal = Wal::open(&dir, WalOptions::default(), registry()).unwrap();
+        assert_eq!(wal.last_lsn(), 1);
+        assert_eq!(wal.append_unsynced(&insert(3.0)).unwrap(), 2);
+        wal.sync().unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -14,6 +14,7 @@
 //! * [`attention`] — a synthetic multi-head-attention workload standing in
 //!   for the Llama-7B experiment of Fig. 15.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,6 +23,7 @@
 //! white papers the paper cites; every benchmark conclusion drawn from this
 //! model is a *ratio* between configurations that share the same calibration.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

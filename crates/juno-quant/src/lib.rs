@@ -23,6 +23,7 @@
 //! selective, RT-core mapped one, but shares everything else in this crate —
 //! including the scan.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -47,6 +47,7 @@
 //!   [`ShardedIndex::metrics`] reads the `serve.*`, `wal.*` and
 //!   `lifecycle.*` families in one snapshot.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -946,132 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn mid_publish_failure_rolls_every_shard_back_to_its_pre_op_state() {
-        let fleet = four_shard_fleet(100);
-        // Advance past the fresh state so the pre-op epochs are non-trivial.
-        fleet.insert_shared(&[7.0, 7.0]).unwrap();
-        let epochs_before = fleet.shard_epochs();
-        let ids_before = fleet.ids();
-        let reference = fleet.search(&[3.0, 3.0], 9).unwrap();
-
-        // The publish of shard 2 fails once: shards 0 and 1 have already
-        // published the new epoch when the kill fires.
-        let plan =
-            Arc::new(FaultPlan::new(4).with_rule(first_n(2, FaultOp::Publish, 1, FaultKind::Fail)));
-        fleet.set_fault_plan(Some(plan));
-        let err = fleet.insert_batch_shared(
-            &VectorSet::from_rows(vec![vec![8.0, 8.0], vec![9.0, 9.0]]).unwrap(),
-        );
-        assert!(matches!(err, Err(Error::Unavailable(_))), "{err:?}");
-
-        // Every shard is back on its exact pre-op epoch and id set.
-        assert_eq!(fleet.shard_epochs(), epochs_before, "pre-op epochs");
-        assert_eq!(fleet.ids(), ids_before, "pre-op id set");
-        assert_bit_identical(
-            &fleet.search(&[3.0, 3.0], 9).unwrap(),
-            &reference,
-            "post-rollback search",
-        );
-
-        // The fault window has passed: the retried batch applies cleanly and
-        // epochs advance from the rolled-back baseline.
-        let ids = fleet
-            .insert_batch_shared(&VectorSet::from_rows(vec![vec![8.0, 8.0]]).unwrap())
-            .unwrap();
-        assert_eq!(ids.len(), 1);
-        for (before, after) in epochs_before.iter().zip(fleet.shard_epochs()) {
-            assert_eq!(after, before + 1, "retry publishes exactly one epoch");
-        }
-        assert!(fleet.ids().contains(&ids[0]));
-    }
-
-    #[test]
-    fn writer_panic_mid_publish_rolls_back_and_surfaces_worker_panicked() {
-        juno_common::testing::silence_panics();
-        let fleet = four_shard_fleet(60);
-        let epochs_before = fleet.shard_epochs();
-        let ids_before = fleet.ids();
-        let plan = Arc::new(FaultPlan::new(4).with_rule(first_n(
-            1,
-            FaultOp::Publish,
-            1,
-            FaultKind::Panic,
-        )));
-        fleet.set_fault_plan(Some(plan));
-        match fleet.insert_shared(&[5.0, 5.0]) {
-            Err(Error::WorkerPanicked(msg)) => assert!(msg.contains("injected panic"), "{msg}"),
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        assert_eq!(fleet.shard_epochs(), epochs_before);
-        assert_eq!(fleet.ids(), ids_before);
-        // The writer lock is not poisoned: the next insert succeeds.
-        assert!(fleet.insert_shared(&[5.0, 5.0]).is_ok());
-    }
-
-    #[test]
-    fn staging_faults_and_remove_faults_leave_the_fleet_untouched() {
-        let fleet = four_shard_fleet(60);
-        let epochs_before = fleet.shard_epochs();
-        let ids_before = fleet.ids();
-        let plan =
-            Arc::new(FaultPlan::new(4).with_rule(first_n(3, FaultOp::Insert, 1, FaultKind::Fail)));
-        fleet.set_fault_plan(Some(plan));
-        // Staging shard 3 fails before anything is published.
-        assert!(fleet.insert_shared(&[4.0, 4.0]).is_err());
-        assert_eq!(fleet.shard_epochs(), epochs_before);
-        assert_eq!(fleet.ids(), ids_before);
-        // Remove path: fault the owner's publish once.
-        let id = 7u64;
-        let owner = fleet.router().route(id, 4);
-        let plan = Arc::new(FaultPlan::new(4).with_rule(first_n(
-            owner,
-            FaultOp::Publish,
-            1,
-            FaultKind::Fail,
-        )));
-        fleet.set_fault_plan(Some(plan));
-        assert!(fleet.remove_shared(id).is_err());
-        assert_eq!(fleet.shard_epochs(), epochs_before);
-        assert!(fleet.ids().contains(&id), "failed remove keeps the id live");
-        // Window passed: the retry removes it.
-        assert!(fleet.remove_shared(id).unwrap());
-        assert!(!fleet.ids().contains(&id));
-    }
-
-    #[test]
-    fn compaction_faults_keep_the_shard_dirty_and_surface() {
-        let fleet = four_shard_fleet(60);
-        fleet.compact_all_shared().unwrap(); // clear construction dirt
-        let epochs_clean = fleet.shard_epochs();
-        // Dirty shard 0's owner via a remove, then fail its next compaction.
-        let id = fleet.ids()[0];
-        let owner = fleet.router().route(id, 4);
-        fleet.remove_shared(id).unwrap();
-        let plan = Arc::new(FaultPlan::new(4).with_rule(first_n(
-            owner,
-            FaultOp::Compact,
-            1,
-            FaultKind::Fail,
-        )));
-        fleet.set_fault_plan(Some(plan));
-        assert!(matches!(
-            fleet.compact_all_shared(),
-            Err(Error::Unavailable(_))
-        ));
-        // The shard kept its post-remove state and stayed dirty, so the
-        // next sweep (past the fault window) compacts it.
-        fleet.compact_all_shared().unwrap();
-        let epochs = fleet.shard_epochs();
-        assert_eq!(
-            epochs[owner],
-            epochs_clean[owner] + 2,
-            "remove + one successful sweep"
-        );
-        fleet.compact_all_shared().unwrap();
-        assert_eq!(fleet.shard_epochs(), epochs, "clean fleet stays put");
-    }
-
-    #[test]
     fn background_compactor_survives_faults_and_counts_errors() {
         let fleet = Arc::new(four_shard_fleet(40));
         // Every shard starts dirty; shard 0's first two sweeps fail.
@@ -1090,30 +965,6 @@ mod tests {
         drop(compactor);
         // All shards eventually swept clean despite the faults.
         assert_eq!(fleet.shard_epochs(), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn restore_faults_leave_the_live_fleet_untouched() {
-        juno_common::testing::silence_panics();
-        let mut fleet = four_shard_fleet(50);
-        let bytes = fleet.to_snapshot_bytes().unwrap();
-        let epochs_before = fleet.shard_epochs();
-        let reference = fleet.search(&[2.0, 2.0], 6).unwrap();
-        for kind in [FaultKind::Fail, FaultKind::Panic] {
-            let plan = Arc::new(FaultPlan::new(4).with_rule(first_n(1, FaultOp::Restore, 1, kind)));
-            fleet.set_fault_plan(Some(plan));
-            assert!(fleet.restore_from_bytes(&bytes).is_err(), "{kind:?}");
-            assert_eq!(fleet.shard_epochs(), epochs_before, "{kind:?}");
-            assert_bit_identical(
-                &fleet.search(&[2.0, 2.0], 6).unwrap(),
-                &reference,
-                "post-restore-fault search",
-            );
-        }
-        // Past the windows the restore applies.
-        fleet.set_fault_plan(None);
-        fleet.restore_from_bytes(&bytes).unwrap();
-        assert_eq!(fleet.num_shards(), 4);
     }
 
     #[test]
@@ -1185,44 +1036,6 @@ mod tests {
             "engine path round-trip",
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chaos_plans_drive_the_fleet_without_hanging_or_poisoning() {
-        juno_common::testing::silence_panics();
-        // A fixed-seed smoke version of the full chaos suite: attach a
-        // generated plan, hammer reads and writes, assert the fleet always
-        // either serves or errors cleanly — and recovers once disarmed.
-        for seed in [1u64, 2, 3] {
-            let fleet = four_shard_fleet(60);
-            let plan = Arc::new(FaultPlan::chaos(seed, 4, Duration::from_millis(5)));
-            fleet.set_fault_plan(Some(plan.clone()));
-            for i in 0..12 {
-                let v = [i as f32, (i % 3) as f32];
-                let _ = fleet.insert_shared(&v); // may fault; must not wedge
-                let _ = fleet.compact_all_shared();
-                let reader = fleet.reader();
-                let d = reader
-                    .search_deadline(&[1.0, 1.0], 5, Duration::from_millis(100))
-                    .unwrap();
-                assert!((0.0..=1.0).contains(&d.coverage), "seed {seed}");
-            }
-            plan.disarm();
-            let recovered = Instant::now() + Duration::from_secs(10);
-            loop {
-                let d = fleet
-                    .reader()
-                    .search_deadline(&[1.0, 1.0], 5, Duration::from_secs(5))
-                    .unwrap();
-                if d.coverage == 1.0 {
-                    break;
-                }
-                assert!(Instant::now() < recovered, "seed {seed}: never recovered");
-                std::thread::sleep(Duration::from_millis(3));
-            }
-            // Writers recovered too.
-            fleet.insert_shared(&[9.0, 9.0]).unwrap();
-        }
     }
 
     // ---- online serving front-end ----------------------------------------
@@ -1597,172 +1410,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wal_recovery_is_bit_identical_to_the_surviving_op_history() {
-        let dir = wal_dir("roundtrip");
-        // The reference fleet sees the same ops but never crashes.
-        let reference = ShardedIndex::from_monolith(
-            MiniIndex::new(grid_rows(40)),
-            4,
-            ShardRouter::Hash { seed: 5 },
-        )
-        .unwrap();
-        let durable = ShardedIndex::from_monolith(
-            MiniIndex::new(grid_rows(40)),
-            4,
-            ShardRouter::Hash { seed: 5 },
-        )
-        .unwrap();
-        let report = durable
-            .enable_wal(&dir, DurabilityConfig::default())
-            .unwrap();
-        assert_eq!(report.covered_lsn, 0, "baseline checkpoint covers nothing");
-        assert!(durable.wal_enabled());
-
-        for i in 0..25 {
-            let v = [i as f32 * 0.31, (i % 7) as f32];
-            assert_eq!(
-                durable.insert_shared(&v).unwrap(),
-                reference.insert_shared(&v).unwrap()
-            );
-        }
-        for id in [3u64, 41, 44, 9_999] {
-            assert_eq!(
-                durable.remove_shared(id).unwrap(),
-                reference.remove_shared(id).unwrap()
-            );
-        }
-        durable.compact_all_shared().unwrap();
-        reference.compact_all_shared().unwrap();
-        let batch =
-            VectorSet::from_rows(vec![vec![50.0, 1.0], vec![51.0, 2.0], vec![52.0, 3.0]]).unwrap();
-        assert_eq!(
-            durable.insert_batch_shared(&batch).unwrap(),
-            reference.insert_batch_shared(&batch).unwrap()
-        );
-        // Baseline Checkpoint record + 25 + 3 inserts + 3 live removes
-        // + 1 compact = 33 records.
-        assert_eq!(durable.wal_last_lsn(), Some(33));
-
-        // "Crash": drop the fleet without checkpointing, recover from disk.
-        drop(durable);
-        let (recovered, report) = ShardedIndex::recover_from_dir(
-            MiniIndex::new(vec![vec![0.0, 0.0]]),
-            &dir,
-            DurabilityConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.checkpoint_lsn, 0);
-        assert_eq!(report.last_lsn, 33);
-        assert_eq!(report.replayed_ops, 32, "checkpoint marker is not an op");
-        assert_eq!(report.skipped_aborted, 0);
-        assert_eq!(report.checkpoints_tried, 1);
-        assert!(recovered.wal_enabled(), "recovery re-attaches the WAL");
-        assert_fleet_equivalent(&recovered, &reference, "no-checkpoint recovery");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_prunes_covered_segments_and_recovery_replays_the_suffix() {
-        let dir = wal_dir("ckpt");
-        let reference =
-            ShardedIndex::from_monolith(MiniIndex::new(grid_rows(30)), 2, ShardRouter::Modulo)
-                .unwrap();
-        let durable =
-            ShardedIndex::from_monolith(MiniIndex::new(grid_rows(30)), 2, ShardRouter::Modulo)
-                .unwrap();
-        // Tiny segments force rotation so the checkpoint has sealed
-        // segments to prune.
-        durable
-            .enable_wal(
-                &dir,
-                DurabilityConfig {
-                    wal: WalOptions {
-                        policy: FsyncPolicy::Always,
-                        segment_bytes: 256,
-                    },
-                    keep_checkpoints: 2,
-                },
-            )
-            .unwrap();
-        for i in 0..12 {
-            let v = [i as f32, 1.0];
-            durable.insert_shared(&v).unwrap();
-            reference.insert_shared(&v).unwrap();
-        }
-        let report = durable.checkpoint().unwrap();
-        // Baseline Checkpoint record (LSN 1) + 12 inserts.
-        assert_eq!(report.covered_lsn, 13);
-        assert!(report.pruned_segments > 0, "tiny segments should rotate");
-
-        for i in 12..18 {
-            let v = [i as f32, 2.0];
-            durable.insert_shared(&v).unwrap();
-            reference.insert_shared(&v).unwrap();
-        }
-        durable.remove_shared(2).unwrap();
-        reference.remove_shared(2).unwrap();
-
-        drop(durable);
-        let (recovered, report) = ShardedIndex::recover_from_dir(
-            MiniIndex::new(vec![vec![0.0, 0.0]]),
-            &dir,
-            DurabilityConfig::default(),
-        )
-        .unwrap();
-        // The mid-test Checkpoint record itself occupies LSN 14; the
-        // replayed suffix = 6 inserts + 1 remove.
-        assert_eq!(report.checkpoint_lsn, 13);
-        assert_eq!(report.replayed_ops, 7);
-        assert_fleet_equivalent(&recovered, &reference, "checkpoint + suffix");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rolled_back_writes_are_aborted_on_the_log_and_skipped_by_replay() {
-        let dir = wal_dir("abort");
-        let reference = four_shard_fleet(40);
-        let durable = four_shard_fleet(40);
-        durable
-            .enable_wal(&dir, DurabilityConfig::default())
-            .unwrap();
-        for i in 0..6 {
-            let v = [i as f32, 0.5];
-            durable.insert_shared(&v).unwrap();
-            reference.insert_shared(&v).unwrap();
-        }
-        // A publish fault *after* the WAL append: the op is on the log but
-        // was never acknowledged, and the fleet rolled back. The Abort
-        // record must keep replay (and the id allocator) in lockstep with
-        // the rolled-back reference.
-        let plan =
-            Arc::new(FaultPlan::new(4).with_rule(first_n(2, FaultOp::Publish, 1, FaultKind::Fail)));
-        durable.set_fault_plan(Some(plan));
-        let batch = VectorSet::from_rows(vec![vec![90.0, 90.0], vec![91.0, 91.0]]).unwrap();
-        assert!(durable.insert_batch_shared(&batch).is_err());
-        durable.set_fault_plan(None);
-
-        // Both sides continue with identical acknowledged histories.
-        for i in 6..10 {
-            let v = [i as f32, 0.25];
-            assert_eq!(
-                durable.insert_shared(&v).unwrap(),
-                reference.insert_shared(&v).unwrap(),
-                "post-rollback id lockstep"
-            );
-        }
-        drop(durable);
-        let (recovered, report) = ShardedIndex::recover_from_dir(
-            MiniIndex::new(vec![vec![0.0, 0.0]]),
-            &dir,
-            DurabilityConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.skipped_aborted, 2, "the aborted batch is skipped");
-        assert_fleet_equivalent(&recovered, &reference, "abort-aware replay");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// A batch whose third WAL append fails (the next segment file cannot be
     /// created) leaves its first two records in the log, and the same disk
     /// refuses the rollback's Abort. The range must stay owed — writes are
@@ -1901,10 +1548,6 @@ mod tests {
         four_shard_fleet(2400 * run)
     }
 
-    fn stats(reused: u64, cloned: u64) -> (u64, u64) {
-        (reused, cloned)
-    }
-
     /// The fleet's `serve.stage_reused` and `serve.stage_cloned` counts.
     fn stage_counts<I: AnnIndex>(fleet: &ShardedIndex<I>) -> (u64, u64) {
         let snap = fleet.metrics();
@@ -1912,72 +1555,6 @@ mod tests {
             snap.counter("serve.stage_reused"),
             snap.counter("serve.stage_cloned"),
         )
-    }
-
-    #[test]
-    fn staging_on_a_fleet_nobody_reads_clones_for_the_first_write_and_after_a_sweep_only() {
-        let fleet = Arc::new(staging_fleet(1));
-        let mut mono = MiniIndex::new(grid_rows(2400));
-        for i in 0..100 {
-            let v = [i as f32 * 0.37, (i % 11) as f32];
-            assert_eq!(fleet.insert_shared(&v).unwrap(), mono.insert(&v).unwrap());
-        }
-        assert_eq!(stage_counts(&fleet), stats(4 * 99, 4));
-
-        // A remove stages on its owner alone; removing the id again finds
-        // nothing to change and hands the caught-up engine back, so the
-        // insert after it still reuses on every shard.
-        assert!(fleet.remove_shared(5).unwrap() && mono.remove(5).unwrap());
-        assert!(!fleet.remove_shared(5).unwrap());
-        assert_eq!(stage_counts(&fleet), stats(4 * 99 + 2, 4));
-        let v = [2.25, 3.75];
-        assert_eq!(fleet.insert_shared(&v).unwrap(), mono.insert(&v).unwrap());
-        assert_eq!(stage_counts(&fleet), stats(4 * 100 + 2, 4));
-
-        // A sweep stages on the retired epochs too but leaves none behind:
-        // the fleet is back to one epoch per shard and the next write clones.
-        fleet.compact_all_shared().unwrap();
-        assert_eq!(stage_counts(&fleet), stats(4 * 101 + 2, 4));
-        assert_eq!(fleet.insert_shared(&v).unwrap(), mono.insert(&v).unwrap());
-        assert_eq!(stage_counts(&fleet), stats(4 * 101 + 2, 8));
-
-        assert_eq!(fleet.ids(), mono.ids());
-        for q in [[0.0f32, 0.0], [3.7, 1.1], [16.0, 6.0]] {
-            assert_bit_identical(
-                &fleet.search(&q, 12).unwrap(),
-                &mono.search(&q, 12).unwrap(),
-                "reused epochs vs monolith",
-            );
-        }
-        let server = Server::spawn(fleet.clone(), ServerConfig::default()).unwrap();
-        let snap = server.metrics_snapshot();
-        assert_eq!(snap.counter("serve.stage_reused"), 4 * 101 + 2);
-        assert_eq!(snap.counter("serve.stage_cloned"), 8);
-    }
-
-    #[test]
-    fn staging_behind_a_pinned_reader_clones_once_and_the_reader_keeps_its_bits() {
-        let fleet = staging_fleet(1);
-        fleet.insert_shared(&[4.0, 1.0]).unwrap();
-        let reader = fleet.reader();
-        let before = reader.search(&[4.0, 1.0], 6).unwrap();
-        let epochs = reader.epochs();
-        assert_eq!(stage_counts(&fleet), stats(0, 4));
-
-        // The epoch the first write retired is nobody's: reused. That write
-        // retires the epoch the reader pins, so the next one clones; the one
-        // after reuses again.
-        for (i, want) in [stats(4, 4), stats(4, 8), stats(8, 8)]
-            .into_iter()
-            .enumerate()
-        {
-            fleet.insert_shared(&[4.0, 1.0 + i as f32 * 0.01]).unwrap();
-            assert_eq!(stage_counts(&fleet), want, "write {i} behind the pin");
-        }
-        let after = reader.search(&[4.0, 1.0], 6).unwrap();
-        assert_bit_identical(&before, &after, "pinned reader");
-        assert_eq!(reader.epochs(), epochs, "pinned epochs are immutable");
-        assert_ne!(fleet.search(&[4.0, 1.0], 6).unwrap().ids(), before.ids());
     }
 
     #[test]
@@ -1995,118 +1572,6 @@ mod tests {
         assert_eq!(fleet.wal_last_lsn(), lsn, "nothing reached the log");
         assert_eq!(fleet.shard_epochs(), epochs, "nothing was published");
         assert_eq!(fleet.insert_shared(&[1.0, 2.0]).unwrap(), 40);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn staging_after_a_bulk_batch_clones_instead_of_re_applying_the_bulk() {
-        let fleet = staging_fleet(1);
-        let bulk: Vec<Vec<f32>> = (0..4096)
-            .map(|i| vec![(i % 64) as f32 + 0.5, (i / 64) as f32 + 0.5])
-            .collect();
-        let ids = fleet
-            .insert_batch_shared(&VectorSet::from_rows(bulk).unwrap())
-            .unwrap();
-        assert_eq!(ids.len(), 4096);
-        assert_eq!(stage_counts(&fleet), stats(0, 4));
-        fleet.insert_shared(&[1.0, 1.0]).unwrap();
-        assert_eq!(stage_counts(&fleet), stats(0, 8), "4096 missed records");
-        fleet.insert_shared(&[1.0, 2.0]).unwrap();
-        assert_eq!(stage_counts(&fleet), stats(4, 8), "one missed record");
-    }
-
-    /// Every protocol step a write can fail at, on every shard that has the
-    /// site, by error and by panic, fired on a write that staged on retired
-    /// epochs.
-    #[test]
-    fn staging_faults_behind_reused_epochs_restore_the_pins_and_retire_nothing() {
-        juno_common::testing::silence_panics();
-        let sites = [
-            (FaultOp::Insert, 4),
-            (FaultOp::WalAppend, 1), // fleet-level: shard 0's counters
-            (FaultOp::Publish, 4),
-        ];
-        for (op, shards) in sites {
-            for shard in 0..shards {
-                for kind in [FaultKind::Fail, FaultKind::Panic] {
-                    faulted_write_behind_reused_epochs(op, shard, kind);
-                }
-            }
-        }
-    }
-
-    fn faulted_write_behind_reused_epochs(op: FaultOp, shard: usize, kind: FaultKind) {
-        let label = format!("{op:?} {kind:?} on shard {shard}");
-        let dir = wal_dir(&format!("staged_{op:?}_{kind:?}_{shard}"));
-        let (fleet, twin) = (staging_fleet(1), staging_fleet(1));
-        fleet.enable_wal(&dir, DurabilityConfig::default()).unwrap();
-        // The second write already reuses, and leaves every shard a retired
-        // epoch for the faulted write to stage on.
-        for v in [[1.5f32, 2.5], [3.5, 4.5]] {
-            fleet.insert_shared(&v).unwrap();
-            twin.insert_shared(&v).unwrap();
-        }
-        assert_eq!(stage_counts(&fleet), stats(4, 4), "{label}");
-        let pins = fleet.reader();
-
-        let plan = FaultPlan::new(4).with_rule(first_n(shard, op, 1, kind));
-        fleet.set_fault_plan(Some(Arc::new(plan)));
-        let err = fleet.insert_shared(&[9.0, 9.0]).unwrap_err();
-        assert_eq!(
-            matches!(err, Error::WorkerPanicked(_)),
-            matches!(kind, FaultKind::Panic),
-            "{label}: {err:?}"
-        );
-        fleet.set_fault_plan(None);
-        // `Insert` fires before shard `shard` takes its engine; the later
-        // sites fire with all four staged.
-        let staged = if op == FaultOp::Insert {
-            shard as u64
-        } else {
-            4
-        };
-        assert_eq!(stage_counts(&fleet), stats(4 + staged, 4), "{label}");
-
-        // Every slot is back on its pin — the same allocation, not a copy.
-        let rolled_back = fleet.reader();
-        assert_eq!(rolled_back.epochs(), pins.epochs(), "{label}");
-        for s in 0..4 {
-            assert!(
-                std::ptr::eq(rolled_back.shard(s), pins.shard(s)),
-                "{label}: shard {s} is not on its pin"
-            );
-        }
-        drop((rolled_back, pins));
-
-        // No retired epoch survived (not the staged ones, not the ones the
-        // fault kept from being taken): the next write clones all four, and
-        // lands the fleet where a twin that never saw the fault is.
-        let v = [10.0f32, 10.0];
-        assert_eq!(
-            fleet.insert_shared(&v).unwrap(),
-            twin.insert_shared(&v).unwrap(),
-            "{label}: id lockstep"
-        );
-        assert_eq!(stage_counts(&fleet), stats(4 + staged, 8), "{label}");
-        assert_eq!(fleet.shard_epochs(), twin.shard_epochs(), "{label}");
-        let (ours, theirs) = (fleet.reader(), twin.reader());
-        for s in 0..4 {
-            let (ours, theirs) = (ours.shard(s).index(), theirs.shard(s).index());
-            assert_eq!(ours.ids(), theirs.ids(), "{label}: shard {s}");
-        }
-        drop((ours, theirs));
-
-        // What the faulted write logged sits under an Abort, as before.
-        drop(fleet);
-        let (recovered, report) = ShardedIndex::recover_from_dir(
-            MiniIndex::new(vec![vec![0.0, 0.0]]),
-            &dir,
-            DurabilityConfig::default(),
-        )
-        .unwrap();
-        let logged = u64::from(op != FaultOp::Insert);
-        assert_eq!(report.skipped_aborted, logged, "{label}");
-        assert_fleet_equivalent(&recovered, &twin, &label);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2155,7 +1620,7 @@ mod tests {
         // Four clones for the first batch and four for the batch after the
         // sweep; every other batch (4 each), remove (1) and the sweep itself
         // (4) staged on retired epochs.
-        assert_eq!(stage_counts(&recovered), stats(4 * 4 + 6 + 4, 4 * (1 + 1)));
+        assert_eq!(stage_counts(&recovered), (4 * 4 + 6 + 4, 4 * (1 + 1)));
         assert_fleet_equivalent(&recovered, &reference, "replay on retired epochs");
         let _ = std::fs::remove_dir_all(&dir);
     }

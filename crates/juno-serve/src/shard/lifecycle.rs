@@ -626,37 +626,6 @@ impl<I: AnnIndex + Clone> ShardedIndex<I> {
         }
         Ok(())
     }
-
-    /// Splits the fleet one shard wider (`S` → `S + 1`) under live traffic.
-    /// Returns the new shard count. See [`ShardedIndex::resize_shards`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndex::resize_shards`].
-    pub fn split_shard(&self) -> Result<usize> {
-        let new_count = self.num_shards() + 1;
-        self.resize_shards(new_count)?;
-        Ok(new_count)
-    }
-
-    /// Merges the fleet one shard narrower (`S` → `S - 1`) under live
-    /// traffic. Returns the new shard count. See
-    /// [`ShardedIndex::resize_shards`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] for a single-shard fleet; see
-    /// [`ShardedIndex::resize_shards`] for the rest.
-    pub fn merge_shards(&self) -> Result<usize> {
-        let current = self.num_shards();
-        if current <= 1 {
-            return Err(Error::invalid_config(
-                "a single-shard fleet cannot merge further",
-            ));
-        }
-        self.resize_shards(current - 1)?;
-        Ok(current - 1)
-    }
 }
 
 /// The outcome of [`ShardedIndex::rebuild_shared`].

@@ -1,320 +1,130 @@
 //! Kill-point crash harness for the durability plane.
 //!
-//! The only honest way to test crash consistency is to actually crash: each
-//! scenario here spawns **this test binary as a subprocess** (the
-//! `crash_child_entry` test, armed via the `JUNO_CRASH_CHILD` env var),
-//! drives a seeded op plan against a WAL-attached JUNO fleet, and kills the
-//! child with `std::process::abort()` at a deterministic kill point via
-//! [`FaultKind::Crash`]:
+//! The only honest way to test crash consistency is to crash. Each kill
+//! point re-runs **this test binary as a child** (the `crash_child_entry`
+//! test, armed through the `JUNO_CRASH_CHILD` env var), which drives a
+//! seeded oracle history (`oracle/mod.rs`, without in-process faults)
+//! against a WAL-attached fleet and dies by `std::process::abort()` at one
+//! [`FaultKind::Crash`] rule. Where it dies is not a constant: the parent
+//! first runs the same history in process (the dry run), records the
+//! `(site, shard, count)` every step reached, and draws the kill point from
+//! those. The child prints `acked <i>` after each step, so the parent knows
+//! the surviving prefix; it recovers the child's directory and holds the
+//! recovered fleet to the monolith of that prefix — plus the step in flight
+//! when its effect was durable before the kill point (`durable_at`: a
+//! write's records are logged before its publish, a rebuild's or resize's
+//! sealing snapshot is on disk before its Checkpoint record) — by ids,
+//! per-shard ids, distance bits, topology and the id allocator. The
+//! recovered fleet then checkpoints, completing the protocol its
+//! predecessor died in.
 //!
-//! * `wal_append` — after the op's records are appended, before the fsync;
-//! * `publish`    — after append + fsync, before the epoch publish;
-//! * `checkpoint` — mid-checkpoint: snapshot published, Checkpoint record
-//!   not yet logged;
-//! * `rotate`     — mid-rotation: Checkpoint record logged in the fresh
-//!   segment, covered segments not yet pruned;
-//! * `torn`       — a `wal_append` crash whose tail the parent then
-//!   truncates at every byte offset, emulating a power loss that tore the
-//!   final (unsynced) batch.
+//! The named tests own one protocol step each;
+//! `every_other_kill_point_recovers_bit_identically` owns the rest of
+//! [`FaultOp::ALL`]. A site that loses its injection point leaves its test
+//! without a kill point to draw, and fails it.
 //!
-//! The lifecycle scenarios kill the index **rebuild / shard-resize**
-//! protocols instead of a mutation:
-//!
-//! * `rebuild_swap` — mid-swap: some shards already publish the fresh
-//!   lineage, the sealing checkpoint never runs. Recovery must land on the
-//!   **old** lineage plus the full op suffix — never a hybrid.
-//! * `rebuild_ckpt` — inside the rebuild's sealing checkpoint: the new
-//!   lineage's snapshot is durable, its Checkpoint record is not. Recovery
-//!   must land on the **new** lineage.
-//! * `split`        — mid shard-split: shadow construction dies before the
-//!   single topology swap. Recovery keeps the old topology.
-//! * `split_ckpt`   — inside the split's sealing checkpoint: the new
-//!   topology's snapshot is durable. Recovery restores the new topology.
-//!
-//! The child prints `acked <i>` after every acknowledged op, so the parent
-//! knows the exact surviving prefix. It rebuilds that prefix quiescently on
-//! a reference fleet (no WAL, no crash) and asserts the recovered fleet is
-//! **bit-identical**: same ids, same search distance bits, and — via a probe
-//! insert applied to both — the same id-allocator state.
-//!
-//! Seeded like the chaos suite: fixed seeds always run, plus one from
-//! `JUNO_CRASH_SEED` (printed, so any CI failure replays exactly).
-//!
-//! Two in-process tests at the bottom pin down checkpoint-generation
-//! fallback: a bogus newest generation falls back to the previous one, but
-//! a fallback that would replay across *pruned* segments is rejected as
-//! corrupt rather than silently recovering the wrong state.
+//! A fixed seed always runs, plus `JUNO_SIM_SEED` when set (printed, so a
+//! CI failure replays exactly). Below them: torn tails sheared at every byte
+//! of an unsynced batch. (Falling back past a rotted checkpoint, and
+//! refusing to across pruned records, is the fleet oracle's.)
 
-use juno::common::error::Error;
+mod common;
+mod oracle;
+
+use common::{assert_bit_identical, Stats};
 use juno::common::rng::{seeded, Rng};
 use juno::common::wal;
 use juno::prelude::*;
+use oracle::{durability, durable_at, owned_by, Kind, Op, Sim, Step, World};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
-const DIM_SEED: u64 = 0x0D0C_5EED;
-const BASE_POINTS: usize = 160;
-const POOL_ROWS: usize = 128;
-const SHARDS: usize = 3;
-const N_OPS: usize = 32;
-const CKPT_AT: usize = 16;
+const FIXED_SEED: u64 = 0xC0A5;
+const STEPS: usize = 40;
 
-// ---------------------------------------------------------------------------
-// The seeded world: base fleet, insert pool, op plan. Parent and child both
-// derive these from the seed alone, so they agree without any other channel.
-// ---------------------------------------------------------------------------
-
-fn build_world(seed: u64) -> (ShardedIndex<JunoIndex>, Dataset, VectorSet) {
-    let ds = DatasetProfile::DeepLike
-        .generate(BASE_POINTS, 8, DIM_SEED ^ seed)
-        .expect("dataset");
-    let pool = DatasetProfile::DeepLike
-        .generate(POOL_ROWS, 1, DIM_SEED ^ seed ^ 0xFFFF)
-        .expect("pool")
-        .points;
-    let engine = JunoIndex::build(
-        &ds.points,
-        &JunoConfig {
-            n_clusters: 8,
-            nprobs: 4,
-            pq_entries: 16,
-            ..JunoConfig::small_test(ds.dim(), ds.metric())
-        },
-    )
-    .expect("build");
-    let fleet =
-        ShardedIndex::from_monolith(engine, SHARDS, ShardRouter::Hash { seed: 13 }).expect("fleet");
-    (fleet, ds, pool)
+fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| World::new(600, 3))
 }
 
-#[derive(Debug, Clone)]
-enum PlanOp {
-    /// Insert pool row `i`.
-    Insert(usize),
-    /// Batch-insert three consecutive pool rows starting at `i`.
-    Batch(usize),
-    Remove(u64),
-    Compact,
-    /// `ShardedIndex::checkpoint` on the durable fleet; a no-op on the
-    /// reference (checkpoints never change logical state).
-    Checkpoint,
-    /// `ShardedIndex::rebuild_shared`: retrain + shadow swap. Deterministic
-    /// in the acked op prefix (seeded k-means over the live set), so parent
-    /// and child converge on the same fresh lineage bit-for-bit.
-    Rebuild,
-    /// `ShardedIndex::split_shard`: snapshot surgery to `SHARDS + 1`.
-    Split,
-}
-
-fn op_plan(scenario: &str, seed: u64) -> Vec<PlanOp> {
-    if scenario == "torn" {
-        // Ten acked singles, then one in-flight batch for the parent to
-        // tear apart byte by byte.
-        let mut ops: Vec<PlanOp> = (0..10).map(PlanOp::Insert).collect();
-        ops.push(PlanOp::Batch(10));
-        return ops;
+fn seeds() -> Vec<u64> {
+    let mut seeds = vec![FIXED_SEED];
+    if let Ok(raw) = std::env::var("JUNO_SIM_SEED") {
+        seeds.push(raw.parse().expect("JUNO_SIM_SEED must be a u64"));
     }
-    let mut rng = seeded(seed ^ 0x5EED);
-    let mut next_row = 0usize;
-    let mut ops = Vec::with_capacity(N_OPS);
-    for i in 0..N_OPS {
-        if i == CKPT_AT {
-            ops.push(PlanOp::Checkpoint);
-            continue;
-        }
-        match rng.gen_range(0..10usize) {
-            0..=5 => {
-                ops.push(PlanOp::Insert(next_row));
-                next_row += 1;
-            }
-            6..=7 => {
-                ops.push(PlanOp::Remove(
-                    rng.gen_range(0..BASE_POINTS + POOL_ROWS) as u64
-                ));
-            }
-            8 => {
-                ops.push(PlanOp::Batch(next_row));
-                next_row += 3;
-            }
-            _ => ops.push(PlanOp::Compact),
-        }
-    }
-    ops
+    seeds
 }
 
-fn apply_op(fleet: &ShardedIndex<JunoIndex>, pool: &VectorSet, op: &PlanOp, durable: bool) {
-    match op {
-        PlanOp::Insert(row) => {
-            fleet.insert_shared(pool.row(*row)).expect("insert");
-        }
-        PlanOp::Batch(start) => {
-            let rows = (*start..start + 3).map(|r| pool.row(r).to_vec()).collect();
-            let batch = VectorSet::from_rows(rows).expect("batch rows");
-            fleet.insert_batch_shared(&batch).expect("batch insert");
-        }
-        PlanOp::Remove(id) => {
-            fleet.remove_shared(*id).expect("remove");
-        }
-        PlanOp::Compact => fleet.compact_all_shared().expect("compact"),
-        PlanOp::Checkpoint => {
-            if durable {
-                fleet.checkpoint().expect("checkpoint");
-            }
-        }
-        PlanOp::Rebuild => {
-            fleet.rebuild_shared().expect("rebuild");
-        }
-        PlanOp::Split => {
-            fleet.split_shard().expect("split");
-        }
-    }
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("juno_crash_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
-/// The lifecycle plans: a seeded mutation prefix, then the lifecycle op the
-/// crash fires inside, then one insert the child must never reach.
-fn lifecycle_plan(scenario: &str, seed: u64) -> Vec<PlanOp> {
-    let mut rng = seeded(seed ^ 0x11FE);
-    let mut next_row = 0usize;
-    let mut ops = Vec::new();
-    for _ in 0..12 {
-        match rng.gen_range(0..8usize) {
-            0..=5 => {
-                ops.push(PlanOp::Insert(next_row));
-                next_row += 1;
-            }
-            6 => ops.push(PlanOp::Remove(rng.gen_range(0..BASE_POINTS as u64))),
-            _ => ops.push(PlanOp::Compact),
-        }
-    }
-    ops.push(match scenario {
-        "rebuild_swap" | "rebuild_ckpt" => PlanOp::Rebuild,
-        _ => PlanOp::Split,
-    });
-    ops.push(PlanOp::Insert(next_row));
-    ops
-}
-
-fn is_lifecycle(scenario: &str) -> bool {
-    matches!(
-        scenario,
-        "rebuild_swap" | "rebuild_ckpt" | "split" | "split_ckpt"
-    )
-}
-
-/// The kill switch: a single `Crash` rule at the scenario's kill point.
-/// Fleet-level ops (`WalAppend`, `Checkpoint`, `Rotate`) count on shard 0;
-/// `Publish` is genuinely per-shard, so shard 0's publishes are the clock.
-fn crash_rule(scenario: &str, seed: u64) -> FaultRule {
-    let (shard, op, from_op) = match scenario {
-        "wal_append" => (0, FaultOp::WalAppend, seed % 8),
-        "publish" => (0, FaultOp::Publish, seed % 3),
-        "checkpoint" => (0, FaultOp::Checkpoint, 0),
-        "rotate" => (0, FaultOp::Rotate, 0),
-        "torn" => (0, FaultOp::WalAppend, 10),
-        // Per-shard swap clock: the seed picks which shard's swap dies, so
-        // the sweep covers "no shard swapped" through "all but one did".
-        "rebuild_swap" => (seed as usize % SHARDS, FaultOp::RebuildSwap, 0),
-        // The lifecycle plans contain no Checkpoint op, so the first
-        // injected Checkpoint is the protocol's own sealing checkpoint
-        // (enable_wal's baseline runs before the plan is armed).
-        "rebuild_ckpt" | "split_ckpt" => (0, FaultOp::Checkpoint, 0),
-        // Split counts on the NEW shard index (0..SHARDS inclusive).
-        "split" => (seed as usize % (SHARDS + 1), FaultOp::Split, 0),
-        other => panic!("unknown crash scenario {other}"),
-    };
-    FaultRule {
-        shard,
-        op,
-        from_op,
-        until_op: None,
-        kind: FaultKind::Crash,
-    }
+/// Ten acknowledged inserts, a checkpoint (so the next records open a
+/// fresh segment), then a batch of three for a torn tail.
+fn torn_history() -> Vec<Step> {
+    let mut steps: Vec<Step> = (0..10).map(|row| Step(Op::Insert(row), None)).collect();
+    steps.push(Step(Op::Checkpoint, None));
+    steps.push(Step(Op::Batch(10, 3), None));
+    steps
 }
 
 // ---------------------------------------------------------------------------
 // The child: re-entered via `current_exe()` with JUNO_CRASH_CHILD set.
 // ---------------------------------------------------------------------------
 
-/// No-op in a normal test run. As a subprocess it attaches a WAL, arms the
-/// crash plan, and drives the seeded ops until the kill point aborts the
-/// process mid-protocol.
+/// No-op in a normal test run. As a child, `JUNO_CRASH_CHILD` reads
+/// `<seed|torn>:<step>:<site>:<shard>:<counter>:<root>`: it runs that
+/// history with a WAL under `root` and a crash rule on the given step.
 #[test]
 fn crash_child_entry() {
     let Ok(spec) = std::env::var("JUNO_CRASH_CHILD") else {
         return;
     };
-    let mut parts = spec.splitn(3, ':');
-    let scenario = parts.next().expect("scenario").to_string();
-    let seed: u64 = parts.next().expect("seed").parse().expect("seed u64");
-    let dir = PathBuf::from(parts.next().expect("dir"));
+    let parts: Vec<&str> = spec.splitn(6, ':').collect();
+    let number = |i: usize| -> u64 { parts[i].parse().expect("a number") };
+    let (at, site) = (number(1) as usize, FaultOp::ALL[number(2) as usize]);
+    let crash = (site, number(3) as usize, number(4), Kind::Crash);
+    let torn = (parts[0] == "torn").then(torn_history);
+    let mut rng = seeded(if torn.is_some() { 0 } else { number(0) });
 
-    let (fleet, _ds, pool) = build_world(seed);
-    fleet
-        .enable_wal(&dir, DurabilityConfig::default())
-        .expect("enable_wal");
-    // Split injects on the new (wider) shard range, so its plan must cover
-    // one extra shard to arm a rule there.
-    let plan_shards = if scenario.starts_with("split") {
-        SHARDS + 1
-    } else {
-        SHARDS
-    };
-    let plan = Arc::new(FaultPlan::new(plan_shards).with_rule(crash_rule(&scenario, seed)));
-    fleet.set_fault_plan(Some(plan));
-    let ops = if is_lifecycle(&scenario) {
-        lifecycle_plan(&scenario, seed)
-    } else {
-        op_plan(&scenario, seed)
-    };
-    for (i, op) in ops.iter().enumerate() {
-        apply_op(&fleet, &pool, op, true);
+    let mut sim = Sim::new(
+        world(),
+        "crash child",
+        PathBuf::from(parts[5]),
+        false,
+        false,
+    );
+    for i in 0..=at {
+        let mut step = match &torn {
+            Some(history) => history[i],
+            None => sim.draw(&mut rng),
+        };
+        if i == at {
+            step.1 = Some(crash);
+        }
+        sim.step(step);
         println!("acked {i}");
     }
-    panic!("crash plan never fired — the harness is not testing anything");
+    panic!("the crash rule never fired — the harness is not testing anything");
 }
 
-// ---------------------------------------------------------------------------
-// The parent side.
-// ---------------------------------------------------------------------------
-
-fn crash_seeds() -> Vec<u64> {
-    let mut seeds = vec![0xC0A5, 0x51AB];
-    if let Ok(raw) = std::env::var("JUNO_CRASH_SEED") {
-        seeds.push(raw.parse().expect("JUNO_CRASH_SEED must be a u64"));
-    }
-    seeds
-}
-
-fn scratch_dir(tag: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("juno_crash_{tag}_{seed}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-/// Runs the child to its death and returns the index of the last
-/// acknowledged op (None when it died inside op 0).
-fn spawn_child_to_death(scenario: &str, seed: u64, dir: &Path) -> Option<usize> {
+/// Runs the child to its death; returns its last acknowledged step.
+fn spawn_child_to_death(spec: &str) -> Option<usize> {
     let exe = std::env::current_exe().expect("current_exe");
     let out = Command::new(exe)
         .args(["crash_child_entry", "--exact", "--nocapture"])
-        .env(
-            "JUNO_CRASH_CHILD",
-            format!("{scenario}:{seed}:{}", dir.display()),
-        )
+        .env("JUNO_CRASH_CHILD", spec)
         .output()
         .expect("spawn child");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        !out.status.success(),
-        "{scenario}/{seed:#x}: child survived its crash plan\n\
-         --- stdout ---\n{stdout}\n--- stderr ---\n{stderr}"
-    );
-    assert!(
-        stderr.contains("[injected-fault] crash"),
-        "{scenario}/{seed:#x}: child died, but not at the kill point\n\
+        !out.status.success() && stderr.contains("[injected-fault] crash"),
+        "{spec}: the child did not die at its kill point\n\
          --- stdout ---\n{stdout}\n--- stderr ---\n{stderr}"
     );
     // Not `strip_prefix`: under `--nocapture` libtest prints the
@@ -327,227 +137,191 @@ fn spawn_child_to_death(scenario: &str, seed: u64, dir: &Path) -> Option<usize> 
         .max()
 }
 
-/// Recovered vs reference: ids, search bits on every dataset query, and —
-/// when `probe` is set — the id allocator, probed by inserting one more
-/// vector into both. The probe mutates the reference, so reusing a
-/// reference across several recoveries must probe only on its last use.
-fn assert_recovered_equivalent(
-    recovered: &ShardedIndex<JunoIndex>,
-    reference: &ShardedIndex<JunoIndex>,
-    ds: &Dataset,
-    probe: bool,
-    label: &str,
-) {
-    assert_eq!(recovered.len(), reference.len(), "{label}: len");
-    assert_eq!(recovered.ids(), reference.ids(), "{label}: ids");
-    for qi in 0..ds.queries.len() {
-        let q = ds.queries.row(qi);
-        let got = recovered.search(q, 10).expect("recovered search");
-        let want = reference.search(q, 10).expect("reference search");
-        assert_eq!(got.ids(), want.ids(), "{label}: query {qi} ids");
-        for (g, w) in got.neighbors.iter().zip(&want.neighbors) {
-            assert_eq!(
-                g.distance.to_bits(),
-                w.distance.to_bits(),
-                "{label}: query {qi} distance bits"
-            );
+// ---------------------------------------------------------------------------
+// The parent: dry run, kill point, recovery.
+// ---------------------------------------------------------------------------
+
+/// A seed's history run in process: its steps, the `(site, shard, count)`
+/// each reached, and the monolith and shard count before each step (and
+/// after the last).
+struct DryRun {
+    steps: Vec<Step>,
+    hits: Vec<Vec<(FaultOp, usize, u64)>>,
+    monos: Vec<JunoIndex>,
+    shards: Vec<usize>,
+}
+
+fn dry_run(seed: u64) -> Arc<DryRun> {
+    static RUNS: Mutex<BTreeMap<u64, Arc<DryRun>>> = Mutex::new(BTreeMap::new());
+    let mut runs = RUNS.lock().expect("dry runs");
+    let run = runs.entry(seed).or_insert_with(|| {
+        let label = format!("crash dry run, seed {seed:#x} (JUNO_SIM_SEED={seed})");
+        let root = scratch_dir(&format!("dry_{seed:x}"));
+        let mut sim = Sim::new(world(), &label, root, false, true);
+        let mut rng = seeded(seed);
+        let mut run = DryRun {
+            steps: Vec::new(),
+            hits: Vec::new(),
+            monos: vec![sim.mono().clone()],
+            shards: vec![sim.num_shards()],
+        };
+        for _ in 0..STEPS {
+            let step = sim.draw(&mut rng);
+            run.hits.push(sim.step(step));
+            run.steps.push(step);
+            run.monos.push(sim.mono().clone());
+            run.shards.push(sim.num_shards());
         }
-    }
-    if probe {
-        let probe: Vec<f32> = (0..ds.dim()).map(|d| 0.25 + d as f32 * 0.125).collect();
+        Arc::new(run)
+    });
+    run.clone()
+}
+
+/// Recovered vs the monolith it must equal: ids, each shard's ids, search
+/// bits on every query, and the id allocator (probed on a copy).
+fn assert_recovered(recovered: &ShardedIndex<JunoIndex>, want: &JunoIndex, label: &str) {
+    let ids = want.ids();
+    assert_eq!(recovered.ids(), ids, "{label}: ids");
+    let reader = recovered.reader();
+    let shards = reader.num_shards();
+    for s in 0..shards {
+        let owned = owned_by(&ids, shards, s);
         assert_eq!(
-            recovered.insert_shared(&probe).expect("recovered probe"),
-            reference.insert_shared(&probe).expect("reference probe"),
-            "{label}: id allocator diverged"
+            reader.shard(s).index().ids(),
+            owned,
+            "{label}: shard {s}'s ids"
         );
+    }
+    let queries = world().queries.iter();
+    let (got, wanted): (Vec<_>, Vec<_>) = queries
+        .map(|q| {
+            (
+                recovered.search(q, 10).unwrap(),
+                want.search(q, 10).unwrap(),
+            )
+        })
+        .unzip();
+    assert_bit_identical(&got, &wanted, Stats::Any, label);
+    let probe: Vec<f32> = (0..want.dim()).map(|d| 0.25 + d as f32 * 0.125).collect();
+    assert_eq!(
+        recovered.insert_shared(&probe).expect("recovered probe"),
+        want.clone().insert(&probe).expect("monolith probe"),
+        "{label}: id allocator diverged"
+    );
+}
+
+/// Kills a child at a `site` hit inside a step whose op `within` accepts,
+/// drawn from the dry run of every seed, and recovers it.
+fn kill(site: FaultOp, within: fn(Op) -> bool) {
+    for seed in seeds() {
+        let dry = dry_run(seed);
+        let points: Vec<(usize, usize, u64)> = (dry.hits.iter().enumerate())
+            .filter(|&(i, _)| within(dry.steps[i].0))
+            .flat_map(|(i, hits)| hits.iter().map(move |&hit| (i, hit)))
+            .filter(|&(_, (hit, _, _))| hit == site)
+            .flat_map(|(i, (_, shard, n))| (0..n).map(move |counter| (i, shard, counter)))
+            .collect();
+        if points.is_empty() {
+            // The fixed seed must reach every kill point; a random one may
+            // not draw the op that does.
+            assert_ne!(
+                seed, FIXED_SEED,
+                "no step of the dry run reached a {site:?} kill point"
+            );
+            eprintln!("crash-recovery: seed {seed:#x} reached no {site:?} kill point");
+            continue;
+        }
+        let site_index = FaultOp::ALL.iter().position(|&op| op == site).unwrap();
+        let mut rng = seeded(seed ^ site_index as u64);
+        let (at, shard, counter) = points[rng.gen_range(0..points.len())];
+        let op = dry.steps[at].0;
+        let label = format!("seed {seed:#x} (JUNO_SIM_SEED={seed}), {site:?} in step {at} {op:?}");
+        eprintln!("crash-recovery: {label}");
+
+        let root = scratch_dir(&format!("{seed:x}_{site:?}_{at}"));
+        let spec = format!(
+            "{seed}:{at}:{site_index}:{shard}:{counter}:{}",
+            root.display()
+        );
+        assert_eq!(spawn_child_to_death(&spec), at.checked_sub(1), "{label}");
+        let after = at + usize::from(durable_at(op, site));
+        let (recovered, report) =
+            ShardedIndex::recover_from_dir(world().engine.clone(), &root.join("wal"), durability())
+                .expect("recovery");
+        assert_eq!(
+            report.checkpoints_tried, 1,
+            "{label}: newest generation restores"
+        );
+        assert_eq!(
+            recovered.num_shards(),
+            dry.shards[after],
+            "{label}: topology"
+        );
+        assert_recovered(&recovered, &dry.monos[after], &label);
+        recovered.checkpoint().expect("post-recovery checkpoint");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
-fn run_crash_scenario(scenario: &str, seed: u64) {
-    eprintln!(
-        "crash-recovery scenario {scenario} seed {seed:#x} \
-         (replay: JUNO_CRASH_SEED={seed})"
-    );
-    let dir = scratch_dir(scenario, seed);
-    let last_acked = spawn_child_to_death(scenario, seed, &dir);
-
-    // Rebuild the acknowledged prefix quiescently. For the two mutation
-    // kill points the in-flight op's records reached the log before the
-    // crash (append precedes both kill points), so recovery replays it:
-    // the reference applies it too. For the checkpoint-protocol kill
-    // points nothing logical was in flight.
-    let (reference, ds, pool) = build_world(seed);
-    // A pristine engine clone for the restore prototype, taken before the
-    // reference mutates (building a whole second world is expensive).
-    let proto_engine = reference.reader().shard(0).index().clone();
-    let plan = op_plan(scenario, seed);
-    let acked_end = last_acked.map_or(0, |i| i + 1);
-    for op in &plan[..acked_end] {
-        apply_op(&reference, &pool, op, false);
-    }
-    if matches!(scenario, "wal_append" | "publish" | "torn") {
-        let in_flight = plan.get(acked_end).expect("crash fired past the plan");
-        apply_op(&reference, &pool, in_flight, false);
-    } else {
-        // The checkpoint/rotate kill points fire inside the plan's
-        // Checkpoint op, so the surviving prefix is exactly everything
-        // before it.
-        assert_eq!(acked_end, CKPT_AT, "{scenario}: crash fired off-protocol");
-    }
-
-    let (recovered, report) =
-        ShardedIndex::recover_from_dir(proto_engine, &dir, DurabilityConfig::default())
-            .expect("recovery");
-    assert_eq!(
-        report.checkpoints_tried, 1,
-        "{scenario}: newest generation restores"
-    );
-    if matches!(scenario, "checkpoint" | "rotate") {
-        assert!(
-            report.checkpoint_lsn > 0,
-            "{scenario}: recovery must use the mid-crash checkpoint"
-        );
-        assert_eq!(
-            report.replayed_ops, 0,
-            "{scenario}: the crashed checkpoint covered every op"
-        );
-    }
-    assert_recovered_equivalent(
-        &recovered,
-        &reference,
-        &ds,
-        true,
-        &format!("{scenario}/{seed:#x}"),
-    );
-
-    // The recovered fleet is a first-class durable fleet: it checkpoints
-    // (completing the protocol its predecessor died inside) and keeps
-    // serving.
-    recovered.checkpoint().expect("post-recovery checkpoint");
-    let _ = std::fs::remove_dir_all(&dir);
+fn any(_: Op) -> bool {
+    true
 }
 
 #[test]
 fn crash_post_append_pre_sync_recovers_bit_identically() {
-    for seed in crash_seeds() {
-        run_crash_scenario("wal_append", seed);
-    }
+    kill(FaultOp::WalAppend, any);
 }
 
 #[test]
 fn crash_post_sync_pre_publish_recovers_bit_identically() {
-    for seed in crash_seeds() {
-        run_crash_scenario("publish", seed);
-    }
+    kill(FaultOp::Publish, any);
 }
 
 #[test]
 fn crash_mid_checkpoint_recovers_bit_identically() {
-    for seed in crash_seeds() {
-        run_crash_scenario("checkpoint", seed);
-    }
+    kill(FaultOp::Checkpoint, |op| op == Op::Checkpoint);
 }
 
 #[test]
 fn crash_mid_rotation_recovers_bit_identically() {
-    for seed in crash_seeds() {
-        run_crash_scenario("rotate", seed);
-    }
+    kill(FaultOp::Rotate, any);
 }
 
-// ---------------------------------------------------------------------------
-// Lifecycle kill points: rebuild swap / sealing checkpoint, shard split.
-// ---------------------------------------------------------------------------
-
-/// Kills the child inside a lifecycle protocol and asserts recovery lands
-/// bit-identically on exactly one of the two acknowledged states: the
-/// pre-lifecycle fleet plus the full op suffix (crash before the sealing
-/// checkpoint's atomic publish) or the post-lifecycle fleet (crash after).
-/// The lifecycle ops are deterministic in the acked prefix, so the parent
-/// reproduces the post- state quiescently without a WAL.
-fn run_lifecycle_crash_scenario(scenario: &str, seed: u64) {
-    eprintln!(
-        "crash-recovery scenario {scenario} seed {seed:#x} \
-         (replay: JUNO_CRASH_SEED={seed})"
-    );
-    let dir = scratch_dir(scenario, seed);
-    let last_acked = spawn_child_to_death(scenario, seed, &dir);
-
-    let (reference, ds, pool) = build_world(seed);
-    let proto_engine = reference.reader().shard(0).index().clone();
-    let plan = lifecycle_plan(scenario, seed);
-    let lifecycle_at = plan.len() - 2;
-    let acked_end = last_acked.map_or(0, |i| i + 1);
-    assert_eq!(
-        acked_end, lifecycle_at,
-        "{scenario}/{seed:#x}: crash fired outside the lifecycle op"
-    );
-    for op in &plan[..acked_end] {
-        apply_op(&reference, &pool, op, false);
-    }
-    // The `_ckpt` scenarios die after the new state's snapshot published
-    // atomically, so recovery must land post-lifecycle; the others die
-    // before anything durable changed, so recovery must land pre-.
-    let lands_post = matches!(scenario, "rebuild_ckpt" | "split_ckpt");
-    if lands_post {
-        apply_op(&reference, &pool, &plan[lifecycle_at], false);
-    }
-
-    let (recovered, report) =
-        ShardedIndex::recover_from_dir(proto_engine, &dir, DurabilityConfig::default())
-            .expect("lifecycle recovery");
-    let want_shards = if scenario == "split_ckpt" {
-        SHARDS + 1
-    } else {
-        SHARDS
-    };
-    assert_eq!(
-        recovered.num_shards(),
-        want_shards,
-        "{scenario}/{seed:#x}: recovered topology"
-    );
-    if lands_post {
-        assert_eq!(
-            report.replayed_ops, 0,
-            "{scenario}/{seed:#x}: the sealing checkpoint covered every op"
-        );
-    }
-    assert_recovered_equivalent(
-        &recovered,
-        &reference,
-        &ds,
-        true,
-        &format!("{scenario}/{seed:#x}"),
-    );
-    recovered.checkpoint().expect("post-recovery checkpoint");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
+/// Some shards already serve the fresh lineage; recovery lands on the old
+/// one plus the full suffix, never a hybrid.
 #[test]
 fn crash_mid_rebuild_swap_recovers_the_old_lineage_never_hybrid() {
-    for seed in crash_seeds() {
-        run_lifecycle_crash_scenario("rebuild_swap", seed);
-    }
+    kill(FaultOp::RebuildSwap, any);
 }
 
 #[test]
 fn crash_in_rebuild_sealing_checkpoint_recovers_the_new_lineage() {
-    for seed in crash_seeds() {
-        run_lifecycle_crash_scenario("rebuild_ckpt", seed);
-    }
+    kill(FaultOp::Checkpoint, |op| matches!(op, Op::Rebuild(..)));
 }
 
 #[test]
 fn crash_mid_split_keeps_the_old_topology() {
-    for seed in crash_seeds() {
-        run_lifecycle_crash_scenario("split", seed);
-    }
+    kill(FaultOp::Split, any);
 }
 
 #[test]
 fn crash_in_split_sealing_checkpoint_recovers_the_new_topology() {
-    for seed in crash_seeds() {
-        run_lifecycle_crash_scenario("split_ckpt", seed);
+    kill(FaultOp::Checkpoint, |op| matches!(op, Op::Resize(_)));
+}
+
+/// The sites the tests above do not own.
+#[test]
+fn every_other_kill_point_recovers_bit_identically() {
+    let owned = [
+        FaultOp::WalAppend,
+        FaultOp::Publish,
+        FaultOp::Checkpoint,
+        FaultOp::Rotate,
+        FaultOp::RebuildSwap,
+        FaultOp::Split,
+    ];
+    for site in FaultOp::ALL.into_iter().filter(|op| !owned.contains(op)) {
+        kill(site, any);
     }
 }
 
@@ -573,16 +347,20 @@ fn copy_dir(from: &Path, to: &Path) {
 /// the full fleet recovery stack on a real crash artifact).
 #[test]
 fn torn_tail_after_crash_recovers_an_exact_record_prefix() {
-    let seed = 0x70A2;
-    let dir = scratch_dir("torn", seed);
-    let last_acked = spawn_child_to_death("torn", seed, &dir);
-    assert_eq!(last_acked, Some(9), "torn plan acks its ten singles");
+    let root = scratch_dir("torn");
+    let wal_site = FaultOp::ALL.iter().position(|&op| op == FaultOp::WalAppend);
+    let spec = format!("torn:11:{}:0:0:{}", wal_site.unwrap(), root.display());
+    assert_eq!(
+        spawn_child_to_death(&spec),
+        Some(10),
+        "ten acked singles and a checkpoint"
+    );
+    let dir = root.join("wal");
 
-    let (pristine, ds, pool) = build_world(seed);
-    let proto_engine = pristine.reader().shard(0).index().clone();
-    drop(pristine);
+    let pool = &world().pool;
+    let dim = pool.row(0).len();
     // One insert record on disk: header + tag + dim + the f32 payload.
-    let record = wal::RECORD_HEADER + 1 + 4 + 4 * ds.dim();
+    let record = wal::RECORD_HEADER + 1 + 4 + 4 * dim;
     let tail = 3 * record;
     let (_, seg_path) = wal::list_segments(&dir)
         .expect("segments")
@@ -592,8 +370,6 @@ fn torn_tail_after_crash_recovers_an_exact_record_prefix() {
     let full_len = std::fs::metadata(&seg_path).expect("segment meta").len() as usize;
     assert!(full_len > tail, "segment must hold more than the torn tail");
 
-    // Group cuts by how many whole batch records survive, so one reference
-    // fleet serves every cut in its class.
     let mut cuts: Vec<usize> = (1..=record).collect();
     cuts.extend([
         record + 1,
@@ -603,143 +379,29 @@ fn torn_tail_after_crash_recovers_an_exact_record_prefix() {
         3 * record - 1,
         3 * record,
     ]);
-    let mut by_class: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for cut in cuts {
-        by_class[(tail - cut) / record].push(cut);
-    }
-
-    for (survived, class) in by_class.iter().enumerate() {
-        let (reference, _, _) = build_world(seed);
-        for op in &op_plan("torn", seed)[..10] {
-            apply_op(&reference, &pool, op, false);
+        let survived = (tail - cut) / record;
+        let mut want = world().engine.clone();
+        for row in 0..10 + survived {
+            want.insert(pool.row(row)).expect("reference insert");
         }
-        for r in 10..10 + survived {
-            reference.insert_shared(pool.row(r)).expect("survived row");
-        }
-        for (k, &cut) in class.iter().enumerate() {
-            let work = scratch_dir("torn_cut", seed ^ cut as u64);
-            copy_dir(&dir, &work);
-            let torn_seg = work.join(seg_path.file_name().expect("segment name"));
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&torn_seg)
-                .expect("open torn segment");
-            file.set_len((full_len - cut) as u64).expect("truncate");
-            drop(file);
+        let work = scratch_dir(&format!("torn_cut_{cut}"));
+        copy_dir(&dir, &work);
+        let torn_seg = work.join(seg_path.file_name().expect("segment name"));
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&torn_seg)
+            .expect("open torn segment");
+        file.set_len((full_len - cut) as u64).expect("truncate");
+        drop(file);
 
-            let (recovered, report) = ShardedIndex::recover_from_dir(
-                proto_engine.clone(),
-                &work,
-                DurabilityConfig::default(),
-            )
-            .expect("torn recovery");
-            assert_eq!(
-                report.torn_bytes,
-                ((tail - cut) % record) as u64,
-                "cut {cut}: garbage truncated"
-            );
-            assert_recovered_equivalent(
-                &recovered,
-                &reference,
-                &ds,
-                k + 1 == class.len(),
-                &format!("torn cut {cut}"),
-            );
-            let _ = std::fs::remove_dir_all(&work);
-        }
+        let (recovered, report) =
+            ShardedIndex::recover_from_dir(world().engine.clone(), &work, durability())
+                .expect("torn recovery");
+        let torn = ((tail - cut) % record) as u64;
+        assert_eq!(report.torn_bytes, torn, "cut {cut}: garbage truncated");
+        assert_recovered(&recovered, &want, &format!("torn cut {cut}"));
+        let _ = std::fs::remove_dir_all(&work);
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// In-process checkpoint-generation fallback semantics.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn bogus_newest_checkpoint_falls_back_to_the_previous_generation() {
-    let seed = 0xFA11;
-    let dir = scratch_dir("fallback", seed);
-    let (fleet, ds, pool) = build_world(seed);
-    fleet
-        .enable_wal(&dir, DurabilityConfig::default())
-        .expect("enable_wal");
-    let (reference, _, _) = build_world(seed);
-    let proto_engine = reference.reader().shard(0).index().clone();
-    for r in 0..8 {
-        fleet.insert_shared(pool.row(r)).expect("insert");
-        reference.insert_shared(pool.row(r)).expect("ref insert");
-    }
-    let good = fleet.checkpoint().expect("good checkpoint");
-    for r in 8..12 {
-        fleet.insert_shared(pool.row(r)).expect("insert");
-        reference.insert_shared(pool.row(r)).expect("ref insert");
-    }
-    let last = fleet.wal_last_lsn().expect("wal attached");
-    drop(fleet);
-
-    // A rotted "newer" generation that never finished meaningfully: its
-    // covered LSN sorts it first, its bytes parse as nothing.
-    std::fs::write(wal::checkpoint_path(&dir, last + 1), b"rotted snapshot")
-        .expect("forge bogus checkpoint");
-
-    let (recovered, report) =
-        ShardedIndex::recover_from_dir(proto_engine, &dir, DurabilityConfig::default())
-            .expect("fallback recovery");
-    assert_eq!(report.checkpoints_tried, 2, "bogus generation was skipped");
-    assert_eq!(report.checkpoint_lsn, good.covered_lsn);
-    assert_eq!(report.replayed_ops, 4, "the post-checkpoint inserts replay");
-    assert_recovered_equivalent(&recovered, &reference, &ds, true, "checkpoint fallback");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The dangerous case: the newest checkpoint is corrupt **and** its
-/// predecessor's WAL suffix was already pruned. Falling back would silently
-/// skip the pruned ops, so recovery must refuse with `Corrupted` instead of
-/// returning a wrong (stale) fleet.
-#[test]
-fn fallback_across_pruned_segments_is_rejected_not_silently_stale() {
-    let seed = 0xDEAD;
-    let dir = scratch_dir("pruned_gap", seed);
-    let (fleet, _ds, pool) = build_world(seed);
-    let proto_engine = fleet.reader().shard(0).index().clone();
-    fleet
-        .enable_wal(
-            &dir,
-            DurabilityConfig {
-                wal: WalOptions {
-                    policy: FsyncPolicy::Always,
-                    // Tiny segments so checkpoints really prune history.
-                    segment_bytes: 128,
-                },
-                keep_checkpoints: 2,
-            },
-        )
-        .expect("enable_wal");
-    for r in 0..6 {
-        fleet.insert_shared(pool.row(r)).expect("insert");
-    }
-    fleet.checkpoint().expect("checkpoint A");
-    for r in 6..12 {
-        fleet.insert_shared(pool.row(r)).expect("insert");
-    }
-    let report_b = fleet.checkpoint().expect("checkpoint B");
-    assert!(
-        report_b.pruned_segments > 0,
-        "checkpoint B must prune the A..B history for this test to bite"
-    );
-    drop(fleet);
-
-    // Rot checkpoint B in place. Generation A still parses, but the ops
-    // between A and B are gone from the log.
-    let b_path = wal::checkpoint_path(&dir, report_b.covered_lsn);
-    let len = std::fs::metadata(&b_path).expect("ckpt B meta").len();
-    std::fs::write(&b_path, vec![0xA5u8; len as usize]).expect("rot ckpt B");
-
-    let err = ShardedIndex::recover_from_dir(proto_engine, &dir, DurabilityConfig::default())
-        .expect_err("recovery across a pruned gap must refuse");
-    assert!(
-        matches!(err, Error::Corrupted(_)),
-        "expected Corrupted, got {err:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -446,7 +446,7 @@ fn juno_split_and_merge_preserve_bit_identical_parity_with_the_monolith() {
     // Mutate, then split twice under the live fleet: 3 -> 4 -> 5 shards.
     mutate(&fleet, &mut monolith, 40);
     for expected in [4usize, 5] {
-        assert_eq!(fleet.split_shard().expect("split"), expected);
+        fleet.resize_shards(expected).expect("split");
         assert_eq!(fleet.num_shards(), expected);
         assert_eq!(fleet.len(), monolith.len(), "S={expected} live count");
         assert_bit_identical(
@@ -460,7 +460,7 @@ fn juno_split_and_merge_preserve_bit_identical_parity_with_the_monolith() {
 
     // Merge all the way back down to a single shard, mutating throughout.
     for expected in [4usize, 3, 2, 1] {
-        assert_eq!(fleet.merge_shards().expect("merge"), expected);
+        fleet.resize_shards(expected).expect("merge");
         assert_eq!(fleet.num_shards(), expected);
         mutate(&fleet, &mut monolith, 10);
         assert_bit_identical(
@@ -471,7 +471,7 @@ fn juno_split_and_merge_preserve_bit_identical_parity_with_the_monolith() {
         );
     }
     assert!(
-        fleet.merge_shards().is_err(),
+        fleet.resize_shards(0).is_err(),
         "cannot merge below one shard"
     );
 

@@ -577,7 +577,7 @@ fn restored_recovered_and_reshaped_fleets_share_plans_again() {
 
     // Topology changes derive shards from one engine (stamp copied), and a
     // rebuild retrains once for all of them (stamp reset, together).
-    assert_eq!(recovered.split_shard().expect("split"), 5);
+    recovered.resize_shards(5).expect("split");
     assert_stamps_agree(&recovered, "split");
     assert_all_paths(&recovered, &reference, &ds.queries, "split");
     let before = shard_stamps(&recovered);
