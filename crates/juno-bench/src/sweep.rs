@@ -36,7 +36,8 @@ pub struct SweepResult {
 /// least [`SWEEP_K`] neighbours per query). The queries go through
 /// [`AnnIndex::search_batch`] on every worker thread (`JUNO_NUM_THREADS`), so
 /// engines with a parallel batch pipeline are measured under batch traffic
-/// rather than a sequential loop.
+/// rather than a sequential loop; each result's simulated stage times come
+/// from [`AnnIndex::simulate`] afterwards, outside the timed batch.
 ///
 /// # Errors
 ///
@@ -52,7 +53,8 @@ pub fn run_sweep(
     let mut retrieved = Vec::with_capacity(queries.len());
     let mut total_us = 0.0;
     let mut stats = SearchStats::default();
-    for res in results {
+    for (query, res) in queries.iter().zip(&results) {
+        let res = index.simulate(query, res)?;
         total_us += res.simulated_us;
         stats.merge(&res.stats);
         retrieved.push(res.ids());

@@ -32,9 +32,9 @@ pub struct SearchResult {
     pub neighbors: Vec<Neighbor>,
     /// Simulated device time spent on this query, in microseconds.
     ///
-    /// Engines that model GPU execution (JUNO, the FAISS-like baselines) fill
-    /// this in from the `juno-gpu` cost model; pure-CPU engines may leave it
-    /// at zero.
+    /// Engines that model GPU execution fill this in from the `juno-gpu`
+    /// cost model: the FAISS-like baselines while they search, JUNO only
+    /// through [`AnnIndex::simulate`]. Pure-CPU engines leave it at zero.
     pub simulated_us: f64,
     /// Statistics about the work performed, used by the breakdown figures.
     pub stats: SearchStats,
@@ -68,7 +68,8 @@ pub struct SearchStats {
     /// query-major vs cluster-major (grouped) batch execution;
     /// `accumulations` reflects the exact work actually performed.
     pub candidates: usize,
-    /// RT-core work: bounding-box tests (zero for non-RT engines).
+    /// RT-core work: bounding-box tests (zero for non-RT engines; JUNO
+    /// reports the three RT counters through [`AnnIndex::simulate`]).
     pub rt_aabb_tests: usize,
     /// RT-core work: primitive (sphere) intersection tests.
     pub rt_primitive_tests: usize,
@@ -388,6 +389,22 @@ pub trait AnnIndex: Send + Sync {
         let _ = plan;
         self.search_batch_threads(queries, k, num_threads)
             .map(|results| (results, PlanUse::Replanned))
+    }
+
+    /// `result` — what this engine's search returned for `query` — with its
+    /// simulated GPU execution filled in: the stage times, `simulated_us`
+    /// and whatever device work counters they derive from. The default
+    /// returns it unchanged, for engines that simulate while they search
+    /// (the baselines) or not at all. JUNO's serving path computes no
+    /// simulated numbers, so its figures and comparisons ask for them here.
+    ///
+    /// # Errors
+    ///
+    /// Engines that re-derive device work from the query report its errors
+    /// (e.g. a dimension mismatch).
+    fn simulate(&self, query: &[f32], result: &SearchResult) -> Result<SearchResult> {
+        let _ = query;
+        Ok(result.clone())
     }
 
     /// Returns `true` when this index supports [`AnnIndex::insert`] /

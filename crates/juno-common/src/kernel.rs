@@ -48,9 +48,13 @@
 //! The module also holds the offline half's one distance kernel, the
 //! **nearest-row kernel** ([`nearest_row`], [`NearestRows`]): first-minimum
 //! argmin of squared L2 from a vector to the rows of a small table — k-means
-//! assignment, PQ encoding and the coarse assign of an insert.
+//! assignment, PQ encoding and the coarse assign of an insert — and beside
+//! it the query path's front half, the **selective-table kernel**
+//! ([`selective_table`]): the dense `S×E` table the exact block scorer
+//! reads, each entry's exact value where the RT scene's hit predicate (in
+//! closed form) selects it and `NaN` elsewhere.
 
-use crate::metric::l2_squared;
+use crate::metric::{l2_squared, Metric};
 use std::sync::OnceLock;
 
 /// Number of points interleaved per code block.
@@ -916,6 +920,171 @@ impl NearestRows {
     }
 }
 
+/// The **selective-table kernel**, JUNO's front half on a CPU. Row `r` of
+/// the table is one subspace: its codebook held column-major in
+/// `xs[r * E..][..E]`, `ys[r * E..][..E]` (`E = xs.len() / rows`), the
+/// projection `ps[r]` and the limit `limits[r]`. Every entry's `out` value
+/// is its exact value against the projection where the scene's predicate
+/// selects it and `NaN` where it does not; the return value counts the
+/// selected entries.
+///
+/// * **L2:** the value is `d² = (p₀ − x)² + (p₁ − y)²`, the arithmetic and
+///   order of [`l2_squared`] on two coordinates (so an entry equals the
+///   dense ADC table's bit for bit); selected when `d² ≤ limit`.
+/// * **MIPS:** the value is `IP = 0 + p₀·x + p₁·y`, the arithmetic and order
+///   of [`crate::metric::inner_product`]; selected when `IP ≥ limit`.
+///
+/// A NaN value or limit selects nothing. The AVX2 arm computes eight
+/// entries at a time with separate multiplies and adds (never fused) and
+/// ordered compares, so it returns the portable arm's bits.
+///
+/// # Panics
+///
+/// Panics unless `limits` has one value per projection and `xs`, `ys` and
+/// `out` have the same length, a whole number of rows.
+pub fn selective_table(
+    metric: Metric,
+    ps: &[[f32; 2]],
+    limits: &[f32],
+    xs: &[f32],
+    ys: &[f32],
+    out: &mut [f32],
+) -> usize {
+    let rows = ps.len();
+    assert_eq!(limits.len(), rows, "selective_table: one limit per row");
+    assert!(
+        xs.len() == out.len() && ys.len() == out.len(),
+        "selective_table: column and output lengths differ"
+    );
+    if rows == 0 {
+        assert!(out.is_empty(), "selective_table: entries without a row");
+        return 0;
+    }
+    assert_eq!(out.len() % rows, 0, "selective_table: ragged rows");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        // SAFETY: AVX2 confirmed at runtime; shapes asserted above.
+        return unsafe { selective_table_avx2(metric, ps, limits, xs, ys, out) };
+    }
+    selective_table_scalar(metric, ps, limits, xs, ys, out)
+}
+
+/// The portable arm of [`selective_table`].
+fn selective_table_scalar(
+    metric: Metric,
+    ps: &[[f32; 2]],
+    limits: &[f32],
+    xs: &[f32],
+    ys: &[f32],
+    out: &mut [f32],
+) -> usize {
+    let entries = out.len() / ps.len().max(1);
+    let mut selected = 0usize;
+    for (r, (p, &limit)) in ps.iter().zip(limits).enumerate() {
+        let row = r * entries..(r + 1) * entries;
+        selected += selective_entries(
+            metric,
+            *p,
+            limit,
+            &xs[row.clone()],
+            &ys[row.clone()],
+            &mut out[row],
+        );
+    }
+    selected
+}
+
+/// One row (or a row's tail) of [`selective_table`], entry by entry.
+#[inline]
+fn selective_entries(
+    metric: Metric,
+    p: [f32; 2],
+    limit: f32,
+    xs: &[f32],
+    ys: &[f32],
+    out: &mut [f32],
+) -> usize {
+    let mut selected = 0usize;
+    for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+        let (v, hit) = match metric {
+            Metric::L2 => {
+                let (dx, dy) = (p[0] - x, p[1] - y);
+                let v = dx * dx + dy * dy;
+                (v, v <= limit)
+            }
+            Metric::InnerProduct => {
+                let v = 0.0 + p[0] * x + p[1] * y;
+                (v, v >= limit)
+            }
+        };
+        *o = if hit { v } else { f32::NAN };
+        selected += usize::from(hit);
+    }
+    selected
+}
+
+/// The AVX2 arm of [`selective_table`]: eight entries of a row per step,
+/// each row's tail through the portable arm.
+///
+/// # Safety
+///
+/// Requires AVX2 and the shapes [`selective_table`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn selective_table_avx2(
+    metric: Metric,
+    ps: &[[f32; 2]],
+    limits: &[f32],
+    xs: &[f32],
+    ys: &[f32],
+    out: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let entries = out.len() / ps.len();
+    let whole = entries / 8 * 8;
+    let nan = _mm256_set1_ps(f32::NAN);
+    let mut selected = 0usize;
+    for (r, (p, &limit)) in ps.iter().zip(limits).enumerate() {
+        let (px, py) = (_mm256_set1_ps(p[0]), _mm256_set1_ps(p[1]));
+        let lim = _mm256_set1_ps(limit);
+        let start = r * entries;
+        for i in (start..start + whole).step_by(8) {
+            // SAFETY: `i + 8 ≤ (r + 1) × entries ≤ len` for all three slices.
+            let (x, y) = unsafe {
+                (
+                    _mm256_loadu_ps(xs.as_ptr().add(i)),
+                    _mm256_loadu_ps(ys.as_ptr().add(i)),
+                )
+            };
+            let (v, hit) = match metric {
+                Metric::L2 => {
+                    let (dx, dy) = (_mm256_sub_ps(px, x), _mm256_sub_ps(py, y));
+                    let v = _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy));
+                    (v, _mm256_cmp_ps::<_CMP_LE_OQ>(v, lim))
+                }
+                Metric::InnerProduct => {
+                    let v = _mm256_add_ps(_mm256_setzero_ps(), _mm256_mul_ps(px, x));
+                    let v = _mm256_add_ps(v, _mm256_mul_ps(py, y));
+                    (v, _mm256_cmp_ps::<_CMP_GE_OQ>(v, lim))
+                }
+            };
+            // SAFETY: as for the loads.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_blendv_ps(nan, v, hit)) };
+            selected += _mm256_movemask_ps(hit).count_ones() as usize;
+        }
+        let tail = start + whole..start + entries;
+        selected += selective_entries(
+            metric,
+            *p,
+            limit,
+            &xs[tail.clone()],
+            &ys[tail.clone()],
+            &mut out[tail],
+        );
+    }
+    selected
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1472,6 +1641,94 @@ mod tests {
             NearestRows::new(&[], 2).nearest(&[1.0, 2.0]),
             (0, f32::INFINITY)
         );
+    }
+
+    /// Both arms of the selective-table kernel against the per-entry
+    /// definition: row widths of whole registers and with tails, one to
+    /// several rows, both metrics, per-row limits that select nothing, some
+    /// and everything, a NaN limit, and columns holding signed zeros, ties
+    /// with the limit and NaNs. Results are compared by bits, and the values
+    /// against `l2_squared` / `inner_product` on the two coordinates.
+    #[test]
+    fn selective_table_arms_match_the_definition_bit_for_bit() {
+        use crate::metric::inner_product;
+        let mut rng = seeded(0x5E1E);
+        for entries in [1usize, 7, 8, 9, 16, 33, 64, 256] {
+            for case in 0..24usize {
+                let rows = [1usize, 3, 48][case % 3];
+                let metric = [Metric::L2, Metric::InnerProduct][case % 2];
+                let len = rows * entries;
+                let mut xs: Vec<f32> = (0..len).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+                let mut ys: Vec<f32> = (0..len).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+                let ps: Vec<[f32; 2]> = (0..rows)
+                    .map(|_| [rng.gen_range(-3.0f32..3.0), rng.gen_range(-3.0f32..3.0)])
+                    .collect();
+                if case % 4 == 0 {
+                    // Signed zeros, an entry on its row's projection, a NaN.
+                    xs[0] = -0.0;
+                    ys[len / 2] = 0.0;
+                    xs[len - 1] = ps[rows - 1][0];
+                    ys[len - 1] = ps[rows - 1][1];
+                    if len > 2 {
+                        xs[1] = f32::NAN;
+                    }
+                }
+                let value = |i: usize| {
+                    let p = ps[i / entries];
+                    match metric {
+                        Metric::L2 => l2_squared(&p, &[xs[i], ys[i]]),
+                        Metric::InnerProduct => inner_product(&p, &[xs[i], ys[i]]),
+                    }
+                };
+                // Per row, a limit equal to one entry's value (the tie is
+                // selected) or a fixed one.
+                let choices = [f32::NAN, 0.0, 4.0, -4.0, f32::INFINITY, f32::NEG_INFINITY];
+                for variant in 0..4usize {
+                    let limits: Vec<f32> = (0..rows)
+                        .map(|r| match (variant + r) % 3 {
+                            0 => value(r * entries + (r + case) % entries),
+                            _ => choices[(variant * 7 + r + case) % choices.len()],
+                        })
+                        .collect();
+                    let label =
+                        format!("{metric:?} {rows}x{entries} case {case} limits {limits:?}");
+                    let want: Vec<u32> = (0..len)
+                        .map(|i| {
+                            let (v, limit) = (value(i), limits[i / entries]);
+                            let hit = match metric {
+                                Metric::L2 => v <= limit,
+                                Metric::InnerProduct => v >= limit,
+                            };
+                            if hit { v } else { f32::NAN }.to_bits()
+                        })
+                        .collect();
+                    let count = want
+                        .iter()
+                        .filter(|&&b| !f32::from_bits(b).is_nan())
+                        .count();
+                    let mut out = vec![0.0f32; len];
+                    let mut arms = Vec::new();
+                    let n = selective_table_scalar(metric, &ps, &limits, &xs, &ys, &mut out);
+                    arms.push(("scalar", n, out.clone()));
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        // SAFETY: AVX2 detected; the shapes are whole rows.
+                        let n = unsafe {
+                            selective_table_avx2(metric, &ps, &limits, &xs, &ys, &mut out)
+                        };
+                        arms.push(("avx2", n, out.clone()));
+                    }
+                    let n = selective_table(metric, &ps, &limits, &xs, &ys, &mut out);
+                    arms.push(("dispatched", n, out.clone()));
+                    for (arm, n, got) in arms {
+                        let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits, want, "{label} ({arm})");
+                        assert_eq!(n, count, "{label} ({arm}): count");
+                    }
+                }
+            }
+        }
+        assert_eq!(selective_table(Metric::L2, &[], &[], &[], &[], &mut []), 0);
     }
 
     #[test]

@@ -13,17 +13,28 @@
 //! Online ([`JunoIndex::search`], paper Alg. 2 / Fig. 10 bottom):
 //!
 //! 1. filtering — identical to IVFPQ;
-//! 2. threshold-based selective L2-LUT construction on the (simulated) RT
-//!    core, with the dynamic threshold expressed as each ray's `t_max`;
-//! 3. distance calculation restricted to the points of interest reached
-//!    through the inverted index, either with exact accumulated distances
-//!    (JUNO-H) or hit counts (JUNO-L/M).
+//! 2. threshold-based selective L2-LUT construction. On the paper's GPU the
+//!    RT cores trace one ray per `(probe, subspace)`, the dynamic threshold
+//!    expressed as the ray's `t_max`. On a CPU the serving path evaluates
+//!    the same hit predicate in closed form instead
+//!    ([`SceneMapping::select_table`], one vectorised kernel pass per
+//!    probe): a
+//!    dense `S×E` table per probe holding each selected entry's exact value
+//!    and `NaN` for the rest ([`JunoPlan`]);
+//! 3. distance calculation over the probed clusters' codes, either with
+//!    exact accumulated distances (JUNO-H) or hit counts (JUNO-L/M).
+//!
+//! The RT construction itself ([`JunoIndex::build_selective_lut`]: the
+//! scene's flattened ray tables, a CSR [`SelectiveLut`]) no longer serves
+//! queries. It is the oracle the closed-form tables are tested against and
+//! the source of the RT work counters behind the simulated GPU time, which
+//! [`AnnIndex::simulate`] computes for a result on request.
 
 use crate::config::{JunoConfig, QualityMode};
 use crate::drift::DriftTracker;
 use crate::hitcount::HitCountMode;
 use crate::inverted::SubspaceInvertedIndex;
-use crate::lut::{construct_selective_lut, LutDecodeBuffer, LutRayRequest, SelectiveLut};
+use crate::lut::{construct_selective_lut, LutRayRequest, SelectiveLut};
 use crate::mapping::SceneMapping;
 use crate::pipeline::{QuerySimulator, QueryWork};
 use crate::stamp::Fingerprint;
@@ -83,17 +94,17 @@ pub struct JunoIndex {
     /// EWMA drift tracker over insert assignment distances (see
     /// [`crate::drift`]).
     pub(crate) drift: DriftTracker,
-    /// Fingerprint of the trained state [`JunoIndex::build_selective_lut`]
-    /// reads ([`JunoIndex::trained_stamp`]): computed from content at build
-    /// and restore, rolled forward by every insert (the one mutation that
+    /// Fingerprint of the trained state planning reads
+    /// ([`JunoIndex::trained_stamp`]): computed from content at build and
+    /// restore, rolled forward by every insert (the one mutation that
     /// touches that state — the density maps), copied by `clone` and
     /// [`JunoIndex::with_live_ids`]. Runtime-only — not persisted.
     pub(crate) trained_stamp: u64,
 }
 
 /// The output of [`JunoIndex::build_selective_lut`]: the probed clusters in
-/// filter order, the selective LUT over them, the RT traversal work, and the
-/// per-`(slot, subspace)` thresholds used (for miss penalties).
+/// filter order, the RT-traced selective LUT over them, the RT traversal
+/// work, and the per-`(slot, subspace)` thresholds used.
 pub type SelectiveLutParts = (
     Vec<usize>,
     SelectiveLut,
@@ -106,16 +117,46 @@ pub type SelectiveLutParts = (
 /// slots, allocated once per worker instead of once per query.
 pub type SearchScratch = ScanArena<JunoSlot>;
 
-/// One expanded `(query, probe)` pair of the JUNO engine: the selective LUT
-/// slot decoded into the dense `S×E` table (`NaN` = unselected), the
-/// per-visit constants of the exact arithmetic, and the indicator LUTs the
-/// hit-count unit builds instead.
+/// One query's plan, the engine's [`ScanEngine::Plan`]: computed once per
+/// query (once per fleet batch, shared through a [`BatchPlan`]) and read by
+/// every probe's visit on every shard. It holds the probed clusters in
+/// filter order, the per-subspace thresholds, and per probe the dense `S×E`
+/// selective table ([`SceneMapping::select_table`]): each entry's exact value
+/// (`d²` to the probe's residual projection, or the inner product with the
+/// query's projection under MIPS) where the scene's hit predicate selects
+/// it, `NaN` where it does not.
+#[derive(Debug, Clone)]
+pub struct JunoPlan {
+    probes: Vec<usize>,
+    /// Per-subspace thresholds: planar distances (L2) or the scale factor
+    /// (MIPS).
+    thresholds: Vec<f32>,
+    /// Mean squared threshold: the L2 miss penalty base (an unselected
+    /// entry's true distance exceeds its subspace's threshold).
+    mean_thr_sq: f32,
+    /// `tables[(probe × S + s) × E + e]`.
+    tables: Vec<f32>,
+    /// Entries selected over every probe's table.
+    hits: usize,
+}
+
+impl JunoPlan {
+    /// Probe `probe`'s `S×E` table, row-major by subspace (`NaN` =
+    /// unselected).
+    fn table(&self, probe: usize) -> &[f32] {
+        let len = self.tables.len() / self.probes.len().max(1);
+        &self.tables[probe * len..(probe + 1) * len]
+    }
+}
+
+/// One expanded `(query, probe)` pair of the JUNO engine: the probe's dense
+/// `S×E` table copied from the plan (`NaN` = unselected), the per-visit
+/// constants of the exact arithmetic, and the indicator LUTs the hit-count
+/// unit builds instead.
 #[derive(Debug)]
 pub struct JunoSlot {
-    decode: LutDecodeBuffer,
-    /// Mean squared threshold of the slot: the per-subspace miss penalty
-    /// base (the selective LUT guarantees the true per-subspace distance
-    /// exceeds the threshold wherever no entry was selected).
+    table: Vec<f32>,
+    /// The plan's mean squared threshold (see [`JunoPlan`]).
     mean_thr_sq: f32,
     /// `IP(query, centroid)` under MIPS, `0` under L2.
     centroid_term: f32,
@@ -275,7 +316,7 @@ impl JunoIndex {
     /// The **plan stamp**: the trained-state fingerprint folded with the
     /// search-time knobs planning reads (`nprobs`, `metric`,
     /// `threshold_scale`, `threshold_strategy`). Two engines with equal
-    /// stamps build bit-identical [`SelectiveLutParts`] for every query, so
+    /// stamps build bit-identical [`JunoPlan`]s for every query, so
     /// one may scan from the other's plans
     /// ([`AnnIndex::search_batch_planned`]).
     pub fn plan_stamp(&self) -> u64 {
@@ -732,30 +773,62 @@ impl JunoIndex {
         })
     }
 
-    /// The selective LUT and its traversal statistics for one query — exposed
-    /// for the `figures` binary and the ledger.
+    /// The selective LUT of one query as the RT cores build it: one ray per
+    /// `(probe, subspace)` traced through the scene's flattened ray tables,
+    /// each hit's value recovered from `t_hit`, gathered into a CSR
+    /// [`SelectiveLut`], with the traversal work counted. Searches do not
+    /// call it: it is the oracle the serving path's closed-form tables
+    /// ([`JunoPlan`]) are held to, and the source of the RT counters
+    /// [`AnnIndex::simulate`] turns into simulated time. Exposed for the
+    /// `figures` binary and the ledger.
     ///
     /// # Errors
     ///
     /// Propagates filtering / mapping errors.
     pub fn build_selective_lut(&self, query: &[f32]) -> Result<SelectiveLutParts> {
+        self.check_dim(query)?;
+        let clusters = self.ivf.filter(query, self.config.nprobs)?.clusters;
+        let subspaces = self.pq.num_subspaces();
+        let per_subspace = self.query_thresholds(query)?;
+        let centroids: Vec<Option<&[f32]>> = clusters
+            .iter()
+            .map(|&cluster| self.ray_centroid(cluster))
+            .collect::<Result<_>>()?;
+        // One ray per (probe, subspace), generated in the LUT's row order.
+        let requests = centroids.iter().enumerate().flat_map(|(slot, &centroid)| {
+            let per_subspace = &per_subspace;
+            (0..subspaces).map(move |s| LutRayRequest {
+                slot,
+                subspace: s,
+                projection: projection(query, centroid, s),
+                threshold: per_subspace[s],
+            })
+        });
+        let (lut, rt_stats) = construct_selective_lut(&self.mapping, clusters.len(), requests)?;
+        // thresholds[slot][s]: the threshold ray (slot, s) was traced with.
+        let thresholds = vec![per_subspace; clusters.len()];
+        Ok((clusters, lut, rt_stats, thresholds))
+    }
+
+    fn check_dim(&self, query: &[f32]) -> Result<()> {
         if query.len() != self.dim() {
             return Err(Error::DimensionMismatch {
                 expected: self.dim(),
                 actual: query.len(),
             });
         }
-        let filter = self.ivf.filter(query, self.config.nprobs)?;
-        let clusters = filter.clusters;
-        let subspaces = self.pq.num_subspaces();
+        Ok(())
+    }
 
-        // The threshold of a subspace depends on the query alone, not on
-        // the probe: the density lookup uses the query's own projection
-        // (the density maps are built over point projections) even though
-        // the L2 ray origins below are residual projections. MIPS expresses
-        // the trade-off directly through the scale factor (see
-        // `SceneMapping::t_max_for_threshold`).
-        let per_subspace: Vec<f32> = match self.config.metric {
+    /// The per-subspace thresholds of one query. A threshold depends on the
+    /// query alone, not on the probe: the density lookup uses the query's
+    /// own projection (the density maps are built over point projections)
+    /// even though L2 rays start at residual projections. MIPS expresses
+    /// the trade-off directly through the scale factor (see
+    /// [`SceneMapping::t_max_for_threshold`]).
+    fn query_thresholds(&self, query: &[f32]) -> Result<Vec<f32>> {
+        let subspaces = self.pq.num_subspaces();
+        match self.config.metric {
             Metric::L2 => (0..subspaces)
                 .map(|s| {
                     self.threshold_model.threshold_for(
@@ -766,56 +839,35 @@ impl JunoIndex {
                         self.config.threshold_scale,
                     )
                 })
-                .collect::<Result<_>>()?,
-            Metric::InnerProduct => vec![self.config.threshold_scale; subspaces],
-        };
+                .collect(),
+            Metric::InnerProduct => Ok(vec![self.config.threshold_scale; subspaces]),
+        }
+    }
 
-        // L2 rays start at the residual `query − centroid`; MIPS rays at the
-        // query itself.
-        let centroids: Vec<Option<&[f32]>> = match self.config.metric {
-            Metric::L2 => clusters
-                .iter()
-                .map(|&cluster| self.ivf.centroid(cluster).map(Some))
-                .collect::<Result<_>>()?,
-            Metric::InnerProduct => vec![None; clusters.len()],
-        };
-        // One ray per (probe, subspace), generated in the LUT's row order.
-        let requests = centroids.iter().enumerate().flat_map(|(slot, centroid)| {
-            let per_subspace = &per_subspace;
-            (0..subspaces).map(move |s| LutRayRequest {
-                slot,
-                subspace: s,
-                projection: match centroid {
-                    Some(c) => [query[2 * s] - c[2 * s], query[2 * s + 1] - c[2 * s + 1]],
-                    None => [query[2 * s], query[2 * s + 1]],
-                },
-                threshold: per_subspace[s],
-            })
-        });
-        let (lut, rt_stats) = construct_selective_lut(&self.mapping, clusters.len(), requests)?;
-        // thresholds[slot][s] records the threshold used, for miss penalties.
-        let thresholds = vec![per_subspace; clusters.len()];
-        Ok((clusters, lut, rt_stats, thresholds))
+    /// The centroid a probe's projections are taken against: L2 rays start
+    /// at the residual `query − centroid`, MIPS rays at the query itself.
+    fn ray_centroid(&self, cluster: usize) -> Result<Option<&[f32]>> {
+        match self.config.metric {
+            Metric::L2 => self.ivf.centroid(cluster).map(Some),
+            Metric::InnerProduct => Ok(None),
+        }
     }
 
     /// The front-half work counters planning one query cost (every other
     /// field zero): what [`ScanEngine::finish`] reports for a query this
     /// engine planned itself, and what a [`BatchPlan`] carries so a fleet
-    /// can account for a shared plan once.
-    fn front_counters(&self, plan: &SelectiveLutParts) -> SearchStats {
-        let rt = &plan.2;
+    /// can account for a shared plan once. The RT counters are the
+    /// simulator's ([`AnnIndex::simulate`]).
+    fn front_counters(&self, plan: &JunoPlan) -> SearchStats {
         SearchStats {
             filter_distances: self.ivf.n_clusters(),
-            lut_distances: rt.hits,
-            rt_aabb_tests: rt.aabb_tests,
-            rt_primitive_tests: rt.primitive_tests,
-            rt_hits: rt.hits,
+            lut_distances: plan.hits,
             ..SearchStats::default()
         }
     }
 
     /// [`AnnIndex::search`] with caller-provided scratch buffers, so batch
-    /// workers amortise the decode-buffer allocation across queries: the
+    /// workers amortise the slot allocations across queries: the
     /// shared driver's query-major path ([`scan::search_one`]).
     ///
     /// # Errors
@@ -889,14 +941,25 @@ impl JunoIndex {
     }
 }
 
+/// Subspace `s`'s 2-D projection a ray starts from: of the residual
+/// `query − centroid` (L2), or of the query itself (MIPS, no centroid).
+#[inline]
+fn projection(query: &[f32], centroid: Option<&[f32]>, s: usize) -> [f32; 2] {
+    match centroid {
+        Some(c) => [query[2 * s] - c[2 * s], query[2 * s + 1] - c[2 * s + 1]],
+        None => [query[2 * s], query[2 * s + 1]],
+    }
+}
+
 /// What is JUNO about the shared scan ([`juno_quant::scan`]): a query's plan
-/// is its selective LUT ([`JunoIndex::build_selective_lut`]), a probe expands
-/// by sparse decode (`NaN` = unselected), and a candidate's score adds the
-/// selected entries plus a miss penalty (L2) or the centroid term (MIPS).
+/// holds a dense selective table per probe ([`JunoPlan`]), a probe expands
+/// by copying its table (`NaN` = unselected), and a candidate's score adds
+/// the selected entries plus a miss penalty (L2) or the centroid term
+/// (MIPS).
 /// The hit-count modes (JUNO-L/M) ride the same pipeline through their own
 /// per-cluster unit.
 impl ScanEngine for JunoIndex {
-    type Plan = SelectiveLutParts;
+    type Plan = JunoPlan;
     type Slot = JunoSlot;
 
     fn lists(&self) -> &IvfListCodes {
@@ -917,18 +980,53 @@ impl ScanEngine for JunoIndex {
         self.fastscan
     }
 
-    fn plan(&self, query: &[f32]) -> Result<SelectiveLutParts> {
-        self.build_selective_lut(query)
+    /// The coarse filter, the thresholds and their selection limits, and
+    /// per probe the selective table, one [`SceneMapping::select_table`]
+    /// kernel pass.
+    fn plan(&self, query: &[f32]) -> Result<JunoPlan> {
+        self.check_dim(query)?;
+        let probes = self.ivf.filter(query, self.config.nprobs)?.clusters;
+        let thresholds = self.query_thresholds(query)?;
+        let (subspaces, entries) = (self.pq.num_subspaces(), self.pq.entries_per_subspace());
+        // A limit reads the projection only under MIPS, whose rays start at
+        // the query's own projection whatever the probe.
+        let limits: Vec<f32> = (0..subspaces)
+            .map(|s| {
+                self.mapping
+                    .select_limit(s, projection(query, None, s), thresholds[s])
+            })
+            .collect::<Result<_>>()?;
+        let mut projections = vec![[0.0f32; 2]; subspaces];
+        let mut tables = vec![0.0f32; probes.len() * subspaces * entries];
+        let mut hits = 0usize;
+        for (&cluster, table) in probes
+            .iter()
+            .zip(tables.chunks_exact_mut(subspaces * entries))
+        {
+            let centroid = self.ray_centroid(cluster)?;
+            for (s, p) in projections.iter_mut().enumerate() {
+                *p = projection(query, centroid, s);
+            }
+            hits += self.mapping.select_table(&projections, &limits, table);
+        }
+        let mean_thr_sq = thresholds.iter().map(|t| t * t).sum::<f32>() / subspaces.max(1) as f32;
+        Ok(JunoPlan {
+            probes,
+            thresholds,
+            mean_thr_sq,
+            tables,
+            hits,
+        })
     }
 
-    fn probes<'p>(&self, plan: &'p SelectiveLutParts) -> &'p [usize] {
-        &plan.0
+    fn probes<'p>(&self, plan: &'p JunoPlan) -> &'p [usize] {
+        &plan.probes
     }
 
     fn new_slot(&self) -> JunoSlot {
         let subspaces = self.pq.num_subspaces();
         JunoSlot {
-            decode: LutDecodeBuffer::new(subspaces, self.pq.entries_per_subspace()),
+            table: vec![f32::NAN; subspaces * self.pq.entries_per_subspace()],
             mean_thr_sq: 0.0,
             centroid_term: 0.0,
             half_sq: vec![0.0; subspaces],
@@ -942,12 +1040,12 @@ impl ScanEngine for JunoIndex {
     fn expand(
         &self,
         query: &[f32],
-        plan: &SelectiveLutParts,
+        plan: &JunoPlan,
         probe: usize,
         cluster: usize,
         slot: &mut JunoSlot,
     ) {
-        slot.decode.decode_slot(&plan.1, probe);
+        slot.table.copy_from_slice(plan.table(probe));
         slot.centroid_term = match self.config.metric {
             Metric::L2 => 0.0,
             Metric::InnerProduct => {
@@ -958,12 +1056,11 @@ impl ScanEngine for JunoIndex {
                 )
             }
         };
-        slot.mean_thr_sq = plan.3[probe].iter().map(|t| t * t).sum::<f32>()
-            / self.pq.num_subspaces().max(1) as f32;
+        slot.mean_thr_sq = plan.mean_thr_sq;
     }
 
     /// Quantises the slot's "lower is better" score contributions straight
-    /// from the decode buffer: L2 takes LUT values with the miss penalty
+    /// from its table: L2 takes the values with the miss penalty
     /// substituted for unselected entries; MIPS negates (score = −IP) and
     /// adds the centroid term once per candidate.
     fn quantize(&self, slot: &JunoSlot, qlut: &mut QuantizedLut) {
@@ -976,7 +1073,7 @@ impl ScanEngine for JunoIndex {
             Metric::InnerProduct => (-slot.centroid_term, 0.0, true),
         };
         qlut.build_selective(
-            slot.decode.as_slice(),
+            &slot.table,
             self.pq.num_subspaces(),
             self.pq.entries_per_subspace(),
             const_term,
@@ -991,12 +1088,11 @@ impl ScanEngine for JunoIndex {
     /// with at least one selected entry.
     #[inline]
     fn score(&self, slot: &JunoSlot, code: &[u8], ctr: &mut ScanCounters) -> Option<f32> {
-        let dense = slot.decode.as_slice();
-        let entries = slot.decode.entries_per_subspace();
+        let entries = self.pq.entries_per_subspace();
         let mut sum = 0.0f32;
         let mut covered = 0u32;
         for (s, &e) in code.iter().enumerate() {
-            let v = dense[s * entries + e as usize];
+            let v = slot.table[s * entries + e as usize];
             // NaN marks "entry not selected"; comparison is false for NaN so
             // the branch predictor sees the common case.
             if !v.is_nan() {
@@ -1022,8 +1118,8 @@ impl ScanEngine for JunoIndex {
         let subspaces = self.pq.num_subspaces();
         let mut lanes = ExactLanes::default();
         exact_block_sums(
-            slot.decode.as_slice(),
-            slot.decode.entries_per_subspace(),
+            &slot.table,
+            self.pq.entries_per_subspace(),
             subspaces,
             block.rows,
             block.nibble,
@@ -1047,20 +1143,20 @@ impl ScanEngine for JunoIndex {
     /// counts the points hit.
     ///
     /// With fast-scan enabled the counts come out of the block kernel: the
-    /// selective LUT slot is expanded into 0/1 indicator LUTs (selected /
-    /// inside the inner half-threshold sphere) and one kernel pass per block
-    /// yields 32 exact integer counts at once — no quantisation error, so
-    /// results are identical to the dense-buffer reference path.
+    /// probe's table becomes 0/1 indicator LUTs (selected / inside the inner
+    /// half-threshold sphere) and one kernel pass per block yields 32 exact
+    /// integer counts at once — no quantisation error, so results are
+    /// identical to the reference path over the table itself.
     fn scan_unit(
         &self,
-        plan: &SelectiveLutParts,
+        plan: &JunoPlan,
         probe: usize,
         cluster: usize,
         slot: &mut JunoSlot,
         topk: &mut TopK,
         ctr: &mut ScanCounters,
     ) {
-        let (lut, thresholds) = (&plan.1, &plan.3[probe]);
+        let (table, thresholds) = (plan.table(probe), &plan.thresholds);
         let mode = match self.config.quality {
             QualityMode::Medium => HitCountMode::RewardPenalty,
             _ => HitCountMode::CountOnly,
@@ -1091,8 +1187,7 @@ impl ScanEngine for JunoIndex {
         };
 
         if self.fastscan {
-            // 0/1 indicator LUTs straight from the sparse rows — the
-            // dense f32 expansion is not needed at all on this path.
+            // 0/1 indicator LUTs straight from the table's rows.
             let want_inner = inner_enabled && mode == HitCountMode::RewardPenalty;
             slot.outer_lut.clear();
             slot.outer_lut.resize(subspaces * stride, 0);
@@ -1100,13 +1195,16 @@ impl ScanEngine for JunoIndex {
                 slot.inner_lut.clear();
                 slot.inner_lut.resize(subspaces * stride, 0);
             }
-            for s in 0..subspaces {
-                let row_ids = lut.row_entries(probe, s);
-                let row_vals = lut.row_values(probe, s);
-                for (&e, &v) in row_ids.iter().zip(row_vals) {
-                    slot.outer_lut[s * stride + e as usize] = 1;
-                    if want_inner && v <= slot.half_sq[s] {
-                        slot.inner_lut[s * stride + e as usize] = 1;
+            for (s, row) in table.chunks_exact(entries).enumerate() {
+                let half_sq = slot.half_sq[s];
+                let outer = &mut slot.outer_lut[s * stride..][..entries];
+                for (o, &v) in outer.iter_mut().zip(row) {
+                    *o = u8::from(!v.is_nan());
+                }
+                if want_inner {
+                    let inner = &mut slot.inner_lut[s * stride..][..entries];
+                    for (i, &v) in inner.iter_mut().zip(row) {
+                        *i = u8::from(v <= half_sq);
                     }
                 }
             }
@@ -1165,10 +1263,8 @@ impl ScanEngine for JunoIndex {
                 hit(pid, outer, inner);
             }
         } else {
-            // Reference path over the dense f32 decode buffer.
-            slot.decode.decode_slot(lut, probe);
+            // Reference path over the table itself.
             ctr.lut_builds += 1;
-            let dense = slot.decode.as_slice();
             for (segment, (ids, codes)) in self.list_codes.cluster_segments(cluster).enumerate() {
                 if segment > 0 {
                     ctr.lut_reuses += 1;
@@ -1177,7 +1273,7 @@ impl ScanEngine for JunoIndex {
                     let mut outer = 0u32;
                     let mut inner = 0u32;
                     for (s, &e) in code.iter().enumerate() {
-                        let v = dense[s * entries + e as usize];
+                        let v = table[s * entries + e as usize];
                         if !v.is_nan() {
                             outer += 1;
                             if inner_enabled && v <= slot.half_sq[s] {
@@ -1191,31 +1287,19 @@ impl ScanEngine for JunoIndex {
         }
     }
 
-    /// Converts a query's RT planning stats, ranked neighbours and scan
-    /// counters into the final [`SearchResult`] — one assembly for every
-    /// execution path, so simulated stage times and statistics are derived
-    /// identically on all of them.
+    /// Converts a query's plan, ranked neighbours and scan counters into the
+    /// final [`SearchResult`] — one assembly for every execution path, so
+    /// statistics are derived identically on all of them. Simulated times
+    /// stay zero: [`AnnIndex::simulate`] adds them on request.
     fn finish(
         &self,
-        plan: &SelectiveLutParts,
+        plan: &JunoPlan,
         neighbors: Vec<Neighbor>,
         ctr: &ScanCounters,
     ) -> SearchResult {
-        let rt_stats = &plan.2;
-        let work = QueryWork {
-            clusters: self.ivf.n_clusters(),
-            dim: self.dim(),
-            rt: *rt_stats,
-            candidates: ctr.candidates,
-            subspaces: self.pq.num_subspaces(),
-        };
-        let breakdown = self.simulator.simulate(&work);
         let stats = SearchStats {
             accumulations: ctr.accumulations,
             candidates: ctr.candidates,
-            filter_us: breakdown.filter_us,
-            lut_us: breakdown.lut_us,
-            accumulate_us: breakdown.accumulate_us,
             pruned_points: ctr.pruned_points,
             pruned_blocks: ctr.pruned_blocks,
             pruned_clusters: ctr.pruned_clusters,
@@ -1225,7 +1309,7 @@ impl ScanEngine for JunoIndex {
         };
         SearchResult {
             neighbors,
-            simulated_us: breakdown.total_us,
+            simulated_us: 0.0,
             stats,
         }
     }
@@ -1361,7 +1445,7 @@ impl AnnIndex for JunoIndex {
         plan: &BatchPlan,
     ) -> Result<(Vec<SearchResult>, PlanUse)> {
         let shared = plan
-            .plans::<Vec<SelectiveLutParts>>()
+            .plans::<Vec<JunoPlan>>()
             .filter(|plans| plan.stamp() == self.plan_stamp() && plans.len() == queries.len());
         let Some(plans) = shared else {
             let results = self.search_batch_threads(queries, k, num_threads)?;
@@ -1372,6 +1456,32 @@ impl AnnIndex for JunoIndex {
             result.stats = result.stats.without_front_counters();
         }
         Ok((results, PlanUse::Shared))
+    }
+
+    /// Re-derives the query's RT work by tracing its selective LUT
+    /// ([`JunoIndex::build_selective_lut`]) and runs the GPU model over it
+    /// and the result's candidate count: the stage times, `simulated_us`
+    /// and the `rt_*` counters. Planning is deterministic, so the rays are
+    /// the ones the search's plan stood for.
+    fn simulate(&self, query: &[f32], result: &SearchResult) -> Result<SearchResult> {
+        let (_, _, rt, _) = self.build_selective_lut(query)?;
+        let breakdown = self.simulator.simulate(&QueryWork {
+            clusters: self.ivf.n_clusters(),
+            dim: self.dim(),
+            rt,
+            candidates: result.stats.candidates,
+            subspaces: self.pq.num_subspaces(),
+        });
+        let mut out = result.clone();
+        out.simulated_us = breakdown.total_us;
+        let stats = &mut out.stats;
+        stats.filter_us = breakdown.filter_us;
+        stats.lut_us = breakdown.lut_us;
+        stats.accumulate_us = breakdown.accumulate_us;
+        stats.rt_aabb_tests = rt.aabb_tests;
+        stats.rt_primitive_tests = rt.primitive_tests;
+        stats.rt_hits = rt.hits;
+        Ok(out)
     }
 
     fn name(&self) -> String {
@@ -1443,22 +1553,17 @@ mod tests {
                 .unwrap();
             let mut slot = index.new_slot();
             for density in [0.0f64, 0.2, 1.0] {
-                let mut lut = SelectiveLut::new(1, subspaces);
-                for sub in 0..subspaces {
-                    for e in 0..entries {
-                        if rng.gen_range(0.0f64..1.0) < density {
-                            let v = match (metric, rng.gen_range(0..8u32)) {
-                                (Metric::InnerProduct, 0) => -0.0,
-                                (_, 1) => 0.0,
-                                (Metric::InnerProduct, _) => rng.gen_range(-3.0f32..3.0),
-                                (Metric::L2, _) => rng.gen_range(0.0f32..3.0),
-                            };
-                            lut.insert(0, sub, e as u16, v);
-                        }
+                for v in slot.table.iter_mut() {
+                    *v = f32::NAN;
+                    if rng.gen_range(0.0f64..1.0) < density {
+                        *v = match (metric, rng.gen_range(0..8u32)) {
+                            (Metric::InnerProduct, 0) => -0.0,
+                            (_, 1) => 0.0,
+                            (Metric::InnerProduct, _) => rng.gen_range(-3.0f32..3.0),
+                            (Metric::L2, _) => rng.gen_range(0.0f32..3.0),
+                        };
                     }
                 }
-                lut.finish();
-                slot.decode.decode_slot(&lut, 0);
                 slot.mean_thr_sq = rng.gen_range(0.5f32..2.0);
                 slot.centroid_term = rng.gen_range(-1.0f32..1.0);
                 for n in 1..=BLOCK_LANES {
@@ -1520,7 +1625,7 @@ mod tests {
                 .iter()
                 .map(|q| {
                     let res = index.search(q, 100).unwrap();
-                    total_us += res.simulated_us;
+                    total_us += index.simulate(q, &res).unwrap().simulated_us;
                     res.ids()
                 })
                 .collect();
@@ -1575,9 +1680,13 @@ mod tests {
         let ds = deep_dataset(3_000, 10);
         let mut index = build_high(&ds);
         let q = ds.queries.row(0);
-        let full = index.search(q, 10).unwrap();
+        let simulated = |index: &JunoIndex| {
+            let res = index.search(q, 10).unwrap();
+            index.simulate(q, &res).unwrap()
+        };
+        let full = simulated(&index);
         index.set_threshold_scale(0.4).unwrap();
-        let tight = index.search(q, 10).unwrap();
+        let tight = simulated(&index);
         assert!(
             tight.stats.rt_hits <= full.stats.rt_hits,
             "scale 0.4 hits {} vs full {}",
@@ -1628,12 +1737,16 @@ mod tests {
         let ds = deep_dataset(2_000, 3);
         let mut index = build_high(&ds);
         let q = ds.queries.row(0);
+        let simulated_us = |index: &JunoIndex| {
+            let res = index.search(q, 10).unwrap();
+            index.simulate(q, &res).unwrap().simulated_us
+        };
         index.set_execution(ExecutionMode::Pipelined, GpuDevice::rtx4090());
-        let piped = index.search(q, 10).unwrap().simulated_us;
+        let piped = simulated_us(&index);
         index.set_execution(ExecutionMode::Serial, GpuDevice::rtx4090());
-        let serial = index.search(q, 10).unwrap().simulated_us;
+        let serial = simulated_us(&index);
         index.set_execution(ExecutionMode::NaiveCorun, GpuDevice::rtx4090());
-        let naive = index.search(q, 10).unwrap().simulated_us;
+        let naive = simulated_us(&index);
         // At this toy scale the accumulation stage is tiny, so the pipelined
         // mode's MPS partition overhead can slightly exceed the serial sum;
         // it must still never lose by much and must always beat naive co-run.
@@ -1646,10 +1759,14 @@ mod tests {
         let ds = deep_dataset(2_000, 3);
         let mut index = build_high(&ds);
         let q = ds.queries.row(0);
+        let lut_us = |index: &JunoIndex| {
+            let res = index.search(q, 10).unwrap();
+            index.simulate(q, &res).unwrap().stats.lut_us
+        };
         index.set_execution(ExecutionMode::Serial, GpuDevice::rtx4090());
-        let with_rt = index.search(q, 10).unwrap().stats.lut_us;
+        let with_rt = lut_us(&index);
         index.set_execution(ExecutionMode::Serial, GpuDevice::a100());
-        let without_rt = index.search(q, 10).unwrap().stats.lut_us;
+        let without_rt = lut_us(&index);
         assert!(
             without_rt > with_rt,
             "A100 software fallback ({without_rt}) must exceed 4090 RT time ({with_rt})"
@@ -1989,6 +2106,161 @@ mod tests {
         };
         let index = JunoIndex::build(&mips.points, &config).unwrap();
         check(&index, &mips.queries, "mips");
+    }
+
+    /// Compares every entry of every probe's plan table with the traced LUT
+    /// of the same query. Returns the entries compared and, per entry on
+    /// which the two disagree about selection, a description, the entry's
+    /// exact value and the limit the table held it to.
+    fn hit_set_mismatches(
+        index: &JunoIndex,
+        queries: &VectorSet,
+    ) -> (usize, Vec<(String, f32, f32)>) {
+        let entries = index.pq.entries_per_subspace();
+        let (mut compared, mut mismatches) = (0usize, Vec::new());
+        for (qi, q) in queries.iter().enumerate() {
+            let plan = index.plan(q).unwrap();
+            let (clusters, lut, _, _) = index.build_selective_lut(q).unwrap();
+            assert_eq!(plan.probes, clusters, "query {qi}: probes");
+            let mut selected = 0usize;
+            for (probe, &cluster) in clusters.iter().enumerate() {
+                let centroid = index.ray_centroid(cluster).unwrap();
+                for (s, row) in plan.table(probe).chunks_exact(entries).enumerate() {
+                    let mut traced = vec![false; entries];
+                    for &e in lut.row_entries(probe, s) {
+                        traced[e as usize] = true;
+                    }
+                    let p = projection(q, centroid, s);
+                    let threshold = plan.thresholds[s];
+                    for (e, (&v, &t)) in row.iter().zip(&traced).enumerate() {
+                        compared += 1;
+                        selected += usize::from(!v.is_nan());
+                        if v.is_nan() != t {
+                            continue;
+                        }
+                        let limit = index.mapping.select_limit(s, p, threshold).unwrap();
+                        let entry = index.pq.codebooks()[s].entry(e).unwrap();
+                        let value = match index.config.metric {
+                            Metric::L2 => juno_common::metric::l2_squared(&p, entry),
+                            Metric::InnerProduct => inner_product(&p, entry),
+                        };
+                        let side = if t { "traced only" } else { "table only" };
+                        mismatches.push((
+                            format!("query {qi} probe {probe} subspace {s} entry {e}: {side}"),
+                            value,
+                            limit,
+                        ));
+                    }
+                }
+            }
+            assert_eq!(plan.hits, selected, "query {qi}: hit count");
+        }
+        (compared, mismatches)
+    }
+
+    /// The hit-set oracle: on every figure profile (SIFT- and DEEP-like
+    /// under L2, TTI-like under MIPS, and DEEP-like under MIPS too) the
+    /// closed-form tables select the entries the RT tracer hits, except at
+    /// most one entry per million compared — the worst rate measured on
+    /// figure-shaped fixtures (20k points, 200 queries, scales 1 to 0.4) was
+    /// 4 in 4,915,200 — and each exception lies within rounding of the limit
+    /// (there, within 2·10⁻⁵ of it, relative).
+    #[test]
+    fn closed_form_hit_sets_match_the_traced_luts_on_every_profile() {
+        for (profile, metric) in [
+            (DatasetProfile::SiftLike, Metric::L2),
+            (DatasetProfile::DeepLike, Metric::L2),
+            (DatasetProfile::TtiLike, Metric::InnerProduct),
+            (DatasetProfile::DeepLike, Metric::InnerProduct),
+        ] {
+            let ds = profile.generate(3_000, 24, 83).unwrap();
+            let config = JunoConfig {
+                n_clusters: 32,
+                nprobs: 8,
+                pq_entries: 64,
+                ..JunoConfig::small_test(ds.dim(), metric)
+            };
+            let mut index = JunoIndex::build(&ds.points, &config).unwrap();
+            for scale in [1.0f32, 0.6] {
+                index.set_threshold_scale(scale).unwrap();
+                let (compared, mismatches) = hit_set_mismatches(&index, &ds.queries);
+                let label = format!("{} {metric:?} scale {scale}", profile.name());
+                assert!(compared > 500_000, "{label}: {compared} entries");
+                let bound = compared.div_ceil(1_000_000);
+                assert!(
+                    mismatches.len() <= bound,
+                    "{label}: {} mismatches in {compared} entries (bound {bound}): {mismatches:?}",
+                    mismatches.len()
+                );
+                for (what, value, limit) in &mismatches {
+                    assert!(
+                        (value - limit).abs() <= 1e-4 * limit.abs().max(1.0),
+                        "{label}: {what} is {value}, off its limit {limit}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every selected value of a JUNO-H L2 plan is the dense ADC table's
+    /// entry bit for bit ([`ProductQuantizer::dense_lut_into`] over the
+    /// probe's residual), and every MIPS one is `inner_product` of the
+    /// query's projection with the entry: the values are computed, not
+    /// recovered from a hit time.
+    #[test]
+    fn selected_values_equal_the_dense_adc_table_bit_for_bit() {
+        for (profile, metric) in [
+            (DatasetProfile::DeepLike, Metric::L2),
+            (DatasetProfile::SiftLike, Metric::L2),
+            (DatasetProfile::TtiLike, Metric::InnerProduct),
+        ] {
+            let ds = profile.generate(2_000, 12, 89).unwrap();
+            let config = JunoConfig {
+                n_clusters: 16,
+                nprobs: 6,
+                pq_entries: 64,
+                ..JunoConfig::small_test(ds.dim(), metric)
+            };
+            let index = JunoIndex::build(&ds.points, &config).unwrap();
+            let (subspaces, entries) = (index.pq.num_subspaces(), index.pq.entries_per_subspace());
+            let mut dense = Vec::new();
+            let mut checked = 0usize;
+            for (qi, q) in ds.queries.iter().enumerate() {
+                let plan = index.plan(q).unwrap();
+                for (probe, &cluster) in plan.probes.iter().enumerate() {
+                    match metric {
+                        Metric::L2 => {
+                            let residual = index.ivf.query_residual(q, cluster).unwrap();
+                            index.pq.dense_lut_into(&residual, &mut dense).unwrap();
+                        }
+                        Metric::InnerProduct => {
+                            dense.clear();
+                            for (s, cb) in index.pq.codebooks().iter().enumerate() {
+                                let p = &q[2 * s..2 * s + 2];
+                                dense.extend(cb.entries().iter().map(|e| inner_product(p, e)));
+                            }
+                        }
+                    }
+                    assert_eq!(dense.len(), subspaces * entries);
+                    for (i, (&v, &want)) in plan.table(probe).iter().zip(&dense).enumerate() {
+                        if !v.is_nan() {
+                            checked += 1;
+                            assert_eq!(
+                                v.to_bits(),
+                                want.to_bits(),
+                                "{} query {qi} probe {probe} entry {i}: {v} vs {want}",
+                                profile.name()
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                checked > 1_000,
+                "{}: only {checked} selected",
+                profile.name()
+            );
+        }
     }
 
     #[test]

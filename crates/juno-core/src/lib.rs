@@ -13,14 +13,18 @@
 //! * [`threshold`] — the dynamic/static threshold strategies and the
 //!   threshold → `t_max` conversion.
 //! * [`mapping`] — placement of codebook entries as spheres (`z = 2s + 1`),
-//!   per-subspace coordinate normalisation, and the MIPS radius transform.
+//!   per-subspace coordinate normalisation, the MIPS radius transform, and
+//!   the scene's hit predicate in closed form (the serving path's front
+//!   half).
 //! * [`inverted`] — the subspace-level inverted index
 //!   `Map[cluster][subspace][entry] → point ids`.
-//! * [`lut`] — the selective L2-LUT built from RT-core hits.
+//! * [`lut`] — the selective L2-LUT built from RT-core hits (the oracle and
+//!   the simulator's source of RT work; searches use the closed form).
 //! * [`hitcount`] — the hit-count based aggressive approximation (JUNO-L/M).
 //! * [`persist`] — versioned snapshot save/load of the built engine
 //!   (restart without rebuild; bit-identical search after restore).
-//! * [`pipeline`] — RT + Tensor core stage times and pipelined execution.
+//! * [`pipeline`] — RT + Tensor core stage times and pipelined execution,
+//!   computed on request (`AnnIndex::simulate`).
 //! * [`engine`] — [`JunoIndex`](engine::JunoIndex), the end-to-end engine
 //!   implementing [`juno_common::AnnIndex`].
 //!

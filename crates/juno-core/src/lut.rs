@@ -1,4 +1,4 @@
-//! The selective L2-LUT.
+//! The selective L2-LUT as the RT cores build it.
 //!
 //! Where FAISS tabulates the distance from the query projection to **every**
 //! codebook entry (`nprobs × E × D/M` values per query), JUNO only stores the
@@ -6,7 +6,17 @@
 //! fraction (Section 3.2 reports ≤ 30 % usage, and the threshold prunes
 //! further). The LUT is therefore sparse: per `(probed cluster, subspace)` a
 //! short list of `(entry, value)` pairs, where `value` is the squared L2
-//! distance (or the inner product under MIPS) recovered from `t_hit`.
+//! distance (or the inner product under MIPS) recovered from `t_hit` — as
+//! the paper's hit shader does, and approximately: `(R² − dz²)/c²` cancels
+//! as `d² → 0`.
+//!
+//! Searches no longer build it. On a CPU the engine evaluates the rays' hit
+//! predicate in closed form ([`SceneMapping::select_table`]) into a dense
+//! table holding each selected entry's exact value (`engine::JunoPlan`).
+//! What stays here is the RT construction itself: the oracle that table's
+//! hit sets are tested against, and the traversal work
+//! [`construct_selective_lut`] counts, which the GPU model turns into
+//! simulated time (`AnnIndex::simulate`).
 //!
 //! # Memory layout
 //!
@@ -16,10 +26,9 @@
 //! allocation instead of `slots × subspaces`, and the whole LUT streams
 //! through cache linearly during accumulation.
 //!
-//! For the distance scan itself, [`LutDecodeBuffer`] expands one slot's rows
-//! into a dense `subspaces × E` buffer (`NaN` marking unselected entries) so
-//! the per-candidate inner loop does O(1) indexed loads instead of a binary
-//! search per `(candidate, subspace)`.
+//! [`LutDecodeBuffer`] expands one slot's rows into the dense
+//! `subspaces × E` layout the scan reads (`NaN` marking unselected entries),
+//! for callers that replay the traced construction stage by stage.
 
 use crate::mapping::SceneMapping;
 use juno_common::error::{Error, Result};

@@ -17,12 +17,23 @@
 //!   without extra dimensions (Section 4.2, "Inner Product Similarity
 //!   Support").
 //!
+//! A CPU has no RT cores to trace those rays on, so the serving path does
+//! not trace them: [`SceneMapping::select_table`] solves the same geometry
+//! for each entry (hit iff `d² ≤ min(thr², R²/c²)`, or an inner-product cut
+//! under MIPS) in one vectorised pass over codebook columns kept beside the
+//! scene, and computes each selected entry's value exactly instead of
+//! recovering it from `t_hit`. The scene, its flattened ray tables and
+//! [`SceneMapping::decode_hit`] remain for the traced construction
+//! (`crate::lut`): the oracle the closed form is tested against and the
+//! source of the simulator's RT work counters.
+//!
 //! Because the RT geometry requires the sphere radius to stay below the one
 //! unit of `z` travel between the ray origin plane and the entry plane, every
 //! subspace gets a coordinate scale factor chosen so that the largest useful
 //! threshold maps to a radius `< 1`.
 
 use juno_common::error::{Error, Result};
+use juno_common::kernel;
 use juno_common::metric::Metric;
 use juno_quant::codebook::Codebook;
 use juno_rt::ray::Ray;
@@ -45,33 +56,50 @@ struct SubspaceGeometry {
     base_radius: f32,
 }
 
-/// What rays are traced through: the scene and, per subspace, its flattened
-/// traversal for that subspace's query rays. Immutable once built.
+/// Everything a mapping shares between its clones, immutable once built:
+/// the codebook entries column-major (the closed-form predicate's side of
+/// the scene), and what rays are traced through — the scene and, per
+/// subspace, its flattened traversal for that subspace's query rays.
 #[derive(Debug)]
-struct Traversal {
+struct Shared {
+    /// `xs[s * E + e]`, `ys[s * E + e]`: entry `e` of subspace `s`, in
+    /// original units.
+    xs: Vec<f32>,
+    ys: Vec<f32>,
     scene: Scene,
     /// `tables[s]` answers `+z` rays from subspace `s`'s origin plane exactly
     /// as `scene` does (see [`juno_rt::table`]).
     tables: Vec<ZRayTable>,
 }
 
-impl Traversal {
-    fn new(scene: Scene, num_subspaces: usize) -> Arc<Self> {
-        let tables = (0..num_subspaces)
+impl Shared {
+    fn new(codebooks: &[Codebook], scene: Scene) -> Arc<Self> {
+        let tables = (0..codebooks.len())
             .map(|s| scene.z_ray_table(origin_z(s)))
             .collect();
-        Arc::new(Self { scene, tables })
+        let column = |j: usize| {
+            codebooks
+                .iter()
+                .flat_map(|cb| cb.entries().iter().map(move |e| e[j]))
+                .collect()
+        };
+        Arc::new(Self {
+            xs: column(0),
+            ys: column(1),
+            scene,
+            tables,
+        })
     }
 }
 
 /// The RT scene plus everything needed to create rays and decode hits.
 ///
-/// The scene and its traversal tables sit behind one `Arc`: cloning a
-/// mapping — which cloning an index does, per shard per write — copies a
-/// pointer, not the spheres, the BVH and the tables.
+/// The entry columns, the scene and its traversal tables sit behind one
+/// `Arc`: cloning a mapping — which cloning an index does, per shard per
+/// write — copies a pointer, not the spheres, the BVH and the tables.
 #[derive(Debug, Clone)]
 pub struct SceneMapping {
-    traversal: Arc<Traversal>,
+    shared: Arc<Shared>,
     geometry: Vec<SubspaceGeometry>,
     entries_per_subspace: usize,
     metric: Metric,
@@ -122,7 +150,7 @@ impl SceneMapping {
             }
         }
         Ok(Self {
-            traversal: Traversal::new(builder.build(), geometry.len()),
+            shared: Shared::new(codebooks, builder.build()),
             geometry,
             entries_per_subspace,
             metric: Metric::L2,
@@ -190,7 +218,7 @@ impl SceneMapping {
             }
         }
         Ok(Self {
-            traversal: Traversal::new(builder.build(), geometry.len()),
+            shared: Shared::new(codebooks, builder.build()),
             geometry,
             entries_per_subspace,
             metric: Metric::InnerProduct,
@@ -214,7 +242,7 @@ impl SceneMapping {
 
     /// Borrow of the traversable scene (for diagnostics and benches).
     pub fn scene(&self) -> &Scene {
-        &self.traversal.scene
+        &self.shared.scene
     }
 
     /// The ray travel budget implementing a distance threshold in `subspace`.
@@ -240,6 +268,77 @@ impl SceneMapping {
             }
         };
         Ok(t.clamp(0.0, 1.0))
+    }
+
+    /// The scene's hit predicate in closed form, over every entry of every
+    /// subspace at once ([`kernel::selective_table`]): `out[s × E + e]` is
+    /// entry `e`'s exact value against `projections[s]` — their squared L2
+    /// distance, or their inner product under MIPS, in original units —
+    /// where subspace `s`'s ray hits the entry's sphere, and `NaN` where it
+    /// misses; `limits[s]` is [`SceneMapping::select_limit`] of the ray.
+    /// Returns the hit count.
+    ///
+    /// Solving the Fig. 9 geometry for the entry: an L2 ray hits iff
+    /// `d² ≤ min(thr², R²/c²)` — the threshold, capped by the sphere radius
+    /// `R` at coordinate scale `c`. A MIPS ray with travel `t_max` hits
+    /// entry `e`'s sphere (`R_e² = R² + c²‖e‖²`) iff
+    /// `c²d² ≤ R_e² − (1 − t_max)²`, i.e. iff
+    /// `IP ≥ (‖q‖² − (R² − (1 − t_max)²)/c²) / 2`. The tracer decides the
+    /// same predicate through `t_hit` in scaled units, so the two may
+    /// disagree on an entry within rounding of the boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one projection and one limit per subspace and
+    /// `out` holds one value per entry of every subspace.
+    pub fn select_table(&self, projections: &[[f32; 2]], limits: &[f32], out: &mut [f32]) -> usize {
+        assert_eq!(
+            projections.len(),
+            self.num_subspaces(),
+            "one projection per subspace"
+        );
+        kernel::selective_table(
+            self.metric,
+            projections,
+            limits,
+            &self.shared.xs,
+            &self.shared.ys,
+            out,
+        )
+    }
+
+    /// The limit [`SceneMapping::select_table`] holds subspace `subspace`'s
+    /// entries to for a ray from `projection` at `threshold` (read as
+    /// [`SceneMapping::t_max_for_threshold`] reads it): `min(thr², R²/c²)`
+    /// under L2, whatever the projection; the inner-product cut under MIPS.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
+    pub fn select_limit(
+        &self,
+        subspace: usize,
+        projection: [f32; 2],
+        threshold: f32,
+    ) -> Result<f32> {
+        let geo = self.geo(subspace)?;
+        let scale_sq = geo.coord_scale * geo.coord_scale;
+        Ok(match self.metric {
+            Metric::L2 => {
+                let thr = threshold.max(0.0);
+                if thr * geo.coord_scale >= geo.base_radius {
+                    geo.base_radius * geo.base_radius / scale_sq
+                } else {
+                    thr * thr
+                }
+            }
+            Metric::InnerProduct => {
+                let dz = 1.0 - self.t_max_for_threshold(subspace, threshold)?;
+                let reach = (geo.base_radius * geo.base_radius - dz * dz) / scale_sq;
+                let q_sq = projection[0] * projection[0] + projection[1] * projection[1];
+                0.5 * (q_sq - reach)
+            }
+        })
     }
 
     /// Creates the query ray of `subspace` for a query projection `(x, y)`
@@ -299,7 +398,7 @@ impl SceneMapping {
     pub(crate) fn subspace_rays(&self, subspace: usize) -> Result<SubspaceRays<'_>> {
         let geo = self.geo(subspace)?;
         Ok(SubspaceRays {
-            table: &self.traversal.tables[subspace],
+            table: &self.shared.tables[subspace],
             metric: self.metric,
             coord_scale: geo.coord_scale,
             radius_sq: geo.base_radius * geo.base_radius,

@@ -1,7 +1,7 @@
 //! The plan stamp's hash: a word-wise FNV-1a over the state planning reads.
 //!
 //! [`JunoIndex`](crate::engine::JunoIndex) fingerprints everything
-//! `build_selective_lut` depends on, so that a plan computed on one engine
+//! planning a query depends on, so that a plan computed on one engine
 //! is only ever scanned by an engine that would have computed the same plan
 //! (see [`juno_common::index::BatchPlan`]). The hash needs to be fast — it
 //! covers the density maps, ≈2 MB at 48 subspaces — and to separate states

@@ -7,7 +7,7 @@ use juno_common::vector::VectorSet;
 use juno_core::config::{JunoConfig, QualityMode};
 use juno_core::engine::JunoIndex;
 use juno_data::profiles::{Dataset, DatasetProfile};
-use juno_quant::scan::PlannedBatch;
+use juno_quant::scan::{PlannedBatch, ScanEngine};
 use std::sync::OnceLock;
 
 /// One dataset + JUNO-H index for the whole file; tests clone the index
@@ -37,10 +37,7 @@ fn group_scratch_is_reused_without_allocation_churn() {
     let rows: Vec<&[f32]> = ds.queries.iter().collect();
     for mode in [QualityMode::High, QualityMode::Medium, QualityMode::Low] {
         index.set_quality(mode);
-        let plans: Vec<_> = rows
-            .iter()
-            .map(|q| index.build_selective_lut(q).unwrap())
-            .collect();
+        let plans: Vec<_> = rows.iter().map(|q| index.plan(q).unwrap()).collect();
         // No seed bounds, every probe grouped: the pure cluster-major
         // configuration, which touches every arena path.
         let batch = PlannedBatch {

@@ -17,7 +17,8 @@
 //!   any-hit callbacks online, exactly like an OptiX launch.
 //! * [`table`] — the same traversal flattened for JUNO's canonical ray
 //!   family (`+z`, `t_max ≤ 1`, one origin depth per subspace): lane-parallel
-//!   tables with the BVH's exact hits and counters.
+//!   tables with the BVH's exact hits and counters, which the simulator and
+//!   the engine's hit-set oracle trace through.
 //! * [`stats`] — traversal work counters (box tests, primitive tests, hit
 //!   shader invocations) that stand in for RT-core cycles.
 //! * [`hardware`] — per-generation RT-core throughput figures (Turing /

@@ -1,5 +1,12 @@
 //! Flattened traversal tables for JUNO's canonical ray family.
 //!
+//! These tables do not serve queries: the engine evaluates the rays' hit
+//! predicate in closed form (`juno_core::mapping::SceneMapping::select_table`).
+//! They are how the simulator gets the box and primitive counters of the
+//! RT launch a query stands for (`AnnIndex::simulate` of a JUNO index), and
+//! the traced side of the oracle the closed form's hit sets are tested
+//! against — fast enough to trace every figure's queries.
+//!
 //! Every ray JUNO traces for subspace `s` starts in the plane `z = 2s`,
 //! points along `+z` and travels at most one unit (paper Fig. 8/9). For that
 //! family the tree walk of [`Bvh::trace`] decides very little: which nodes a

@@ -18,7 +18,7 @@ fn sweep(
     let mut total_us = 0.0;
     for q in queries.iter() {
         let r = index.search(q, 100)?;
-        total_us += r.simulated_us;
+        total_us += index.simulate(q, &r)?.simulated_us;
         retrieved.push(r.ids());
     }
     let recall = r1_at_100(&retrieved, gt)?;

@@ -47,7 +47,8 @@ fn main() -> Result<(), juno::common::Error> {
     let mut base_us = 0.0;
     for query in dataset.queries.iter() {
         let r = juno.search(query, 100)?;
-        juno_us += r.simulated_us;
+        // JUNO's simulated GPU time is computed on request, off the search.
+        juno_us += juno.simulate(query, &r)?.simulated_us;
         juno_hits.push(r.ids());
         let r = baseline.search(query, 100)?;
         base_us += r.simulated_us;
@@ -70,13 +71,14 @@ fn main() -> Result<(), juno::common::Error> {
 
     // 5. Inspect one result in detail.
     let result = juno.search(dataset.queries.row(0), 5)?;
+    let simulated = juno.simulate(dataset.queries.row(0), &result)?;
     println!("\ntop-5 neighbours of query 0:");
     for n in &result.neighbors {
         println!("  point {:>6}  distance {:.3}", n.id, n.distance);
     }
     println!(
         "RT work for that query: {} AABB tests, {} sphere tests, {} hits",
-        result.stats.rt_aabb_tests, result.stats.rt_primitive_tests, result.stats.rt_hits
+        simulated.stats.rt_aabb_tests, simulated.stats.rt_primitive_tests, simulated.stats.rt_hits
     );
 
     // 6. Persist the index and serve it back out of core: same neighbours,

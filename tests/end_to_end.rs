@@ -9,7 +9,7 @@ fn recall_of(index: &dyn AnnIndex, queries: &VectorSet, gt: &GroundTruth, k: usi
     let mut total_us = 0.0;
     for q in queries.iter() {
         let r = index.search(q, k).expect("search");
-        total_us += r.simulated_us;
+        total_us += index.simulate(q, &r).expect("simulate").simulated_us;
         retrieved.push(r.ids());
     }
     (
@@ -134,10 +134,14 @@ fn a100_erases_the_rt_advantage_at_high_quality() {
     let mut juno = JunoIndex::build(&dataset.points, &config).unwrap();
     let q = dataset.queries.row(0);
 
+    let simulated_us = |juno: &JunoIndex| {
+        let result = juno.search(q, 100).unwrap();
+        juno.simulate(q, &result).unwrap().simulated_us
+    };
     juno.set_execution(ExecutionMode::Pipelined, GpuDevice::rtx4090());
-    let on_rtx = juno.search(q, 100).unwrap().simulated_us;
+    let on_rtx = simulated_us(&juno);
     juno.set_execution(ExecutionMode::Pipelined, GpuDevice::a100());
-    let on_a100 = juno.search(q, 100).unwrap().simulated_us;
+    let on_a100 = simulated_us(&juno);
     assert!(
         on_a100 > on_rtx,
         "software traversal on A100 ({on_a100}) must be slower than RTX 4090 ({on_rtx})"
