@@ -57,9 +57,10 @@ GATES = [
      "read 0.92-1.29; >= 3 when every shard re-plans the front half"),
     (ONLINE, "engine.search_us", ("<", 406),
      "read 193.7-202.6 with the front half as one selective-table kernel "
-     "pass per probe (2x the worst is 405.2); 348.3-496.5 in the same "
-     "session when the search traced its rays through the ray tables and "
-     "decoded the CSR LUT per probe"),
+     "pass per probe (2x the worst is 405.2), and 133.2-209.9 in seven "
+     "later runs once expand writes each probe's table; 348.3-496.5 in the "
+     "same session when the search traced its rays through the ray tables "
+     "and decoded the CSR LUT per probe"),
     (ONLINE, "open_lat_p99_ms", ("<", 250),
      "read 1.4-10.4 at 120 req/s; the server's deadline budget (batch "
      "search budget + batcher delay) is 251"),

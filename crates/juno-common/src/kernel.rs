@@ -934,9 +934,9 @@ impl NearestRows {
 /// * **MIPS:** the value is `IP = 0 + p₀·x + p₁·y`, the arithmetic and order
 ///   of [`crate::metric::inner_product`]; selected when `IP ≥ limit`.
 ///
-/// A NaN value or limit selects nothing. The AVX2 arm computes eight
-/// entries at a time with separate multiplies and adds (never fused) and
-/// ordered compares, so it returns the portable arm's bits.
+/// A NaN value or limit selects nothing. Both arms run one element-wise
+/// body, the AVX2 one compiled with AVX2 but not FMA enabled: widening
+/// never fuses a multiply into an add, so the arms return the same bits.
 ///
 /// # Panics
 ///
@@ -963,13 +963,15 @@ pub fn selective_table(
     assert_eq!(out.len() % rows, 0, "selective_table: ragged rows");
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2 confirmed at runtime; shapes asserted above.
+        // SAFETY: AVX2 confirmed at runtime.
         return unsafe { selective_table_avx2(metric, ps, limits, xs, ys, out) };
     }
     selective_table_scalar(metric, ps, limits, xs, ys, out)
 }
 
-/// The portable arm of [`selective_table`].
+/// The portable arm of [`selective_table`], and the one body of both arms:
+/// [`selective_table_avx2`] is this function compiled with AVX2 enabled.
+#[inline(always)]
 fn selective_table_scalar(
     metric: Metric,
     ps: &[[f32; 2]],
@@ -982,53 +984,47 @@ fn selective_table_scalar(
     let mut selected = 0usize;
     for (r, (p, &limit)) in ps.iter().zip(limits).enumerate() {
         let row = r * entries..(r + 1) * entries;
-        selected += selective_entries(
-            metric,
-            *p,
-            limit,
-            &xs[row.clone()],
-            &ys[row.clone()],
-            &mut out[row],
-        );
-    }
-    selected
-}
-
-/// One row (or a row's tail) of [`selective_table`], entry by entry.
-#[inline]
-fn selective_entries(
-    metric: Metric,
-    p: [f32; 2],
-    limit: f32,
-    xs: &[f32],
-    ys: &[f32],
-    out: &mut [f32],
-) -> usize {
-    let mut selected = 0usize;
-    for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-        let (v, hit) = match metric {
-            Metric::L2 => {
+        let (xs, ys, out) = (&xs[row.clone()], &ys[row.clone()], &mut out[row]);
+        selected += match metric {
+            Metric::L2 => select_row(xs, ys, out, |x, y| {
                 let (dx, dy) = (p[0] - x, p[1] - y);
                 let v = dx * dx + dy * dy;
                 (v, v <= limit)
-            }
-            Metric::InnerProduct => {
+            }),
+            Metric::InnerProduct => select_row(xs, ys, out, |x, y| {
                 let v = 0.0 + p[0] * x + p[1] * y;
                 (v, v >= limit)
-            }
+            }),
         };
-        *o = if hit { v } else { f32::NAN };
-        selected += usize::from(hit);
     }
     selected
 }
 
-/// The AVX2 arm of [`selective_table`]: eight entries of a row per step,
-/// each row's tail through the portable arm.
+/// One row of [`selective_table`]: `value` maps an entry to its value and
+/// whether it is selected.
+#[inline(always)]
+fn select_row(
+    xs: &[f32],
+    ys: &[f32],
+    out: &mut [f32],
+    value: impl Fn(f32, f32) -> (f32, bool),
+) -> usize {
+    let mut selected = 0u32;
+    for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+        let (v, hit) = value(x, y);
+        *o = if hit { v } else { f32::NAN };
+        selected += u32::from(hit);
+    }
+    selected as usize
+}
+
+/// The AVX2 arm of [`selective_table`]: the portable body compiled with
+/// AVX2 (and not FMA) enabled, which the compiler widens to eight entries a
+/// step.
 ///
 /// # Safety
 ///
-/// Requires AVX2 and the shapes [`selective_table`] asserts.
+/// Requires AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn selective_table_avx2(
@@ -1039,50 +1035,7 @@ unsafe fn selective_table_avx2(
     ys: &[f32],
     out: &mut [f32],
 ) -> usize {
-    use std::arch::x86_64::*;
-    let entries = out.len() / ps.len();
-    let whole = entries / 8 * 8;
-    let nan = _mm256_set1_ps(f32::NAN);
-    let mut selected = 0usize;
-    for (r, (p, &limit)) in ps.iter().zip(limits).enumerate() {
-        let (px, py) = (_mm256_set1_ps(p[0]), _mm256_set1_ps(p[1]));
-        let lim = _mm256_set1_ps(limit);
-        let start = r * entries;
-        for i in (start..start + whole).step_by(8) {
-            // SAFETY: `i + 8 ≤ (r + 1) × entries ≤ len` for all three slices.
-            let (x, y) = unsafe {
-                (
-                    _mm256_loadu_ps(xs.as_ptr().add(i)),
-                    _mm256_loadu_ps(ys.as_ptr().add(i)),
-                )
-            };
-            let (v, hit) = match metric {
-                Metric::L2 => {
-                    let (dx, dy) = (_mm256_sub_ps(px, x), _mm256_sub_ps(py, y));
-                    let v = _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy));
-                    (v, _mm256_cmp_ps::<_CMP_LE_OQ>(v, lim))
-                }
-                Metric::InnerProduct => {
-                    let v = _mm256_add_ps(_mm256_setzero_ps(), _mm256_mul_ps(px, x));
-                    let v = _mm256_add_ps(v, _mm256_mul_ps(py, y));
-                    (v, _mm256_cmp_ps::<_CMP_GE_OQ>(v, lim))
-                }
-            };
-            // SAFETY: as for the loads.
-            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_blendv_ps(nan, v, hit)) };
-            selected += _mm256_movemask_ps(hit).count_ones() as usize;
-        }
-        let tail = start + whole..start + entries;
-        selected += selective_entries(
-            metric,
-            *p,
-            limit,
-            &xs[tail.clone()],
-            &ys[tail.clone()],
-            &mut out[tail],
-        );
-    }
-    selected
+    selective_table_scalar(metric, ps, limits, xs, ys, out)
 }
 
 #[cfg(test)]
@@ -1712,7 +1665,7 @@ mod tests {
                     arms.push(("scalar", n, out.clone()));
                     #[cfg(target_arch = "x86_64")]
                     if std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: AVX2 detected; the shapes are whole rows.
+                        // SAFETY: AVX2 detected.
                         let n = unsafe {
                             selective_table_avx2(metric, &ps, &limits, &xs, &ys, &mut out)
                         };

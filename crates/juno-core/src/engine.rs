@@ -18,9 +18,9 @@
 //!    expressed as the ray's `t_max`. On a CPU the serving path evaluates
 //!    the same hit predicate in closed form instead
 //!    ([`SceneMapping::select_table`], one vectorised kernel pass per
-//!    probe): a
-//!    dense `S×E` table per probe holding each selected entry's exact value
-//!    and `NaN` for the rest ([`JunoPlan`]);
+//!    probe): the plan ([`JunoPlan`]) holds the probes and each subspace's
+//!    selection limit, and expanding a probe writes its dense `S×E` table,
+//!    each selected entry's exact value and `NaN` for the rest;
 //! 3. distance calculation over the probed clusters' codes, either with
 //!    exact accumulated distances (JUNO-H) or hit counts (JUNO-L/M).
 //!
@@ -120,42 +120,37 @@ pub type SearchScratch = ScanArena<JunoSlot>;
 /// One query's plan, the engine's [`ScanEngine::Plan`]: computed once per
 /// query (once per fleet batch, shared through a [`BatchPlan`]) and read by
 /// every probe's visit on every shard. It holds the probed clusters in
-/// filter order, the per-subspace thresholds, and per probe the dense `S×E`
-/// selective table ([`SceneMapping::select_table`]): each entry's exact value
-/// (`d²` to the probe's residual projection, or the inner product with the
-/// query's projection under MIPS) where the scene's hit predicate selects
-/// it, `NaN` where it does not.
+/// filter order, the per-subspace thresholds and the limits the selective
+/// tables hold each subspace's entries to ([`SceneMapping::select_limit`]):
+/// `O(S)` values, whatever the codebook size. The tables themselves are
+/// written where they are read, by [`ScanEngine::expand`].
 #[derive(Debug, Clone)]
 pub struct JunoPlan {
     probes: Vec<usize>,
     /// Per-subspace thresholds: planar distances (L2) or the scale factor
     /// (MIPS).
     thresholds: Vec<f32>,
+    /// Per-subspace selection limits.
+    limits: Vec<f32>,
     /// Mean squared threshold: the L2 miss penalty base (an unselected
     /// entry's true distance exceeds its subspace's threshold).
     mean_thr_sq: f32,
-    /// `tables[(probe × S + s) × E + e]`.
-    tables: Vec<f32>,
     /// Entries selected over every probe's table.
     hits: usize,
 }
 
-impl JunoPlan {
-    /// Probe `probe`'s `S×E` table, row-major by subspace (`NaN` =
-    /// unselected).
-    fn table(&self, probe: usize) -> &[f32] {
-        let len = self.tables.len() / self.probes.len().max(1);
-        &self.tables[probe * len..(probe + 1) * len]
-    }
-}
-
 /// One expanded `(query, probe)` pair of the JUNO engine: the probe's dense
-/// `S×E` table copied from the plan (`NaN` = unselected), the per-visit
-/// constants of the exact arithmetic, and the indicator LUTs the hit-count
-/// unit builds instead.
+/// `S×E` selective table ([`SceneMapping::select_table`]: each entry's exact
+/// value — `d²` to the probe's residual projection, or the inner product
+/// with the query's projection under MIPS — where the scene's hit predicate
+/// selects it, `NaN` where it does not), the per-visit constants of the
+/// exact arithmetic, and the indicator LUTs the hit-count unit builds
+/// instead.
 #[derive(Debug)]
 pub struct JunoSlot {
     table: Vec<f32>,
+    /// The probe's per-subspace projections the table was written from.
+    projections: Vec<[f32; 2]>,
     /// The plan's mean squared threshold (see [`JunoPlan`]).
     mean_thr_sq: f32,
     /// `IP(query, centroid)` under MIPS, `0` under L2.
@@ -778,9 +773,9 @@ impl JunoIndex {
     /// each hit's value recovered from `t_hit`, gathered into a CSR
     /// [`SelectiveLut`], with the traversal work counted. Searches do not
     /// call it: it is the oracle the serving path's closed-form tables
-    /// ([`JunoPlan`]) are held to, and the source of the RT counters
-    /// [`AnnIndex::simulate`] turns into simulated time. Exposed for the
-    /// `figures` binary and the ledger.
+    /// ([`SceneMapping::select_table`]) are held to, and the source of the
+    /// RT counters [`AnnIndex::simulate`] turns into simulated time. Exposed
+    /// for the `figures` binary and the ledger.
     ///
     /// # Errors
     ///
@@ -851,6 +846,26 @@ impl JunoIndex {
             Metric::L2 => self.ivf.centroid(cluster).map(Some),
             Metric::InnerProduct => Ok(None),
         }
+    }
+
+    /// Writes probe `cluster`'s selective table for `query` into `table`
+    /// (one [`SceneMapping::select_table`] pass from the probe's projections,
+    /// staged in `projections`) and returns its hit count.
+    fn select_probe(
+        &self,
+        query: &[f32],
+        cluster: usize,
+        limits: &[f32],
+        projections: &mut [[f32; 2]],
+        table: &mut [f32],
+    ) -> usize {
+        let centroid = self
+            .ray_centroid(cluster)
+            .expect("cluster comes from the filter stage");
+        for (s, p) in projections.iter_mut().enumerate() {
+            *p = projection(query, centroid, s);
+        }
+        self.mapping.select_table(projections, limits, table)
     }
 
     /// The front-half work counters planning one query cost (every other
@@ -952,10 +967,10 @@ fn projection(query: &[f32], centroid: Option<&[f32]>, s: usize) -> [f32; 2] {
 }
 
 /// What is JUNO about the shared scan ([`juno_quant::scan`]): a query's plan
-/// holds a dense selective table per probe ([`JunoPlan`]), a probe expands
-/// by copying its table (`NaN` = unselected), and a candidate's score adds
-/// the selected entries plus a miss penalty (L2) or the centroid term
-/// (MIPS).
+/// holds its probes and selection limits ([`JunoPlan`]), a probe expands by
+/// writing its dense selective table (`NaN` = unselected), and a candidate's
+/// score adds the selected entries plus a miss penalty (L2) or the centroid
+/// term (MIPS).
 /// The hit-count modes (JUNO-L/M) ride the same pipeline through their own
 /// per-cluster unit.
 impl ScanEngine for JunoIndex {
@@ -980,9 +995,11 @@ impl ScanEngine for JunoIndex {
         self.fastscan
     }
 
-    /// The coarse filter, the thresholds and their selection limits, and
-    /// per probe the selective table, one [`SceneMapping::select_table`]
-    /// kernel pass.
+    /// The coarse filter, the thresholds and their selection limits. The
+    /// hit count of the front-half counters takes one
+    /// [`SceneMapping::select_table`] pass per probe into a scratch table
+    /// that is not kept: [`ScanEngine::expand`] writes each table again
+    /// where it is read, so a plan shared by a fleet stays `O(S)`.
     fn plan(&self, query: &[f32]) -> Result<JunoPlan> {
         self.check_dim(query)?;
         let probes = self.ivf.filter(query, self.config.nprobs)?.clusters;
@@ -997,24 +1014,19 @@ impl ScanEngine for JunoIndex {
             })
             .collect::<Result<_>>()?;
         let mut projections = vec![[0.0f32; 2]; subspaces];
-        let mut tables = vec![0.0f32; probes.len() * subspaces * entries];
-        let mut hits = 0usize;
-        for (&cluster, table) in probes
+        let mut table = vec![0.0f32; subspaces * entries];
+        let hits = probes
             .iter()
-            .zip(tables.chunks_exact_mut(subspaces * entries))
-        {
-            let centroid = self.ray_centroid(cluster)?;
-            for (s, p) in projections.iter_mut().enumerate() {
-                *p = projection(query, centroid, s);
-            }
-            hits += self.mapping.select_table(&projections, &limits, table);
-        }
+            .map(|&cluster| {
+                self.select_probe(query, cluster, &limits, &mut projections, &mut table)
+            })
+            .sum();
         let mean_thr_sq = thresholds.iter().map(|t| t * t).sum::<f32>() / subspaces.max(1) as f32;
         Ok(JunoPlan {
             probes,
             thresholds,
+            limits,
             mean_thr_sq,
-            tables,
             hits,
         })
     }
@@ -1027,6 +1039,7 @@ impl ScanEngine for JunoIndex {
         let subspaces = self.pq.num_subspaces();
         JunoSlot {
             table: vec![f32::NAN; subspaces * self.pq.entries_per_subspace()],
+            projections: vec![[0.0; 2]; subspaces],
             mean_thr_sq: 0.0,
             centroid_term: 0.0,
             half_sq: vec![0.0; subspaces],
@@ -1041,11 +1054,17 @@ impl ScanEngine for JunoIndex {
         &self,
         query: &[f32],
         plan: &JunoPlan,
-        probe: usize,
+        _probe: usize,
         cluster: usize,
         slot: &mut JunoSlot,
     ) {
-        slot.table.copy_from_slice(plan.table(probe));
+        self.select_probe(
+            query,
+            cluster,
+            &plan.limits,
+            &mut slot.projections,
+            &mut slot.table,
+        );
         slot.centroid_term = match self.config.metric {
             Metric::L2 => 0.0,
             Metric::InnerProduct => {
@@ -1149,14 +1168,21 @@ impl ScanEngine for JunoIndex {
     /// identical to the reference path over the table itself.
     fn scan_unit(
         &self,
+        query: &[f32],
         plan: &JunoPlan,
-        probe: usize,
         cluster: usize,
         slot: &mut JunoSlot,
         topk: &mut TopK,
         ctr: &mut ScanCounters,
     ) {
-        let (table, thresholds) = (plan.table(probe), &plan.thresholds);
+        self.select_probe(
+            query,
+            cluster,
+            &plan.limits,
+            &mut slot.projections,
+            &mut slot.table,
+        );
+        let (table, thresholds) = (&slot.table, &plan.thresholds);
         let mode = match self.config.quality {
             QualityMode::Medium => HitCountMode::RewardPenalty,
             _ => HitCountMode::CountOnly,
@@ -2108,8 +2134,15 @@ mod tests {
         check(&index, &mips.queries, "mips");
     }
 
-    /// Compares every entry of every probe's plan table with the traced LUT
-    /// of the same query. Returns the entries compared and, per entry on
+    /// Probe `probe` of `plan`'s selective table, as the scan expands it.
+    fn expanded_table(index: &JunoIndex, query: &[f32], plan: &JunoPlan, probe: usize) -> Vec<f32> {
+        let mut slot = index.new_slot();
+        index.expand(query, plan, probe, plan.probes[probe], &mut slot);
+        slot.table
+    }
+
+    /// Compares every entry of every probe's expanded table with the traced
+    /// LUT of the same query. Returns the entries compared and, per entry on
     /// which the two disagree about selection, a description, the entry's
     /// exact value and the limit the table held it to.
     fn hit_set_mismatches(
@@ -2125,7 +2158,8 @@ mod tests {
             let mut selected = 0usize;
             for (probe, &cluster) in clusters.iter().enumerate() {
                 let centroid = index.ray_centroid(cluster).unwrap();
-                for (s, row) in plan.table(probe).chunks_exact(entries).enumerate() {
+                let table = expanded_table(index, q, &plan, probe);
+                for (s, row) in table.chunks_exact(entries).enumerate() {
                     let mut traced = vec![false; entries];
                     for &e in lut.row_entries(probe, s) {
                         traced[e as usize] = true;
@@ -2202,8 +2236,8 @@ mod tests {
         }
     }
 
-    /// Every selected value of a JUNO-H L2 plan is the dense ADC table's
-    /// entry bit for bit ([`ProductQuantizer::dense_lut_into`] over the
+    /// Every selected value of a JUNO-H L2 probe's table is the dense ADC
+    /// table's entry bit for bit ([`ProductQuantizer::dense_lut_into`] over the
     /// probe's residual), and every MIPS one is `inner_product` of the
     /// query's projection with the entry: the values are computed, not
     /// recovered from a hit time.
@@ -2242,7 +2276,8 @@ mod tests {
                         }
                     }
                     assert_eq!(dense.len(), subspaces * entries);
-                    for (i, (&v, &want)) in plan.table(probe).iter().zip(&dense).enumerate() {
+                    let table = expanded_table(&index, q, &plan, probe);
+                    for (i, (&v, &want)) in table.iter().zip(&dense).enumerate() {
                         if !v.is_nan() {
                             checked += 1;
                             assert_eq!(

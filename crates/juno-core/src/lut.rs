@@ -12,7 +12,8 @@
 //!
 //! Searches no longer build it. On a CPU the engine evaluates the rays' hit
 //! predicate in closed form ([`SceneMapping::select_table`]) into a dense
-//! table holding each selected entry's exact value (`engine::JunoPlan`).
+//! table holding each selected entry's exact value, written per probe as
+//! the scan expands it (`engine::JunoSlot`).
 //! What stays here is the RT construction itself: the oracle that table's
 //! hit sets are tested against, and the traversal work
 //! [`construct_selective_lut`] counts, which the GPU model turns into

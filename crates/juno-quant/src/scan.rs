@@ -180,8 +180,8 @@ pub trait ScanEngine: Sync {
     /// [`ScanEngine::own_unit`] is `true`.
     fn scan_unit(
         &self,
+        _query: &[f32],
         _plan: &Self::Plan,
-        _probe: usize,
         _cluster: usize,
         _slot: &mut Self::Slot,
         _topk: &mut TopK,
@@ -384,11 +384,11 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
     ) {
         let engine = self.engine;
         if engine.own_unit() {
-            for &(q, probe) in entries {
+            for &(q, _) in entries {
                 let state = &mut states[q as usize];
                 engine.scan_unit(
+                    self.queries[q as usize],
                     &self.plans[q as usize],
-                    probe as usize,
                     cluster,
                     &mut tile[0].slot,
                     &mut state.topk,

@@ -616,6 +616,13 @@ impl<I: AnnIndex + Clone> AnnIndex for ShardedIndex<I> {
         self.load(0).index.merge_order()
     }
 
+    /// Simulates through the first shard. Shards split from one index share
+    /// the trained state the front half reads, so each would trace the same
+    /// rays; the candidates are the merged result's.
+    fn simulate(&self, query: &[f32], result: &SearchResult) -> Result<SearchResult> {
+        self.load(0).index.simulate(query, result)
+    }
+
     fn ids(&self) -> Vec<u64> {
         self.reader().live_ids()
     }

@@ -147,3 +147,25 @@ fn a100_erases_the_rt_advantage_at_high_quality() {
         "software traversal on A100 ({on_a100}) must be slower than RTX 4090 ({on_rtx})"
     );
 }
+
+#[test]
+fn a_juno_fleet_simulates_like_its_monolith() {
+    // A fleet's search merges shard results that carry no simulated time;
+    // `simulate` on the fleet must still produce the monolith's front half.
+    let (dataset, _) = deep_fixture();
+    let config = JunoConfig {
+        n_clusters: 64,
+        nprobs: 8,
+        pq_entries: 64,
+        ..JunoConfig::small_test(dataset.dim(), dataset.metric())
+    };
+    let juno = JunoIndex::build(&dataset.points, &config).unwrap();
+    let fleet = ShardedIndex::from_monolith(juno.clone(), 4, ShardRouter::Modulo).unwrap();
+    let q = dataset.queries.row(0);
+    let result = fleet.search(q, 100).unwrap();
+    let simulated = fleet.simulate(q, &result).unwrap();
+    let alone = juno.simulate(q, &juno.search(q, 100).unwrap()).unwrap();
+    assert!(simulated.simulated_us > 0.0);
+    assert_eq!(simulated.stats.rt_hits, alone.stats.rt_hits);
+    assert_eq!(simulated.stats.lut_us, alone.stats.lut_us);
+}
