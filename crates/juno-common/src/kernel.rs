@@ -1,6 +1,7 @@
 //! The query path's scan kernels, each with an AVX2 arm and a portable arm
-//! chosen once per process ([`use_avx2`]), and the offline half's distance
-//! kernel.
+//! chosen once per process ([`use_avx2`]; the fast-scan accumulation also
+//! has an AVX-512 VBMI arm, see [`kernel_name`]), and the offline half's
+//! distance kernel.
 //!
 //! The **exact block scorer** ([`exact_block_sums`]) scores one 32-point
 //! block of subspace-major code rows against a dense `S×E` `f32` table in
@@ -26,12 +27,14 @@
 //!    to the exact scan by construction.
 //! 2. Codes are consumed in 32-point *blocks*, transposed subspace-major
 //!    (see `juno_quant::layout`), so one LUT row serves 32 contiguous lanes:
-//!    the shape AVX2 `vpshufb` wants, and the shape the autovectoriser can
-//!    at least stream linearly in the scalar fallback.
+//!    the shape AVX2 `vpshufb` and AVX-512 VBMI `vpermi2b` want, and the
+//!    shape the autovectoriser can at least stream linearly in the scalar
+//!    fallback.
 //!
-//! The AVX2 path (runtime-detected, `x86_64` only) and the scalar fallback
-//! are **bit-identical at the u8/u16 level**: same saturating `u16` lane
-//! sums, same early-abandon checkpoints. `JUNO_FORCE_SCALAR_KERNEL=1`
+//! The VBMI and AVX2 paths (runtime-detected, `x86_64` only) and the scalar
+//! fallback are **bit-identical at the u8/u16 level**: same saturating
+//! `u16` lane sums, same early-abandon checkpoints. The quantiser's AVX2 arm
+//! writes the portable arm's bytes and bits. `JUNO_FORCE_SCALAR_KERNEL=1`
 //! forces the portable arm of every kernel here and of `juno_rt`'s ray
 //! table (benchmark comparisons, differential tests).
 //!
@@ -113,26 +116,55 @@ pub const fn row_bytes(nibble: bool) -> usize {
     }
 }
 
-fn detect_avx2() -> bool {
+/// The widest SIMD arm this process runs, probed once ([`arm`]). A value
+/// other than `Scalar` is made only where the CPU reported its features
+/// (`detect_arm`, and the tests after their own probe): the `unsafe` calls
+/// into the SIMD arms rely on that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    /// The portable arms: no x86 SIMD, or `JUNO_FORCE_SCALAR_KERNEL` set.
+    Scalar,
+    /// The AVX2 arms.
+    Avx2,
+    /// The AVX2 arms, and the `vpermi2b` arm of the fast-scan accumulation
+    /// (AVX-512 VBMI with VL and BW; ymm registers only).
+    Avx512Vbmi,
+}
+
+fn detect_arm() -> Arm {
     if std::env::var_os("JUNO_FORCE_SCALAR_KERNEL").is_some_and(|v| v != "0") {
-        return false;
+        return Arm::Scalar;
     }
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        use std::arch::is_x86_feature_detected as has;
+        if !has!("avx2") {
+            Arm::Scalar
+        } else if has!("avx512vbmi") && has!("avx512vl") && has!("avx512bw") {
+            Arm::Avx512Vbmi
+        } else {
+            Arm::Avx2
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        Arm::Scalar
     }
 }
 
-/// Whether this process runs the AVX2 arms: of the kernels here and of
+fn arm() -> Arm {
+    static ARM: OnceLock<Arm> = OnceLock::new();
+    *ARM.get_or_init(detect_arm)
+}
+
+/// Whether this process runs the AVX2 arms: of every kernel here and of
 /// `juno_rt`'s ray table. True when the CPU reports AVX2 and
-/// `JUNO_FORCE_SCALAR_KERNEL` is unset or `0`; probed once.
+/// `JUNO_FORCE_SCALAR_KERNEL` is unset or `0`; probed once. A host that also
+/// reports AVX-512 VBMI (see [`kernel_name`]) still answers `true`: only the
+/// fast-scan accumulation has a VBMI arm, every other kernel keeps its AVX2
+/// arm there.
 pub fn use_avx2() -> bool {
-    static USE_AVX2: OnceLock<bool> = OnceLock::new();
-    *USE_AVX2.get_or_init(detect_avx2)
+    arm() != Arm::Scalar
 }
 
 /// Hints the hardware prefetcher at a byte range that is about to be
@@ -172,13 +204,26 @@ pub fn tighter_worst(a: Option<f32>, b: Option<f32>) -> Option<f32> {
     }
 }
 
-/// The accumulation kernel selected at runtime: `"avx2"` or `"scalar"`.
+/// The fast-scan accumulation arm this process runs, from the one probe:
+/// `"avx512vbmi"` (one `vpermi2b` per 32 lanes of a 64-entry quarter; the
+/// other kernels run their AVX2 arms), `"avx2"` (`vpshufb` per 16-entry
+/// table) or `"scalar"` (the portable arms, also under
+/// `JUNO_FORCE_SCALAR_KERNEL=1`).
 pub fn kernel_name() -> &'static str {
-    if use_avx2() {
-        "avx2"
-    } else {
-        "scalar"
+    match arm() {
+        Arm::Avx512Vbmi => "avx512vbmi",
+        Arm::Avx2 => "avx2",
+        Arm::Scalar => "scalar",
     }
+}
+
+/// Bytes a quantised LUT of `subspaces` rows at `stride` must hold for the
+/// VBMI arm of [`accumulate_rows`]: it reads a row's table in 64-byte
+/// quarters, so the last row's reads end `stride.next_multiple_of(64) −
+/// stride` bytes past `subspaces × stride`. [`QuantizedLut`] pads its rows
+/// to this length; a shorter table is accumulated by the AVX2 arm.
+pub const fn padded_lut_len(subspaces: usize, stride: usize) -> usize {
+    subspaces * stride + (stride.next_multiple_of(64) - stride)
 }
 
 /// A per-probe LUT quantised to `u8` so candidate sums become cheap integer
@@ -199,7 +244,9 @@ pub fn kernel_name() -> &'static str {
 #[derive(Debug, Clone, Default)]
 pub struct QuantizedLut {
     /// Quantised rows, one per subspace, padded to `stride` bytes each so the
-    /// AVX2 table loads never read past the buffer.
+    /// AVX2 table loads never read past a row, then to
+    /// [`padded_lut_len`]`(subspaces, stride)` bytes in all so the VBMI arm's
+    /// 64-byte quarter loads never read past the buffer.
     q: Vec<u8>,
     stride: usize,
     subspaces: usize,
@@ -231,7 +278,13 @@ impl QuantizedLut {
     /// Panics if the shape is inconsistent, `entries` is 0 or exceeds 256,
     /// or `subspaces` is 0 (internal misuse).
     pub fn build(&mut self, svals: &[f32], subspaces: usize, entries: usize, const_term: f32) {
-        self.build_impl(svals, subspaces, entries, const_term, |v| v);
+        // A NaN stays a NaN (its payload is never read: it selects no
+        // minimum or maximum and quantises to 0).
+        let map = ScoreMap {
+            unselected: f32::NAN,
+            negate: false,
+        };
+        self.build_impl(svals, subspaces, entries, const_term, map, arm());
     }
 
     /// [`QuantizedLut::build`] straight from a dense selective decode buffer
@@ -247,32 +300,21 @@ impl QuantizedLut {
         unselected: f32,
         negate: bool,
     ) {
-        if negate {
-            self.build_impl(dense, subspaces, entries, const_term, move |v| {
-                if v.is_nan() {
-                    unselected
-                } else {
-                    -v
-                }
-            });
-        } else {
-            self.build_impl(dense, subspaces, entries, const_term, move |v| {
-                if v.is_nan() {
-                    unselected
-                } else {
-                    v
-                }
-            });
-        }
+        let map = ScoreMap { unselected, negate };
+        self.build_impl(dense, subspaces, entries, const_term, map, arm());
     }
 
-    fn build_impl<F: Fn(f32) -> f32 + Copy>(
+    /// The quantiser: a min/max pass and a quantise pass per row, on the
+    /// AVX2 arm ([`row_min_max_avx2`], [`quantize_row_avx2`]) unless `arm`
+    /// is [`Arm::Scalar`]. The arms return the same bytes and bits.
+    fn build_impl(
         &mut self,
         svals: &[f32],
         subspaces: usize,
         entries: usize,
         const_term: f32,
-        map: F,
+        map: ScoreMap,
+        arm: Arm,
     ) {
         assert!(subspaces > 0 && entries > 0 && entries <= 256);
         assert_eq!(svals.len(), subspaces * entries, "svals shape mismatch");
@@ -281,7 +323,7 @@ impl QuantizedLut {
         self.subspaces = subspaces;
         self.entries = entries;
         self.q.clear();
-        self.q.resize(subspaces * stride, 0);
+        self.q.resize(padded_lut_len(subspaces, stride), 0);
         self.lo.clear();
         self.lo.resize(subspaces, 0.0);
 
@@ -290,7 +332,7 @@ impl QuantizedLut {
         let mut mag_sum = 0f64;
         for s in 0..subspaces {
             let row = &svals[s * entries..(s + 1) * entries];
-            let (lo, hi) = row_min_max(row, map);
+            let (lo, hi) = map.min_max(row, arm);
             self.lo[s] = lo;
             span_max = span_max.max(hi - lo);
             lo_sum += lo as f64;
@@ -317,37 +359,17 @@ impl QuantizedLut {
         // displaced a larger-id incumbent.
         self.margin = (self.delta + 1e-5 * (mag_sum + const_term.abs() as f64)).max(1e-30);
 
-        // This loop is the per-probe setup cost of the whole prune pass, so
-        // it must vectorise: multiply by the reciprocal instead of dividing
-        // (one divide per entry dominated the pass) and repair the
-        // estimate's possible one-step overshoot branch-free. The relative
-        // error of two f32 ops is ~3eps — far below one step at 255 levels —
-        // so `trunc(est) ≤ floor((v−lo)/Δ) + 1`, and after the conditional
-        // step-down `lo + q·Δ ≤ v` holds to within the f32 rounding already
-        // absorbed by `margin`: the dequantised sum stays a lower bound.
         if delta > 0.0 {
             let inv_delta = 1.0 / delta;
             for s in 0..subspaces {
-                let lo = self.lo[s];
                 let row = &svals[s * entries..(s + 1) * entries];
                 let out = &mut self.q[s * stride..s * stride + entries];
-                // Through `i32`, which has a vector conversion (`i64` has
-                // none before AVX-512) — once the range is pinned, because
-                // the saturating `as` cast is itself scalar. With
-                // `delta > 0` every span is finite, so the estimate already
-                // lies in [0, 256]; pinning only turns NaN into the 0 the
-                // `as i64` it replaces produced.
-                for (q, &raw) in out.iter_mut().zip(row) {
-                    let v = map(raw);
-                    let est = (v - lo) * inv_delta;
-                    let est = if est >= 0.0 { est } else { 0.0 };
-                    let est = if est < 256.0 { est } else { 256.0 };
-                    // SAFETY: the two selects above leave a finite value in
-                    // [0, 256] (NaN fails `>= 0.0`), which `i32` represents.
-                    let est = unsafe { est.to_int_unchecked::<i32>() };
-                    let over = (lo + est as f32 * delta > v) as i32;
-                    *q = (est - over).clamp(0, 255) as u8;
-                }
+                let step = Step {
+                    lo: self.lo[s],
+                    delta,
+                    inv_delta,
+                };
+                map.quantize(row, step, out, arm);
             }
         }
 
@@ -355,7 +377,9 @@ impl QuantizedLut {
         self.suffix_min.resize(subspaces + 1, 0);
         for s in (0..subspaces).rev() {
             let row = &self.q[s * stride..s * stride + entries];
-            let m = row.iter().copied().min().unwrap_or(0) as u32;
+            // A fold of `u8::min` vectorises (`pminub`); `Iterator::min`
+            // here cost about a third of a 48 × 64 build.
+            let m = row.iter().fold(u8::MAX, |m, &q| m.min(q)) as u32;
             self.suffix_min[s] = self.suffix_min[s + 1] + m;
         }
     }
@@ -378,7 +402,8 @@ impl QuantizedLut {
         self.stride
     }
 
-    /// Borrow of the quantised rows (`subspaces × stride` bytes).
+    /// Borrow of the quantised rows (`subspaces × stride` bytes, then the
+    /// padding up to [`padded_lut_len`]; zeros).
     #[inline]
     pub fn rows(&self) -> &[u8] {
         &self.q
@@ -428,14 +453,74 @@ impl QuantizedLut {
     }
 }
 
+/// How [`QuantizedLut`] reads a table value as a score contribution: `NaN`
+/// (an unselected entry) becomes `unselected`; any other value is kept or,
+/// under `negate` (MIPS), negated.
+#[derive(Debug, Clone, Copy)]
+struct ScoreMap {
+    unselected: f32,
+    negate: bool,
+}
+
+impl ScoreMap {
+    #[inline(always)]
+    fn apply(self, v: f32) -> f32 {
+        if v.is_nan() {
+            self.unselected
+        } else if self.negate {
+            -v
+        } else {
+            v
+        }
+    }
+
+    /// [`row_min_max`] of the mapped row on `arm`.
+    fn min_max(self, row: &[f32], arm: Arm) -> (f32, f32) {
+        #[cfg(target_arch = "x86_64")]
+        if arm != Arm::Scalar {
+            // SAFETY: an `Arm` other than `Scalar` is made only where the
+            // CPU reports AVX2 ([`detect_arm`], and tests after their own
+            // probe).
+            return unsafe { row_min_max_avx2(row, self) };
+        }
+        let _ = arm;
+        row_min_max(row, |v| self.apply(v))
+    }
+
+    /// [`quantize_row`] of the mapped row on `arm`.
+    fn quantize(self, row: &[f32], step: Step, out: &mut [u8], arm: Arm) {
+        #[cfg(target_arch = "x86_64")]
+        if arm != Arm::Scalar {
+            // SAFETY: as in `min_max`, AVX2 is present.
+            return unsafe { quantize_row_avx2(row, step, self, out) };
+        }
+        let _ = arm;
+        quantize_row(row, step, self, out);
+    }
+}
+
+/// One row's quantisation step: the row minimum and the global step `Δ`
+/// with its reciprocal.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    lo: f32,
+    delta: f32,
+    inv_delta: f32,
+}
+
+/// Lanes of the min/max reduction, and entries per step of the quantiser.
+const MIN_MAX_LANES: usize = 8;
+
 /// Minimum and maximum of `map` over a row, NaN ignored (`+∞` / `−∞` when
-/// nothing else is there), reduced over [`MIN_MAX_LANES`] independent
-/// partial results so the pass is not one serial dependency chain. `<` / `>`
-/// select exactly as `f32::min` / `f32::max` do apart from which zero
-/// represents a `±0` tie, so the results compare equal to the serial fold's.
+/// nothing else is there): entry `i` folds into lane `i mod 8`, then the
+/// eight lanes fold in order. `<` / `>` select exactly as `f32::min` /
+/// `f32::max` do apart from which zero represents a `±0` tie (the first
+/// one met), so the results compare equal to a serial fold's. This is the
+/// portable arm, and the compiler keeps it scalar (`minss` / `maxss`, one
+/// entry a step); [`row_min_max_avx2`] returns its bits eight entries a
+/// step.
 #[inline(always)]
 fn row_min_max<F: Fn(f32) -> f32>(row: &[f32], map: F) -> (f32, f32) {
-    const MIN_MAX_LANES: usize = 8;
     let min = |a: f32, v: f32| if v < a { v } else { a };
     let max = |a: f32, v: f32| if v > a { v } else { a };
     let mut lo = [f32::INFINITY; MIN_MAX_LANES];
@@ -457,6 +542,175 @@ fn row_min_max<F: Fn(f32) -> f32>(row: &[f32], map: F) -> (f32, f32) {
         lo.into_iter().fold(f32::INFINITY, min),
         hi.into_iter().fold(f32::NEG_INFINITY, max),
     )
+}
+
+/// Quantises one row into `out` (`out.len() == row.len()`), rounding down:
+/// `q = ⌊(v − lo) / Δ⌋` clamped to `0..=255`, so `lo + q·Δ ≤ v` holds to
+/// within the `f32` rounding `margin` absorbs.
+///
+/// It multiplies by the reciprocal instead of dividing and repairs the
+/// estimate's possible one-step overshoot branch-free. The relative error of
+/// two f32 ops is ~3eps — far below one step at 255 levels — so `trunc(est)
+/// ≤ floor((v−lo)/Δ) + 1`, and after the conditional step-down the
+/// dequantised sum stays a lower bound. The estimate goes through `i32`
+/// once its range is pinned to `[0, 256]` (a NaN to 0). [`quantize_row_avx2`]
+/// runs these operations eight entries a step, in the same order and without
+/// FMA, so the two return the same bytes.
+#[inline(always)]
+fn quantize_row(row: &[f32], step: Step, map: ScoreMap, out: &mut [u8]) {
+    let Step {
+        lo,
+        delta,
+        inv_delta,
+    } = step;
+    for (q, &raw) in out.iter_mut().zip(row) {
+        let v = map.apply(raw);
+        let est = (v - lo) * inv_delta;
+        let est = if est >= 0.0 { est } else { 0.0 };
+        let est = if est < 256.0 { est } else { 256.0 };
+        // SAFETY: the two selects above leave a finite value in [0, 256]
+        // (NaN fails `>= 0.0`), which `i32` represents.
+        let est = unsafe { est.to_int_unchecked::<i32>() };
+        let over = (lo + est as f32 * delta > v) as i32;
+        *q = (est - over).clamp(0, 255) as u8;
+    }
+}
+
+/// Eight entries of a row through [`ScoreMap::apply`]: `v` with its sign
+/// flipped by `sign` (`−0.0` under `negate`, else `+0.0`) where it is a
+/// number, `unselected` where it is NaN.
+///
+/// # Safety
+///
+/// Requires AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn map_avx2(
+    v: std::arch::x86_64::__m256,
+    unselected: std::arch::x86_64::__m256,
+    sign: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+    _mm256_blendv_ps(_mm256_xor_ps(v, sign), unselected, nan)
+}
+
+/// The AVX2 arm of [`row_min_max`] over `map`: the eight lanes in one
+/// register each, `vminps(v, lo)` / `vmaxps(v, hi)` per step — each returns
+/// its second operand unless the first is strictly less / greater: the
+/// portable select, NaN and `±0` ties included — with the tail folded into
+/// lanes `0..` under a mask, then [`fold_lanes`]. Returns the portable arm's
+/// bits.
+///
+/// # Safety
+///
+/// Requires AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_min_max_avx2(row: &[f32], map: ScoreMap) -> (f32, f32) {
+    use std::arch::x86_64::*;
+    let unselected = _mm256_set1_ps(map.unselected);
+    let sign = _mm256_set1_ps(if map.negate { -0.0 } else { 0.0 });
+    let mut lo = _mm256_set1_ps(f32::INFINITY);
+    let mut hi = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut chunks = row.chunks_exact(MIN_MAX_LANES);
+    for chunk in &mut chunks {
+        // SAFETY: one 8-float load of an 8-float chunk.
+        let v = map_avx2(_mm256_loadu_ps(chunk.as_ptr()), unselected, sign);
+        lo = _mm256_min_ps(v, lo);
+        hi = _mm256_max_ps(v, hi);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let live = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail.len() as i32), lanes);
+        // SAFETY: the masked load reads the `tail.len()` live lanes only.
+        let v = map_avx2(_mm256_maskload_ps(tail.as_ptr(), live), unselected, sign);
+        let live = _mm256_castsi256_ps(live);
+        lo = _mm256_blendv_ps(lo, _mm256_min_ps(v, lo), live);
+        hi = _mm256_blendv_ps(hi, _mm256_max_ps(v, hi), live);
+    }
+    (
+        fold_lanes(lo, |later, earlier| _mm_min_ps(later, earlier)),
+        fold_lanes(hi, |later, earlier| _mm_max_ps(later, earlier)),
+    )
+}
+
+/// Folds eight lanes in index order with `keep(later, earlier)` (`vminps`
+/// or `vmaxps`, which return `earlier` unless `later` is strictly less /
+/// greater): adjacent lanes, then adjacent pairs, then the two halves. Each
+/// step keeps the earlier range's value on a tie, so the result is the
+/// first lane that attains the extreme — what the portable arm's serial
+/// fold over the lanes returns, `±0` ties included (no lane holds a NaN).
+///
+/// # Safety
+///
+/// Requires AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn fold_lanes(
+    v: std::arch::x86_64::__m256,
+    keep: impl Fn(std::arch::x86_64::__m128, std::arch::x86_64::__m128) -> std::arch::x86_64::__m128,
+) -> f32 {
+    use std::arch::x86_64::*;
+    let half = |x: __m128| {
+        // Lane 0 ← lanes (0, 1), lane 2 ← lanes (2, 3); then lane 0 ← both.
+        let x = keep(_mm_shuffle_ps::<0b10_11_00_01>(x, x), x);
+        keep(_mm_shuffle_ps::<0b01_00_11_10>(x, x), x)
+    };
+    let low = half(_mm256_castps256_ps128(v));
+    let high = half(_mm256_extractf128_ps::<1>(v));
+    _mm_cvtss_f32(keep(high, low))
+}
+
+/// The AVX2 arm of [`quantize_row`]: eight entries a step through the same
+/// operations — subtract, multiply, `vmaxps(est, 0)` (NaN and negatives to
+/// 0, as the portable `>= 0.0` select), `vminps(est, 256)`, truncate,
+/// multiply-then-add back (no FMA) and an ordered `>` for the step-down —
+/// then `est − over` packed to bytes with unsigned saturation (the clamp to
+/// `0..=255`). The tail goes through the portable body.
+///
+/// # Safety
+///
+/// Requires AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_row_avx2(row: &[f32], step: Step, map: ScoreMap, out: &mut [u8]) {
+    use std::arch::x86_64::*;
+    assert_eq!(row.len(), out.len(), "one byte per entry");
+    let unselected = _mm256_set1_ps(map.unselected);
+    let sign = _mm256_set1_ps(if map.negate { -0.0 } else { 0.0 });
+    let lo = _mm256_set1_ps(step.lo);
+    let delta = _mm256_set1_ps(step.delta);
+    let inv_delta = _mm256_set1_ps(step.inv_delta);
+    let zero = _mm256_setzero_ps();
+    let cap = _mm256_set1_ps(256.0);
+    let mut chunks = row.chunks_exact(MIN_MAX_LANES);
+    let mut outs = out.chunks_exact_mut(MIN_MAX_LANES);
+    for (chunk, q) in (&mut chunks).zip(&mut outs) {
+        // SAFETY: one 8-float load of an 8-float chunk.
+        let v = map_avx2(_mm256_loadu_ps(chunk.as_ptr()), unselected, sign);
+        let est = _mm256_mul_ps(_mm256_sub_ps(v, lo), inv_delta);
+        let est = _mm256_min_ps(_mm256_max_ps(est, zero), cap);
+        let est = _mm256_cvttps_epi32(est);
+        let back = _mm256_add_ps(lo, _mm256_mul_ps(_mm256_cvtepi32_ps(est), delta));
+        // All ones (−1) where `lo + est·Δ > v`.
+        let over = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(back, v));
+        let q32 = _mm256_add_epi32(est, over);
+        // i32 → u16 → u8 with unsigned saturation, per 128-bit half: bytes
+        // 0..4 of each half are its four entries.
+        let q16 = _mm256_packus_epi32(q32, q32);
+        let q8 = _mm256_packus_epi16(q16, q16);
+        let bytes = _mm_unpacklo_epi32(
+            _mm256_castsi256_si128(q8),
+            _mm256_extracti128_si256::<1>(q8),
+        );
+        // SAFETY: an 8-byte store into an 8-byte chunk.
+        _mm_storel_epi64(q.as_mut_ptr() as *mut __m128i, bytes);
+    }
+    quantize_row(chunks.remainder(), step, map, outs.into_remainder());
 }
 
 /// Decodes lane `l` of a block row (scalar reference; also used by the
@@ -502,71 +756,346 @@ fn accumulate_rows_scalar(
     }
 }
 
-/// # Safety
-///
-/// Requires AVX2. Shape preconditions are checked by [`accumulate_rows`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_rows_avx2(
-    qlut: &[u8],
+/// The early-abandon test of the fused pass: after every [`ABANDON_CHUNK`]
+/// subspaces `s` short of the end, the block is abandoned when its minimum
+/// lane plus `suffix_min[s]` reaches `threshold`.
+#[derive(Debug, Clone, Copy)]
+struct Abandon<'a> {
+    suffix_min: &'a [u32],
+    threshold: u32,
+}
+
+impl Abandon<'_> {
+    #[inline(always)]
+    fn fires(self, best: u32, s: usize) -> bool {
+        best + self.suffix_min[s] >= self.threshold
+    }
+}
+
+/// One fused pass over a block: subspaces `s0..s1` of the code `rows`
+/// ([`row_bytes`] each) against the quantised LUT `qlut` (rows of `stride`
+/// bytes), with the abandon test between [`ABANDON_CHUNK`]s when `abandon`
+/// is set. [`Pass::new`], the only constructor, checks the shapes every arm
+/// relies on.
+#[derive(Debug, Clone, Copy)]
+struct Pass<'a> {
+    qlut: &'a [u8],
     stride: usize,
-    rows: &[u8],
+    rows: &'a [u8],
     nibble: bool,
     s0: usize,
     s1: usize,
-    acc: &mut [u16; BLOCK_LANES],
-) {
-    use std::arch::x86_64::*;
-    let mut acc0 = _mm256_loadu_si256(acc.as_ptr() as *const __m256i);
-    let mut acc1 = _mm256_loadu_si256(acc.as_ptr().add(16) as *const __m256i);
-    let lo_mask = _mm256_set1_epi8(0x0F);
-    let tables = stride / 16;
-    for s in s0..s1 {
-        let lrow = qlut.as_ptr().add(s * stride);
-        let vals: __m256i = if nibble {
-            // 32 four-bit codes in 16 bytes: lanes 0..16 in the low nibbles,
-            // lanes 16..32 in the high nibbles. One shuffle = 32 lookups.
-            let packed = _mm_loadu_si128(rows.as_ptr().add(s * NIBBLE_ROW_BYTES) as *const __m128i);
-            let nib = _mm_set1_epi8(0x0F);
-            let lo = _mm_and_si128(packed, nib);
-            let hi = _mm_and_si128(_mm_srli_epi16::<4>(packed), nib);
-            let idx = _mm256_set_m128i(hi, lo);
-            let tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(lrow as *const __m128i));
-            _mm256_shuffle_epi8(tbl, idx)
-        } else {
-            // 8-bit codes: split each code into (table = high nibble, index
-            // = low nibble); every 16-entry table is one shuffle, masked to
-            // the lanes whose code actually selects it. `stride / 16`
-            // tables cover E ≤ 256.
-            let codes = _mm256_loadu_si256(rows.as_ptr().add(s * U8_ROW_BYTES) as *const __m256i);
-            let lo = _mm256_and_si256(codes, lo_mask);
-            let hi = _mm256_and_si256(codes, _mm256_set1_epi8(0xF0u8 as i8));
-            let mut out = _mm256_setzero_si256();
-            for t in 0..tables {
-                let tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                    lrow.add(t * 16) as *const __m128i
-                ));
-                let sel = _mm256_cmpeq_epi8(hi, _mm256_set1_epi8(((t as u8) << 4) as i8));
-                out = _mm256_or_si256(out, _mm256_and_si256(_mm256_shuffle_epi8(tbl, lo), sel));
-            }
-            out
-        };
-        let w0 = _mm256_cvtepu8_epi16(_mm256_castsi256_si128(vals));
-        let w1 = _mm256_cvtepu8_epi16(_mm256_extracti128_si256::<1>(vals));
-        acc0 = _mm256_adds_epu16(acc0, w0);
-        acc1 = _mm256_adds_epu16(acc1, w1);
+    abandon: Option<Abandon<'a>>,
+}
+
+impl<'a> Pass<'a> {
+    /// # Panics
+    ///
+    /// Panics unless `stride` is a positive multiple of 16, `qlut` holds
+    /// `s1` LUT rows and `rows` holds `s1` code rows.
+    fn new(
+        qlut: &'a [u8],
+        stride: usize,
+        rows: &'a [u8],
+        nibble: bool,
+        subspaces: std::ops::Range<usize>,
+        abandon: Option<Abandon<'a>>,
+    ) -> Self {
+        let (s0, s1) = (subspaces.start, subspaces.end);
+        assert!(s0 <= s1);
+        assert!(qlut.len() >= s1 * stride, "quantised LUT too short");
+        assert!(rows.len() >= s1 * row_bytes(nibble), "code block too short");
+        assert!(stride.is_multiple_of(16) && stride > 0);
+        Self {
+            qlut,
+            stride,
+            rows,
+            nibble,
+            s0,
+            s1,
+            abandon,
+        }
     }
-    _mm256_storeu_si256(acc.as_mut_ptr() as *mut __m256i, acc0);
-    _mm256_storeu_si256(acc.as_mut_ptr().add(16) as *mut __m256i, acc1);
+
+    /// Whether `qlut` holds the padding the VBMI arm's quarter loads read.
+    fn padded(&self) -> bool {
+        self.qlut.len() >= padded_lut_len(self.s1, self.stride)
+    }
+
+    /// Runs the pass on `arm`: the VBMI arm for 8-bit rows whose LUT is
+    /// [`padded`](Self::padded), the AVX2 arm for nibble rows and an
+    /// unpadded LUT there. Returns whether the block was abandoned; `acc`
+    /// holds the sums reached either way, the same on every arm.
+    fn run(self, arm: Arm, acc: &mut [u16; BLOCK_LANES]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        match arm {
+            Arm::Avx512Vbmi if !self.nibble && self.padded() => {
+                // SAFETY: VBMI, VL, BW and AVX2 were detected for this
+                // `Arm`; `padded` checked just above.
+                return unsafe { self.run_vbmi(acc) };
+            }
+            Arm::Avx2 | Arm::Avx512Vbmi => {
+                // SAFETY: AVX2 was detected for this `Arm`.
+                return unsafe { self.run_avx2(acc) };
+            }
+            Arm::Scalar => {}
+        }
+        let _ = arm;
+        self.run_scalar(acc)
+    }
+
+    /// The portable arm, and the chunked reference the SIMD arms match:
+    /// [`accumulate_rows_scalar`] in [`ABANDON_CHUNK`] steps, with the
+    /// abandon test between them when `abandon` is set.
+    fn run_scalar(self, acc: &mut [u16; BLOCK_LANES]) -> bool {
+        let Self {
+            qlut,
+            stride,
+            rows,
+            nibble,
+            s0,
+            s1,
+            abandon,
+        } = self;
+        let Some(abandon) = abandon else {
+            accumulate_rows_scalar(qlut, stride, rows, nibble, s0, s1, acc);
+            return false;
+        };
+        let mut s = s0;
+        while s < s1 {
+            let end = (s + ABANDON_CHUNK).min(s1);
+            accumulate_rows_scalar(qlut, stride, rows, nibble, s, end, acc);
+            s = end;
+            if s < s1 && abandon.fires(*acc.iter().min().expect("32 lanes") as u32, s) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The AVX2 arm: [`nibble_row`] or [`shuffle_row`] per subspace through
+    /// [`Pass::fused`].
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2(self, acc: &mut [u16; BLOCK_LANES]) -> bool {
+        let (lut, codes, stride) = (self.qlut.as_ptr(), self.rows.as_ptr(), self.stride);
+        // SAFETY (both rows): for `s < s1` the table row (16 or `stride`
+        // bytes from `s × stride`) and the code row lie inside the slices
+        // (`Pass::new`).
+        if self.nibble {
+            let row = |s: usize| nibble_row(lut.add(s * stride), codes.add(s * NIBBLE_ROW_BYTES));
+            return self.fused(row, acc);
+        }
+        let tables = stride / 16;
+        let row = |s: usize| shuffle_row(lut.add(s * stride), codes.add(s * U8_ROW_BYTES), tables);
+        self.fused(row, acc)
+    }
+
+    /// The VBMI arm over 8-bit code rows: [`vbmi_row`] per subspace through
+    /// [`Pass::fused`], with `stride.div_ceil(64)` quarters.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and AVX-512 VBMI, VL and BW, 8-bit rows (`!nibble`)
+    /// and a [`padded`](Self::padded) LUT.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512bw,avx512vl,avx512vbmi")]
+    unsafe fn run_vbmi(self, acc: &mut [u16; BLOCK_LANES]) -> bool {
+        let (lut, codes, stride) = (self.qlut.as_ptr(), self.rows.as_ptr(), self.stride);
+        // SAFETY (every arm below): row `s < s1` reads `64 × quarters =
+        // stride.next_multiple_of(64)` table bytes from `s × stride` — past
+        // its own row, and on the last row past `s1 × stride`, but never
+        // past `padded_lut_len(s1, stride) ≤ qlut.len()` — and one 32-byte
+        // code row inside `rows`. The bytes past the row sit in lanes no
+        // code `< stride` selects.
+        macro_rules! scan {
+            ($quarters:literal) => {
+                self.fused(
+                    |s: usize| {
+                        vbmi_row::<$quarters>(lut.add(s * stride), codes.add(s * U8_ROW_BYTES))
+                    },
+                    acc,
+                )
+            };
+        }
+        match stride.div_ceil(64) {
+            1 => scan!(1),
+            2 => scan!(2),
+            3 => scan!(3),
+            _ => scan!(4),
+        }
+    }
+
+    /// The SIMD arms' shared loop: `row(s)` yields subspace `s`'s 32 LUT
+    /// bytes, one per lane, which widen into two registers of 16 saturating
+    /// `u16` lane sums. The sums stay in those registers across the abandon
+    /// checkpoints — [`Pass::run_scalar`]'s chunks, at the same subspaces —
+    /// where the minimum lane comes from `vpminuw` and one `phminposuw`.
+    /// Returns what [`Pass::run_scalar`] returns, with the same `acc`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, and `row` must be safe to call for every `s` in
+    /// `s0..s1`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn fused(
+        self,
+        row: impl Fn(usize) -> std::arch::x86_64::__m256i,
+        acc: &mut [u16; BLOCK_LANES],
+    ) -> bool {
+        use std::arch::x86_64::*;
+        let Self {
+            s0, s1, abandon, ..
+        } = self;
+        // SAFETY (all four accesses to `acc`): two 16-lane halves of 32.
+        let mut acc0 = _mm256_loadu_si256(acc.as_ptr() as *const __m256i);
+        let mut acc1 = _mm256_loadu_si256(acc.as_ptr().add(16) as *const __m256i);
+        let chunk = if abandon.is_some() {
+            ABANDON_CHUNK
+        } else {
+            s1 - s0
+        };
+        let mut s = s0;
+        let mut abandoned = false;
+        while s < s1 {
+            let end = (s + chunk).min(s1);
+            for r in s..end {
+                let vals = row(r);
+                let lo = _mm256_cvtepu8_epi16(_mm256_castsi256_si128(vals));
+                let hi = _mm256_cvtepu8_epi16(_mm256_extracti128_si256::<1>(vals));
+                acc0 = _mm256_adds_epu16(acc0, lo);
+                acc1 = _mm256_adds_epu16(acc1, hi);
+            }
+            s = end;
+            if let Some(abandon) = abandon.filter(|_| s < s1) {
+                let m = _mm256_min_epu16(acc0, acc1);
+                let m = _mm_min_epu16(_mm256_castsi256_si128(m), _mm256_extracti128_si256::<1>(m));
+                let best = _mm_extract_epi16::<0>(_mm_minpos_epu16(m)) as u32;
+                if abandon.fires(best, s) {
+                    abandoned = true;
+                    break;
+                }
+            }
+        }
+        _mm256_storeu_si256(acc.as_mut_ptr() as *mut __m256i, acc0);
+        _mm256_storeu_si256(acc.as_mut_ptr().add(16) as *mut __m256i, acc1);
+        abandoned
+    }
+}
+
+/// 32 LUT bytes of a nibble-packed code row: lanes 0..16 in the low
+/// nibbles, lanes 16..32 in the high ones, one `vpshufb` against the row's
+/// 16-entry table.
+///
+/// # Safety
+///
+/// Requires AVX2; `lrow` must be readable for 16 bytes and `crow` for
+/// [`NIBBLE_ROW_BYTES`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn nibble_row(lrow: *const u8, crow: *const u8) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let packed = _mm_loadu_si128(crow as *const __m128i);
+    let nib = _mm_set1_epi8(0x0F);
+    let lo = _mm_and_si128(packed, nib);
+    let hi = _mm_and_si128(_mm_srli_epi16::<4>(packed), nib);
+    let idx = _mm256_set_m128i(hi, lo);
+    let tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(lrow as *const __m128i));
+    _mm256_shuffle_epi8(tbl, idx)
+}
+
+/// 32 LUT bytes of an 8-bit code row on AVX2: each code splits into
+/// (table = high nibble, index = low nibble); every 16-entry table is one
+/// `vpshufb`, masked by a compare to the lanes whose code selects it.
+/// `tables = stride / 16` tables cover E ≤ 256.
+///
+/// # Safety
+///
+/// Requires AVX2; `lrow` must be readable for `16 × tables` bytes and `crow`
+/// for [`U8_ROW_BYTES`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn shuffle_row(
+    lrow: *const u8,
+    crow: *const u8,
+    tables: usize,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let codes = _mm256_loadu_si256(crow as *const __m256i);
+    let lo = _mm256_and_si256(codes, _mm256_set1_epi8(0x0F));
+    let hi = _mm256_and_si256(codes, _mm256_set1_epi8(0xF0u8 as i8));
+    let mut out = _mm256_setzero_si256();
+    for t in 0..tables {
+        let tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(lrow.add(t * 16) as *const __m128i));
+        let sel = _mm256_cmpeq_epi8(hi, _mm256_set1_epi8(((t as u8) << 4) as i8));
+        out = _mm256_or_si256(out, _mm256_and_si256(_mm256_shuffle_epi8(tbl, lo), sel));
+    }
+    out
+}
+
+/// 32 LUT bytes of an 8-bit code row on AVX-512 VBMI: one `vpermi2b` looks
+/// each lane up in a 64-entry quarter of the row's table (two ymm loads,
+/// which LLVM folds with it into one `vpermb` from memory); with
+/// `QUARTERS > 1` the code's bit 6, then bit 7, picks between quarters.
+///
+/// # Safety
+///
+/// Requires AVX-512 VBMI, VL and BW; `lrow` must be readable for
+/// `64 × QUARTERS` bytes and `crow` for [`U8_ROW_BYTES`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512bw,avx512vl,avx512vbmi")]
+#[inline]
+unsafe fn vbmi_row<const QUARTERS: usize>(
+    lrow: *const u8,
+    crow: *const u8,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let codes = _mm256_loadu_si256(crow as *const __m256i);
+    // Lane `l` gets `table[64q + (code_l mod 64)]`.
+    let quarter = |q: usize| {
+        // SAFETY: bytes `64q..64q + 64` of the `64 × QUARTERS` readable
+        // bytes from `lrow` — for a row of a padded LUT that reaches past
+        // the row (and past `subspaces × stride` on the last row) but not
+        // past `padded_lut_len(subspaces, stride)`, which `run_vbmi`'s
+        // caller checks.
+        let at = lrow.add(64 * q);
+        let lo = _mm256_loadu_si256(at as *const __m256i);
+        let hi = _mm256_loadu_si256(at.add(32) as *const __m256i);
+        _mm256_permutex2var_epi8(lo, codes, hi)
+    };
+    let first = quarter(0);
+    if QUARTERS == 1 {
+        return first;
+    }
+    let bit6 = _mm256_test_epi8_mask(codes, _mm256_set1_epi8(0x40));
+    let low = _mm256_mask_blend_epi8(bit6, first, quarter(1));
+    if QUARTERS == 2 {
+        return low;
+    }
+    let high = if QUARTERS == 4 {
+        _mm256_mask_blend_epi8(bit6, quarter(2), quarter(3))
+    } else {
+        quarter(2)
+    };
+    _mm256_mask_blend_epi8(_mm256_movepi8_mask(codes), low, high)
 }
 
 /// Accumulates subspaces `s0..s1` of one block into the 32 lane sums
-/// (saturating `u16`), dispatching to AVX2 when available.
+/// (saturating `u16`) on the arm [`kernel_name`] names.
 ///
 /// `qlut` holds `stride`-padded rows (see [`QuantizedLut::rows`]); `rows`
 /// holds the block's interleaved code rows ([`row_bytes`] each). Codes must
 /// be `< stride`; saturation only ever *lowers* a sum, so downstream bound
-/// comparisons stay safe.
+/// comparisons stay safe. The VBMI arm needs `qlut` to hold
+/// [`padded_lut_len`]`(s1, stride)` bytes; a shorter table runs the AVX2
+/// arm.
 ///
 /// # Panics
 ///
@@ -580,17 +1109,7 @@ pub fn accumulate_rows(
     s1: usize,
     acc: &mut [u16; BLOCK_LANES],
 ) {
-    assert!(s0 <= s1);
-    assert!(qlut.len() >= s1 * stride, "quantised LUT too short");
-    assert!(rows.len() >= s1 * row_bytes(nibble), "code block too short");
-    assert!(stride.is_multiple_of(16) && stride > 0);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 confirmed at runtime; bounds asserted above.
-        unsafe { accumulate_rows_avx2(qlut, stride, rows, nibble, s0, s1, acc) };
-        return;
-    }
-    accumulate_rows_scalar(qlut, stride, rows, nibble, s0, s1, acc);
+    Pass::new(qlut, stride, rows, nibble, s0..s1, None).run(arm(), acc);
 }
 
 /// Accumulates **all** subspaces of one block (no early abandon) — the
@@ -615,7 +1134,8 @@ pub fn accumulate_block(
 /// On a `false` return, `acc[l] >= threshold` identifies the individually
 /// prunable lanes; the caller re-ranks the rest exactly. Padded lanes of a
 /// tail block take part in the minimum (their codes are zero), which can
-/// only make abandonment more conservative, never unsafe.
+/// only make abandonment more conservative, never unsafe. Every arm
+/// abandons at the same checkpoint and leaves the same sums in `acc`.
 pub fn scan_block_with_abandon(
     lut: &QuantizedLut,
     rows: &[u8],
@@ -624,20 +1144,11 @@ pub fn scan_block_with_abandon(
     acc: &mut [u16; BLOCK_LANES],
 ) -> bool {
     *acc = [0; BLOCK_LANES];
-    let total = lut.subspaces;
-    let mut s0 = 0;
-    while s0 < total {
-        let s1 = (s0 + ABANDON_CHUNK).min(total);
-        accumulate_rows(&lut.q, lut.stride, rows, nibble, s0, s1, acc);
-        s0 = s1;
-        if s0 < total && threshold != NEVER_PRUNE {
-            let best = *acc.iter().min().expect("32 lanes") as u32;
-            if best + lut.suffix_min[s0] >= threshold {
-                return true;
-            }
-        }
-    }
-    false
+    let abandon = (threshold != NEVER_PRUNE).then_some(Abandon {
+        suffix_min: &lut.suffix_min,
+        threshold,
+    });
+    Pass::new(&lut.q, lut.stride, rows, nibble, 0..lut.subspaces, abandon).run(arm(), acc)
 }
 
 /// Per-lane output of [`exact_block_sums`].
@@ -1072,6 +1583,23 @@ mod tests {
         rows
     }
 
+    /// The SIMD arms this CPU can run, probed here (the process-wide
+    /// dispatch is cached, and may be forced to the portable arms).
+    fn simd_arms() -> Vec<Arm> {
+        let mut arms = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") {
+                arms.push(Arm::Avx2);
+                if has!("avx512vbmi") && has!("avx512vl") && has!("avx512bw") {
+                    arms.push(Arm::Avx512Vbmi);
+                }
+            }
+        }
+        arms
+    }
+
     /// `build_impl` as it was before its loops were made vectorisable: one
     /// serial `min`/`max` chain per row and an `i64` estimate. The reference
     /// the quantiser must match.
@@ -1084,7 +1612,7 @@ mod tests {
     ) -> QuantizedLut {
         let stride = entries.next_multiple_of(16);
         let mut out = QuantizedLut {
-            q: vec![0; subspaces * stride],
+            q: vec![0; padded_lut_len(subspaces, stride)],
             stride,
             subspaces,
             entries,
@@ -1155,7 +1683,15 @@ mod tests {
     fn build_matches_the_serial_reference_on_seeded_tables() {
         let mut rng = seeded(0xB17);
         let mut qlut = QuantizedLut::new();
-        for (subspaces, entries) in [(48, 64), (5, 37), (3, 256), (7, 1), (4, 7), (2, 16)] {
+        for (subspaces, entries) in [
+            (48, 64),
+            (5, 37),
+            (3, 256),
+            (7, 1),
+            (4, 7),
+            (2, 16),
+            (6, 17),
+        ] {
             for case in 0..12 {
                 // A dense selective decode: values with NaN holes…
                 let mut dense = random_svals(&mut rng, subspaces, entries, -3.0);
@@ -1170,8 +1706,14 @@ mod tests {
                     match (case + s) % 6 {
                         0 => row.fill(1.25),
                         1 => {
-                            for (e, v) in row.iter_mut().enumerate() {
-                                *v = if (e + case) % 2 == 0 { 0.0 } else { -0.0 };
+                            // Signs drawn per entry: which zero a ±0 tie
+                            // keeps shows in `lo`'s bits.
+                            for v in row.iter_mut() {
+                                *v = if rng.gen_range(0..2u32) == 0 {
+                                    0.0
+                                } else {
+                                    -0.0
+                                };
                             }
                         }
                         2 => row.fill(f32::NAN),
@@ -1205,11 +1747,26 @@ mod tests {
                             v
                         }
                     });
-                    assert_matches_reference(
-                        &qlut,
-                        &want,
-                        &format!("{label} selective negate {negate} unselected {unselected}"),
-                    );
+                    let label =
+                        format!("{label} selective negate {negate} unselected {unselected}");
+                    assert_matches_reference(&qlut, &want, &label);
+
+                    // Each arm of the quantiser, called directly: the
+                    // reference's values, and the portable arm's bytes and
+                    // bits (`lo` included, ±0 ties and all).
+                    let map = ScoreMap { unselected, negate };
+                    let mut portable = QuantizedLut::new();
+                    portable.build_impl(&dense, subspaces, entries, const_term, map, Arm::Scalar);
+                    assert_matches_reference(&portable, &want, &format!("{label} (scalar)"));
+                    for arm in simd_arms() {
+                        let mut got = QuantizedLut::new();
+                        got.build_impl(&dense, subspaces, entries, const_term, map, arm);
+                        assert_matches_reference(&got, &want, &format!("{label} ({arm:?})"));
+                        let bits = |q: &QuantizedLut| -> Vec<u32> {
+                            q.lo.iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&got), bits(&portable), "{label} ({arm:?}): lo bits");
+                    }
                 }
             }
         }
@@ -1369,6 +1926,172 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The VBMI arm of the fused pass, called directly, against
+    /// [`accumulate_rows_scalar`]: E in one to four 64-entry quarters,
+    /// tables exactly [`padded_lut_len`] long (so the last row's 64-byte
+    /// reads end at the buffer's end), codes up to `E − 1`, sums that
+    /// saturate, and the last row of a padded [`QuantizedLut`].
+    #[test]
+    fn vbmi_accumulate_arm_matches_the_scalar_definition() {
+        if !simd_arms().contains(&Arm::Avx512Vbmi) {
+            eprintln!("skip: this CPU lacks AVX-512 VBMI, VL or BW");
+            return;
+        }
+        let mut rng = seeded(0x0B_1B);
+        for entries in [17usize, 32, 33, 48, 64, 100, 256] {
+            let stride = entries.next_multiple_of(16);
+            for case in 0..16usize {
+                // Past 257 rows of 255 a lane saturates.
+                let subspaces = [1usize, 7, 48, 300][case % 4];
+                let high = case % 4 == 3;
+                let qlut: Vec<u8> = (0..padded_lut_len(subspaces, stride))
+                    .map(|_| {
+                        if high {
+                            255 - rng.gen_range(0..3u32) as u8
+                        } else {
+                            rng.gen_range(0..256u32) as u8
+                        }
+                    })
+                    .collect();
+                let n = 1 + (case * 5) % BLOCK_LANES;
+                let codes: Vec<u8> = (0..n * subspaces)
+                    .map(|i| match i % 5 {
+                        0 => (entries - 1) as u8,
+                        _ => rng.gen_range(0..entries as u32) as u8,
+                    })
+                    .collect();
+                let rows = interleave(&codes, n, subspaces, false);
+                let (s0, s1) = if case % 8 < 4 {
+                    (0, subspaces)
+                } else {
+                    (subspaces / 3, subspaces)
+                };
+                let mut want = [7u16; BLOCK_LANES];
+                accumulate_rows_scalar(&qlut, stride, &rows, false, s0, s1, &mut want);
+                let mut got = [7u16; BLOCK_LANES];
+                let pass = Pass::new(&qlut, stride, &rows, false, s0..s1, None);
+                assert!(pass.padded());
+                // SAFETY: VBMI, VL, BW and AVX2 detected above; 8-bit rows,
+                // padded LUT (asserted).
+                let abandoned = unsafe { pass.run_vbmi(&mut got) };
+                assert!(!abandoned);
+                assert_eq!(got, want, "E {entries} case {case} subspaces {subspaces}");
+                if subspaces == 300 && s0 == 0 {
+                    assert!(want[..n].iter().all(|&a| a == u16::MAX), "saturates");
+                }
+            }
+        }
+        // The last row of a `QuantizedLut` at E = 17 and E = 32: the arm
+        // reads 64 bytes from its start, past `subspaces × stride`, inside
+        // the padding `build` allocates; codes `E − 1` and `E − 2` there
+        // read their own entries.
+        for entries in [17usize, 32] {
+            for subspaces in [1usize, 3, 48] {
+                let svals = random_svals(&mut rng, subspaces, entries, -2.0);
+                let mut q = QuantizedLut::new();
+                q.build(&svals, subspaces, entries, 0.0);
+                assert_eq!(q.rows().len(), (subspaces - 1) * q.stride() + 64);
+                let codes: Vec<u8> = (0..BLOCK_LANES * subspaces)
+                    .map(|i| {
+                        if i % subspaces == subspaces - 1 {
+                            (entries - 1 - i % 2) as u8
+                        } else {
+                            rng.gen_range(0..entries as u32) as u8
+                        }
+                    })
+                    .collect();
+                let rows = interleave(&codes, BLOCK_LANES, subspaces, false);
+                let mut want = [0u16; BLOCK_LANES];
+                accumulate_rows_scalar(q.rows(), q.stride(), &rows, false, 0, subspaces, &mut want);
+                let mut got = [0u16; BLOCK_LANES];
+                let pass = Pass::new(q.rows(), q.stride(), &rows, false, 0..subspaces, None);
+                // SAFETY: VBMI, VL, BW and AVX2 detected above; 8-bit rows;
+                // the LUT holds `padded_lut_len` bytes (asserted above).
+                unsafe { pass.run_vbmi(&mut got) };
+                assert_eq!(got, want, "last row: E {entries} S {subspaces}");
+            }
+        }
+    }
+
+    /// Both fused SIMD abandon kernels, called directly, against the
+    /// chunked scalar reference: the same abandon decision at every
+    /// threshold and the same lane sums, abandoned or not, for both
+    /// packings and one to four quarters.
+    #[test]
+    fn fused_abandon_arms_match_the_chunked_scalar_reference() {
+        let arms = simd_arms();
+        if arms.is_empty() {
+            eprintln!("skip: this CPU lacks AVX2");
+            return;
+        }
+        let mut rng = seeded(0xAB4D);
+        let (mut fired, mut kept) = (0usize, 0usize);
+        for entries in [16usize, 17, 32, 64, 100, 256] {
+            for case in 0..24usize {
+                let subspaces = [3usize, 8, 9, 17, 48, 64][case % 6];
+                let nibble = entries == 16 && case % 2 == 0;
+                let svals = random_svals(&mut rng, subspaces, entries, 0.0);
+                let mut q = QuantizedLut::new();
+                q.build(&svals, subspaces, entries, 0.0);
+                let n = 1 + (case * 11) % BLOCK_LANES;
+                let codes: Vec<u8> = (0..n * subspaces)
+                    .map(|_| rng.gen_range(0..entries as u32) as u8)
+                    .collect();
+                let rows = interleave(&codes, n, subspaces, nibble);
+                let full = q.suffix_min(0) + 255 * subspaces as u32;
+                let thresholds = [
+                    0,
+                    1,
+                    q.suffix_min(0),
+                    q.suffix_min(0) + rng.gen_range(0..=full / 2),
+                    rng.gen_range(0..=full),
+                    full,
+                ];
+                for threshold in thresholds {
+                    let abandon = Some(Abandon {
+                        suffix_min: &q.suffix_min,
+                        threshold,
+                    });
+                    let pass = Pass::new(&q.q, q.stride, &rows, nibble, 0..subspaces, abandon);
+                    let mut want = [0u16; BLOCK_LANES];
+                    let want_abandoned = pass.run_scalar(&mut want);
+                    if want_abandoned {
+                        fired += 1;
+                    } else {
+                        kept += 1;
+                    }
+                    let label = format!("E {entries} case {case} T {threshold} nibble {nibble}");
+                    for &arm in &arms {
+                        let mut got = [0u16; BLOCK_LANES];
+                        // SAFETY: `arm`'s features were detected by
+                        // `simd_arms`; the VBMI arm gets 8-bit rows and a
+                        // `QuantizedLut`'s padded rows.
+                        let got_abandoned = unsafe {
+                            match arm {
+                                Arm::Avx512Vbmi if !nibble => pass.run_vbmi(&mut got),
+                                _ => pass.run_avx2(&mut got),
+                            }
+                        };
+                        assert_eq!(got_abandoned, want_abandoned, "{label} ({arm:?})");
+                        assert_eq!(got, want, "{label} ({arm:?}): lane sums");
+                    }
+                    let mut got = [0u16; BLOCK_LANES];
+                    let dispatched =
+                        scan_block_with_abandon(&q, &rows, nibble, threshold, &mut got);
+                    assert_eq!(
+                        (dispatched, got),
+                        (want_abandoned, want),
+                        "{label} (dispatched)"
+                    );
+                }
+            }
+        }
+        assert!(
+            fired > 50 && kept > 50,
+            "both outcomes covered: {fired} / {kept}"
+        );
     }
 
     #[test]
@@ -1686,6 +2409,6 @@ mod tests {
 
     #[test]
     fn kernel_name_reports_a_known_kernel() {
-        assert!(["avx2", "scalar"].contains(&kernel_name()));
+        assert!(["avx512vbmi", "avx2", "scalar"].contains(&kernel_name()));
     }
 }

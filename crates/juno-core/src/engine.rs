@@ -1112,12 +1112,13 @@ impl ScanEngine for JunoIndex {
         let mut covered = 0u32;
         for (s, &e) in code.iter().enumerate() {
             let v = slot.table[s * entries + e as usize];
-            // NaN marks "entry not selected"; comparison is false for NaN so
-            // the branch predictor sees the common case.
-            if !v.is_nan() {
-                sum += v;
-                covered += 1;
-            }
+            // NaN marks "entry not selected": it adds `+0.0` instead, with
+            // no branch. That is exact, as in `exact_block_sums`: `x + (+0.0)
+            // = x` for every `x` but `−0.0`, and a sum that starts at `+0.0`
+            // is never `−0.0`.
+            let selected = !v.is_nan();
+            sum += if selected { v } else { 0.0 };
+            covered += u32::from(selected);
         }
         self.finish_exact(slot, code.len(), sum, covered, ctr)
     }
@@ -1213,13 +1214,15 @@ impl ScanEngine for JunoIndex {
         };
 
         if self.fastscan {
-            // 0/1 indicator LUTs straight from the table's rows.
+            // 0/1 indicator LUTs straight from the table's rows, padded for
+            // the kernel's VBMI arm.
             let want_inner = inner_enabled && mode == HitCountMode::RewardPenalty;
+            let lut_len = kernel::padded_lut_len(subspaces, stride);
             slot.outer_lut.clear();
-            slot.outer_lut.resize(subspaces * stride, 0);
+            slot.outer_lut.resize(lut_len, 0);
             if want_inner {
                 slot.inner_lut.clear();
-                slot.inner_lut.resize(subspaces * stride, 0);
+                slot.inner_lut.resize(lut_len, 0);
             }
             for (s, row) in table.chunks_exact(entries).enumerate() {
                 let half_sq = slot.half_sq[s];

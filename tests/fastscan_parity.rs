@@ -322,6 +322,6 @@ fn fastscan_toggle_is_reported() {
     assert!(index.fastscan_enabled(), "fast-scan defaults to on");
     index.set_fastscan(false);
     assert!(!index.fastscan_enabled());
-    // The selected kernel is one of the two known implementations.
-    assert!(["avx2", "scalar"].contains(&juno::common::kernel::kernel_name()));
+    // The selected kernel is one of the three known implementations.
+    assert!(["avx512vbmi", "avx2", "scalar"].contains(&juno::common::kernel::kernel_name()));
 }
