@@ -62,7 +62,11 @@ GATES = [
      "when the batch pipeline stops running in parallel. Skipped below the "
      "reference core count"),
     (ONLINE, "shard.fanout_cost_ratio", ("<", 2.5),
-     "read 0.92-1.29; >= 3 when every shard re-plans the front half"),
+     "read 1.68-3.26 in six --all --seconds 3 runs once the ray table was "
+     "deleted (1.68, 2.25, 2.41, 2.41, 3.22, 3.26; the last two fail), "
+     "1.70-2.24 in three alternated parent runs; the fleet's per-query "
+     "thread spawns hold the numerator while kernel gains shrink "
+     "engine.search_us, so it no longer sits 2x from re-planning (>= 3)"),
     (ONLINE, "engine.search_us", ("<", 406),
      "read 193.7-202.6 with the front half as one selective-table kernel "
      "pass per probe (2x the worst is 405.2), and 133.2-209.9 in seven "

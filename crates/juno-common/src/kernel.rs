@@ -1,5 +1,5 @@
 //! The query path's scan kernels, each with an AVX2 arm and a portable arm
-//! chosen once per process ([`use_avx2`]; the fast-scan accumulation also
+//! chosen once per process (`use_avx2`; the fast-scan accumulation also
 //! has an AVX-512 VBMI arm, see [`kernel_name`]), and the offline half's
 //! distance kernel.
 //!
@@ -157,13 +157,12 @@ fn arm() -> Arm {
     *ARM.get_or_init(detect_arm)
 }
 
-/// Whether this process runs the AVX2 arms: of every kernel here and of
-/// `juno_rt`'s ray table. True when the CPU reports AVX2 and
-/// `JUNO_FORCE_SCALAR_KERNEL` is unset or `0`; probed once. A host that also
-/// reports AVX-512 VBMI (see [`kernel_name`]) still answers `true`: only the
-/// fast-scan accumulation has a VBMI arm, every other kernel keeps its AVX2
-/// arm there.
-pub fn use_avx2() -> bool {
+/// Whether this process runs the AVX2 arms of the kernels here. True when
+/// the CPU reports AVX2 and `JUNO_FORCE_SCALAR_KERNEL` is unset or `0`;
+/// probed once. A host that also reports AVX-512 VBMI (see [`kernel_name`])
+/// still answers `true`: only the fast-scan accumulation has a VBMI arm,
+/// every other kernel keeps its AVX2 arm there.
+pub(crate) fn use_avx2() -> bool {
     arm() != Arm::Scalar
 }
 

@@ -24,11 +24,12 @@
 //! 3. distance calculation over the probed clusters' codes, either with
 //!    exact accumulated distances (JUNO-H) or hit counts (JUNO-L/M).
 //!
-//! The RT construction itself ([`JunoIndex::build_selective_lut`]: the
-//! scene's flattened ray tables, a CSR [`SelectiveLut`]) no longer serves
-//! queries. It is the oracle the closed-form tables are tested against and
-//! the source of the RT work counters behind the simulated GPU time, which
-//! [`AnnIndex::simulate`] computes for a result on request.
+//! The RT construction itself ([`JunoIndex::build_selective_lut`]: one ray
+//! per `(probe, subspace)` walked through the scene's BVH, a CSR
+//! [`SelectiveLut`]) no longer serves queries. It is the oracle the
+//! closed-form tables are tested against and the source of the RT work
+//! counters behind the simulated GPU time, which [`AnnIndex::simulate`]
+//! computes for a result on request.
 
 use crate::config::{JunoConfig, QualityMode};
 use crate::drift::DriftTracker;
@@ -769,9 +770,9 @@ impl JunoIndex {
     }
 
     /// The selective LUT of one query as the RT cores build it: one ray per
-    /// `(probe, subspace)` traced through the scene's flattened ray tables,
-    /// each hit's value recovered from `t_hit`, gathered into a CSR
-    /// [`SelectiveLut`], with the traversal work counted. Searches do not
+    /// `(probe, subspace)` walked through the scene's BVH, each hit's value
+    /// recovered from `t_hit`, gathered into a CSR [`SelectiveLut`], with
+    /// the traversal work counted. Searches do not
     /// call it: it is the oracle the serving path's closed-form tables
     /// ([`SceneMapping::select_table`]) are held to, and the source of the
     /// RT counters [`AnnIndex::simulate`] turns into simulated time. Exposed
@@ -1528,7 +1529,7 @@ impl AnnIndex for JunoIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lut::{assert_same_lut, construct_selective_lut_reference};
+    use crate::lut::assert_same_lut;
     use juno_common::recall::{r1_at_100, recall_at};
     use juno_data::profiles::DatasetProfile;
     use juno_gpu::device::GpuDevice;
@@ -2042,8 +2043,7 @@ mod tests {
 
     /// The front half as it was first written: a residual `Vec` per probe,
     /// the threshold looked up per (probe, subspace), a materialised request
-    /// list, and every ray walked through the BVH
-    /// ([`construct_selective_lut_reference`]). The reference
+    /// list handed to [`construct_selective_lut`] in one slice. The reference
     /// [`JunoIndex::build_selective_lut`] must reproduce bit for bit.
     fn naive_selective_lut(index: &JunoIndex, query: &[f32]) -> SelectiveLutParts {
         let config = &index.config;
@@ -2079,8 +2079,7 @@ mod tests {
                 });
             }
         }
-        let (lut, rt) =
-            construct_selective_lut_reference(&index.mapping, clusters.len(), &requests).unwrap();
+        let (lut, rt) = construct_selective_lut(&index.mapping, clusters.len(), &requests).unwrap();
         (clusters, lut, rt, thresholds)
     }
 

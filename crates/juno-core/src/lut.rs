@@ -17,7 +17,10 @@
 //! What stays here is the RT construction itself: the oracle that table's
 //! hit sets are tested against, and the traversal work
 //! [`construct_selective_lut`] counts, which the GPU model turns into
-//! simulated time (`AnnIndex::simulate`).
+//! simulated time (`AnnIndex::simulate`). It walks the scene's BVH one ray
+//! at a time, as an RT core does (≈ 100 box tests and ≈ 127 sphere tests a
+//! ray at 48 subspaces × 64 entries), and stages every hit for one counting
+//! sort into the rows.
 //!
 //! # Memory layout
 //!
@@ -89,38 +92,38 @@ impl SelectiveLut {
         self.staging.push((row, entry, value));
     }
 
-    /// Merges the staged insertions into the flat CSR arrays, each row
+    /// Builds the flat CSR arrays from the staged insertions, each row
     /// sorted by entry id (enables binary-search lookups and merge-style
     /// scans); within a row, equal entry ids keep their insertion order.
     /// Queries ([`SelectiveLut::row`], [`SelectiveLut::lookup`], …) reflect
-    /// only finished insertions.
+    /// only finished insertions. A LUT is finished once, after its last
+    /// insertion; finishing again with nothing staged does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if insertions were staged after a finish that stored entries
+    /// (internal misuse).
     pub fn finish(&mut self) {
         if self.staging.is_empty() {
             return;
         }
+        assert!(
+            self.entries.is_empty(),
+            "a selective LUT is finished once, after its last insertion"
+        );
+        // Counting sort by row.
         let rows = self.num_slots * self.num_subspaces;
-        // Counting sort by row over the finished content and the staged
-        // insertions, finished content first.
-        let mut counts = vec![0u32; rows + 1];
-        for row in 0..rows {
-            counts[row + 1] = self.offsets[row + 1] - self.offsets[row];
-        }
+        let mut offsets = vec![0u32; rows + 1];
         for &(row, _, _) in &self.staging {
-            counts[row as usize + 1] += 1;
+            offsets[row as usize + 1] += 1;
         }
         for r in 0..rows {
-            counts[r + 1] += counts[r];
+            offsets[r + 1] += offsets[r];
         }
-        let total = counts[rows] as usize;
+        let total = offsets[rows] as usize;
         let mut entries = vec![0u16; total];
         let mut values = vec![0f32; total];
-        let mut cursors = counts.clone();
-        for (cursor, old) in cursors.iter_mut().zip(self.offsets.windows(2)) {
-            let (start, end, at) = (old[0] as usize, old[1] as usize, *cursor as usize);
-            entries[at..at + end - start].copy_from_slice(&self.entries[start..end]);
-            values[at..at + end - start].copy_from_slice(&self.values[start..end]);
-            *cursor += (end - start) as u32;
-        }
+        let mut cursors = offsets.clone();
         for &(row, entry, value) in &self.staging {
             let at = cursors[row as usize] as usize;
             entries[at] = entry;
@@ -128,10 +131,10 @@ impl SelectiveLut {
             cursors[row as usize] += 1;
         }
         for r in 0..rows {
-            let (start, end) = (counts[r] as usize, counts[r + 1] as usize);
+            let (start, end) = (offsets[r] as usize, offsets[r + 1] as usize);
             sort_row(&mut entries[start..end], &mut values[start..end]);
         }
-        self.offsets = counts;
+        self.offsets = offsets;
         self.entries = entries;
         self.values = values;
         self.staging.clear();
@@ -308,20 +311,17 @@ pub struct LutRayRequest {
 }
 
 /// Constructs the selective LUT by tracing one ray per request through the
-/// subspace's flattened traversal of the RT scene
-/// ([`juno_rt::table::ZRayTable`]: the scene's exact hits and work
-/// counters). Returns the LUT together with the traversal work performed
-/// (which the GPU model converts into RT-core time).
-///
-/// Requests may come lazily and in any order. A request whose
-/// `(slot, subspace)` row lies at or beyond every row seen so far — all of
-/// them, when requests arrive in row order, as the engine's do — writes its
-/// row straight into the CSR arrays; any other (a repeated or earlier row)
-/// is staged and merged at the end, after what was already written.
+/// RT scene's BVH ([`SceneMapping::ray_for`] → `Scene::trace_with_stats`),
+/// recovering each hit's value from `t_hit` ([`SceneMapping::decode_hit`])
+/// as the paper's hit shader does. Returns the LUT together with the
+/// traversal work performed (which the GPU model converts into RT-core
+/// time). Requests may come lazily and in any order; a row requested twice
+/// holds both rays' hits.
 ///
 /// # Errors
 ///
-/// Propagates mapping errors (invalid subspace indices).
+/// Returns [`Error::IndexOutOfBounds`] for a slot beyond `num_slots` and
+/// propagates mapping errors (invalid subspace indices).
 pub fn construct_selective_lut<I>(
     mapping: &SceneMapping,
     num_slots: usize,
@@ -331,70 +331,10 @@ where
     I: IntoIterator,
     I::Item: Borrow<LutRayRequest>,
 {
-    let subspaces = mapping.num_subspaces();
-    let mut lut = SelectiveLut::new(num_slots, subspaces);
-    let mut stats = TraversalStats::new();
-    // The `t_max` of the last threshold seen per subspace: a query uses one
-    // threshold per subspace, whatever the probe.
-    let mut t_max_of: Vec<Option<(u32, f32)>> = vec![None; subspaces];
-    // Rows `..sealed` are final in the CSR arrays.
-    let mut sealed = 0usize;
-    for req in requests {
-        let req = req.borrow();
-        if req.slot >= num_slots {
-            return Err(Error::IndexOutOfBounds {
-                what: "lut slot".into(),
-                index: req.slot,
-                len: num_slots,
-            });
-        }
-        let rays = mapping.subspace_rays(req.subspace)?;
-        let t_max = match t_max_of[req.subspace] {
-            Some((threshold, t_max)) if threshold == req.threshold.to_bits() => t_max,
-            _ => {
-                let t_max = mapping.t_max_for_threshold(req.subspace, req.threshold)?;
-                t_max_of[req.subspace] = Some((req.threshold.to_bits(), t_max));
-                t_max
-            }
-        };
-        let row = req.slot * subspaces + req.subspace;
-        if row >= sealed {
-            let start = lut.entries.len();
-            lut.offsets[sealed + 1..=row].fill(start as u32);
-            let (entries, values) = (&mut lut.entries, &mut lut.values);
-            rays.trace(req.projection, t_max, &mut stats, |entry, value| {
-                entries.push(entry);
-                values.push(value);
-            });
-            sort_row(&mut lut.entries[start..], &mut lut.values[start..]);
-            lut.offsets[row + 1] = lut.entries.len() as u32;
-            sealed = row + 1;
-        } else {
-            rays.trace(req.projection, t_max, &mut stats, |entry, value| {
-                lut.insert(req.slot, req.subspace, entry, value);
-            });
-        }
-    }
-    let end = lut.entries.len() as u32;
-    lut.offsets[sealed + 1..].fill(end);
-    lut.finish();
-    Ok((lut, stats))
-}
-
-/// The construction as it was before the flattened tables, kept as the
-/// reference [`construct_selective_lut`] must reproduce bit for bit: every
-/// ray walks the scene's BVH, every hit goes through
-/// [`SceneMapping::decode_hit`] and the staging list, and
-/// [`SelectiveLut::finish`] counting-sorts the lot.
-#[cfg(test)]
-pub(crate) fn construct_selective_lut_reference(
-    mapping: &SceneMapping,
-    num_slots: usize,
-    requests: &[LutRayRequest],
-) -> Result<(SelectiveLut, TraversalStats)> {
     let mut lut = SelectiveLut::new(num_slots, mapping.num_subspaces());
     let mut stats = TraversalStats::new();
     for req in requests {
+        let req = req.borrow();
         if req.slot >= num_slots {
             return Err(Error::IndexOutOfBounds {
                 what: "lut slot".into(),
@@ -412,14 +352,13 @@ pub(crate) fn construct_selective_lut_reference(
                     return;
                 }
                 match mapping.decode_hit(req.projection, &hit) {
-                    Ok((subspace, entry, value)) => {
-                        // Rays are confined to their subspace by construction, but
-                        // guard anyway: a hit from another layer would corrupt the
-                        // LUT silently.
-                        if subspace == req.subspace {
-                            lut.insert(req.slot, subspace, entry as u16, value);
-                        }
+                    // A ray from within rounding of a centre of the layer
+                    // below grazes that sphere at `t_hit = 0`: traversal
+                    // work, but not an entry of this subspace.
+                    Ok((subspace, entry, value)) if subspace == req.subspace => {
+                        lut.insert(req.slot, req.subspace, entry as u16, value);
                     }
+                    Ok(_) => {}
                     Err(e) => decode_error = Some(e),
                 }
             });
@@ -557,69 +496,53 @@ mod tests {
     }
 
     #[test]
-    fn tables_reproduce_the_tree_walk_for_any_request_order() {
-        // LUT (offsets, entries, value bits) and traversal counters against
-        // the BVH reference, under both mappings, for requests in row
-        // order, with rows skipped, shuffled, and with rows repeated under
-        // other projections and thresholds.
-        let (subspaces, entries, slots) = (7usize, 32usize, 5usize);
-        let cbs = seeded_codebooks(subspaces, entries, 0x51);
-        let mappings = [
-            (
-                "l2",
-                SceneMapping::build_l2(&cbs, &vec![1.5; subspaces]).unwrap(),
-            ),
-            (
-                "mips",
-                SceneMapping::build_mips(&cbs, &vec![3.0; subspaces]).unwrap(),
-            ),
-        ];
-        for (metric, mapping) in &mappings {
-            let mut rng = juno_common::rng::seeded(0x0A75);
-            let mut request = |slot: usize, subspace: usize| LutRayRequest {
-                slot,
-                subspace,
-                projection: [rng.gen_range(-2.5..2.5f32), rng.gen_range(-2.5..2.5f32)],
-                threshold: rng.gen_range(0.05..1.6f32),
-            };
-            let in_order: Vec<LutRayRequest> = (0..slots * subspaces)
-                .map(|row| request(row / subspaces, row % subspaces))
-                .collect();
-            let sparse: Vec<LutRayRequest> = in_order
-                .iter()
-                .copied()
-                .filter(|r| (r.slot + r.subspace) % 3 != 0)
-                .collect();
-            let mut order_rng = juno_common::rng::seeded(0xD1FF);
-            let mut shuffled = in_order.clone();
-            for i in (1..shuffled.len()).rev() {
-                shuffled.swap(i, order_rng.gen_range(0..i + 1));
-            }
-            let mut repeated = in_order.clone();
-            for i in 0..2 * subspaces {
-                let at = order_rng.gen_range(0..repeated.len() + 1);
-                repeated.insert(at, request(i % slots, i % subspaces));
-            }
-            for (order, requests) in [
-                ("in order", &in_order),
-                ("sparse", &sparse),
-                ("shuffled", &shuffled),
-                ("repeated", &repeated),
-            ] {
-                let label = format!("{metric} {order}");
-                let (want, want_stats) =
-                    construct_selective_lut_reference(mapping, slots, requests).unwrap();
-                let (got, got_stats) = construct_selective_lut(mapping, slots, requests).unwrap();
-                assert_same_lut(&got, &want, &label);
-                assert_eq!(got_stats, want_stats, "{label}: traversal stats");
-                assert!(got.total_selected() > 0, "{label}: nothing selected");
-                // Owned, lazily generated requests take the same path.
-                let (lazy, lazy_stats) =
-                    construct_selective_lut(mapping, slots, requests.iter().copied()).unwrap();
-                assert_same_lut(&lazy, &want, &label);
-                assert_eq!(lazy_stats, want_stats);
+    fn origin_over_a_centre_of_the_layer_below_hits_it_at_time_zero() {
+        // A scaled planar offset² below 2⁻²⁴ makes the intersection's
+        // `c = (x² + y² + 1) − 1` round to zero, so the unit sphere of the
+        // layer below is hit at `t_hit = 0`: traversal work the counters
+        // keep, but no entry of the ray's subspace.
+        let (subspaces, entries, s) = (6usize, 64usize, 3usize);
+        let cbs = seeded_codebooks(subspaces, entries, 0xC0FFEE);
+        // One max threshold everywhere gives every layer the same coordinate
+        // scale, so a projection equal to an entry of subspace `s − 1`
+        // starts subspace `s`'s ray right over that entry's sphere.
+        let mapping = SceneMapping::build_l2(&cbs, &vec![1.5; subspaces]).unwrap();
+        let mut grazed = 0;
+        for below in cbs[s - 1].entries().iter().step_by(5) {
+            for (dx, dy) in [(0.0, 0.0), (1.0e-4, 0.0), (-1.5e-4, 1.0e-4)] {
+                for threshold in [0.05f32, 0.8, 1.5] {
+                    let projection = [below[0] + dx, below[1] + dy];
+                    let request = LutRayRequest {
+                        slot: 0,
+                        subspace: s,
+                        projection,
+                        threshold,
+                    };
+                    let (lut, stats) = construct_selective_lut(&mapping, 1, [request]).unwrap();
+                    // The same ray walked by hand, its hits split by layer.
+                    let t_max = mapping.t_max_for_threshold(s, threshold).unwrap();
+                    let ray = mapping.ray_for(s, projection, t_max).unwrap();
+                    let (mut own, mut below_hits) = (Vec::new(), 0);
+                    let walked = mapping.scene().trace(&ray, &mut |hit| {
+                        let (layer, entry) = mapping.decode_primitive(hit.primitive_id).unwrap();
+                        if layer == s {
+                            own.push(entry as u16);
+                        } else {
+                            assert_eq!((layer, hit.t_hit), (s - 1, 0.0));
+                            below_hits += 1;
+                        }
+                    });
+                    own.sort_unstable();
+                    assert_eq!(stats, walked);
+                    assert!(stats.primitive_tests >= stats.hits);
+                    assert_eq!(stats.hits, own.len() + below_hits);
+                    assert_eq!(lut.row_entries(0, s), &own[..]);
+                    assert_eq!(lut.total_selected(), own.len());
+                    grazed += below_hits;
+                }
             }
         }
+        assert!(grazed > 0, "no ray hit the layer below at t_hit = 0");
     }
 
     #[test]
@@ -648,21 +571,35 @@ mod tests {
         assert_eq!(lut.row_entries(0, 1), &[3, 9]);
         assert_eq!(lut.row_entries(0, 0), &[] as &[u16]);
         assert_eq!(lut.total_selected(), 5);
-        // Repeated insert/finish cycles keep earlier rows intact, and an
-        // entry inserted again lands after its earlier value.
-        lut.insert(0, 0, 1, 0.1);
-        lut.insert(1, 0, 5, 5.5);
+        // Finishing again with nothing staged changes nothing.
+        let finished = lut.clone();
         lut.finish();
-        assert_eq!(lut.row_entries(0, 0), &[1]);
-        assert_eq!(lut.row_entries(1, 0), &[2, 5, 5, 7]);
-        assert_eq!(lut.row_values(1, 0), &[0.2, 0.5, 5.5, 0.7]);
-        assert_eq!(lut.total_selected(), 7);
+        assert_eq!(lut, finished);
+        // An entry inserted twice keeps both values, in insertion order.
+        let mut twice = SelectiveLut::new(2, 2);
+        twice.insert(1, 0, 5, 0.5);
+        twice.insert(1, 0, 2, 0.2);
+        twice.insert(1, 0, 5, 5.5);
+        twice.finish();
+        assert_eq!(twice.row_entries(1, 0), &[2, 5, 5]);
+        assert_eq!(twice.row_values(1, 0), &[0.2, 0.5, 5.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finished once")]
+    fn inserting_after_a_finish_that_stored_entries_is_refused() {
+        let mut lut = SelectiveLut::new(1, 1);
+        lut.insert(0, 0, 3, 0.3);
+        lut.finish();
+        lut.insert(0, 0, 1, 0.1);
+        lut.finish();
     }
 
     #[test]
     fn finish_matches_a_naive_row_by_row_construction_on_seeded_inserts() {
         // Reference: one `Vec` per row, sorted by entry id. Entries are
-        // unique within a row, as ray hits are, and arrive in random order.
+        // unique within a row, as ray hits are, and arrive in random order,
+        // in two shuffled rounds staged before the one finish.
         let (slots, subspaces, entries) = (5usize, 7usize, 64u16);
         let mut rng = juno_common::rng::seeded(0x1D7);
         let mut lut = SelectiveLut::new(slots, subspaces);
@@ -686,15 +623,15 @@ mod tests {
                 lut.insert(row / subspaces, row % subspaces, e, v);
                 naive[row].push((e, v));
             }
-            lut.finish();
-            for (row, want) in naive.iter_mut().enumerate() {
-                want.sort_by_key(|&(e, _)| e);
-                let got: Vec<(u16, f32)> = lut.row(row / subspaces, row % subspaces).collect();
-                assert_eq!(&got, want, "round {round} row {row}");
-            }
-            let total: usize = naive.iter().map(Vec::len).sum();
-            assert_eq!(lut.total_selected(), total);
         }
+        lut.finish();
+        for (row, want) in naive.iter_mut().enumerate() {
+            want.sort_by_key(|&(e, _)| e);
+            let got: Vec<(u16, f32)> = lut.row(row / subspaces, row % subspaces).collect();
+            assert_eq!(&got, want, "row {row}");
+        }
+        let total: usize = naive.iter().map(Vec::len).sum();
+        assert_eq!(lut.total_selected(), total);
     }
 
     #[test]

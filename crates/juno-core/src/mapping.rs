@@ -22,10 +22,10 @@
 //! for each entry (hit iff `d² ≤ min(thr², R²/c²)`, or an inner-product cut
 //! under MIPS) in one vectorised pass over codebook columns kept beside the
 //! scene, and computes each selected entry's value exactly instead of
-//! recovering it from `t_hit`. The scene, its flattened ray tables and
-//! [`SceneMapping::decode_hit`] remain for the traced construction
-//! (`crate::lut`): the oracle the closed form is tested against and the
-//! source of the simulator's RT work counters.
+//! recovering it from `t_hit`. The scene and [`SceneMapping::decode_hit`]
+//! remain for the traced construction (`crate::lut`), which walks the
+//! scene's BVH ray by ray: the oracle the closed form is tested against and
+//! the source of the simulator's RT work counters.
 //!
 //! Because the RT geometry requires the sphere radius to stay below the one
 //! unit of `z` travel between the ray origin plane and the entry plane, every
@@ -39,8 +39,6 @@ use juno_quant::codebook::Codebook;
 use juno_rt::ray::Ray;
 use juno_rt::scene::{Hit, Scene, SceneBuilder};
 use juno_rt::sphere::Sphere;
-use juno_rt::stats::TraversalStats;
-use juno_rt::table::ZRayTable;
 use std::sync::Arc;
 
 /// Safety margin keeping scene radii strictly below the 1-unit layer spacing.
@@ -58,8 +56,7 @@ struct SubspaceGeometry {
 
 /// Everything a mapping shares between its clones, immutable once built:
 /// the codebook entries column-major (the closed-form predicate's side of
-/// the scene), and what rays are traced through — the scene and, per
-/// subspace, its flattened traversal for that subspace's query rays.
+/// the scene) and the scene that rays are traced through.
 #[derive(Debug)]
 struct Shared {
     /// `xs[s * E + e]`, `ys[s * E + e]`: entry `e` of subspace `s`, in
@@ -67,16 +64,10 @@ struct Shared {
     xs: Vec<f32>,
     ys: Vec<f32>,
     scene: Scene,
-    /// `tables[s]` answers `+z` rays from subspace `s`'s origin plane exactly
-    /// as `scene` does (see [`juno_rt::table`]).
-    tables: Vec<ZRayTable>,
 }
 
 impl Shared {
     fn new(codebooks: &[Codebook], scene: Scene) -> Arc<Self> {
-        let tables = (0..codebooks.len())
-            .map(|s| scene.z_ray_table(origin_z(s)))
-            .collect();
         let column = |j: usize| {
             codebooks
                 .iter()
@@ -87,16 +78,15 @@ impl Shared {
             xs: column(0),
             ys: column(1),
             scene,
-            tables,
         })
     }
 }
 
 /// The RT scene plus everything needed to create rays and decode hits.
 ///
-/// The entry columns, the scene and its traversal tables sit behind one
-/// `Arc`: cloning a mapping — which cloning an index does, per shard per
-/// write — copies a pointer, not the spheres, the BVH and the tables.
+/// The entry columns and the scene sit behind one `Arc`: cloning a mapping —
+/// which cloning an index does, per shard per write — copies a pointer, not
+/// the spheres and the BVH.
 #[derive(Debug, Clone)]
 pub struct SceneMapping {
     shared: Arc<Shared>,
@@ -389,25 +379,6 @@ impl SceneMapping {
         Ok((subspace, entry, value))
     }
 
-    /// The ray-independent half of tracing `subspace`'s query rays and
-    /// decoding their hits, looked up once per ray instead of once per hit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
-    pub(crate) fn subspace_rays(&self, subspace: usize) -> Result<SubspaceRays<'_>> {
-        let geo = self.geo(subspace)?;
-        Ok(SubspaceRays {
-            table: &self.shared.tables[subspace],
-            metric: self.metric,
-            coord_scale: geo.coord_scale,
-            radius_sq: geo.base_radius * geo.base_radius,
-            scale_sq: geo.coord_scale * geo.coord_scale,
-            first_primitive: encode_primitive(subspace, 0, self.entries_per_subspace),
-            entries: self.entries_per_subspace as u32,
-        })
-    }
-
     /// Splits a primitive id into `(subspace, entry)`.
     ///
     /// # Errors
@@ -434,56 +405,6 @@ impl SceneMapping {
                 index: subspace,
                 len: self.geometry.len(),
             })
-    }
-}
-
-/// One subspace's query rays: its flattened traversal plus the constants of
-/// [`SceneMapping::ray_for`] and [`SceneMapping::decode_hit`] that do not
-/// depend on the ray ([`SceneMapping::subspace_rays`]).
-pub(crate) struct SubspaceRays<'a> {
-    table: &'a ZRayTable,
-    metric: Metric,
-    coord_scale: f32,
-    /// `base_radius²`.
-    radius_sq: f32,
-    /// `coord_scale²`.
-    scale_sq: f32,
-    /// Primitive id of this subspace's entry 0.
-    first_primitive: u32,
-    entries: u32,
-}
-
-impl SubspaceRays<'_> {
-    /// Traces [`SceneMapping::ray_for`]`(subspace, projection, t_max)` for a
-    /// `t_max` in `[0, 1]`, as [`SceneMapping::t_max_for_threshold`] returns, and
-    /// hands every selected entry of this subspace to `on_entry` with the
-    /// value [`SceneMapping::decode_hit`] computes — the same arithmetic on
-    /// the same `t_hit`. Hits on another layer's spheres (an origin within
-    /// rounding of a centre of the layer below grazes it at `t_hit = 0`)
-    /// count as traversal work and are dropped: they would corrupt the LUT.
-    #[inline]
-    pub(crate) fn trace(
-        &self,
-        projection: [f32; 2],
-        t_max: f32,
-        stats: &mut TraversalStats,
-        mut on_entry: impl FnMut(u16, f32),
-    ) {
-        let qx = projection[0] * self.coord_scale;
-        let qy = projection[1] * self.coord_scale;
-        let q_sq = qx * qx + qy * qy;
-        self.table.trace(qx, qy, t_max, stats, |hit| {
-            let entry = hit.primitive_id.wrapping_sub(self.first_primitive);
-            if entry >= self.entries {
-                return;
-            }
-            let dz = 1.0 - hit.t_hit;
-            let value = match self.metric {
-                Metric::L2 => (self.radius_sq - dz * dz).max(0.0) / self.scale_sq,
-                Metric::InnerProduct => 0.5 * (q_sq - self.radius_sq + dz * dz) / self.scale_sq,
-            };
-            on_entry(entry as u16, value);
-        });
     }
 }
 

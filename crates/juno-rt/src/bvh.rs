@@ -19,7 +19,7 @@ const MAX_STACK: usize = 64;
 
 /// One node of the flattened BVH.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum NodeKind {
+enum NodeKind {
     /// Interior node with indices of its two children in the node array.
     Interior { left: u32, right: u32 },
     /// Leaf node holding a range `[start, start + count)` into the primitive
@@ -29,17 +29,17 @@ pub(crate) enum NodeKind {
 
 /// A BVH node: bounds plus either children or a primitive range.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Node {
-    pub(crate) bounds: Aabb,
-    pub(crate) kind: NodeKind,
+struct Node {
+    bounds: Aabb,
+    kind: NodeKind,
 }
 
 /// A bounding volume hierarchy over sphere primitives.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Bvh {
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// Primitive indices ordered so that each leaf owns a contiguous range.
-    pub(crate) order: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl Bvh {

@@ -14,11 +14,9 @@
 //! * [`bvh`] — a bounding volume hierarchy built over primitive AABBs with a
 //!   median-split strategy and an iterative traversal loop.
 //! * [`scene`] — the traversable scene: build once offline, trace rays with
-//!   any-hit callbacks online, exactly like an OptiX launch.
-//! * [`table`] — the same traversal flattened for JUNO's canonical ray
-//!   family (`+z`, `t_max ≤ 1`, one origin depth per subspace): lane-parallel
-//!   tables with the BVH's exact hits and counters, which the simulator and
-//!   the engine's hit-set oracle trace through.
+//!   any-hit callbacks online, exactly like an OptiX launch. Every ray JUNO
+//!   traces (the simulator's and the engine's hit-set oracle's) walks the
+//!   scene's BVH; there is no second traversal.
 //! * [`stats`] — traversal work counters (box tests, primitive tests, hit
 //!   shader invocations) that stand in for RT-core cycles.
 //! * [`hardware`] — per-generation RT-core throughput figures (Turing /
@@ -47,7 +45,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod aabb;
 pub mod bvh;
@@ -56,7 +54,6 @@ pub mod ray;
 pub mod scene;
 pub mod sphere;
 pub mod stats;
-pub mod table;
 
 pub use aabb::Aabb;
 pub use bvh::Bvh;
@@ -65,4 +62,3 @@ pub use ray::Ray;
 pub use scene::{Hit, Scene, SceneBuilder};
 pub use sphere::Sphere;
 pub use stats::TraversalStats;
-pub use table::ZRayTable;

@@ -11,7 +11,6 @@ use crate::bvh::Bvh;
 use crate::ray::Ray;
 use crate::sphere::Sphere;
 use crate::stats::TraversalStats;
-use crate::table::ZRayTable;
 
 /// One reported intersection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,15 +125,6 @@ impl Scene {
                     t_hit,
                 })
             });
-    }
-
-    /// Flattens the traversal of every `+z` ray that starts at depth
-    /// `origin_z` and travels at most one unit (`t_max ≤ 1`) — JUNO's query
-    /// rays for one subspace — into a lane-parallel table that reproduces
-    /// [`Scene::trace`]'s hits and work counters exactly. Build once per
-    /// scene and depth; see [`crate::table`].
-    pub fn z_ray_table(&self, origin_z: f32) -> ZRayTable {
-        ZRayTable::build(&self.bvh, &self.spheres, origin_z)
     }
 }
 
