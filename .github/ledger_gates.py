@@ -50,8 +50,10 @@ GATES = [
      "arm on an AVX2 host. avx2 in 3 of 3 before the VBMI arm; avx512vbmi "
      "in 6 of 6 after it, on a host that reports VBMI"),
     (FAT, "engine.pruned_ratio", (">=", 0.98),
-     "read 0.9928 in all three (deterministic); 0.888 when the nearest "
-     "probed list is scanned exactly instead of through the quantised kernel"),
+     "read 0.9980 in all three (deterministic) since the seed visit scores "
+     "its list in quantised-bound order; 0.9928 while it streamed the list "
+     "in storage order; 0.888 when the nearest probed list is scanned "
+     "exactly instead of through the quantised kernel"),
     (FAT, "engine.build_s", ("<", 11),
      "read 4.43-5.24; 12-20 when the offline half falls back to one "
      "bounds-checked scalar distance at a time"),
@@ -66,7 +68,13 @@ GATES = [
      "deleted (1.68, 2.25, 2.41, 2.41, 3.22, 3.26; the last two fail), "
      "1.70-2.24 in three alternated parent runs; the fleet's per-query "
      "thread spawns hold the numerator while kernel gains shrink "
-     "engine.search_us, so it no longer sits 2x from re-planning (>= 3)"),
+     "engine.search_us, so it no longer sits 2x from re-planning (>= 3). "
+     "With one spawn fewer per parallel map and the ranked seed visit: "
+     "1.49-2.45 in six runs (1.49, 1.77, 1.79, 1.95, 2.21, 2.45; "
+     "engine.search_us 72-114: the monolith ranks its first probes of "
+     "164+ records, the shards' thinner lists rarely open the gate); 1.98 "
+     "against the parent's 2.03 in one traced seed-1 run each "
+     "(shard.fleet_search_us 181 -> 133)"),
     (ONLINE, "engine.search_us", ("<", 406),
      "read 193.7-202.6 with the front half as one selective-table kernel "
      "pass per probe (2x the worst is 405.2), and 133.2-209.9 in seven "

@@ -10,6 +10,8 @@
 //! work a slow worker never reached. Results are returned in index order
 //! regardless of which worker computed them, which keeps parallel output
 //! deterministic and bit-identical to a sequential run of the same closure.
+//! The calling thread is one of the workers, so a map on `t` workers spawns
+//! `t − 1` scoped threads.
 //!
 //! # Panic isolation
 //!
@@ -102,39 +104,38 @@ where
     };
 
     let cursor = AtomicUsize::new(0);
+    // One worker's whole life under the catch (state init included). On a
+    // panic the worker's claimed-but-unfinished chunk is simply abandoned;
+    // the cursor has already moved past it, so no other worker re-runs
+    // those indices — the caller discards everything and reports the panic
+    // instead.
+    let worker = || {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut state = init();
+            let mut local: Vec<(usize, T)> = Vec::new();
+            loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                let end = (start + chunk).min(n);
+                for i in start..end {
+                    local.push((i, f(&mut state, i)));
+                }
+            }
+            local
+        }))
+    };
     let mut buckets: Vec<Vec<(usize, T)>> = Vec::with_capacity(threads);
     let mut panic: Option<Error> = None;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let init = &init;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                // The catch covers the worker's whole life (state init
-                // included). On a panic the worker's claimed-but-unfinished
-                // chunk is simply abandoned; the cursor has already moved
-                // past it, so no other worker re-runs those indices — the
-                // caller discards everything and reports the panic instead.
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut state = init();
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for i in start..end {
-                            local.push((i, f(&mut state, i)));
-                        }
-                    }
-                    local
-                }))
-            }));
-        }
-        for h in handles {
-            match h.join().expect("worker catch_unwind cannot itself panic") {
+        // The calling thread is the last worker: `threads − 1` spawns.
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker catch_unwind cannot itself panic"));
+        for result in std::iter::once(worker()).chain(joined) {
+            match result {
                 Ok(bucket) => buckets.push(bucket),
                 Err(payload) => {
                     // Record the first panic; keep joining so the scope
@@ -291,6 +292,47 @@ mod tests {
             "surviving workers abandoned the range: only {} of 399 ran",
             ran.load(Ordering::Relaxed)
         );
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_threads_worker_lets_the_others_drain() {
+        crate::testing::silence_panics();
+        // The calling thread runs one of the workers. Spawned workers hold
+        // their first item until it has panicked, so it is sure to claim one.
+        let caller = std::thread::current().id();
+        for threads in [2usize, 4] {
+            let (died, ran) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let result = map_with(
+                200,
+                threads,
+                1,
+                || (),
+                |(), i| {
+                    if std::thread::current().id() == caller {
+                        died.store(1, Ordering::Release);
+                        panic!("[injected-fault] caller worker dies at {i}");
+                    }
+                    while died.load(Ordering::Acquire) == 0 && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+            );
+            match result {
+                Err(Error::WorkerPanicked(msg)) => {
+                    assert!(msg.contains("caller worker dies"), "{msg}")
+                }
+                other => panic!("threads {threads}: expected WorkerPanicked, got {other:?}"),
+            }
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                199,
+                "threads {threads}: the spawned workers must drain every other index"
+            );
+        }
     }
 
     #[test]

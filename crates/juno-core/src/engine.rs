@@ -346,10 +346,11 @@ impl JunoIndex {
         }
     }
 
-    /// Creates a scratch buffer sized for this index, reusable across
-    /// queries (the batch path keeps one per worker thread).
+    /// Creates a scratch buffer sized for this index — its ranked-visit
+    /// buffers fit the largest list — reusable across queries (the batch
+    /// path keeps one per worker thread).
     pub fn make_scratch(&self) -> SearchScratch {
-        ScanArena::new(self.new_slot())
+        ScanArena::for_lists(self.new_slot(), &self.list_codes)
     }
 
     /// The engine configuration.
@@ -1358,8 +1359,10 @@ impl AnnIndex for JunoIndex {
         self.list_codes.len()
     }
 
+    /// A one-off search: its arena grows only as far as this query's
+    /// visits need, where [`JunoIndex::make_scratch`] sizes for every list.
     fn search(&self, query: &[f32], k: usize) -> Result<SearchResult> {
-        self.search_with_scratch(query, k, &mut self.make_scratch())
+        self.search_with_scratch(query, k, &mut ScanArena::new(self.new_slot()))
     }
 
     fn supports_mutation(&self) -> bool {

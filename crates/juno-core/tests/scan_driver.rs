@@ -3,11 +3,12 @@
 //! of the grouped pipeline, the query-major batch and the sequential search.
 
 use juno_common::index::AnnIndex;
+use juno_common::kernel::MIN_PRUNE_POINTS;
 use juno_common::vector::VectorSet;
 use juno_core::config::{JunoConfig, QualityMode};
 use juno_core::engine::JunoIndex;
 use juno_data::profiles::{Dataset, DatasetProfile};
-use juno_quant::scan::{PlannedBatch, ScanEngine};
+use juno_quant::scan::{search_one_planned, PlannedBatch, ScanArena, ScanEngine};
 use std::sync::OnceLock;
 
 /// One dataset + JUNO-H index for the whole file; tests clone the index
@@ -34,7 +35,17 @@ fn group_scratch_is_reused_without_allocation_churn() {
     // allocation: no growth events, no capacity change.
     let (ds, index) = fixture();
     let mut index = index.clone();
-    let rows: Vec<&[f32]> = ds.queries.iter().collect();
+    // The largest list, and a query whose nearest probe it is: that visit
+    // starts from an empty selector and takes the ranked visit, whose
+    // buffers the largest list sizes.
+    let lists = index.lists();
+    let largest = (0..lists.num_clusters())
+        .max_by_key(|&c| lists.cluster_ids(c).len())
+        .unwrap();
+    assert!(lists.cluster_ids(largest).len() >= MIN_PRUNE_POINTS + 10);
+    let nearest = ds.points.row(lists.cluster_ids(largest)[0] as usize);
+    assert_eq!(index.probes(&index.plan(nearest).unwrap())[0], largest);
+    let rows: Vec<&[f32]> = std::iter::once(nearest).chain(ds.queries.iter()).collect();
     for mode in [QualityMode::High, QualityMode::Medium, QualityMode::Low] {
         index.set_quality(mode);
         let plans: Vec<_> = rows.iter().map(|q| index.plan(q).unwrap()).collect();
@@ -49,7 +60,7 @@ fn group_scratch_is_reused_without_allocation_churn() {
         };
         let sched = batch.schedule(0);
         assert!(sched.num_chunks() > 0);
-        let mut scratch = index.make_scratch();
+        let mut scratch = ScanArena::new(index.new_slot());
         let mut run = || {
             for ci in 0..sched.num_chunks() {
                 batch.scan_chunk(&sched, ci, &mut scratch);
@@ -64,8 +75,29 @@ fn group_scratch_is_reused_without_allocation_churn() {
             assert_eq!(run(), first, "{mode:?}: arena regrew or churned");
         }
 
+        // The seed pass's shape: every query's probes query-major through
+        // one arena. A one-slot arena only grows for the ranked visit, on
+        // the largest list first; then never again.
+        let mut scratch = ScanArena::new(index.new_slot());
+        let fresh = (scratch.grow_events(), scratch.footprint());
+        let mut run = || {
+            for (q, plan) in rows.iter().zip(&plans) {
+                search_one_planned(&index, q, plan, 10, &mut scratch).unwrap();
+            }
+            (scratch.grow_events(), scratch.footprint())
+        };
+        let first = run();
+        if mode == QualityMode::High {
+            assert_eq!(first.0, fresh.0 + 1, "one growth, to the largest list");
+        } else {
+            assert_eq!(first, fresh, "{mode:?}: the hit-count unit never ranks");
+        }
+        for _ in 0..2 {
+            assert_eq!(run(), first, "{mode:?}: the ranked buffers regrew");
+        }
+
         // The single-query path never grows the scratch `make_scratch()`
-        // hands out.
+        // hands out: its ranked buffers already fit the largest list.
         let mut scratch = index.make_scratch();
         let fresh = (scratch.grow_events(), scratch.footprint());
         for q in &rows {

@@ -858,6 +858,35 @@ impl BlockCodes {
         (lanes[0].pruned_points, lanes[0].pruned_blocks)
     }
 
+    /// One full pass of the quantised kernel over every block, no abandon:
+    /// `out[i]` gets base point `i`'s saturating `u16` lane sum, the
+    /// integer a prune threshold is held against (a sum `≥`
+    /// [`QuantizedLut::prune_threshold`] cannot enter the top-k).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out.len() == num_points()`.
+    pub fn lower_bounds(&self, qlut: &QuantizedLut, out: &mut [u16]) {
+        assert_eq!(out.len(), self.num_points, "one bound per base point");
+        let (full, tail) = out.as_chunks_mut::<BLOCK_LANES>();
+        for b in 0..self.num_blocks() {
+            if b + 1 < self.num_blocks() {
+                prefetch_rows(self.block_rows(b + 1));
+            }
+            let rows = self.block_rows(b);
+            match full.get_mut(b) {
+                Some(sums) => {
+                    scan_block_with_abandon(qlut, rows, self.nibble, NEVER_PRUNE, sums);
+                }
+                None => {
+                    let mut sums = [0; BLOCK_LANES];
+                    scan_block_with_abandon(qlut, rows, self.nibble, NEVER_PRUNE, &mut sums);
+                    tail.copy_from_slice(&sums[..tail.len()]);
+                }
+            }
+        }
+    }
+
     /// The **multi-query** (cluster-major) prune scan: holds one quantised
     /// LUT per lane — a small register-tile of queries probing this cluster —
     /// against each 32-point block before moving on, so the block's code rows

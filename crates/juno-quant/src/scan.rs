@@ -10,10 +10,18 @@
 //! * **one cluster visit** ([`PlannedBatch`]`::visit`): a tile of
 //!   1..=[`GROUP_TILE`] queries against one [`IvfListCodes`] cluster —
 //!   expand each query's table, gate pruning (on how much of the cluster
-//!   can be pruned — a selector that is still filling lets its first
-//!   candidates through unpruned), cluster-bound skip, the multi-query
-//!   quantised prune pass with exact re-rank of survivors, the exact base
-//!   scan for queries whose gate stayed shut, then the append tail;
+//!   can be pruned beyond the candidates a still-filling selector needs),
+//!   cluster-bound skip, the multi-query quantised prune pass with exact
+//!   re-rank of survivors, the exact base scan for queries whose gate
+//!   stayed shut, then the append tail. A query whose gate opens with no
+//!   bound at all — the seed pass, the first probe of a query-major search
+//!   — does not stream: it takes the **ranked visit**
+//!   ([`PlannedBatch`]`::ranked_visit`), one quantised pass that keeps every
+//!   lane's bound, then exact re-ranks 32 at a time from the lowest bound
+//!   up until the next bound cannot enter the top-k. On the ledger's fat
+//!   lists (48 × 64 codes, ≈ 6,250 records a list, k = 100; 1 thread of a
+//!   2-vCPU Xeon with AVX-512 VBMI) that cuts a seed visit's exact scores
+//!   from 675 to 210 and its time from ≈ 160 to ≈ 95 µs a query;
 //! * **one batch pipeline** ([`search_batch_grouped`]): plan → seed →
 //!   schedule → chunk scan → gather. The query-major path ([`search_one`])
 //!   is the same visit with a tile of one, no seed bound, clusters in probe
@@ -143,8 +151,9 @@ pub trait ScanEngine: Sync {
     /// `ctr.accumulations` by the additions performed.
     fn score(&self, slot: &Self::Slot, code: &[u8], ctr: &mut ScanCounters) -> Option<f32>;
 
-    /// Scores the lanes of one base block that `live` marks (bit `l` = lane
-    /// `l`) exactly: `out[l]` gets what [`ScanEngine::score`] returns for
+    /// Scores the lanes of one 32-point block — a base block, or the ranked
+    /// visit's gathered candidates — that `live` marks (bit `l` = lane `l`)
+    /// exactly: `out[l]` gets what [`ScanEngine::score`] returns for
     /// lane `l`'s code, bit for bit, and `ctr` counts the same
     /// accumulations. Lanes outside `live` are neither scored nor counted.
     /// The default calls `score` lane by lane; an engine overrides it with a
@@ -200,11 +209,13 @@ pub trait ScanEngine: Sync {
     ) -> SearchResult;
 }
 
-/// One 32-point block of a cluster's base segment, in both layouts.
+/// One 32-point block of a cluster's base segment, or of candidates the
+/// ranked visit gathered from it, in both layouts.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockRef<'a> {
     /// The block's subspace-major rows
-    /// ([`BlockCodes::block_rows`](crate::layout::BlockCodes::block_rows)).
+    /// ([`BlockCodes::block_rows`](crate::layout::BlockCodes::block_rows);
+    /// a gathered block's are never nibble-packed).
     pub rows: &'a [u8],
     /// Whether `rows` are nibble-packed.
     pub nibble: bool,
@@ -225,6 +236,9 @@ struct TileSlot<S> {
     /// score), combined with the local worst via [`tighter_worst`].
     seed: Option<f32>,
     prune: bool,
+    /// The gate opened with no bound at all: the slot takes the ranked
+    /// visit ([`PlannedBatch::ranked_visit`]) instead of the lane stream.
+    ranked: bool,
     done: bool,
 }
 
@@ -247,7 +261,8 @@ impl QueryState {
 }
 
 /// Reusable per-worker scan state: the visit tile (grown on demand up to
-/// [`GROUP_TILE`] engine slots + quantised LUTs) and, for the batch
+/// [`GROUP_TILE`] engine slots + quantised LUTs), the ranked visit's
+/// buffers (grown to the largest base it ranks) and, for the batch
 /// pipeline, one accumulation state per batch query. Steady-state searches
 /// perform **zero per-query heap allocation** from it — `grow_events` and
 /// `footprint` stay put once the first search or batch has sized it.
@@ -257,7 +272,66 @@ pub struct ScanArena<S> {
     states: Vec<QueryState>,
     /// Queries touched by the current chunk, in touch order.
     touched: Vec<u32>,
+    ranked: RankedScratch,
     grow_events: usize,
+}
+
+/// A `u16` lane sum `b` falls in bucket `b >> RANK_SHIFT` of the ranked
+/// visit's counting sort.
+const RANK_SHIFT: u32 = 6;
+
+/// Buckets of the ranked visit's counting sort: 1,024 of 64 sums each cover
+/// every `u16`.
+const RANK_BUCKETS: usize = (u16::MAX as usize >> RANK_SHIFT) + 1;
+
+/// The ranked visit's buffers, sized to the largest base segment visited
+/// (or, from [`ScanArena::for_lists`], to the largest there is).
+#[derive(Debug)]
+struct RankedScratch {
+    /// Every base lane's quantised lower bound.
+    bounds: Vec<u16>,
+    /// Base indices, bucket by bucket from the lowest bound up.
+    order: Vec<u32>,
+    /// The counting sort's bucket cursors (`RANK_BUCKETS + 1`).
+    cursors: Vec<u32>,
+    /// One gathered group: subspace-major rows of [`BLOCK_LANES`] bytes …
+    rows: Vec<u8>,
+    /// … and the same codes point-major.
+    codes: Vec<u8>,
+    grow_events: usize,
+}
+
+impl RankedScratch {
+    fn new() -> Self {
+        Self {
+            bounds: Vec::new(),
+            order: Vec::new(),
+            cursors: vec![0; RANK_BUCKETS + 1],
+            rows: Vec::new(),
+            codes: Vec::new(),
+            grow_events: 0,
+        }
+    }
+
+    /// Sizes the buffers for a base of `points` records of `subspaces`
+    /// codes (growth only, counted).
+    fn fit(&mut self, points: usize, subspaces: usize) {
+        let group = BLOCK_LANES * subspaces;
+        if self.bounds.len() < points || self.rows.len() < group {
+            self.grow_events += 1;
+            self.bounds.resize(points.max(self.bounds.len()), 0);
+            self.order.resize(points.max(self.order.len()), 0);
+            self.rows.resize(group.max(self.rows.len()), 0);
+            self.codes.resize(group.max(self.codes.len()), 0);
+        }
+    }
+
+    fn footprint(&self) -> usize {
+        self.bounds.capacity()
+            + self.order.capacity()
+            + self.rows.capacity()
+            + self.codes.capacity()
+    }
 }
 
 impl<S> ScanArena<S> {
@@ -268,9 +342,23 @@ impl<S> ScanArena<S> {
             tile: Vec::new(),
             states: Vec::new(),
             touched: Vec::new(),
+            ranked: RankedScratch::new(),
             grow_events: 0,
         };
         arena.push_slot(slot);
+        arena
+    }
+
+    /// [`ScanArena::new`] with the ranked visit's buffers already sized to
+    /// `lists`' largest base segment, so that no query-major search of
+    /// those lists grows the arena.
+    pub fn for_lists(slot: S, lists: &IvfListCodes) -> Self {
+        let mut arena = Self::new(slot);
+        let largest = (0..lists.num_clusters())
+            .map(|c| lists.cluster_ids(c).len())
+            .max()
+            .unwrap_or(0);
+        arena.ranked.fit(largest, lists.num_subspaces());
         arena
     }
 
@@ -281,6 +369,7 @@ impl<S> ScanArena<S> {
             query: 0,
             seed: None,
             prune: false,
+            ranked: false,
             done: false,
         });
     }
@@ -288,7 +377,7 @@ impl<S> ScanArena<S> {
     /// Number of times the arena had to grow (the first batch sizes it; a
     /// steady-state workload must not grow it again).
     pub fn grow_events(&self) -> usize {
-        self.grow_events
+        self.grow_events + self.ranked.grow_events
     }
 
     /// Total reusable capacity held by the arena's growable buffers —
@@ -296,7 +385,7 @@ impl<S> ScanArena<S> {
     /// per-query allocation contract: repeating a search or a batch must
     /// leave both numbers unchanged.
     pub fn footprint(&self) -> usize {
-        self.tile.len() + self.states.capacity() + self.touched.capacity()
+        self.tile.len() + self.states.capacity() + self.touched.capacity() + self.ranked.footprint()
     }
 
     /// Prepares the arena for one cluster-group chunk: a full tile, one
@@ -381,6 +470,7 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
         entries: &[(u32, u32)],
         tile: &mut [TileSlot<E::Slot>],
         states: &mut [QueryState],
+        ranked: &mut RankedScratch,
     ) {
         let engine = self.engine;
         if engine.own_unit() {
@@ -432,15 +522,20 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
             // candidate; 2-vCPU Xeon with AVX-512 VBMI). With a bound —
             // the local top-k's worst, tightened by the seed bound (any
             // upper bound on the final k-th score is safe) — that is the
-            // whole base. Without one, the candidates that must first fill
-            // the selector pass through the scan's unpruned lane path and
-            // only the rest of the base counts.
+            // whole base, and the slot streams through the lane pass.
+            // Without one, the candidates that must first fill the selector
+            // cannot be pruned and only the rest of the base counts; such a
+            // slot takes the ranked visit, whose full quantised pass
+            // (≈ 20 µs over a 6,250-record fat list) buys exact re-ranks in
+            // bound order (there 210 instead of the stream's 675, at
+            // ≈ 250 ns each one by one).
             let worst0 = tighter_worst(state.topk.worst_score(), t.seed);
             let fill = match worst0 {
                 Some(_) => 0,
                 None => state.topk.k() - state.topk.len(),
             };
             t.prune = engine.fastscan() && base_ids.len() >= MIN_PRUNE_POINTS + fill;
+            t.ranked = t.prune && worst0.is_none();
             t.done = false;
             if t.prune {
                 engine.quantize(&t.slot, &mut t.qlut);
@@ -501,14 +596,17 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
             }
         };
 
-        // Phase B: the multi-query prune pass — the tile's quantised LUTs
-        // held against each 32-point block (codes stream once per tile),
-        // survivors re-ranked exactly on the spot: one by one, or a block
-        // at a time while a lane has no prune threshold yet.
+        // Phase B: ranked slots take their own visit; the others join the
+        // multi-query prune pass — the tile's quantised LUTs held against
+        // each 32-point block (codes stream once per tile), survivors
+        // re-ranked exactly on the spot: one by one, or a block at a time
+        // while a lane has no prune threshold yet.
         let mut lane_map = [0usize; GROUP_TILE];
         let mut lanes_n = 0usize;
         for (ti, t) in tile.iter().enumerate() {
-            if t.prune && !t.done {
+            if t.ranked {
+                self.ranked_visit(cluster, t, &mut states[t.query as usize], ranked);
+            } else if t.prune && !t.done {
                 lane_map[lanes_n] = ti;
                 lanes_n += 1;
             }
@@ -572,6 +670,135 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
         }
     }
 
+    /// The **ranked visit** of one tile slot whose prune gate opened with
+    /// no bound yet (an empty or filling selector and no seed): rather than
+    /// stream the base in storage order — where the k-th best tightens only
+    /// gradually, so about `k·(1 + ln(n/k))` candidates are scored exactly
+    /// — it scores the base in bound order:
+    ///
+    /// 1. one full quantised pass ([`BlockCodes::lower_bounds`]) keeps
+    ///    every base lane's `u16` lower bound;
+    /// 2. a counting sort puts them in [`RANK_BUCKETS`] buckets;
+    /// 3. candidates are scored exactly from the lowest bucket up,
+    ///    [`BLOCK_LANES`] at a time through [`ScanEngine::score_block`] on a
+    ///    gathered mini-block (tombstones skipped; a lane whose bound has
+    ///    reached the threshold is settled on the spot), the prune
+    ///    threshold re-derived from the running k-th after each group;
+    /// 4. the visit stops at the first bucket whose floor reaches the
+    ///    threshold.
+    ///
+    /// Nothing is lost: a candidate left unscored has a bound at or above
+    /// the threshold of a k-th that only tightens afterwards, so by the
+    /// strictly positive margin of [`QuantizedLut`] it is strictly worse
+    /// than k held candidates — and the selector is insertion-order
+    /// invariant, so ids and distance bits equal the streaming visit's.
+    /// Kept out of line so that the streaming visit's code stays as it is.
+    ///
+    /// [`BlockCodes::lower_bounds`]: crate::layout::BlockCodes::lower_bounds
+    #[inline(never)]
+    fn ranked_visit(
+        &self,
+        cluster: usize,
+        t: &TileSlot<E::Slot>,
+        state: &mut QueryState,
+        scratch: &mut RankedScratch,
+    ) {
+        let engine = self.engine;
+        let lists = engine.lists();
+        let subspaces = lists.num_subspaces();
+        let check_tombstones = lists.stored_tombstones() > 0;
+        let base_ids = lists.cluster_ids(cluster);
+        let base_codes = lists.cluster_codes(cluster);
+        let n = base_ids.len();
+        let group = BLOCK_LANES * subspaces;
+        scratch.fit(n, subspaces);
+        let RankedScratch {
+            bounds,
+            order,
+            cursors,
+            rows,
+            codes,
+            ..
+        } = scratch;
+        let (bounds, order) = (&mut bounds[..n], &mut order[..n]);
+        let (rows, codes) = (&mut rows[..group], &mut codes[..group]);
+
+        lists.cluster_blocks(cluster).lower_bounds(&t.qlut, bounds);
+        cursors.fill(0);
+        for &b in bounds.iter() {
+            cursors[(b >> RANK_SHIFT) as usize + 1] += 1;
+        }
+        for i in 1..cursors.len() {
+            cursors[i] += cursors[i - 1];
+        }
+        for (i, &b) in bounds.iter().enumerate() {
+            let cursor = &mut cursors[(b >> RANK_SHIFT) as usize];
+            order[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+
+        let mut ids = [0u32; BLOCK_LANES];
+        let mut gathered = 0usize;
+        let rank_group = |state: &mut QueryState, ids: &[u32], codes: &[u8], rows: &[u8]| {
+            let block = BlockRef {
+                rows,
+                nibble: false,
+                codes,
+            };
+            let mut scores = [None; BLOCK_LANES];
+            let live = u32::MAX >> (BLOCK_LANES - ids.len());
+            engine.score_block(&t.slot, block, live, &mut state.ctr, &mut scores);
+            for (&pid, raw) in ids.iter().zip(scores) {
+                if let Some(raw) = raw {
+                    state.topk.push(pid as u64, raw);
+                }
+            }
+            // No seed reaches a ranked slot: the local k-th is the bound.
+            t.qlut.prune_threshold(state.topk.worst_score())
+        };
+        let mut threshold = t.qlut.prune_threshold(state.topk.worst_score());
+        let mut settled = 0usize;
+        let mut next = 0usize;
+        while next < n {
+            let i = order[next] as usize;
+            let bound = u32::from(bounds[i]);
+            if bound >> RANK_SHIFT << RANK_SHIFT >= threshold {
+                break;
+            }
+            next += 1;
+            if bound >= threshold {
+                settled += 1;
+                continue;
+            }
+            let pid = base_ids[i];
+            if check_tombstones && lists.is_deleted(pid) {
+                continue;
+            }
+            let code = &base_codes[i * subspaces..(i + 1) * subspaces];
+            codes[gathered * subspaces..(gathered + 1) * subspaces].copy_from_slice(code);
+            for (s, &c) in code.iter().enumerate() {
+                rows[s * BLOCK_LANES + gathered] = c;
+            }
+            ids[gathered] = pid;
+            gathered += 1;
+            if gathered == BLOCK_LANES {
+                threshold = rank_group(state, &ids, codes, rows);
+                gathered = 0;
+            }
+        }
+        if gathered > 0 {
+            rank_group(
+                state,
+                &ids[..gathered],
+                &codes[..gathered * subspaces],
+                rows,
+            );
+        }
+        state.ctr.pruned_points += settled + (n - next);
+        // The exact re-rank consumed the already-expanded table.
+        state.ctr.lut_reuses += 1;
+    }
+
     /// The cluster→query-group schedule of this batch, chunk cuts weighted
     /// by each cluster's stored record count (what a scan streams).
     /// `first_probe = 1` excludes each query's nearest probe (covered by the
@@ -611,7 +838,13 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
                 for &(q, _) in entries {
                     arena.touch(q, k, metric);
                 }
-                self.visit(cluster, entries, &mut arena.tile, &mut arena.states);
+                self.visit(
+                    cluster,
+                    entries,
+                    &mut arena.tile,
+                    &mut arena.states,
+                    &mut arena.ranked,
+                );
             }
         }
         let ScanArena {
@@ -658,7 +891,13 @@ fn scan_probes<E: ScanEngine>(
         if fault_in {
             engine.lists().touch_cluster(cluster)?;
         }
-        batch.visit(cluster, &[(0, probe as u32)], &mut arena.tile, &mut state);
+        batch.visit(
+            cluster,
+            &[(0, probe as u32)],
+            &mut arena.tile,
+            &mut state,
+            &mut arena.ranked,
+        );
     }
     let [state] = state;
     Ok(state)
