@@ -89,6 +89,13 @@ impl Codebook {
         Ok(self.nearest.nearest(projection).0 as u32)
     }
 
+    /// The entries laid out for the nearest-row kernel: what
+    /// [`Codebook::encode`] runs, and the batched entry
+    /// (`NearestRows::nearest_each`) a whole set's encoding runs.
+    pub(crate) fn nearest_rows(&self) -> &NearestRows {
+        &self.nearest
+    }
+
     /// Squared distance of a query projection to every entry — one row of the
     /// dense L2-LUT (the computation JUNO's selective construction avoids).
     ///

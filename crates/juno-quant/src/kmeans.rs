@@ -26,9 +26,19 @@
 //! | labelling ([`KMeans::train`] only) | `N·k` | the full `4Nd`-byte input once | 4096-point blocks | the caller's budget |
 //!
 //! Every distance of the last three rows goes through the nearest-row kernel
-//! (`juno_common::kernel`): row-major [`l2_squared`] for `d ≥ 8`, and for
-//! narrower rows the table transposed once per iteration so the `k`
-//! distances of a point are computed lane-parallel. The budget is
+//! (`juno_common::kernel`), one [`ASSIGN_BLOCK`] of points per call
+//! (`NearestRows::nearest_each`). For narrower rows than eight (the PQ
+//! codebooks' `M = 2`) the table is transposed once per iteration and 32
+//! points are scored at a time, one per SIMD lane, against the rows in
+//! order. That layout is what made assignment cheap, not the instruction
+//! set: for 64 two-dimensional rows the row-at-a-time loop spent 70–110 ns
+//! a point on its serial first-minimum chain (121 ns compiled for AVX2),
+//! points across eight lanes ≈ 30 ns, across sixteen AVX2 lanes 16–20 ns,
+//! across the AVX-512 arm's 32 ≈ 7 ns. Wide rows (the coarse centroids) go
+//! point by point through [`l2_squared`]'s arithmetic, four rows side by
+//! side on the AVX2 arm: 32 rows of 96-d went from 350–590 to 220–240 ns a
+//! point, and the coarse fit of the fat fixture from 0.98–1.06 to
+//! 0.44–0.49 s. The budget is
 //! [`parallel::default_threads`] (`JUNO_NUM_THREADS`) for [`KMeans::train`];
 //! the PQ trainer runs one sequential label-free fit per subspace and spends
 //! the budget across subspaces instead (see `pq.rs`).
@@ -288,17 +298,18 @@ fn plus_plus_init<R: Rng>(points: &VectorSet, k: usize, rng: &mut R) -> VectorSe
 /// workers; each task sums its own distances in point order and the task
 /// sums are added in task order.
 fn assign(points: &VectorSet, centroids: &VectorSet, threads: usize) -> Result<(Vec<usize>, f64)> {
-    let table = NearestRows::new(centroids.as_flat(), centroids.dim());
+    let dim = centroids.dim();
+    let table = NearestRows::new(centroids.as_flat(), dim);
     let n = points.len();
     let blocks = parallel::map(n.div_ceil(ASSIGN_BLOCK), threads, |b| {
         let range = b * ASSIGN_BLOCK..n.min((b + 1) * ASSIGN_BLOCK);
         let mut labels = Vec::with_capacity(range.len());
         let mut sum = 0.0f64;
-        for i in range {
-            let (c, d) = table.nearest(points.row(i));
+        let block = &points.as_flat()[range.start * dim..];
+        table.nearest_each(block, dim, range.len(), |_, c, d| {
             labels.push(c);
             sum += d as f64;
-        }
+        });
         (labels, sum)
     })?;
     let mut labels = Vec::with_capacity(n);

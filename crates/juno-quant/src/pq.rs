@@ -18,7 +18,7 @@
 //! | stage | distances | bytes streamed | parallel over | threads |
 //! |---|---|---|---|---|
 //! | [`ProductQuantizer::train`] | `S·(E·n + I·n·E)` | per subspace: the `4NM`-byte projection once, then its `4nM`-byte training set `E + 2I` times (cache-resident at `n` = 50k, `M` = 2: 400 KB) | subspaces; each fit sequential | [`parallel::default_threads`] |
-//! | [`ProductQuantizer::encode`] | `N·S·E` | the `4ND`-byte residuals once in, `N·S` code bytes out; the `S` codebook tables (`4SEM` bytes: 24 KB at 48 × 64 × 2) stay in L1/L2 | point ranges | [`parallel::default_threads`] |
+//! | [`ProductQuantizer::encode`] | `N·S·E` | the `4ND`-byte residuals once in (each 256-point block read `S` times from L2), `N·S` code bytes out; the `S` codebook tables (`4SEM` bytes: 24 KB at 48 × 64 × 2) stay in L1/L2 | point ranges | [`parallel::default_threads`] |
 //!
 //! The trainer runs the label-free fit of `kmeans.rs`: the codebook is all it
 //! keeps, so the `S·N·E` distances of a full labelling pass per subspace are
@@ -35,6 +35,11 @@ use juno_common::parallel;
 use juno_common::rng::derive_seed;
 use juno_common::vector::VectorSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Points [`ProductQuantizer::encode`] runs through every codebook before
+/// it moves on: 96 KB of 96-d residuals, resident in L2 across the `S`
+/// strided passes.
+const ENCODE_BLOCK: usize = 256;
 
 /// Training configuration for a [`ProductQuantizer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -438,16 +443,23 @@ impl ProductQuantizer {
         let n = vectors.len();
         let chunk = n.div_ceil((threads * 4).max(1)).max(1);
         let num_chunks = n.div_ceil(chunk);
+        let flat = vectors.as_flat();
         let per_chunk: Vec<Vec<u8>> = parallel::map(num_chunks, threads, |c| {
             let start = c * chunk;
             let end = (start + chunk).min(n);
-            let mut out = Vec::with_capacity((end - start) * m);
-            for i in start..end {
-                let row = vectors.row(i);
+            let mut out = vec![0u8; (end - start) * m];
+            // Subspace by subspace over an L2-resident block of points: each
+            // codebook's kernel call scores the block's projections with
+            // points across the lanes, reading one strided column.
+            for block in (start..end).step_by(ENCODE_BLOCK) {
+                let len = ENCODE_BLOCK.min(end - block);
+                let codes = &mut out[(block - start) * m..];
                 for (s, cb) in self.codebooks.iter().enumerate() {
-                    let proj = &row[s * self.sub_dim..(s + 1) * self.sub_dim];
-                    // encode() cannot fail here: proj length == sub_dim.
-                    out.push(cb.encode(proj).expect("projection has subspace dimension") as u8);
+                    let points = &flat[block * self.dim + s * self.sub_dim..];
+                    cb.nearest_rows()
+                        .nearest_each(points, self.dim, len, |i, e, _| {
+                            codes[i * m + s] = e as u8;
+                        });
                 }
             }
             out

@@ -757,6 +757,11 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
             t.qlut.prune_threshold(state.topk.worst_score())
         };
         let mut threshold = t.qlut.prune_threshold(state.topk.worst_score());
+        // No threshold exists until the top-k holds k scores, so the first
+        // group is only the k lowest bounds: at k = 1 a first group of 32
+        // exact-scored 42 candidates of a 2,000-point toy list where the
+        // streaming visit, tightening after every score, scored 37.
+        let mut take = self.k.clamp(1, BLOCK_LANES);
         let mut settled = 0usize;
         let mut next = 0usize;
         while next < n {
@@ -781,9 +786,10 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
             }
             ids[gathered] = pid;
             gathered += 1;
-            if gathered == BLOCK_LANES {
-                threshold = rank_group(state, &ids, codes, rows);
+            if gathered == take {
+                threshold = rank_group(state, &ids[..take], &codes[..take * subspaces], rows);
                 gathered = 0;
+                take = BLOCK_LANES;
             }
         }
         if gathered > 0 {

@@ -417,3 +417,22 @@ fn the_ranked_visit_scores_fewer_candidates_than_the_streaming_visit() {
         }
     }
 }
+
+#[test]
+fn the_ranked_visit_at_k_1_scores_no_more_than_the_streaming_visit() {
+    // The ranked visit's first group holds only the k candidates that fill
+    // the top-k, so at k = 1 the threshold exists after one exact score,
+    // as the streaming visit's does; a whole first group of 32 scored 42
+    // candidates on seed 47 where the streaming visit scored 37.
+    for seed in [43, 47, 53] {
+        let mut toy = Toy::new(2_000, seed);
+        let ranked = holds_to_exact(&mut toy, &format!("seed {seed}"));
+        let (k, ranked) = ranked[0];
+        assert_eq!(k, 1);
+        let streaming = toy.streaming_scored(1);
+        assert!(
+            ranked <= streaming,
+            "seed {seed} k=1: ranked {ranked} vs streaming {streaming}"
+        );
+    }
+}

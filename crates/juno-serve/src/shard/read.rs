@@ -466,14 +466,22 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
         // outcomes that pre-date a state flip.
         let admitted: Vec<Option<u64>> =
             (0..total).map(|s| self.health.breaker(s).admit()).collect();
-        // Plan once, on the calling thread, on the first admitted shard's
-        // engine — nothing to plan for when every breaker is open. The time
-        // this takes comes out of the budget, as the shards' own planning
-        // used to.
+        // Plan once, on the calling thread alone, on the first admitted
+        // shard's engine — nothing to plan for when every breaker is open.
+        // The time this takes comes out of the budget, as the shards' own
+        // planning used to. One thread, because a plan costs ≈ 13 µs a
+        // query and a served batch holds one or two (`server.batch_size_mean`
+        // ≈ 1.6): spawning and joining a scoped worker to share that cost
+        // costs more than it shares. On a 2-vCPU host the ledger's online
+        // workload (4 shards, two closed-loop clients) read `qps` 4,071 →
+        // 4,508 and the mixed one 2,492 → 2,710 with this rule (medians of
+        // five alternated pairs); a 16-query batch, where planning could
+        // share, read 2.3 → 2.8 ms online and 2.7 → 2.6 ms mixed (three
+        // traced pairs, within the host's spread).
         let plan = admitted
             .iter()
             .position(Option::is_some)
-            .and_then(|s| plan_once(&self.states[s], queries, parallel::default_threads()));
+            .and_then(|s| plan_once(&self.states[s], queries, 1));
 
         // One copy of the batch, shared by every shard's job.
         let queries = Arc::new(queries.clone());
