@@ -91,8 +91,6 @@ pub struct HnswIndex {
     metric: Metric,
     /// `neighbors[level][node]` is the adjacency list of `node` at `level`.
     neighbors: Vec<Vec<Vec<u32>>>,
-    /// Highest level of each node.
-    node_levels: Vec<usize>,
     entry_point: u32,
     max_level: usize,
     ef_search: usize,
@@ -136,7 +134,6 @@ impl HnswIndex {
             points,
             metric: config.metric,
             neighbors: Vec::new(),
-            node_levels: node_levels.clone(),
             entry_point: 0,
             max_level: node_levels[0],
             ef_search: config.ef_search,
@@ -225,33 +222,6 @@ impl HnswIndex {
     /// Changes the search beam width (search-time quality knob).
     pub fn set_ef_search(&mut self, ef: usize) {
         self.ef_search = ef.max(1);
-    }
-
-    /// The current search beam width.
-    pub fn ef_search(&self) -> usize {
-        self.ef_search
-    }
-
-    /// The number of graph layers (including layer 0).
-    pub fn num_layers(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// The sampled level of one node (diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    pub fn node_level(&self, node: usize) -> usize {
-        self.node_levels[node]
-    }
-
-    /// The maximum node degree observed on layer 0 (diagnostics).
-    pub fn max_degree(&self) -> usize {
-        self.neighbors
-            .first()
-            .map(|layer| layer.iter().map(Vec::len).max().unwrap_or(0))
-            .unwrap_or(0)
     }
 }
 
@@ -513,12 +483,9 @@ mod tests {
     #[test]
     fn degree_bound_is_respected() {
         let (_, index) = build_small();
-        assert!(
-            index.max_degree() <= 24,
-            "layer-0 degree {} exceeds 2m",
-            index.max_degree()
-        );
-        assert!(index.num_layers() >= 1);
+        let max_degree = index.neighbors[0].iter().map(Vec::len).max().unwrap_or(0);
+        assert!(max_degree <= 24, "layer-0 degree {max_degree} exceeds 2m");
+        assert!(!index.neighbors.is_empty());
     }
 
     #[test]

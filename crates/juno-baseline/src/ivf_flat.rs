@@ -91,11 +91,6 @@ impl IvfFlatIndex {
         self.nprobs = nprobs.max(1);
     }
 
-    /// The number of probed clusters.
-    pub fn nprobs(&self) -> usize {
-        self.nprobs
-    }
-
     /// Borrow of the underlying IVF structure.
     pub fn ivf(&self) -> &IvfIndex {
         &self.ivf
@@ -321,7 +316,7 @@ mod tests {
         assert!(res.stats.candidates > 0);
         assert!(res.simulated_us > 0.0);
         assert!(index.name().starts_with("IVF32-Flat"));
-        assert_eq!(index.nprobs(), 4);
+        assert_eq!(index.nprobs, 4);
         assert_eq!(index.ivf().n_clusters(), 32);
     }
 
@@ -331,7 +326,7 @@ mod tests {
         let bytes = index.to_snapshot_bytes();
         let restored = IvfFlatIndex::from_snapshot_bytes(&bytes).unwrap();
         assert_eq!(restored.len(), index.len());
-        assert_eq!(restored.nprobs(), index.nprobs());
+        assert_eq!(restored.nprobs, index.nprobs);
         for q in ds.queries.iter() {
             let a = index.search(q, 10).unwrap();
             let b = restored.search(q, 10).unwrap();

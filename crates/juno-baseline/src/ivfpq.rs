@@ -154,11 +154,6 @@ impl IvfPqIndex {
         self.fastscan
     }
 
-    /// The number of probed clusters.
-    pub fn nprobs(&self) -> usize {
-        self.nprobs
-    }
-
     /// Borrow of the coarse quantiser.
     pub fn ivf(&self) -> &IvfIndex {
         &self.ivf
@@ -804,7 +799,7 @@ mod tests {
         let (ds, index) = build(DatasetProfile::DeepLike, 1_000, 2, deep_cfg());
         assert_eq!(index.len(), 1_000);
         assert_eq!(index.dim(), 96);
-        assert_eq!(index.nprobs(), 8);
+        assert_eq!(index.nprobs, 8);
         assert_eq!(index.pq().num_subspaces(), 48);
         assert_eq!(index.codes().len(), 1_000);
         assert!(index.name().starts_with("IVF32,PQ48"));

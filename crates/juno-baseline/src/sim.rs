@@ -47,7 +47,7 @@ impl SimulationConfig {
     /// * `sub_dim` — dimension of each subspace;
     /// * `candidates` / `subspaces` — accumulation work.
     #[allow(clippy::too_many_arguments)]
-    pub fn fill_ivfpq_times(
+    pub(crate) fn fill_ivfpq_times(
         &self,
         stats: &mut SearchStats,
         clusters: usize,
@@ -77,7 +77,7 @@ impl SimulationConfig {
 
     /// Simulated per-query time of a brute-force scan over `n` points of
     /// dimension `dim`.
-    pub fn flat_scan_us(&self, stats: &mut SearchStats, n: usize, dim: usize) -> f64 {
+    pub(crate) fn flat_scan_us(&self, stats: &mut SearchStats, n: usize, dim: usize) -> f64 {
         let q = self.batch_size.max(1);
         let us = filtering_cost(q, n, dim).estimate_us(&self.device) / q as f64;
         stats.accumulate_us = us;

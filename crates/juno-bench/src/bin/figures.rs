@@ -30,7 +30,6 @@ use juno_common::metric::l2_squared;
 use juno_common::rng::{seeded, Rng};
 use juno_core::config::{JunoConfig, QualityMode};
 use juno_core::engine::JunoIndex;
-use juno_core::hitcount::HitCountAccumulator;
 use juno_core::threshold::ThresholdStrategy;
 use juno_data::attention::{AttentionSpec, AttentionWorkload};
 use juno_data::profiles::DatasetProfile;
@@ -434,14 +433,26 @@ fn fig11(scale: BenchScale) -> Result<()> {
     let index = &fixture.juno;
     let q = queries.row(0);
     let (clusters, lut, _, thresholds) = index.build_selective_lut(q)?;
-    let mut hits = HitCountAccumulator::new();
     let subspaces = index.pq().num_subspaces();
+    let labels = index.ivf().labels();
+    // (outer hits, inner hits) per point: a hit wherever the point's entry is
+    // selected in its subspace's LUT row, inner when within half the radius.
+    let mut counts = vec![(0u32, 0u32); labels.len()];
+    let mut selected = vec![None; index.config().pq_entries];
     for (slot, &cluster) in clusters.iter().enumerate() {
+        let members: Vec<usize> = (0..labels.len())
+            .filter(|&p| labels[p] == cluster)
+            .collect();
         for (s, &threshold) in thresholds[slot].iter().enumerate().take(subspaces) {
             let half = threshold * 0.5;
+            selected.fill(None);
             for (entry, value) in lut.row(slot, s) {
-                for &pid in index.inverted().points_for(cluster, s, entry as usize)? {
-                    hits.record(pid, value <= half * half);
+                selected[entry as usize] = Some(value);
+            }
+            for &p in &members {
+                if let Some(value) = selected[index.codes().code(p)[s] as usize] {
+                    counts[p].0 += 1;
+                    counts[p].1 += u32::from(value <= half * half);
                 }
             }
         }
@@ -449,8 +460,8 @@ fn fig11(scale: BenchScale) -> Result<()> {
     let mut xs_exact = Vec::new();
     let mut ys_count = Vec::new();
     let mut ys_penalty = Vec::new();
-    for (pid, outer, inner) in hits.counts() {
-        let exact = l2_squared(q, fixture.dataset.points.row(pid as usize)) as f64;
+    for (pid, &(outer, inner)) in counts.iter().enumerate().filter(|(_, c)| c.0 > 0) {
+        let exact = l2_squared(q, fixture.dataset.points.row(pid)) as f64;
         xs_exact.push(-exact); // negated so "closer" correlates with "higher count"
         ys_count.push(outer as f64);
         ys_penalty.push(inner as f64 + outer as f64); // ranks as inner − misses does
@@ -473,7 +484,7 @@ fn fig11(scale: BenchScale) -> Result<()> {
         "Fig. 11(b) — candidates scored",
         &["candidates scored"],
     )
-    .row(vec![hits.num_candidates().to_string()]);
+    .row(vec![xs_exact.len().to_string()]);
     Ok(())
 }
 

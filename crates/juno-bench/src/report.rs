@@ -32,7 +32,7 @@ impl Table {
     }
 
     /// One row as a JSON line ending in `\n`.
-    pub fn json_line(&self, cells: &[String]) -> String {
+    pub(crate) fn json_line(&self, cells: &[String]) -> String {
         let cells: Vec<String> = (self.header.iter().zip(cells))
             .map(|(h, c)| format!("{}:{}", json_string(h), json_string(c)))
             .collect();

@@ -64,7 +64,7 @@ pub fn clusters_for(points: usize) -> usize {
 }
 
 /// A JUNO configuration matching a dataset profile at the given scale.
-pub fn juno_config_for(profile: DatasetProfile, points: usize) -> JunoConfig {
+pub(crate) fn juno_config_for(profile: DatasetProfile, points: usize) -> JunoConfig {
     JunoConfig {
         n_clusters: clusters_for(points),
         nprobs: 8,

@@ -97,11 +97,6 @@ impl Error {
         Error::InvalidConfig(msg.to_string())
     }
 
-    /// Builds an [`Error::NotTrained`] from anything displayable.
-    pub fn not_trained(msg: impl fmt::Display) -> Self {
-        Error::NotTrained(msg.to_string())
-    }
-
     /// Builds an [`Error::EmptyInput`] from anything displayable.
     pub fn empty_input(msg: impl fmt::Display) -> Self {
         Error::EmptyInput(msg.to_string())
@@ -126,7 +121,7 @@ impl Error {
     /// its payload is in an encoding this build does not read: names the
     /// section, what was `found` there, the one `version` the loader reads,
     /// and the offline tool that converts files older builds wrote.
-    pub fn outdated(section: &str, found: impl fmt::Display, version: u32) -> Self {
+    pub(crate) fn outdated(section: &str, found: impl fmt::Display, version: u32) -> Self {
         Error::Corrupted(format!(
             "{section}: found {found}, this build reads only version {version} — \
              if an older build wrote the file, run `snapshot-upgrade <old> <new>` on it"
@@ -177,7 +172,6 @@ mod tests {
         assert!(Error::invalid_config("nlist must be > 0")
             .to_string()
             .contains("nlist"));
-        assert!(Error::not_trained("pq").to_string().contains("pq"));
         assert!(Error::empty_input("points").to_string().contains("points"));
         assert!(Error::numeric("singular").to_string().contains("singular"));
         assert!(Error::unsupported("no mutation")

@@ -114,11 +114,6 @@ impl GroupSchedule {
         self.chunks.len()
     }
 
-    /// Number of distinct probed clusters.
-    pub fn num_groups(&self) -> usize {
-        self.cluster_ids.len()
-    }
-
     /// Total scheduled `(query, probe)` visits.
     pub fn num_entries(&self) -> usize {
         self.entries.len()
@@ -150,7 +145,7 @@ mod tests {
         // Three queries with overlapping probes over 6 clusters.
         let probes: Vec<&[usize]> = vec![&[4, 1, 2], &[1, 5], &[2, 1, 4]];
         let sched = GroupSchedule::build(6, &probes, 0, |_| 10, 1_000_000);
-        assert_eq!(sched.num_groups(), 4); // clusters 1, 2, 4, 5
+        assert_eq!(sched.cluster_ids.len(), 4); // clusters 1, 2, 4, 5
         assert_eq!(sched.num_entries(), 8);
         assert_eq!(sched.num_chunks(), 1);
         let groups: Vec<(usize, Vec<(u32, u32)>)> = sched
@@ -205,7 +200,7 @@ mod tests {
     fn empty_batch_schedules_nothing() {
         let sched = GroupSchedule::build(4, &[], 0, |_| 1, 100);
         assert_eq!(sched.num_chunks(), 0);
-        assert_eq!(sched.num_groups(), 0);
+        assert_eq!(sched.cluster_ids.len(), 0);
         assert_eq!(sched.num_entries(), 0);
     }
 }

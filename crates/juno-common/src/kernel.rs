@@ -43,7 +43,7 @@
 //! * [`QuantizedLut::cluster_bound`] — the minimum possible score of *any*
 //!   candidate scored against this LUT slot; when the top-k worst already
 //!   beats it the whole cluster is skipped.
-//! * [`scan_block_with_abandon`] — every [`ABANDON_CHUNK`] subspaces the
+//! * [`scan_block_with_abandon`] — every `ABANDON_CHUNK` subspaces the
 //!   running minimum over the 32 lanes plus the suffix of per-subspace
 //!   minima is tested against the prune threshold; once even the best lane
 //!   cannot recover, the rest of the block is abandoned.
@@ -66,15 +66,15 @@ use std::sync::OnceLock;
 pub const BLOCK_LANES: usize = 32;
 
 /// Bytes per subspace row in a nibble-packed block (two codes per byte).
-pub const NIBBLE_ROW_BYTES: usize = 16;
+pub(crate) const NIBBLE_ROW_BYTES: usize = 16;
 
 /// Bytes per subspace row in a plain `u8` block.
-pub const U8_ROW_BYTES: usize = 32;
+pub(crate) const U8_ROW_BYTES: usize = 32;
 
 /// Subspaces accumulated between early-abandon checks. Part of the kernel
 /// contract: the scalar and AVX2 paths check at the same boundaries so an
 /// abandoned block is abandoned identically on both.
-pub const ABANDON_CHUNK: usize = 8;
+pub(crate) const ABANDON_CHUNK: usize = 8;
 
 /// Sentinel prune threshold meaning "nothing can be pruned" (the top-k is
 /// not full yet, or the quantisation cannot separate candidates). A scan may
@@ -219,7 +219,7 @@ pub fn kernel_name() -> &'static str {
 }
 
 /// Bytes a quantised LUT of `subspaces` rows at `stride` must hold for the
-/// VBMI arm of [`accumulate_rows`]: it reads a row's table in 64-byte
+/// VBMI arm of `accumulate_rows`: it reads a row's table in 64-byte
 /// quarters, so the last row's reads end `stride.next_multiple_of(64) −
 /// stride` bytes past `subspaces × stride`. [`QuantizedLut`] pads its rows
 /// to this length; a shorter table is accumulated by the AVX2 arm.
@@ -385,36 +385,10 @@ impl QuantizedLut {
         }
     }
 
-    /// Number of subspaces quantised.
-    #[inline]
-    pub fn subspaces(&self) -> usize {
-        self.subspaces
-    }
-
     /// Entries per subspace row (codes must be `< entries`).
     #[inline]
     pub fn entries(&self) -> usize {
         self.entries
-    }
-
-    /// Row stride in bytes (entries rounded up to a multiple of 16).
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Borrow of the quantised rows (`subspaces × stride` bytes, then the
-    /// padding up to [`padded_lut_len`]; zeros).
-    #[inline]
-    pub fn rows(&self) -> &[u8] {
-        &self.q
-    }
-
-    /// `Σ_{s' ≥ s}` of the per-subspace minimum quantised values — the best
-    /// any lane can still gain from the remaining subspaces.
-    #[inline]
-    pub fn suffix_min(&self, s: usize) -> u32 {
-        self.suffix_min[s]
     }
 
     /// A lower bound on the score of **any** candidate scored against this
@@ -1101,7 +1075,7 @@ unsafe fn vbmi_row<const QUARTERS: usize>(
 /// # Panics
 ///
 /// Panics when the slices are too short for `s1` subspaces.
-pub fn accumulate_rows(
+pub(crate) fn accumulate_rows(
     qlut: &[u8],
     stride: usize,
     rows: &[u8],
@@ -1128,7 +1102,7 @@ pub fn accumulate_block(
 }
 
 /// The quantised prune pass over one block: accumulates in
-/// [`ABANDON_CHUNK`]-subspace steps and returns `true` (block abandoned —
+/// `ABANDON_CHUNK`-subspace steps and returns `true` (block abandoned —
 /// every lane provably prunable) as soon as even the minimum lane plus the
 /// best-possible remainder reaches `threshold`.
 ///
@@ -1609,7 +1583,7 @@ impl NearestRows {
 ///
 /// Panics if `v` is empty or `rows` does not hold `out.len()` rows of
 /// `v.len()` values.
-pub fn l2_squared_rows(v: &[f32], rows: &[f32], out: &mut [f32]) {
+pub(crate) fn l2_squared_rows(v: &[f32], rows: &[f32], out: &mut [f32]) {
     assert!(!v.is_empty(), "rows have at least one coordinate");
     assert_eq!(rows.len(), out.len() * v.len(), "one distance per row");
     #[cfg(target_arch = "x86_64")]
@@ -2255,7 +2229,7 @@ mod tests {
                 let qsum: u32 = code
                     .iter()
                     .enumerate()
-                    .map(|(s, &e)| q.rows()[s * q.stride() + e as usize] as u32)
+                    .map(|(s, &e)| q.q[s * q.stride + e as usize] as u32)
                     .sum();
                 let bound = q.base + q.delta * qsum as f64 - q.margin;
                 assert!(
@@ -2365,7 +2339,7 @@ mod tests {
             let rows = interleave(&codes, n, subspaces, false);
 
             let mut full = [0u16; BLOCK_LANES];
-            accumulate_block(q.rows(), q.stride(), subspaces, &rows, false, &mut full);
+            accumulate_block(&q.q, q.stride, subspaces, &rows, false, &mut full);
 
             for worst in [f32::NEG_INFINITY, 1.0, 50.0, 1e9] {
                 let t = q.prune_threshold(Some(worst));
@@ -2450,7 +2424,7 @@ mod tests {
                 let svals = random_svals(&mut rng, subspaces, entries, -2.0);
                 let mut q = QuantizedLut::new();
                 q.build(&svals, subspaces, entries, 0.0);
-                assert_eq!(q.rows().len(), (subspaces - 1) * q.stride() + 64);
+                assert_eq!(q.q.len(), (subspaces - 1) * q.stride + 64);
                 let codes: Vec<u8> = (0..BLOCK_LANES * subspaces)
                     .map(|i| {
                         if i % subspaces == subspaces - 1 {
@@ -2462,9 +2436,9 @@ mod tests {
                     .collect();
                 let rows = interleave(&codes, BLOCK_LANES, subspaces, false);
                 let mut want = [0u16; BLOCK_LANES];
-                accumulate_rows_scalar(q.rows(), q.stride(), &rows, false, 0, subspaces, &mut want);
+                accumulate_rows_scalar(&q.q, q.stride, &rows, false, 0, subspaces, &mut want);
                 let mut got = [0u16; BLOCK_LANES];
-                let pass = Pass::new(q.rows(), q.stride(), &rows, false, 0..subspaces, None);
+                let pass = Pass::new(&q.q, q.stride, &rows, false, 0..subspaces, None);
                 // SAFETY: VBMI, VL, BW and AVX2 detected above; 8-bit rows;
                 // the LUT holds `padded_lut_len` bytes (asserted above).
                 unsafe { pass.run_vbmi(&mut got) };
@@ -2498,12 +2472,12 @@ mod tests {
                     .map(|_| rng.gen_range(0..entries as u32) as u8)
                     .collect();
                 let rows = interleave(&codes, n, subspaces, nibble);
-                let full = q.suffix_min(0) + 255 * subspaces as u32;
+                let full = q.suffix_min[0] + 255 * subspaces as u32;
                 let thresholds = [
                     0,
                     1,
-                    q.suffix_min(0),
-                    q.suffix_min(0) + rng.gen_range(0..=full / 2),
+                    q.suffix_min[0],
+                    q.suffix_min[0] + rng.gen_range(0..=full / 2),
                     rng.gen_range(0..=full),
                     full,
                 ];

@@ -6,14 +6,14 @@
 //!
 //! * [`metric`] — the two similarity metrics used by the paper (L2 distance and
 //!   inner product), with scalar and batched kernels.
-//! * [`vector`] — [`VectorSet`](vector::VectorSet), a dense row-major set of
+//! * [`vector`] — [`VectorSet`], a dense row-major set of
 //!   `f32` vectors used for search points, queries, centroids and codebooks.
 //! * [`topk`] — a bounded top-k selector used by every index implementation,
 //!   plus the deterministic tie-by-id merge scatter-gather serving layers
 //!   combine per-shard results with.
 //! * [`recall`] — the paper's search-quality metrics (`R1@100`, `R100@1000`)
 //!   and exact ground-truth computation.
-//! * [`index`] — the [`AnnIndex`](index::AnnIndex) trait implemented by the
+//! * [`index`] — the [`AnnIndex`] trait implemented by the
 //!   JUNO engine and every baseline.
 //! * [`rng`] — deterministic random-number helpers shared by data generators
 //!   and training code.
@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 

@@ -9,7 +9,7 @@
 //! * **Inner product** (higher is better): `IP(q, x) = Σ x_i * q_i`, used by
 //!   the TTI1M dataset and LLM attention workloads (MIPS).
 //!
-//! [`Metric::score`] converts both into a uniform "lower is better" value so
+//! [`Metric::raw_to_score`] converts both into a uniform "lower is better" value so
 //! that top-k selection code does not need to special-case the metric.
 
 /// The similarity metric of a dataset or index.
@@ -40,16 +40,6 @@ impl Metric {
         }
     }
 
-    /// Computes a "lower is better" score usable directly by top-k selection.
-    ///
-    /// For L2 this is the distance itself; for inner product it is the negated
-    /// dot product.
-    #[inline]
-    pub fn score(self, a: &[f32], b: &[f32]) -> f32 {
-        let raw = self.distance(a, b);
-        self.raw_to_score(raw)
-    }
-
     /// Converts a raw metric value into a "lower is better" score.
     #[inline]
     pub fn raw_to_score(self, raw: f32) -> f32 {
@@ -61,7 +51,7 @@ impl Metric {
 
     /// Converts a "lower is better" score back into the raw metric value.
     #[inline]
-    pub fn score_to_raw(self, score: f32) -> f32 {
+    pub(crate) fn score_to_raw(self, score: f32) -> f32 {
         match self {
             Metric::L2 => score,
             Metric::InnerProduct => -score,
@@ -131,41 +121,8 @@ pub fn inner_product(a: &[f32], b: &[f32]) -> f32 {
 
 /// Squared L2 norm of a vector (`Σ x_i^2`).
 #[inline]
-pub fn squared_norm(a: &[f32]) -> f32 {
+pub(crate) fn squared_norm(a: &[f32]) -> f32 {
     inner_product(a, a)
-}
-
-/// Computes raw metric values from one query against many rows of a flat
-/// row-major matrix, appending the results to `out`.
-///
-/// `rows` must have length `n * dim`. This is the batched kernel used by the
-/// filtering stage (query vs. all IVF centroids) and by flat baselines.
-pub fn batch_distances(
-    metric: Metric,
-    query: &[f32],
-    rows: &[f32],
-    dim: usize,
-    out: &mut Vec<f32>,
-) {
-    assert!(dim > 0, "dimension must be positive");
-    assert_eq!(rows.len() % dim, 0, "rows length must be a multiple of dim");
-    assert_eq!(query.len(), dim, "query length must equal dim");
-    let n = rows.len() / dim;
-    out.reserve(n);
-    for r in 0..n {
-        let row = &rows[r * dim..(r + 1) * dim];
-        out.push(metric.distance(query, row));
-    }
-}
-
-/// Decomposed squared L2 distance `‖x − q‖² = ‖x‖² − 2·x·q + ‖q‖²`.
-///
-/// The paper (Section 5.3) uses this identity so that the `‖x‖²` term can be
-/// precomputed offline and the cross term `x·qᵀ` mapped to a GEMM on tensor
-/// cores. This helper evaluates the identity given a precomputed `‖x‖²`.
-#[inline]
-pub fn l2_from_decomposition(x_sq_norm: f32, dot_xq: f32, q_sq_norm: f32) -> f32 {
-    x_sq_norm - 2.0 * dot_xq + q_sq_norm
 }
 
 #[cfg(test)]
@@ -195,7 +152,7 @@ mod tests {
         let close = [0.9, 0.1];
         let far = [0.1, 0.9];
         let m = Metric::InnerProduct;
-        assert!(m.score(&q, &close) < m.score(&q, &far));
+        assert!(m.raw_to_score(m.distance(&q, &close)) < m.raw_to_score(m.distance(&q, &far)));
     }
 
     #[test]
@@ -209,25 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar() {
-        let dim = 3;
-        let rows = vec![1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0];
-        let q = [1.0, 1.0, 1.0];
-        let mut out = Vec::new();
-        batch_distances(Metric::L2, &q, &rows, dim, &mut out);
-        assert_eq!(out.len(), 3);
-        for (i, &d) in out.iter().enumerate() {
-            let row = &rows[i * dim..(i + 1) * dim];
-            assert!((d - l2_squared(&q, row)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn decomposition_identity() {
+        // `‖x − q‖² = ‖x‖² − 2·x·q + ‖q‖²` (paper Section 5.3).
         let x = [0.5f32, -1.0, 2.0, 4.0];
         let q = [1.0f32, 1.0, -1.0, 0.25];
         let direct = l2_squared(&x, &q);
-        let via = l2_from_decomposition(squared_norm(&x), inner_product(&x, &q), squared_norm(&q));
+        let via = squared_norm(&x) - 2.0 * inner_product(&x, &q) + squared_norm(&q);
         assert!((direct - via).abs() < 1e-4);
     }
 
@@ -325,12 +269,5 @@ mod tests {
     fn display_names() {
         assert_eq!(Metric::L2.to_string(), "L2");
         assert_eq!(Metric::InnerProduct.to_string(), "IP");
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of dim")]
-    fn batch_rejects_ragged_rows() {
-        let mut out = Vec::new();
-        batch_distances(Metric::L2, &[1.0, 2.0], &[1.0, 2.0, 3.0], 2, &mut out);
     }
 }

@@ -152,20 +152,11 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The exact mean of the recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The value at quantile `q` in `[0, 1]`: the upper bound of the bucket
     /// holding the `ceil(q · count)`-th smallest recorded value (clamped to
     /// the exact observed max, so `value_at_quantile(1.0) == max`). Returns
     /// 0 when empty.
-    pub fn value_at_quantile(&self, q: f64) -> u64 {
+    pub(crate) fn value_at_quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -180,14 +171,10 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Median (see [`HistogramSnapshot::value_at_quantile`]).
+    /// Median: the upper bound of the bucket holding the middle recorded
+    /// value, clamped to the exact observed max (0 when empty).
     pub fn p50(&self) -> u64 {
         self.value_at_quantile(0.50)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.value_at_quantile(0.99)
     }
 
     /// 99.9th percentile.
@@ -413,7 +400,6 @@ mod tests {
         assert_eq!(snap.max, 0);
         assert_eq!(snap.p50(), 0);
         assert_eq!(snap.p999(), 0);
-        assert_eq!(snap.mean(), 0.0);
     }
 
     #[test]

@@ -88,14 +88,14 @@ mod sys {
     const MADV_WILLNEED: i32 = 3;
     const MADV_DONTNEED: i32 = 4;
 
-    pub fn page_size() -> usize {
+    pub(crate) fn page_size() -> usize {
         // SAFETY: no preconditions; returns the VM page size.
         (unsafe { getpagesize() }).max(1) as usize
     }
 
     /// Maps `len` bytes of `fd` read-only. Returns the mapping address or
     /// `None` on failure (caller falls back to an owned read).
-    pub fn map_readonly(fd: i32, len: usize) -> Option<*mut u8> {
+    pub(crate) fn map_readonly(fd: i32, len: usize) -> Option<*mut u8> {
         // SAFETY: requesting a fresh read-only shared mapping of a file we
         // hold open; the kernel validates fd/len and reports MAP_FAILED.
         let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_SHARED, fd, 0) };
@@ -108,13 +108,13 @@ mod sys {
 
     /// # Safety
     /// `ptr..ptr+len` must be a live mapping created by [`map_readonly`].
-    pub unsafe fn unmap(ptr: *mut u8, len: usize) {
+    pub(crate) unsafe fn unmap(ptr: *mut u8, len: usize) {
         let _ = munmap(ptr.cast(), len);
     }
 
     /// # Safety
     /// `ptr..ptr+len` must lie within a live mapping.
-    pub unsafe fn advise(ptr: *mut u8, len: usize, advice: super::Advice) {
+    pub(crate) unsafe fn advise(ptr: *mut u8, len: usize, advice: super::Advice) {
         let flag = match advice {
             super::Advice::WillNeed => MADV_WILLNEED,
             super::Advice::DontNeed => MADV_DONTNEED,

@@ -182,16 +182,6 @@ pub fn r1_at_100(retrieved: &[Vec<u64>], truth: &GroundTruth) -> Result<f64> {
     recall_at(retrieved, truth, 1, 100)
 }
 
-/// The paper's `R100@1000` metric: average fraction of the 100 true nearest
-/// neighbours found among 1000 retrieved neighbours.
-///
-/// # Errors
-///
-/// See [`recall_at`].
-pub fn r100_at_1000(retrieved: &[Vec<u64>], truth: &GroundTruth) -> Result<f64> {
-    recall_at(retrieved, truth, 100, 1000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,7 +266,14 @@ mod tests {
                 let want: Vec<Vec<u64>> = (0..queries.len())
                     .map(|q| {
                         let mut scored: Vec<(f32, u64)> = (0..points.len())
-                            .map(|id| (metric.score(queries.row(q), points.row(id)), id as u64))
+                            .map(|id| {
+                                (
+                                    metric.raw_to_score(
+                                        metric.distance(queries.row(q), points.row(id)),
+                                    ),
+                                    id as u64,
+                                )
+                            })
                             .collect();
                         scored.sort_by(|a, b| a.partial_cmp(b).unwrap());
                         scored.iter().take(k).map(|&(_, id)| id).collect()

@@ -23,7 +23,7 @@ pub struct StdRng {
 impl StdRng {
     /// Seeds the generator from a single `u64` via SplitMix64, guaranteeing a
     /// non-zero internal state for any seed.
-    pub fn seed_from_u64(seed: u64) -> Self {
+    pub(crate) fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
         let mut next = || {
             sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -198,7 +198,7 @@ pub fn derive_seed(parent: u64, stream: u64) -> u64 {
 }
 
 /// Samples a standard normal value using the Box–Muller transform.
-pub fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
+pub(crate) fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
     loop {
         let u1: f32 = rng.gen::<f32>();
         if u1 <= f32::MIN_POSITIVE {

@@ -47,22 +47,22 @@
 use crate::error::{Error, Result};
 
 /// The 8-byte magic prefix of every snapshot.
-pub const MAGIC: [u8; 8] = *b"JUNOSNAP";
+pub(crate) const MAGIC: [u8; 8] = *b"JUNOSNAP";
 
 /// The container format version this module writes and accepts.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Byte length of the container header (magic + version + kind + count).
-pub const CONTAINER_HEADER_LEN: usize = 20;
+pub(crate) const CONTAINER_HEADER_LEN: usize = 20;
 
 /// Byte length of the per-section prefix (tag + payload length + checksum).
-pub const SECTION_PREFIX_LEN: usize = 16;
+pub(crate) const SECTION_PREFIX_LEN: usize = 16;
 
 /// Opens every versioned section payload, ahead of its `u32` version. The
 /// unversioned encodings of the same sections began with a count or a
 /// discriminant byte, which can never read as `u64::MAX`, so a loader can
 /// tell a payload it does not read from a damaged one.
-pub const VERSION_SENTINEL: u64 = u64::MAX;
+pub(crate) const VERSION_SENTINEL: u64 = u64::MAX;
 
 /// Builds the `u32` engine-kind word from four ASCII bytes.
 pub const fn kind(tag: [u8; 4]) -> u32 {
@@ -139,7 +139,7 @@ impl SectionWriter {
     }
 
     /// Creates an empty section payload with room for `bytes` bytes.
-    pub fn with_capacity(bytes: usize) -> Self {
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
         Self {
             buf: Vec::with_capacity(bytes),
         }
@@ -189,7 +189,7 @@ impl SectionWriter {
     }
 
     /// Appends the in-band heading of a versioned payload: the
-    /// [`VERSION_SENTINEL`], then `version` (read back by
+    /// `VERSION_SENTINEL`, then `version` (read back by
     /// [`SectionReader::expect_version`]).
     pub fn put_version(&mut self, version: u32) {
         self.put_u64(VERSION_SENTINEL);
@@ -488,7 +488,7 @@ impl<'a> SectionReader<'a> {
 
     /// Reads the heading [`SectionWriter::put_version`] wrote: the version
     /// it declares, or `None` for an unversioned payload (whose first eight
-    /// bytes, consumed, are not the [`VERSION_SENTINEL`]).
+    /// bytes, consumed, are not the `VERSION_SENTINEL`).
     ///
     /// # Errors
     ///
@@ -504,7 +504,7 @@ impl<'a> SectionReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`Error::outdated`] — naming `section`, what was found and the
+    /// `Error::outdated` — naming `section`, what was found and the
     /// `snapshot-upgrade` tool — when the payload is unversioned or carries
     /// another version; [`Error::Corrupted`] on truncation.
     pub fn expect_version(&mut self, section: &str, version: u32) -> Result<()> {

@@ -243,7 +243,7 @@ impl ScoreOrder {
     /// Maps a raw value onto the shared "lower is better" key space
     /// (negation for descending orders; NaN stays NaN and ranks worst).
     #[inline]
-    pub fn key(self, raw: f32) -> f32 {
+    pub(crate) fn key(self, raw: f32) -> f32 {
         match self {
             ScoreOrder::Ascending => raw,
             ScoreOrder::Descending => -raw,
@@ -319,16 +319,6 @@ fn select_k_indices(n: usize, k: usize, cmp: impl Fn(usize, usize) -> Ordering) 
     }
     idx.sort_unstable_by(|&a, &b| cmp(a, b));
     idx
-}
-
-/// Selects the indices of the `k` smallest values of a slice (ties broken by
-/// index, NaN ranked worst). Convenience wrapper used when the candidate
-/// scores already live in a dense vector, e.g. selecting the `nprobs`
-/// closest IVF centroids — O(n), not O(n log k).
-pub fn smallest_k_indices(values: &[f32], k: usize) -> Vec<usize> {
-    select_k_indices(values.len(), k, |a, b| {
-        score_order(values[a], values[b]).then_with(|| a.cmp(&b))
-    })
 }
 
 /// Selects the indices of the `k` largest values of a slice (ties broken by
@@ -485,24 +475,6 @@ mod tests {
         let _ = TopK::new(0, Metric::L2);
     }
 
-    /// The heap-based implementation the O(n) selection replaced, kept as
-    /// the behavioural reference (including its tie-by-index and NaN-is-worst
-    /// semantics).
-    fn heap_smallest_k(values: &[f32], k: usize) -> Vec<usize> {
-        if k == 0 || values.is_empty() {
-            return Vec::new();
-        }
-        let mut selector = TopK::new(k.min(values.len()), Metric::L2);
-        for (i, &v) in values.iter().enumerate() {
-            selector.push_score(i as u64, v);
-        }
-        selector
-            .into_sorted_vec()
-            .into_iter()
-            .map(|n| n.id as usize)
-            .collect()
-    }
-
     fn heap_largest_k(values: &[f32], k: usize) -> Vec<usize> {
         if k == 0 || values.is_empty() {
             return Vec::new();
@@ -535,11 +507,6 @@ mod tests {
                 .collect();
             for k in [0usize, 1, 2, 5, n, n + 3] {
                 assert_eq!(
-                    smallest_k_indices(&values, k),
-                    heap_smallest_k(&values, k),
-                    "case {case} smallest k={k} values={values:?}"
-                );
-                assert_eq!(
                     largest_k_indices(&values, k),
                     heap_largest_k(&values, k),
                     "case {case} largest k={k} values={values:?}"
@@ -551,7 +518,6 @@ mod tests {
     #[test]
     fn equal_values_rank_by_index() {
         let v = [2.0, 1.0, 2.0, 1.0, 2.0];
-        assert_eq!(smallest_k_indices(&v, 3), vec![1, 3, 0]);
         assert_eq!(largest_k_indices(&v, 3), vec![0, 2, 4]);
     }
 
@@ -627,11 +593,10 @@ mod tests {
     #[test]
     fn index_helpers() {
         let v = [5.0, 1.0, 3.0, 2.0];
-        assert_eq!(smallest_k_indices(&v, 2), vec![1, 3]);
         assert_eq!(largest_k_indices(&v, 2), vec![0, 2]);
-        assert_eq!(smallest_k_indices(&v, 0), Vec::<usize>::new());
-        assert_eq!(smallest_k_indices(&[], 3), Vec::<usize>::new());
+        assert_eq!(largest_k_indices(&v, 0), Vec::<usize>::new());
+        assert_eq!(largest_k_indices(&[], 3), Vec::<usize>::new());
         // k larger than the slice simply returns all indices ranked.
-        assert_eq!(smallest_k_indices(&v, 10).len(), 4);
+        assert_eq!(largest_k_indices(&v, 10).len(), 4);
     }
 }

@@ -5,7 +5,7 @@
 //! It is a thin, well-checked wrapper over a flat `Vec<f32>` plus a dimension.
 
 use crate::error::{Error, Result};
-use crate::metric::{self, Metric};
+use crate::metric;
 
 /// A dense set of equal-dimension `f32` vectors in row-major layout.
 ///
@@ -237,23 +237,6 @@ impl VectorSet {
         self.iter().map(metric::squared_norm).collect()
     }
 
-    /// Computes raw metric values between `query` and every vector of the set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if the query dimension differs.
-    pub fn distances_to(&self, metric: Metric, query: &[f32]) -> Result<Vec<f32>> {
-        if query.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        let mut out = Vec::with_capacity(self.len());
-        metric::batch_distances(metric, query, &self.data, self.dim, &mut out);
-        Ok(out)
-    }
-
     /// Selects a subset of rows by index, cloning them into a new set.
     ///
     /// # Errors
@@ -347,12 +330,8 @@ mod tests {
     #[test]
     fn distances_and_norms() {
         let s = sample();
-        let d = s.distances_to(Metric::L2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(d[0], 0.0);
-        assert!(d[1] > 0.0);
         let norms = s.squared_norms();
         assert!((norms[0] - 30.0).abs() < 1e-6);
-        assert!(s.distances_to(Metric::L2, &[1.0]).is_err());
     }
 
     #[test]

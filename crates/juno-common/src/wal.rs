@@ -514,16 +514,6 @@ impl Wal {
         })
     }
 
-    /// The WAL directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The options this WAL was opened with.
-    pub fn options(&self) -> WalOptions {
-        self.options
-    }
-
     /// The LSN of the last appended (or recovered) record; 0 if empty.
     pub fn last_lsn(&self) -> u64 {
         self.inner.lock().unwrap().next_lsn - 1

@@ -27,15 +27,6 @@ pub enum QualityMode {
 }
 
 impl QualityMode {
-    /// The paper's recall interval this mode is intended for.
-    pub fn recall_interval(self) -> (f64, f64) {
-        match self {
-            QualityMode::Low => (0.0, 0.95),
-            QualityMode::Medium => (0.95, 0.97),
-            QualityMode::High => (0.97, 1.0),
-        }
-    }
-
     /// Short label used in reports (`JUNO-L` / `JUNO-M` / `JUNO-H`).
     pub fn label(self) -> &'static str {
         match self {
@@ -91,7 +82,7 @@ pub struct JunoConfig {
     pub threshold_target_k: usize,
     /// Retain raw vectors alongside the codes (one dense `f32` row per id
     /// ever allocated, tombstoned ids included). Costs `4·dim` bytes per
-    /// point but lets [`crate::engine::JunoIndex::rebuild_for_live`] retrain
+    /// point but lets `JunoIndex::rebuild_for_live` retrain
     /// codebooks from exact data instead of PQ reconstructions — the
     /// lifecycle plane's background refresh wants this on.
     pub retain_vectors: bool,
@@ -137,50 +128,10 @@ impl JunoConfig {
         }
     }
 
-    /// The paper's DEEP1M-style configuration (`IVF4096,PQ48` over 96-d
-    /// vectors), scaled down in cluster count for reduced dataset sizes.
-    pub fn deep_like(n_clusters: usize) -> Self {
-        Self {
-            n_clusters,
-            pq_subspaces: 48,
-            ..Self::default()
-        }
-    }
-
-    /// Returns the configuration with a different quality mode.
-    pub fn with_quality(mut self, quality: QualityMode) -> Self {
-        self.quality = quality;
-        self
-    }
-
-    /// Returns the configuration with a different threshold scaling factor.
-    pub fn with_threshold_scale(mut self, scale: f32) -> Self {
-        self.threshold_scale = scale;
-        self
-    }
-
-    /// Returns the configuration with a different probe count.
-    pub fn with_nprobs(mut self, nprobs: usize) -> Self {
-        self.nprobs = nprobs;
-        self
-    }
-
-    /// Returns the configuration with a different execution mode.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
-        self
-    }
-
     /// Returns the configuration with raw-vector retention toggled (see
     /// [`JunoConfig::retain_vectors`]).
     pub fn with_retained_vectors(mut self, retain: bool) -> Self {
         self.retain_vectors = retain;
-        self
-    }
-
-    /// Returns the configuration with a different simulated device.
-    pub fn with_device(mut self, device: GpuDevice) -> Self {
-        self.device = device;
         self
     }
 
@@ -190,7 +141,7 @@ impl JunoConfig {
     ///
     /// Returns [`Error::InvalidConfig`] when any parameter is degenerate or
     /// `dim` is not divisible by the subspace count.
-    pub fn validate(&self, dim: usize) -> Result<()> {
+    pub(crate) fn validate(&self, dim: usize) -> Result<()> {
         if self.n_clusters == 0 {
             return Err(Error::invalid_config("n_clusters must be positive"));
         }
@@ -222,28 +173,9 @@ mod tests {
 
     #[test]
     fn quality_modes_cover_disjoint_recall_bands() {
-        let (l0, l1) = QualityMode::Low.recall_interval();
-        let (m0, m1) = QualityMode::Medium.recall_interval();
-        let (h0, h1) = QualityMode::High.recall_interval();
-        assert!(l0 < l1 && l1 <= m0 && m0 < m1 && m1 <= h0 && h0 < h1);
         assert_eq!(QualityMode::Low.label(), "JUNO-L");
         assert_eq!(format!("{}", QualityMode::High), "JUNO-H");
         assert_eq!(QualityMode::default(), QualityMode::High);
-    }
-
-    #[test]
-    fn builders_set_fields() {
-        let cfg = JunoConfig::default()
-            .with_quality(QualityMode::Low)
-            .with_threshold_scale(0.5)
-            .with_nprobs(32)
-            .with_execution_mode(ExecutionMode::Serial)
-            .with_device(GpuDevice::a40());
-        assert_eq!(cfg.quality, QualityMode::Low);
-        assert_eq!(cfg.threshold_scale, 0.5);
-        assert_eq!(cfg.nprobs, 32);
-        assert_eq!(cfg.execution_mode, ExecutionMode::Serial);
-        assert_eq!(cfg.device.name, "A40");
     }
 
     #[test]
@@ -289,8 +221,5 @@ mod tests {
         assert_eq!(small.metric, Metric::InnerProduct);
         assert_eq!(small.pq_subspaces, 100);
         assert!(small.validate(200).is_ok());
-        let deep = JunoConfig::deep_like(256);
-        assert_eq!(deep.n_clusters, 256);
-        assert_eq!(deep.pq_subspaces, 48);
     }
 }

@@ -13,7 +13,7 @@
 /// effective window of ~50 inserts — long enough to ignore single
 /// outliers, short enough to flag a sustained shift within one mixed
 /// workload segment.
-pub const DEFAULT_EWMA_ALPHA: f64 = 0.02;
+pub(crate) const DEFAULT_EWMA_ALPHA: f64 = 0.02;
 
 /// EWMA of the squared assignment distance of inserted vectors against the
 /// build-time baseline. `Clone`d wholesale with the engine; reset by
@@ -59,7 +59,7 @@ impl DriftTracker {
     }
 
     /// Folds one insert's squared assignment distance into the EWMA.
-    pub fn note_insert(&mut self, sq_assignment_distance: f64) {
+    pub(crate) fn note_insert(&mut self, sq_assignment_distance: f64) {
         if !sq_assignment_distance.is_finite() {
             return;
         }
@@ -85,7 +85,7 @@ impl DriftTracker {
 
     /// `ewma / baseline` — 1.0 means inserts look like the training
     /// distribution.
-    pub fn drift_ratio(&self) -> f64 {
+    pub(crate) fn drift_ratio(&self) -> f64 {
         self.ewma_sq / self.baseline_mean_sq
     }
 }

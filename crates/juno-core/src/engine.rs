@@ -5,8 +5,10 @@
 //! 1. first clustering (IVF coarse quantiser, full dimension);
 //! 2. second clustering per 2-D subspace over residual projections (the PQ
 //!    codebooks);
-//! 3. subspace-level inverted index from `(cluster, subspace, entry)` to
-//!    point ids;
+//! 3. the IVF-list-contiguous code layout ([`IvfListCodes`]): each
+//!    cluster's points with their codes, which the scan walks to find the
+//!    points encoded with a selected entry (the paper's per-subspace
+//!    `Map[c][e]`, Alg. 1 lines 12–14);
 //! 4. density maps + threshold regressors per subspace;
 //! 5. the traversable RT scene (entries as spheres at `z = 2s + 1`).
 //!
@@ -17,7 +19,7 @@
 //!    RT cores trace one ray per `(probe, subspace)`, the dynamic threshold
 //!    expressed as the ray's `t_max`. On a CPU the serving path evaluates
 //!    the same hit predicate in closed form instead
-//!    ([`SceneMapping::select_table`], one vectorised kernel pass per
+//!    (`SceneMapping::select_table`, one vectorised kernel pass per
 //!    probe): the plan ([`JunoPlan`]) holds the probes and each subspace's
 //!    selection limit, and expanding a probe writes its dense `S×E` table,
 //!    each selected entry's exact value and `NaN` for the rest;
@@ -34,7 +36,6 @@
 use crate::config::{JunoConfig, QualityMode};
 use crate::drift::DriftTracker;
 use crate::hitcount::HitCountMode;
-use crate::inverted::SubspaceInvertedIndex;
 use crate::lut::{construct_selective_lut, LutRayRequest, SelectiveLut};
 use crate::mapping::SceneMapping;
 use crate::pipeline::{QuerySimulator, QueryWork};
@@ -69,12 +70,6 @@ pub struct JunoIndex {
     /// points live in per-cluster tails, deletions are tombstones, and
     /// [`JunoIndex::compact`] restores the contiguous layout.
     pub(crate) list_codes: IvfListCodes,
-    /// Subspace-level inverted index, built lazily on first use: the online
-    /// path scans `list_codes` instead, so only diagnostics (the `figures`
-    /// binary's fig11 and analyses) pay its construction time and memory. Mutations
-    /// invalidate it; it reflects every point ever indexed (including
-    /// tombstoned ones), as labels and codes are retained for dead ids.
-    pub(crate) inverted: std::sync::OnceLock<SubspaceInvertedIndex>,
     pub(crate) threshold_model: ThresholdModel,
     pub(crate) mapping: SceneMapping,
     /// The per-subspace bounds the scene was built with (max thresholds for
@@ -106,7 +101,7 @@ pub struct JunoIndex {
 /// The output of [`JunoIndex::build_selective_lut`]: the probed clusters in
 /// filter order, the RT-traced selective LUT over them, the RT traversal
 /// work, and the per-`(slot, subspace)` thresholds used.
-pub type SelectiveLutParts = (
+pub(crate) type SelectiveLutParts = (
     Vec<usize>,
     SelectiveLut,
     juno_rt::stats::TraversalStats,
@@ -116,13 +111,13 @@ pub type SelectiveLutParts = (
 /// Reusable per-thread scan state for [`JunoIndex::search_with_scratch`] —
 /// the shared driver's arena ([`juno_quant::scan::ScanArena`]) over JUNO's
 /// slots, allocated once per worker instead of once per query.
-pub type SearchScratch = ScanArena<JunoSlot>;
+pub(crate) type SearchScratch = ScanArena<JunoSlot>;
 
 /// One query's plan, the engine's [`ScanEngine::Plan`]: computed once per
 /// query (once per fleet batch, shared through a [`BatchPlan`]) and read by
 /// every probe's visit on every shard. It holds the probed clusters in
 /// filter order, the per-subspace thresholds and the limits the selective
-/// tables hold each subspace's entries to ([`SceneMapping::select_limit`]):
+/// tables hold each subspace's entries to (`SceneMapping::select_limit`):
 /// `O(S)` values, whatever the codebook size. The tables themselves are
 /// written where they are read, by [`ScanEngine::expand`].
 #[derive(Debug, Clone)]
@@ -141,7 +136,7 @@ pub struct JunoPlan {
 }
 
 /// One expanded `(query, probe)` pair of the JUNO engine: the probe's dense
-/// `S×E` selective table ([`SceneMapping::select_table`]: each entry's exact
+/// `S×E` selective table (`SceneMapping::select_table`: each entry's exact
 /// value — `d²` to the probe's residual projection, or the inner product
 /// with the query's projection under MIPS — where the scene's hit predicate
 /// selects it, `NaN` where it does not), the per-visit constants of the
@@ -221,9 +216,7 @@ impl JunoIndex {
         )?;
         let codes = pq.encode(&residuals)?;
 
-        // 3. The IVF-list-contiguous code layout the ADC scan consumes (the
-        //    subspace-level inverted index is built lazily — diagnostics
-        //    only).
+        // 3. The IVF-list-contiguous code layout the ADC scan consumes.
         let list_codes = IvfListCodes::build(ivf.labels(), &codes, config.n_clusters)?;
 
         // 4. Threshold calibration: per-subspace density maps plus regressors
@@ -276,7 +269,6 @@ impl JunoIndex {
             pq,
             codes,
             list_codes,
-            inverted: std::sync::OnceLock::new(),
             threshold_model,
             mapping,
             scene_bounds,
@@ -390,33 +382,9 @@ impl JunoIndex {
         self.list_codes.residency_stats()
     }
 
-    /// Borrow of the subspace-level inverted index, building it on first
-    /// use (the search path itself scans [`JunoIndex::list_codes`]).
-    pub fn inverted(&self) -> &SubspaceInvertedIndex {
-        self.inverted.get_or_init(|| {
-            // Mapped codes defer content verification; this diagnostics-only
-            // view reads them all, so force the check first.
-            self.codes
-                .ensure_verified()
-                .expect("mapped codes failed verification; verify before diagnostics");
-            SubspaceInvertedIndex::build(
-                self.ivf.labels(),
-                &self.codes,
-                self.config.n_clusters,
-                self.config.pq_entries,
-            )
-            .expect("labels and codes were validated when the index was built")
-        })
-    }
-
     /// Borrow of the calibrated threshold model.
     pub fn threshold_model(&self) -> &ThresholdModel {
         &self.threshold_model
-    }
-
-    /// Borrow of the RT scene mapping.
-    pub fn mapping(&self) -> &SceneMapping {
-        &self.mapping
     }
 
     /// Changes the quality mode at search time (no rebuild needed).
@@ -483,8 +451,7 @@ impl JunoIndex {
     ///    selective-LUT scan picks it up through
     ///    [`IvfListCodes::cluster_segments`]);
     /// 4. the threshold calibration's density maps account for the new
-    ///    projections ([`ThresholdModel::note_inserted_point`]);
-    /// 5. the lazily built hit-count/inverted diagnostics are invalidated.
+    ///    projections (`ThresholdModel::note_inserted_point`).
     ///
     /// Codebooks, regressors and the RT scene are untouched — they are
     /// trained models, valid as long as the data distribution holds, which
@@ -521,7 +488,6 @@ impl JunoIndex {
         self.trained_stamp = stamp.finish();
         self.drift
             .note_insert(residual.iter().map(|&x| x as f64 * x as f64).sum::<f64>());
-        self.inverted.take();
         Ok(id as u64)
     }
 
@@ -538,17 +504,12 @@ impl JunoIndex {
         let Ok(id32) = u32::try_from(id) else {
             return Ok(false);
         };
-        let removed = self.list_codes.remove(id32);
-        if removed {
-            // Deliberately O(1): the coarse inverted lists (and the lazily
-            // built subspace inverted index) are diagnostics-only — the scan
-            // path reads `list_codes` — so they keep the tombstoned id
-            // rather than paying an O(cluster length) list splice per
-            // deletion. Filter with `list_codes.is_deleted` when reading
-            // them for diagnostics.
-            self.inverted.take();
-        }
-        Ok(removed)
+        // Deliberately O(1): the coarse inverted lists are diagnostics-only
+        // — the scan path reads `list_codes` — so they keep the tombstoned id
+        // rather than paying an O(cluster length) list splice per deletion.
+        // Filter with `list_codes.is_deleted` when reading them for
+        // diagnostics.
+        Ok(self.list_codes.remove(id32))
     }
 
     /// Compacts the IVF-list code layout: merges append tails into the CSR
@@ -566,26 +527,13 @@ impl JunoIndex {
         // into a "clean" compacted layout.
         self.list_codes.ensure_resident_all()?;
         self.list_codes.compact();
-        self.inverted.take();
         Ok(())
-    }
-
-    /// The drift tracker state (EWMA of insert assignment distances) — used
-    /// by the persistence layer and the serving-side `Rebuilder`.
-    pub fn drift_tracker(&self) -> &DriftTracker {
-        &self.drift
-    }
-
-    /// Raw vectors retained when [`JunoConfig::retain_vectors`] is on: one
-    /// dense row per id ever allocated, tombstoned ids included.
-    pub fn raw_vectors(&self) -> Option<&VectorSet> {
-        self.raw.as_ref()
     }
 
     /// A point-in-time drift reading: the EWMA-vs-baseline assignment
     /// distance ratio plus structural tail-fill ratios of the scan layout
     /// (see [`DriftReport`] for signal semantics).
-    pub fn drift_report(&self) -> DriftReport {
+    pub(crate) fn drift_report(&self) -> DriftReport {
         let lc = &self.list_codes;
         let mut max_fill = 0.0f64;
         let mut sum_fill = 0.0f64;
@@ -669,7 +617,7 @@ impl JunoIndex {
     /// Returns [`Error::InvalidConfig`] for an empty or out-of-range live
     /// set and propagates training errors (e.g. fewer live points than
     /// clusters).
-    pub fn rebuild_for_live(&self, live: &[u64]) -> Result<Self> {
+    pub(crate) fn rebuild_for_live(&self, live: &[u64]) -> Result<Self> {
         let next_id = self.list_codes.next_id();
         let live = Self::sorted_live(live, next_id)?;
         if live.is_empty() {
@@ -712,7 +660,6 @@ impl JunoIndex {
             pq: fresh.pq,
             codes: codes_full,
             list_codes,
-            inverted: std::sync::OnceLock::new(),
             threshold_model: fresh.threshold_model,
             mapping: fresh.mapping,
             scene_bounds: fresh.scene_bounds,
@@ -741,7 +688,7 @@ impl JunoIndex {
     /// Returns [`Error::InvalidConfig`] for out-of-range live ids and
     /// [`Error::Corrupted`] when mapped content fails verification while
     /// being materialised.
-    pub fn with_live_ids(&self, live: &[u64]) -> Result<Self> {
+    pub(crate) fn with_live_ids(&self, live: &[u64]) -> Result<Self> {
         let next_id = self.list_codes.next_id();
         let live = Self::sorted_live(live, next_id)?;
         self.codes.ensure_verified()?;
@@ -758,7 +705,6 @@ impl JunoIndex {
             pq: self.pq.clone(),
             codes: self.codes.clone(),
             list_codes,
-            inverted: std::sync::OnceLock::new(),
             threshold_model: self.threshold_model.clone(),
             mapping: self.mapping.clone(),
             scene_bounds: self.scene_bounds.clone(),
@@ -775,7 +721,7 @@ impl JunoIndex {
     /// recovered from `t_hit`, gathered into a CSR [`SelectiveLut`], with
     /// the traversal work counted. Searches do not
     /// call it: it is the oracle the serving path's closed-form tables
-    /// ([`SceneMapping::select_table`]) are held to, and the source of the
+    /// (`SceneMapping::select_table`) are held to, and the source of the
     /// RT counters [`AnnIndex::simulate`] turns into simulated time. Exposed
     /// for the `figures` binary and the ledger.
     ///
@@ -851,7 +797,7 @@ impl JunoIndex {
     }
 
     /// Writes probe `cluster`'s selective table for `query` into `table`
-    /// (one [`SceneMapping::select_table`] pass from the probe's projections,
+    /// (one `SceneMapping::select_table` pass from the probe's projections,
     /// staged in `projections`) and returns its hit count.
     fn select_probe(
         &self,
@@ -999,7 +945,7 @@ impl ScanEngine for JunoIndex {
 
     /// The coarse filter, the thresholds and their selection limits. The
     /// hit count of the front-half counters takes one
-    /// [`SceneMapping::select_table`] pass per probe into a scratch table
+    /// `SceneMapping::select_table` pass per probe into a scratch table
     /// that is not kept: [`ScanEngine::expand`] writes each table again
     /// where it is read, so a plan shared by a fleet stays `O(S)`.
     fn plan(&self, query: &[f32]) -> Result<JunoPlan> {
@@ -1891,9 +1837,8 @@ mod tests {
         assert!(index.name().starts_with("JUNO-H"));
         assert!(!index.is_empty());
         assert_eq!(index.codes().len(), 500);
-        assert_eq!(index.inverted().num_clusters(), 32);
         assert_eq!(index.threshold_model().num_subspaces(), 48);
-        assert_eq!(index.mapping().num_subspaces(), 48);
+        assert_eq!(index.mapping.num_subspaces(), 48);
         assert_eq!(index.config().pq_entries, 64);
     }
 
@@ -2011,7 +1956,7 @@ mod tests {
         assert!(dr.drift_ratio < 1.5, "ratio {}", dr.drift_ratio);
         // Retained rows still cover the whole id space.
         assert_eq!(
-            rebuilt.raw_vectors().unwrap().len(),
+            rebuilt.raw.as_ref().unwrap().len(),
             rebuilt.list_codes().next_id() as usize
         );
         // Searches return live ids only.
@@ -2031,7 +1976,7 @@ mod tests {
         let live = index.ids();
         let rebuilt = index.rebuild_for_live(&live).unwrap();
         assert_eq!(rebuilt.ids(), live);
-        assert!(rebuilt.raw_vectors().is_none());
+        assert!(rebuilt.raw.as_ref().is_none());
         let res = rebuilt.search(ds.queries.row(0), 10).unwrap();
         assert_eq!(res.neighbors.len(), 10);
     }

@@ -15,155 +15,13 @@
 //! extra scene memory. The per-subspace penalty for missing both spheres is a
 //! constant shift of `−1` per subspace, so ranking by
 //! `inner_hits + outer_hits` is equivalent to the paper's
-//! `inner_hits − misses` score; the accumulator keeps both counts so either
-//! view can be reported.
-
-use std::collections::HashMap;
+//! `inner_hits − misses` score; the engine's JUNO-L/M scan counts both.
 
 /// Which hit-count variant is in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HitCountMode {
+pub(crate) enum HitCountMode {
     /// JUNO-L: count outer-sphere hits only.
     CountOnly,
     /// JUNO-M: reward inner-sphere hits, penalise full misses.
     RewardPenalty,
-}
-
-/// Accumulates hit counts per candidate point.
-#[derive(Debug, Clone, Default)]
-pub struct HitCountAccumulator {
-    /// point id → (outer hits, inner hits)
-    counts: HashMap<u32, (u32, u32)>,
-}
-
-impl HitCountAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `point`'s entry was hit in one subspace. `inner` is true
-    /// when the hit also falls within the half-radius inner sphere.
-    pub fn record(&mut self, point: u32, inner: bool) {
-        let slot = self.counts.entry(point).or_insert((0, 0));
-        slot.0 += 1;
-        if inner {
-            slot.1 += 1;
-        }
-    }
-
-    /// Number of distinct candidate points touched.
-    pub fn num_candidates(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Returns `true` when no hit has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Every touched point as `(point, outer hits, inner hits)`, by point id.
-    pub fn counts(&self) -> Vec<(u32, u32, u32)> {
-        let mut counts: Vec<(u32, u32, u32)> = self
-            .counts
-            .iter()
-            .map(|(&p, &(outer, inner))| (p, outer, inner))
-            .collect();
-        counts.sort_unstable();
-        counts
-    }
-
-    /// The score of one point under the given mode and subspace count.
-    ///
-    /// * `CountOnly`: `outer_hits`
-    /// * `RewardPenalty`: `inner_hits − (num_subspaces − outer_hits)`
-    ///
-    /// Higher is better for both.
-    pub fn score(&self, point: u32, mode: HitCountMode, num_subspaces: usize) -> i64 {
-        let (outer, inner) = self.counts.get(&point).copied().unwrap_or((0, 0));
-        match mode {
-            HitCountMode::CountOnly => outer as i64,
-            HitCountMode::RewardPenalty => inner as i64 - (num_subspaces as i64 - outer as i64),
-        }
-    }
-
-    /// Ranks all touched candidates by score (descending), breaking ties by
-    /// point id for determinism, and returns up to `k` of them with their
-    /// scores.
-    pub fn top_k(&self, k: usize, mode: HitCountMode, num_subspaces: usize) -> Vec<(u32, i64)> {
-        let mut ranked: Vec<(u32, i64)> = self
-            .counts
-            .keys()
-            .map(|&p| (p, self.score(p, mode, num_subspaces)))
-            .collect();
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counts_accumulate_per_point() {
-        let mut acc = HitCountAccumulator::new();
-        assert!(acc.is_empty());
-        acc.record(7, true);
-        acc.record(7, false);
-        acc.record(9, false);
-        assert_eq!(acc.num_candidates(), 2);
-        assert_eq!(acc.score(7, HitCountMode::CountOnly, 4), 2);
-        assert_eq!(acc.score(9, HitCountMode::CountOnly, 4), 1);
-        assert_eq!(acc.score(42, HitCountMode::CountOnly, 4), 0);
-        assert_eq!(acc.counts(), vec![(7, 2, 1), (9, 1, 0)]);
-    }
-
-    #[test]
-    fn reward_penalty_prefers_inner_hits() {
-        let mut acc = HitCountAccumulator::new();
-        // Point 1: two outer hits, both inner. Point 2: three outer hits, none
-        // inner. With 4 subspaces:
-        //   point 1: inner 2 − (4 − 2) = 0
-        //   point 2: inner 0 − (4 − 3) = −1
-        acc.record(1, true);
-        acc.record(1, true);
-        acc.record(2, false);
-        acc.record(2, false);
-        acc.record(2, false);
-        assert_eq!(acc.score(1, HitCountMode::RewardPenalty, 4), 0);
-        assert_eq!(acc.score(2, HitCountMode::RewardPenalty, 4), -1);
-        // Under plain counting point 2 would win instead — the refinement
-        // changes the ranking exactly as Fig. 11(b) intends.
-        assert!(
-            acc.score(2, HitCountMode::CountOnly, 4) > acc.score(1, HitCountMode::CountOnly, 4)
-        );
-    }
-
-    #[test]
-    fn top_k_is_sorted_and_deterministic() {
-        let mut acc = HitCountAccumulator::new();
-        for p in 0..10u32 {
-            for _ in 0..(p % 4) {
-                acc.record(p, p % 2 == 0);
-            }
-        }
-        let top = acc.top_k(3, HitCountMode::CountOnly, 8);
-        assert_eq!(top.len(), 3);
-        for pair in top.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
-        // Ties broken by id: points 3 and 7 both have 3 hits, 3 must come first.
-        assert_eq!(top[0].0, 3);
-        assert_eq!(top[1].0, 7);
-        // Requesting more than available returns everything touched.
-        assert!(acc.top_k(100, HitCountMode::CountOnly, 8).len() <= acc.num_candidates());
-    }
-
-    #[test]
-    fn missing_point_scores_worst_under_reward_penalty() {
-        let acc = HitCountAccumulator::new();
-        assert_eq!(acc.score(0, HitCountMode::RewardPenalty, 48), -48);
-    }
 }

@@ -11,12 +11,12 @@
 //! as `d² → 0`.
 //!
 //! Searches no longer build it. On a CPU the engine evaluates the rays' hit
-//! predicate in closed form ([`SceneMapping::select_table`]) into a dense
+//! predicate in closed form (`SceneMapping::select_table`) into a dense
 //! table holding each selected entry's exact value, written per probe as
 //! the scan expands it (`engine::JunoSlot`).
 //! What stays here is the RT construction itself: the oracle that table's
 //! hit sets are tested against, and the traversal work
-//! [`construct_selective_lut`] counts, which the GPU model turns into
+//! `construct_selective_lut` counts, which the GPU model turns into
 //! simulated time (`AnnIndex::simulate`). It walks the scene's BVH one ray
 //! at a time, as an RT core does (≈ 100 box tests and ≈ 127 sphere tests a
 //! ray at 48 subspaces × 64 entries), and stages every hit for one counting
@@ -68,11 +68,6 @@ impl SelectiveLut {
             num_slots,
             num_subspaces,
         }
-    }
-
-    /// Number of probed-cluster slots.
-    pub fn num_slots(&self) -> usize {
-        self.num_slots
     }
 
     /// Number of subspaces.
@@ -299,7 +294,7 @@ impl LutDecodeBuffer {
 /// and subspace it belongs to, the query projection in original units, and
 /// the distance threshold (L2) or scale factor (MIPS) to apply.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LutRayRequest {
+pub(crate) struct LutRayRequest {
     /// Index of the probed cluster in filter order.
     pub slot: usize,
     /// Subspace index.
@@ -322,7 +317,7 @@ pub struct LutRayRequest {
 ///
 /// Returns [`Error::IndexOutOfBounds`] for a slot beyond `num_slots` and
 /// propagates mapping errors (invalid subspace indices).
-pub fn construct_selective_lut<I>(
+pub(crate) fn construct_selective_lut<I>(
     mapping: &SceneMapping,
     num_slots: usize,
     requests: I,
@@ -551,7 +546,7 @@ mod tests {
         let (lut, stats) = construct_selective_lut(&mapping, 2, [] as [LutRayRequest; 0]).unwrap();
         assert_eq!(lut.total_selected(), 0);
         assert_eq!(stats.rays, 0);
-        assert_eq!(lut.num_slots(), 2);
+        assert_eq!(lut.num_slots, 2);
         assert_eq!(lut.num_subspaces(), 2);
         assert_eq!(lut.row(1, 1).len(), 0);
     }

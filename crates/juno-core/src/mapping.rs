@@ -88,7 +88,7 @@ impl Shared {
 /// which cloning an index does, per shard per write — copies a pointer, not
 /// the spheres and the BVH.
 #[derive(Debug, Clone)]
-pub struct SceneMapping {
+pub(crate) struct SceneMapping {
     shared: Arc<Shared>,
     geometry: Vec<SubspaceGeometry>,
     entries_per_subspace: usize,
@@ -106,7 +106,7 @@ impl SceneMapping {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when inputs are inconsistent.
-    pub fn build_l2(codebooks: &[Codebook], max_thresholds: &[f32]) -> Result<Self> {
+    pub(crate) fn build_l2(codebooks: &[Codebook], max_thresholds: &[f32]) -> Result<Self> {
         if codebooks.is_empty() {
             return Err(Error::empty_input("scene mapping requires codebooks"));
         }
@@ -157,7 +157,7 @@ impl SceneMapping {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when inputs are inconsistent.
-    pub fn build_mips(codebooks: &[Codebook], query_norm_bounds: &[f32]) -> Result<Self> {
+    pub(crate) fn build_mips(codebooks: &[Codebook], query_norm_bounds: &[f32]) -> Result<Self> {
         if codebooks.is_empty() {
             return Err(Error::empty_input("scene mapping requires codebooks"));
         }
@@ -215,23 +215,13 @@ impl SceneMapping {
         })
     }
 
-    /// The metric this mapping was built for.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
     /// Number of subspaces in the scene.
-    pub fn num_subspaces(&self) -> usize {
+    pub(crate) fn num_subspaces(&self) -> usize {
         self.geometry.len()
     }
 
-    /// Number of codebook entries per subspace.
-    pub fn entries_per_subspace(&self) -> usize {
-        self.entries_per_subspace
-    }
-
     /// Borrow of the traversable scene (for diagnostics and benches).
-    pub fn scene(&self) -> &Scene {
+    pub(crate) fn scene(&self) -> &Scene {
         &self.shared.scene
     }
 
@@ -245,7 +235,7 @@ impl SceneMapping {
     /// # Errors
     ///
     /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
-    pub fn t_max_for_threshold(&self, subspace: usize, threshold: f32) -> Result<f32> {
+    pub(crate) fn t_max_for_threshold(&self, subspace: usize, threshold: f32) -> Result<f32> {
         let geo = self.geo(subspace)?;
         let t = match self.metric {
             Metric::L2 => {
@@ -281,7 +271,12 @@ impl SceneMapping {
     ///
     /// Panics unless there is one projection and one limit per subspace and
     /// `out` holds one value per entry of every subspace.
-    pub fn select_table(&self, projections: &[[f32; 2]], limits: &[f32], out: &mut [f32]) -> usize {
+    pub(crate) fn select_table(
+        &self,
+        projections: &[[f32; 2]],
+        limits: &[f32],
+        out: &mut [f32],
+    ) -> usize {
         assert_eq!(
             projections.len(),
             self.num_subspaces(),
@@ -305,7 +300,7 @@ impl SceneMapping {
     /// # Errors
     ///
     /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
-    pub fn select_limit(
+    pub(crate) fn select_limit(
         &self,
         subspace: usize,
         projection: [f32; 2],
@@ -337,7 +332,7 @@ impl SceneMapping {
     /// # Errors
     ///
     /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
-    pub fn ray_for(&self, subspace: usize, projection: [f32; 2], t_max: f32) -> Result<Ray> {
+    pub(crate) fn ray_for(&self, subspace: usize, projection: [f32; 2], t_max: f32) -> Result<Ray> {
         let geo = self.geo(subspace)?;
         Ok(Ray::axis_aligned_z(
             [
@@ -359,7 +354,11 @@ impl SceneMapping {
     ///
     /// Returns [`Error::IndexOutOfBounds`] when the primitive id does not
     /// belong to a known subspace.
-    pub fn decode_hit(&self, projection: [f32; 2], hit: &Hit) -> Result<(usize, usize, f32)> {
+    pub(crate) fn decode_hit(
+        &self,
+        projection: [f32; 2],
+        hit: &Hit,
+    ) -> Result<(usize, usize, f32)> {
         let (subspace, entry) = self.decode_primitive(hit.primitive_id)?;
         let geo = self.geo(subspace)?;
         let dz = 1.0 - hit.t_hit;
@@ -384,7 +383,7 @@ impl SceneMapping {
     /// # Errors
     ///
     /// Returns [`Error::IndexOutOfBounds`] for an id beyond the scene.
-    pub fn decode_primitive(&self, primitive_id: u32) -> Result<(usize, usize)> {
+    pub(crate) fn decode_primitive(&self, primitive_id: u32) -> Result<(usize, usize)> {
         let subspace = primitive_id as usize / self.entries_per_subspace;
         let entry = primitive_id as usize % self.entries_per_subspace;
         if subspace >= self.geometry.len() {
@@ -472,7 +471,7 @@ mod tests {
         let cbs = toy_codebooks();
         let mapping = SceneMapping::build_l2(&cbs, &[5.0, 6.0]).unwrap();
         assert_eq!(mapping.num_subspaces(), 2);
-        assert_eq!(mapping.entries_per_subspace(), 4);
+        assert_eq!(mapping.entries_per_subspace, 4);
 
         #[allow(clippy::needless_range_loop)]
         for s in 0..2 {
@@ -552,7 +551,7 @@ mod tests {
         let cbs = toy_codebooks();
         // Query norm bound: generous bound on ‖q‖² per subspace.
         let mapping = SceneMapping::build_mips(&cbs, &[4.0, 4.0]).unwrap();
-        assert_eq!(mapping.metric(), Metric::InnerProduct);
+        assert_eq!(mapping.metric, Metric::InnerProduct);
         let q = [1.0f32, 0.5];
         let t_max = mapping.t_max_for_threshold(0, 1.0).unwrap();
         let ray = mapping.ray_for(0, q, t_max).unwrap();

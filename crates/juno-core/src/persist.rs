@@ -99,7 +99,7 @@ pub const KIND_JUNO: u32 = kind(*b"JUNO");
 
 /// Version of the JUNO-specific section layout (independent of the container
 /// version; bumped when section contents change incompatibly).
-pub const JUNO_LAYOUT_VERSION: u32 = 1;
+pub(crate) const JUNO_LAYOUT_VERSION: u32 = 1;
 
 /// Shared enum/section codecs for the substrate types (`Metric`,
 /// [`IvfIndex`], [`ProductQuantizer`], [`EncodedPoints`]) — also used by the
@@ -192,7 +192,7 @@ pub mod codec {
 
     /// Version written into the length-prefixed `CODE` section of the
     /// engines that scan it whole (the IVFPQ baseline): `u8` codes.
-    pub const CODE_SECTION_VERSION: u32 = 2;
+    pub(crate) const CODE_SECTION_VERSION: u32 = 2;
 
     /// Writes dataset-order PQ codes as one length-prefixed `u8` vector.
     pub fn put_codes(w: &mut SectionWriter, codes: &EncodedPoints) {
@@ -698,7 +698,6 @@ impl JunoIndex {
             pq,
             codes,
             list_codes,
-            inverted: std::sync::OnceLock::new(),
             threshold_model,
             mapping,
             scene_bounds,
@@ -854,10 +853,10 @@ mod tests {
         // raw rows cover the whole id space, dead ids included.
         assert!(restored.config().retain_vectors);
         assert_eq!(
-            restored.raw_vectors().unwrap().len(),
+            restored.raw.as_ref().unwrap().len(),
             index.list_codes().next_id() as usize
         );
-        assert_eq!(restored.drift_tracker(), index.drift_tracker());
+        assert_eq!(restored.drift, index.drift);
         assert_eq!(results_bits(&index, &ds), results_bits(&restored, &ds));
 
         // The mapped restore path carries the sections too.
@@ -869,14 +868,14 @@ mod tests {
             JunoIndex::load_snapshot_mapped(&path, &juno_common::mmap::ResidencyConfig::default())
                 .unwrap();
         assert!(mapped.config().retain_vectors);
-        assert_eq!(mapped.drift_tracker(), index.drift_tracker());
+        assert_eq!(mapped.drift, index.drift);
         std::fs::remove_file(&path).ok();
 
         // Snapshots without a RAWV section still load, with retention off.
         let (_, plain) = small_index(21);
         let restored = JunoIndex::from_snapshot_bytes(&plain.to_snapshot_bytes()).unwrap();
         assert!(!restored.config().retain_vectors);
-        assert!(restored.raw_vectors().is_none());
+        assert!(restored.raw.as_ref().is_none());
     }
 
     #[test]

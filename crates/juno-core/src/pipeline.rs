@@ -15,7 +15,7 @@ use juno_rt::stats::TraversalStats;
 
 /// The work performed by one query, as counted by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QueryWork {
+pub(crate) struct QueryWork {
     /// Number of coarse clusters compared during filtering.
     pub clusters: usize,
     /// Full vector dimension.
@@ -30,7 +30,7 @@ pub struct QueryWork {
 
 /// Per-stage simulated times of one query, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StageBreakdown {
+pub(crate) struct StageBreakdown {
     /// Filtering time.
     pub filter_us: f64,
     /// Selective L2-LUT construction time (RT cores).
@@ -44,7 +44,7 @@ pub struct StageBreakdown {
 
 /// Simulator configuration for the engine.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuerySimulator {
+pub(crate) struct QuerySimulator {
     /// The simulated device.
     pub device: GpuDevice,
     /// Pipeline model (MPS partition, contention, overhead).
@@ -57,7 +57,7 @@ pub struct QuerySimulator {
 
 impl QuerySimulator {
     /// Creates a simulator.
-    pub fn new(device: GpuDevice, mode: ExecutionMode, batch_size: usize) -> Self {
+    pub(crate) fn new(device: GpuDevice, mode: ExecutionMode, batch_size: usize) -> Self {
         Self {
             device,
             pipeline: PipelineModel::default(),
@@ -67,7 +67,7 @@ impl QuerySimulator {
     }
 
     /// Estimates the per-query stage breakdown for the given work.
-    pub fn simulate(&self, work: &QueryWork) -> StageBreakdown {
+    pub(crate) fn simulate(&self, work: &QueryWork) -> StageBreakdown {
         let q = self.batch_size as f64;
 
         // Filtering runs on the whole device regardless of mode.
@@ -114,15 +114,6 @@ impl QuerySimulator {
             total_us,
         }
     }
-
-    /// Queries per second implied by a per-query breakdown.
-    pub fn qps(breakdown: &StageBreakdown) -> f64 {
-        if breakdown.total_us <= 0.0 {
-            0.0
-        } else {
-            1e6 / breakdown.total_us
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +149,6 @@ mod tests {
             "pipelined {piped:?} vs serial {serial:?}"
         );
         assert!(piped.total_us < naive.total_us);
-        assert!(QuerySimulator::qps(&piped) > QuerySimulator::qps(&serial));
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl ThresholdModel {
     ///
     /// Returns [`Error::DimensionMismatch`] when `point` is not
     /// `2 × num_subspaces` wide.
-    pub fn note_inserted_point(&mut self, point: &[f32]) -> Result<()> {
+    pub(crate) fn note_inserted_point(&mut self, point: &[f32]) -> Result<()> {
         if point.len() != 2 * self.subspaces.len() {
             return Err(Error::DimensionMismatch {
                 expected: 2 * self.subspaces.len(),
@@ -283,17 +283,8 @@ impl ThresholdModel {
     /// # Errors
     ///
     /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
-    pub fn max_threshold(&self, subspace: usize) -> Result<f32> {
+    pub(crate) fn max_threshold(&self, subspace: usize) -> Result<f32> {
         self.subspace(subspace).map(|s| s.max_threshold)
-    }
-
-    /// The smallest calibrated threshold of a subspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IndexOutOfBounds`] for an invalid subspace.
-    pub fn min_threshold(&self, subspace: usize) -> Result<f32> {
-        self.subspace(subspace).map(|s| s.min_threshold)
     }
 
     /// The threshold for a query projection `(x, y)` in `subspace` under the
@@ -347,20 +338,13 @@ impl ThresholdModel {
 /// Thresholds at or above the sphere radius saturate at `t_max = 1` (the ray
 /// reaches the entry plane and therefore hits every sphere whose planar
 /// distance is below the radius).
-pub fn threshold_to_t_max(threshold_scaled: f32, radius: f32) -> f32 {
+pub(crate) fn threshold_to_t_max(threshold_scaled: f32, radius: f32) -> f32 {
     debug_assert!(radius > 0.0);
     if threshold_scaled >= radius {
         return 1.0;
     }
     let inside = radius * radius - threshold_scaled * threshold_scaled;
     1.0 - inside.max(0.0).sqrt()
-}
-
-/// Inverse of [`threshold_to_t_max`]: the planar distance reachable with a
-/// given `t_max`.
-pub fn t_max_to_threshold(t_max: f32, radius: f32) -> f32 {
-    let dz = 1.0 - t_max.clamp(0.0, 1.0);
-    (radius * radius - dz * dz).max(0.0).sqrt()
 }
 
 #[cfg(test)]
@@ -428,7 +412,7 @@ mod tests {
         let model = ThresholdModel::train(&points, Metric::L2, &small_config()).unwrap();
         for s in 0..2 {
             let max = model.max_threshold(s).unwrap();
-            let min = model.min_threshold(s).unwrap();
+            let min = model.subspace(s).unwrap().min_threshold;
             assert!(max >= min);
             // The loose blob has σ = 3 per axis: containing 50 neighbours
             // requires a radius well above the tight blob's σ = 0.3.
@@ -496,7 +480,7 @@ mod tests {
         let after = model
             .threshold_for(0, 15.0, 15.0, ThresholdStrategy::Dynamic, 1.0)
             .unwrap();
-        assert!(after >= model.min_threshold(0).unwrap() - 1e-6);
+        assert!(after >= model.subspace(0).unwrap().min_threshold - 1e-6);
         assert!(after <= model.max_threshold(0).unwrap() + 1e-6);
         assert!(model.note_inserted_point(&[0.0; 3]).is_err());
     }
@@ -518,12 +502,12 @@ mod tests {
         for thres in [0.05f32, 0.3, 0.7, 0.95] {
             let t = threshold_to_t_max(thres, radius);
             assert!(t > 0.0 && t < 1.0);
-            let back = t_max_to_threshold(t, radius);
+            // Inverse: the planar distance reachable with `t`.
+            let back = (radius * radius - (1.0 - t).powi(2)).max(0.0).sqrt();
             assert!((back - thres).abs() < 1e-5, "{thres} -> {t} -> {back}");
         }
         // Saturation.
         assert_eq!(threshold_to_t_max(2.0, 1.0), 1.0);
-        assert!((t_max_to_threshold(1.0, 0.8) - 0.8).abs() < 1e-6);
         // Monotonicity.
         assert!(threshold_to_t_max(0.2, 1.0) < threshold_to_t_max(0.6, 1.0));
     }

@@ -11,9 +11,9 @@
 //!
 //! Two quality measures are exposed:
 //!
-//! * [`AttentionWorkload::retained_mass`] — the softmax probability mass kept
+//! * `AttentionWorkload::retained_mass` — the softmax probability mass kept
 //!   when only the top-`k` keys per query are attended;
-//! * [`AttentionWorkload::pseudo_perplexity`] — `exp(average extra
+//! * `AttentionWorkload::pseudo_perplexity` — `exp(average extra
 //!   cross-entropy)` of the truncated attention distribution versus the full
 //!   one, a perplexity-style proxy that is 1.0 for lossless truncation and
 //!   grows as mass is dropped (the shape reported by Fig. 15).
@@ -142,7 +142,7 @@ impl AttentionWorkload {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when `k == 0`.
-    pub fn retained_mass(&self, k: usize) -> Result<f64> {
+    pub(crate) fn retained_mass(&self, k: usize) -> Result<f64> {
         if k == 0 {
             return Err(Error::invalid_config("top-k must be positive"));
         }
@@ -169,7 +169,7 @@ impl AttentionWorkload {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when `k == 0`.
-    pub fn pseudo_perplexity(&self, k: usize) -> Result<f64> {
+    pub(crate) fn pseudo_perplexity(&self, k: usize) -> Result<f64> {
         let mass = self.retained_mass(k)?.clamp(1e-9, 1.0);
         Ok((-mass.ln() + 1.0).exp() / std::f64::consts::E)
     }

@@ -32,7 +32,7 @@ pub struct KernelCost {
 
 impl KernelCost {
     /// A CUDA-core kernel cost.
-    pub fn cuda(flops: f64, bytes: f64) -> Self {
+    pub(crate) fn cuda(flops: f64, bytes: f64) -> Self {
         Self {
             flops,
             bytes,
@@ -41,19 +41,12 @@ impl KernelCost {
     }
 
     /// A Tensor-core kernel cost.
-    pub fn tensor(flops: f64, bytes: f64) -> Self {
+    pub(crate) fn tensor(flops: f64, bytes: f64) -> Self {
         Self {
             flops,
             bytes,
             kind: KernelKind::Tensor,
         }
-    }
-
-    /// Adds another kernel's work to this one (they are assumed to be fused /
-    /// launched back to back on the same resource).
-    pub fn accumulate(&mut self, other: &KernelCost) {
-        self.flops += other.flops;
-        self.bytes += other.bytes;
     }
 
     /// Estimated latency of this kernel on `device`, in microseconds.
@@ -66,15 +59,6 @@ impl KernelCost {
         let compute_us = self.flops / (gflops * 1e3).max(1e-9);
         let memory_us = self.bytes / (device.mem_bandwidth_gbs * 1e3).max(1e-9);
         device.launch_overhead_us + compute_us.max(memory_us)
-    }
-
-    /// Arithmetic intensity in FLOPs per byte (0 when no bytes are moved).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        if self.bytes <= 0.0 {
-            0.0
-        } else {
-            self.flops / self.bytes
-        }
     }
 }
 
@@ -147,16 +131,6 @@ mod tests {
         // Tensor kernels with the same flops are faster than CUDA kernels.
         let t = KernelCost::tensor(1e12, 1e6).estimate_us(&dev);
         assert!(t < c_us);
-    }
-
-    #[test]
-    fn accumulate_and_intensity() {
-        let mut a = KernelCost::cuda(100.0, 50.0);
-        a.accumulate(&KernelCost::cuda(100.0, 150.0));
-        assert_eq!(a.flops, 200.0);
-        assert_eq!(a.bytes, 200.0);
-        assert!((a.arithmetic_intensity() - 1.0).abs() < 1e-12);
-        assert_eq!(KernelCost::cuda(10.0, 0.0).arithmetic_intensity(), 0.0);
     }
 
     #[test]

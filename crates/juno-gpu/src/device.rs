@@ -6,7 +6,7 @@
 //! throughput of the 4090 is ~1.4× that of the A40 (Section 6.4), which the
 //! default figures below encode.
 
-use juno_rt::hardware::{RtCoreGeneration, RtCoreModel};
+use juno_rt::hardware::RtCoreModel;
 
 /// An analytic description of one GPU.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,24 +74,13 @@ impl GpuDevice {
         }
     }
 
-    /// Returns `true` when the device has dedicated RT cores.
-    pub fn has_rt_cores(&self) -> bool {
-        self.rt.generation.has_hardware()
-    }
-
-    /// Per-SM FP32 throughput in GFLOP/s, used for the "1.4× per SM" style
-    /// comparisons in Section 6.4.
-    pub fn fp32_gflops_per_sm(&self) -> f64 {
-        self.fp32_gflops / self.sm_count as f64
-    }
-
     /// Scales the compute resources of the device by a fraction in `(0, 1]`,
     /// modelling a CUDA MPS partition that only sees that share of the SMs.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < fraction <= 1`.
-    pub fn partition(&self, fraction: f64) -> GpuDevice {
+    pub(crate) fn partition(&self, fraction: f64) -> GpuDevice {
         assert!(
             fraction > 0.0 && fraction <= 1.0,
             "partition fraction must be in (0, 1]"
@@ -109,11 +98,6 @@ impl GpuDevice {
         };
         scaled
     }
-
-    /// The RT-core generation of this device.
-    pub fn rt_generation(&self) -> RtCoreGeneration {
-        self.rt.generation
-    }
 }
 
 #[cfg(test)]
@@ -130,15 +114,15 @@ mod tests {
         assert_eq!(a40.cuda_cores, 10_752);
         assert_eq!(a40.rt.core_count, 84);
         assert_eq!(a100.cuda_cores, 6_912);
-        assert!(!a100.has_rt_cores());
-        assert!(rtx.has_rt_cores());
-        assert!(a40.has_rt_cores());
+        assert!(!a100.rt.generation.has_hardware());
+        assert!(rtx.rt.generation.has_hardware());
+        assert!(a40.rt.generation.has_hardware());
     }
 
     #[test]
     fn rtx4090_per_sm_is_about_1_4x_a40() {
-        let ratio =
-            GpuDevice::rtx4090().fp32_gflops_per_sm() / GpuDevice::a40().fp32_gflops_per_sm();
+        let per_sm = |d: GpuDevice| d.fp32_gflops / d.sm_count as f64;
+        let ratio = per_sm(GpuDevice::rtx4090()) / per_sm(GpuDevice::a40());
         assert!((1.2..=1.6).contains(&ratio), "per-SM ratio {ratio}");
     }
 
@@ -156,14 +140,5 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn partition_rejects_zero() {
         let _ = GpuDevice::a40().partition(0.0);
-    }
-
-    #[test]
-    fn rt_generation_accessor() {
-        assert_eq!(
-            GpuDevice::rtx4090().rt_generation(),
-            RtCoreGeneration::Gen3Ada
-        );
-        assert_eq!(GpuDevice::a100().rt_generation(), RtCoreGeneration::None);
     }
 }

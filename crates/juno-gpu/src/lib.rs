@@ -13,7 +13,7 @@
 //!   memory time plus a launch overhead. It also prices the ones-vector GEMM
 //!   that maps JUNO's distance accumulation onto Tensor cores
 //!   ([`cost::tensor_accumulation_cost`]).
-//! * [`mps`] — CUDA MPS-style fractional SM partitioning.
+//! * `mps` ([`MpsPartition`]) — CUDA MPS-style fractional SM partitioning.
 //! * [`pipeline`] — the two-stage execution model (L2-LUT construction on RT
 //!   cores overlapped with distance calculation on Tensor/CUDA cores),
 //!   including the contention penalty of naive co-running that Fig. 11(a)
@@ -25,11 +25,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod cost;
 pub mod device;
-pub mod mps;
+mod mps;
 pub mod pipeline;
 
 pub use cost::{KernelCost, KernelKind};

@@ -26,7 +26,7 @@ impl Default for MpsPartition {
 
 impl MpsPartition {
     /// The paper's 9:1 split.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Self {
             lut_fraction: 0.9,
             accumulate_fraction: 0.1,

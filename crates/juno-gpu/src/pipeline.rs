@@ -34,7 +34,7 @@ impl StageTimes {
     }
 
     /// Serial (solo-run) latency: the sum of the two stages.
-    pub fn serial_us(&self) -> f64 {
+    pub(crate) fn serial_us(&self) -> f64 {
         self.lut_us + self.accumulate_us
     }
 }
@@ -103,28 +103,6 @@ impl PipelineModel {
             }
         }
     }
-
-    /// Throughput in batches per second for a mode.
-    pub fn batches_per_second(&self, mode: ExecutionMode, times: &StageTimes) -> f64 {
-        let us = self.batch_latency_us(mode, times);
-        if us <= 0.0 {
-            0.0
-        } else {
-            1e6 / us
-        }
-    }
-
-    /// Speed-up of the pipelined mode over serial execution for the given
-    /// stage times — the quantity behind the "without pipelining the
-    /// improvement decreases by 44–50 %" discussion of Section 6.3.
-    pub fn pipelining_speedup(&self, times: &StageTimes) -> f64 {
-        let serial = self.batch_latency_us(ExecutionMode::Serial, times);
-        let piped = self.batch_latency_us(ExecutionMode::Pipelined, times);
-        if piped <= 0.0 {
-            return f64::INFINITY;
-        }
-        serial / piped
-    }
 }
 
 #[cfg(test)]
@@ -163,22 +141,17 @@ mod tests {
     fn balanced_stages_give_near_2x_pipelining_speedup() {
         let m = PipelineModel::new();
         let balanced = StageTimes::new(100.0, 100.0);
-        let speedup = m.pipelining_speedup(&balanced);
-        assert!(speedup > 1.8 && speedup < 2.0, "speedup {speedup}");
+        let speedup = |t: &StageTimes| {
+            m.batch_latency_us(ExecutionMode::Serial, t)
+                / m.batch_latency_us(ExecutionMode::Pipelined, t)
+        };
+        let balanced_speedup = speedup(&balanced);
+        assert!(
+            balanced_speedup > 1.8 && balanced_speedup < 2.0,
+            "speedup {balanced_speedup}"
+        );
         // Unbalanced stages benefit less — the 44 % vs 50 % asymmetry in §6.3.
         let skewed = StageTimes::new(100.0, 20.0);
-        assert!(m.pipelining_speedup(&skewed) < speedup);
-    }
-
-    #[test]
-    fn throughput_is_inverse_latency() {
-        let m = PipelineModel::new();
-        let t = StageTimes::new(500.0, 250.0);
-        let qps = m.batches_per_second(ExecutionMode::Serial, &t);
-        assert!((qps - 1e6 / 750.0).abs() < 1e-6);
-        assert_eq!(
-            m.batches_per_second(ExecutionMode::Pipelined, &StageTimes::default()),
-            0.0
-        );
+        assert!(speedup(&skewed) < balanced_speedup);
     }
 }

@@ -103,7 +103,7 @@ impl Codebook {
     ///
     /// Returns [`Error::DimensionMismatch`] when the projection dimension is
     /// not `M`.
-    pub fn dense_lut_row(&self, projection: &[f32]) -> Result<Vec<f32>> {
+    pub(crate) fn dense_lut_row(&self, projection: &[f32]) -> Result<Vec<f32>> {
         if projection.len() != self.sub_dim() {
             return Err(Error::DimensionMismatch {
                 expected: self.sub_dim(),
@@ -125,7 +125,7 @@ impl Codebook {
     ///
     /// Returns [`Error::DimensionMismatch`] when the projection dimension is
     /// not `M` or `out` does not hold exactly one slot per entry.
-    pub fn dense_lut_row_into(&self, projection: &[f32], out: &mut [f32]) -> Result<()> {
+    pub(crate) fn dense_lut_row_into(&self, projection: &[f32], out: &mut [f32]) -> Result<()> {
         if projection.len() != self.sub_dim() {
             return Err(Error::DimensionMismatch {
                 expected: self.sub_dim(),

@@ -26,7 +26,7 @@
 //! | labelling ([`KMeans::train`] only) | `N·k` | the full `4Nd`-byte input once | 4096-point blocks | the caller's budget |
 //!
 //! Every distance of the last three rows goes through the nearest-row kernel
-//! (`juno_common::kernel`), one [`ASSIGN_BLOCK`] of points per call
+//! (`juno_common::kernel`), one `ASSIGN_BLOCK` of points per call
 //! (`NearestRows::nearest_each`). For narrower rows than eight (the PQ
 //! codebooks' `M = 2`) the table is transposed once per iteration and 32
 //! points are scored at a time, one per SIMD lane, against the rows in
@@ -44,7 +44,7 @@
 //! the budget across subspaces instead (see `pq.rs`).
 
 use juno_common::error::{Error, Result};
-use juno_common::kernel::{nearest_row, NearestRows};
+use juno_common::kernel::NearestRows;
 use juno_common::metric::l2_squared;
 use juno_common::parallel;
 use juno_common::rng::Rng;
@@ -145,7 +145,7 @@ impl KMeans {
     }
 
     /// Consumes the model and returns its centroids and labels.
-    pub fn into_parts(self) -> (VectorSet, Vec<usize>) {
+    pub(crate) fn into_parts(self) -> (VectorSet, Vec<usize>) {
         (self.centroids, self.labels)
     }
 
@@ -167,23 +167,6 @@ impl KMeans {
     /// Number of clusters.
     pub fn n_clusters(&self) -> usize {
         self.centroids.len()
-    }
-
-    /// Assigns a single vector to its nearest centroid, returning
-    /// `(cluster id, squared distance)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if the vector has the wrong
-    /// dimension.
-    pub fn assign_one(&self, v: &[f32]) -> Result<(usize, f32)> {
-        if v.len() != self.centroids.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.centroids.dim(),
-                actual: v.len(),
-            });
-        }
-        Ok(nearest_row(v, self.centroids.as_flat()))
     }
 }
 
@@ -361,6 +344,7 @@ fn update_centroids<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use juno_common::kernel::nearest_row;
     use juno_common::rng::normal;
 
     /// Three well-separated Gaussian blobs in 2-D.
@@ -402,7 +386,7 @@ mod tests {
         let points = blobs(30, 3);
         let km = KMeans::train(&points, &KMeansConfig::new(4, 9)).unwrap();
         for (i, p) in points.iter().enumerate() {
-            let (nearest, _) = km.assign_one(p).unwrap();
+            let (nearest, _) = nearest_row(p, km.centroids().as_flat());
             assert_eq!(km.labels()[i], nearest);
         }
     }
@@ -481,13 +465,5 @@ mod tests {
         assert!(KMeans::train(&points, &KMeansConfig::new(100, 1)).is_err());
         let empty = VectorSet::new(2).unwrap();
         assert!(KMeans::train(&empty, &KMeansConfig::new(1, 1)).is_err());
-    }
-
-    #[test]
-    fn assign_one_checks_dimension() {
-        let points = blobs(10, 2);
-        let km = KMeans::train(&points, &KMeansConfig::new(2, 3)).unwrap();
-        assert!(km.assign_one(&[1.0]).is_err());
-        assert!(km.assign_one(&[1.0, 2.0]).is_ok());
     }
 }

@@ -1,7 +1,7 @@
 //! IVF-list-contiguous PQ code layout for cache-friendly ADC scans, with
 //! dynamic mutation support.
 //!
-//! [`EncodedPoints`](crate::pq::EncodedPoints) stores codes in dataset order,
+//! [`EncodedPoints`] stores codes in dataset order,
 //! which is the natural output of encoding but the worst possible order for
 //! the online path: a probe visits the members of *one* coarse cluster, and
 //! in dataset order those members are scattered across the whole code array,
@@ -36,7 +36,7 @@
 //!
 //! Alongside the point-major base block, every cluster keeps a second,
 //! derived view of the same codes: [`BlockCodes`], the base segment
-//! transposed into blocks of [`BLOCK_LANES`](juno_common::kernel::BLOCK_LANES)
+//! transposed into blocks of [`BLOCK_LANES`]
 //! (32) points. Within a block the codes are subspace-major — one LUT entry
 //! serves 32 contiguous lanes — which is the shape the quantised fast-scan
 //! kernel (`juno_common::kernel`) consumes; when every code of the cluster
@@ -444,7 +444,7 @@ impl IvfListCodes {
     /// Number of records stored for `cluster` — base plus tail, tombstoned
     /// ones included: what a scan of the cluster streams.
     #[inline]
-    pub fn cluster_stored(&self, cluster: usize) -> usize {
+    pub(crate) fn cluster_stored(&self, cluster: usize) -> usize {
         self.cluster_ids(cluster).len() + self.extra_ids[cluster].len()
     }
 
@@ -732,7 +732,7 @@ impl BlockCodes {
     /// Returns [`Error::Corrupted`] when the region length does not match
     /// the shape — the kernels index rows by shape, so a mismatch would be
     /// out-of-bounds later.
-    pub(crate) fn from_mapped(
+    pub fn from_mapped(
         data: MappedBytes,
         num_points: usize,
         num_subspaces: usize,
@@ -831,8 +831,8 @@ impl BlockCodes {
     /// current worst as `worst` to seed it. Returns
     /// `(pruned_points, pruned_blocks)`.
     ///
-    /// This is the single-query form of [`BlockCodes::prune_scan_group`] (a
-    /// one-lane group), with a [`Survivor::Block`] handed on point by point.
+    /// This is the single-query form of `BlockCodes::prune_scan_group` (a
+    /// one-lane group), with a `Survivor::Block` handed on point by point.
     /// The engines reach the group form through the one cluster visit in
     /// [`crate::scan`]; this form serves stage probes that time the prune
     /// pass in isolation, and the differential tests.
@@ -905,7 +905,7 @@ impl BlockCodes {
     /// is not re-derived before the next block either way — so each query's
     /// results and per-lane prune counters are bit-identical to scanning the
     /// cluster for that query alone with the same entry `worst`.
-    pub fn prune_scan_group(
+    pub(crate) fn prune_scan_group(
         &self,
         lanes: &mut [GroupLane<'_>],
         mut survivor: impl FnMut(usize, Survivor) -> Option<f32>,
@@ -942,7 +942,7 @@ impl BlockCodes {
 
 /// What [`BlockCodes::prune_scan_group`] hands its caller to score exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Survivor {
+pub(crate) enum Survivor {
     /// One base point (its index in the cluster's base segment) whose bound
     /// could not prune it.
     Point(usize),
@@ -955,7 +955,7 @@ pub enum Survivor {
 /// slot, its evolving top-k worst score, the kernel lane sums of the current
 /// block, and the pruning work observed on the query's behalf.
 #[derive(Debug, Clone, Copy)]
-pub struct GroupLane<'a> {
+pub(crate) struct GroupLane<'a> {
     /// The query's quantised prune LUT for this cluster.
     pub qlut: &'a QuantizedLut,
     /// The query's current top-k worst score (`None` = top-k not full:
@@ -972,7 +972,7 @@ pub struct GroupLane<'a> {
 
 impl<'a> GroupLane<'a> {
     /// Creates a lane seeded with the query's current top-k worst score.
-    pub fn new(qlut: &'a QuantizedLut, worst: Option<f32>) -> Self {
+    pub(crate) fn new(qlut: &'a QuantizedLut, worst: Option<f32>) -> Self {
         Self {
             qlut,
             worst,

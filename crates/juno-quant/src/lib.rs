@@ -7,12 +7,12 @@
 //!   cluster repair. Used for both the coarse (IVF) quantiser and the
 //!   per-subspace "second" clusters that form the PQ codebook.
 //! * [`codebook`] — the per-subspace entry sets (`E` entries of dimension `M`).
-//! * [`pq`] — the [`ProductQuantizer`](pq::ProductQuantizer): training on
+//! * [`pq`] — the [`ProductQuantizer`]: training on
 //!   residuals, encoding search points, decoding, and the *dense* L2-LUT
 //!   construction used by the FAISS-style baseline.
 //! * [`ivf`] — the inverted file index: coarse centroids, inverted lists, and
 //!   the filtering stage (choose the `nprobs` closest clusters).
-//! * [`layout`] — [`IvfListCodes`](layout::IvfListCodes), the PQ codes
+//! * [`layout`] — [`IvfListCodes`], the PQ codes
 //!   reordered IVF-list-contiguously so the online ADC scan streams memory
 //!   sequentially.
 //! * [`scan`] — the one scan driver over that layout: the cluster visit, the
@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod codebook;

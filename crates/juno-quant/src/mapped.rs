@@ -20,7 +20,7 @@
 //!   directory's `nibble`/`max_code` bytes, so a flipped directory byte
 //!   cannot silently change block geometry) — verified lazily on the
 //!   cluster's first probe by
-//!   [`ResidencySet`](crate::residency::ResidencySet), which also rebuilds
+//!   `ResidencySet`, which also rebuilds
 //!   the block view from the codes and requires bit-identity.
 //!
 //! Alignment is an optimisation, never a correctness requirement: if the
@@ -46,9 +46,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// The mapped layout version this module writes for the LAYT section.
-pub const LAYOUT_MAPPED_VERSION: u32 = 3;
+pub(crate) const LAYOUT_MAPPED_VERSION: u32 = 3;
 /// The mapped layout version this module writes for the CODE section.
-pub const CODES_MAPPED_VERSION: u32 = 3;
+pub(crate) const CODES_MAPPED_VERSION: u32 = 3;
 
 /// File alignment of every hot array (cache line; also divides the page
 /// size, so per-cluster `madvise` ranges behave).
@@ -397,7 +397,7 @@ fn parse_layout_v3(b: &[u8]) -> Result<LayoutV3> {
 /// Opens a v3 layout payload **zero-copy** over its mapped bytes: eager
 /// regions are validated now (meta checksum, shapes, bounds), the hot
 /// arrays become views into the mapping, and a
-/// [`ResidencySet`](crate::residency::ResidencySet) built from `config`
+/// `ResidencySet` built from `config`
 /// verifies each cluster on first probe.
 ///
 /// # Errors

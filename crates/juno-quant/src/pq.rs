@@ -576,31 +576,6 @@ impl ProductQuantizer {
             .map(|(s, &e)| flat[s * entries + e as usize])
             .sum()
     }
-
-    /// Mean squared reconstruction error of an encoding — a quality measure of
-    /// the trained codebooks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoding errors and dimension mismatches.
-    pub fn reconstruction_error(&self, vectors: &VectorSet, codes: &EncodedPoints) -> Result<f64> {
-        if vectors.len() != codes.len() {
-            return Err(Error::invalid_config(format!(
-                "vector count {} does not match code count {}",
-                vectors.len(),
-                codes.len()
-            )));
-        }
-        if vectors.is_empty() {
-            return Ok(0.0);
-        }
-        let mut total = 0.0f64;
-        for i in 0..vectors.len() {
-            let rec = self.decode(codes.code(i))?;
-            total += juno_common::metric::l2_squared(vectors.row(i), &rec) as f64;
-        }
-        Ok(total / vectors.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -684,12 +659,16 @@ mod tests {
             },
         )
         .unwrap();
-        let err_small = small
-            .reconstruction_error(&data, &small.encode(&data).unwrap())
-            .unwrap();
-        let err_large = large
-            .reconstruction_error(&data, &large.encode(&data).unwrap())
-            .unwrap();
+        // Mean squared reconstruction error of the encoding.
+        let error = |pq: &ProductQuantizer| {
+            let codes = pq.encode(&data).unwrap();
+            (0..data.len())
+                .map(|i| l2_squared(data.row(i), &pq.decode(codes.code(i)).unwrap()) as f64)
+                .sum::<f64>()
+                / data.len() as f64
+        };
+        let err_small = error(&small);
+        let err_large = error(&large);
         assert!(
             err_large < err_small,
             "more entries should quantise better: {err_large} vs {err_small}"

@@ -1,7 +1,7 @@
 //! Per-cluster residency tracking for mapped (out-of-core) indexes.
 //!
 //! A mapped [`IvfListCodes`](crate::layout::IvfListCodes) serves its CSR
-//! base zero-copy from a snapshot file. [`ResidencySet`] tracks, per
+//! base zero-copy from a snapshot file. `ResidencySet` tracks, per
 //! cluster, whether that cluster's bytes have been **verified** (checksum +
 //! structural invariants, once per mapping) and whether they are **resident**
 //! (recently touched / prefaulted). A configurable budget bounds how many
@@ -89,7 +89,7 @@ pub struct ResidencyStats {
 
 /// Shared residency state of one mapped index (see the [module docs](self)).
 #[derive(Debug)]
-pub struct ResidencySet {
+pub(crate) struct ResidencySet {
     map: Arc<Mmap>,
     budget_bytes: usize,
     pinned_bytes: usize,
@@ -155,11 +155,6 @@ impl ResidencySet {
         }
     }
 
-    /// Number of clusters tracked.
-    pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// Ensures `cluster` is verified and resident. Lock-free when it
     /// already is; otherwise verifies on first touch, prefaults, and
     /// evicts cold clusters while the budget is exceeded.
@@ -170,7 +165,7 @@ impl ResidencySet {
     /// checksum or structural verification. A failed cluster is **not**
     /// marked resident — every subsequent touch fails the same way, so a
     /// corrupt snapshot can never serve partial garbage.
-    pub fn touch(&self, cluster: usize) -> Result<()> {
+    pub(crate) fn touch(&self, cluster: usize) -> Result<()> {
         let flags = &self.flags[cluster];
         let f = flags.load(Ordering::Acquire);
         if f & VERIFIED != 0 && f & (RESIDENT | PINNED) != 0 {
@@ -300,7 +295,7 @@ impl ResidencySet {
     }
 
     /// A point-in-time copy of the counters.
-    pub fn stats(&self) -> ResidencyStats {
+    pub(crate) fn stats(&self) -> ResidencyStats {
         let clock = self.clock.lock().unwrap_or_else(|e| e.into_inner());
         ResidencyStats {
             hits: self.hits.load(Ordering::Relaxed),

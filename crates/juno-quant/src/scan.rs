@@ -41,7 +41,7 @@
 //!
 //! Results — ids **and** distance bits — are identical on every path: the
 //! per-query top-k selection is insertion-order invariant
-//! ([`TopK`](juno_common::topk::TopK) breaks boundary ties by id), pruning
+//! ([`TopK`] breaks boundary ties by id), pruning
 //! only ever discards candidates whose score lower bound provably cannot
 //! enter the top-k, and every surviving candidate goes through the engine's
 //! one exact scoring function.

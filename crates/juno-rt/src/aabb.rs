@@ -24,7 +24,7 @@ impl Default for Aabb {
 
 impl Aabb {
     /// An empty (inverted) box that behaves as the identity of [`Aabb::union`].
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             min: [f32::INFINITY; 3],
             max: [f32::NEG_INFINITY; 3],
@@ -46,7 +46,7 @@ impl Aabb {
     }
 
     /// The bounding box of a sphere.
-    pub fn from_sphere(center: [f32; 3], radius: f32) -> Self {
+    pub(crate) fn from_sphere(center: [f32; 3], radius: f32) -> Self {
         Self {
             min: [center[0] - radius, center[1] - radius, center[2] - radius],
             max: [center[0] + radius, center[1] + radius, center[2] + radius],
@@ -59,7 +59,7 @@ impl Aabb {
     }
 
     /// The smallest box containing both operands.
-    pub fn union(&self, other: &Aabb) -> Aabb {
+    pub(crate) fn union(&self, other: &Aabb) -> Aabb {
         Aabb {
             min: [
                 self.min[0].min(other.min[0]),
@@ -75,7 +75,7 @@ impl Aabb {
     }
 
     /// Grows this box in place to contain `other`.
-    pub fn grow(&mut self, other: &Aabb) {
+    pub(crate) fn grow(&mut self, other: &Aabb) {
         *self = self.union(other);
     }
 
@@ -88,21 +88,8 @@ impl Aabb {
         ]
     }
 
-    /// Surface area of the box (used by SAH-style diagnostics).
-    pub fn surface_area(&self) -> f32 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let d = [
-            self.max[0] - self.min[0],
-            self.max[1] - self.min[1],
-            self.max[2] - self.min[2],
-        ];
-        2.0 * (d[0] * d[1] + d[1] * d[2] + d[2] * d[0])
-    }
-
     /// Index (0..3) of the widest axis.
-    pub fn longest_axis(&self) -> usize {
+    pub(crate) fn longest_axis(&self) -> usize {
         let d = [
             self.max[0] - self.min[0],
             self.max[1] - self.min[1],
@@ -117,15 +104,10 @@ impl Aabb {
         }
     }
 
-    /// Returns `true` when the point lies inside or on the box.
-    pub fn contains_point(&self, p: [f32; 3]) -> bool {
-        (0..3).all(|i| p[i] >= self.min[i] && p[i] <= self.max[i])
-    }
-
     /// The slab test: returns `true` if the ray intersects the box within
     /// `[0, ray.t_max]`. This is the cheap interval calculation performed by
     /// the RT core for every BVH node visit.
-    pub fn intersects_ray(&self, ray: &Ray) -> bool {
+    pub(crate) fn intersects_ray(&self, ray: &Ray) -> bool {
         let mut t_enter = 0.0f32;
         let mut t_exit = ray.t_max;
         for axis in 0..3 {
@@ -184,16 +166,7 @@ mod tests {
     #[test]
     fn surface_area_and_longest_axis() {
         let b = Aabb::new([0.0, 0.0, 0.0], [2.0, 1.0, 4.0]);
-        assert!((b.surface_area() - 2.0 * (2.0 + 4.0 + 8.0)).abs() < 1e-6);
         assert_eq!(b.longest_axis(), 2);
-        assert_eq!(Aabb::empty().surface_area(), 0.0);
-    }
-
-    #[test]
-    fn contains_point() {
-        let b = Aabb::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]);
-        assert!(b.contains_point([0.5, 0.5, 1.0]));
-        assert!(!b.contains_point([1.5, 0.5, 0.5]));
     }
 
     #[test]

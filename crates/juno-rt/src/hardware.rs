@@ -5,7 +5,7 @@
 //! The relative numbers follow the sources the paper itself cites:
 //!
 //! * Ada (Gen-3) RT cores have ~2× the ray–triangle/box throughput of Ampere
-//!   (Gen-2) RT cores (NVIDIA Ada white paper, cited as [54]).
+//!   (Gen-2) RT cores (NVIDIA Ada white paper, cited as \[54\]).
 //! * A100 has **no** RT cores; OptiX falls back to a CUDA-core software
 //!   traversal, which the paper observes to erase JUNO's advantage at high
 //!   recall (Fig. 14(a)). The fallback is modelled as a large per-test cost
@@ -31,7 +31,7 @@ pub enum RtCoreGeneration {
 
 impl RtCoreGeneration {
     /// Relative traversal throughput versus a Gen-2 (Ampere) RT core.
-    pub fn relative_throughput(self) -> f64 {
+    pub(crate) fn relative_throughput(self) -> f64 {
         match self {
             // Software fallback on CUDA cores is roughly an order of magnitude
             // slower per test than a hardware RT core.
@@ -101,12 +101,12 @@ impl RtCoreModel {
     }
 
     /// Effective aggregate box-test throughput (tests per microsecond).
-    pub fn aggregate_box_rate(&self) -> f64 {
+    pub(crate) fn aggregate_box_rate(&self) -> f64 {
         self.box_tests_per_core_us * self.core_count as f64 * self.generation.relative_throughput()
     }
 
     /// Effective aggregate primitive-test throughput (tests per microsecond).
-    pub fn aggregate_primitive_rate(&self) -> f64 {
+    pub(crate) fn aggregate_primitive_rate(&self) -> f64 {
         self.primitive_tests_per_core_us
             * self.core_count as f64
             * self.generation.relative_throughput()
@@ -121,17 +121,6 @@ impl RtCoreModel {
         let hit_us =
             stats.hits as f64 * self.hit_shader_ns / 1000.0 / self.core_count.max(1) as f64;
         self.launch_overhead_us + box_us + prim_us + hit_us
-    }
-
-    /// Speed ratio of this model over another for identical work (how many
-    /// times faster `self` completes `stats` than `other`).
-    pub fn speedup_over(&self, other: &RtCoreModel, stats: &TraversalStats) -> f64 {
-        let mine = self.estimate_us(stats);
-        let theirs = other.estimate_us(stats);
-        if mine <= 0.0 {
-            return f64::INFINITY;
-        }
-        theirs / mine
     }
 }
 
@@ -171,7 +160,7 @@ mod tests {
         let ada = RtCoreModel::ada(84);
         let ampere = RtCoreModel::ampere(84);
         let w = workload();
-        let speedup = ada.speedup_over(&ampere, &w);
+        let speedup = ampere.estimate_us(&w) / ada.estimate_us(&w);
         // The launch overhead dilutes the 2.0 ratio slightly.
         assert!(speedup > 1.25 && speedup < 2.0, "speedup {speedup}");
     }
@@ -181,7 +170,7 @@ mod tests {
         let hw = RtCoreModel::ampere(84);
         let sw = RtCoreModel::cuda_fallback(108);
         let w = workload();
-        assert!(hw.speedup_over(&sw, &w) > 3.0);
+        assert!(sw.estimate_us(&w) / hw.estimate_us(&w) > 3.0);
     }
 
     #[test]

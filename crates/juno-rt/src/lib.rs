@@ -6,12 +6,12 @@
 //! parts of the RT pipeline JUNO relies on, together with work counters that a
 //! hardware throughput model (see `juno-gpu`) converts into simulated time:
 //!
-//! * [`aabb`] — axis-aligned bounding boxes and the slab intersection test.
+//! * `aabb` ([`Aabb`]) — axis-aligned bounding boxes and the slab intersection test.
 //! * [`ray`] — rays with an origin, direction and maximum travel time
 //!   `t_max` (the knob JUNO uses to implement dynamic thresholds).
 //! * [`sphere`] — sphere primitives: one per codebook entry, laid out at
 //!   `z = 2s + 1` for subspace `s`.
-//! * [`bvh`] — a bounding volume hierarchy built over primitive AABBs with a
+//! * `bvh` ([`Bvh`]) — a bounding volume hierarchy built over primitive AABBs with a
 //!   median-split strategy and an iterative traversal loop.
 //! * [`scene`] — the traversable scene: build once offline, trace rays with
 //!   any-hit callbacks online, exactly like an OptiX launch. Every ray JUNO
@@ -44,11 +44,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod aabb;
-pub mod bvh;
+mod aabb;
+mod bvh;
 pub mod hardware;
 pub mod ray;
 pub mod scene;

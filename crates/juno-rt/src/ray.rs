@@ -58,14 +58,6 @@ impl Ray {
             self.origin[2] + t * self.direction[2],
         ]
     }
-
-    /// Returns a copy of the ray with a different `t_max` (used when applying
-    /// a per-query dynamic threshold to a template ray).
-    pub fn with_t_max(mut self, t_max: f32) -> Self {
-        assert!(t_max >= 0.0, "ray t_max must be non-negative");
-        self.t_max = t_max;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -86,13 +78,6 @@ mod tests {
         let r = Ray::axis_aligned_z([1.0, 2.0, 0.0], 5.0);
         assert_eq!(r.at(0.0), [1.0, 2.0, 0.0]);
         assert_eq!(r.at(1.5), [1.0, 2.0, 1.5]);
-    }
-
-    #[test]
-    fn with_t_max_replaces_only_t_max() {
-        let r = Ray::axis_aligned_z([0.0, 0.0, 0.0], 1.0).with_t_max(0.25);
-        assert_eq!(r.t_max, 0.25);
-        assert_eq!(r.direction, [0.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -39,21 +39,6 @@ impl SceneBuilder {
         self
     }
 
-    /// Adds a sphere per (x, y) coordinate at depth `z`, assigning primitive
-    /// ids `base_id, base_id + 1, ...` — the codebook-entry placement helper.
-    pub fn add_layer(
-        &mut self,
-        coords: &[[f32; 2]],
-        z: f32,
-        radius: f32,
-        base_id: u32,
-    ) -> &mut Self {
-        for (i, &[x, y]) in coords.iter().enumerate() {
-            self.add_sphere(Sphere::new([x, y, z], radius, base_id + i as u32));
-        }
-        self
-    }
-
     /// Number of spheres added so far.
     pub fn len(&self) -> usize {
         self.spheres.len()
@@ -136,8 +121,10 @@ mod tests {
         // Subspace 0 entries at z = 1, subspace 1 entries at z = 3 (paper's
         // z = 2s + 1 placement).
         let mut b = SceneBuilder::new();
-        b.add_layer(&[[0.0, 0.0], [2.0, 0.0]], 1.0, 0.5, 0);
-        b.add_layer(&[[0.0, 0.0], [2.0, 0.0]], 3.0, 0.5, 100);
+        for (z, base_id) in [(1.0, 0), (3.0, 100)] {
+            b.add_sphere(Sphere::new([0.0, 0.0, z], 0.5, base_id));
+            b.add_sphere(Sphere::new([2.0, 0.0, z], 0.5, base_id + 1));
+        }
         b.build()
     }
 

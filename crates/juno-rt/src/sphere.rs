@@ -47,7 +47,7 @@ impl Sphere {
     /// Returns the smallest non-negative `t_hit ≤ ray.t_max` at which the ray
     /// enters (or, if it starts inside, exits) the sphere, or `None` when the
     /// ray misses the sphere within its travel budget.
-    pub fn intersect(&self, ray: &Ray) -> Option<f32> {
+    pub(crate) fn intersect(&self, ray: &Ray) -> Option<f32> {
         // Solve |o + t·d − c|² = r² for t with d normalised.
         let oc = [
             ray.origin[0] - self.center[0],
@@ -76,33 +76,6 @@ impl Sphere {
             None
         }
     }
-
-    /// Returns `true` when the point lies inside or on the sphere.
-    pub fn contains(&self, p: [f32; 3]) -> bool {
-        let d = [
-            p[0] - self.center[0],
-            p[1] - self.center[1],
-            p[2] - self.center[2],
-        ];
-        d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= self.radius * self.radius
-    }
-}
-
-/// Recovers the in-plane (x, y) distance between the ray origin and the centre
-/// of a hit sphere from the hit time, for JUNO's canonical geometry where the
-/// ray travels exactly one unit in `z` to reach the sphere's plane:
-/// `d = sqrt(R² − (1 − t_hit)²)` (paper Fig. 9, left).
-///
-/// Returns `None` when `t_hit` is inconsistent with a hit (|1 − t_hit| > R up
-/// to rounding), which would indicate the caller mixed up radii.
-pub fn planar_distance_from_hit_time(radius: f32, t_hit: f32) -> Option<f32> {
-    let dz = 1.0 - t_hit;
-    let inside = radius * radius - dz * dz;
-    if inside < -1e-6 {
-        None
-    } else {
-        Some(inside.max(0.0).sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +103,9 @@ mod tests {
         let r = Ray::axis_aligned_z([0.0, 0.0, 0.0], 0.4);
         assert!(s.intersect(&r).is_none());
         // With a just-large-enough t_max the same geometry hits.
-        assert!(s.intersect(&r.with_t_max(0.51)).is_some());
+        assert!(s
+            .intersect(&Ray::axis_aligned_z([0.0, 0.0, 0.0], 0.51))
+            .is_some());
     }
 
     #[test]
@@ -151,7 +126,8 @@ mod tests {
         let s = Sphere::new(entry, radius, 0);
         let r = Ray::axis_aligned_z(query, 1.0);
         let t_hit = s.intersect(&r).expect("inside threshold, must hit");
-        let recovered = planar_distance_from_hit_time(radius, t_hit).unwrap();
+        // d = sqrt(R² − (1 − t_hit)²) (paper Fig. 9, left).
+        let recovered = (radius * radius - (1.0 - t_hit).powi(2)).max(0.0).sqrt();
         assert!(
             (recovered - planar).abs() < 1e-4,
             "recovered {recovered} vs true {planar}"
@@ -159,18 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn planar_distance_rejects_inconsistent_time() {
-        assert!(planar_distance_from_hit_time(0.2, -1.0).is_none());
-        // t_hit exactly at tangency maps to zero planar distance.
-        let d = planar_distance_from_hit_time(0.25, 0.75).unwrap();
-        assert!(d.abs() < 1e-6);
-    }
-
-    #[test]
     fn contains_and_aabb() {
         let s = Sphere::new([1.0, 1.0, 1.0], 2.0, 3);
-        assert!(s.contains([2.0, 1.0, 1.0]));
-        assert!(!s.contains([4.0, 1.0, 1.0]));
         let b = s.aabb();
         assert_eq!(b.min, [-1.0, -1.0, -1.0]);
         assert_eq!(b.max, [3.0, 3.0, 3.0]);

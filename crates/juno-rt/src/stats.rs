@@ -32,33 +32,6 @@ impl TraversalStats {
         self.primitive_tests += other.primitive_tests;
         self.hits += other.hits;
     }
-
-    /// Average primitive tests per ray (0 when no ray was traced).
-    pub fn primitive_tests_per_ray(&self) -> f64 {
-        if self.rays == 0 {
-            0.0
-        } else {
-            self.primitive_tests as f64 / self.rays as f64
-        }
-    }
-
-    /// Average AABB tests per ray (0 when no ray was traced).
-    pub fn aabb_tests_per_ray(&self) -> f64 {
-        if self.rays == 0 {
-            0.0
-        } else {
-            self.aabb_tests as f64 / self.rays as f64
-        }
-    }
-
-    /// Fraction of primitive tests that produced a hit.
-    pub fn hit_rate(&self) -> f64 {
-        if self.primitive_tests == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.primitive_tests as f64
-        }
-    }
 }
 
 impl std::ops::Add for TraversalStats {
@@ -93,21 +66,5 @@ mod tests {
         assert_eq!(c.aabb_tests, 15);
         assert_eq!(c.primitive_tests, 10);
         assert_eq!(c.hits, 4);
-    }
-
-    #[test]
-    fn derived_rates() {
-        let s = TraversalStats {
-            rays: 4,
-            aabb_tests: 40,
-            primitive_tests: 20,
-            hits: 5,
-        };
-        assert!((s.aabb_tests_per_ray() - 10.0).abs() < 1e-12);
-        assert!((s.primitive_tests_per_ray() - 5.0).abs() < 1e-12);
-        assert!((s.hit_rate() - 0.25).abs() < 1e-12);
-        let zero = TraversalStats::new();
-        assert_eq!(zero.aabb_tests_per_ray(), 0.0);
-        assert_eq!(zero.hit_rate(), 0.0);
     }
 }

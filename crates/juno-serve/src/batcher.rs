@@ -91,7 +91,7 @@ struct QueueInner<T> {
     out: usize,
 }
 
-/// The bounded, batch-forming ingress queue. See the [module docs](self).
+/// The bounded, batch-forming ingress queue. See the module docs.
 ///
 /// All methods take `&self`; producers ([`Batcher::push`]) and consumers
 /// ([`Batcher::next_batch`]) run from any number of threads.

@@ -146,7 +146,7 @@ impl FaultRule {
     }
 }
 
-/// A deterministic, replayable fault plan. See the [module docs](self).
+/// A deterministic, replayable fault plan. See the module docs.
 ///
 /// The plan is shared (`Arc`) between the fleet, its pinned readers and the
 /// test driver; [`FaultPlan::disarm`] lets a test stop all injection without
@@ -184,13 +184,8 @@ impl FaultPlan {
         self.armed.store(false, Ordering::Relaxed);
     }
 
-    /// Re-enables injection after [`FaultPlan::disarm`].
-    pub fn rearm(&self) {
-        self.armed.store(true, Ordering::Relaxed);
-    }
-
     /// Returns `true` while the plan injects faults.
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.armed.load(Ordering::Relaxed)
     }
 
@@ -214,7 +209,7 @@ impl FaultPlan {
     /// Panics (deliberately — the caller's `catch_unwind` boundary is the
     /// thing under test) for [`FaultKind::Panic`] rules, and **aborts the
     /// process** for [`FaultKind::Crash`] rules.
-    pub fn inject(&self, shard: usize, op: FaultOp) -> Result<()> {
+    pub(crate) fn inject(&self, shard: usize, op: FaultOp) -> Result<()> {
         let Some(counter) = self.counters.get(shard * NUM_OPS + op.index()) else {
             return Ok(());
         };
@@ -305,8 +300,6 @@ mod tests {
         }
         plan.disarm();
         assert!(plan.inject(0, FaultOp::Compact).is_ok());
-        plan.rearm();
-        assert!(plan.inject(0, FaultOp::Compact).is_err());
     }
 
     #[test]

@@ -106,7 +106,7 @@ struct BreakerInner {
     rng: StdRng,
 }
 
-/// A per-shard circuit breaker. See the [module docs](self) for the state
+/// A per-shard circuit breaker. See the module docs for the state
 /// machine. All methods take `&self`; the breaker is internally locked and
 /// shared freely between readers.
 #[derive(Debug)]
@@ -148,7 +148,7 @@ impl CircuitBreaker {
     /// exactly one probe; a half-open probe unreported past
     /// [`BreakerConfig::probe_timeout`] is presumed lost and replaced (its
     /// eventual outcome, carrying the older generation, is ignored).
-    pub fn admit(&self) -> Option<u64> {
+    pub(crate) fn admit(&self) -> Option<u64> {
         let now = Instant::now();
         let mut inner = self.inner.lock().expect("breaker lock");
         match inner.state {
@@ -184,7 +184,7 @@ impl CircuitBreaker {
     /// older generation (admitted before the last state flip) are ignored —
     /// a pre-trip straggler must not close a breaker guarding a shard that
     /// is currently failing.
-    pub fn record_success(&self, generation: u64) {
+    pub(crate) fn record_success(&self, generation: u64) {
         let mut inner = self.inner.lock().expect("breaker lock");
         if generation < inner.generation {
             return; // stale outcome from before the last state flip
@@ -203,7 +203,7 @@ impl CircuitBreaker {
     /// threshold is reached; a failed half-open probe re-opens immediately
     /// with the next jittered backoff. Stale outcomes (older generation) are
     /// ignored, mirroring [`CircuitBreaker::record_success`].
-    pub fn record_failure(&self, generation: u64) {
+    pub(crate) fn record_failure(&self, generation: u64) {
         let mut inner = self.inner.lock().expect("breaker lock");
         if generation < inner.generation {
             return; // stale outcome from before the last state flip
@@ -228,28 +228,15 @@ impl CircuitBreaker {
     }
 
     /// The breaker's current state (transitions lazily: an expired `Open`
-    /// still reads `Open` until the next [`CircuitBreaker::admit`]).
+    /// still reads `Open` until the next `CircuitBreaker::admit`).
     pub fn state(&self) -> BreakerState {
         self.inner.lock().expect("breaker lock").state
-    }
-
-    /// Current run of consecutive (non-stale) failures.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.inner
-            .lock()
-            .expect("breaker lock")
-            .consecutive_failures
     }
 
     /// The current generation. Monotone non-decreasing; bumps on every state
     /// flip and probe re-issue.
     pub fn generation(&self) -> u64 {
         self.inner.lock().expect("breaker lock").generation
-    }
-
-    /// The current open-state backoff (the most recent jitter draw).
-    pub fn current_backoff(&self) -> Duration {
-        self.inner.lock().expect("breaker lock").backoff
     }
 }
 
@@ -279,7 +266,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The sleep before retry number `attempt` (1-based): exponential
     /// doubling from the base, capped.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(16);
         self.base_backoff
             .saturating_mul(factor)
@@ -290,7 +277,7 @@ impl RetryPolicy {
 /// Per-shard health state shared between a fleet and its pinned readers.
 ///
 /// Interior-mutable: the breaker set and policies live behind a `RwLock`
-/// so [`HealthTracker::reconfigure`] can retune a **live** shared fleet
+/// so `HealthTracker::reconfigure` can retune a **live** shared fleet
 /// (`Arc<ShardedIndex>`) in place — pinned readers observe the new tuning
 /// on their next breaker lookup without re-pinning. The shard *count* is
 /// fixed for the tracker's lifetime; topology changes swap in a whole new
@@ -354,7 +341,7 @@ impl HealthTracker {
     }
 
     /// The breaker guarding shard `shard`. The `Arc` pins the breaker
-    /// across a request even if a concurrent [`HealthTracker::reconfigure`]
+    /// across a request even if a concurrent `HealthTracker::reconfigure`
     /// swaps the set mid-flight — generation stamping makes a stale
     /// record_success/record_failure on the old breaker harmless.
     pub fn breaker(&self, shard: usize) -> Arc<CircuitBreaker> {
@@ -376,7 +363,7 @@ impl HealthTracker {
     }
 
     /// The breaker configuration every tracked breaker was built with.
-    pub fn breaker_config(&self) -> BreakerConfig {
+    pub(crate) fn breaker_config(&self) -> BreakerConfig {
         self.inner
             .read()
             .expect("health lock poisoned")
@@ -389,7 +376,7 @@ impl HealthTracker {
     /// swapped. Works through `&self`, so a live `Arc<ShardedIndex>` (and
     /// every pinned reader sharing this tracker) picks up the new tuning
     /// without re-pinning or a topology swap.
-    pub fn reconfigure(&self, breaker: BreakerConfig, retry: RetryPolicy) {
+    pub(crate) fn reconfigure(&self, breaker: BreakerConfig, retry: RetryPolicy) {
         let mut inner = self.inner.write().expect("health lock poisoned");
         let num_shards = inner.breakers.len();
         *inner = HealthInner::fresh(num_shards, breaker, retry, &self.transitions);
@@ -410,6 +397,11 @@ impl HealthTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The breaker's current open-state backoff (its most recent jitter draw).
+    fn current_backoff(b: &CircuitBreaker) -> Duration {
+        b.inner.lock().unwrap().backoff
+    }
 
     fn fast_config() -> BreakerConfig {
         BreakerConfig {
@@ -456,14 +448,14 @@ mod tests {
         fail_n(&b, 3);
         assert_eq!(b.state(), BreakerState::Open);
         // Wait out the (jittered, ≤ 50ms) backoff.
-        std::thread::sleep(b.current_backoff() + Duration::from_millis(1));
+        std::thread::sleep(current_backoff(&b) + Duration::from_millis(1));
         let probe = b.admit().expect("expired open state admits a probe");
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(b.admit().is_none(), "only one probe at a time");
         // Probe fails → straight back to open.
         b.record_failure(probe);
         assert_eq!(b.state(), BreakerState::Open);
-        std::thread::sleep(b.current_backoff() + Duration::from_millis(1));
+        std::thread::sleep(current_backoff(&b) + Duration::from_millis(1));
         let probe = b.admit().expect("second probe");
         b.record_success(probe);
         assert_eq!(b.state(), BreakerState::Closed);
@@ -484,7 +476,7 @@ mod tests {
             let mut out = Vec::new();
             for _ in 0..6 {
                 fail_n(&b, 3);
-                out.push(b.current_backoff());
+                out.push(current_backoff(&b));
                 // Re-arm without waiting: success closes the breaker.
                 b.record_success(b.generation());
             }
@@ -514,7 +506,7 @@ mod tests {
             Arc::default(),
         );
         fail_n(&b, 3);
-        std::thread::sleep(b.current_backoff() + Duration::from_millis(1));
+        std::thread::sleep(current_backoff(&b) + Duration::from_millis(1));
         let lost_probe = b.admit().expect("probe admitted");
         // The probe worker stalls forever and never reports. Before the fix,
         // every subsequent admit() returned false with no escape.
@@ -530,7 +522,7 @@ mod tests {
         // The lost probe's outcome finally straggles in: stale, ignored.
         b.record_failure(lost_probe);
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.consecutive_failures(), 0);
+        assert_eq!(b.inner.lock().unwrap().consecutive_failures, 0);
     }
 
     /// Regression (reordering bug): a success from a request admitted
@@ -549,7 +541,7 @@ mod tests {
         b.record_success(stale);
         assert_eq!(b.state(), BreakerState::Open, "stale success ignored");
         // Current-generation outcomes still work: recovery path intact.
-        std::thread::sleep(b.current_backoff() + Duration::from_millis(1));
+        std::thread::sleep(current_backoff(&b) + Duration::from_millis(1));
         let probe = b.admit().expect("probe");
         b.record_success(probe);
         assert_eq!(b.state(), BreakerState::Closed);
@@ -642,7 +634,7 @@ mod tests {
                             );
                         }
                         if state_before != BreakerState::Open && b.state() == BreakerState::Open {
-                            tripped_at = Some((Instant::now(), b.current_backoff()));
+                            tripped_at = Some((Instant::now(), current_backoff(&b)));
                         }
                     }
                 } else if op < 95 {

@@ -24,10 +24,10 @@
 //! * **Fault tolerance** — [`FleetReader::search_deadline`] degrades around
 //!   stalled, failing, or panicking shards inside a latency budget
 //!   ([`DegradedResult`]), guided by per-shard circuit breakers
-//!   ([`health`]); [`fault::FaultPlan`] injects deterministic, replayable
+//!   ([`CircuitBreaker`], [`HealthTracker`]); [`FaultPlan`] injects deterministic, replayable
 //!   faults at every search / insert / publish / compact / restore point for
 //!   chaos testing.
-//! * **Durability** ([`durability`]) — an attachable write-ahead log
+//! * **Durability** ([`DurabilityConfig`]) — an attachable write-ahead log
 //!   ([`juno_common::wal`]): every acknowledged mutation is appended (and
 //!   fsync'd per policy) *before* its epoch publish, checkpoints snapshot
 //!   the fleet and prune covered segments, and
@@ -36,7 +36,7 @@
 //! * [`Server`] — the online front-end: many client threads submit single
 //!   queries through a bounded ingress queue with admission control
 //!   ([`juno_common::error::Error::Overloaded`]), a work-conserving trigger
-//!   coalesces what queued while the previous batch ran ([`batcher`]),
+//!   coalesces what queued while the previous batch ran ([`Batcher`]),
 //!   batches execute through the degraded read path on the fleet's parked
 //!   scan workers, and every reply carries per-request QoS stats
 //!   ([`ServeStats`]) with aggregate histograms via
@@ -49,16 +49,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod batcher;
-pub mod durability;
-pub mod fault;
-pub mod health;
+mod batcher;
+mod durability;
+mod fault;
+mod health;
 pub mod persist;
-pub mod router;
-pub mod server;
-pub mod shard;
+mod router;
+mod server;
+mod shard;
 
 pub use batcher::{Batch, Batcher, BatcherConfig, Pending};
 pub use durability::{CheckpointReport, DurabilityConfig, RecoveryReport};

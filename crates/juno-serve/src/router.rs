@@ -48,7 +48,7 @@ impl ShardRouter {
     }
 
     /// Serialises the router into a snapshot section (tag byte + seed).
-    pub(crate) fn encode(&self, w: &mut SectionWriter) {
+    pub fn encode(&self, w: &mut SectionWriter) {
         match self {
             ShardRouter::Hash { seed } => {
                 w.put_u8(0);
@@ -66,7 +66,7 @@ impl ShardRouter {
     /// # Errors
     ///
     /// Returns [`Error::Corrupted`] for an unknown router tag.
-    pub(crate) fn decode(r: &mut SectionReader<'_>) -> Result<Self> {
+    pub fn decode(r: &mut SectionReader<'_>) -> Result<Self> {
         let tag = r.get_u8()?;
         let seed = r.get_u64()?;
         match tag {

@@ -111,7 +111,7 @@ struct Request {
     reply: mpsc::Sender<Result<ServeResponse>>,
 }
 
-/// The online serving front-end. See the [module docs](self).
+/// The online serving front-end. See the module docs.
 ///
 /// Dropping the server closes ingress (new [`Server::query`] calls fail
 /// with [`Error::Unavailable`]), flushes every admitted request through a

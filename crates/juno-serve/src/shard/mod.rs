@@ -159,7 +159,7 @@ impl<I: AnnIndex> ShardState<I> {
 }
 
 /// The epoch a shard's last publish replaced, kept for the next write to
-/// stage on (see the [module docs](self)). Invariant: `state` with `missed`
+/// stage on (see the module docs). Invariant: `state` with `missed`
 /// applied is the shard's current state.
 #[derive(Debug)]
 struct Retired<I> {
@@ -215,7 +215,7 @@ impl<I> Shard<I> {
 }
 
 /// A sharded ANN index with snapshot-isolated concurrent reads and
-/// stage-and-publish writes. See the [module docs](self) for the concurrency
+/// stage-and-publish writes. See the module docs for the concurrency
 /// and parity model.
 #[derive(Debug)]
 pub struct ShardedIndex<I: AnnIndex> {
@@ -247,7 +247,7 @@ pub struct ShardedIndex<I: AnnIndex> {
     /// it under the writer lock; the `RwLock` only exists so attachment
     /// does not need `&mut self`.
     durability: RwLock<Option<Arc<Durability>>>,
-    /// The fleet's one metrics registry; see the [module docs](self).
+    /// The fleet's one metrics registry; see the module docs.
     registry: Arc<Registry>,
     /// Shard engines writes staged on a retired epoch, caught up from the
     /// records it missed, and on a clone of the current state. Clones are
@@ -323,7 +323,7 @@ impl<I: AnnIndex> ShardedIndex<I> {
     }
 
     /// The currently attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+    pub(crate) fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.fault.read().expect("fault plan lock poisoned").clone()
     }
 
@@ -351,7 +351,7 @@ impl<I: AnnIndex> ShardedIndex<I> {
     }
 
     /// Point-in-time snapshot of every metric the fleet keeps (see the
-    /// [module docs](self)): the `serve.*`, `wal.*` and `lifecycle.*`
+    /// module docs): the `serve.*`, `wal.*` and `lifecycle.*`
     /// families. Sets the gauges sampled at read time, such as
     /// `serve.scan_workers_parked`, first.
     pub fn metrics(&self) -> RegistrySnapshot {

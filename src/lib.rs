@@ -9,8 +9,7 @@
 //! * [`quant`] — k-means, product quantisation and the inverted file index.
 //! * [`rt`] — the software ray-tracing core (BVH, spheres, rays, scenes).
 //! * [`gpu`] — the analytic GPU cost and pipelining model.
-//! * [`data`] — synthetic dataset profiles, fvecs I/O and the attention
-//!   workload.
+//! * [`data`] — synthetic dataset profiles and the attention workload.
 //! * [`serve`] — the sharded concurrent serving layer (scatter-gather
 //!   search, epoch-published shards, whole-fleet snapshots).
 //! * [`common`] — shared metrics, vectors, top-k selection and recall.
@@ -35,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use juno_baseline as baseline;
 pub use juno_common as common;

@@ -429,6 +429,35 @@ fn copy_and_mapped_loaders_agree_on_flips_and_truncations() {
     check(&fleet_bytes, &fleet_copy, &fleet_mapped, 60, "fleet");
 }
 
+/// The bytes a corruption sweep flips in the snapshot container starting at
+/// `base` (layout in `juno_common::snapshot`): every byte of its 20-byte
+/// header and of each section's 16-byte tag / length / checksum prefix, and
+/// the first and last byte of each payload. A fleet's `Snnn` shard sections
+/// frame an engine snapshot of their own (sentinel, version, pad length, pad,
+/// engine bytes), which is walked the same way.
+fn container_offsets(bytes: &[u8], base: usize, out: &mut Vec<usize>) {
+    let word = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    let fleet = &bytes[base + 12..base + 16] == b"SHRD";
+    out.extend(base..base + 20);
+    let mut at = base + 20;
+    for _ in 0..word(base + 16, 4) {
+        let payload = at + 16;
+        let len = word(at + 4, 8);
+        out.extend(at..payload);
+        if len > 0 {
+            out.extend([payload, payload + len - 1]);
+        }
+        if fleet && bytes[at] == b'S' {
+            container_offsets(bytes, payload + 16 + word(payload + 12, 4), out);
+        }
+        at = payload + len;
+    }
+}
+
 #[test]
 fn failed_restores_leave_the_live_fleet_untouched() {
     let dir = scratch_dir("no_partial");
@@ -439,7 +468,9 @@ fn failed_restores_leave_the_live_fleet_untouched() {
     let before_bits = fleet_bits(&fleet, &ds);
     let good = fleet.to_snapshot_bytes().expect("fleet bytes");
 
-    for at in (24..good.len()).step_by(1021) {
+    let mut offsets = Vec::new();
+    container_offsets(&good, 0, &mut offsets);
+    for at in offsets {
         let mut corrupt = good.clone();
         corrupt[at] ^= 0xFF;
         // Corruption may land in cold padding and restore successfully;
