@@ -63,18 +63,16 @@ GATES = [
      "read 1.59-2.01 with 2 engine threads (a ratio, not a timing); ~1 "
      "when the batch pipeline stops running in parallel. Skipped below the "
      "reference core count"),
-    (ONLINE, "shard.fanout_cost_ratio", ("<", 2.5),
-     "read 1.68-3.26 in six --all --seconds 3 runs once the ray table was "
-     "deleted (1.68, 2.25, 2.41, 2.41, 3.22, 3.26; the last two fail), "
-     "1.70-2.24 in three alternated parent runs; the fleet's per-query "
-     "thread spawns hold the numerator while kernel gains shrink "
-     "engine.search_us, so it no longer sits 2x from re-planning (>= 3). "
-     "With one spawn fewer per parallel map and the ranked seed visit: "
-     "1.49-2.45 in six runs (1.49, 1.77, 1.79, 1.95, 2.21, 2.45; "
-     "engine.search_us 72-114: the monolith ranks its first probes of "
-     "164+ records, the shards' thinner lists rarely open the gate); 1.98 "
-     "against the parent's 2.03 in one traced seed-1 run each "
-     "(shard.fleet_search_us 181 -> 133)"),
+    (ONLINE, "shard.fanout_cost_ratio", ("<", 1.5),
+     "FleetReader::search scans every shard's segments as one index on "
+     "the calling thread (the fused scan): one selector, each probe "
+     "expanded once, the monolith's prune decisions, so the numerator is "
+     "about the monolith's search plus a plan and a gather. Read "
+     "0.89-1.21 in six --all --seconds 3 runs (1.21, 1.13, 0.89, 1.14, "
+     "1.05, 0.89); 1.49-3.26 while each shard filled its own top-k below "
+     "the prune gate and re-expanded every probe (2.7x the monolith's "
+     "accumulations). Above 1.5 the fleet has gone back to scanning "
+     "shards apart"),
     (ONLINE, "engine.search_us", ("<", 406),
      "read 193.7-202.6 with the front half as one selective-table kernel "
      "pass per probe (2x the worst is 405.2), and 133.2-209.9 in seven "
@@ -85,10 +83,13 @@ GATES = [
      "read 1.4-10.4 at 120 req/s; the server's deadline budget (batch "
      "search budget + batcher delay) is 251"),
     (ONLINE, "server.overhead_us", ("<", 700),
-     "read -163 to -24; a lone request held for the 1000 us batch timer "
-     "reads above it. Server::query runs search_batch_deadline and the "
-     "subtrahend is the plain FleetReader::search, so this also bounds the "
-     "deadline path's and the server's overhead over a direct search"),
+     "read 6-95 in six --all --seconds 3 runs (-163 to -24 while the "
+     "subtrahend scattered per shard); a lone request held for the "
+     "1000 us batch timer reads above it. Server::query runs "
+     "search_batch_deadline, whose fused scan runs on a scan worker, and "
+     "the subtrahend is FleetReader::search, the same fused scan on the "
+     "calling thread: this bounds the batcher's, the worker hand-off's "
+     "and the deadline bookkeeping's cost over a direct search"),
     (MIXED, "write_p50_ms", ("<", 1.0),
      "read 0.116-0.130; 2-4 when every write deep-clones all four shards"),
     (MIXED, "wal.append_us / shard.insert_nowal_us", ("<=", 0.1),

@@ -389,7 +389,7 @@ impl ScanEngine for IvfPqIndex {
         _probe: usize,
         cluster: usize,
         slot: &mut PqSlot,
-    ) {
+    ) -> usize {
         // `plan` validated the query dimension and produced the cluster.
         const VALID: &str = "query and cluster were validated by the filter stage";
         match self.metric {
@@ -415,6 +415,8 @@ impl ScanEngine for IvfPqIndex {
                 slot.centroid_term = inner_product(query, self.ivf.centroid(cluster).expect(VALID));
             }
         }
+        // Dense tables: `finish` counts their work from the plan.
+        0
     }
 
     /// L2 takes the LUT values as-is ("lower is better"); MIPS negates them

@@ -185,10 +185,14 @@ impl SearchStats {
 /// from the plan only when the stamp equals its own, so a replica whose
 /// trained state or search-time knobs have diverged (a skewed epoch pin, a
 /// half-finished rebuild, an unrelated index) plans for itself instead of
-/// answering from someone else's routing.
+/// answering from someone else's routing. One query's plan stands alone, so
+/// a contiguous run of the batch's queries has a plan of its own
+/// ([`BatchPlan::slice`]) without planning again.
 #[derive(Clone)]
 pub struct BatchPlan {
     inner: std::sync::Arc<BatchPlanInner>,
+    /// The planned batch's queries this plan covers.
+    queries: std::ops::Range<usize>,
 }
 
 struct BatchPlanInner {
@@ -201,26 +205,57 @@ impl std::fmt::Debug for BatchPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchPlan")
             .field("stamp", &self.inner.stamp)
-            .field("queries", &self.inner.front.len())
+            .field("queries", &self.queries)
             .finish_non_exhaustive()
     }
 }
 
 impl BatchPlan {
-    /// Wraps an engine's per-query plans. `front[q]` holds the front-half
-    /// work counters planning query `q` cost (every other field zero) — what
-    /// a scatter-gather adds once on behalf of the shards that borrowed the
-    /// plan (see [`SearchStats::merge_scatter`]).
-    pub fn new<P>(stamp: u64, front: Vec<SearchStats>, plans: P) -> Self
+    /// Wraps an engine's per-query plans (`plans[q]` routes query `q`).
+    /// `front[q]` holds the front-half work counters planning query `q` cost
+    /// (every other field zero) — what a scatter-gather adds once on behalf
+    /// of the shards that borrowed the plan (see
+    /// [`SearchStats::merge_scatter`]).
+    pub fn new<P>(stamp: u64, front: Vec<SearchStats>, plans: Vec<P>) -> Self
     where
         P: std::any::Any + Send + Sync,
     {
         Self {
+            queries: 0..plans.len(),
             inner: std::sync::Arc::new(BatchPlanInner {
                 stamp,
                 front,
                 plans: Box::new(plans),
             }),
+        }
+    }
+
+    /// The number of queries this plan routes.
+    pub fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// Returns `true` when the plan routes no query.
+    pub fn is_empty(&self) -> bool {
+        self.queries.is_empty()
+    }
+
+    /// The plan of queries `queries` of this one (one `Arc` clone): its
+    /// query `q` is this plan's query `queries.start + q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `queries` reaches past [`BatchPlan::len`].
+    pub fn slice(&self, queries: std::ops::Range<usize>) -> BatchPlan {
+        assert!(
+            queries.start <= queries.end && queries.end <= self.len(),
+            "queries {queries:?} of a plan of {}",
+            self.len()
+        );
+        let start = self.queries.start;
+        BatchPlan {
+            inner: self.inner.clone(),
+            queries: start + queries.start..start + queries.end,
         }
     }
 
@@ -235,13 +270,17 @@ impl BatchPlan {
     ///
     /// Panics when `q` is out of range.
     pub fn front_stats(&self, q: usize) -> &SearchStats {
-        &self.inner.front[q]
+        assert!(q < self.len(), "query {q} of a plan of {}", self.len());
+        &self.inner.front[self.queries.start + q]
     }
 
-    /// The engine's plans, when they are of type `P` (`None` for a plan made
-    /// by a different engine type).
-    pub fn plans<P: std::any::Any>(&self) -> Option<&P> {
-        self.inner.plans.downcast_ref()
+    /// The engine's per-query plans, when they are of type `P` (`None` for
+    /// a plan made by a different engine type).
+    pub fn plans<P: std::any::Any>(&self) -> Option<&[P]> {
+        self.inner
+            .plans
+            .downcast_ref::<Vec<P>>()
+            .map(|plans| &plans[self.queries.clone()])
     }
 }
 
@@ -389,6 +428,36 @@ pub trait AnnIndex: Send + Sync {
         let _ = plan;
         self.search_batch_threads(queries, k, num_threads)
             .map(|results| (results, PlanUse::Replanned))
+    }
+
+    /// Searches `replicas` — engines holding disjoint live records in one
+    /// id space under shared trained state, such as the shards of a
+    /// global-id fleet — **as one index** from `plan`: one selector per
+    /// query over every replica's records, so the batch costs what it
+    /// would on a single engine holding all of them, and each result equals
+    /// the merge of the replicas' own results, ids and distance bits.
+    /// Replies report the scan's work without the plan's, as
+    /// [`PlanUse::Shared`] replies of [`AnnIndex::search_batch_planned`] do.
+    /// `Ok(None)` — the default — means the engine cannot: it has no fused
+    /// scan, or the plan or a replica does not fit it; the caller then
+    /// searches the replicas one by one.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`AnnIndex::search_batch_threads`] on any
+    /// replica.
+    fn search_batch_fused(
+        replicas: &[&Self],
+        queries: &VectorSet,
+        k: usize,
+        num_threads: usize,
+        plan: &BatchPlan,
+    ) -> Result<Option<Vec<SearchResult>>>
+    where
+        Self: Sized,
+    {
+        let _ = (replicas, queries, k, num_threads, plan);
+        Ok(None)
     }
 
     /// `result` — what this engine's search returned for `query` — with its
@@ -868,9 +937,25 @@ mod tests {
         let plan = BatchPlan::new(0xABCD, front, vec![7u32]);
         assert_eq!(plan.stamp(), 0xABCD);
         assert_eq!(plan.front_stats(0).filter_distances, 4);
-        assert_eq!(plan.plans::<Vec<u32>>(), Some(&vec![7u32]));
-        assert!(plan.plans::<Vec<u64>>().is_none(), "foreign plan type");
+        assert_eq!(plan.plans::<u32>(), Some(&[7u32][..]));
+        assert!(plan.plans::<u64>().is_none(), "foreign plan type");
         assert_eq!(plan.clone().stamp(), plan.stamp());
+
+        // A run of the batch's queries: its own plans and counters.
+        let front = (0..5)
+            .map(|q| SearchStats {
+                filter_distances: q,
+                ..SearchStats::default()
+            })
+            .collect();
+        let five = BatchPlan::new(1, front, vec![10u32, 11, 12, 13, 14]);
+        let middle = five.slice(1..4);
+        assert_eq!((middle.len(), middle.stamp()), (3, 1));
+        assert_eq!(middle.plans::<u32>(), Some(&[11u32, 12, 13][..]));
+        assert_eq!(middle.front_stats(2).filter_distances, 3);
+        let last = middle.slice(2..3);
+        assert_eq!(last.plans::<u32>(), Some(&[13u32][..]));
+        assert!(five.slice(5..5).is_empty());
 
         // An engine without plan support offers none and ignores any.
         let idx = toy_index();

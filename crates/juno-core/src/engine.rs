@@ -131,8 +131,6 @@ pub struct JunoPlan {
     /// Mean squared threshold: the L2 miss penalty base (an unselected
     /// entry's true distance exceeds its subspace's threshold).
     mean_thr_sq: f32,
-    /// Entries selected over every probe's table.
-    hits: usize,
 }
 
 /// One expanded `(query, probe)` pair of the JUNO engine: the probe's dense
@@ -158,10 +156,6 @@ pub struct JunoSlot {
     outer_lut: Vec<u8>,
     /// 0/1 inner-sphere indicator LUT (hit-count reward mode).
     inner_lut: Vec<u8>,
-    /// Outer-hit lane counts of the current block.
-    lane_sums: [u16; BLOCK_LANES],
-    /// Inner-hit lane counts of the current block.
-    lane_inner: [u16; BLOCK_LANES],
 }
 
 impl JunoIndex {
@@ -819,14 +813,35 @@ impl JunoIndex {
     /// The front-half work counters planning one query cost (every other
     /// field zero): what [`ScanEngine::finish`] reports for a query this
     /// engine planned itself, and what a [`BatchPlan`] carries so a fleet
-    /// can account for a shared plan once. The RT counters are the
+    /// can account for a shared plan once. The selective tables are
+    /// written where they are read, by [`ScanEngine::expand`], so their
+    /// work (`lut_distances`) is a scan counter; the RT counters are the
     /// simulator's ([`AnnIndex::simulate`]).
-    fn front_counters(&self, plan: &JunoPlan) -> SearchStats {
+    fn front_counters(&self) -> SearchStats {
         SearchStats {
             filter_distances: self.ivf.n_clusters(),
-            lut_distances: plan.hits,
             ..SearchStats::default()
         }
+    }
+
+    /// What a reply scanned from a shared plan reports: its own scan work —
+    /// the selective tables it expanded included — and none of the
+    /// planning, which the gather counts once from the plan.
+    fn shared_stats(stats: SearchStats) -> SearchStats {
+        SearchStats {
+            lut_distances: stats.lut_distances,
+            ..stats.without_front_counters()
+        }
+    }
+
+    /// The knobs a scan reads beyond the plan stamp's: replicas agreeing on
+    /// these and on the stamp score every candidate with the same bits.
+    fn scan_key(&self) -> (QualityMode, bool, u32) {
+        (
+            self.config.quality,
+            self.fastscan,
+            self.config.miss_penalty_factor.to_bits(),
+        )
     }
 
     /// [`AnnIndex::search`] with caller-provided scratch buffers, so batch
@@ -876,6 +891,53 @@ impl JunoIndex {
         num_threads: usize,
     ) -> Result<Vec<SearchResult>> {
         scan::search_batch_query_major(self, queries, k, num_threads)
+    }
+
+    /// How the hit-count unit scores a candidate under the current quality
+    /// mode.
+    fn hit_count_mode(&self) -> HitCountMode {
+        match self.config.quality {
+            QualityMode::Medium => HitCountMode::RewardPenalty,
+            _ => HitCountMode::CountOnly,
+        }
+    }
+
+    /// The hit-count unit's per-expansion tables, from the slot's fresh
+    /// selective table: each subspace's squared half-threshold and, with
+    /// fast-scan, the 0/1 indicator LUTs (stride-padded for the kernel's
+    /// VBMI arm).
+    fn unit_tables(&self, plan: &JunoPlan, slot: &mut JunoSlot) {
+        for (half, t) in slot.half_sq.iter_mut().zip(&plan.thresholds) {
+            let h = t * 0.5;
+            *half = h * h;
+        }
+        if !self.fastscan {
+            return;
+        }
+        let (subspaces, entries) = (self.pq.num_subspaces(), self.pq.entries_per_subspace());
+        let stride = entries.next_multiple_of(16);
+        let want_inner = self.config.metric == Metric::L2
+            && self.hit_count_mode() == HitCountMode::RewardPenalty;
+        let lut_len = kernel::padded_lut_len(subspaces, stride);
+        slot.outer_lut.clear();
+        slot.outer_lut.resize(lut_len, 0);
+        if want_inner {
+            slot.inner_lut.clear();
+            slot.inner_lut.resize(lut_len, 0);
+        }
+        for (s, row) in slot.table.chunks_exact(entries).enumerate() {
+            let half_sq = slot.half_sq[s];
+            let outer = &mut slot.outer_lut[s * stride..][..entries];
+            for (o, &v) in outer.iter_mut().zip(row) {
+                *o = u8::from(!v.is_nan());
+            }
+            if want_inner {
+                let inner = &mut slot.inner_lut[s * stride..][..entries];
+                for (i, &v) in inner.iter_mut().zip(row) {
+                    *i = u8::from(v <= half_sq);
+                }
+            }
+        }
     }
 
     /// How a candidate's selected-entry `sum` over `covered` of `subspaces`
@@ -943,16 +1005,14 @@ impl ScanEngine for JunoIndex {
         self.fastscan
     }
 
-    /// The coarse filter, the thresholds and their selection limits. The
-    /// hit count of the front-half counters takes one
-    /// `SceneMapping::select_table` pass per probe into a scratch table
-    /// that is not kept: [`ScanEngine::expand`] writes each table again
-    /// where it is read, so a plan shared by a fleet stays `O(S)`.
+    /// The coarse filter, the thresholds and their selection limits — no
+    /// table: [`ScanEngine::expand`] writes each probe's where it is read
+    /// (and counts its hits), so a plan shared by a fleet stays `O(S)`.
     fn plan(&self, query: &[f32]) -> Result<JunoPlan> {
         self.check_dim(query)?;
         let probes = self.ivf.filter(query, self.config.nprobs)?.clusters;
         let thresholds = self.query_thresholds(query)?;
-        let (subspaces, entries) = (self.pq.num_subspaces(), self.pq.entries_per_subspace());
+        let subspaces = self.pq.num_subspaces();
         // A limit reads the projection only under MIPS, whose rays start at
         // the query's own projection whatever the probe.
         let limits: Vec<f32> = (0..subspaces)
@@ -961,21 +1021,12 @@ impl ScanEngine for JunoIndex {
                     .select_limit(s, projection(query, None, s), thresholds[s])
             })
             .collect::<Result<_>>()?;
-        let mut projections = vec![[0.0f32; 2]; subspaces];
-        let mut table = vec![0.0f32; subspaces * entries];
-        let hits = probes
-            .iter()
-            .map(|&cluster| {
-                self.select_probe(query, cluster, &limits, &mut projections, &mut table)
-            })
-            .sum();
         let mean_thr_sq = thresholds.iter().map(|t| t * t).sum::<f32>() / subspaces.max(1) as f32;
         Ok(JunoPlan {
             probes,
             thresholds,
             limits,
             mean_thr_sq,
-            hits,
         })
     }
 
@@ -993,11 +1044,15 @@ impl ScanEngine for JunoIndex {
             half_sq: vec![0.0; subspaces],
             outer_lut: Vec::new(),
             inner_lut: Vec::new(),
-            lane_sums: [0; BLOCK_LANES],
-            lane_inner: [0; BLOCK_LANES],
         }
     }
 
+    /// Writes the probe's selective table (one `SceneMapping::select_table`
+    /// pass) and its per-visit constants, and returns the table's hits.
+    /// Under the hit-count modes it also writes what
+    /// [`ScanEngine::scan_unit`] reads — the half-threshold bounds and, with
+    /// fast-scan, the 0/1 indicator LUTs — so every replica's segment of the
+    /// cluster is counted from the one expansion.
     fn expand(
         &self,
         query: &[f32],
@@ -1005,14 +1060,17 @@ impl ScanEngine for JunoIndex {
         _probe: usize,
         cluster: usize,
         slot: &mut JunoSlot,
-    ) {
-        self.select_probe(
+    ) -> usize {
+        let hits = self.select_probe(
             query,
             cluster,
             &plan.limits,
             &mut slot.projections,
             &mut slot.table,
         );
+        if self.own_unit() {
+            self.unit_tables(plan, slot);
+        }
         slot.centroid_term = match self.config.metric {
             Metric::L2 => 0.0,
             Metric::InnerProduct => {
@@ -1024,6 +1082,7 @@ impl ScanEngine for JunoIndex {
             }
         };
         slot.mean_thr_sq = plan.mean_thr_sq;
+        hits
     }
 
     /// Quantises the slot's "lower is better" score contributions straight
@@ -1105,51 +1164,35 @@ impl ScanEngine for JunoIndex {
         self.config.quality != QualityMode::High
     }
 
-    /// Hit-count ranking (JUNO-L / JUNO-M) of **one** `(query, probed
-    /// cluster)` pair. A point belongs to exactly one IVF cluster, so
-    /// per-candidate counts need no cross-cluster merging; `candidates`
-    /// counts the points hit.
+    /// Hit-count ranking (JUNO-L / JUNO-M) of one segment of a probed
+    /// cluster, from the tables [`ScanEngine::expand`] wrote. A point
+    /// belongs to exactly one IVF cluster, so per-candidate counts need no
+    /// cross-cluster merging; `candidates` counts the points hit.
     ///
-    /// With fast-scan enabled the counts come out of the block kernel: the
-    /// probe's table becomes 0/1 indicator LUTs (selected / inside the inner
-    /// half-threshold sphere) and one kernel pass per block yields 32 exact
-    /// integer counts at once — no quantisation error, so results are
-    /// identical to the reference path over the table itself.
+    /// With fast-scan enabled the counts come out of the block kernel over
+    /// the 0/1 indicator LUTs (selected / inside the inner half-threshold
+    /// sphere): one kernel pass per block yields 32 exact integer counts at
+    /// once — no quantisation error, so results are identical to the
+    /// reference path over the table itself.
     fn scan_unit(
         &self,
-        query: &[f32],
-        plan: &JunoPlan,
+        slot: &JunoSlot,
+        lists: &IvfListCodes,
         cluster: usize,
-        slot: &mut JunoSlot,
         topk: &mut TopK,
         ctr: &mut ScanCounters,
     ) {
-        self.select_probe(
-            query,
-            cluster,
-            &plan.limits,
-            &mut slot.projections,
-            &mut slot.table,
-        );
-        let (table, thresholds) = (&slot.table, &plan.thresholds);
-        let mode = match self.config.quality {
-            QualityMode::Medium => HitCountMode::RewardPenalty,
-            _ => HitCountMode::CountOnly,
-        };
+        let mode = self.hit_count_mode();
         let subspaces = self.pq.num_subspaces();
         let entries = self.pq.entries_per_subspace();
         let stride = entries.next_multiple_of(16);
-        let check_tombstones = self.list_codes.stored_tombstones() > 0;
+        let check_tombstones = lists.stored_tombstones() > 0;
         // Inner-sphere membership: within half the threshold. For MIPS
         // the exact-value check is skipped (see the hitcount module
         // docs); every hit counts as an outer hit only.
         let inner_enabled = self.config.metric == Metric::L2;
-        for (half, t) in slot.half_sq.iter_mut().zip(thresholds) {
-            let h = t * 0.5;
-            *half = h * h;
-        }
         let mut hit = |pid: u32, outer: u32, inner: u32| {
-            if outer == 0 || (check_tombstones && self.list_codes.is_deleted(pid)) {
+            if outer == 0 || (check_tombstones && lists.is_deleted(pid)) {
                 return;
             }
             ctr.accumulations += outer as usize;
@@ -1162,34 +1205,11 @@ impl ScanEngine for JunoIndex {
         };
 
         if self.fastscan {
-            // 0/1 indicator LUTs straight from the table's rows, padded for
-            // the kernel's VBMI arm.
             let want_inner = inner_enabled && mode == HitCountMode::RewardPenalty;
-            let lut_len = kernel::padded_lut_len(subspaces, stride);
-            slot.outer_lut.clear();
-            slot.outer_lut.resize(lut_len, 0);
-            if want_inner {
-                slot.inner_lut.clear();
-                slot.inner_lut.resize(lut_len, 0);
-            }
-            for (s, row) in table.chunks_exact(entries).enumerate() {
-                let half_sq = slot.half_sq[s];
-                let outer = &mut slot.outer_lut[s * stride..][..entries];
-                for (o, &v) in outer.iter_mut().zip(row) {
-                    *o = u8::from(!v.is_nan());
-                }
-                if want_inner {
-                    let inner = &mut slot.inner_lut[s * stride..][..entries];
-                    for (i, &v) in inner.iter_mut().zip(row) {
-                        *i = u8::from(v <= half_sq);
-                    }
-                }
-            }
-            ctr.lut_builds += 1;
-
-            let ids = self.list_codes.cluster_ids(cluster);
-            let blocks = self.list_codes.cluster_blocks(cluster);
+            let ids = lists.cluster_ids(cluster);
+            let blocks = lists.cluster_blocks(cluster);
             let nibble = blocks.nibble_packed();
+            let (mut lane_sums, mut lane_inner) = ([0u16; BLOCK_LANES], [0u16; BLOCK_LANES]);
             for b in 0..blocks.num_blocks() {
                 let rows = blocks.block_rows(b);
                 kernel::accumulate_block(
@@ -1198,7 +1218,7 @@ impl ScanEngine for JunoIndex {
                     subspaces,
                     rows,
                     nibble,
-                    &mut slot.lane_sums,
+                    &mut lane_sums,
                 );
                 if want_inner {
                     kernel::accumulate_block(
@@ -1207,24 +1227,20 @@ impl ScanEngine for JunoIndex {
                         subspaces,
                         rows,
                         nibble,
-                        &mut slot.lane_inner,
+                        &mut lane_inner,
                     );
                 }
                 for lane in 0..blocks.block_len(b) {
                     let inner = if want_inner {
-                        slot.lane_inner[lane] as u32
+                        lane_inner[lane] as u32
                     } else {
                         0
                     };
-                    hit(
-                        ids[b * BLOCK_LANES + lane],
-                        slot.lane_sums[lane] as u32,
-                        inner,
-                    );
+                    hit(ids[b * BLOCK_LANES + lane], lane_sums[lane] as u32, inner);
                 }
             }
             // Tail records: the same indicator LUTs, looked up scalar.
-            let (tail_ids, tail_codes) = self.list_codes.cluster_tail(cluster);
+            let (tail_ids, tail_codes) = lists.cluster_tail(cluster);
             if !tail_ids.is_empty() {
                 ctr.lut_reuses += 1;
             }
@@ -1241,8 +1257,7 @@ impl ScanEngine for JunoIndex {
             }
         } else {
             // Reference path over the table itself.
-            ctr.lut_builds += 1;
-            for (segment, (ids, codes)) in self.list_codes.cluster_segments(cluster).enumerate() {
+            for (segment, (ids, codes)) in lists.cluster_segments(cluster).enumerate() {
                 if segment > 0 {
                     ctr.lut_reuses += 1;
                 }
@@ -1250,7 +1265,7 @@ impl ScanEngine for JunoIndex {
                     let mut outer = 0u32;
                     let mut inner = 0u32;
                     for (s, &e) in code.iter().enumerate() {
-                        let v = table[s * entries + e as usize];
+                        let v = slot.table[s * entries + e as usize];
                         if !v.is_nan() {
                             outer += 1;
                             if inner_enabled && v <= slot.half_sq[s] {
@@ -1270,11 +1285,12 @@ impl ScanEngine for JunoIndex {
     /// stay zero: [`AnnIndex::simulate`] adds them on request.
     fn finish(
         &self,
-        plan: &JunoPlan,
+        _plan: &JunoPlan,
         neighbors: Vec<Neighbor>,
         ctr: &ScanCounters,
     ) -> SearchResult {
         let stats = SearchStats {
+            lut_distances: ctr.lut_distances,
             accumulations: ctr.accumulations,
             candidates: ctr.candidates,
             pruned_points: ctr.pruned_points,
@@ -1282,7 +1298,7 @@ impl ScanEngine for JunoIndex {
             pruned_clusters: ctr.pruned_clusters,
             lut_builds: ctr.lut_builds,
             lut_reuses: ctr.lut_reuses,
-            ..self.front_counters(plan)
+            ..self.front_counters()
         };
         SearchResult {
             neighbors,
@@ -1409,7 +1425,7 @@ impl AnnIndex for JunoIndex {
     /// [`JunoIndex::plan_stamp`], for the shards of a fleet to scan from.
     fn plan_batch(&self, queries: &VectorSet, num_threads: usize) -> Result<Option<BatchPlan>> {
         let plans = scan::plan_batch(self, queries, num_threads)?;
-        let front = plans.iter().map(|p| self.front_counters(p)).collect();
+        let front = vec![self.front_counters(); plans.len()];
         Ok(Some(BatchPlan::new(self.plan_stamp(), front, plans)))
     }
 
@@ -1424,17 +1440,52 @@ impl AnnIndex for JunoIndex {
         plan: &BatchPlan,
     ) -> Result<(Vec<SearchResult>, PlanUse)> {
         let shared = plan
-            .plans::<Vec<JunoPlan>>()
+            .plans::<JunoPlan>()
             .filter(|plans| plan.stamp() == self.plan_stamp() && plans.len() == queries.len());
         let Some(plans) = shared else {
             let results = self.search_batch_threads(queries, k, num_threads)?;
             return Ok((results, PlanUse::Replanned));
         };
-        let mut results = scan::search_batch_planned(self, queries, plans, k, num_threads)?;
+        let mut results = scan::search_batch_planned(&[self], queries, plans, k, num_threads)?;
         for result in &mut results {
-            result.stats = result.stats.without_front_counters();
+            result.stats = Self::shared_stats(result.stats);
         }
         Ok((results, PlanUse::Shared))
+    }
+
+    /// Scans every replica's lists as one index from `plan`
+    /// ([`scan::search_batch_planned`] over the slice): each probe expands
+    /// once for the batch query, and the prune gate, the cluster bound and
+    /// the ranked visit weigh the cluster's records summed over the
+    /// replicas. Declines (`Ok(None)`) unless `plan` is a JUNO plan for
+    /// this batch and every replica has the plan's stamp and the first
+    /// one's scan knobs — then each would score every candidate with the
+    /// bits of its own scan. Replies report the scan's work (the plan's is
+    /// the caller's to count once, as for [`AnnIndex::search_batch_planned`]).
+    fn search_batch_fused(
+        replicas: &[&Self],
+        queries: &VectorSet,
+        k: usize,
+        num_threads: usize,
+        plan: &BatchPlan,
+    ) -> Result<Option<Vec<SearchResult>>> {
+        let Some(lead) = replicas.first() else {
+            return Ok(None);
+        };
+        let agree = replicas
+            .iter()
+            .all(|r| r.plan_stamp() == plan.stamp() && r.scan_key() == lead.scan_key());
+        let Some(plans) = plan
+            .plans::<JunoPlan>()
+            .filter(|plans| agree && plans.len() == queries.len())
+        else {
+            return Ok(None);
+        };
+        let mut results = scan::search_batch_planned(replicas, queries, plans, k, num_threads)?;
+        for result in &mut results {
+            result.stats = Self::shared_stats(result.stats);
+        }
+        Ok(Some(results))
     }
 
     /// Re-derives the query's RT work by tracing its selective LUT
@@ -2084,11 +2135,17 @@ mod tests {
         check(&index, &mips.queries, "mips");
     }
 
-    /// Probe `probe` of `plan`'s selective table, as the scan expands it.
-    fn expanded_table(index: &JunoIndex, query: &[f32], plan: &JunoPlan, probe: usize) -> Vec<f32> {
+    /// Probe `probe` of `plan`'s selective table, as the scan expands it,
+    /// and the hits the expansion reports.
+    fn expanded_table(
+        index: &JunoIndex,
+        query: &[f32],
+        plan: &JunoPlan,
+        probe: usize,
+    ) -> (Vec<f32>, usize) {
         let mut slot = index.new_slot();
-        index.expand(query, plan, probe, plan.probes[probe], &mut slot);
-        slot.table
+        let hits = index.expand(query, plan, probe, plan.probes[probe], &mut slot);
+        (slot.table, hits)
     }
 
     /// Compares every entry of every probe's expanded table with the traced
@@ -2105,10 +2162,11 @@ mod tests {
             let plan = index.plan(q).unwrap();
             let (clusters, lut, _, _) = index.build_selective_lut(q).unwrap();
             assert_eq!(plan.probes, clusters, "query {qi}: probes");
-            let mut selected = 0usize;
+            let (mut selected, mut reported) = (0usize, 0usize);
             for (probe, &cluster) in clusters.iter().enumerate() {
                 let centroid = index.ray_centroid(cluster).unwrap();
-                let table = expanded_table(index, q, &plan, probe);
+                let (table, hits) = expanded_table(index, q, &plan, probe);
+                reported += hits;
                 for (s, row) in table.chunks_exact(entries).enumerate() {
                     let mut traced = vec![false; entries];
                     for &e in lut.row_entries(probe, s) {
@@ -2137,7 +2195,12 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(plan.hits, selected, "query {qi}: hit count");
+            assert_eq!(reported, selected, "query {qi}: hit count");
+            let searched = index.search(q, 10).unwrap().stats.lut_distances;
+            assert_eq!(
+                searched, selected,
+                "query {qi}: the search counts each table once"
+            );
         }
         (compared, mismatches)
     }
@@ -2226,7 +2289,7 @@ mod tests {
                         }
                     }
                     assert_eq!(dense.len(), subspaces * entries);
-                    let table = expanded_table(&index, q, &plan, probe);
+                    let (table, _) = expanded_table(&index, q, &plan, probe);
                     for (i, (&v, &want)) in table.iter().zip(&dense).enumerate() {
                         if !v.is_nan() {
                             checked += 1;

@@ -52,7 +52,7 @@ fn group_scratch_is_reused_without_allocation_churn() {
         // No seed bounds, every probe grouped: the pure cluster-major
         // configuration, which touches every arena path.
         let batch = PlannedBatch {
-            engine: &index,
+            replicas: &[&index],
             queries: &rows,
             plans: &plans,
             seeds: &[],

@@ -32,6 +32,21 @@
 //! * **one arena** ([`ScanArena`]) and **one counters struct**
 //!   ([`ScanCounters`]).
 //!
+//! The driver scans a **slice of replicas** ([`PlannedBatch::replicas`]):
+//! engines that share trained state — the shards of a global-id fleet, each
+//! holding its own records of every cluster under the same centroids and
+//! codebooks — scanned as one index. A monolith is a slice of one, so there
+//! is one visit path. The first replica expands, quantises and scores for
+//! all of them; each contributes its **segment** of a probed cluster (its
+//! base, its tombstones, its append tail). A cluster visit expands and
+//! quantises each `(query, probe)` table once, opens the prune gate and
+//! applies the cluster bound on the records summed over every segment,
+//! ranks and re-ranks across segments, and pushes every live record into
+//! one [`TopK`] per query. So a fleet query does the monolith's work: its
+//! shards' thin segments no longer each fill a top-k of their own below the
+//! gate ([`search_batch_planned`]; the fleet's entry is
+//! `AnnIndex::search_batch_fused`).
+//!
 //! What stays engine-specific is [`ScanEngine`]: how a `(query, probe,
 //! cluster)` expands into the dense `S×E` table and its per-visit constants,
 //! how that table quantises into the prune LUT, and how one candidate is
@@ -46,7 +61,7 @@
 //! enter the top-k, and every surviving candidate goes through the engine's
 //! one exact scoring function.
 
-use crate::layout::{GroupLane, IvfListCodes, Survivor};
+use crate::layout::{BlockCodes, GroupLane, IvfListCodes, Survivor};
 use juno_common::error::{Error, Result};
 use juno_common::group::GroupSchedule;
 use juno_common::index::{Neighbor, SearchResult};
@@ -78,6 +93,9 @@ pub struct ScanCounters {
     pub pruned_clusters: usize,
     /// Per-(query, probe) table expansions.
     pub lut_builds: usize,
+    /// Table entries those expansions selected, as
+    /// [`ScanEngine::expand`] returns them (the LUT construction's work).
+    pub lut_distances: usize,
     /// Additional scan passes (exact re-rank, tail scan) served from an
     /// already-expanded table.
     pub lut_reuses: usize,
@@ -91,6 +109,7 @@ impl ScanCounters {
         self.pruned_blocks += other.pruned_blocks;
         self.pruned_clusters += other.pruned_clusters;
         self.lut_builds += other.lut_builds;
+        self.lut_distances += other.lut_distances;
         self.lut_reuses += other.lut_reuses;
     }
 }
@@ -131,7 +150,10 @@ pub trait ScanEngine: Sync {
     /// A fresh, reusable slot.
     fn new_slot(&self) -> Self::Slot;
 
-    /// Expands probe `probe` of `plan` (cluster `cluster`) into `slot`.
+    /// Expands probe `probe` of `plan` (cluster `cluster`) into `slot` and
+    /// returns the table entries the expansion selected, which the driver
+    /// counts as [`ScanCounters::lut_distances`] (`0` for an engine that
+    /// accounts for its table elsewhere).
     fn expand(
         &self,
         query: &[f32],
@@ -139,7 +161,7 @@ pub trait ScanEngine: Sync {
         probe: usize,
         cluster: usize,
         slot: &mut Self::Slot,
-    );
+    ) -> usize;
 
     /// Quantises an expanded slot into the `u8` prune LUT ("lower is
     /// better" score contributions, conservative rounding).
@@ -184,15 +206,16 @@ pub trait ScanEngine: Sync {
         false
     }
 
-    /// The engine's own unit for one `(query, probed cluster)` pair, pushing
-    /// ranked candidates into `topk`. Only called when
-    /// [`ScanEngine::own_unit`] is `true`.
+    /// The engine's own unit over one segment of a probed cluster — the
+    /// records `lists` holds of `cluster` — from a slot
+    /// [`ScanEngine::expand`] wrote, pushing ranked candidates into `topk`.
+    /// Only called when [`ScanEngine::own_unit`] is `true`, once per
+    /// replica after each expansion.
     fn scan_unit(
         &self,
-        _query: &[f32],
-        _plan: &Self::Plan,
+        _slot: &Self::Slot,
+        _lists: &IvfListCodes,
         _cluster: usize,
-        _slot: &mut Self::Slot,
         _topk: &mut TopK,
         _ctr: &mut ScanCounters,
     ) {
@@ -446,8 +469,10 @@ pub struct Partial {
 /// pipeline builds one per call; the query-major path builds a batch of one.
 #[allow(missing_debug_implementations)] // would force `Debug` onto every engine and plan type
 pub struct PlannedBatch<'a, E: ScanEngine> {
-    /// The engine being scanned.
-    pub engine: &'a E,
+    /// The replicas scanned as one index (see the module docs): non-empty,
+    /// sharing trained state, the first expanding, quantising and scoring
+    /// for all of them; a monolith is a slice of one.
+    pub replicas: &'a [&'a E],
     /// The query rows, indexed like `plans`.
     pub queries: &'a [&'a [f32]],
     /// One routed plan per query.
@@ -459,11 +484,135 @@ pub struct PlannedBatch<'a, E: ScanEngine> {
     pub k: usize,
 }
 
-impl<E: ScanEngine> PlannedBatch<'_, E> {
-    /// **The** cluster visit: scans `cluster` for a tile of up to
-    /// [`GROUP_TILE`] `(query, probe)` entries, accumulating into
-    /// `states[query]`. The caller has already faulted the cluster in
-    /// ([`IvfListCodes::touch_cluster`]) — the visit itself is infallible.
+/// One replica's segment of a probed cluster: its base (ids, point-major
+/// codes and block view), its append tail, and whether its tombstones must
+/// be checked.
+#[derive(Clone, Copy)]
+struct Segment<'l> {
+    lists: &'l IvfListCodes,
+    ids: &'l [u32],
+    codes: &'l [u8],
+    blocks: &'l BlockCodes,
+    tail_ids: &'l [u32],
+    tail_codes: &'l [u8],
+    /// Hoisted: after build or compact there are no stored tombstones, so
+    /// the never-mutated hot path skips the per-candidate random-access
+    /// load into the tombstone bitmap entirely.
+    check_tombstones: bool,
+}
+
+impl<'l> Segment<'l> {
+    fn of(lists: &'l IvfListCodes, cluster: usize) -> Self {
+        let (tail_ids, tail_codes) = lists.cluster_tail(cluster);
+        Self {
+            lists,
+            ids: lists.cluster_ids(cluster),
+            codes: lists.cluster_codes(cluster),
+            blocks: lists.cluster_blocks(cluster),
+            tail_ids,
+            tail_codes,
+            check_tombstones: lists.stored_tombstones() > 0,
+        }
+    }
+
+    #[inline]
+    fn is_deleted(&self, pid: u32) -> bool {
+        self.check_tombstones && self.lists.is_deleted(pid)
+    }
+
+    /// Scores one candidate of this segment exactly into `state`
+    /// (tombstones are skipped).
+    #[inline]
+    fn rank<E: ScanEngine>(
+        &self,
+        engine: &E,
+        slot: &E::Slot,
+        state: &mut QueryState,
+        pid: u32,
+        code: &[u8],
+    ) {
+        if self.is_deleted(pid) {
+            return;
+        }
+        if let Some(raw) = engine.score(slot, code, &mut state.ctr) {
+            state.topk.push(pid as u64, raw);
+        }
+    }
+
+    /// Scores a run of this segment's records exactly, candidate by
+    /// candidate.
+    fn scan_exact<E: ScanEngine>(
+        &self,
+        engine: &E,
+        slot: &E::Slot,
+        state: &mut QueryState,
+        ids: &[u32],
+        codes: &[u8],
+    ) {
+        let subspaces = self.lists.num_subspaces();
+        for (&pid, code) in ids.iter().zip(codes.chunks_exact(subspaces)) {
+            self.rank(engine, slot, state, pid, code);
+        }
+    }
+
+    /// Scores a whole base block of this segment through the engine's
+    /// block entry; tombstoned lanes are dropped first, so they are neither
+    /// scored nor counted.
+    #[inline]
+    fn rank_block<E: ScanEngine>(
+        &self,
+        engine: &E,
+        slot: &E::Slot,
+        state: &mut QueryState,
+        b: usize,
+    ) {
+        let subspaces = self.lists.num_subspaces();
+        let start = b * BLOCK_LANES;
+        let ids = &self.ids[start..start + self.blocks.block_len(b)];
+        let mut live = u32::MAX >> (BLOCK_LANES - ids.len());
+        if self.check_tombstones {
+            for (l, &pid) in ids.iter().enumerate() {
+                if self.lists.is_deleted(pid) {
+                    live &= !(1 << l);
+                }
+            }
+        }
+        if live == 0 {
+            return;
+        }
+        let block = BlockRef {
+            rows: self.blocks.block_rows(b),
+            nibble: self.blocks.nibble_packed(),
+            codes: &self.codes[start * subspaces..(start + ids.len()) * subspaces],
+        };
+        let mut scores = [None; BLOCK_LANES];
+        engine.score_block(slot, block, live, &mut state.ctr, &mut scores);
+        for (l, (&pid, raw)) in ids.iter().zip(scores).enumerate() {
+            if let Some(raw) = raw.filter(|_| live >> l & 1 != 0) {
+                state.topk.push(pid as u64, raw);
+            }
+        }
+    }
+}
+
+impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
+    /// The replica that expands, quantises and scores for the slice.
+    fn engine(&self) -> &'a E {
+        self.replicas[0]
+    }
+
+    /// Every replica's segment of `cluster`, in replica order.
+    fn segments(&self, cluster: usize) -> impl Iterator<Item = Segment<'a>> + '_ {
+        self.replicas
+            .iter()
+            .map(move |r| Segment::of(r.lists(), cluster))
+    }
+
+    /// **The** cluster visit: scans `cluster` — every replica's segment of
+    /// it — for a tile of up to [`GROUP_TILE`] `(query, probe)` entries,
+    /// accumulating into `states[query]`. The caller has already faulted
+    /// the cluster in on every replica ([`IvfListCodes::touch_cluster`]) —
+    /// the visit itself is infallible.
     fn visit(
         &self,
         cluster: usize,
@@ -472,32 +621,41 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
         states: &mut [QueryState],
         ranked: &mut RankedScratch,
     ) {
-        let engine = self.engine;
+        let engine = self.engine();
         if engine.own_unit() {
-            for &(q, _) in entries {
-                let state = &mut states[q as usize];
-                engine.scan_unit(
-                    self.queries[q as usize],
-                    &self.plans[q as usize],
+            let slot = &mut tile[0].slot;
+            for &(q, probe) in entries {
+                let qi = q as usize;
+                let state = &mut states[qi];
+                state.ctr.lut_builds += 1;
+                state.ctr.lut_distances += engine.expand(
+                    self.queries[qi],
+                    &self.plans[qi],
+                    probe as usize,
                     cluster,
-                    &mut tile[0].slot,
-                    &mut state.topk,
-                    &mut state.ctr,
+                    slot,
                 );
+                for replica in self.replicas {
+                    engine.scan_unit(
+                        slot,
+                        replica.lists(),
+                        cluster,
+                        &mut state.topk,
+                        &mut state.ctr,
+                    );
+                }
             }
             return;
         }
 
-        let lists = engine.lists();
-        let subspaces = lists.num_subspaces();
-        // Hoisted: after build or compact there are no stored tombstones, so
-        // the never-mutated hot path skips the per-candidate random-access
-        // load into the tombstone bitmap entirely.
-        let check_tombstones = lists.stored_tombstones() > 0;
-        let base_ids = lists.cluster_ids(cluster);
-        let base_codes = lists.cluster_codes(cluster);
-        let (tail_ids, tail_codes) = lists.cluster_tail(cluster);
-        let stored = lists.cluster_stored(cluster);
+        // The cluster's records over every segment: what the prune gate
+        // weighs and what `candidates` counts.
+        let (mut base, mut stored) = (0usize, 0usize);
+        for replica in self.replicas {
+            let lists = replica.lists();
+            base += lists.cluster_ids(cluster).len();
+            stored += lists.cluster_stored(cluster);
+        }
         let tile = &mut tile[..entries.len()];
 
         // Phase A: expand each query's table and gate its pruning.
@@ -508,7 +666,7 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
             state.ctr.lut_builds += 1;
             t.query = q;
             t.seed = self.seeds.get(qi).copied().flatten();
-            engine.expand(
+            state.ctr.lut_distances += engine.expand(
                 self.queries[qi],
                 &self.plans[qi],
                 probe as usize,
@@ -534,14 +692,14 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
                 Some(_) => 0,
                 None => state.topk.k() - state.topk.len(),
             };
-            t.prune = engine.fastscan() && base_ids.len() >= MIN_PRUNE_POINTS + fill;
+            t.prune = engine.fastscan() && base >= MIN_PRUNE_POINTS + fill;
             t.ranked = t.prune && worst0.is_none();
             t.done = false;
             if t.prune {
                 engine.quantize(&t.slot, &mut t.qlut);
                 // Cluster-level pruning, once there is a bound: no member
-                // (base or tail) can beat the per-subspace minima bound for
-                // this query.
+                // (base or tail, of any segment) can beat the per-subspace
+                // minima bound for this query.
                 t.done = worst0.is_some_and(|w| t.qlut.cluster_bound() >= w as f64);
                 if t.done {
                     state.ctr.pruned_clusters += 1;
@@ -551,61 +709,17 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
         }
         let tile = &*tile;
 
-        let rank = |t: &TileSlot<E::Slot>, state: &mut QueryState, pid: u32, code: &[u8]| {
-            if check_tombstones && lists.is_deleted(pid) {
-                return;
-            }
-            if let Some(raw) = engine.score(&t.slot, code, &mut state.ctr) {
-                state.topk.push(pid as u64, raw);
-            }
-        };
-        let scan_exact =
-            |t: &TileSlot<E::Slot>, state: &mut QueryState, ids: &[u32], codes: &[u8]| {
-                for (i, &pid) in ids.iter().enumerate() {
-                    rank(t, state, pid, &codes[i * subspaces..(i + 1) * subspaces]);
-                }
-            };
-        // A whole base block through the engine's block entry; tombstoned
-        // lanes are dropped first, so they are neither scored nor counted.
-        let blocks = lists.cluster_blocks(cluster);
-        let rank_block = |t: &TileSlot<E::Slot>, state: &mut QueryState, b: usize| {
-            let start = b * BLOCK_LANES;
-            let ids = &base_ids[start..start + blocks.block_len(b)];
-            let mut live = u32::MAX >> (BLOCK_LANES - ids.len());
-            if check_tombstones {
-                for (l, &pid) in ids.iter().enumerate() {
-                    if lists.is_deleted(pid) {
-                        live &= !(1 << l);
-                    }
-                }
-            }
-            if live == 0 {
-                return;
-            }
-            let block = BlockRef {
-                rows: blocks.block_rows(b),
-                nibble: blocks.nibble_packed(),
-                codes: &base_codes[start * subspaces..(start + ids.len()) * subspaces],
-            };
-            let mut scores = [None; BLOCK_LANES];
-            engine.score_block(&t.slot, block, live, &mut state.ctr, &mut scores);
-            for (l, (&pid, raw)) in ids.iter().zip(scores).enumerate() {
-                if let Some(raw) = raw.filter(|_| live >> l & 1 != 0) {
-                    state.topk.push(pid as u64, raw);
-                }
-            }
-        };
-
         // Phase B: ranked slots take their own visit; the others join the
         // multi-query prune pass — the tile's quantised LUTs held against
         // each 32-point block (codes stream once per tile), survivors
         // re-ranked exactly on the spot: one by one, or a block at a time
-        // while a lane has no prune threshold yet.
+        // while a lane has no prune threshold yet. A lane's bound carries
+        // from one segment to the next.
         let mut lane_map = [0usize; GROUP_TILE];
         let mut lanes_n = 0usize;
         for (ti, t) in tile.iter().enumerate() {
             if t.ranked {
-                self.ranked_visit(cluster, t, &mut states[t.query as usize], ranked);
+                self.ranked_visit(cluster, base, t, &mut states[t.query as usize], ranked);
             } else if t.prune && !t.done {
                 lane_map[lanes_n] = ti;
                 lanes_n += 1;
@@ -619,20 +733,25 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
                 let worst = tighter_worst(states[t.query as usize].topk.worst_score(), t.seed);
                 *lane = GroupLane::new(&t.qlut, worst);
             }
-            blocks.prune_scan_group(&mut lanes[..lanes_n], |li, handed| {
-                let t = &tile[lane_map[li]];
-                let state = &mut states[t.query as usize];
-                match handed {
-                    Survivor::Point(i) => rank(
-                        t,
-                        state,
-                        base_ids[i],
-                        &base_codes[i * subspaces..(i + 1) * subspaces],
-                    ),
-                    Survivor::Block(b) => rank_block(t, state, b),
-                }
-                tighter_worst(state.topk.worst_score(), t.seed)
-            });
+            for seg in self.segments(cluster) {
+                let subspaces = seg.lists.num_subspaces();
+                seg.blocks
+                    .prune_scan_group(&mut lanes[..lanes_n], |li, handed| {
+                        let t = &tile[lane_map[li]];
+                        let state = &mut states[t.query as usize];
+                        match handed {
+                            Survivor::Point(i) => seg.rank(
+                                engine,
+                                &t.slot,
+                                state,
+                                seg.ids[i],
+                                &seg.codes[i * subspaces..(i + 1) * subspaces],
+                            ),
+                            Survivor::Block(b) => seg.rank_block(engine, &t.slot, state, b),
+                        }
+                        tighter_worst(state.topk.worst_score(), t.seed)
+                    });
+            }
             for (lane, &ti) in lanes.iter().zip(lane_map) {
                 let ctr = &mut states[tile[ti].query as usize].ctr;
                 ctr.pruned_points += lane.pruned_points;
@@ -647,25 +766,28 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
                 continue;
             }
             let state = &mut states[t.query as usize];
-            // Phase C: queries whose gate stayed shut (too little of the
-            // cluster left to prune once the top-k has filled, fast-scan
-            // off) scan the base exactly — block by block, or candidate by
-            // candidate on the fast-scan-off reference path.
-            if !t.prune {
-                if engine.fastscan() {
-                    for b in 0..blocks.num_blocks() {
-                        rank_block(t, state, b);
+            for seg in self.segments(cluster) {
+                // Phase C: queries whose gate stayed shut (too little of
+                // the cluster left to prune once the top-k has filled,
+                // fast-scan off) scan the base exactly — block by block, or
+                // candidate by candidate on the fast-scan-off reference
+                // path.
+                if !t.prune {
+                    if engine.fastscan() {
+                        for b in 0..seg.blocks.num_blocks() {
+                            seg.rank_block(engine, &t.slot, state, b);
+                        }
+                    } else {
+                        seg.scan_exact(engine, &t.slot, state, seg.ids, seg.codes);
                     }
-                } else {
-                    scan_exact(t, state, base_ids, base_codes);
                 }
-            }
-            // Phase D: append-tail records have no block view; scan them
-            // exactly, in id order, after the base — the same per-query
-            // order on every path.
-            if !tail_ids.is_empty() {
-                state.ctr.lut_reuses += 1;
-                scan_exact(t, state, tail_ids, tail_codes);
+                // Phase D: append-tail records have no block view; scan
+                // them exactly, in id order, after the base — the same
+                // per-query order on every path.
+                if !seg.tail_ids.is_empty() {
+                    state.ctr.lut_reuses += 1;
+                    seg.scan_exact(engine, &t.slot, state, seg.tail_ids, seg.tail_codes);
+                }
             }
         }
     }
@@ -676,8 +798,9 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
     /// gradually, so about `k·(1 + ln(n/k))` candidates are scored exactly
     /// — it scores the base in bound order:
     ///
-    /// 1. one full quantised pass ([`BlockCodes::lower_bounds`]) keeps
-    ///    every base lane's `u16` lower bound;
+    /// 1. one full quantised pass ([`BlockCodes::lower_bounds`]) per
+    ///    segment keeps every base lane's `u16` lower bound, the `base`
+    ///    lanes of all segments side by side;
     /// 2. a counting sort puts them in [`RANK_BUCKETS`] buckets;
     /// 3. candidates are scored exactly from the lowest bucket up,
     ///    [`BLOCK_LANES`] at a time through [`ScanEngine::score_block`] on a
@@ -693,23 +816,18 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
     /// than k held candidates — and the selector is insertion-order
     /// invariant, so ids and distance bits equal the streaming visit's.
     /// Kept out of line so that the streaming visit's code stays as it is.
-    ///
-    /// [`BlockCodes::lower_bounds`]: crate::layout::BlockCodes::lower_bounds
     #[inline(never)]
     fn ranked_visit(
         &self,
         cluster: usize,
+        base: usize,
         t: &TileSlot<E::Slot>,
         state: &mut QueryState,
         scratch: &mut RankedScratch,
     ) {
-        let engine = self.engine;
-        let lists = engine.lists();
-        let subspaces = lists.num_subspaces();
-        let check_tombstones = lists.stored_tombstones() > 0;
-        let base_ids = lists.cluster_ids(cluster);
-        let base_codes = lists.cluster_codes(cluster);
-        let n = base_ids.len();
+        let engine = self.engine();
+        let subspaces = engine.lists().num_subspaces();
+        let n = base;
         let group = BLOCK_LANES * subspaces;
         scratch.fit(n, subspaces);
         let RankedScratch {
@@ -723,7 +841,18 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
         let (bounds, order) = (&mut bounds[..n], &mut order[..n]);
         let (rows, codes) = (&mut rows[..group], &mut codes[..group]);
 
-        lists.cluster_blocks(cluster).lower_bounds(&t.qlut, bounds);
+        // The first segment (a monolith's only one) held apart, the others
+        // collected: base lane `i` of the side-by-side bounds is found
+        // without a walk over the replicas for the first.
+        let first = Segment::of(engine.lists(), cluster);
+        let rest: Vec<Segment<'_>> = self.segments(cluster).skip(1).collect();
+        let mut start = 0usize;
+        for seg in std::iter::once(&first).chain(&rest) {
+            let len = seg.ids.len();
+            seg.blocks
+                .lower_bounds(&t.qlut, &mut bounds[start..start + len]);
+            start += len;
+        }
         cursors.fill(0);
         for &b in bounds.iter() {
             cursors[(b >> RANK_SHIFT) as usize + 1] += 1;
@@ -736,6 +865,21 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
             order[*cursor as usize] = i as u32;
             *cursor += 1;
         }
+        // Base lane `i` of the side-by-side bounds: its segment and its
+        // index there.
+        let locate = |i: usize| {
+            if i < first.ids.len() {
+                return (&first, i);
+            }
+            let mut i = i - first.ids.len();
+            for seg in &rest {
+                if i < seg.ids.len() {
+                    return (seg, i);
+                }
+                i -= seg.ids.len();
+            }
+            unreachable!("a base lane lies in some segment")
+        };
 
         let mut ids = [0u32; BLOCK_LANES];
         let mut gathered = 0usize;
@@ -775,11 +919,12 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
                 settled += 1;
                 continue;
             }
-            let pid = base_ids[i];
-            if check_tombstones && lists.is_deleted(pid) {
+            let (seg, i) = locate(i);
+            let pid = seg.ids[i];
+            if seg.is_deleted(pid) {
                 continue;
             }
-            let code = &base_codes[i * subspaces..(i + 1) * subspaces];
+            let code = &seg.codes[i * subspaces..(i + 1) * subspaces];
             codes[gathered * subspaces..(gathered + 1) * subspaces].copy_from_slice(code);
             for (s, &c) in code.iter().enumerate() {
                 rows[s * BLOCK_LANES + gathered] = c;
@@ -806,24 +951,29 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
     }
 
     /// The cluster→query-group schedule of this batch, chunk cuts weighted
-    /// by each cluster's stored record count (what a scan streams).
-    /// `first_probe = 1` excludes each query's nearest probe (covered by the
-    /// seed pass).
+    /// by each cluster's stored record count over every segment (what a
+    /// scan streams). `first_probe = 1` excludes each query's nearest probe
+    /// (covered by the seed pass).
     pub fn schedule(&self, first_probe: usize) -> GroupSchedule {
+        let engine = self.engine();
         let probe_lists: Vec<&[usize]> = self
             .plans
             .iter()
             .map(|plan| {
-                let probes = self.engine.probes(plan);
+                let probes = engine.probes(plan);
                 &probes[first_probe.min(probes.len())..]
             })
             .collect();
-        let lists = self.engine.lists();
         GroupSchedule::build(
-            lists.num_clusters(),
+            engine.lists().num_clusters(),
             &probe_lists,
             first_probe,
-            |c| lists.cluster_stored(c),
+            |c| {
+                self.replicas
+                    .iter()
+                    .map(|r| r.lists().cluster_stored(c))
+                    .sum()
+            },
             GROUP_CHUNK_WORK,
         )
     }
@@ -837,8 +987,9 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
         chunk: usize,
         arena: &mut ScanArena<E::Slot>,
     ) -> Vec<Partial> {
-        let (k, metric) = (self.k, self.engine.rank_metric());
-        arena.begin_chunk(self.plans.len(), k, metric, || self.engine.new_slot());
+        let engine = self.engine();
+        let (k, metric) = (self.k, engine.rank_metric());
+        arena.begin_chunk(self.plans.len(), k, metric, || engine.new_slot());
         for (cluster, group) in sched.chunk(chunk) {
             for entries in group.chunks(GROUP_TILE) {
                 for &(q, _) in entries {
@@ -874,10 +1025,11 @@ impl<E: ScanEngine> PlannedBatch<'_, E> {
 
 /// Scans the first `limit` probes of one planned query, query-major: the
 /// visit with a tile of one, no seed bound, clusters in probe order. With
-/// `fault_in`, each cluster is faulted in (and verified) before the
-/// infallible visit reads its slices; without, the caller already has.
+/// `fault_in`, each cluster is faulted in (and verified) on every replica
+/// before the infallible visit reads its slices; without, the caller
+/// already has.
 fn scan_probes<E: ScanEngine>(
-    engine: &E,
+    replicas: &[&E],
     query: &[f32],
     plan: &E::Plan,
     limit: usize,
@@ -886,16 +1038,19 @@ fn scan_probes<E: ScanEngine>(
     arena: &mut ScanArena<E::Slot>,
 ) -> Result<QueryState> {
     let batch = PlannedBatch {
-        engine,
+        replicas,
         queries: &[query],
         plans: std::slice::from_ref(plan),
         seeds: &[],
         k,
     };
+    let engine = batch.engine();
     let mut state = [QueryState::new(k, engine.rank_metric())];
     for (probe, &cluster) in engine.probes(plan).iter().enumerate().take(limit) {
         if fault_in {
-            engine.lists().touch_cluster(cluster)?;
+            for replica in replicas {
+                replica.lists().touch_cluster(cluster)?;
+            }
         }
         batch.visit(
             cluster,
@@ -911,7 +1066,7 @@ fn scan_probes<E: ScanEngine>(
 
 /// Routes every query of a batch ([`ScanEngine::plan`], parallel over
 /// queries): the front half of every batch entry point, and what a fleet
-/// computes once and hands to each shard's [`search_batch_planned`].
+/// computes once and hands to [`search_batch_planned`].
 ///
 /// # Errors
 ///
@@ -956,11 +1111,22 @@ pub fn search_one_planned<E: ScanEngine>(
     k: usize,
     arena: &mut ScanArena<E::Slot>,
 ) -> Result<SearchResult> {
+    scan_one(&[engine], query, plan, k, arena)
+}
+
+/// [`search_one_planned`] over a slice of replicas.
+fn scan_one<E: ScanEngine>(
+    replicas: &[&E],
+    query: &[f32],
+    plan: &E::Plan,
+    k: usize,
+    arena: &mut ScanArena<E::Slot>,
+) -> Result<SearchResult> {
     if k == 0 {
         return Err(Error::invalid_config("k must be positive"));
     }
-    let state = scan_probes(engine, query, plan, usize::MAX, true, k, arena)?;
-    Ok(engine.finish(plan, state.topk.into_sorted_vec(), &state.ctr))
+    let state = scan_probes(replicas, query, plan, usize::MAX, true, k, arena)?;
+    Ok(replicas[0].finish(plan, state.topk.into_sorted_vec(), &state.ctr))
 }
 
 /// The query-major batch path: plan, then one task per query, each running
@@ -978,11 +1144,11 @@ pub fn search_batch_query_major<E: ScanEngine>(
     num_threads: usize,
 ) -> Result<Vec<SearchResult>> {
     let plans = plan_batch(engine, queries, num_threads)?;
-    scan_query_major(engine, queries, &plans, k, num_threads)
+    scan_query_major(&[engine], queries, &plans, k, num_threads)
 }
 
 fn scan_query_major<E: ScanEngine>(
-    engine: &E,
+    replicas: &[&E],
     queries: &VectorSet,
     plans: &[E::Plan],
     k: usize,
@@ -992,8 +1158,8 @@ fn scan_query_major<E: ScanEngine>(
         queries.len(),
         num_threads,
         0,
-        || ScanArena::new(engine.new_slot()),
-        |arena, i| search_one_planned(engine, queries.row(i), &plans[i], k, arena),
+        || ScanArena::new(replicas[0].new_slot()),
+        |arena, i| scan_one(replicas, queries.row(i), &plans[i], k, arena),
     )?
     .into_iter()
     .collect()
@@ -1029,13 +1195,13 @@ pub fn search_batch_grouped<E: ScanEngine>(
     num_threads: usize,
 ) -> Result<Vec<SearchResult>> {
     let plans = plan_batch(engine, queries, num_threads)?;
-    scan_grouped(engine, queries, &plans, k, num_threads)
+    scan_grouped(&[engine], queries, &plans, k, num_threads)
 }
 
 /// Steps 2–5 of [`search_batch_grouped`], from the batch's plans. A mapped
 /// index takes its residency faults before step 2, on the calling thread.
 fn scan_grouped<E: ScanEngine>(
-    engine: &E,
+    replicas: &[&E],
     queries: &VectorSet,
     plans: &[E::Plan],
     k: usize,
@@ -1048,37 +1214,40 @@ fn scan_grouped<E: ScanEngine>(
     if nq == 0 {
         return Ok(Vec::new());
     }
+    let engine = replicas[0];
     let rows: Vec<&[f32]> = queries.iter().collect();
 
     let first_probe = usize::from(!engine.own_unit());
-    // Fault in (and verify) every cluster the batch probes, once, up front
-    // and in storage order: the seed and chunk workers are infallible, and
-    // a fault taken from a worker would evict under the feet of the others
-    // in an order that depends on their timing. Advisory eviction keeps
-    // already-verified slices readable, so the workers stay safe even under
-    // a tight residency budget.
+    // Fault in (and verify) every cluster the batch probes, once per
+    // replica, up front and in storage order: the seed and chunk workers
+    // are infallible, and a fault taken from a worker would evict under the
+    // feet of the others in an order that depends on their timing. Advisory
+    // eviction keeps already-verified slices readable, so the workers stay
+    // safe even under a tight residency budget.
     let mut probed: Vec<usize> = plans
         .iter()
         .flat_map(|plan| engine.probes(plan).iter().copied())
         .collect();
     probed.sort_unstable();
     probed.dedup();
-    for cluster in probed {
-        engine.lists().touch_cluster(cluster)?;
+    for replica in replicas {
+        for &cluster in &probed {
+            replica.lists().touch_cluster(cluster)?;
+        }
     }
     let mut finals: Vec<QueryState> = parallel::map_with(
         nq,
         num_threads,
         0,
         || ScanArena::new(engine.new_slot()),
-        |arena, qi| scan_probes(engine, rows[qi], &plans[qi], first_probe, false, k, arena),
+        |arena, qi| scan_probes(replicas, rows[qi], &plans[qi], first_probe, false, k, arena),
     )?
     .into_iter()
     .collect::<Result<_>>()?;
     let seeds: Vec<Option<f32>> = finals.iter().map(|s| s.topk.worst_score()).collect();
 
     let batch = PlannedBatch {
-        engine,
+        replicas,
         queries: &rows,
         plans,
         seeds: &seeds,
@@ -1107,7 +1276,8 @@ fn scan_grouped<E: ScanEngine>(
         .collect())
 }
 
-/// Batch search: plan, then [`search_batch_planned`].
+/// Batch search: plan, then [`search_batch_planned`] over this engine
+/// alone.
 ///
 /// # Errors
 ///
@@ -1119,25 +1289,31 @@ pub fn search_batch<E: ScanEngine>(
     num_threads: usize,
 ) -> Result<Vec<SearchResult>> {
     let plans = plan_batch(engine, queries, num_threads)?;
-    search_batch_planned(engine, queries, &plans, k, num_threads)
+    search_batch_planned(&[engine], queries, &plans, k, num_threads)
 }
 
-/// Batch search from the batch's plans (`plans[i]` routes `queries.row(i)`,
-/// made by this engine or by one with identical planning state):
-/// cluster-major grouped, except that batches below [`MIN_GROUP_QUERIES`] —
-/// where scheduling cannot amortise — run query-major.
+/// Batch search of `replicas` scanned as one index (see the module docs;
+/// a monolith passes a slice of one) from the batch's plans (`plans[i]`
+/// routes `queries.row(i)`, made by an engine with the replicas' planning
+/// state): cluster-major grouped, except that batches below
+/// [`MIN_GROUP_QUERIES`] — where scheduling cannot amortise — run
+/// query-major. The first replica's [`ScanEngine::finish`] assembles each
+/// result.
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] when `plans` and `queries` disagree in length;
-/// otherwise see [`search_batch_grouped`].
+/// [`Error::InvalidConfig`] when `replicas` is empty or `plans` and
+/// `queries` disagree in length; otherwise see [`search_batch_grouped`].
 pub fn search_batch_planned<E: ScanEngine>(
-    engine: &E,
+    replicas: &[&E],
     queries: &VectorSet,
     plans: &[E::Plan],
     k: usize,
     num_threads: usize,
 ) -> Result<Vec<SearchResult>> {
+    if replicas.is_empty() {
+        return Err(Error::invalid_config("no replica to scan"));
+    }
     if plans.len() != queries.len() {
         return Err(Error::invalid_config(format!(
             "{} plans for {} queries",
@@ -1146,8 +1322,8 @@ pub fn search_batch_planned<E: ScanEngine>(
         )));
     }
     if queries.len() < MIN_GROUP_QUERIES {
-        scan_query_major(engine, queries, plans, k, num_threads)
+        scan_query_major(replicas, queries, plans, k, num_threads)
     } else {
-        scan_grouped(engine, queries, plans, k, num_threads)
+        scan_grouped(replicas, queries, plans, k, num_threads)
     }
 }

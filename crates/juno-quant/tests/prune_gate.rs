@@ -142,7 +142,14 @@ impl ScanEngine for Toy {
         Vec::new()
     }
 
-    fn expand(&self, query: &[f32], _: &Vec<usize>, _: usize, _: usize, slot: &mut Vec<f32>) {
+    fn expand(
+        &self,
+        query: &[f32],
+        _: &Vec<usize>,
+        _: usize,
+        _: usize,
+        slot: &mut Vec<f32>,
+    ) -> usize {
         slot.clear();
         for q in query {
             slot.extend((0..self.entries).map(|e| (q - e as f32).powi(2)));
@@ -150,6 +157,7 @@ impl ScanEngine for Toy {
         if let Some(at) = self.nan_entry {
             slot[at] = f32::NAN;
         }
+        0
     }
 
     fn quantize(&self, slot: &Vec<f32>, qlut: &mut QuantizedLut) {
@@ -273,7 +281,7 @@ fn an_empty_selector_opens_the_gate_only_when_enough_is_left_to_prune() {
     // survivors one by one, never through the ranked visit's block entry.
     let bound = exact.neighbors.last().unwrap().distance;
     let batch = PlannedBatch {
-        engine: &toy,
+        replicas: &[&toy],
         queries: &[&QUERY],
         plans: &[vec![0]],
         seeds: &[Some(bound)],

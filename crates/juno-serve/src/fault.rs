@@ -31,10 +31,16 @@ use std::time::Duration;
 /// The operations instrumented with fault-injection points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
-    /// The start of each shard scan on the deadline-aware read path
-    /// ([`crate::FleetReader::search_deadline`] and the batch variant). The
-    /// exact path ([`crate::FleetReader::search`]) is not instrumented: it is
-    /// the bit-identity reference the differential suites compare against.
+    /// Each admitted shard's scan of a batch on the deadline-aware read
+    /// path ([`crate::FleetReader::search_deadline`] and the batch
+    /// variant), once per attempt. A global-id fleet scans the shards whose
+    /// op would not fire as one fused scan and counts them when it submits
+    /// it, through the non-firing check (`FaultPlan::pass`); a shard whose
+    /// rule would fire leaves the fused scan and takes its own, where the
+    /// op is counted and fires at the scan's start, as on a mapped fleet.
+    /// Retries count again. The exact path ([`crate::FleetReader::search`])
+    /// is not instrumented: it is the bit-identity reference the
+    /// differential suites compare against.
     Search,
     /// Per shard, before a writer mutation (insert batch or remove) takes
     /// that shard's staging engine: its retired epoch caught up, or a clone.
@@ -194,6 +200,28 @@ impl FaultPlan {
         self.counters[shard * NUM_OPS + op.index()].load(Ordering::Relaxed)
     }
 
+    /// The injection point's count without its fault: when no rule would
+    /// fire at the `(shard, op)` counter's current value, counts the op
+    /// exactly as [`FaultPlan::inject`] would and returns `true`; when one
+    /// would, counts nothing and returns `false`, leaving that count to the
+    /// `inject` that fires it. So a caller can take a faster path for an op
+    /// that would not fault without moving any count or rule window.
+    pub(crate) fn pass(&self, shard: usize, op: FaultOp) -> bool {
+        let Some(counter) = self.counters.get(shard * NUM_OPS + op.index()) else {
+            return true;
+        };
+        let mut at = counter.load(Ordering::Relaxed);
+        loop {
+            if self.is_armed() && self.rules.iter().any(|r| r.matches(shard, op, at)) {
+                return false;
+            }
+            match counter.compare_exchange_weak(at, at + 1, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return true,
+                Err(now) => at = now,
+            }
+        }
+    }
+
     /// The injection point. Bumps the `(shard, op)` counter, then fires the
     /// first matching rule (rule order is match priority): sleeping for a
     /// stall, returning the injected error, or panicking the caller.
@@ -284,6 +312,72 @@ mod tests {
         // A different op on the same shard has its own counter.
         assert_eq!(plan.op_count(1, FaultOp::Insert), 0);
         assert!(plan.inject(1, FaultOp::Insert).is_ok());
+    }
+
+    #[test]
+    fn the_non_firing_check_counts_exactly_as_inject_counts() {
+        let rules = [
+            FaultRule {
+                shard: 1,
+                op: FaultOp::Search,
+                from_op: 2,
+                until_op: Some(4),
+                kind: FaultKind::Transient,
+            },
+            FaultRule {
+                shard: 1,
+                op: FaultOp::Search,
+                from_op: 6,
+                until_op: Some(7),
+                kind: FaultKind::Stall(Duration::ZERO),
+            },
+        ];
+        let plan = |shards| {
+            rules
+                .iter()
+                .fold(FaultPlan::new(shards), |plan, &rule| plan.with_rule(rule))
+        };
+        // The reference: every op through `inject`. The check: `pass`
+        // first, `inject` only for the ops it refuses — a faster path for
+        // the rest, a fault for those.
+        let (injected, checked) = (plan(2), plan(2));
+        let mut fired = Vec::new();
+        for op in 0..10u64 {
+            for shard in 0..2 {
+                let reference = injected.inject(shard, FaultOp::Search);
+                let before = checked.op_count(shard, FaultOp::Search);
+                if checked.pass(shard, FaultOp::Search) {
+                    assert_eq!(checked.op_count(shard, FaultOp::Search), before + 1);
+                    assert!(
+                        reference.is_ok(),
+                        "shard {shard} op {op}: passed a faulted op"
+                    );
+                } else {
+                    assert_eq!(checked.op_count(shard, FaultOp::Search), before);
+                    fired.push(op);
+                    let faulted = checked.inject(shard, FaultOp::Search);
+                    assert_eq!(faulted.is_ok(), reference.is_ok(), "op {op}");
+                }
+                assert_eq!(
+                    checked.op_count(shard, FaultOp::Search),
+                    injected.op_count(shard, FaultOp::Search),
+                    "shard {shard} op {op}: counts diverged"
+                );
+            }
+        }
+        // Both windows' ops — a stall fires too — and nothing else.
+        assert_eq!(fired, [2, 3, 6]);
+        // Another op's counter is its own; a disarmed plan passes and
+        // counts; an out-of-range shard passes and counts nothing.
+        assert!(checked.pass(1, FaultOp::Insert));
+        assert_eq!(checked.op_count(1, FaultOp::Insert), 1);
+        let disarmed = plan(2);
+        disarmed.disarm();
+        for _ in 0..8 {
+            assert!(disarmed.pass(1, FaultOp::Search));
+        }
+        assert_eq!(disarmed.op_count(1, FaultOp::Search), 8);
+        assert!(plan(1).pass(7, FaultOp::Search));
     }
 
     #[test]

@@ -7,7 +7,12 @@
 //!  query() ──┐                      ┌─ next_batch() ─┐
 //!  query() ──┼─▶ Batcher (bounded, ─┤                ├─▶ FleetReader::
 //!  query() ──┘   work-conserving)   └─ next_batch() ─┘   search_batch_deadline
-//!      ▲                                   │              (parked scan workers)
+//!      ▲                                   │              plan once, then on the
+//!      │                                   │              parked scan workers:
+//!      │                                   │              one fused job over every
+//!      │                                   │              shard's segments, or a
+//!      │                                   │              job per shard (mapped,
+//!      │                                   │              fault, fallback)
 //!      └────────── per-request reply ◀─────┴─ truncate to k ◀───┘
 //! ```
 //!

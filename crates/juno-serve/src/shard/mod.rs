@@ -55,33 +55,54 @@
 //! [`juno_common::index::SearchStats::merge_scatter`] (work counters sum,
 //! wall-clock stage times take the max — the shard scans ran concurrently).
 //!
-//! # Plan once, scan per shard
+//! # Plan once, scan once
 //!
 //! Replicas share trained state, so a query's front half (coarse filter,
-//! RT traversal, selective LUT) comes out the same on every shard. Every
-//! read path plans a batch once ([`AnnIndex::plan_batch`]) and hands the
-//! [`juno_common::index::BatchPlan`] to the shard workers, which only scan
-//! their own lists ([`AnnIndex::search_batch_planned`]). The plan carries a
-//! stamp of the state it was computed from and each shard's engine uses it
-//! only when the stamp equals its own — so a shard pinned an insert ahead of
-//! the planner,
-//! a shard on the other side of a half-finished rebuild, or a shard of an
+//! threshold selection) comes out the same on every shard. Every read path
+//! plans a batch once ([`AnnIndex::plan_batch`]). The
+//! [`juno_common::index::BatchPlan`] carries a stamp of the state it was
+//! computed from, and an engine scans from it only when the stamp equals
+//! its own — so a shard pinned an insert ahead of the planner, a shard on
+//! the other side of a half-finished rebuild, or a shard of an
 //! independently trained mapped fleet plans for itself, and results stay
-//! bit-identical to every shard planning alone. A shard that borrowed the
-//! plan reports no front-half work; the gather adds the plan's counters
-//! once.
+//! bit-identical to every shard planning alone.
+//!
+//! A global-id fleet then scans **once**: the engine's fused scan
+//! ([`AnnIndex::search_batch_fused`]; JUNO's runs the shared scan driver
+//! over the shards as a slice of replicas) treats every shard's segment of
+//! a probed cluster as one list — one selector per query, each probe's
+//! table expanded once, the prune gate and the cluster bound weighed on
+//! the whole cluster — so a 4-shard read does the monolith's work, where
+//! four shards each filling a top-k from a quarter of every list used to
+//! do 2.7× its exact accumulations. The engine takes it only when every
+//! shard has the plan's stamp.
+//!
+//! The **per-shard scatter** — each shard scanning its own lists from the
+//! plan ([`AnnIndex::search_batch_planned`]) on a worker of its own —
+//! still runs for mapped fleets, for engines without a fused scan, when a
+//! stamp differs, on the degraded path for a shard whose
+//! [`crate::FaultOp::Search`] rule would fire, and as the fallback of a
+//! fused scan that failed. A reply scanned from the shared plan reports no
+//! planning work; the gather adds the plan's counters once, and counts the
+//! selective tables the shared-plan shards each expanded
+//! (`lut_distances`) once too.
 //!
 //! # Failure model
 //!
 //! The exact paths above treat any shard error as fatal to the request. The
 //! **degraded read path** ([`FleetReader::search_deadline`] /
 //! [`FleetReader::search_batch_deadline`]) instead treats shards as
-//! independently failable: each shard scan runs on a worker of its own from
-//! the fleet's scan-worker pool (`workers`: a parked thread when one is
-//! free, a new one otherwise — never queued behind another scan), transient
-//! errors are retried per [`crate::health::RetryPolicy`], shards
+//! independently failable: every scan runs on the fleet's scan-worker pool
+//! (`workers`: a parked thread when one is free, a new one otherwise —
+//! never queued behind another scan) — the fused scan of the admitted
+//! shards as one job per chunk of the batch's queries, a shard left out of
+//! it as a job of its own.
+//! Transient errors are retried per [`crate::health::RetryPolicy`], shards
 //! whose [`crate::health::CircuitBreaker`] is open are skipped outright, and
-//! whatever has not answered by the deadline is abandoned. The caller gets a
+//! whatever has not answered by the deadline is abandoned. A shard whose
+//! injected fault would fire is left out of the fused job, and a fused job
+//! that errors or panics is redone one job per shard, so a faulty shard
+//! costs its own coverage and no other shard's. The caller gets a
 //! [`DegradedResult`]: the merged top-k over the responsive shards, a
 //! [`ShardStatus`] per shard, and the covered fraction. With every shard
 //! healthy the merged output is bit-identical to [`FleetReader::search`].
@@ -127,7 +148,7 @@ use crate::fault::FaultPlan;
 use crate::health::{BreakerConfig, BreakerState, HealthTracker, RetryPolicy};
 use crate::router::{ShardRouter, MAX_SHARDS};
 use juno_common::error::{Error, Result};
-use juno_common::index::{AnnIndex, SearchResult};
+use juno_common::index::{AnnIndex, DriftReport, SearchResult};
 use juno_common::metrics::{Counter, Registry, RegistrySnapshot};
 use juno_common::topk::ScoreOrder;
 use juno_common::vector::VectorSet;
@@ -614,6 +635,10 @@ impl<I: AnnIndex + Clone> AnnIndex for ShardedIndex<I> {
 
     fn merge_order(&self) -> ScoreOrder {
         self.load(0).index.merge_order()
+    }
+
+    fn drift_report(&self) -> Option<DriftReport> {
+        ShardedIndex::drift_report(self)
     }
 
     /// Simulates through the first shard. Shards split from one index share

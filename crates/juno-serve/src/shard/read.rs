@@ -1,5 +1,6 @@
-//! The read side of the fleet: pinned readers, plan-once scatter-gather, and
-//! the deadline-aware degraded path (see the [`shard`](super) module docs).
+//! The read side of the fleet: pinned readers, the plan-once fused scan and
+//! per-shard scatter-gather, and the deadline-aware degraded path (see the
+//! [`shard`](super) module docs).
 
 use super::workers::ScanWorkers;
 use super::ShardState;
@@ -112,6 +113,40 @@ impl DegradedBatch {
 /// scanned from the fleet's shared plan.
 type ShardBatch = (Vec<SearchResult>, PlanUse);
 
+/// One answer the gather merges: a shard's own scan of the batch, or the
+/// fused scan of several global-id shards' segments.
+#[derive(Debug)]
+struct Part {
+    /// The shard whose id map translates the results (for a fused scan,
+    /// the first of its shards: global-id shards translate nothing).
+    shard: usize,
+    /// How many shards the answer covers.
+    covers: usize,
+    results: Vec<SearchResult>,
+    used: PlanUse,
+}
+
+impl Part {
+    fn shard(shard: usize, (results, used): ShardBatch) -> Self {
+        Self {
+            shard,
+            covers: 1,
+            results,
+            used,
+        }
+    }
+}
+
+/// What a scan worker sends back on the degraded path.
+enum Reply {
+    /// Shard `s`'s own scan.
+    Shard(usize, Result<ShardBatch>),
+    /// Chunk `c` of the fused scan: its queries' results, or `None` when
+    /// the scan declined, failed or panicked and the shards it covers must
+    /// be scanned one by one.
+    Fused(usize, Option<Vec<SearchResult>>),
+}
+
 /// Plans a fleet batch **once**, on `planner`'s engine, for every shard to
 /// scan from — the front half (coarse filter, RT traversal, selective LUT)
 /// is most of a thin-list search, and replicas would each recompute it from
@@ -152,9 +187,36 @@ fn scan_shard<I: AnnIndex>(
     }
 }
 
+/// The fused scan of `states`' segments as one index
+/// ([`AnnIndex::search_batch_fused`]) from the batch's shared plan, with
+/// `num_threads` workers; `Ok(None)` when the engine declines.
+fn scan_fused<I: AnnIndex>(
+    states: &[&ShardState<I>],
+    queries: &VectorSet,
+    k: usize,
+    num_threads: usize,
+    plan: &BatchPlan,
+) -> Result<Option<Vec<SearchResult>>> {
+    let replicas: Vec<&I> = states.iter().map(|state| &state.index).collect();
+    I::search_batch_fused(&replicas, queries, k, num_threads, plan)
+}
+
+/// The query ranges of a fused batch's jobs: `num_queries` cut into at most
+/// `max_chunks` non-empty contiguous runs of near-equal length (one run,
+/// the whole batch, when there is at most one query or one chunk).
+fn fused_chunks(
+    num_queries: usize,
+    max_chunks: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let chunks = num_queries.min(max_chunks).max(1);
+    (0..chunks).map(move |c| c * num_queries / chunks..(c + 1) * num_queries / chunks)
+}
+
 /// One shard's scan on the degraded path: fault injection, panic isolation,
 /// and bounded retry for transient errors — everything that runs *on the
 /// worker thread*, so a stall or panic here never touches the caller.
+/// `counted`: the first attempt's `FaultOp::Search` was already counted
+/// (the shard left a fused scan that counted it), so only retries inject.
 #[allow(clippy::too_many_arguments)]
 fn scan_shard_guarded<I: AnnIndex>(
     state: &ShardState<I>,
@@ -165,11 +227,12 @@ fn scan_shard_guarded<I: AnnIndex>(
     deadline: Instant,
     fault: Option<&FaultPlan>,
     retry: RetryPolicy,
+    mut counted: bool,
 ) -> Result<ShardBatch> {
     let mut attempt = 0u32;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<ShardBatch> {
-            if let Some(faults) = fault {
+            if let Some(faults) = fault.filter(|_| !std::mem::take(&mut counted)) {
                 faults.inject(s, FaultOp::Search)?;
             }
             // Inner thread budget 1: the scatter already gave this shard a
@@ -249,26 +312,32 @@ impl<I: AnnIndex> FleetReader<I> {
         }
     }
 
-    /// Gathers per-shard results for one query into the global top-k. Each
+    /// Gathers the parts' results for one query into the global top-k. Each
     /// entry carries its true shard index so a degraded gather (a subset of
     /// shards) still translates mapped ids correctly; the merge itself is
     /// order-independent (deterministic tie by id), so merging a subset is
     /// bit-identical to a fleet that only contained those shards.
     /// `shared_front` is the front-half work of the query's shared plan,
-    /// when some shard scanned from it: those shards reported none of their
-    /// own, so it is merged once on their behalf.
+    /// when some part scanned from it: those parts reported none of their
+    /// own, so it is merged once on their behalf. Each of them did expand
+    /// the plan's selective tables, the same ones, so their
+    /// `lut_distances` count once too.
     fn gather_indexed(
         &self,
-        per_shard: Vec<(usize, SearchResult)>,
+        per_part: Vec<(usize, PlanUse, SearchResult)>,
         shared_front: Option<&SearchStats>,
         k: usize,
         order: ScoreOrder,
     ) -> SearchResult {
         let mut stats = SearchStats::default();
         let mut simulated_us = 0.0f64;
-        let mut lists = Vec::with_capacity(per_shard.len());
-        for (s, mut result) in per_shard {
+        let mut lists = Vec::with_capacity(per_part.len());
+        let mut tables_counted = false;
+        for (s, used, mut result) in per_part {
             self.globalise(s, &mut result, order);
+            if used == PlanUse::Shared && std::mem::replace(&mut tables_counted, true) {
+                result.stats.lut_distances = 0;
+            }
             stats.merge_scatter(&result.stats);
             simulated_us = simulated_us.max(result.simulated_us);
             lists.push(result.neighbors);
@@ -283,46 +352,51 @@ impl<I: AnnIndex> FleetReader<I> {
         }
     }
 
-    /// Gathers a scattered batch — `shard_batches[s]` is shard `s`'s answer,
-    /// `None` for a shard that did not contribute — into per-query results,
-    /// plus how many contributing shards shared the plan and how many
-    /// re-planned.
+    /// Gathers a batch's parts into per-query results, plus how many of
+    /// the shards they cover shared the plan and how many re-planned.
     fn gather_batch(
         &self,
-        mut shard_batches: Vec<Option<ShardBatch>>,
+        mut parts: Vec<Part>,
         plan: Option<&BatchPlan>,
         num_queries: usize,
         k: usize,
     ) -> (Vec<SearchResult>, usize, usize) {
         let order = self.states[0].index.merge_order();
         let (mut shared, mut replanned) = (0usize, 0usize);
-        for (_, used) in shard_batches.iter().flatten() {
-            match used {
-                PlanUse::Shared => shared += 1,
-                PlanUse::Replanned => replanned += 1,
+        for part in &parts {
+            match part.used {
+                PlanUse::Shared => shared += part.covers,
+                PlanUse::Replanned => replanned += part.covers,
             }
         }
         let plan = plan.filter(|_| shared > 0);
         let results = (0..num_queries)
             .map(|qi| {
-                let per_shard = shard_batches
+                let per_part = parts
                     .iter_mut()
-                    .enumerate()
-                    .filter_map(|(s, slot)| {
-                        slot.as_mut()
-                            .map(|(batch, _)| (s, std::mem::take(&mut batch[qi])))
-                    })
+                    .map(|part| (part.shard, part.used, std::mem::take(&mut part.results[qi])))
                     .collect();
-                self.gather_indexed(per_shard, plan.map(|p| p.front_stats(qi)), k, order)
+                self.gather_indexed(per_part, plan.map(|p| p.front_stats(qi)), k, order)
             })
             .collect();
         (results, shared, replanned)
     }
 
+    /// Whether the batch can take the fused scan: a shared plan, and a
+    /// global-id fleet (mapped shards own unrelated id spaces).
+    fn fusable(&self, plan: Option<&BatchPlan>) -> bool {
+        plan.is_some() && self.states.iter().all(|state| state.id_map.is_none())
+    }
+
     /// The exact scatter-gather behind [`FleetReader::search`] and
-    /// [`FleetReader::search_batch_threads`]: plan the batch once, scan
-    /// every shard from that plan on up to `outer` workers (each scan with
-    /// an `inner` thread budget), gather. Any shard error fails the batch.
+    /// [`FleetReader::search_batch_threads`]: plan the batch once, then scan
+    /// every shard's segments as one index with `outer × inner` threads
+    /// when the fleet and the engine allow it; otherwise scan each shard
+    /// from the plan on up to `outer` workers (each with an `inner` thread
+    /// budget) and gather. Any shard error fails the batch: a fused scan
+    /// that fails or panics is redone shard by shard, which reports the
+    /// error (or the panic, as [`Error::WorkerPanicked`]) as the shard
+    /// itself does.
     fn scatter(
         &self,
         queries: &VectorSet,
@@ -331,24 +405,43 @@ impl<I: AnnIndex> FleetReader<I> {
         inner: usize,
     ) -> Result<Vec<SearchResult>> {
         let plan = plan_once(&self.states[0], queries, outer * inner);
-        let shard_batches = parallel::map(self.states.len(), outer, |s| {
-            scan_shard(&self.states[s], queries, k, inner, plan.as_ref())
+        if let Some(plan) = plan.as_ref().filter(|p| self.fusable(Some(p))) {
+            let states: Vec<&ShardState<I>> = self.states.iter().map(|s| &**s).collect();
+            let fused = catch_unwind(AssertUnwindSafe(|| {
+                scan_fused(&states, queries, k, outer * inner, plan)
+            }));
+            if let Ok(Ok(Some(results))) = fused {
+                let part = Part {
+                    shard: 0,
+                    covers: states.len(),
+                    results,
+                    used: PlanUse::Shared,
+                };
+                return Ok(self
+                    .gather_batch(vec![part], Some(plan), queries.len(), k)
+                    .0);
+            }
+        }
+        let parts = parallel::map(self.states.len(), outer, |s| {
+            scan_shard(&self.states[s], queries, k, inner, plan.as_ref()).map(|b| Part::shard(s, b))
         })?
         .into_iter()
-        .map(|batch| batch.map(Some))
         .collect::<Result<Vec<_>>>()?;
-        Ok(self
-            .gather_batch(shard_batches, plan.as_ref(), queries.len(), k)
-            .0)
+        Ok(self.gather_batch(parts, plan.as_ref(), queries.len(), k).0)
     }
 
-    /// Scatter-gather search of one query: the query's front half is
-    /// planned once ([`AnnIndex::plan_batch`]), the shard scans fan out
-    /// across the work-stealing pool (one task per shard, up to the default
-    /// thread budget) and the per-shard top-k lists merge deterministically
-    /// (tie by id) into the global top-k. Results are identical to a
-    /// sequential shard loop of [`AnnIndex::search`] — neither the shared
-    /// plan nor the scheduling changes anything but latency.
+    /// Searches one query across the fleet: its front half is planned once
+    /// ([`AnnIndex::plan_batch`]), and on a global-id fleet of an engine
+    /// with a fused scan ([`AnnIndex::search_batch_fused`]: JUNO) every
+    /// shard's segments are scanned as one index on the calling thread —
+    /// one selector, each probe's table expanded once, the monolith's
+    /// prune decisions and work. Mapped fleets, engines without a fused
+    /// scan and shards whose plan stamps differ fan one task per shard out
+    /// across the work-stealing pool (up to the default thread budget) and
+    /// merge the per-shard top-k lists deterministically (tie by id).
+    /// Results are identical either way, to a sequential shard loop of
+    /// [`AnnIndex::search`] — neither the shared plan nor the scan changes
+    /// anything but work and latency.
     ///
     /// # Errors
     ///
@@ -360,20 +453,19 @@ impl<I: AnnIndex> FleetReader<I> {
         Ok(results.pop().expect("one query in, one result out"))
     }
 
-    /// Scatter-gather batch search with an explicit worker-thread budget:
-    /// the batch is planned once with the whole budget, then the budget is
-    /// split across the shards — up to `S` outer workers scan shards
-    /// concurrently, each fanning its shard's batch through the engine's
-    /// own batched path with the remaining budget. For JUNO shards that
-    /// path is the **cluster-major grouped executor** entered at its second
-    /// step: each shard takes the shared plans, routes them into a
-    /// cluster→query-group schedule over its own lists and streams every
-    /// probed cluster's code blocks once per query group (a shard whose
-    /// plan stamp differs from the planner's plans locally first, as every
-    /// IVFPQ shard does). Per-query results then merge across shards under
-    /// the usual deterministic order. `num_threads = 1` recovers the
-    /// sequential shard-by-shard loop; results are identical — ids and
-    /// distance bits — for every budget and execution strategy.
+    /// Batch search across the fleet with an explicit worker-thread budget:
+    /// the batch is planned once with the whole budget. A global-id fleet
+    /// of an engine with a fused scan then runs the engine's batched path —
+    /// for JUNO the **cluster-major grouped executor** entered at its
+    /// second step — once, over every shard's segments as one index, with
+    /// the whole budget. Otherwise the budget is split across the shards:
+    /// up to `S` outer workers scan shards concurrently, each fanning its
+    /// shard's batch through the engine's own batched path with the
+    /// remaining budget (a shard whose plan stamp differs from the
+    /// planner's plans locally first, as every IVFPQ shard does), and
+    /// per-query results merge across shards under the usual deterministic
+    /// order. Results are identical — ids and distance bits — for every
+    /// budget and execution strategy.
     ///
     /// # Errors
     ///
@@ -449,6 +541,19 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
     /// one scatter for the whole batch (each responsive shard scans all
     /// queries; the per-shard statuses apply batch-wide).
     ///
+    /// On a global-id fleet of an engine with a fused scan
+    /// ([`AnnIndex::search_batch_fused`]: JUNO) the admitted shards are
+    /// scanned as one index — the monolith's work, where one job per shard
+    /// each filled a top-k of its own — by one scan-worker job per chunk of
+    /// the batch's queries (a lone query is one job), each chunk with its
+    /// slice of the one plan. The
+    /// per-shard scatter still runs for mapped fleets, for a shard whose
+    /// [`crate::FaultOp::Search`] rule would fire (it takes a job of its own,
+    /// the rest stay fused), and as the fallback when the fused job
+    /// declines (stamps differ), errors or panics: then every shard it
+    /// covered is scanned by a job of its own, so a faulty shard still
+    /// costs only its own coverage.
+    ///
     /// # Errors
     ///
     /// Never fails per-shard; see [`FleetReader::search_deadline`].
@@ -482,20 +587,26 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
             .iter()
             .position(Option::is_some)
             .and_then(|s| plan_once(&self.states[s], queries, 1));
+        // The fused group: every admitted shard whose `Search` op would not
+        // fire, counted now as its scan's injection would count it.
+        let fused: Vec<usize> = if self.fusable(plan.as_ref()) {
+            (0..total)
+                .filter(|&s| admitted[s].is_some())
+                .filter(|&s| {
+                    self.fault
+                        .as_ref()
+                        .is_none_or(|f| f.pass(s, FaultOp::Search))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
 
-        // One copy of the batch, shared by every shard's job.
+        // One copy of the batch, shared by every job. The sender stays
+        // here: a fused job that falls back submits per-shard jobs late.
         let queries = Arc::new(queries.clone());
-        let (tx, rx) = mpsc::channel::<(usize, Result<ShardBatch>)>();
-        let mut statuses: Vec<ShardStatus> = Vec::with_capacity(total);
-        let mut outstanding = 0usize;
-        for (s, admit) in admitted.iter().enumerate() {
-            if admit.is_none() {
-                statuses.push(ShardStatus::SkippedOpen);
-                continue;
-            }
-            // Provisional: overwritten when (if) the worker reports in.
-            statuses.push(ShardStatus::TimedOut);
-            outstanding += 1;
+        let (tx, rx) = mpsc::channel::<Reply>();
+        let submit_shard = |s: usize, counted: bool| {
             let state = self.states[s].clone();
             let queries = Arc::clone(&queries);
             let plan = plan.clone();
@@ -513,32 +624,117 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
                     deadline,
                     fault.as_deref(),
                     retry,
+                    counted,
                 );
-                (s, out)
+                Reply::Shard(s, out)
+            });
+        };
+        let mut statuses: Vec<ShardStatus> = Vec::with_capacity(total);
+        let mut outstanding = 0usize;
+        for (s, admit) in admitted.iter().enumerate() {
+            if admit.is_none() {
+                statuses.push(ShardStatus::SkippedOpen);
+                continue;
+            }
+            // Provisional: overwritten when (if) a worker reports in.
+            statuses.push(ShardStatus::TimedOut);
+            if !fused.contains(&s) {
+                outstanding += 1;
+                submit_shard(s, false);
+            }
+        }
+        // The fused scan runs as one job per chunk of the batch's queries,
+        // at most one chunk per fused shard — the pool parks a worker per
+        // shard, so the chunks start without a thread start — and each with
+        // its slice of the one plan. A lone query is one job; a 16-query
+        // batch on the ledger's online fleet took a median of 1.66 ms as
+        // one job and 1.0 ms as four (2 vCPUs, five and four traced runs).
+        let chunks = match &plan {
+            Some(plan) if !fused.is_empty() => fused_chunks(queries.len(), fused.len())
+                .map(|range| (plan.slice(range.clone()), range))
+                .collect(),
+            _ => Vec::new(),
+        };
+        let mut chunk_results: Vec<Option<Vec<SearchResult>>> = vec![None; chunks.len()];
+        let (mut chunks_pending, mut fused_failed) = (chunks.len(), false);
+        for (c, (chunk_plan, range)) in chunks.into_iter().enumerate() {
+            outstanding += 1;
+            let states: Vec<Arc<ShardState<I>>> =
+                fused.iter().map(|&s| self.states[s].clone()).collect();
+            let chunk_queries = if range.len() == queries.len() {
+                Arc::clone(&queries)
+            } else {
+                Arc::new(queries.select(&range.collect::<Vec<_>>())?)
+            };
+            self.workers.submit(tx.clone(), move || {
+                let states: Vec<&ShardState<I>> = states.iter().map(|s| &**s).collect();
+                // Inner thread budget 1, as for a shard's own scan.
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    scan_fused(&states, &chunk_queries, k, 1, &chunk_plan)
+                }));
+                Reply::Fused(c, out.ok().and_then(Result::ok).flatten())
             });
         }
-        drop(tx);
         let admit_gen = |s: usize| admitted[s].expect("only admitted shards report");
 
-        let mut shard_batches: Vec<Option<ShardBatch>> = (0..total).map(|_| None).collect();
+        let mut parts: Vec<Part> = Vec::with_capacity(total);
         while outstanding > 0 {
             let wait = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(wait) {
-                Ok((s, Ok(batch))) => {
+                Ok(Reply::Shard(s, Ok(batch))) => {
                     self.health.breaker(s).record_success(admit_gen(s));
-                    shard_batches[s] = Some(batch);
+                    parts.push(Part::shard(s, batch));
                     statuses[s] = ShardStatus::Ok;
                     outstanding -= 1;
                 }
-                Ok((s, Err(err))) => {
+                Ok(Reply::Shard(s, Err(err))) => {
                     self.health.breaker(s).record_failure(admit_gen(s));
                     statuses[s] = ShardStatus::Failed(err);
                     outstanding -= 1;
                 }
-                // Deadline reached (or, with nothing submitted, channel closed):
-                // whatever has not answered stays `TimedOut`.
+                Ok(Reply::Fused(c, Some(results))) => {
+                    outstanding -= 1;
+                    if fused_failed {
+                        continue;
+                    }
+                    chunk_results[c] = Some(results);
+                    chunks_pending -= 1;
+                    if chunks_pending == 0 {
+                        for &s in &fused {
+                            self.health.breaker(s).record_success(admit_gen(s));
+                            statuses[s] = ShardStatus::Ok;
+                        }
+                        parts.push(Part {
+                            shard: fused[0],
+                            covers: fused.len(),
+                            results: chunk_results
+                                .iter_mut()
+                                .flat_map(|r| r.take())
+                                .flatten()
+                                .collect(),
+                            used: PlanUse::Shared,
+                        });
+                    }
+                }
+                Ok(Reply::Fused(_, None)) => {
+                    outstanding -= 1;
+                    // The first failed chunk sends each shard the fused
+                    // scan covered a job of its own for the whole batch;
+                    // their `Search` ops were counted when it was
+                    // submitted. Later chunks' replies are dropped.
+                    if !std::mem::replace(&mut fused_failed, true) {
+                        outstanding += fused.len();
+                        for &s in &fused {
+                            submit_shard(s, true);
+                        }
+                    }
+                }
+                // Deadline reached: whatever has not answered stays
+                // `TimedOut`.
                 Err(mpsc::RecvTimeoutError::Timeout) => break,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    unreachable!("the sender lives until the gather")
+                }
             }
         }
         // Stragglers (still provisional after the deadline) count against
@@ -552,7 +748,7 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
         let ok = statuses.iter().filter(|s| s.is_ok()).count();
         let coverage = ok as f64 / total.max(1) as f64;
         let (results, plan_shared_shards, plan_replanned_shards) =
-            self.gather_batch(shard_batches, plan.as_ref(), queries.len(), k);
+            self.gather_batch(parts, plan.as_ref(), queries.len(), k);
         Ok(DegradedBatch {
             results,
             shards: statuses,
@@ -560,5 +756,317 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
             plan_shared_shards,
             plan_replanned_shards,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{FaultKind, FaultRule};
+    use crate::router::ShardRouter;
+    use crate::shard::ShardedIndex;
+    use juno_common::metric::Metric;
+    use juno_common::topk::TopK;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// How a [`Rows`] replica misbehaves.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Poison {
+        None,
+        /// Every scan of this replica fails, its own or a fused one.
+        Fail,
+        /// A fused scan covering this replica panics; its own scan works.
+        PanicFused,
+    }
+
+    /// An exhaustive engine with a shareable plan and a fused scan that
+    /// searches its replicas one after the other and merges: enough to
+    /// drive the fleet's choice between the fused scan and the per-shard
+    /// scatter, and the fallback between them.
+    #[derive(Debug, Clone)]
+    struct Rows {
+        rows: Vec<(u64, Vec<f32>)>,
+        next_id: u64,
+        poison: Poison,
+        fused_calls: Arc<AtomicUsize>,
+    }
+
+    impl AnnIndex for Rows {
+        fn metric(&self) -> Metric {
+            Metric::L2
+        }
+        fn dim(&self) -> usize {
+            2
+        }
+        fn len(&self) -> usize {
+            self.rows.len()
+        }
+        fn search(&self, query: &[f32], k: usize) -> Result<SearchResult> {
+            if self.poison == Poison::Fail {
+                return Err(Error::corrupted("a poisoned replica"));
+            }
+            let mut topk = TopK::new(k, Metric::L2);
+            for (id, row) in &self.rows {
+                topk.push(*id, Metric::L2.distance(query, row));
+            }
+            Ok(SearchResult {
+                neighbors: topk.into_sorted_vec(),
+                stats: SearchStats {
+                    candidates: self.rows.len(),
+                    ..SearchStats::default()
+                },
+                ..SearchResult::default()
+            })
+        }
+        fn supports_mutation(&self) -> bool {
+            true
+        }
+        fn remove(&mut self, id: u64) -> Result<bool> {
+            let before = self.rows.len();
+            self.rows.retain(|(row_id, _)| *row_id != id);
+            Ok(self.rows.len() < before)
+        }
+        fn ids(&self) -> Vec<u64> {
+            self.rows.iter().map(|(id, _)| *id).collect()
+        }
+        fn plan_batch(&self, queries: &VectorSet, _: usize) -> Result<Option<BatchPlan>> {
+            let front = vec![SearchStats::default(); queries.len()];
+            Ok(Some(BatchPlan::new(
+                self.next_id,
+                front,
+                vec![(); queries.len()],
+            )))
+        }
+        fn search_batch_planned(
+            &self,
+            queries: &VectorSet,
+            k: usize,
+            num_threads: usize,
+            _: &BatchPlan,
+        ) -> Result<(Vec<SearchResult>, PlanUse)> {
+            let results = self.search_batch_threads(queries, k, num_threads)?;
+            Ok((results, PlanUse::Shared))
+        }
+        fn search_batch_fused(
+            replicas: &[&Self],
+            queries: &VectorSet,
+            k: usize,
+            _: usize,
+            _: &BatchPlan,
+        ) -> Result<Option<Vec<SearchResult>>> {
+            replicas[0].fused_calls.fetch_add(1, Ordering::Relaxed);
+            if replicas.iter().any(|r| r.poison == Poison::PanicFused) {
+                panic!("[injected-fault] a fused scan panicked");
+            }
+            let mut per_replica = Vec::new();
+            for replica in replicas {
+                per_replica.push(replica.search_batch_threads(queries, k, 1)?);
+            }
+            Ok(Some(merged(&per_replica, queries.len(), k)))
+        }
+    }
+
+    /// Per query, the merge of `per_shard`'s lists (neighbours only).
+    fn merged(per_shard: &[Vec<SearchResult>], nq: usize, k: usize) -> Vec<SearchResult> {
+        (0..nq)
+            .map(|q| {
+                let lists: Vec<_> = per_shard.iter().map(|r| r[q].neighbors.clone()).collect();
+                SearchResult {
+                    neighbors: merge_neighbors(&lists, k, ScoreOrder::Ascending),
+                    ..SearchResult::default()
+                }
+            })
+            .collect()
+    }
+
+    fn fleet(fused_calls: &Arc<AtomicUsize>) -> ShardedIndex<Rows> {
+        let rows = (0..400u64)
+            .map(|i| (i, vec![(i % 20) as f32, (i / 20) as f32 * 0.5]))
+            .collect();
+        let monolith = Rows {
+            rows,
+            next_id: 400,
+            poison: Poison::None,
+            fused_calls: fused_calls.clone(),
+        };
+        ShardedIndex::from_monolith(monolith, 4, ShardRouter::Hash { seed: 5 }).expect("fleet")
+    }
+
+    fn queries() -> VectorSet {
+        VectorSet::from_rows(
+            (0..5)
+                .map(|i| vec![i as f32 * 3.3, i as f32 * 1.7])
+                .collect(),
+        )
+        .expect("queries")
+    }
+
+    /// What `shards` answer on their own, merged.
+    fn healthy_merge(reader: &FleetReader<Rows>, shards: &[usize], k: usize) -> Vec<SearchResult> {
+        let per_shard: Vec<Vec<SearchResult>> = shards
+            .iter()
+            .map(|&s| {
+                let mut own = reader.states[s].clone();
+                Arc::make_mut(&mut own).index.poison = Poison::None;
+                own.index
+                    .search_batch_threads(&queries(), k, 1)
+                    .expect("own")
+            })
+            .collect();
+        merged(&per_shard, queries().len(), k)
+    }
+
+    fn neighbours(results: &[SearchResult]) -> Vec<Vec<(u64, u32)>> {
+        results
+            .iter()
+            .map(|r| {
+                r.neighbors
+                    .iter()
+                    .map(|n| (n.id, n.distance.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn poison(reader: &mut FleetReader<Rows>, s: usize, poison: Poison) {
+        let state = Arc::make_mut(&mut reader.states[s]);
+        state.index.poison = poison;
+    }
+
+    const K: usize = 7;
+    const BUDGET: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn fused_chunks_cut_a_batch_into_contiguous_non_empty_runs() {
+        let cut = |n, max| {
+            fused_chunks(n, max)
+                .map(|r| (r.start, r.end))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cut(0, 4), [(0, 0)]);
+        assert_eq!(cut(1, 4), [(0, 1)]);
+        assert_eq!(cut(5, 1), [(0, 5)]);
+        assert_eq!(cut(5, 4), [(0, 1), (1, 2), (2, 3), (3, 5)]);
+        assert_eq!(cut(16, 4), [(0, 4), (4, 8), (8, 12), (12, 16)]);
+        assert_eq!(cut(3, 7), [(0, 1), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn a_global_id_fleet_scans_its_shards_as_one_index() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let reader = fleet(&calls).reader();
+        let want = neighbours(&healthy_merge(&reader, &[0, 1, 2, 3], K));
+        let got = reader
+            .search_batch_deadline(&queries(), K, BUDGET)
+            .expect("batch");
+        assert!(got.is_complete());
+        assert_eq!((got.plan_shared_shards, got.plan_replanned_shards), (4, 0));
+        assert_eq!(neighbours(&got.results), want);
+        // One fused job per chunk: five queries over four shards' workers.
+        assert_eq!(calls.load(Ordering::Relaxed), 4);
+        // The exact paths take it too, in one call on the caller's budget.
+        let batch = reader
+            .search_batch_threads(&queries(), K, 2)
+            .expect("exact");
+        assert_eq!(neighbours(&batch), want);
+        assert_eq!(calls.load(Ordering::Relaxed), 5);
+        let one = reader.search(queries().row(0), K).expect("search");
+        assert_eq!(neighbours(&[one]), want[..1]);
+        assert_eq!(calls.load(Ordering::Relaxed), 6);
+    }
+
+    #[test]
+    fn a_fused_batch_with_a_failing_shard_ends_with_that_shard_failed() {
+        juno_common::testing::silence_panics();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut reader = fleet(&calls).reader();
+        poison(&mut reader, 2, Poison::Fail);
+        let got = reader
+            .search_batch_deadline(&queries(), K, BUDGET)
+            .expect("batch");
+        assert!(
+            matches!(got.shards[2], ShardStatus::Failed(Error::Corrupted(_))),
+            "{:?}",
+            got.shards
+        );
+        for s in [0, 1, 3] {
+            assert!(got.shards[s].is_ok(), "shard {s}: {:?}", got.shards[s]);
+        }
+        assert_eq!(got.coverage, 0.75);
+        assert_eq!(got.plan_shared_shards, 3);
+        let want = neighbours(&healthy_merge(&reader, &[0, 1, 3], K));
+        assert_eq!(
+            neighbours(&got.results),
+            want,
+            "the healthy shards' exact merge"
+        );
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            4,
+            "each chunk's fused job fails once, then each shard scans alone"
+        );
+        // The exact paths fail the request with the shard's own error.
+        assert!(matches!(
+            reader.search_batch_threads(&queries(), K, 2),
+            Err(Error::Corrupted(_))
+        ));
+
+        // A fused scan that panics costs nothing but the detour.
+        let mut reader = fleet(&calls).reader();
+        poison(&mut reader, 1, Poison::PanicFused);
+        let got = reader
+            .search_batch_deadline(&queries(), K, BUDGET)
+            .expect("batch");
+        assert!(got.is_complete(), "{:?}", got.shards);
+        let want = neighbours(&healthy_merge(&reader, &[0, 1, 2, 3], K));
+        assert_eq!(neighbours(&got.results), want);
+        assert_eq!(
+            neighbours(&reader.search_batch_threads(&queries(), K, 2).unwrap()),
+            want
+        );
+    }
+
+    #[test]
+    fn a_shard_whose_fault_would_fire_leaves_the_fused_job_and_counts_once() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let fleet = fleet(&calls);
+        let plan = Arc::new(FaultPlan::new(4).with_rule(FaultRule {
+            shard: 1,
+            op: FaultOp::Search,
+            from_op: 1,
+            until_op: Some(2),
+            kind: FaultKind::Fail,
+        }));
+        fleet.set_fault_plan(Some(plan.clone()));
+        let reader = fleet.reader();
+        // Op 0 fires nowhere: the fused jobs (four chunks) count every
+        // shard once.
+        let got = reader
+            .search_batch_deadline(&queries(), K, BUDGET)
+            .expect("batch");
+        assert!(got.is_complete());
+        assert_eq!(calls.load(Ordering::Relaxed), 4);
+        // Op 1 fires on shard 1: it scans alone and fails (retried once,
+        // and counted again); the other three stay fused.
+        let got = reader
+            .search_batch_deadline(&queries(), K, BUDGET)
+            .expect("batch");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            4 + 3,
+            "three shards, three chunks"
+        );
+        let want = neighbours(&healthy_merge(&reader, &[0, 1, 2, 3], K));
+        assert_eq!(
+            got.coverage, 1.0,
+            "the transient-class fault clears on retry"
+        );
+        assert_eq!(neighbours(&got.results), want);
+        let counts: Vec<u64> = (0..4).map(|s| plan.op_count(s, FaultOp::Search)).collect();
+        assert_eq!(
+            counts,
+            [2, 3, 2, 2],
+            "one count per attempt, as inject counts"
+        );
     }
 }

@@ -428,3 +428,38 @@ fn drift_churn_degrades_recall_and_background_refresh_repairs_it() {
         "refresh must reset the trigger, got {after_report:?}"
     );
 }
+
+/// A fleet reports its drift through the trait as it does through its own
+/// method: a rebuilder or a sweep holding `&dyn AnnIndex` must see a churned
+/// fleet's drift, not the trait's "does not track drift".
+#[test]
+fn a_churned_fleet_reports_its_drift_through_the_trait() {
+    use juno::serve::{ShardRouter, ShardedIndex};
+
+    let ds = dataset();
+    let engine = JunoIndex::build(
+        &ds.points,
+        &JunoConfig {
+            n_clusters: 16,
+            nprobs: 4,
+            pq_entries: 32,
+            ..JunoConfig::small_test(ds.dim(), ds.metric())
+        },
+    )
+    .expect("build");
+    let fleet =
+        ShardedIndex::from_monolith(engine, 3, ShardRouter::Hash { seed: 4 }).expect("fleet");
+    for id in (0..POINTS as u64).step_by(3) {
+        assert!(fleet.remove_shared(id).expect("remove"));
+    }
+    // Inserts off the training distribution move the EWMA.
+    for row in ds.queries.iter() {
+        let shifted: Vec<f32> = row.iter().map(|&x| x * 0.25 + 2.5).collect();
+        fleet.insert_shared(&shifted).expect("insert");
+    }
+    let own = fleet.drift_report().expect("a JUNO fleet tracks drift");
+    assert_eq!(own.inserts_tracked, QUERIES as u64);
+    assert_ne!(own.ewma_sq, own.baseline_mean_sq, "{own:?}");
+    let dynamic: &dyn AnnIndex = &fleet;
+    assert_eq!(dynamic.drift_report(), Some(own));
+}

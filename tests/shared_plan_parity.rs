@@ -12,7 +12,9 @@
 //!   own (`shard(s).index().search_batch_threads`, the pre-sharing
 //!   behaviour), merged with `merge_neighbors` and `merge_scatter`. Sharing
 //!   may not move a single execution-invariant statistic of that merge
-//!   other than collapsing the S identical front halves into one.
+//!   other than collapsing the S identical front halves into one — and,
+//!   since a lockstep fleet scans its shards as one index, the S identical
+//!   table expansions (`lut_builds`) into one.
 //!
 //! The plan stamp is what makes sharing safe, so the suite also drives the
 //! ways replicas legitimately diverge — an insert one side has not seen, a
@@ -61,8 +63,8 @@ fn front(s: &SearchStats) -> [usize; 5] {
 
 /// What the fleet answered before plans were shared: every shard plans and
 /// searches the batch itself, lists merge by `merge_neighbors`, stats by
-/// `merge_scatter` — except that the front half, identical on every
-/// lockstep shard, is counted once.
+/// `merge_scatter` — except that the front half and the table expansions,
+/// identical on every lockstep shard, are counted once.
 fn per_shard_planned(reader: &FleetReader<JunoIndex>, queries: &VectorSet) -> Vec<SearchResult> {
     let order = reader.shard(0).index().merge_order();
     let per_shard: Vec<Vec<SearchResult>> = (0..reader.num_shards())
@@ -85,7 +87,14 @@ fn per_shard_planned(reader: &FleetReader<JunoIndex>, queries: &VectorSet) -> Ve
                     front(&per_shard[0][q].stats),
                     "lockstep shards plan identically"
                 );
-                stats.merge_scatter(&shard[q].stats.without_front_counters());
+                assert_eq!(
+                    shard[q].stats.lut_builds, per_shard[0][q].stats.lut_builds,
+                    "lockstep shards expand every probe"
+                );
+                stats.merge_scatter(&SearchStats {
+                    lut_builds: 0,
+                    ..shard[q].stats.without_front_counters()
+                });
                 simulated_us = simulated_us.max(shard[q].simulated_us);
                 lists.push(shard[q].neighbors.clone());
             }
@@ -95,6 +104,7 @@ fn per_shard_planned(reader: &FleetReader<JunoIndex>, queries: &VectorSet) -> Ve
                 rt_aabb_tests: per_shard[0][q].stats.rt_aabb_tests,
                 rt_primitive_tests: per_shard[0][q].stats.rt_primitive_tests,
                 rt_hits: per_shard[0][q].stats.rt_hits,
+                lut_builds: per_shard[0][q].stats.lut_builds,
                 ..SearchStats::default()
             };
             stats.merge_scatter(&once);
@@ -127,6 +137,10 @@ fn assert_all_paths(
                 front(&g.stats),
                 "{label}: query {q} carries the monolith's front-half counters, once"
             );
+            assert_eq!(
+                m.stats.lut_builds, g.stats.lut_builds,
+                "{label}: query {q}'s fused scan expands each probe once, as the monolith"
+            );
         }
     };
 
@@ -138,6 +152,12 @@ fn assert_all_paths(
     let label_one = format!("{label} search");
     assert_bit_identical(&monolith[..n], &singles, Stats::Any, &label_one);
     assert_bit_identical(&reference[..n], &singles, Stats::Invariant, &label_one);
+    for (q, (m, g)) in monolith.iter().zip(&singles).enumerate() {
+        assert_eq!(
+            m.stats.lut_builds, g.stats.lut_builds,
+            "{label_one}: query {q}'s fused scan expands each probe once, as the monolith"
+        );
+    }
 
     for threads in [1usize, 3] {
         let got = reader
@@ -204,6 +224,8 @@ fn mips_shared_plan_reads_equal_the_monolith_and_the_per_shard_planned_fleet() {
 
 /// `receiver` handed `plan`: the expected use, and — whatever the use — the
 /// answer it gives on its own, stat for stat, front-half counters aside.
+/// The plan carries the planning's cost; the selective tables are written,
+/// and their hits counted (`lut_distances`), by the scan that reads them.
 fn assert_planned(
     receiver: &JunoIndex,
     plan: &BatchPlan,
@@ -220,12 +242,19 @@ fn assert_planned(
         .expect("own batch");
     if want == PlanUse::Shared {
         for (q, r) in own.iter_mut().enumerate() {
+            let scanned = r.stats.lut_distances;
             assert_eq!(
                 front(plan.front_stats(q)),
-                front(&r.stats),
+                front(&SearchStats {
+                    lut_distances: 0,
+                    ..r.stats
+                }),
                 "{label}: the plan carries what query {q}'s front half cost"
             );
-            r.stats = r.stats.without_front_counters();
+            r.stats = SearchStats {
+                lut_distances: scanned,
+                ..r.stats.without_front_counters()
+            };
         }
     }
     assert_bit_identical(&own, &got, Stats::Full, label);
@@ -285,9 +314,10 @@ fn a_plan_is_used_only_by_an_engine_that_would_have_planned_the_same() {
         inserted.insert(ds.queries.row(0)).expect("insert");
     }
     let own = inserted.search(ds.queries.row(0), K).expect("own");
+    let before = a.search(ds.queries.row(0), K).expect("before");
     assert_ne!(
         front(&own.stats),
-        front(plan.front_stats(0)),
+        front(&before.stats),
         "the inserts were meant to move query 0's thresholds"
     );
     assert_planned(
