@@ -307,12 +307,14 @@ const RANK_SHIFT: u32 = 6;
 /// every `u16`.
 const RANK_BUCKETS: usize = (u16::MAX as usize >> RANK_SHIFT) + 1;
 
-/// The ranked visit's buffers, sized to the largest base segment visited
-/// (or, from [`ScanArena::for_lists`], to the largest there is).
+/// The ranked visit's buffers, sized to the largest base visited (or, from
+/// [`ScanArena::for_lists`], to the largest there is).
 #[derive(Debug)]
 struct RankedScratch {
-    /// Every base lane's quantised lower bound.
+    /// Every base lane's quantised lower bound, segment after segment.
     bounds: Vec<u16>,
+    /// Where each segment's lanes start in `bounds`, then the total.
+    starts: Vec<usize>,
     /// Base indices, bucket by bucket from the lowest bound up.
     order: Vec<u32>,
     /// The counting sort's bucket cursors (`RANK_BUCKETS + 1`).
@@ -328,6 +330,7 @@ impl RankedScratch {
     fn new() -> Self {
         Self {
             bounds: Vec::new(),
+            starts: Vec::new(),
             order: Vec::new(),
             cursors: vec![0; RANK_BUCKETS + 1],
             rows: Vec::new(),
@@ -337,12 +340,14 @@ impl RankedScratch {
     }
 
     /// Sizes the buffers for a base of `points` records of `subspaces`
-    /// codes (growth only, counted).
-    fn fit(&mut self, points: usize, subspaces: usize) {
+    /// codes over `segments` segments (growth only, counted).
+    fn fit(&mut self, points: usize, subspaces: usize, segments: usize) {
         let group = BLOCK_LANES * subspaces;
-        if self.bounds.len() < points || self.rows.len() < group {
+        if self.bounds.len() < points || self.rows.len() < group || self.starts.len() < segments + 1
+        {
             self.grow_events += 1;
             self.bounds.resize(points.max(self.bounds.len()), 0);
+            self.starts.resize((segments + 1).max(self.starts.len()), 0);
             self.order.resize(points.max(self.order.len()), 0);
             self.rows.resize(group.max(self.rows.len()), 0);
             self.codes.resize(group.max(self.codes.len()), 0);
@@ -351,6 +356,7 @@ impl RankedScratch {
 
     fn footprint(&self) -> usize {
         self.bounds.capacity()
+            + self.starts.capacity()
             + self.order.capacity()
             + self.rows.capacity()
             + self.codes.capacity()
@@ -381,7 +387,7 @@ impl<S> ScanArena<S> {
             .map(|c| lists.cluster_ids(c).len())
             .max()
             .unwrap_or(0);
-        arena.ranked.fit(largest, lists.num_subspaces());
+        arena.ranked.fit(largest, lists.num_subspaces(), 1);
         arena
     }
 
@@ -484,12 +490,17 @@ pub struct PlannedBatch<'a, E: ScanEngine> {
     pub k: usize,
 }
 
+/// Replicas whose segments of a cluster a visit holds on the stack; a
+/// slice of more holds them on the heap.
+const INLINE_SEGMENTS: usize = 8;
+
 /// One replica's segment of a probed cluster: its base (ids, point-major
 /// codes and block view), its append tail, and whether its tombstones must
 /// be checked.
 #[derive(Clone, Copy)]
 struct Segment<'l> {
     lists: &'l IvfListCodes,
+    cluster: usize,
     ids: &'l [u32],
     codes: &'l [u8],
     blocks: &'l BlockCodes,
@@ -506,6 +517,7 @@ impl<'l> Segment<'l> {
         let (tail_ids, tail_codes) = lists.cluster_tail(cluster);
         Self {
             lists,
+            cluster,
             ids: lists.cluster_ids(cluster),
             codes: lists.cluster_codes(cluster),
             blocks: lists.cluster_blocks(cluster),
@@ -601,18 +613,13 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
         self.replicas[0]
     }
 
-    /// Every replica's segment of `cluster`, in replica order.
-    fn segments(&self, cluster: usize) -> impl Iterator<Item = Segment<'a>> + '_ {
-        self.replicas
-            .iter()
-            .map(move |r| Segment::of(r.lists(), cluster))
-    }
-
     /// **The** cluster visit: scans `cluster` — every replica's segment of
     /// it — for a tile of up to [`GROUP_TILE`] `(query, probe)` entries,
     /// accumulating into `states[query]`. The caller has already faulted
     /// the cluster in on every replica ([`IvfListCodes::touch_cluster`]) —
-    /// the visit itself is infallible.
+    /// the visit itself is infallible. The segments are looked up once, on
+    /// the stack for up to [`INLINE_SEGMENTS`] replicas (a monolith's one
+    /// among them), and every phase reads them from there.
     fn visit(
         &self,
         cluster: usize,
@@ -621,7 +628,36 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
         states: &mut [QueryState],
         ranked: &mut RankedScratch,
     ) {
+        let first = Segment::of(self.engine().lists(), cluster);
+        let n = self.replicas.len();
+        if n <= INLINE_SEGMENTS {
+            let mut segs = [first; INLINE_SEGMENTS];
+            for (seg, replica) in segs.iter_mut().zip(self.replicas).skip(1) {
+                *seg = Segment::of(replica.lists(), cluster);
+            }
+            self.visit_segments(&segs[..n], entries, tile, states, ranked);
+        } else {
+            let segs: Vec<Segment<'a>> = self
+                .replicas
+                .iter()
+                .map(|replica| Segment::of(replica.lists(), cluster))
+                .collect();
+            self.visit_segments(&segs, entries, tile, states, ranked);
+        }
+    }
+
+    /// [`PlannedBatch::visit`] over the cluster's segments `segs`, in
+    /// replica order.
+    fn visit_segments(
+        &self,
+        segs: &[Segment<'a>],
+        entries: &[(u32, u32)],
+        tile: &mut [TileSlot<E::Slot>],
+        states: &mut [QueryState],
+        ranked: &mut RankedScratch,
+    ) {
         let engine = self.engine();
+        let cluster = segs[0].cluster;
         if engine.own_unit() {
             let slot = &mut tile[0].slot;
             for &(q, probe) in entries {
@@ -635,14 +671,8 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
                     cluster,
                     slot,
                 );
-                for replica in self.replicas {
-                    engine.scan_unit(
-                        slot,
-                        replica.lists(),
-                        cluster,
-                        &mut state.topk,
-                        &mut state.ctr,
-                    );
+                for seg in segs {
+                    engine.scan_unit(slot, seg.lists, cluster, &mut state.topk, &mut state.ctr);
                 }
             }
             return;
@@ -650,12 +680,11 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
 
         // The cluster's records over every segment: what the prune gate
         // weighs and what `candidates` counts.
-        let (mut base, mut stored) = (0usize, 0usize);
-        for replica in self.replicas {
-            let lists = replica.lists();
-            base += lists.cluster_ids(cluster).len();
-            stored += lists.cluster_stored(cluster);
-        }
+        let base: usize = segs.iter().map(|seg| seg.ids.len()).sum();
+        let stored: usize = segs
+            .iter()
+            .map(|seg| seg.ids.len() + seg.tail_ids.len())
+            .sum();
         let tile = &mut tile[..entries.len()];
 
         // Phase A: expand each query's table and gate its pruning.
@@ -719,7 +748,7 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
         let mut lanes_n = 0usize;
         for (ti, t) in tile.iter().enumerate() {
             if t.ranked {
-                self.ranked_visit(cluster, base, t, &mut states[t.query as usize], ranked);
+                self.ranked_visit(segs, base, t, &mut states[t.query as usize], ranked);
             } else if t.prune && !t.done {
                 lane_map[lanes_n] = ti;
                 lanes_n += 1;
@@ -733,7 +762,7 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
                 let worst = tighter_worst(states[t.query as usize].topk.worst_score(), t.seed);
                 *lane = GroupLane::new(&t.qlut, worst);
             }
-            for seg in self.segments(cluster) {
+            for seg in segs {
                 let subspaces = seg.lists.num_subspaces();
                 seg.blocks
                     .prune_scan_group(&mut lanes[..lanes_n], |li, handed| {
@@ -766,7 +795,7 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
                 continue;
             }
             let state = &mut states[t.query as usize];
-            for seg in self.segments(cluster) {
+            for seg in segs {
                 // Phase C: queries whose gate stayed shut (too little of
                 // the cluster left to prune once the top-k has filled,
                 // fast-scan off) scan the base exactly — block by block, or
@@ -819,7 +848,7 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
     #[inline(never)]
     fn ranked_visit(
         &self,
-        cluster: usize,
+        segs: &[Segment<'a>],
         base: usize,
         t: &TileSlot<E::Slot>,
         state: &mut QueryState,
@@ -829,9 +858,10 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
         let subspaces = engine.lists().num_subspaces();
         let n = base;
         let group = BLOCK_LANES * subspaces;
-        scratch.fit(n, subspaces);
+        scratch.fit(n, subspaces, segs.len());
         let RankedScratch {
             bounds,
+            starts,
             order,
             cursors,
             rows,
@@ -839,20 +869,17 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
             ..
         } = scratch;
         let (bounds, order) = (&mut bounds[..n], &mut order[..n]);
+        let starts = &mut starts[..segs.len() + 1];
         let (rows, codes) = (&mut rows[..group], &mut codes[..group]);
 
-        // The first segment (a monolith's only one) held apart, the others
-        // collected: base lane `i` of the side-by-side bounds is found
-        // without a walk over the replicas for the first.
-        let first = Segment::of(engine.lists(), cluster);
-        let rest: Vec<Segment<'_>> = self.segments(cluster).skip(1).collect();
-        let mut start = 0usize;
-        for seg in std::iter::once(&first).chain(&rest) {
-            let len = seg.ids.len();
+        starts[0] = 0;
+        for (r, seg) in segs.iter().enumerate() {
+            let (start, len) = (starts[r], seg.ids.len());
             seg.blocks
                 .lower_bounds(&t.qlut, &mut bounds[start..start + len]);
-            start += len;
+            starts[r + 1] = start + len;
         }
+        let ends = &starts[1..];
         cursors.fill(0);
         for &b in bounds.iter() {
             cursors[(b >> RANK_SHIFT) as usize + 1] += 1;
@@ -865,21 +892,6 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
             order[*cursor as usize] = i as u32;
             *cursor += 1;
         }
-        // Base lane `i` of the side-by-side bounds: its segment and its
-        // index there.
-        let locate = |i: usize| {
-            if i < first.ids.len() {
-                return (&first, i);
-            }
-            let mut i = i - first.ids.len();
-            for seg in &rest {
-                if i < seg.ids.len() {
-                    return (seg, i);
-                }
-                i -= seg.ids.len();
-            }
-            unreachable!("a base lane lies in some segment")
-        };
 
         let mut ids = [0u32; BLOCK_LANES];
         let mut gathered = 0usize;
@@ -919,7 +931,9 @@ impl<'a, E: ScanEngine> PlannedBatch<'a, E> {
                 settled += 1;
                 continue;
             }
-            let (seg, i) = locate(i);
+            // The lane's segment: the first whose lanes end past it.
+            let r = ends.partition_point(|&end| end <= i);
+            let (seg, i) = (&segs[r], i - starts[r]);
             let pid = seg.ids[i];
             if seg.is_deleted(pid) {
                 continue;

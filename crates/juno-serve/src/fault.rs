@@ -38,7 +38,9 @@ pub enum FaultOp {
     /// it, through the non-firing check (`FaultPlan::pass`); a shard whose
     /// rule would fire leaves the fused scan and takes its own, where the
     /// op is counted and fires at the scan's start, as on a mapped fleet.
-    /// Retries count again. The exact path ([`crate::FleetReader::search`])
+    /// Retries count again; a shard's own scan of a fused chunk that failed
+    /// counts only its retries (its first attempt was counted with the
+    /// fused scan). The exact path ([`crate::FleetReader::search`])
     /// is not instrumented: it is the bit-identity reference the
     /// differential suites compare against.
     Search,

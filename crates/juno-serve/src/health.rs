@@ -44,6 +44,7 @@
 
 use juno_common::metrics::Counter;
 use juno_common::rng::{derive_seed, seeded, Rng, StdRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -288,6 +289,9 @@ pub struct HealthTracker {
     inner: RwLock<HealthInner>,
     /// Every breaker's state-flip counter (`serve.breaker_transitions`).
     transitions: Arc<Counter>,
+    /// A fused scan (several shards' segments in one job) missed its
+    /// deadline since the last degraded batch formed a fused group.
+    fused_missed: AtomicBool,
 }
 
 #[derive(Debug)]
@@ -326,6 +330,7 @@ impl HealthTracker {
         Self {
             inner: RwLock::new(HealthInner::fresh(num_shards, breaker, retry, &transitions)),
             transitions,
+            fused_missed: AtomicBool::new(false),
         }
     }
 
@@ -346,6 +351,21 @@ impl HealthTracker {
     /// record_success/record_failure on the old breaker harmless.
     pub fn breaker(&self, shard: usize) -> Arc<CircuitBreaker> {
         self.inner.read().expect("health lock poisoned").breakers[shard].clone()
+    }
+
+    /// Notes that a fused scan missed its deadline. It cannot say whose
+    /// segment held it up, so it charges no breaker; instead the next
+    /// degraded batch ([`HealthTracker::take_fused_missed`]) scans each
+    /// shard on its own, where a shard that really stalls is timed out —
+    /// and charged — alone.
+    pub(crate) fn record_fused_missed(&self) {
+        self.fused_missed.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether a fused scan missed its deadline since the last call;
+    /// clears the note.
+    pub(crate) fn take_fused_missed(&self) -> bool {
+        self.fused_missed.swap(false, Ordering::Relaxed)
     }
 
     /// Number of shards tracked.

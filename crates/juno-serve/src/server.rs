@@ -9,10 +9,12 @@
 //!  query() ──┘   work-conserving)   └─ next_batch() ─┘   search_batch_deadline
 //!      ▲                                   │              plan once, then on the
 //!      │                                   │              parked scan workers:
-//!      │                                   │              one fused job over every
-//!      │                                   │              shard's segments, or a
+//!      │                                   │              fused jobs (one per chunk
+//!      │                                   │              of the queries) over all
+//!      │                                   │              shards' segments, or a
 //!      │                                   │              job per shard (mapped,
-//!      │                                   │              fault, fallback)
+//!      │                                   │              fault, a fused job late
+//!      │                                   │              last batch, fallback)
 //!      └────────── per-request reply ◀─────┴─ truncate to k ◀───┘
 //! ```
 //!

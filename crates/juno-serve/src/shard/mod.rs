@@ -80,9 +80,10 @@
 //! The **per-shard scatter** — each shard scanning its own lists from the
 //! plan ([`AnnIndex::search_batch_planned`]) on a worker of its own —
 //! still runs for mapped fleets, for engines without a fused scan, when a
-//! stamp differs, on the degraded path for a shard whose
-//! [`crate::FaultOp::Search`] rule would fire, and as the fallback of a
-//! fused scan that failed. A reply scanned from the shared plan reports no
+//! stamp differs, and on the degraded path for a shard whose
+//! [`crate::FaultOp::Search`] rule would fire, for the batch after a fused
+//! job missed its deadline, and as the fallback of a fused chunk that
+//! failed. A reply scanned from the shared plan reports no
 //! planning work; the gather adds the plan's counters once, and counts the
 //! selective tables the shared-plan shards each expanded
 //! (`lut_distances`) once too.
@@ -100,9 +101,13 @@
 //! Transient errors are retried per [`crate::health::RetryPolicy`], shards
 //! whose [`crate::health::CircuitBreaker`] is open are skipped outright, and
 //! whatever has not answered by the deadline is abandoned. A shard whose
-//! injected fault would fire is left out of the fused job, and a fused job
-//! that errors or panics is redone one job per shard, so a faulty shard
-//! costs its own coverage and no other shard's. The caller gets a
+//! injected fault would fire is left out of the fused job, and a fused
+//! chunk that errors or panics is redone one job per shard, so a faulty
+//! shard costs its own coverage and no other shard's. A fused chunk that
+//! misses the deadline leaves its shards `TimedOut` without charging their
+//! breakers (no one shard is to blame), keeps the chunks that answered, and
+//! sends the next batch down the per-shard scatter, where a shard that
+//! really stalls is timed out and charged alone. The caller gets a
 //! [`DegradedResult`]: the merged top-k over the responsive shards, a
 //! [`ShardStatus`] per shard, and the covered fraction. With every shard
 //! healthy the merged output is bit-identical to [`FleetReader::search`].

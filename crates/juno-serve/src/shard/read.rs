@@ -11,6 +11,7 @@ use juno_common::index::{AnnIndex, BatchPlan, PlanUse, SearchResult, SearchStats
 use juno_common::parallel;
 use juno_common::topk::{merge_neighbors, ScoreOrder};
 use juno_common::vector::VectorSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -81,8 +82,11 @@ impl DegradedResult {
 }
 
 /// The outcome of [`FleetReader::search_batch_deadline`]. The whole batch
-/// shares one scatter: each shard scans the full batch on its worker, so the
-/// per-shard statuses and coverage apply to every query in the batch.
+/// shares one deadline, and the per-shard statuses and coverage apply to
+/// every query in it: a shard is `Ok` only when every query holds its
+/// candidates. (A fused shard whose scan answered for some chunks of the
+/// batch's queries and not for others is `TimedOut`, yet the queries of the
+/// chunks that answered keep its candidates.)
 #[derive(Debug, Clone)]
 pub struct DegradedBatch {
     /// Merged per-query top-k lists, indexed by query.
@@ -113,24 +117,25 @@ impl DegradedBatch {
 /// scanned from the fleet's shared plan.
 type ShardBatch = (Vec<SearchResult>, PlanUse);
 
-/// One answer the gather merges: a shard's own scan of the batch, or the
-/// fused scan of several global-id shards' segments.
+/// One answer the gather merges: a shard's own scan of a run of the
+/// batch's queries, or the fused scan of several global-id shards'
+/// segments.
 #[derive(Debug)]
 struct Part {
     /// The shard whose id map translates the results (for a fused scan,
     /// the first of its shards: global-id shards translate nothing).
     shard: usize,
-    /// How many shards the answer covers.
-    covers: usize,
+    /// The batch's queries the answer covers; `results[0]` is the first's.
+    queries: Range<usize>,
     results: Vec<SearchResult>,
     used: PlanUse,
 }
 
 impl Part {
-    fn shard(shard: usize, (results, used): ShardBatch) -> Self {
+    fn shard(shard: usize, queries: Range<usize>, (results, used): ShardBatch) -> Self {
         Self {
             shard,
-            covers: 1,
+            queries,
             results,
             used,
         }
@@ -139,12 +144,25 @@ impl Part {
 
 /// What a scan worker sends back on the degraded path.
 enum Reply {
-    /// Shard `s`'s own scan.
-    Shard(usize, Result<ShardBatch>),
+    /// Shard `s`'s own scan: of the whole batch (`chunk` is `None`), or of
+    /// one fused chunk's queries after that chunk's fused scan failed.
+    Shard {
+        shard: usize,
+        chunk: Option<usize>,
+        out: Result<ShardBatch>,
+    },
     /// Chunk `c` of the fused scan: its queries' results, or `None` when
-    /// the scan declined, failed or panicked and the shards it covers must
-    /// be scanned one by one.
+    /// the scan declined, failed or panicked and each shard it covers must
+    /// scan the chunk's queries alone.
     Fused(usize, Option<Vec<SearchResult>>),
+}
+
+/// One chunk of a fused batch: a run of the batch's queries, a copy of
+/// them and their slice of the batch's plan.
+struct Chunk {
+    range: Range<usize>,
+    queries: Arc<VectorSet>,
+    plan: BatchPlan,
 }
 
 /// Plans a fleet batch **once**, on `planner`'s engine, for every shard to
@@ -204,10 +222,7 @@ fn scan_fused<I: AnnIndex>(
 /// The query ranges of a fused batch's jobs: `num_queries` cut into at most
 /// `max_chunks` non-empty contiguous runs of near-equal length (one run,
 /// the whole batch, when there is at most one query or one chunk).
-fn fused_chunks(
-    num_queries: usize,
-    max_chunks: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
+fn fused_chunks(num_queries: usize, max_chunks: usize) -> impl Iterator<Item = Range<usize>> {
     let chunks = num_queries.min(max_chunks).max(1);
     (0..chunks).map(move |c| c * num_queries / chunks..(c + 1) * num_queries / chunks)
 }
@@ -352,34 +367,31 @@ impl<I: AnnIndex> FleetReader<I> {
         }
     }
 
-    /// Gathers a batch's parts into per-query results, plus how many of
-    /// the shards they cover shared the plan and how many re-planned.
+    /// Gathers a batch's parts into per-query results: each query merges
+    /// the parts that cover it.
     fn gather_batch(
         &self,
         mut parts: Vec<Part>,
         plan: Option<&BatchPlan>,
         num_queries: usize,
         k: usize,
-    ) -> (Vec<SearchResult>, usize, usize) {
+    ) -> Vec<SearchResult> {
         let order = self.states[0].index.merge_order();
-        let (mut shared, mut replanned) = (0usize, 0usize);
-        for part in &parts {
-            match part.used {
-                PlanUse::Shared => shared += part.covers,
-                PlanUse::Replanned => replanned += part.covers,
-            }
-        }
-        let plan = plan.filter(|_| shared > 0);
-        let results = (0..num_queries)
+        (0..num_queries)
             .map(|qi| {
-                let per_part = parts
+                let per_part: Vec<_> = parts
                     .iter_mut()
-                    .map(|part| (part.shard, part.used, std::mem::take(&mut part.results[qi])))
+                    .filter(|part| part.queries.contains(&qi))
+                    .map(|part| {
+                        let result = &mut part.results[qi - part.queries.start];
+                        (part.shard, part.used, std::mem::take(result))
+                    })
                     .collect();
-                self.gather_indexed(per_part, plan.map(|p| p.front_stats(qi)), k, order)
+                let shared = per_part.iter().any(|(_, used, _)| *used == PlanUse::Shared);
+                let front = plan.filter(|_| shared).map(|p| p.front_stats(qi));
+                self.gather_indexed(per_part, front, k, order)
             })
-            .collect();
-        (results, shared, replanned)
+            .collect()
     }
 
     /// Whether the batch can take the fused scan: a shared plan, and a
@@ -391,12 +403,11 @@ impl<I: AnnIndex> FleetReader<I> {
     /// The exact scatter-gather behind [`FleetReader::search`] and
     /// [`FleetReader::search_batch_threads`]: plan the batch once, then scan
     /// every shard's segments as one index with `outer × inner` threads
-    /// when the fleet and the engine allow it; otherwise scan each shard
-    /// from the plan on up to `outer` workers (each with an `inner` thread
-    /// budget) and gather. Any shard error fails the batch: a fused scan
-    /// that fails or panics is redone shard by shard, which reports the
-    /// error (or the panic, as [`Error::WorkerPanicked`]) as the shard
-    /// itself does.
+    /// when the fleet and the engine allow it; otherwise (the engine
+    /// declined) scan each shard from the plan on up to `outer` workers
+    /// (each with an `inner` thread budget) and gather. Any shard error
+    /// fails the batch: a fused scan's error is the failing shard's own,
+    /// and its panic surfaces as [`Error::WorkerPanicked`].
     fn scatter(
         &self,
         queries: &VectorSet,
@@ -404,30 +415,31 @@ impl<I: AnnIndex> FleetReader<I> {
         outer: usize,
         inner: usize,
     ) -> Result<Vec<SearchResult>> {
+        let all = 0..queries.len();
         let plan = plan_once(&self.states[0], queries, outer * inner);
         if let Some(plan) = plan.as_ref().filter(|p| self.fusable(Some(p))) {
             let states: Vec<&ShardState<I>> = self.states.iter().map(|s| &**s).collect();
             let fused = catch_unwind(AssertUnwindSafe(|| {
                 scan_fused(&states, queries, k, outer * inner, plan)
-            }));
-            if let Ok(Ok(Some(results))) = fused {
-                let part = Part {
-                    shard: 0,
-                    covers: states.len(),
-                    results,
-                    used: PlanUse::Shared,
-                };
-                return Ok(self
-                    .gather_batch(vec![part], Some(plan), queries.len(), k)
-                    .0);
+            }))
+            .unwrap_or_else(|payload| {
+                Err(Error::worker_panicked(format!(
+                    "fused search: {}",
+                    parallel::panic_message(&*payload)
+                )))
+            })?;
+            if let Some(results) = fused {
+                let part = Part::shard(0, all, (results, PlanUse::Shared));
+                return Ok(self.gather_batch(vec![part], Some(plan), queries.len(), k));
             }
         }
         let parts = parallel::map(self.states.len(), outer, |s| {
-            scan_shard(&self.states[s], queries, k, inner, plan.as_ref()).map(|b| Part::shard(s, b))
+            scan_shard(&self.states[s], queries, k, inner, plan.as_ref())
+                .map(|b| Part::shard(s, all.clone(), b))
         })?
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
-        Ok(self.gather_batch(parts, plan.as_ref(), queries.len(), k).0)
+        Ok(self.gather_batch(parts, plan.as_ref(), queries.len(), k))
     }
 
     /// Searches one query across the fleet: its front half is planned once
@@ -546,13 +558,18 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
     /// scanned as one index — the monolith's work, where one job per shard
     /// each filled a top-k of its own — by one scan-worker job per chunk of
     /// the batch's queries (a lone query is one job), each chunk with its
-    /// slice of the one plan. The
-    /// per-shard scatter still runs for mapped fleets, for a shard whose
-    /// [`crate::FaultOp::Search`] rule would fire (it takes a job of its own,
-    /// the rest stay fused), and as the fallback when the fused job
-    /// declines (stamps differ), errors or panics: then every shard it
-    /// covered is scanned by a job of its own, so a faulty shard still
-    /// costs only its own coverage.
+    /// slice of the one plan. The per-shard scatter still runs for mapped
+    /// fleets, for a shard whose [`crate::FaultOp::Search`] rule would fire
+    /// (it takes a job of its own, the rest stay fused), for the one batch
+    /// after a fused job missed its deadline, and as the fallback of a
+    /// chunk whose fused job declines (stamps differ), errors or panics:
+    /// every shard it covered then scans that chunk's queries in a job of
+    /// its own, so a faulty shard still costs only its own coverage and the
+    /// chunks that answered stand. A fused job that misses the deadline
+    /// leaves its shards `TimedOut` but charges none of their breakers — it
+    /// cannot say whose segment held it up — and the next batch scans each
+    /// shard on its own, where a shard that really stalls is charged
+    /// alone.
     ///
     /// # Errors
     ///
@@ -588,8 +605,11 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
             .position(Option::is_some)
             .and_then(|s| plan_once(&self.states[s], queries, 1));
         // The fused group: every admitted shard whose `Search` op would not
-        // fire, counted now as its scan's injection would count it.
-        let fused: Vec<usize> = if self.fusable(plan.as_ref()) {
+        // fire, counted now as its scan's injection would count it. Empty
+        // for the one batch after a fused job missed its deadline: each
+        // shard then answers on its own, so a shard that really stalls
+        // times out alone and is charged for it.
+        let fused: Vec<usize> = if self.fusable(plan.as_ref()) && !self.health.take_fused_missed() {
             (0..total)
                 .filter(|&s| admitted[s].is_some())
                 .filter(|&s| {
@@ -602,14 +622,44 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
             Vec::new()
         };
 
-        // One copy of the batch, shared by every job. The sender stays
-        // here: a fused job that falls back submits per-shard jobs late.
+        // One copy of the batch, shared by every job of its own.
+        let nq = queries.len();
         let queries = Arc::new(queries.clone());
+        // The fused scan runs as one job per chunk of the batch's queries,
+        // at most one chunk per fused shard — the pool parks a worker per
+        // shard, so the chunks start without a thread start — and each with
+        // its slice of the one plan. A lone query is one job; a 16-query
+        // batch on the ledger's online fleet took a median of 1.66 ms as
+        // one job and 1.0 ms as four (2 vCPUs, five and four traced runs).
+        let chunks: Vec<Chunk> = match &plan {
+            Some(plan) if !fused.is_empty() => fused_chunks(nq, fused.len())
+                .map(|range| {
+                    let queries = if range.len() == nq {
+                        Arc::clone(&queries)
+                    } else {
+                        Arc::new(queries.select(&range.clone().collect::<Vec<_>>())?)
+                    };
+                    let plan = plan.slice(range.clone());
+                    Ok(Chunk {
+                        range,
+                        queries,
+                        plan,
+                    })
+                })
+                .collect::<Result<_>>()?,
+            _ => Vec::new(),
+        };
+        // The sender stays here: a fused chunk that fails submits its
+        // shards' own scans late.
         let (tx, rx) = mpsc::channel::<Reply>();
-        let submit_shard = |s: usize, counted: bool| {
+        // Shard `s`'s own scan: of the whole batch, or of fused chunk
+        // `chunk`'s queries (whose `Search` op the fused group counted).
+        let submit_shard = |s: usize, chunk: Option<usize>| {
             let state = self.states[s].clone();
-            let queries = Arc::clone(&queries);
-            let plan = plan.clone();
+            let (queries, plan) = match chunk {
+                Some(c) => (Arc::clone(&chunks[c].queries), Some(chunks[c].plan.clone())),
+                None => (Arc::clone(&queries), plan.clone()),
+            };
             let fault = self.fault.clone();
             let retry = self.health.retry();
             // A send after the deadline hits a disconnected receiver; the
@@ -624,9 +674,13 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
                     deadline,
                     fault.as_deref(),
                     retry,
-                    counted,
+                    chunk.is_some(),
                 );
-                Reply::Shard(s, out)
+                Reply::Shard {
+                    shard: s,
+                    chunk,
+                    out,
+                }
             });
         };
         let mut statuses: Vec<ShardStatus> = Vec::with_capacity(total);
@@ -640,121 +694,140 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
             statuses.push(ShardStatus::TimedOut);
             if !fused.contains(&s) {
                 outstanding += 1;
-                submit_shard(s, false);
+                submit_shard(s, None);
             }
         }
-        // The fused scan runs as one job per chunk of the batch's queries,
-        // at most one chunk per fused shard — the pool parks a worker per
-        // shard, so the chunks start without a thread start — and each with
-        // its slice of the one plan. A lone query is one job; a 16-query
-        // batch on the ledger's online fleet took a median of 1.66 ms as
-        // one job and 1.0 ms as four (2 vCPUs, five and four traced runs).
-        let chunks = match &plan {
-            Some(plan) if !fused.is_empty() => fused_chunks(queries.len(), fused.len())
-                .map(|range| (plan.slice(range.clone()), range))
-                .collect(),
-            _ => Vec::new(),
-        };
-        let mut chunk_results: Vec<Option<Vec<SearchResult>>> = vec![None; chunks.len()];
-        let (mut chunks_pending, mut fused_failed) = (chunks.len(), false);
-        for (c, (chunk_plan, range)) in chunks.into_iter().enumerate() {
+        for (c, chunk) in chunks.iter().enumerate() {
             outstanding += 1;
             let states: Vec<Arc<ShardState<I>>> =
                 fused.iter().map(|&s| self.states[s].clone()).collect();
-            let chunk_queries = if range.len() == queries.len() {
-                Arc::clone(&queries)
-            } else {
-                Arc::new(queries.select(&range.collect::<Vec<_>>())?)
-            };
+            let (queries, plan) = (Arc::clone(&chunk.queries), chunk.plan.clone());
             self.workers.submit(tx.clone(), move || {
                 let states: Vec<&ShardState<I>> = states.iter().map(|s| &**s).collect();
                 // Inner thread budget 1, as for a shard's own scan.
                 let out = catch_unwind(AssertUnwindSafe(|| {
-                    scan_fused(&states, &chunk_queries, k, 1, &chunk_plan)
+                    scan_fused(&states, &queries, k, 1, &plan)
                 }));
                 Reply::Fused(c, out.ok().and_then(Result::ok).flatten())
             });
         }
         let admit_gen = |s: usize| admitted[s].expect("only admitted shards report");
 
-        let mut parts: Vec<Part> = Vec::with_capacity(total);
+        // Per shard: the fused chunks that still lack its candidates, the
+        // first error its own scan of a failed chunk reported, and whether
+        // any of its answers planned for itself.
+        let mut missing = vec![chunks.len(); total];
+        let mut errors: Vec<Option<Error>> = vec![None; total];
+        let mut replanned = vec![false; total];
+        let mut parts: Vec<Part> = Vec::with_capacity(total + chunks.len());
         while outstanding > 0 {
             let wait = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(Reply::Shard(s, Ok(batch))) => {
-                    self.health.breaker(s).record_success(admit_gen(s));
-                    parts.push(Part::shard(s, batch));
-                    statuses[s] = ShardStatus::Ok;
-                    outstanding -= 1;
-                }
-                Ok(Reply::Shard(s, Err(err))) => {
-                    self.health.breaker(s).record_failure(admit_gen(s));
-                    statuses[s] = ShardStatus::Failed(err);
-                    outstanding -= 1;
-                }
-                Ok(Reply::Fused(c, Some(results))) => {
-                    outstanding -= 1;
-                    if fused_failed {
-                        continue;
-                    }
-                    chunk_results[c] = Some(results);
-                    chunks_pending -= 1;
-                    if chunks_pending == 0 {
-                        for &s in &fused {
-                            self.health.breaker(s).record_success(admit_gen(s));
-                            statuses[s] = ShardStatus::Ok;
-                        }
-                        parts.push(Part {
-                            shard: fused[0],
-                            covers: fused.len(),
-                            results: chunk_results
-                                .iter_mut()
-                                .flat_map(|r| r.take())
-                                .flatten()
-                                .collect(),
-                            used: PlanUse::Shared,
-                        });
-                    }
-                }
-                Ok(Reply::Fused(_, None)) => {
-                    outstanding -= 1;
-                    // The first failed chunk sends each shard the fused
-                    // scan covered a job of its own for the whole batch;
-                    // their `Search` ops were counted when it was
-                    // submitted. Later chunks' replies are dropped.
-                    if !std::mem::replace(&mut fused_failed, true) {
-                        outstanding += fused.len();
-                        for &s in &fused {
-                            submit_shard(s, true);
-                        }
-                    }
-                }
+            let reply = match rx.recv_timeout(wait) {
+                Ok(reply) => reply,
                 // Deadline reached: whatever has not answered stays
                 // `TimedOut`.
                 Err(mpsc::RecvTimeoutError::Timeout) => break,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     unreachable!("the sender lives until the gather")
                 }
+            };
+            outstanding -= 1;
+            match reply {
+                Reply::Shard {
+                    shard: s,
+                    chunk,
+                    out: Ok(batch),
+                } => {
+                    replanned[s] |= batch.1 == PlanUse::Replanned;
+                    let range = match chunk {
+                        Some(c) => {
+                            missing[s] -= 1;
+                            chunks[c].range.clone()
+                        }
+                        None => {
+                            self.health.breaker(s).record_success(admit_gen(s));
+                            statuses[s] = ShardStatus::Ok;
+                            0..nq
+                        }
+                    };
+                    parts.push(Part::shard(s, range, batch));
+                }
+                Reply::Shard {
+                    shard: s,
+                    chunk: Some(_),
+                    out: Err(err),
+                } => {
+                    errors[s].get_or_insert(err);
+                }
+                Reply::Shard {
+                    shard: s,
+                    chunk: None,
+                    out: Err(err),
+                } => {
+                    self.health.breaker(s).record_failure(admit_gen(s));
+                    statuses[s] = ShardStatus::Failed(err);
+                }
+                Reply::Fused(c, Some(results)) => {
+                    for &s in &fused {
+                        missing[s] -= 1;
+                    }
+                    let range = chunks[c].range.clone();
+                    parts.push(Part::shard(fused[0], range, (results, PlanUse::Shared)));
+                }
+                Reply::Fused(c, None) => {
+                    // Each shard the chunk covered scans the chunk's
+                    // queries alone, so a faulty shard costs only its own
+                    // coverage; the chunks that answered stand.
+                    outstanding += fused.len();
+                    for &s in &fused {
+                        submit_shard(s, Some(c));
+                    }
+                }
             }
         }
-        // Stragglers (still provisional after the deadline) count against
-        // their breakers just like explicit failures.
+        // A fused shard is `Failed` when its own scan of a chunk failed
+        // (charged like any shard's failure), `Ok` when every chunk holds
+        // its candidates, and otherwise `TimedOut` — though the queries of
+        // the chunks that answered keep its candidates. A fused job that
+        // missed the deadline cannot say whose segment held it up, so that
+        // charges no breaker; the next batch scatters per shard instead.
+        let mut fused_missed = false;
+        for &s in &fused {
+            if let Some(err) = errors[s].take() {
+                self.health.breaker(s).record_failure(admit_gen(s));
+                statuses[s] = ShardStatus::Failed(err);
+            } else if missing[s] == 0 {
+                self.health.breaker(s).record_success(admit_gen(s));
+                statuses[s] = ShardStatus::Ok;
+            } else {
+                fused_missed = true;
+            }
+        }
+        if fused_missed {
+            self.health.record_fused_missed();
+        }
+        // Stragglers of their own jobs (still provisional after the
+        // deadline) count against their breakers just like explicit
+        // failures.
         for (s, status) in statuses.iter().enumerate() {
-            if matches!(status, ShardStatus::TimedOut) {
+            if matches!(status, ShardStatus::TimedOut) && !fused.contains(&s) {
                 self.health.breaker(s).record_failure(admit_gen(s));
             }
         }
 
         let ok = statuses.iter().filter(|s| s.is_ok()).count();
         let coverage = ok as f64 / total.max(1) as f64;
-        let (results, plan_shared_shards, plan_replanned_shards) =
-            self.gather_batch(parts, plan.as_ref(), queries.len(), k);
+        let ok_with = |r: bool| {
+            (0..total)
+                .filter(|&s| statuses[s].is_ok() && replanned[s] == r)
+                .count()
+        };
         Ok(DegradedBatch {
-            results,
+            results: self.gather_batch(parts, plan.as_ref(), nq, k),
+            plan_shared_shards: ok_with(false),
+            plan_replanned_shards: ok_with(true),
             shards: statuses,
             coverage,
-            plan_shared_shards,
-            plan_replanned_shards,
         })
     }
 }
@@ -763,6 +836,7 @@ impl<I: AnnIndex + 'static> FleetReader<I> {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultRule};
+    use crate::health::BreakerConfig;
     use crate::router::ShardRouter;
     use crate::shard::ShardedIndex;
     use juno_common::metric::Metric;
@@ -777,7 +851,17 @@ mod tests {
         Fail,
         /// A fused scan covering this replica panics; its own scan works.
         PanicFused,
+        /// A scan covering this replica whose queries hold one with first
+        /// coordinate `on` stalls for [`STALL`]: a fused one, or — with
+        /// `fused_fails` — this replica's own one, the fused one failing.
+        Stall {
+            on: f32,
+            fused_fails: bool,
+        },
     }
+
+    /// How long a [`Poison::Stall`] scan stalls: far past [`SHORT`].
+    const STALL: Duration = Duration::from_millis(1500);
 
     /// An exhaustive engine with a shareable plan and a fused scan that
     /// searches its replicas one after the other and merges: enough to
@@ -802,8 +886,13 @@ mod tests {
             self.rows.len()
         }
         fn search(&self, query: &[f32], k: usize) -> Result<SearchResult> {
-            if self.poison == Poison::Fail {
-                return Err(Error::corrupted("a poisoned replica"));
+            match self.poison {
+                Poison::Fail => return Err(Error::corrupted("a poisoned replica")),
+                Poison::Stall {
+                    on,
+                    fused_fails: true,
+                } if query[0] == on => std::thread::sleep(STALL),
+                _ => {}
             }
             let mut topk = TopK::new(k, Metric::L2);
             for (id, row) in &self.rows {
@@ -855,8 +944,17 @@ mod tests {
             _: &BatchPlan,
         ) -> Result<Option<Vec<SearchResult>>> {
             replicas[0].fused_calls.fetch_add(1, Ordering::Relaxed);
-            if replicas.iter().any(|r| r.poison == Poison::PanicFused) {
-                panic!("[injected-fault] a fused scan panicked");
+            for replica in replicas {
+                match replica.poison {
+                    Poison::PanicFused => panic!("[injected-fault] a fused scan panicked"),
+                    Poison::Stall { on, fused_fails } if queries.iter().any(|q| q[0] == on) => {
+                        if fused_fails {
+                            return Err(Error::corrupted("a stalling replica"));
+                        }
+                        std::thread::sleep(STALL);
+                    }
+                    _ => {}
+                }
             }
             let mut per_replica = Vec::new();
             for replica in replicas {
@@ -935,6 +1033,8 @@ mod tests {
 
     const K: usize = 7;
     const BUDGET: Duration = Duration::from_secs(30);
+    /// A budget the healthy scans meet and a [`Poison::Stall`] misses.
+    const SHORT: Duration = Duration::from_millis(300);
 
     #[test]
     fn fused_chunks_cut_a_batch_into_contiguous_non_empty_runs() {
@@ -1011,7 +1111,8 @@ mod tests {
             Err(Error::Corrupted(_))
         ));
 
-        // A fused scan that panics costs nothing but the detour.
+        // On the degraded path a fused scan that panics costs nothing but
+        // the detour; an exact path reports it.
         let mut reader = fleet(&calls).reader();
         poison(&mut reader, 1, Poison::PanicFused);
         let got = reader
@@ -1020,10 +1121,114 @@ mod tests {
         assert!(got.is_complete(), "{:?}", got.shards);
         let want = neighbours(&healthy_merge(&reader, &[0, 1, 2, 3], K));
         assert_eq!(neighbours(&got.results), want);
-        assert_eq!(
-            neighbours(&reader.search_batch_threads(&queries(), K, 2).unwrap()),
-            want
+        assert!(matches!(
+            reader.search_batch_threads(&queries(), K, 2),
+            Err(Error::WorkerPanicked(_))
+        ));
+    }
+
+    /// A fleet whose breakers open on the first failure charged to them.
+    fn touchy_fleet(calls: &Arc<AtomicUsize>) -> ShardedIndex<Rows> {
+        let fleet = fleet(calls);
+        fleet.configure_health(
+            BreakerConfig {
+                failure_threshold: 1,
+                ..BreakerConfig::default()
+            },
+            RetryPolicy::default(),
         );
+        fleet
+    }
+
+    #[test]
+    fn a_fused_chunk_that_misses_the_deadline_charges_no_breaker() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let fleet = touchy_fleet(&calls);
+        let mut reader = fleet.reader();
+        let want = neighbours(&healthy_merge(&reader, &[0, 1, 2, 3], K));
+        // The last chunk of four ([3, 5)) holds query 4 and stalls.
+        let on = queries().row(4)[0];
+        poison(
+            &mut reader,
+            2,
+            Poison::Stall {
+                on,
+                fused_fails: false,
+            },
+        );
+        let got = reader
+            .search_batch_deadline(&queries(), K, SHORT)
+            .expect("batch");
+        assert_eq!(got.shards, vec![ShardStatus::TimedOut; 4]);
+        assert_eq!(got.coverage, 0.0);
+        // The three chunks that answered keep every shard's candidates.
+        let results = neighbours(&got.results);
+        assert_eq!(results[..3], want[..3]);
+        assert!(results[3..].iter().all(Vec::is_empty), "{results:?}");
+        assert_eq!(
+            reader.breaker_states(),
+            vec![BreakerState::Closed; 4],
+            "nobody's breaker is charged for the stalled chunk"
+        );
+        // The next batch scans each shard on its own, where the stall is
+        // shard 2's own scan's (its own scans stall nowhere): complete.
+        let next = reader
+            .search_batch_deadline(&queries(), K, SHORT)
+            .expect("batch");
+        assert!(next.is_complete(), "{:?}", next.shards);
+        assert_eq!(neighbours(&next.results), want);
+        // And the one after that fuses again.
+        let before = calls.load(Ordering::Relaxed);
+        reader
+            .search_batch_deadline(&queries(), K, SHORT)
+            .expect("batch");
+        assert_eq!(calls.load(Ordering::Relaxed), before + 4);
+        assert_eq!(reader.breaker_states(), vec![BreakerState::Closed; 4]);
+    }
+
+    #[test]
+    fn a_failed_chunk_whose_own_scans_are_late_charges_only_the_stalled_shard() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let fleet = touchy_fleet(&calls);
+        let mut reader = fleet.reader();
+        let on = queries().row(4)[0];
+        poison(
+            &mut reader,
+            2,
+            Poison::Stall {
+                on,
+                fused_fails: true,
+            },
+        );
+        // The last chunk's fused scan fails; each shard then scans that
+        // chunk alone, and shard 2's own scan stalls past the deadline.
+        let got = reader
+            .search_batch_deadline(&queries(), K, SHORT)
+            .expect("batch");
+        let mut want_status = vec![ShardStatus::Ok; 4];
+        want_status[2] = ShardStatus::TimedOut;
+        assert_eq!(got.shards, want_status);
+        assert_eq!(got.coverage, 0.75);
+        let all = neighbours(&healthy_merge(&reader, &[0, 1, 2, 3], K));
+        let healthy = neighbours(&healthy_merge(&reader, &[0, 1, 3], K));
+        let results = neighbours(&got.results);
+        assert_eq!(results[..3], all[..3], "the fused chunks that answered");
+        assert_eq!(results[3..], healthy[3..], "the healthy shards' merge");
+        assert_eq!(
+            reader.breaker_states(),
+            vec![BreakerState::Closed; 4],
+            "a late fallback charges no breaker"
+        );
+        // The next batch scans each shard on its own: shard 2's own stall
+        // is its own, and only its breaker opens.
+        let next = reader
+            .search_batch_deadline(&queries(), K, SHORT)
+            .expect("batch");
+        assert_eq!(next.shards, want_status);
+        assert_eq!(neighbours(&next.results), healthy);
+        let mut want_breakers = vec![BreakerState::Closed; 4];
+        want_breakers[2] = BreakerState::Open;
+        assert_eq!(reader.breaker_states(), want_breakers);
     }
 
     #[test]
